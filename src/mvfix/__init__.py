@@ -15,6 +15,7 @@ from .analysis import (
     CertificateReport,
     PairCheck,
     PairEvaluation,
+    PairTable,
     certify,
     check_pair_f_integral,
     check_pair_nadler,

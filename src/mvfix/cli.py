@@ -34,7 +34,7 @@ from .config import (
 )
 from .errors import ConfigError, MvfixError
 from .ffunctions import F_KINDS, FFunction, check_f1, check_f2_f3, check_f4, f_eval
-from .integrand import integrand_label
+from .integrand import Integrand, integrand_label
 from .maps import MultiMap
 from .sets1d import CompactSet
 from .solver import (
@@ -139,10 +139,6 @@ def read_trace_csv(path: Path) -> list[tuple[int, float, float, float, float, fl
     return rows
 
 
-def _describe_domain(domain: CompactSet) -> str:
-    return repr(domain)
-
-
 def _write_report(out_dir: Path | None, filename: str, text: str) -> None:
     if out_dir is None:
         return
@@ -152,15 +148,15 @@ def _write_report(out_dir: Path | None, filename: str, text: str) -> None:
 
 
 def _format_certify_report(
-    cfg: ProblemConfig, T: MultiMap, report: CertificateReport
+    cfg: ProblemConfig, T: MultiMap, f: Integrand, report: CertificateReport
 ) -> str:
     lines = [
         "contraction certificate",
         "=======================",
         f"map: {T.describe()}",
-        f"domain: {_describe_domain(T.domain)}",
+        f"domain: {T.domain!r}",
         f"mode: {report.mode}   F: {cfg.f.kind} (k = {cfg.f.k:g})   integrand: "
-        f"{integrand_label(build_integrand(cfg))}",
+        f"{integrand_label(f)}",
         f"pairs: {report.evaluated_pairs} evaluated, {report.vacuous_pairs} vacuous, "
         f"{len(report.errors)} errors, {len(report.violations)} violations",
     ]
@@ -214,16 +210,17 @@ def _certify_exit_code(report: CertificateReport) -> int:
 
 def cmd_certify(cfg: ProblemConfig, out_dir: Path | None) -> int:
     T = build_map(cfg)
+    f = build_integrand(cfg)
     report = certify(
         T,
         build_ffunction(cfg),
-        build_integrand(cfg),
+        f,
         grid_size=cfg.grid_size,
         random_pairs=cfg.random_pairs,
         seed=cfg.seed,
         mode=cfg.mode,
     )
-    text = _format_certify_report(cfg, T, report)
+    text = _format_certify_report(cfg, T, f, report)
     print(text, end="")
     _write_report(out_dir, "certify_report.txt", text)
     return _certify_exit_code(report)
@@ -251,7 +248,7 @@ def _format_solve_report(
         "fixed-point iteration",
         "=====================",
         f"map: {T.describe()}",
-        f"domain: {_describe_domain(T.domain)}",
+        f"domain: {T.domain!r}",
         f"x0 = {fmt_value(cfg.x0)}   tol = {fmt_value(cfg.tol)}   max_iter = {cfg.max_iter}",
         f"outcome: {name}",
         f"final x: {fmt_value(final_x)}",

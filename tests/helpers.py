@@ -3,12 +3,16 @@
 The oracles here deliberately avoid the library's candidate-enumeration
 code path: point-to-set distances use the clamp formula directly and
 sups are taken over dense grids, so they provide an independent check of
-the exact metric implementation.
+the exact metric implementation.  ``certify_scalar`` is the one-pair-at-
+a-time certification loop, kept as the reference for the batched sweep.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
-from mvfix import CompactSet
+from mvfix import CompactSet, MvfixError, apply_map, domain_grid, sample_point
+from mvfix.analysis import _check_mode, _evaluate
 
 
 def random_compact_set(rng, max_intervals=4, lo=-10.0, hi=10.0):
@@ -75,3 +79,66 @@ def random_points_in(A, rng, n):
         else:
             pts.append(A.intervals[-1][1])
     return pts
+
+
+def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hausdorff"):
+    """``certify`` evaluated one pair at a time through the scalar ``_evaluate``.
+
+    Returns the report's fields (``pairs`` as a tuple of PairEvaluation)
+    in a namespace, for bit-for-bit comparison with ``certify``.
+    """
+    _check_mode(mode)
+    grid = domain_grid(T.domain, grid_size)
+    pair_args = []
+    for i in range(len(grid)):
+        for j in range(i + 1, len(grid)):
+            pair_args.append((grid[i], grid[j]))
+    rng = np.random.default_rng(seed)
+    for _ in range(random_pairs):
+        a = sample_point(T.domain, rng)
+        b = sample_point(T.domain, rng)
+        pair_args.append((min(a, b), max(a, b)))
+
+    cache = {}
+
+    def image(x):
+        S = cache.get(x)
+        if S is None:
+            S = apply_map(T, x)
+            cache[x] = S
+        return S
+
+    evaluations = []
+    errors = []
+    for x, y in pair_args:
+        try:
+            evaluations.append(_evaluate(F, f, x, y, image(x), image(y), mode))
+        except MvfixError as err:
+            errors.append((x, y, str(err)))
+
+    evaluations.sort(key=lambda p: (p.x, p.y))
+    errors.sort(key=lambda row: (row[0], row[1]))
+
+    tau_star = None
+    worst = None
+    vacuous = 0
+    violations = []
+    for ev in evaluations:
+        if ev.margin is None:
+            vacuous += 1
+            continue
+        if tau_star is None or ev.margin < tau_star:
+            tau_star = ev.margin
+            worst = ev
+        if ev.margin <= 0.0:
+            violations.append(ev)
+
+    return SimpleNamespace(
+        tau_star=tau_star,
+        worst_pair=worst,
+        violations=tuple(violations),
+        vacuous_pairs=vacuous,
+        evaluated_pairs=len(evaluations),
+        pairs=tuple(evaluations),
+        errors=tuple(errors),
+    )

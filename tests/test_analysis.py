@@ -1,19 +1,29 @@
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import certify_scalar
 from mvfix import (
     CompactSet,
     ConstantIntegrand,
     DomainError,
+    ExponentialIntegrand,
     FFunction,
     PairCheck,
+    PowerIntegrand,
+    analysis,
     certify,
     check_pair_f_integral,
     check_pair_nadler,
     check_pair_ojha,
     evaluate_pair,
+    expression_integrand,
+    finite_set_map,
     interval_map,
     m_value,
     singleton_map,
@@ -204,3 +214,123 @@ class TestCertify:
             certify(halving_point_map(), LOG, ONE, grid_size=1)
         with pytest.raises(DomainError):
             certify(halving_point_map(), LOG, ONE, random_pairs=-1)
+
+
+class TestNumericFailures:
+    def test_overflowing_phi_h_is_an_error_not_a_nan(self):
+        # Phi(h) = 1e308 * |x - y| / 2 overflows once |x - y| >= 4, which
+        # used to leave inf - inf = NaN margins out of tau_star unrecorded
+        T = singleton_map(CompactSet.interval(0.0, 10.0), "x/2")
+        report = certify(T, LOG, ConstantIntegrand(1e308), grid_size=11, random_pairs=0)
+        assert len(report.errors) == 28
+        assert report.evaluated_pairs == 27
+        assert report.vacuous_pairs == 0
+        assert all(abs(x - y) >= 4.0 for x, y, _ in report.errors)
+        assert all("Phi(h) is not finite" in msg for _, _, msg in report.errors)
+        assert abs(report.tau_star - math.log(2.0)) <= 1e-9
+
+    @pytest.mark.parametrize("f", [ExponentialIntegrand(rate=5.0), PowerIntegrand(p=200.0)])
+    def test_phi_overflow_is_recorded_per_pair(self, f):
+        T = singleton_map(CompactSet.interval(0.0, 1000.0), "x/2")
+        report = certify(T, LOG, f, grid_size=21, random_pairs=10)
+        assert report.errors
+        assert all("overflows at u = " in msg for _, _, msg in report.errors)
+        assert report.evaluated_pairs + len(report.errors) == 21 * 20 // 2 + 10
+
+
+ORACLE_DOMAINS = {
+    "interval": CompactSet.interval(0.0, 1.0),
+    "union": CompactSet([(0.0, 0.4), (0.6, 1.0)]),
+    "points": CompactSet.from_points([0.0, 0.25, 0.5, 1.0]),
+}
+ORACLE_MAPS = ("interval", "singleton", "finite_set", "table")
+ORACLE_INTEGRANDS = {
+    "constant": lambda: ConstantIntegrand(1.0),
+    "power": lambda: PowerIntegrand(p=-0.5, scale=2.0),
+    # Phi underflows to 0 on small h, so F raises on those pairs
+    "power_underflow": lambda: PowerIntegrand(p=200.0),
+    "exponential": lambda: ExponentialIntegrand(rate=3.0),
+    # Phi(m) overflows to inf near m = 1, leaving a margin of +inf
+    "exponential_inf": lambda: ExponentialIntegrand(rate=700.0, scale=1e10),
+    "expression": lambda: expression_integrand("1 + t^2", grid_max=2.0),
+}
+
+
+@functools.cache
+def oracle_map(kind, domain):
+    D = ORACLE_DOMAINS[domain]
+    if kind == "interval":
+        return interval_map(D, "x/4", "(x+1)/2")
+    if kind == "singleton":
+        return singleton_map(D, "x - x^2")
+    if kind == "finite_set":
+        # members coincide at some x, so the number of intervals varies
+        return finite_set_map(D, ["x/2", "x/2", "x*x", "min(x, 0.5)"])
+    # keys 0.5 and most of the continuum are missing: those pairs error
+    return table_map(
+        D,
+        [
+            (0.0, [(0.0, 0.1)]),
+            (0.25, [(0.0, 0.05), (0.2, 0.3)]),
+            (1.0, [(0.4, 0.5), (0.7, 0.7), (0.9, 0.95)]),
+        ],
+    )
+
+
+@functools.cache
+def oracle_integrand(name):
+    return ORACLE_INTEGRANDS[name]()
+
+
+def assert_bitwise_equal(report, oracle):
+    # repr of a float round-trips exactly and tells -0.0 from 0.0
+    for name in (
+        "tau_star",
+        "worst_pair",
+        "violations",
+        "vacuous_pairs",
+        "evaluated_pairs",
+        "errors",
+        "pairs",
+    ):
+        assert repr(getattr(report, name)) == repr(getattr(oracle, name)), name
+
+
+class TestBatchedSweepAgainstScalarLoop:
+    @given(
+        kind=st.sampled_from(ORACLE_MAPS),
+        domain=st.sampled_from(sorted(ORACLE_DOMAINS)),
+        integrand=st.sampled_from(sorted(ORACLE_INTEGRANDS)),
+        f_kind=st.sampled_from(["log", "log_plus_linear", "neg_inv_sqrt"]),
+        mode=st.sampled_from(analysis.MODES),
+        grid_size=st.integers(2, 12),
+        random_pairs=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+        chunk_elements=st.sampled_from([analysis.CHUNK_ELEMENTS, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit(
+        self, kind, domain, integrand, f_kind, mode, grid_size, random_pairs, seed,
+        chunk_elements,
+    ):
+        T, f, F = oracle_map(kind, domain), oracle_integrand(integrand), FFunction(f_kind)
+        args = dict(grid_size=grid_size, random_pairs=random_pairs, seed=seed, mode=mode)
+        with mock.patch.object(analysis, "CHUNK_ELEMENTS", chunk_elements):
+            report = certify(T, F, f, **args)
+        assert_bitwise_equal(report, certify_scalar(T, F, f, **args))
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_sweep_spanning_several_chunks(self, mode):
+        T = finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"])
+        args = dict(grid_size=61, random_pairs=200, seed=3, mode=mode)
+        # four-point images: 2K + K - 1 candidates against K intervals, both ways
+        pairs_per_chunk = analysis.CHUNK_ELEMENTS // (2 * (3 * 4 - 1) * 4)
+        assert 61 * 60 // 2 + 200 > 2 * pairs_per_chunk
+        assert_bitwise_equal(certify(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args))
+
+    def test_table_holds_the_pairs_as_columns(self):
+        report = certify(halving_interval_map(), LOG, ONE, grid_size=11, random_pairs=20)
+        table = report.table
+        assert len(table) == report.evaluated_pairs == len(report.pairs)
+        assert table.x.tolist() == [p.x for p in report.pairs]
+        assert np.isnan(table.margin).sum() == report.vacuous_pairs

@@ -115,6 +115,61 @@ class TestCertifyCommand:
         assert main(["certify", cfg]) == EXIT_ERROR
         assert "tau must be positive" in capsys.readouterr().err
 
+    def test_nan_margins_are_counted_as_errors(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            {
+                "domain": [[0, 10]],
+                "map": {"kind": "singleton", "f": "x/2"},
+                "integrand": {"kind": "constant", "c": 1e308},
+                "grid_size": 11,
+                "random_pairs": 0,
+            },
+        )
+        assert main(["certify", cfg]) == EXIT_OK
+        out = capsys.readouterr()
+        rows = extract_machine_block(out.out)
+        assert (rows["evaluated_pairs"], rows["error_count"]) == ("27", "28")
+        assert rows["vacuous_pairs"] == "0"
+        assert out.err == ""
+
+    @pytest.mark.parametrize(
+        "integrand", [{"kind": "exponential", "rate": 5}, {"kind": "power", "p": 200}]
+    )
+    def test_phi_overflow_is_reported_not_raised(self, tmp_path, capsys, integrand):
+        cfg = write_config(
+            tmp_path,
+            {
+                "domain": [[0, 1000]],
+                "map": {"kind": "singleton", "f": "x/2"},
+                "integrand": integrand,
+                "grid_size": 21,
+                "random_pairs": 10,
+            },
+        )
+        code = main(["certify", cfg])
+        out = capsys.readouterr()
+        rows = extract_machine_block(out.out)
+        assert int(rows["error_count"]) > 0
+        assert "first error: x = " in out.out
+        assert "overflows at u = " in out.out
+        assert code == (EXIT_OK if int(rows["evaluated_pairs"]) else EXIT_ERROR)
+        assert out.err == ""
+
+    def test_integrand_is_built_once(self, tmp_path, capsys, monkeypatch):
+        import mvfix.cli
+
+        built = []
+        build = mvfix.cli.build_integrand
+        monkeypatch.setattr(mvfix.cli, "build_integrand", lambda cfg: built.append(cfg) or build(cfg))
+        cfg = write_config(
+            tmp_path,
+            dict(HALVING, integrand={"kind": "expression", "source": "1 + t", "grid_max": 2}),
+        )
+        assert main(["certify", cfg]) == EXIT_OK
+        assert len(built) == 1
+        assert "integrand: expression('1 + t')" in capsys.readouterr().out
+
 
 class TestSolveCommand:
     def solve_config(self, **extra):

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, assume, strategies as st
 
@@ -15,11 +16,23 @@ from mvfix import (
     default_f1_grid,
     f_eval,
 )
+from mvfix.ffunctions import F_KINDS, f_eval_array
 
 from helpers import random_compact_set
 
 
 class TestEvaluation:
+    @pytest.mark.parametrize("kind", F_KINDS)
+    def test_array_matches_scalar_bit_for_bit(self, kind):
+        F = FFunction(kind)
+        alpha = np.exp(np.random.default_rng(1).uniform(-700.0, 700.0, 2000))
+        expected = [f_eval(F, a) for a in alpha.tolist()]
+        assert repr(f_eval_array(F, alpha).tolist()) == repr(expected)
+
+    def test_array_rejects_nonpositive(self):
+        with pytest.raises(DomainError):
+            f_eval_array(FFunction("neg_inv_sqrt"), np.array([1.0, 0.0]))
+
     def test_log(self):
         assert f_eval(FFunction("log"), 0.25) == -1.3862943611198906
 

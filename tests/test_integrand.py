@@ -15,9 +15,11 @@ from mvfix import (
     adaptive_simpson,
     capital_phi,
     expression_integrand,
+    integrand_label,
     parse_expr,
     phi_eval,
 )
+from mvfix.integrand import capital_phi_array
 
 
 class TestPointwiseValues:
@@ -74,6 +76,37 @@ class TestCumulativeTransform:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             capital_phi(ConstantIntegrand(1.0), -1e-9)
+
+    @pytest.mark.parametrize(
+        "f, u", [(ExponentialIntegrand(rate=5.0), 1000.0), (PowerIntegrand(p=200.0), 50.0)]
+    )
+    def test_overflow_is_a_domain_error(self, f, u):
+        with pytest.raises(DomainError) as err:
+            capital_phi(f, u)
+        assert integrand_label(f) in str(err.value)
+        assert f"u = {u}" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            ConstantIntegrand(3.0),
+            PowerIntegrand(p=-0.5, scale=2.0),
+            PowerIntegrand(p=200.0),
+            ExponentialIntegrand(rate=5.0),
+            ExponentialIntegrand(rate=0.0, scale=2.0),
+            expression_integrand("1 + t^2", grid_max=2.0),
+        ],
+    )
+    def test_array_matches_scalar_bit_for_bit(self, f):
+        # NaN marks the elements where the scalar transform raises
+        u = np.concatenate([[0.0, 1e-300], np.random.default_rng(2).uniform(0.0, 200.0, 60)])
+        expected = []
+        for v in u.tolist():
+            try:
+                expected.append(capital_phi(f, v))
+            except DomainError:
+                expected.append(math.nan)
+        assert repr(capital_phi_array(f, u).tolist()) == repr(expected)
 
     def test_strictly_monotone(self):
         rng = np.random.default_rng(5)
