@@ -88,6 +88,7 @@ from .sets1d import (
     hausdorff,
     nearest_point,
     sample_point,
+    sample_points,
 )
 from .solver import (
     FixedPointFound,

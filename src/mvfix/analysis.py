@@ -29,8 +29,8 @@ import numpy as np
 from .errors import DomainError, MvfixError
 from .ffunctions import FFunction, f_eval, f_eval_array
 from .integrand import Integrand, capital_phi, capital_phi_array
-from .maps import MultiMap, apply_map
-from .sets1d import CompactSet, dist_point_set, domain_grid, excess, hausdorff, sample_point
+from .maps import MultiMap, apply_map, image_arrays
+from .sets1d import CompactSet, dist_point_set, domain_grid, excess, hausdorff, sample_points
 
 __all__ = [
     "MODES",
@@ -291,18 +291,21 @@ def certify(
     with the same seed is bit-identical.  Per-pair failures are collected
     instead of aborting the sweep.
 
-    The map is applied once per distinct point.  The pair arithmetic then
-    runs over numpy arrays, in chunks of at most ``CHUNK_ELEMENTS``
-    broadcast elements, and gives the same bits as :func:`evaluate_pair`:
-    only IEEE-exact operations (``+ - * /``, ``abs``, ``minimum`` and
-    ``maximum``, comparisons, ``where``, ``sqrt``) touch the arrays, while
-    ``log``, ``expm1``, ``pow`` and quadrature run through ``math`` one
-    element at a time (see :func:`capital_phi_array` and
-    :func:`f_eval_array`).  A pair that touches a failed image, or whose
-    batch values are unusable (not finite, or ``Phi <= 0`` where ``F``
-    needs a positive argument), is evaluated again by the scalar code,
-    which gives its value or its error message.  The results are stored
-    as a :class:`PairTable`.
+    The random points are drawn in one call (:func:`sample_points`, the
+    same stream as one draw at a time).  The images of all distinct
+    points are evaluated as arrays first (:func:`image_arrays`, the same
+    bits as :func:`apply_map`).  The pair arithmetic then runs over numpy
+    arrays, in chunks of at most ``CHUNK_ELEMENTS`` broadcast elements,
+    and gives the same bits as :func:`evaluate_pair`: only IEEE-exact
+    operations (``+ - * /``, ``abs``, ``minimum`` and ``maximum``,
+    comparisons, ``where``, ``sqrt``) touch the arrays, while ``log``,
+    ``expm1``, ``pow`` and quadrature run through ``math`` one element at
+    a time (see :func:`capital_phi_array` and :func:`f_eval_array`).  A
+    pair that touches a failed image, or whose batch values are unusable
+    (not finite, or ``Phi <= 0`` where ``F`` needs a positive argument),
+    is evaluated again by the scalar code on images from
+    :func:`apply_map`, which gives its value or its error message.  The
+    results are stored as a :class:`PairTable`.
     """
     _check_mode(mode)
     if grid_size < 2:
@@ -312,43 +315,37 @@ def certify(
 
     grid = domain_grid(T.domain, grid_size)
     rng = np.random.default_rng(seed)
-    drawn: list[float] = []
-    for _ in range(random_pairs):
-        a = sample_point(T.domain, rng)
-        b = sample_point(T.domain, rng)
-        drawn += (min(a, b), max(a, b))
+    a, b = sample_points(T.domain, rng, 2 * random_pairs).reshape(-1, 2).T
+    # (min(a, b), max(a, b)) per pair, with Python's pick between equal floats
+    drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel().tolist()
 
     # Distinct points in the order the pairs first use them; equal floats
     # share a slot and so one image.
     slot: dict[float, int] = {}
     for v in itertools.chain(grid, drawn):
         slot.setdefault(v, len(slot))
-    images: list[CompactSet | None] = []
-    for v in slot:
-        try:
-            images.append(apply_map(T, v))
-        except MvfixError:
-            images.append(None)
+    lo, hi, failed = image_arrays(T, np.array(list(slot), dtype=float))
 
     x, y, x_slot, y_slot = _pair_arrays(grid, drawn, slot)
     values = np.full((5, len(x)), math.nan)  # h, m, phi_h, phi_m, margin
-    failed = np.array([S is None for S in images], dtype=bool)
     redo = failed[x_slot] | failed[y_slot]
-    if not failed.all():
-        sets = _PaddedImages(images)
+    with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
+        sets = _PaddedImages(lo, hi)
         step = max(1, CHUNK_ELEMENTS // sets.elements_per_pair)
-        with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
-            for start in range(0, len(x), step):
-                rows = start + np.flatnonzero(~redo[start : start + step])
-                values[:, rows], unusable = _evaluate_batch(
-                    F, f, mode, x[rows], y[rows], sets, x_slot[rows], y_slot[rows]
-                )
-                redo[rows[unusable]] = True
+        for start in range(0, len(x), step):
+            rows = start + np.flatnonzero(~redo[start : start + step])
+            values[:, rows], unusable = _evaluate_batch(
+                F, f, mode, x[rows], y[rows], sets, x_slot[rows], y_slot[rows]
+            )
+            redo[rows[unusable]] = True
+
+    images: dict[float, CompactSet] = {}
 
     def image(v: float) -> CompactSet:
-        # a failed image fails again, with the message for this very v
-        S = images[slot[v]]
-        return apply_map(T, v) if S is None else S
+        # a failed image fails again in apply_map, with the message for v
+        if v not in images:
+            images[v] = apply_map(T, v)
+        return images[v]
 
     errors: list[tuple[float, float, str]] = []
     for k in np.flatnonzero(redo).tolist():
@@ -409,29 +406,23 @@ def _pair_arrays(grid: list[float], drawn: list[float], slot: dict[float, int]):
 
 
 class _PaddedImages:
-    """Images as endpoint arrays padded to K intervals, for the batch sweep.
+    """Images as endpoint arrays of K intervals each, for the batch sweep.
 
-    Each image repeats its last interval up to K columns, which changes no
-    distance and adds no excess candidate.  ``mid`` holds the midpoints of the K - 1
-    gaps and ``real_gap`` marks the ones between two distinct intervals.
-    Failed images are zero rows that no batch pair reads.
+    ``lo`` and ``hi`` come from :func:`image_arrays`, whose padding (a
+    repeated interval or a coinciding member) changes no distance and
+    adds no excess candidate.  ``mid`` holds the midpoints between
+    neighbouring columns and ``real_gap`` marks the ones where the next
+    interval starts after the previous ends, so repeated columns give no
+    candidate.  Failed rows hold anything; no batch pair reads them.
     """
 
-    def __init__(self, images: list[CompactSet | None]):
-        counts = [len(S.intervals) if S is not None else 1 for S in images]
-        K = max(counts)
-        rows = [
-            S.intervals + S.intervals[-1:] * (K - len(S.intervals))
-            if S is not None
-            else ((0.0, 0.0),) * K
-            for S in images
-        ]
-        ends = np.array(rows, dtype=float).reshape(len(images), K, 2)
-        self.lo, self.hi = ends[:, :, 0], ends[:, :, 1]
-        self.mid = 0.5 * (self.hi[:, :-1] + self.lo[:, 1:])
-        self.real_gap = np.arange(K - 1) < np.array(counts)[:, None] - 1
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        self.lo, self.hi = lo, hi
+        self.mid = 0.5 * (hi[:, :-1] + lo[:, 1:])
+        self.real_gap = lo[:, 1:] > hi[:, :-1]
         # excess enumerates 2K endpoints and K - 1 gap points of A against
         # the K intervals of B, in both directions for the Hausdorff distance
+        K = lo.shape[1]
         self.elements_per_pair = 2 * (3 * K - 1) * K
 
 

@@ -6,9 +6,12 @@ and binding tighter than unary minus), parentheses, and the functions
 ``abs``, ``sqrt``, ``ln``, ``exp`` (unary) and ``min``, ``max`` (binary).
 
 Parsing is recursive descent over a flat token list.  Failures raise
-:class:`ParseError` with a 0-based character position; evaluation
-failures raise :class:`EvalError` carrying the offending subexpression
-in printed form.
+:class:`ParseError` with a 0-based character position; a literal that
+overflows to infinity is one.  Evaluation failures raise
+:class:`EvalError` carrying the offending subexpression in printed form,
+so at a finite point :func:`eval_expr` returns a finite value or raises.
+:func:`eval_expr_array` evaluates over a whole array with the same bits
+and marks the points where :func:`eval_expr` would raise.
 """
 
 from __future__ import annotations
@@ -16,7 +19,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Callable, Union
+
+import numpy as np
 
 from .errors import EvalError, ParseError
 
@@ -29,6 +34,7 @@ __all__ = [
     "ExprAst",
     "parse_expr",
     "eval_expr",
+    "eval_expr_array",
     "format_expr",
 ]
 
@@ -90,7 +96,10 @@ def _tokenize(src: str) -> list[_Token]:
             m = _NUMBER.match(src, i)
             if m is None:
                 raise ParseError(f"malformed number starting with '{ch}'", i)
-            tokens.append(_Token("num", m.group(0), i, float(m.group(0))))
+            value = float(m.group(0))
+            if not math.isfinite(value):
+                raise ParseError("number literal is not finite", i)
+            tokens.append(_Token("num", m.group(0), i, value))
             i = m.end()
             continue
         if ch.isalpha() or ch == "_":
@@ -267,6 +276,82 @@ def eval_expr(node: ExprAst, x: float) -> float:
             return min(eval_expr(a, x), eval_expr(b, x))
         case Call("max", (a, b)):
             return max(eval_expr(a, x), eval_expr(b, x))
+    raise EvalError("malformed AST node", repr(node))
+
+
+def eval_expr_array(node: ExprAst, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate ``node`` at every element of the 1-D array ``xs``.
+
+    Returns ``(values, ok)``.  ``ok[i]`` is true exactly when
+    ``eval_expr(node, xs[i])`` returns instead of raising, and then
+    ``values[i]`` is its result bit for bit, sign of zero included;
+    elsewhere ``values[i]`` means nothing.  Only IEEE-exact operations
+    (``+ - * /``, ``abs``, ``sqrt``, negation, comparisons, ``where``) run
+    on whole arrays.  ``^``, ``ln`` and ``exp`` go through ``math`` one
+    element at a time, because numpy's transcendentals are not correctly
+    rounded and differ from ``math`` in the last bit on some inputs.
+    """
+    with np.errstate(all="ignore"):
+        return _eval_array(node, np.asarray(xs, dtype=float))
+
+
+def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
+    """``fn`` applied element by element; an element where it raises is NaN."""
+    out = []
+    for row in zip(*(a.tolist() for a in args)):
+        try:
+            out.append(fn(*row))
+        except (ValueError, OverflowError):
+            out.append(math.nan)
+    return np.array(out, dtype=float)
+
+
+_ARRAY_BINOPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.true_divide,
+    "^": lambda a, b: _pointwise(math.pow, a, b),
+}
+
+
+def _eval_array(node: ExprAst, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Mirrors eval_expr case by case: each mask below is the condition under
+    # which that case raises.  Returned arrays are never written in place.
+    match node:
+        case Num(value):
+            return np.full(xs.shape, value, dtype=float), np.ones(xs.shape, dtype=bool)
+        case Var(_):
+            return xs, np.ones(xs.shape, dtype=bool)
+        case Neg(arg):
+            v, ok = _eval_array(arg, xs)
+            return -v, ok
+        case BinOp(op, lhs, rhs) if op in _ARRAY_BINOPS:
+            a, ok_a = _eval_array(lhs, xs)
+            b, ok_b = _eval_array(rhs, xs)
+            # a zero divisor gives inf or NaN, which the finiteness test clears
+            v = _ARRAY_BINOPS[op](a, b)
+            return v, ok_a & ok_b & np.isfinite(v)
+        case Call("abs", (arg,)):
+            v, ok = _eval_array(arg, xs)
+            return np.abs(v), ok
+        case Call("sqrt", (arg,)):
+            v, ok = _eval_array(arg, xs)
+            return np.sqrt(v), ok & ~(v < 0.0)
+        case Call("ln", (arg,)):
+            v, ok = _eval_array(arg, xs)
+            return _pointwise(math.log, v), ok & ~(v <= 0.0)
+        case Call("exp", (arg,)):
+            v, ok = _eval_array(arg, xs)
+            v = _pointwise(math.exp, v)
+            return v, ok & np.isfinite(v)
+        case Call("min" | "max" as fn, (a, b)):
+            va, ok_a = _eval_array(a, xs)
+            vb, ok_b = _eval_array(b, xs)
+            # Python's min(a, b) keeps a unless b < a (max: unless b > a),
+            # which fixes the choice between -0.0 and 0.0 and around NaN
+            better = vb < va if fn == "min" else vb > va
+            return np.where(better, vb, va), ok_a & ok_b
     raise EvalError("malformed AST node", repr(node))
 
 

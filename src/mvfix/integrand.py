@@ -16,7 +16,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvalError, InvariantError, MvfixError, QuadratureError
-from .expr import ExprAst, eval_expr, parse_expr
+from .expr import ExprAst, eval_expr, eval_expr_array, parse_expr
 
 __all__ = [
     "ConstantIntegrand",
@@ -103,20 +103,25 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
     The expression must evaluate to a finite value with phi(t) >= 0 at
     t = 0 and phi(t) > 0 at every other point of a 10001-point grid over
     [0, grid_max]; zeros on sets of positive measure would break the
-    strict positivity of Phi.
+    strict positivity of Phi.  The grid is evaluated as one array
+    (:func:`eval_expr_array`); only when some point fails there does the
+    scalar loop run, to raise the error of the first bad point.
     """
     if not (grid_max > 0.0 and math.isfinite(grid_max)):
         raise InvariantError(f"grid_max must be positive and finite, got {grid_max}")
     ast = parse_expr(source, variable="t")
-    for t in np.linspace(0.0, grid_max, _VALIDATION_GRID_POINTS):
-        v = eval_expr(ast, float(t))
-        if t == 0.0:
-            if v < 0.0:
-                raise InvariantError(f"integrand '{source}' is negative at t = 0: {v}")
-        elif not v > 0.0:
-            raise InvariantError(
-                f"integrand '{source}' is not strictly positive at t = {float(t)}: {v}"
-            )
+    ts = np.linspace(0.0, grid_max, _VALIDATION_GRID_POINTS)
+    values, ok = eval_expr_array(ast, ts)
+    if not (ok & np.isfinite(values) & np.where(ts == 0.0, values >= 0.0, values > 0.0)).all():
+        for t in ts:
+            v = eval_expr(ast, float(t))
+            if t == 0.0:
+                if v < 0.0:
+                    raise InvariantError(f"integrand '{source}' is negative at t = 0: {v}")
+            elif not v > 0.0:
+                raise InvariantError(
+                    f"integrand '{source}' is not strictly positive at t = {float(t)}: {v}"
+                )
     return ExpressionIntegrand(ast=ast, source=source, grid_max=grid_max)
 
 

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
-from .errors import DomainError, InvariantError
-from .expr import ExprAst, eval_expr, format_expr, parse_expr
+import numpy as np
+
+from .errors import DomainError, InvariantError, MvfixError
+from .expr import ExprAst, eval_expr, eval_expr_array, format_expr, parse_expr
 from .sets1d import CompactSet, dist_point_set, domain_grid
 
 __all__ = [
@@ -24,6 +26,7 @@ __all__ = [
     "finite_set_map",
     "table_map",
     "apply_map",
+    "image_arrays",
     "is_fixed_point",
 ]
 
@@ -82,9 +85,63 @@ def _value_set(T: MultiMap, x: float) -> CompactSet:
     raise DomainError(f"no table entry for x = {x}")
 
 
+def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Images of the points ``xs`` as padded endpoint arrays ``(lo, hi, failed)``.
+
+    Row i describes T(xs[i]) as K intervals ``[lo[i, k], hi[i, k]]``, the
+    batch counterpart of :func:`apply_map`.  An interval map gives K = 1
+    (with the same near-tie collapse); singleton and finite-set maps give
+    their members as sorted point columns, so coinciding members repeat a
+    column; a table map pads each value set by repeating its last
+    interval.  None of these change a distance.  ``failed[i]`` is true
+    where :func:`apply_map` would raise, and may be true elsewhere; the
+    other entries of a failed row mean nothing.  Expressions are evaluated
+    by :func:`eval_expr_array`, with the same bits as :func:`eval_expr`.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if T.kind == "table":
+        rows: list[tuple[tuple[float, float], ...] | None] = []
+        for x in xs.tolist():
+            try:
+                rows.append(apply_map(T, x).intervals)
+            except MvfixError:
+                rows.append(None)
+        K = max((len(r) for r in rows if r is not None), default=1)
+        failed = np.array([r is None for r in rows], dtype=bool)
+        ends = np.array(
+            [r + r[-1:] * (K - len(r)) if r is not None else ((0.0, 0.0),) * K for r in rows],
+            dtype=float,
+        ).reshape(len(rows), K, 2)
+        return ends[:, :, 0], ends[:, :, 1], failed
+
+    exprs = (T.lo, T.hi) if T.kind == "interval_endpoints" else T.members
+    evaluated = [eval_expr_array(e, xs) for e in exprs]
+    values = np.stack([v for v, _ in evaluated], axis=1)
+    failed = ~np.logical_and.reduce([ok for _, ok in evaluated])
+    with np.errstate(all="ignore"):
+        if T.kind == "interval_endpoints":
+            lo, hi = values[:, :1], values[:, 1:]
+            inverted = lo > hi
+            failed |= (inverted & (lo - hi > ENDPOINT_SLACK))[:, 0]
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.where(inverted, mid, lo), np.where(inverted, mid, hi)
+        else:
+            lo = hi = np.sort(values, axis=1, kind="stable")
+        failed |= ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1)
+    inside = np.zeros(len(xs), dtype=bool)
+    for a, b in T.domain.intervals:
+        inside |= (a <= xs) & (xs <= b)
+    return lo, hi, failed | ~inside
+
+
 def _validate_on_grid(T: MultiMap) -> MultiMap:
-    for x in domain_grid(T.domain, _VALIDATION_GRID_POINTS):
-        _value_set(T, x)  # raises on inverted endpoints or bad evaluations
+    grid = domain_grid(T.domain, _VALIDATION_GRID_POINTS)
+    _, _, failed = image_arrays(T, np.array(grid))
+    if failed.any():
+        # the scalar loop raises the error of the first bad point, as
+        # apply_map would; a point flagged needlessly only costs time
+        for x in grid:
+            _value_set(T, x)  # raises on inverted endpoints or bad evaluations
     return T
 
 
@@ -97,7 +154,9 @@ def interval_map(
 
     Both endpoint expressions are evaluated on a 10001-point grid over
     the domain; the map is rejected if any evaluation fails or if
-    lo(x) > hi(x) beyond a 1e-12 slack.
+    lo(x) > hi(x) beyond a 1e-12 slack.  The grid is evaluated as one
+    array (:func:`image_arrays`); only when that flags a point does the
+    scalar loop run, to raise the error of the first bad point.
     """
     T = MultiMap(domain, "interval_endpoints", lo=_as_ast(lo), hi=_as_ast(hi))
     return _validate_on_grid(T)

@@ -30,6 +30,7 @@ __all__ = [
     "hausdorff",
     "domain_grid",
     "sample_point",
+    "sample_points",
 ]
 
 
@@ -175,21 +176,35 @@ def domain_grid(A: CompactSet, size: int) -> list[float]:
             points.append(lo)
             continue
         n = max(2, round(size * (hi - lo) / total))
-        points.extend(float(t) for t in np.linspace(lo, hi, n))
+        points.extend(np.linspace(lo, hi, n).tolist())
     return points
 
 
 def sample_point(A: CompactSet, rng: np.random.Generator) -> float:
     """Draw a point uniformly from ``A`` (by length, or uniformly over
     the points when the set is finite)."""
+    return sample_points(A, rng, 1)[0].item()
+
+
+def sample_points(A: CompactSet, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` points as :func:`sample_point` does, in one generator call.
+
+    The result equals ``n`` successive :func:`sample_point` draws from the
+    same generator state: ``rng.random(n)`` and ``rng.integers(k, size=n)``
+    give the same numbers as ``n`` scalar calls.
+    """
     total = A.total_length
     if total == 0.0:
-        pts = [lo for lo, _ in A.intervals]
-        return pts[int(rng.integers(len(pts)))]
-    u = float(rng.random()) * total
+        pts = np.array([lo for lo, _ in A.intervals])
+        return pts[rng.integers(len(pts), size=n)]
+    u = rng.random(n) * total
+    out = np.full(n, A.intervals[-1][1])
+    todo = np.ones(n, dtype=bool)
     for lo, hi in A.intervals:
         w = hi - lo
-        if u <= w:
-            return min(lo + u, hi)
+        take = todo & (u <= w)
+        v = lo + u[take]
+        out[take] = np.where(hi < v, hi, v)  # min(lo + u, hi), as Python picks
+        todo &= ~take
         u -= w
-    return A.intervals[-1][1]
+    return out

@@ -4,15 +4,29 @@ The oracles here deliberately avoid the library's candidate-enumeration
 code path: point-to-set distances use the clamp formula directly and
 sups are taken over dense grids, so they provide an independent check of
 the exact metric implementation.  ``certify_scalar`` is the one-pair-at-
-a-time certification loop, kept as the reference for the batched sweep.
+a-time certification loop, kept as the reference for the batched sweep;
+``validate_map_scalar`` and ``validate_integrand_scalar`` are the
+point-by-point construction checks, kept as the reference for the
+array validation.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from mvfix import CompactSet, MvfixError, apply_map, domain_grid, sample_point
+from mvfix import (
+    CompactSet,
+    ExpressionIntegrand,
+    InvariantError,
+    MvfixError,
+    apply_map,
+    domain_grid,
+    eval_expr,
+    parse_expr,
+    sample_point,
+)
 from mvfix.analysis import _check_mode, _evaluate
+from mvfix.maps import _value_set
 
 
 def random_compact_set(rng, max_intervals=4, lo=-10.0, hi=10.0):
@@ -142,3 +156,33 @@ def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hau
         pairs=tuple(evaluations),
         errors=tuple(errors),
     )
+
+
+def validate_map_scalar(T):
+    """The construction check of an expression map, one grid point at a time."""
+    for x in domain_grid(T.domain, 10_001):
+        _value_set(T, x)
+    return T
+
+
+def validate_integrand_scalar(source, grid_max=100.0):
+    """The construction check of an expression integrand, one grid point at a time."""
+    ast = parse_expr(source, variable="t")
+    for t in np.linspace(0.0, grid_max, 10_001):
+        v = eval_expr(ast, float(t))
+        if t == 0.0:
+            if v < 0.0:
+                raise InvariantError(f"integrand '{source}' is negative at t = 0: {v}")
+        elif not v > 0.0:
+            raise InvariantError(
+                f"integrand '{source}' is not strictly positive at t = {float(t)}: {v}"
+            )
+    return ExpressionIntegrand(ast=ast, source=source, grid_max=grid_max)
+
+
+def outcome(build, *args):
+    """What ``build(*args)`` gives: its result, or the type and message it raised."""
+    try:
+        return build(*args)
+    except MvfixError as err:
+        return type(err), str(err)

@@ -243,7 +243,7 @@ ORACLE_DOMAINS = {
     "union": CompactSet([(0.0, 0.4), (0.6, 1.0)]),
     "points": CompactSet.from_points([0.0, 0.25, 0.5, 1.0]),
 }
-ORACLE_MAPS = ("interval", "singleton", "finite_set", "table")
+ORACLE_MAPS = ("interval", "near_tie", "singleton", "finite_set", "table")
 ORACLE_INTEGRANDS = {
     "constant": lambda: ConstantIntegrand(1.0),
     "power": lambda: PowerIntegrand(p=-0.5, scale=2.0),
@@ -261,6 +261,9 @@ def oracle_map(kind, domain):
     D = ORACLE_DOMAINS[domain]
     if kind == "interval":
         return interval_map(D, "x/4", "(x+1)/2")
+    if kind == "near_tie":
+        # lo exceeds hi by less than the slack near 0: the image collapses
+        return interval_map(D, "x*x", "x*x + x/10 - 1e-13")
     if kind == "singleton":
         return singleton_map(D, "x - x^2")
     if kind == "finite_set":

@@ -115,6 +115,19 @@ class TestCertifyCommand:
         assert main(["certify", cfg]) == EXIT_ERROR
         assert "tau must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            dict(HALVING, integrand={"kind": "expression", "source": "1e999", "grid_max": 1.0}),
+            dict(HALVING, map={"kind": "singleton", "f": "x/2 + 1e400"}),
+        ],
+    )
+    def test_overflowing_literal_is_an_error_line(self, tmp_path, capsys, problem):
+        assert main(["certify", write_config(tmp_path, problem)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: number literal is not finite")
+        assert "Traceback" not in err
+
     def test_nan_margins_are_counted_as_errors(self, tmp_path, capsys):
         cfg = write_config(
             tmp_path,

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from mvfix import (
     format_expr,
     parse_expr,
 )
+from mvfix.expr import eval_expr_array
 
 
 class TestParsing:
@@ -116,6 +118,16 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_expr("x ? 1")
         assert err.value.position == 2
+
+    @pytest.mark.parametrize("src, position", [("1e999", 0), ("x + 2e308", 4)])
+    def test_overflowing_literal(self, src, position):
+        with pytest.raises(ParseError) as err:
+            parse_expr(src)
+        assert err.value.position == position
+        assert "number literal is not finite" in str(err.value)
+
+    def test_largest_finite_literal_is_kept(self):
+        assert parse_expr("1.7976931348623157e308") == Num(1.7976931348623157e308)
 
 
 ROUND_TRIP_CORPUS = [
@@ -227,3 +239,56 @@ def _ast_strategy():
 @settings(max_examples=400)
 def test_round_trip_random_ast(ast):
     assert parse_expr(format_expr(ast)) == ast
+
+
+def assert_array_matches_scalar(ast, xs):
+    """eval_expr_array agrees with eval_expr at every point, bit for bit."""
+    values, ok = eval_expr_array(ast, np.array(xs, dtype=float))
+    assert values.shape == ok.shape == (len(xs),)
+    for x, value, good in zip(xs, values.tolist(), ok.tolist()):
+        try:
+            expected = eval_expr(ast, x)
+        except EvalError:
+            assert not good, (format_expr(ast), x)
+            continue
+        assert good, (format_expr(ast), x)
+        assert value.hex() == float(expected).hex(), (format_expr(ast), x)
+
+
+POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0, -1.0, 2.0, 1e-300, 700.0, -750.0, 1e300]),
+    st.floats(min_value=-10.0, max_value=10.0),
+)
+
+
+class TestArrayEvaluation:
+    @given(_ast_strategy(), st.lists(POINTS, min_size=1, max_size=16))
+    @settings(max_examples=400, deadline=None)
+    def test_random_ast_matches_scalar(self, ast, xs):
+        assert_array_matches_scalar(ast, xs)
+
+    @pytest.mark.parametrize(
+        "src, xs",
+        [
+            ("1/(x - 0.5)", np.linspace(0.0, 1.0, 11)),  # division by zero at 0.5
+            ("ln(x)", np.linspace(0.0, 1.0, 11)),  # ln of 0
+            ("sqrt(x - 0.5)", np.linspace(0.0, 1.0, 11)),  # sqrt of negatives
+            ("(-1)^x", np.linspace(-2.0, 2.0, 17)),  # pow domain error off integers
+            ("exp(1000*x)", np.linspace(0.0, 1.0, 11)),  # exp overflow
+            ("x^2000", np.linspace(0.0, 2.0, 11)),  # pow overflow
+            ("x*1e300*1e300", np.linspace(-1.0, 1.0, 5)),  # product overflow
+        ],
+    )
+    def test_each_failure_kind(self, src, xs):
+        ast = parse_expr(src)
+        _, ok = eval_expr_array(ast, xs)
+        assert ok.any() and not ok.all()
+        assert_array_matches_scalar(ast, xs.tolist())
+
+    @pytest.mark.parametrize("src", ["min(x, -x)", "max(x, -x)", "min(-x, x)", "max(-x, x)"])
+    def test_min_max_keep_python_choice_of_zero(self, src):
+        assert_array_matches_scalar(parse_expr(src), [0.0, -0.0])
+
+    def test_empty_input(self):
+        values, ok = eval_expr_array(parse_expr("ln(x) + 1"), np.array([]))
+        assert values.shape == ok.shape == (0,)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import outcome, validate_integrand_scalar
 
 from mvfix import (
     ConstantIntegrand,
@@ -10,6 +11,7 @@ from mvfix import (
     ExponentialIntegrand,
     ExpressionIntegrand,
     InvariantError,
+    ParseError,
     PowerIntegrand,
     QuadratureError,
     adaptive_simpson,
@@ -215,6 +217,33 @@ class TestValidation:
     def test_expression_rejects_bad_grid_max(self):
         with pytest.raises(InvariantError):
             expression_integrand("1 + t", grid_max=0.0)
+
+    def test_expression_rejects_overflowing_literal(self):
+        # 1e999 used to parse as inf, pass the grid check and fail later in
+        # the quadrature with an unrelated error estimate of nan
+        with pytest.raises(ParseError, match="number literal is not finite"):
+            expression_integrand("1e999", grid_max=1.0)
+
+    @pytest.mark.parametrize(
+        "source, grid_max",
+        [
+            ("1 + t^2", 100.0),
+            ("t*t", 100.0),  # zero at the origin only
+            ("t - 50", 100.0),
+            ("-t", 100.0),
+            ("max(0, t - 1)", 100.0),
+            # zero at one interior grid point
+            (f"abs(t - {np.linspace(0.0, 1.0, 10_001)[1234].item()!r})", 1.0),
+            ("ln(t)", 100.0),
+            ("1/t", 100.0),
+            ("sqrt(t - 1)", 100.0),
+            ("exp(t)", 1000.0),
+            ("(-1)^t + 2", 1.0),
+        ],
+    )
+    def test_expression_same_verdict_as_scalar_loop(self, source, grid_max):
+        expected = outcome(validate_integrand_scalar, source, grid_max)
+        assert outcome(expression_integrand, source, grid_max) == expected
 
     def test_unvalidated_expression_flags_negative_values(self):
         # constructing the dataclass directly skips the grid check, but the

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from helpers import outcome, validate_map_scalar
 
 from mvfix import (
     CompactSet,
     DomainError,
     EvalError,
     InvariantError,
+    MvfixError,
+    Num,
     apply_map,
     dist_point_set,
     domain_grid,
@@ -15,6 +20,7 @@ from mvfix import (
     singleton_map,
     table_map,
 )
+from mvfix.maps import MultiMap, _as_ast, image_arrays
 
 UNIT = CompactSet.interval(0.0, 1.0)
 
@@ -134,3 +140,71 @@ class TestApplication:
             assert is_fixed_point(T, x, tol=d)
             if d > 0:
                 assert not is_fixed_point(T, x, tol=d * 0.5)
+
+
+GAPPED = CompactSet([(0.0, 0.25), (0.75, 1.0)])
+POINTS = CompactSet.from_points([0.0, 0.5, 1.0])
+
+# (kind, domain, expressions) covering acceptance and every rejection route
+VALIDATION_CASES = [
+    ("interval_endpoints", UNIT, ("x/4", "(x+1)/2")),
+    ("interval_endpoints", UNIT, ("x", "x/2")),  # inverted beyond the slack
+    ("interval_endpoints", UNIT, ("x + 1e-15", "x")),  # inverted within the slack
+    ("interval_endpoints", UNIT, ("1/x", "2/x")),
+    ("interval_endpoints", UNIT, ("sqrt(x - 0.5)", "2")),
+    ("interval_endpoints", UNIT, ("exp(1000*x)", "exp(1000*x) + 1")),
+    ("interval_endpoints", UNIT, ("(-1)^x", "2")),
+    ("interval_endpoints", UNIT, (Num(-math.inf), "x")),  # non-finite endpoint
+    ("interval_endpoints", GAPPED, ("1/(x - 0.5)", "1/(x - 0.5) + 1")),
+    ("singleton", UNIT, ("x - x^2",)),
+    ("singleton", UNIT, ("ln(x)",)),
+    ("singleton", POINTS, ("1/(x - 0.5)",)),
+    ("singleton", GAPPED, ("1/(x - 0.5)",)),
+    ("finite_set", UNIT, ("x/2", "x/2", "1 - x/2")),  # coinciding members
+    ("finite_set", UNIT, ("x/2", "1/(x - 1)")),
+    ("finite_set", UNIT, ("x", Num(math.inf))),
+]
+
+
+def _unvalidated(kind, domain, exprs):
+    asts = tuple(_as_ast(e) for e in exprs)
+    if kind == "interval_endpoints":
+        return MultiMap(domain, kind, lo=asts[0], hi=asts[1])
+    return MultiMap(domain, kind, members=asts)
+
+
+def _factory(kind, domain, exprs):
+    if kind == "interval_endpoints":
+        return interval_map(domain, *exprs)
+    if kind == "singleton":
+        return singleton_map(domain, *exprs)
+    return finite_set_map(domain, exprs)
+
+
+class TestArrayValidation:
+    @pytest.mark.parametrize("kind, domain, exprs", VALIDATION_CASES)
+    def test_same_verdict_as_scalar_loop(self, kind, domain, exprs):
+        expected = outcome(validate_map_scalar, _unvalidated(kind, domain, exprs))
+        assert outcome(_factory, kind, domain, exprs) == expected
+
+    @pytest.mark.parametrize("kind, domain, exprs", VALIDATION_CASES)
+    def test_image_arrays_match_apply_map(self, kind, domain, exprs):
+        T = _unvalidated(kind, domain, exprs)
+        xs = domain_grid(domain, 41) + [-0.5, 0.5, 2.0]
+        lo, hi, failed = image_arrays(T, np.array(xs))
+        for i, x in enumerate(xs):
+            try:
+                S = apply_map(T, x)
+            except MvfixError:
+                assert failed[i], x
+                continue
+            assert not failed[i], x
+            # sorted columns; a repeated column is padding
+            assert tuple(dict.fromkeys(zip(lo[i].tolist(), hi[i].tolist()))) == S.intervals
+
+    def test_table_images_are_padded(self):
+        T = table_map(UNIT, [(0.0, [(0.0, 0.1), (0.5, 0.6)]), (1.0, [(0.2, 0.2)])])
+        lo, hi, failed = image_arrays(T, np.array([0.0, 0.5, 1.0]))
+        assert failed.tolist() == [False, True, False]
+        assert lo[[0, 2]].tolist() == [[0.0, 0.5], [0.2, 0.2]]
+        assert hi[[0, 2]].tolist() == [[0.1, 0.6], [0.2, 0.2]]

@@ -22,6 +22,7 @@ from mvfix import (
     hausdorff,
     nearest_point,
     sample_point,
+    sample_points,
 )
 
 
@@ -224,6 +225,25 @@ class TestGridAndSampling:
             A = random_compact_set(rng)
             for _ in range(20):
                 assert sample_point(A, rng) in A
+
+    def test_vector_draws_repeat_scalar_draws(self):
+        # sample_points relies on this property of the installed numpy
+        for k in (1, 2, 3, 7, 64, 1000):
+            scalar = np.random.default_rng(k)
+            expected = [int(scalar.integers(k)) for _ in range(5000)]
+            assert np.random.default_rng(k).integers(k, size=5000).tolist() == expected
+        scalar = np.random.default_rng(5)
+        expected = [float(scalar.random()) for _ in range(5000)]
+        assert np.random.default_rng(5).random(5000).tolist() == expected
+
+    def test_sample_points_repeat_the_scalar_walk(self):
+        rng = np.random.default_rng(53)
+        sets = [random_compact_set(rng) for _ in range(40)]
+        sets += [CompactSet.from_points([1.0, 2.0, 3.0]), CompactSet([(-0.0, 0.0), (1.0, 2.0)])]
+        for seed, A in enumerate(sets):
+            drawn = sample_points(A, np.random.default_rng(seed), 200)
+            expected = random_points_in(A, np.random.default_rng(seed), 200)
+            assert [v.hex() for v in drawn.tolist()] == [float(v).hex() for v in expected]
 
     def test_sample_point_finite_sets(self):
         rng = np.random.default_rng(47)
