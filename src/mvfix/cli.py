@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -108,22 +109,19 @@ def extract_machine_block(text: str) -> dict[str, str]:
 
 
 def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction, k: float) -> None:
-    """Serialize the recorded steps; every float round-trips exactly."""
+    """Serialize the recorded steps, one row at a time; every float round-trips exactly.
+
+    A gamma that underflowed to 0 gets ``F_gamma = -inf``: F is defined
+    only for alpha > 0, and (F2) makes -inf its limit at 0 for every kind.
+    """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_COLUMNS)
-        for s in trace.steps:
-            writer.writerow(
-                [
-                    s.n,
-                    fmt_value(s.x),
-                    fmt_value(s.next_point),
-                    fmt_value(s.d_to_set),
-                    fmt_value(s.gamma),
-                    fmt_value(f_eval(F, s.gamma)),
-                    fmt_value(s.n * s.gamma**k),
-                ]
-            )
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(
+            f"{s.n},{s.x:.17g},{s.next_point:.17g},{s.d_to_set:.17g},{s.gamma:.17g},"
+            f"{-math.inf if s.gamma == 0.0 else f_eval(F, s.gamma):.17g},"
+            f"{s.n * s.gamma**k:.17g}\n"
+            for s in trace.steps
+        )
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float, float, float, float, float, float]]:

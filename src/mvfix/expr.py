@@ -10,6 +10,8 @@ Parsing is recursive descent over a flat token list.  Failures raise
 overflows to infinity is one.  Evaluation failures raise
 :class:`EvalError` carrying the offending subexpression in printed form,
 so at a finite point :func:`eval_expr` returns a finite value or raises.
+:func:`compile_expr` turns an AST into a closure once, for callers that
+evaluate it at many points; :func:`eval_expr` is that closure's value.
 :func:`eval_expr_array` evaluates over a whole array with the same bits
 and marks the points where :func:`eval_expr` would raise.
 """
@@ -17,6 +19,7 @@ and marks the points where :func:`eval_expr` would raise.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -33,6 +36,7 @@ __all__ = [
     "Call",
     "ExprAst",
     "parse_expr",
+    "compile_expr",
     "eval_expr",
     "eval_expr_array",
     "format_expr",
@@ -219,64 +223,118 @@ def parse_expr(src: str, variable: str = "x") -> ExprAst:
     return node
 
 
-def _check_finite(value: float, node: ExprAst) -> float:
-    if not math.isfinite(value):
-        raise EvalError("non-finite result", format_expr(node))
-    return value
+def compile_expr(node: ExprAst) -> Callable[[float], float]:
+    """Turn ``node`` into a closure ``x -> value`` that evaluates it in binary64.
 
-
-def eval_expr(node: ExprAst, x: float) -> float:
-    """Evaluate ``node`` at the variable value ``x`` in binary64.
-
-    Division by zero, ``ln`` of a nonpositive value, ``sqrt`` of a negative
-    value, and any non-finite intermediate raise :class:`EvalError`.
+    The closure tree is built once, so a call does no dispatch on node
+    kinds.  Operands are evaluated left to right, except that ``/``
+    evaluates and tests its divisor first.  Division by zero, ``ln`` of a
+    nonpositive value, ``sqrt`` of a negative value, and any non-finite
+    result of ``+ - * / ^ exp`` raise :class:`EvalError` carrying the
+    failing subexpression, which is printed only when it raises.  A
+    malformed node raises :class:`EvalError` when its closure runs.
     """
     match node:
         case Num(value):
-            return value
+            return lambda x: value
         case Var(_):
-            return x
+            return lambda x: x
         case Neg(arg):
-            return -eval_expr(arg, x)
-        case BinOp("+", lhs, rhs):
-            return _check_finite(eval_expr(lhs, x) + eval_expr(rhs, x), node)
-        case BinOp("-", lhs, rhs):
-            return _check_finite(eval_expr(lhs, x) - eval_expr(rhs, x), node)
-        case BinOp("*", lhs, rhs):
-            return _check_finite(eval_expr(lhs, x) * eval_expr(rhs, x), node)
+            f = compile_expr(arg)
+            return lambda x: -f(x)
+        case BinOp("+" | "-" | "*" as op, lhs, rhs):
+            a, b, apply = compile_expr(lhs), compile_expr(rhs), _ARITHMETIC[op]
+
+            def arithmetic(x):
+                v = apply(a(x), b(x))
+                if math.isfinite(v):
+                    return v
+                raise EvalError("non-finite result", format_expr(node))
+
+            return arithmetic
         case BinOp("/", lhs, rhs):
-            denom = eval_expr(rhs, x)
-            if denom == 0.0:
-                raise EvalError("division by zero", format_expr(node))
-            return _check_finite(eval_expr(lhs, x) / denom, node)
+            a, b = compile_expr(lhs), compile_expr(rhs)
+
+            def divide(x):
+                denom = b(x)
+                if denom == 0.0:
+                    raise EvalError("division by zero", format_expr(node))
+                v = a(x) / denom
+                if math.isfinite(v):
+                    return v
+                raise EvalError("non-finite result", format_expr(node))
+
+            return divide
         case BinOp("^", lhs, rhs):
-            base, exponent = eval_expr(lhs, x), eval_expr(rhs, x)
-            try:
-                return _check_finite(math.pow(base, exponent), node)
-            except (ValueError, OverflowError) as err:
-                raise EvalError(f"invalid power: {err}", format_expr(node)) from None
+            a, b = compile_expr(lhs), compile_expr(rhs)
+
+            def power(x):
+                base, exponent = a(x), b(x)
+                try:
+                    v = math.pow(base, exponent)
+                except (ValueError, OverflowError) as err:
+                    raise EvalError(f"invalid power: {err}", format_expr(node)) from None
+                if math.isfinite(v):
+                    return v
+                raise EvalError("non-finite result", format_expr(node))
+
+            return power
         case Call("abs", (arg,)):
-            return abs(eval_expr(arg, x))
+            f = compile_expr(arg)
+            return lambda x: abs(f(x))
         case Call("sqrt", (arg,)):
-            v = eval_expr(arg, x)
-            if v < 0.0:
-                raise EvalError("sqrt of negative value", format_expr(node))
-            return math.sqrt(v)
+            f = compile_expr(arg)
+
+            def sqrt(x):
+                v = f(x)
+                if v < 0.0:
+                    raise EvalError("sqrt of negative value", format_expr(node))
+                return math.sqrt(v)
+
+            return sqrt
         case Call("ln", (arg,)):
-            v = eval_expr(arg, x)
-            if v <= 0.0:
-                raise EvalError("ln of non-positive value", format_expr(node))
-            return math.log(v)
+            f = compile_expr(arg)
+
+            def ln(x):
+                v = f(x)
+                if v <= 0.0:
+                    raise EvalError("ln of non-positive value", format_expr(node))
+                return math.log(v)
+
+            return ln
         case Call("exp", (arg,)):
-            try:
-                return _check_finite(math.exp(eval_expr(arg, x)), node)
-            except OverflowError:
-                raise EvalError("exp overflow", format_expr(node)) from None
-        case Call("min", (a, b)):
-            return min(eval_expr(a, x), eval_expr(b, x))
-        case Call("max", (a, b)):
-            return max(eval_expr(a, x), eval_expr(b, x))
-    raise EvalError("malformed AST node", repr(node))
+            f = compile_expr(arg)
+
+            def exp(x):
+                try:
+                    v = math.exp(f(x))
+                except OverflowError:
+                    raise EvalError("exp overflow", format_expr(node)) from None
+                if math.isfinite(v):
+                    return v
+                raise EvalError("non-finite result", format_expr(node))
+
+            return exp
+        case Call("min" | "max" as fn, (a, b)):
+            fa, fb, pick = compile_expr(a), compile_expr(b), min if fn == "min" else max
+            return lambda x: pick(fa(x), fb(x))
+
+    def malformed(x):
+        raise EvalError("malformed AST node", repr(node))
+
+    return malformed
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def eval_expr(node: ExprAst, x: float) -> float:
+    """Evaluate ``node`` at the variable value ``x``; see :func:`compile_expr`.
+
+    Compiles ``node`` on every call: a caller that evaluates one AST at
+    many points compiles it once and keeps the closure.
+    """
+    return compile_expr(node)(x)
 
 
 def eval_expr_array(node: ExprAst, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,7 +374,7 @@ _ARRAY_BINOPS = {
 
 
 def _eval_array(node: ExprAst, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Mirrors eval_expr case by case: each mask below is the condition under
+    # Mirrors compile_expr case by case: each mask below is the condition under
     # which that case raises.  Returned arrays are never written in place.
     match node:
         case Num(value):

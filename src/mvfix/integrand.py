@@ -10,13 +10,13 @@ the expression kind falls back on adaptive Simpson quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
 
 from .errors import DomainError, EvalError, InvariantError, MvfixError, QuadratureError
-from .expr import ExprAst, eval_expr, eval_expr_array, parse_expr
+from .expr import ExprAst, compile_expr, eval_expr_array, parse_expr
 
 __all__ = [
     "ConstantIntegrand",
@@ -88,6 +88,10 @@ class ExpressionIntegrand:
     ast: ExprAst
     source: str
     grid_max: float = 100.0
+    _compiled: Callable[[float], float] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", compile_expr(self.ast))
 
 
 Integrand = Union[
@@ -109,12 +113,12 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
     """
     if not (grid_max > 0.0 and math.isfinite(grid_max)):
         raise InvariantError(f"grid_max must be positive and finite, got {grid_max}")
-    ast = parse_expr(source, variable="t")
+    f = ExpressionIntegrand(ast=parse_expr(source, variable="t"), source=source, grid_max=grid_max)
     ts = np.linspace(0.0, grid_max, _VALIDATION_GRID_POINTS)
-    values, ok = eval_expr_array(ast, ts)
+    values, ok = eval_expr_array(f.ast, ts)
     if not (ok & np.isfinite(values) & np.where(ts == 0.0, values >= 0.0, values > 0.0)).all():
         for t in ts:
-            v = eval_expr(ast, float(t))
+            v = f._compiled(float(t))
             if t == 0.0:
                 if v < 0.0:
                     raise InvariantError(f"integrand '{source}' is negative at t = 0: {v}")
@@ -122,7 +126,7 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
                 raise InvariantError(
                     f"integrand '{source}' is not strictly positive at t = {float(t)}: {v}"
                 )
-    return ExpressionIntegrand(ast=ast, source=source, grid_max=grid_max)
+    return f
 
 
 def integrand_label(f: Integrand) -> str:
@@ -152,8 +156,8 @@ def phi_eval(f: Integrand, t: float) -> float:
             return scale * t**p
         case ExponentialIntegrand(rate, scale):
             return scale * math.exp(rate * t)
-        case ExpressionIntegrand(ast, source, _):
-            v = eval_expr(ast, t)
+        case ExpressionIntegrand(_, source, _):
+            v = f._compiled(t)
             if math.isnan(v) or v < 0.0:
                 raise EvalError(f"integrand produced an invalid value {v}", source)
             return v

@@ -10,13 +10,13 @@ inside an analysis run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import DomainError, InvariantError, MvfixError
-from .expr import ExprAst, eval_expr, eval_expr_array, format_expr, parse_expr
+from .expr import ExprAst, compile_expr, eval_expr_array, format_expr, parse_expr
 from .sets1d import CompactSet, dist_point_set, domain_grid
 
 __all__ = [
@@ -47,6 +47,13 @@ class MultiMap:
     hi: ExprAst | None = None
     members: tuple[ExprAst, ...] = ()
     table: tuple[tuple[float, CompactSet], ...] = ()
+    # compiled (lo, hi) or members, in that order; empty for a table map
+    _compiled: tuple[Callable[[float], float], ...] = field(
+        init=False, compare=False, repr=False
+    )
+
+    def __post_init__(self):
+        object.__setattr__(self, "_compiled", tuple(compile_expr(e) for e in _expressions(self)))
 
     def describe(self) -> str:
         if self.kind == "interval_endpoints":
@@ -59,14 +66,19 @@ class MultiMap:
         return f"table with {len(self.table)} entries"
 
 
+def _expressions(T: MultiMap) -> tuple[ExprAst, ...]:
+    return (T.lo, T.hi) if T.kind == "interval_endpoints" else T.members
+
+
 def _as_ast(e: Union[str, ExprAst]) -> ExprAst:
     return parse_expr(e) if isinstance(e, str) else e
 
 
 def _value_set(T: MultiMap, x: float) -> CompactSet:
     if T.kind == "interval_endpoints":
-        lo = eval_expr(T.lo, x)
-        hi = eval_expr(T.hi, x)
+        lo_fn, hi_fn = T._compiled
+        lo = lo_fn(x)
+        hi = hi_fn(x)
         if lo > hi:
             if lo - hi > ENDPOINT_SLACK:
                 raise InvariantError(
@@ -76,9 +88,9 @@ def _value_set(T: MultiMap, x: float) -> CompactSet:
             return CompactSet.point(mid)
         return CompactSet.interval(lo, hi)
     if T.kind == "singleton":
-        return CompactSet.point(eval_expr(T.members[0], x))
+        return CompactSet.point(T._compiled[0](x))
     if T.kind == "finite_set":
-        return CompactSet.from_points(eval_expr(e, x) for e in T.members)
+        return CompactSet.from_points(fn(x) for fn in T._compiled)
     for key, value in T.table:
         if key == x:
             return value
@@ -96,7 +108,7 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     interval.  None of these change a distance.  ``failed[i]`` is true
     where :func:`apply_map` would raise, and may be true elsewhere; the
     other entries of a failed row mean nothing.  Expressions are evaluated
-    by :func:`eval_expr_array`, with the same bits as :func:`eval_expr`.
+    by :func:`eval_expr_array`, with the same bits as their compiled closures.
     """
     xs = np.asarray(xs, dtype=float)
     if T.kind == "table":
@@ -114,8 +126,7 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
         ).reshape(len(rows), K, 2)
         return ends[:, :, 0], ends[:, :, 1], failed
 
-    exprs = (T.lo, T.hi) if T.kind == "interval_endpoints" else T.members
-    evaluated = [eval_expr_array(e, xs) for e in exprs]
+    evaluated = [eval_expr_array(e, xs) for e in _expressions(T)]
     values = np.stack([v for v, _ in evaluated], axis=1)
     failed = ~np.logical_and.reduce([ok for _, ok in evaluated])
     with np.errstate(all="ignore"):

@@ -73,7 +73,13 @@ class CompactSet:
 
     @classmethod
     def point(cls, x: float) -> "CompactSet":
-        return cls([(x, x)])
+        # one interval is already normalized; only the finiteness check applies
+        x = float(x)
+        if not math.isfinite(x):
+            raise InvariantError(f"interval endpoints must be finite, got ({x}, {x})")
+        S = object.__new__(cls)
+        object.__setattr__(S, "intervals", ((x, x),))
+        return S
 
     @classmethod
     def interval(cls, lo: float, hi: float) -> "CompactSet":
@@ -96,7 +102,10 @@ class CompactSet:
         return sum(hi - lo for lo, hi in self.intervals)
 
     def contains(self, x: float) -> bool:
-        return any(lo <= x <= hi for lo, hi in self.intervals)
+        for lo, hi in self.intervals:
+            if lo <= x <= hi:
+                return True
+        return False
 
     __contains__ = contains
 

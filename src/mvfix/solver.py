@@ -21,7 +21,7 @@ from .errors import DomainError, InsufficientTraceError, MvfixError
 from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval
 from .integrand import ConstantIntegrand, Integrand, capital_phi, integrand_label
 from .maps import MultiMap, apply_map
-from .sets1d import CompactSet, dist_point_set, nearest_point
+from .sets1d import CompactSet, _nearest
 
 __all__ = [
     "TraceStep",
@@ -125,8 +125,8 @@ def iterate(
     Halts with :class:`FixedPointFound` once D(x_n, T(x_n)) <= tol, with
     :class:`MaxIterReached` after ``max_iter`` recorded steps, or with an
     :class:`IterationError` outcome if the selected point leaves the
-    domain or a map evaluation fails; partial steps are kept in every
-    case.
+    domain, a map evaluation fails or Phi(d) is not finite; partial steps
+    are kept in every case.
     """
     if tol < 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
@@ -141,13 +141,18 @@ def iterate(
     for n in range(max_iter):
         try:
             S = apply_map(T, x)
-            d = dist_point_set(x, S)
+            nxt, d = _nearest(x, S)
             if d <= tol:
                 return IterationTrace(tuple(steps), FixedPointFound(x, n), params)
-            nxt = nearest_point(x, S)
             gamma = capital_phi(f, d)
         except MvfixError as err:
             return IterationTrace(tuple(steps), IterationError(str(err), x), params)
+        if not math.isfinite(gamma):
+            return IterationTrace(
+                tuple(steps),
+                IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x),
+                params,
+            )
         steps.append(TraceStep(n, x, S, nxt, d, gamma))
         if not T.domain.contains(nxt):
             return IterationTrace(

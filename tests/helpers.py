@@ -7,21 +7,30 @@ the exact metric implementation.  ``certify_scalar`` is the one-pair-at-
 a-time certification loop, kept as the reference for the batched sweep;
 ``validate_map_scalar`` and ``validate_integrand_scalar`` are the
 point-by-point construction checks, kept as the reference for the
-array validation.
+array validation.  ``interpret_expr`` is the recursive expression
+interpreter, kept as the reference for the compiled closures.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
 
 from mvfix import (
+    BinOp,
+    Call,
     CompactSet,
+    EvalError,
     ExpressionIntegrand,
     InvariantError,
     MvfixError,
+    Neg,
+    Num,
+    Var,
     apply_map,
     domain_grid,
     eval_expr,
+    format_expr,
     parse_expr,
     sample_point,
 )
@@ -186,3 +195,59 @@ def outcome(build, *args):
         return build(*args)
     except MvfixError as err:
         return type(err), str(err)
+
+
+def _check_finite(value, node):
+    if not math.isfinite(value):
+        raise EvalError("non-finite result", format_expr(node))
+    return value
+
+
+def interpret_expr(node, x):
+    """Evaluate an expression AST by walking it at every call."""
+    match node:
+        case Num(value):
+            return value
+        case Var(_):
+            return x
+        case Neg(arg):
+            return -interpret_expr(arg, x)
+        case BinOp("+", lhs, rhs):
+            return _check_finite(interpret_expr(lhs, x) + interpret_expr(rhs, x), node)
+        case BinOp("-", lhs, rhs):
+            return _check_finite(interpret_expr(lhs, x) - interpret_expr(rhs, x), node)
+        case BinOp("*", lhs, rhs):
+            return _check_finite(interpret_expr(lhs, x) * interpret_expr(rhs, x), node)
+        case BinOp("/", lhs, rhs):
+            denom = interpret_expr(rhs, x)
+            if denom == 0.0:
+                raise EvalError("division by zero", format_expr(node))
+            return _check_finite(interpret_expr(lhs, x) / denom, node)
+        case BinOp("^", lhs, rhs):
+            base, exponent = interpret_expr(lhs, x), interpret_expr(rhs, x)
+            try:
+                return _check_finite(math.pow(base, exponent), node)
+            except (ValueError, OverflowError) as err:
+                raise EvalError(f"invalid power: {err}", format_expr(node)) from None
+        case Call("abs", (arg,)):
+            return abs(interpret_expr(arg, x))
+        case Call("sqrt", (arg,)):
+            v = interpret_expr(arg, x)
+            if v < 0.0:
+                raise EvalError("sqrt of negative value", format_expr(node))
+            return math.sqrt(v)
+        case Call("ln", (arg,)):
+            v = interpret_expr(arg, x)
+            if v <= 0.0:
+                raise EvalError("ln of non-positive value", format_expr(node))
+            return math.log(v)
+        case Call("exp", (arg,)):
+            try:
+                return _check_finite(math.exp(interpret_expr(arg, x)), node)
+            except OverflowError:
+                raise EvalError("exp overflow", format_expr(node)) from None
+        case Call("min", (a, b)):
+            return min(interpret_expr(a, x), interpret_expr(b, x))
+        case Call("max", (a, b)):
+            return max(interpret_expr(a, x), interpret_expr(b, x))
+    raise EvalError("malformed AST node", repr(node))

@@ -277,6 +277,48 @@ class TestSolveCommand:
             assert row[5] == f_eval(F, step.gamma)
             assert row[6] == step.n * math.sqrt(step.gamma)
 
+    def test_underflowed_gamma_is_written_as_the_limit(self, tmp_path, capsys):
+        # Phi(d) = d^51 / 51 underflows to 0 from step 19 on; (F2) puts F at -inf
+        data = self.solve_config(
+            x0=0.5, tau=0.5, max_iter=40, integrand={"kind": "power", "p": 50}
+        )
+        cfg = write_config(tmp_path, data)
+        assert main(["solve", cfg]) == EXIT_BUDGET
+        plain = capsys.readouterr()
+        out = tmp_path / "reports"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_BUDGET
+        written = capsys.readouterr()
+        assert plain.err == written.err == ""
+        assert extract_machine_block(written.out) == extract_machine_block(plain.out)
+        assert extract_machine_block(plain.out)["validated"] == "true"
+
+        rows = read_trace_csv(out / "trace.csv")
+        assert len(rows) == 40
+        underflowed = [row for row in rows if row[4] == 0.0]
+        assert len(underflowed) == 21
+        assert all(row[5] == -math.inf and row[6] == 0.0 for row in underflowed)
+        assert all(row[5] == f_eval(FFunction("log"), row[4]) for row in rows if row[4] > 0.0)
+        assert "\n39,9.0949470177292824e-13,4.5474735088646412e-13," in (
+            out / "trace.csv"
+        ).read_text()
+
+    def test_overflowing_gamma_is_an_error_not_a_verdict(self, tmp_path, capsys):
+        data = self.solve_config(
+            domain=[[0.0, 10.0]], x0=10.0, tau=0.5, max_iter=40,
+            integrand={"kind": "constant", "c": 1e308},
+        )
+        cfg = write_config(tmp_path, data)
+        out = tmp_path / "reports"
+        assert main(["solve", cfg, "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "error: Phi(d) is not finite at step 0, d = 5.0: inf\n" in captured.out
+        rows = extract_machine_block(captured.out)
+        assert rows["outcome"] == "error"
+        assert rows["steps"] == "0"
+        assert rows["validated"] == "skipped"
+        assert (out / "trace.csv").read_text() == ",".join(TRACE_COLUMNS) + "\n"
+
 
 class TestOtherCommands:
     def test_paper_demo_passes(self, capsys):

@@ -17,7 +17,8 @@ from mvfix import (
     format_expr,
     parse_expr,
 )
-from mvfix.expr import eval_expr_array
+from helpers import interpret_expr
+from mvfix.expr import compile_expr, eval_expr_array
 
 
 class TestParsing:
@@ -261,24 +262,24 @@ POINTS = st.one_of(
 )
 
 
+ERROR_CORPUS = [
+    ("1/(x - 0.5)", np.linspace(0.0, 1.0, 11)),  # division by zero at 0.5
+    ("ln(x)", np.linspace(0.0, 1.0, 11)),  # ln of 0
+    ("sqrt(x - 0.5)", np.linspace(0.0, 1.0, 11)),  # sqrt of negatives
+    ("(-1)^x", np.linspace(-2.0, 2.0, 17)),  # pow domain error off integers
+    ("exp(1000*x)", np.linspace(0.0, 1.0, 11)),  # exp overflow
+    ("x^2000", np.linspace(0.0, 2.0, 11)),  # pow overflow
+    ("x*1e300*1e300", np.linspace(-1.0, 1.0, 5)),  # product overflow
+]
+
+
 class TestArrayEvaluation:
     @given(_ast_strategy(), st.lists(POINTS, min_size=1, max_size=16))
     @settings(max_examples=400, deadline=None)
     def test_random_ast_matches_scalar(self, ast, xs):
         assert_array_matches_scalar(ast, xs)
 
-    @pytest.mark.parametrize(
-        "src, xs",
-        [
-            ("1/(x - 0.5)", np.linspace(0.0, 1.0, 11)),  # division by zero at 0.5
-            ("ln(x)", np.linspace(0.0, 1.0, 11)),  # ln of 0
-            ("sqrt(x - 0.5)", np.linspace(0.0, 1.0, 11)),  # sqrt of negatives
-            ("(-1)^x", np.linspace(-2.0, 2.0, 17)),  # pow domain error off integers
-            ("exp(1000*x)", np.linspace(0.0, 1.0, 11)),  # exp overflow
-            ("x^2000", np.linspace(0.0, 2.0, 11)),  # pow overflow
-            ("x*1e300*1e300", np.linspace(-1.0, 1.0, 5)),  # product overflow
-        ],
-    )
+    @pytest.mark.parametrize("src, xs", ERROR_CORPUS)
     def test_each_failure_kind(self, src, xs):
         ast = parse_expr(src)
         _, ok = eval_expr_array(ast, xs)
@@ -292,3 +293,81 @@ class TestArrayEvaluation:
     def test_empty_input(self):
         values, ok = eval_expr_array(parse_expr("ln(x) + 1"), np.array([]))
         assert values.shape == ok.shape == (0,)
+
+
+def outcome_at(fn, ast, x):
+    """The value's bits, or the type and message of what ``fn(ast, x)`` raised."""
+    try:
+        return float(fn(ast, x)).hex()
+    except Exception as err:
+        return type(err), str(err)
+
+
+def assert_compiled_matches_interpreter(ast, xs):
+    compiled = compile_expr(ast)
+    for x in xs:
+        assert outcome_at(lambda _, v: compiled(v), ast, x) == outcome_at(
+            interpret_expr, ast, x
+        ), (format_expr(ast), x)
+
+
+class TestCompiledEvaluation:
+    @given(_ast_strategy(), st.lists(POINTS, min_size=1, max_size=16))
+    @settings(max_examples=400, deadline=None)
+    def test_random_ast_matches_interpreter(self, ast, xs):
+        assert_compiled_matches_interpreter(ast, xs)
+
+    @pytest.mark.parametrize("src, xs", ERROR_CORPUS)
+    def test_each_failure_kind(self, src, xs):
+        assert_compiled_matches_interpreter(parse_expr(src), xs.tolist())
+
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "ln(x - 2) / sqrt(x - 3)",  # '/' tests its divisor first
+            "ln(x - 2) + sqrt(x - 3)",
+            "ln(x - 2) - 1 / (x - x)",
+            "sqrt(x - 3) * ln(x - 2)",
+            "ln(x - 2) ^ sqrt(x - 3)",
+            "1 / (x - x) / ln(x - 2)",
+            "min(ln(x - 2), sqrt(x - 3))",
+            "max(sqrt(x - 3), exp(1000 + x))",
+            "exp(ln(x - 2) + exp(1000 + x))",
+        ],
+    )
+    def test_both_operands_raise(self, src):
+        ast = parse_expr(src)
+        with pytest.raises(EvalError):
+            interpret_expr(ast, 0.0)
+        assert_compiled_matches_interpreter(ast, [0.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "ast",
+        [
+            BinOp("%", Var("x"), Num(1.0)),
+            Call("abs", ()),
+            Call("log", (Var("x"),)),
+            BinOp("/", BinOp("%", Var("x"), Num(1.0)), Num(0.0)),
+            BinOp("+", Num(1.0), Neg(Call("min", (Var("x"),)))),
+        ],
+    )
+    def test_malformed_nodes_raise_when_reached(self, ast):
+        assert_compiled_matches_interpreter(ast, [0.0, 1.0])
+
+    def test_subexpression_is_printed_only_on_failure(self, monkeypatch):
+        import mvfix.expr
+
+        printed = []
+        monkeypatch.setattr(
+            mvfix.expr, "format_expr", lambda node: printed.append(node) or "?"
+        )
+        fn = compile_expr(parse_expr("1/(x - 0.5) + sqrt(x) * exp(x) - ln(x)^2"))
+        fn(0.25)
+        assert printed == []
+        with pytest.raises(EvalError):
+            fn(0.5)
+        assert len(printed) == 1
+
+    def test_eval_expr_is_the_compiled_value(self):
+        ast = parse_expr("x - x^2")
+        assert eval_expr(ast, 0.3) == compile_expr(ast)(0.3) == interpret_expr(ast, 0.3)

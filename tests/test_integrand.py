@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -252,3 +253,11 @@ class TestValidation:
         assert phi_eval(raw, 60.0) == 10.0
         with pytest.raises(EvalError):
             phi_eval(raw, 0.0)
+
+    def test_compiled_expression_is_not_a_field_that_shows(self):
+        f = expression_integrand("1 + t^2", grid_max=2.0)
+        again = ExpressionIntegrand(ast=f.ast, source=f.source, grid_max=f.grid_max)
+        assert again == f and hash(again) == hash(f)
+        assert repr(again) == repr(f) and "_compiled" not in repr(f)
+        g = replace(f, ast=parse_expr("2 + t", variable="t"))
+        assert phi_eval(g, 1.0) == 3.0 and phi_eval(f, 1.0) == 2.0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,18 @@ class TestApplication:
             assert is_fixed_point(T, x, tol=d)
             if d > 0:
                 assert not is_fixed_point(T, x, tol=d * 0.5)
+
+    def test_compiled_expressions_are_not_fields_that_show(self):
+        T = halving_map()
+        again = MultiMap(UNIT, "interval_endpoints", lo=T.lo, hi=T.hi)
+        assert again == T and hash(again) == hash(T)
+        assert repr(again) == repr(T) and "_compiled" not in repr(T)
+        with pytest.raises(TypeError):
+            MultiMap(UNIT, "singleton", members=T.members, _compiled=())
+
+    def test_replace_recompiles(self):
+        T = replace(halving_map(), hi=_as_ast("(x+1)/4"))
+        assert apply_map(T, 1.0) == CompactSet.interval(0.25, 0.5)
 
 
 GAPPED = CompactSet([(0.0, 0.25), (0.75, 1.0)])

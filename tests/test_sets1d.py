@@ -52,6 +52,20 @@ class TestConstruction:
         with pytest.raises(InvariantError):
             CompactSet([bad])
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_point_rejects_non_finite_as_the_constructor_does(self, x):
+        with pytest.raises(InvariantError) as via_point:
+            CompactSet.point(x)
+        with pytest.raises(InvariantError) as via_init:
+            CompactSet([(x, x)])
+        assert str(via_point.value) == str(via_init.value)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 3, np.float64(2.5), -1e-300])
+    def test_point_equals_the_constructed_singleton(self, x):
+        p = CompactSet.point(x)
+        assert repr(p) == repr(CompactSet([(x, x)])) and p == CompactSet([(x, x)])
+        assert type(p.intervals[0][0]) is float
+
     def test_rejects_reversed(self):
         with pytest.raises(InvariantError):
             CompactSet([(1.0, 0.0)])

@@ -102,6 +102,20 @@ class TestIterate:
         assert trace.outcome.last_x == 2.5
         assert len(trace.steps) == 2
 
+    @pytest.mark.parametrize(
+        "f, x0, steps, detail",
+        [
+            ("x/2", 10.0, 0, "Phi(d) is not finite at step 0, d = 5.0: inf"),
+            ("2*x", 1.0, 1, "Phi(d) is not finite at step 1, d = 2.0: inf"),
+        ],
+    )
+    def test_overflowing_gamma_is_reported(self, f, x0, steps, detail):
+        T = singleton_map(CompactSet.interval(0.0, 100.0), f)
+        trace = iterate(T, x0, tol=0.0, max_iter=40, f=ConstantIntegrand(1e308))
+        assert len(trace.steps) == steps
+        assert all(math.isfinite(s.gamma) for s in trace.steps)
+        assert trace.outcome == IterationError(detail, 2.0 * x0 if steps else x0)
+
     def test_start_outside_domain_rejected(self):
         with pytest.raises(DomainError):
             iterate(singleton_map(UNIT, "x/2"), 2.0)
