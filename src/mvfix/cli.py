@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .analysis import MODES, CertificateReport, certify
 from .config import (
@@ -34,7 +33,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, MvfixError
-from .ffunctions import F_KINDS, FFunction, check_f1, check_f2_f3, check_f4, f_eval
+from .ffunctions import F_KINDS, FFunction, check_f1, check_f2_f3, check_f4
 from .integrand import Integrand, integrand_label
 from .maps import MultiMap
 from .sets1d import CompactSet
@@ -111,17 +110,26 @@ def extract_machine_block(text: str) -> dict[str, str]:
 def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction, k: float) -> None:
     """Serialize the recorded steps, one row at a time; every float round-trips exactly.
 
-    A gamma that underflowed to 0 gets ``F_gamma = -inf``: F is defined
-    only for alpha > 0, and (F2) makes -inf its limit at 0 for every kind.
+    ``F_gamma`` and ``n_gamma_k`` come from :meth:`IterationTrace.decay_columns`,
+    so a gamma that underflowed to 0 gets ``F_gamma = -inf``.  Row n's
+    ``x`` is row n-1's ``next``, so each point is formatted once.
     """
+    f_gamma, n_gamma_k = trace.decay_columns(F, k)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
-        fh.writelines(
-            f"{s.n},{s.x:.17g},{s.next_point:.17g},{s.d_to_set:.17g},{s.gamma:.17g},"
-            f"{-math.inf if s.gamma == 0.0 else f_eval(F, s.gamma):.17g},"
-            f"{s.n * s.gamma**k:.17g}\n"
-            for s in trace.steps
-        )
+        if trace.x:
+            fh.writelines(_trace_rows("%.17g" % trace.x[0], trace, f_gamma, n_gamma_k))
+
+
+def _trace_rows(
+    x_text: str, trace: IterationTrace, f_gamma: Sequence[float], n_gamma_k: Sequence[float]
+) -> Iterator[str]:
+    for n, nxt, d, gamma, fg, w in zip(
+        range(len(trace.x)), trace.next_point, trace.d_to_set, trace.gamma, f_gamma, n_gamma_k
+    ):
+        next_text = "%.17g" % nxt
+        yield "%d,%s,%s,%.17g,%.17g,%.17g,%.17g\n" % (n, x_text, next_text, d, gamma, fg, w)
+        x_text = next_text
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float, float, float, float, float, float]]:
@@ -250,7 +258,7 @@ def _format_solve_report(
         f"x0 = {fmt_value(cfg.x0)}   tol = {fmt_value(cfg.tol)}   max_iter = {cfg.max_iter}",
         f"outcome: {name}",
         f"final x: {fmt_value(final_x)}",
-        f"recorded steps: {len(trace.steps)}",
+        f"recorded steps: {len(trace.x)}",
     ]
     if isinstance(trace.outcome, FixedPointFound):
         lines.append(f"halted at step {trace.outcome.step}")
@@ -277,7 +285,7 @@ def _format_solve_report(
         ("command", "solve"),
         ("outcome", name),
         ("final_x", final_x),
-        ("steps", len(trace.steps)),
+        ("steps", len(trace.x)),
         ("tol", cfg.tol),
         ("max_iter", cfg.max_iter),
     ]
@@ -313,7 +321,7 @@ def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> int:
 
     verdict: TraceVerdict | None = None
     skip_reason: str | None = None
-    positive_steps = sum(1 for s in trace.steps if s.gamma > 0.0)
+    positive_steps = sum(1 for gamma in trace.gamma if gamma > 0.0)
     if cfg.tau is None:
         skip_reason = "no tau configured"
     elif positive_steps < 2:

@@ -89,9 +89,22 @@ class ExpressionIntegrand:
     source: str
     grid_max: float = 100.0
     _compiled: Callable[[float], float] = field(init=False, compare=False, repr=False)
+    # phi at a point t >= 0, rejecting NaN and negative values; the
+    # quadrature calls it at every node
+    _phi: Callable[[float], float] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "_compiled", compile_expr(self.ast))
+        compiled = compile_expr(self.ast)
+        source = self.source
+
+        def phi(t: float) -> float:
+            v = compiled(t)
+            if math.isnan(v) or v < 0.0:
+                raise EvalError(f"integrand produced an invalid value {v}", source)
+            return v
+
+        object.__setattr__(self, "_compiled", compiled)
+        object.__setattr__(self, "_phi", phi)
 
 
 Integrand = Union[
@@ -156,11 +169,8 @@ def phi_eval(f: Integrand, t: float) -> float:
             return scale * t**p
         case ExponentialIntegrand(rate, scale):
             return scale * math.exp(rate * t)
-        case ExpressionIntegrand(_, source, _):
-            v = f._compiled(t)
-            if math.isnan(v) or v < 0.0:
-                raise EvalError(f"integrand produced an invalid value {v}", source)
-            return v
+        case ExpressionIntegrand():
+            return f._phi(t)
     raise TypeError(f"not an integrand: {f!r}")
 
 
@@ -183,12 +193,11 @@ def capital_phi(f: Integrand, u: float) -> float:
                 if rate == 0.0:
                     return scale * u
                 return scale * math.expm1(rate * u) / rate
-            case ExpressionIntegrand(ast, _, _):
+            case ExpressionIntegrand():
                 if u == 0.0:
                     return 0.0
-                return adaptive_simpson(
-                    lambda t: phi_eval(f, t), 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH
-                )
+                # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
+                return adaptive_simpson(f._phi, 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH)
     except OverflowError:
         raise DomainError(
             f"cumulative transform of {integrand_label(f)} overflows at u = {u}"

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Union
 
 from .errors import DomainError, InsufficientTraceError, MvfixError
 from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval
 from .integrand import ConstantIntegrand, Integrand, capital_phi, integrand_label
-from .maps import MultiMap, apply_map
+from .maps import MultiMap, _value_set
 from .sets1d import CompactSet, _nearest
 
 __all__ = [
@@ -87,9 +88,55 @@ Outcome = Union[FixedPointFound, MaxIterReached, IterationError]
 
 @dataclass(frozen=True)
 class IterationTrace:
-    steps: tuple[TraceStep, ...]
+    """Recorded steps of one iteration, held as parallel columns.
+
+    Entry n of ``x``, ``next_point``, ``d_to_set``, ``gamma`` and
+    ``value_sets`` belongs to step n, so a run stores five tuples rather
+    than one object per step; ``x[n + 1]`` is ``next_point[n]``.
+    ``steps`` gives the same rows as a tuple of :class:`TraceStep`,
+    built on first access.
+    """
+
+    x: tuple[float, ...]
+    next_point: tuple[float, ...]
+    d_to_set: tuple[float, ...]
+    gamma: tuple[float, ...]
+    value_sets: tuple[CompactSet, ...]
     outcome: Outcome
     params: TraceParams
+
+    @cached_property
+    def steps(self) -> tuple[TraceStep, ...]:
+        return tuple(
+            map(
+                TraceStep,
+                range(len(self.x)),
+                self.x,
+                self.value_sets,
+                self.next_point,
+                self.d_to_set,
+                self.gamma,
+            )
+        )
+
+    def decay_columns(
+        self, F: FFunction, k: float
+    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``(F(gamma_n), n * gamma_n**k)`` for every step, computed once per (F, k).
+
+        A gamma that underflowed to 0 gets ``F(gamma) = -inf``: F is
+        defined only for alpha > 0, and (F2) makes -inf its limit at 0
+        for every kind.  :func:`validate_trace` and the CLI's trace CSV
+        both read these columns.
+        """
+        memo = self.__dict__.setdefault("_decay_memo", {})
+        key = (F, k)
+        if key not in memo:
+            memo[key] = (
+                tuple(-math.inf if g == 0.0 else f_eval(F, g) for g in self.gamma),
+                tuple(n * g**k for n, g in enumerate(self.gamma)),
+            )
+        return memo[key]
 
 
 @dataclass(frozen=True)
@@ -136,32 +183,45 @@ def iterate(
         raise DomainError(f"starting point {x0} lies outside the domain")
 
     params = TraceParams(tol=tol, max_iter=max_iter, integrand=integrand_label(f))
-    steps: list[TraceStep] = []
+    xs: list[float] = []
+    nexts: list[float] = []
+    ds: list[float] = []
+    gammas: list[float] = []
+    sets: list[CompactSet] = []
+
+    def finish(outcome: Outcome) -> IterationTrace:
+        return IterationTrace(
+            tuple(xs), tuple(nexts), tuple(ds), tuple(gammas), tuple(sets), outcome, params
+        )
+
+    # x0 is checked above and every later x by the domain check below, so
+    # the value set is taken without apply_map's own check
+    in_domain = T.domain.contains
     x = x0
     for n in range(max_iter):
         try:
-            S = apply_map(T, x)
+            S = _value_set(T, x)
             nxt, d = _nearest(x, S)
             if d <= tol:
-                return IterationTrace(tuple(steps), FixedPointFound(x, n), params)
+                return finish(FixedPointFound(x, n))
             gamma = capital_phi(f, d)
         except MvfixError as err:
-            return IterationTrace(tuple(steps), IterationError(str(err), x), params)
+            return finish(IterationError(str(err), x))
         if not math.isfinite(gamma):
-            return IterationTrace(
-                tuple(steps),
-                IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x),
-                params,
+            return finish(
+                IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x)
             )
-        steps.append(TraceStep(n, x, S, nxt, d, gamma))
-        if not T.domain.contains(nxt):
-            return IterationTrace(
-                tuple(steps),
-                IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt),
-                params,
+        xs.append(x)
+        nexts.append(nxt)
+        ds.append(d)
+        gammas.append(gamma)
+        sets.append(S)
+        if not in_domain(nxt):
+            return finish(
+                IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt)
             )
         x = nxt
-    return IterationTrace(tuple(steps), MaxIterReached(x), params)
+    return finish(MaxIterReached(x))
 
 
 def validate_trace(
@@ -177,41 +237,41 @@ def validate_trace(
         raise DomainError(f"tau must be positive, got {tau}")
     if not (0.0 < k < 1.0):
         raise DomainError(f"k must lie in (0, 1), got {k}")
-    recorded = [(s.n, s.gamma) for s in trace.steps if s.gamma > 0.0]
+    recorded = [n for n, gamma in enumerate(trace.gamma) if gamma > 0.0]
     if len(recorded) < 2:
         raise InsufficientTraceError(
             f"need at least 2 steps with positive gamma, found {len(recorded)}"
         )
+    f_gamma, n_gamma_k = trace.decay_columns(F, k)
 
-    n0, gamma0 = recorded[0]
-    base = f_eval(F, gamma0)
+    n0 = recorded[0]
+    base = f_gamma[n0]
     margins = []
     first_failure = None
-    for n, gamma in recorded:
-        slack = (base - (n - n0) * tau) - f_eval(F, gamma)
+    for n in recorded:
+        slack = (base - (n - n0) * tau) - f_gamma[n]
         margins.append(slack)
         if first_failure is None and slack < -DECAY_SLACK:
             first_failure = n
     decay_ok = first_failure is None
 
-    weights = [n * gamma**k for n, gamma in recorded]
-    n1 = _tail_start(recorded, weights)
+    n1 = _tail_start(recorded, [n_gamma_k[n] for n in recorded])
     rate_ok = True
     rate_first_failure = None
     if n1 is None:
         rate_ok = False
     else:
-        for n, gamma in recorded:
+        for n in recorded:
             if n < max(n1, 1):
                 continue
-            if gamma > n ** (-1.0 / k) + RATE_SLACK:
+            if trace.gamma[n] > n ** (-1.0 / k) + RATE_SLACK:
                 rate_ok = False
                 rate_first_failure = n
                 break
 
     cauchy = None
     if n1 is not None:
-        last_n = recorded[-1][0]
+        last_n = recorded[-1]
         cauchy = sum(i ** (-1.0 / k) for i in range(max(n1, 1), last_n + 1))
 
     return TraceVerdict(
@@ -225,9 +285,7 @@ def validate_trace(
     )
 
 
-def _tail_start(
-    recorded: list[tuple[int, float]], weights: list[float]
-) -> int | None:
+def _tail_start(recorded: list[int], weights: list[float]) -> int | None:
     # longest suffix on which the weight stays <= 1 (with slack) and never
     # increases; returns the step index n at its start
     if weights[-1] > 1.0 + RATE_SLACK:
@@ -239,7 +297,7 @@ def _tail_start(
         and weights[i - 1] <= 1.0 + RATE_SLACK
     ):
         i -= 1
-    return recorded[i][0]
+    return recorded[i]
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,10 @@ a-time certification loop, kept as the reference for the batched sweep;
 point-by-point construction checks, kept as the reference for the
 array validation.  ``interpret_expr`` is the recursive expression
 interpreter, kept as the reference for the compiled closures.
+``iterate_scalar``, ``validate_trace_scalar`` and
+``write_trace_csv_scalar`` are the one-object-per-step iteration, its
+validator and its CSV writer, kept as the reference for the columnar
+trace.
 """
 
 import math
@@ -20,22 +24,36 @@ from mvfix import (
     BinOp,
     Call,
     CompactSet,
+    DomainError,
     EvalError,
     ExpressionIntegrand,
+    FixedPointFound,
+    InsufficientTraceError,
     InvariantError,
+    IterationError,
+    MaxIterReached,
     MvfixError,
     Neg,
     Num,
+    TraceParams,
+    TraceStep,
+    TraceVerdict,
     Var,
     apply_map,
+    capital_phi,
     domain_grid,
     eval_expr,
+    f_eval,
     format_expr,
+    integrand_label,
     parse_expr,
     sample_point,
 )
 from mvfix.analysis import _check_mode, _evaluate
+from mvfix.cli import TRACE_COLUMNS
 from mvfix.maps import _value_set
+from mvfix.sets1d import _nearest
+from mvfix.solver import DECAY_SLACK, RATE_SLACK
 
 
 def random_compact_set(rng, max_intervals=4, lo=-10.0, hi=10.0):
@@ -251,3 +269,107 @@ def interpret_expr(node, x):
         case Call("max", (a, b)):
             return max(interpret_expr(a, x), interpret_expr(b, x))
     raise EvalError("malformed AST node", repr(node))
+
+
+def iterate_scalar(T, x0, tol, max_iter, f):
+    """``iterate`` recording one ``TraceStep`` per step, each value set via ``apply_map``.
+
+    Returns ``steps``, ``outcome`` and ``params`` in a namespace.
+    """
+    if tol < 0.0:
+        raise DomainError(f"tolerance must be >= 0, got {tol}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not T.domain.contains(x0):
+        raise DomainError(f"starting point {x0} lies outside the domain")
+
+    params = TraceParams(tol=tol, max_iter=max_iter, integrand=integrand_label(f))
+    steps = []
+
+    def trace(outcome):
+        return SimpleNamespace(steps=tuple(steps), outcome=outcome, params=params)
+
+    x = x0
+    for n in range(max_iter):
+        try:
+            S = apply_map(T, x)
+            nxt, d = _nearest(x, S)
+            if d <= tol:
+                return trace(FixedPointFound(x, n))
+            gamma = capital_phi(f, d)
+        except MvfixError as err:
+            return trace(IterationError(str(err), x))
+        if not math.isfinite(gamma):
+            return trace(
+                IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x)
+            )
+        steps.append(TraceStep(n, x, S, nxt, d, gamma))
+        if not T.domain.contains(nxt):
+            return trace(IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt))
+        x = nxt
+    return trace(MaxIterReached(x))
+
+
+def validate_trace_scalar(trace, F, tau, k=0.5):
+    """``validate_trace`` over ``trace.steps``, calling ``f_eval`` for every margin."""
+    if not tau > 0.0:
+        raise DomainError(f"tau must be positive, got {tau}")
+    if not (0.0 < k < 1.0):
+        raise DomainError(f"k must lie in (0, 1), got {k}")
+    recorded = [(s.n, s.gamma) for s in trace.steps if s.gamma > 0.0]
+    if len(recorded) < 2:
+        raise InsufficientTraceError(
+            f"need at least 2 steps with positive gamma, found {len(recorded)}"
+        )
+
+    n0, gamma0 = recorded[0]
+    base = f_eval(F, gamma0)
+    margins = []
+    first_failure = None
+    for n, gamma in recorded:
+        slack = (base - (n - n0) * tau) - f_eval(F, gamma)
+        margins.append(slack)
+        if first_failure is None and slack < -DECAY_SLACK:
+            first_failure = n
+
+    weights = [n * gamma**k for n, gamma in recorded]
+    n1 = None
+    if weights[-1] <= 1.0 + RATE_SLACK:
+        i = len(weights) - 1
+        while i > 0 and weights[i - 1] >= weights[i] and weights[i - 1] <= 1.0 + RATE_SLACK:
+            i -= 1
+        n1 = recorded[i][0]
+    rate_ok = n1 is not None
+    rate_first_failure = None
+    if n1 is not None:
+        for n, gamma in recorded:
+            if n >= max(n1, 1) and gamma > n ** (-1.0 / k) + RATE_SLACK:
+                rate_ok = False
+                rate_first_failure = n
+                break
+
+    cauchy = None
+    if n1 is not None:
+        cauchy = sum(i ** (-1.0 / k) for i in range(max(n1, 1), recorded[-1][0] + 1))
+
+    return TraceVerdict(
+        decay_chain_ok=first_failure is None,
+        first_failure=first_failure,
+        per_step_margins=tuple(margins),
+        n1=n1,
+        rate_bound_ok=rate_ok,
+        rate_first_failure=rate_first_failure,
+        cauchy_tail_bound=cauchy,
+    )
+
+
+def write_trace_csv_scalar(path, trace, F, k):
+    """The trace CSV written from ``trace.steps``, formatting every field of every row."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(TRACE_COLUMNS) + "\n")
+        fh.writelines(
+            f"{s.n},{s.x:.17g},{s.next_point:.17g},{s.d_to_set:.17g},{s.gamma:.17g},"
+            f"{-math.inf if s.gamma == 0.0 else f_eval(F, s.gamma):.17g},"
+            f"{s.n * s.gamma**k:.17g}\n"
+            for s in trace.steps
+        )

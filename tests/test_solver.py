@@ -1,7 +1,13 @@
+import functools
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from helpers import iterate_scalar, outcome, validate_trace_scalar, write_trace_csv_scalar
 from mvfix import (
     CompactSet,
     ConstantIntegrand,
@@ -11,7 +17,10 @@ from mvfix import (
     InsufficientTraceError,
     IterationError,
     MaxIterReached,
+    PowerIntegrand,
     dist_point_set,
+    expression_integrand,
+    finite_set_map,
     gamma_sequence_probe,
     hausdorff,
     interval_map,
@@ -19,8 +28,10 @@ from mvfix import (
     iterate,
     nearest_point,
     singleton_map,
+    table_map,
     validate_trace,
 )
+from mvfix.cli import write_trace_csv
 
 UNIT = CompactSet.interval(0.0, 1.0)
 LOG = FFunction("log")
@@ -216,3 +227,154 @@ class TestGammaProbe:
             gamma_sequence_probe([0.5], ConstantIntegrand(1.0), LOG, indices=[1, 2])
         with pytest.raises(DomainError):
             gamma_sequence_probe([0.5], ConstantIntegrand(1.0), LOG, k=0.0)
+
+
+TRACE_MAPS = {
+    "singleton": lambda: singleton_map(UNIT, "x - x^2"),
+    "interval": lambda: interval_map(UNIT, "x/3", "x/2"),
+    "finite_set": lambda: finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"]),
+    # 0.1 maps to [0.7, 0.8], whose keys are missing: the run ends in a DomainError
+    "table": lambda: table_map(
+        UNIT,
+        [
+            (0.6, [(0.3, 0.3)]),
+            (0.3, [(0.15, 0.2)]),
+            (0.2, [(0.1, 0.1)]),
+            (0.1, [(0.7, 0.8)]),
+            (0.15, [(0.05, 0.06), (0.5, 0.6)]),
+            (0.0, [(0.0, 0.0)]),
+        ],
+    ),
+    # from 0.5 .. 1 the orbit halves into the gap and leaves the domain
+    "gapped": lambda: singleton_map(CompactSet([(0.0, 0.2), (0.5, 1.0)]), "x/2"),
+    "leaves": lambda: singleton_map(UNIT, "min(2*x, 1.5)"),
+    # divides by zero once the orbit reaches 0.123456789
+    "eval_error": lambda: singleton_map(UNIT, "x/2 + 0*(1/(x - 0.123456789))"),
+    "wide": lambda: singleton_map(CompactSet.interval(0.0, 10.0), "x/2"),
+}
+TRACE_INTEGRANDS = {
+    "constant": lambda: ConstantIntegrand(1.0),
+    # Phi(d) = 1e308 * d is inf once d > 1.8
+    "constant_inf": lambda: ConstantIntegrand(1e308),
+    # Phi(d) = d^51 / 51 underflows to 0 for small d
+    "power_underflow": lambda: PowerIntegrand(p=50.0),
+    "power": lambda: PowerIntegrand(p=-0.5, scale=2.0),
+    "expression": lambda: expression_integrand("1 + t^2", grid_max=2.0),
+}
+START_POINTS = [0.0, 0.1, 0.246913578, 0.5, 0.6, 0.9, 1.0, 10.0]
+
+
+@functools.cache
+def trace_map(name):
+    return TRACE_MAPS[name]()
+
+
+@functools.cache
+def trace_integrand(name):
+    return TRACE_INTEGRANDS[name]()
+
+
+def assert_trace_matches_oracles(T, x0, tol, max_iter, f, F, tau, k):
+    """Columnar trace, verdict and CSV equal the one-step-at-a-time oracles, bit for bit."""
+    trace = outcome(iterate, T, x0, tol, max_iter, f)
+    oracle = outcome(iterate_scalar, T, x0, tol, max_iter, f)
+    if isinstance(oracle, tuple):  # the start was rejected
+        assert trace == oracle
+        return None
+    # repr of a float round-trips exactly and tells -0.0 from 0.0
+    assert repr(trace.steps) == repr(oracle.steps)
+    assert trace.steps == oracle.steps
+    assert repr(trace.outcome) == repr(oracle.outcome)
+    assert trace.params == oracle.params
+    assert repr(outcome(validate_trace, trace, F, tau, k)) == repr(
+        outcome(validate_trace_scalar, oracle, F, tau, k)
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        write_trace_csv(got, trace, F, k)
+        write_trace_csv_scalar(want, oracle, F, k)
+        assert got.read_bytes() == want.read_bytes()
+    return trace
+
+
+class TestColumnarTraceAgainstScalarLoop:
+    @pytest.mark.parametrize(
+        "map_name, integrand, x0, tol, expected",
+        [
+            ("interval", "constant", 1.0, 1e-6, FixedPointFound),
+            ("interval", "power_underflow", 0.5, 0.0, MaxIterReached),
+            ("wide", "constant_inf", 10.0, 0.0, IterationError),
+            ("leaves", "constant", 0.6, 0.0, IterationError),
+            ("gapped", "expression", 0.9, 0.0, IterationError),
+            ("gapped", "power", 0.1, 1e-9, FixedPointFound),
+            ("eval_error", "expression", 0.246913578, 0.0, IterationError),
+            ("table", "constant", 0.6, 0.0, IterationError),
+            ("finite_set", "power", 0.3, 0.0, MaxIterReached),
+        ],
+    )
+    @pytest.mark.parametrize("f_kind", ["log", "log_plus_linear", "neg_inv_sqrt"])
+    def test_probe(self, map_name, integrand, x0, tol, expected, f_kind):
+        trace = assert_trace_matches_oracles(
+            trace_map(map_name), x0, tol, 60, trace_integrand(integrand),
+            FFunction(f_kind), 0.5, 0.5,
+        )
+        assert isinstance(trace.outcome, expected)
+
+    def test_probes_reach_their_edge_cases(self):
+        underflow = iterate(trace_map("interval"), 0.5, 0.0, 60, trace_integrand("power_underflow"))
+        assert 0.0 in underflow.gamma and underflow.gamma[0] > 0.0
+        overflow = iterate(trace_map("wide"), 10.0, 0.0, 60, trace_integrand("constant_inf"))
+        assert overflow.outcome.detail.startswith("Phi(d) is not finite at step 0")
+        for name, detail in [
+            ("leaves", "iterate left the domain"),
+            ("gapped", "iterate left the domain"),
+            ("eval_error", "division by zero"),
+            ("table", "no table entry"),
+        ]:
+            x0 = 0.246913578 if name == "eval_error" else 0.6
+            trace = iterate(trace_map(name), x0, 0.0, 60, trace_integrand("constant"))
+            assert detail in trace.outcome.detail and len(trace.x) >= 1, name
+
+    @given(
+        map_name=st.sampled_from(sorted(TRACE_MAPS)),
+        integrand=st.sampled_from(sorted(TRACE_INTEGRANDS)),
+        f_kind=st.sampled_from(["log", "log_plus_linear", "neg_inv_sqrt"]),
+        x0=st.one_of(st.sampled_from(START_POINTS), st.floats(0.0, 1.0)),
+        tol=st.sampled_from([0.0, 1e-9, 1e-6, 1e-3]),
+        max_iter=st.integers(1, 80),
+        tau=st.sampled_from([1e-9, 0.1, math.log(2.0), 2.0]),
+        k=st.sampled_from([0.25, 0.5, 0.9]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit(self, map_name, integrand, f_kind, x0, tol, max_iter, tau, k):
+        assert_trace_matches_oracles(
+            trace_map(map_name), x0, tol, max_iter, trace_integrand(integrand),
+            FFunction(f_kind), tau, k,
+        )
+
+    def test_steps_are_built_from_the_columns_once(self):
+        trace = halving_trace()
+        assert trace.steps is trace.steps
+        assert [s.x for s in trace.steps] == list(trace.x)
+        assert trace.x[1:] == trace.next_point[:-1]
+
+    def test_decay_columns_are_computed_once(self, monkeypatch):
+        from mvfix import solver
+
+        calls = []
+        real_f_eval = solver.f_eval
+        monkeypatch.setattr(solver, "f_eval", lambda F, g: calls.append(g) or real_f_eval(F, g))
+        trace = halving_trace()
+        f_gamma, n_gamma_k = trace.decay_columns(LOG, 0.5)
+        assert trace.decay_columns(LOG, 0.5) == (f_gamma, n_gamma_k)
+        validate_trace(trace, LOG, math.log(2.0), k=0.5)
+        assert len(calls) == 60
+        assert f_gamma == tuple(math.log(g) for g in trace.gamma)
+        assert n_gamma_k == tuple(n * math.sqrt(g) for n, g in enumerate(trace.gamma))
+        # another F or k gets its own columns
+        assert trace.decay_columns(LOG, 0.25)[1] == tuple(
+            n * g**0.25 for n, g in enumerate(trace.gamma)
+        )
+        assert trace.decay_columns(FFunction("neg_inv_sqrt"), 0.5)[0] == tuple(
+            -1.0 / math.sqrt(g) for g in trace.gamma
+        )
