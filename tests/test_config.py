@@ -9,6 +9,7 @@ from mvfix import (
     ExponentialIntegrand,
     FFunction,
     InvariantError,
+    MvfixError,
     PowerIntegrand,
     build_domain,
     build_ffunction,
@@ -16,6 +17,7 @@ from mvfix import (
     build_map,
     config_from_dict,
     config_to_dict,
+    integrand_label,
     load_config,
     save_config,
 )
@@ -218,3 +220,273 @@ class TestBuilders:
         )
         f = build_integrand(cfg)
         assert f.source == "1 + t*t"
+
+
+# Each case: a map or integrand object put into MINIMAL, and the exact
+# error text of loading the config and building its map and integrand.
+NAN, INF = float("nan"), float("inf")
+
+
+def _map(**kw):
+    return {"map": kw}
+
+
+def _integrand(**kw):
+    return {"integrand": kw}
+
+
+MESSAGE_CASES = [
+    ("lo-missing", _map(kind="interval_endpoints", hi="x"),
+     "ConfigError: map.lo and map.hi must be expression strings"),
+    ("lo-type", _map(kind="interval_endpoints", lo=1, hi="x"),
+     "ConfigError: map.lo and map.hi must be expression strings"),
+    ("lo-range", _map(kind="interval_endpoints", lo="x/", hi="x"),
+     "ParseError: expected operand (at position 2)"),
+    ("hi-missing", _map(kind="interval_endpoints", lo="x"),
+     "ConfigError: map.lo and map.hi must be expression strings"),
+    ("hi-type", _map(kind="interval_endpoints", lo="x", hi=["x"]),
+     "ConfigError: map.lo and map.hi must be expression strings"),
+    ("hi-range", _map(kind="interval_endpoints", lo="x", hi="x/2"),
+     "InvariantError: map endpoints inverted at x = 0.0001: lo = 0.0001, hi = 5e-05"),
+    ("f-missing", _map(kind="singleton"),
+     "ConfigError: map.f must be an expression string"),
+    ("f-type", _map(kind="singleton", f=2),
+     "ConfigError: map.f must be an expression string"),
+    ("f-range", _map(kind="singleton", f="1/x"),
+     "EvalError: division by zero in '1.0 / x'"),
+    ("members-missing", _map(kind="finite_set"),
+     "ConfigError: map.members must be a nonempty list of expression strings"),
+    ("members-type", _map(kind="finite_set", members="x"),
+     "ConfigError: map.members must be a nonempty list of expression strings"),
+    ("members-item-type", _map(kind="finite_set", members=["x", 1]),
+     "ConfigError: map.members must be a nonempty list of expression strings"),
+    ("members-range", _map(kind="finite_set", members=[]),
+     "ConfigError: map.members must be a nonempty list of expression strings"),
+    ("entries-missing", _map(kind="table"),
+     "ConfigError: map.entries must be a nonempty list of [x, intervals] rows"),
+    ("entries-type", _map(kind="table", entries="x"),
+     "ConfigError: map.entries must be a nonempty list of [x, intervals] rows"),
+    ("entries-row-type", _map(kind="table", entries=[[0.5]]),
+     "ConfigError: bad table entry [0.5]: not enough values to unpack (expected 2, got 1)"),
+    ("entries-key-type", _map(kind="table", entries=[["a", [[0.0, 1.0]]]]),
+     "ConfigError: bad table entry ['a', [[0.0, 1.0]]]: could not convert string to float: 'a'"),
+    ("entries-range", _map(kind="table", entries=[]),
+     "ConfigError: map.entries must be a nonempty list of [x, intervals] rows"),
+    ("entries-key-range", _map(kind="table", entries=[[2.0, [[0.0, 1.0]]]]),
+     "InvariantError: table key 2.0 lies outside the domain"),
+    ("entries-interval-range", _map(kind="table", entries=[[0.5, [[1.0, 0.0]]]]),
+     "InvariantError: interval has lo > hi: (1.0, 0.0)"),
+    ("c-null", _integrand(kind="constant", c=None),
+     "ConfigError: c must be a number, got None"),
+    ("c-type", _integrand(kind="constant", c="x"),
+     "ConfigError: c must be a number, got 'x'"),
+    ("c-bool", _integrand(kind="constant", c=True),
+     "ConfigError: c must be a number, got True"),
+    ("c-range", _integrand(kind="constant", c=0),
+     "ConfigError: integrand.c must be positive, got 0"),
+    ("c-negative", _integrand(kind="constant", c=-1.5),
+     "ConfigError: integrand.c must be positive, got -1.5"),
+    ("c-nan", _integrand(kind="constant", c=NAN),
+     "ConfigError: integrand.c must be positive, got nan"),
+    ("c-inf", _integrand(kind="constant", c=INF),
+     "InvariantError: constant integrand needs c > 0, got inf"),
+    ("p-missing", _integrand(kind="power"),
+     "ConfigError: integrand requires 'p'"),
+    ("p-type", _integrand(kind="power", p="x"),
+     "ConfigError: p must be a number, got 'x'"),
+    ("p-range", _integrand(kind="power", p=-1),
+     "ConfigError: integrand.p must be > -1, got -1"),
+    ("p-nan", _integrand(kind="power", p=NAN),
+     "ConfigError: integrand.p must be > -1, got nan"),
+    ("scale-power-type", _integrand(kind="power", p=1, scale="x"),
+     "ConfigError: scale must be a number, got 'x'"),
+    ("scale-power-range", _integrand(kind="power", p=1, scale=0),
+     "ConfigError: integrand.scale must be positive, got 0"),
+    ("scale-exponential-type", _integrand(kind="exponential", rate=1, scale=None),
+     "ConfigError: scale must be a number, got None"),
+    ("scale-exponential-range", _integrand(kind="exponential", rate=1, scale=-2),
+     "ConfigError: integrand.scale must be positive, got -2"),
+    ("rate-missing", _integrand(kind="exponential"),
+     "ConfigError: integrand requires 'rate'"),
+    ("rate-type", _integrand(kind="exponential", rate="x"),
+     "ConfigError: rate must be a number, got 'x'"),
+    ("rate-range", _integrand(kind="exponential", rate=INF),
+     "InvariantError: exponential integrand needs finite rate, got inf"),
+    ("source-missing", _integrand(kind="expression"),
+     "ConfigError: integrand.source must be an expression string"),
+    ("source-type", _integrand(kind="expression", source=1),
+     "ConfigError: integrand.source must be an expression string"),
+    ("source-range", _integrand(kind="expression", source="t - 1"),
+     "InvariantError: integrand 't - 1' is negative at t = 0: -1.0"),
+    ("source-parse", _integrand(kind="expression", source="t +"),
+     "ParseError: expected operand (at position 3)"),
+    ("grid_max-type", _integrand(kind="expression", source="1", grid_max="x"),
+     "ConfigError: grid_max must be a number, got 'x'"),
+    ("grid_max-range", _integrand(kind="expression", source="1", grid_max=0),
+     "ConfigError: integrand.grid_max must be positive, got 0"),
+    ("grid_max-inf", _integrand(kind="expression", source="1", grid_max=INF),
+     "InvariantError: grid_max must be positive and finite, got inf"),
+    ("map-unknown-key", _map(kind="singleton", f="x", speed=2),
+     "ConfigError: unknown key 'speed' in map"),
+    ("map-other-kind-key", _map(kind="singleton", f="x", lo="x"),
+     "ConfigError: unknown key 'lo' in map"),
+    ("map-unknown-before-value", _map(kind="interval_endpoints", extra=1),
+     "ConfigError: unknown key 'extra' in map"),
+    ("integrand-unknown-key", _integrand(kind="power", p=1, q=2),
+     "ConfigError: unknown key 'q' in integrand"),
+    ("integrand-other-kind-key", _integrand(kind="constant", p=1),
+     "ConfigError: unknown key 'p' in integrand"),
+    ("integrand-unknown-before-value", _integrand(kind="power", p="x", rate=1),
+     "ConfigError: unknown key 'rate' in integrand"),
+    ("map-kind-missing", _map(f="x"),
+     "ConfigError: map.kind must be one of ('interval_endpoints', 'singleton', "
+     "'finite_set', 'table'), got None"),
+    ("map-kind-bad", _map(kind="fractal"),
+     "ConfigError: map.kind must be one of ('interval_endpoints', 'singleton', "
+     "'finite_set', 'table'), got 'fractal'"),
+    ("map-kind-type", _map(kind=3),
+     "ConfigError: map.kind must be one of ('interval_endpoints', 'singleton', "
+     "'finite_set', 'table'), got 3"),
+    ("map-not-object", {"map": "x"},
+     "ConfigError: map must be an object"),
+    ("integrand-kind-bad", _integrand(kind="spline"),
+     "ConfigError: integrand.kind must be one of ('constant', 'power', 'exponential', "
+     "'expression'), got 'spline'"),
+    ("integrand-kind-null", _integrand(kind=None),
+     "ConfigError: integrand.kind must be one of ('constant', 'power', 'exponential', "
+     "'expression'), got None"),
+    ("integrand-not-object", {"integrand": [1]},
+     "ConfigError: integrand must be an object"),
+    # one message for both interval endpoints, whichever is wrong
+    ("lo-hi-both", _map(kind="interval_endpoints", lo=1, hi=2),
+     "ConfigError: map.lo and map.hi must be expression strings"),
+    ("hi-null", _map(kind="interval_endpoints", lo="x", hi=None),
+     "ConfigError: map.lo and map.hi must be expression strings"),
+    # every key's type is checked, in the factory's parameter order, before any range
+    ("power-scale-type-before-p-range", _integrand(kind="power", p=-2, scale="x"),
+     "ConfigError: scale must be a number, got 'x'"),
+    ("power-p-type-before-scale-range", _integrand(kind="power", p="x", scale=0),
+     "ConfigError: p must be a number, got 'x'"),
+    ("power-p-range-before-scale-range", _integrand(kind="power", p=-2, scale=0),
+     "ConfigError: integrand.p must be > -1, got -2"),
+    ("exponential-rate-type-before-scale-range",
+     _integrand(kind="exponential", rate="x", scale=0),
+     "ConfigError: rate must be a number, got 'x'"),
+    ("expression-source-before-grid_max-range",
+     _integrand(kind="expression", source=1, grid_max=0),
+     "ConfigError: integrand.source must be an expression string"),
+    ("expression-source-before-grid_max-type", _integrand(kind="expression", grid_max="x"),
+     "ConfigError: integrand.source must be an expression string"),
+]
+
+
+def _load_and_build(patch):
+    cfg = config_from_dict(dict(MINIMAL, **patch))
+    return cfg, build_map(cfg), build_integrand(cfg)
+
+
+@pytest.mark.parametrize(
+    "patch,expected", [case[1:] for case in MESSAGE_CASES], ids=[case[0] for case in MESSAGE_CASES]
+)
+def test_config_message(patch, expected):
+    with pytest.raises(MvfixError) as info:
+        _load_and_build(patch)
+    assert f"{type(info.value).__name__}: {info.value}" == expected
+
+
+# (map object, config_to_dict output, repr of the built map, its describe())
+MAP_CASES = [
+    (
+        {"kind": "interval_endpoints", "lo": "x/4", "hi": "(x+1)/2"},
+        {"kind": "interval_endpoints", "lo": "x/4", "hi": "(x+1)/2"},
+        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='interval_endpoints', "
+        "lo=BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=4.0)), "
+        "hi=BinOp(op='/', lhs=BinOp(op='+', lhs=Var(name='x'), rhs=Num(value=1.0)), "
+        "rhs=Num(value=2.0)), members=(), table=())",
+        "T(x) = [x / 4.0, (x + 1.0) / 2.0]",
+    ),
+    (
+        {"kind": "singleton", "f": "x/2"},
+        {"kind": "singleton", "f": "x/2"},
+        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='singleton', lo=None, hi=None, "
+        "members=(BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=2.0)),), table=())",
+        "T(x) = {x / 2.0}",
+    ),
+    (
+        {"kind": "finite_set", "members": ["x/3", "1 - x"]},
+        {"kind": "finite_set", "members": ["x/3", "1 - x"]},
+        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='finite_set', lo=None, hi=None, "
+        "members=(BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=3.0)), "
+        "BinOp(op='-', lhs=Num(value=1.0), rhs=Var(name='x'))), table=())",
+        "T(x) = {x / 3.0, 1.0 - x}",
+    ),
+    (
+        {"kind": "table", "entries": [[0, [[0, 0.25], [0.5, 1]]], [1, [[0.5, 0.5]]]]},
+        {"kind": "table", "entries": [[0.0, [[0.0, 0.25], [0.5, 1.0]]], [1.0, [[0.5, 0.5]]]]},
+        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='table', lo=None, hi=None, "
+        "members=(), table=((0.0, CompactSet([0.0, 0.25], [0.5, 1.0])), "
+        "(1.0, CompactSet({0.5}))))",
+        "table with 2 entries",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw,saved,built,described", MAP_CASES)
+def test_valid_map_config(raw, saved, built, described):
+    cfg, T, _ = _load_and_build({"map": raw})
+    assert config_to_dict(cfg)["map"] == saved
+    assert repr(T) == built
+    assert T.describe() == described
+
+
+# (integrand object, config_to_dict output, repr of the built integrand, its label);
+# a missing key takes the default
+INTEGRAND_CASES = [
+    (None, {"kind": "constant", "c": 1.0}, "ConstantIntegrand(c=1.0)", "constant(1)"),
+    (
+        {"kind": "constant", "c": 2},
+        {"kind": "constant", "c": 2.0},
+        "ConstantIntegrand(c=2.0)",
+        "constant(2)",
+    ),
+    (
+        {"kind": "power", "p": 0},
+        {"kind": "power", "p": 0.0, "scale": 1.0},
+        "PowerIntegrand(p=0.0, scale=1.0)",
+        "power(p=0, scale=1)",
+    ),
+    (
+        {"kind": "power", "p": -0.5, "scale": 3},
+        {"kind": "power", "p": -0.5, "scale": 3.0},
+        "PowerIntegrand(p=-0.5, scale=3.0)",
+        "power(p=-0.5, scale=3)",
+    ),
+    (
+        {"kind": "exponential", "rate": -1, "scale": 0.5},
+        {"kind": "exponential", "rate": -1.0, "scale": 0.5},
+        "ExponentialIntegrand(rate=-1.0, scale=0.5)",
+        "exponential(rate=-1, scale=0.5)",
+    ),
+    (
+        {"kind": "expression", "source": "1 + t^2"},
+        {"kind": "expression", "source": "1 + t^2", "grid_max": 100.0},
+        "ExpressionIntegrand(ast=BinOp(op='+', lhs=Num(value=1.0), rhs=BinOp(op='^', "
+        "lhs=Var(name='t'), rhs=Num(value=2.0))), source='1 + t^2', grid_max=100.0)",
+        "expression('1 + t^2')",
+    ),
+    (
+        {"kind": "expression", "source": "exp(-t)", "grid_max": 5},
+        {"kind": "expression", "source": "exp(-t)", "grid_max": 5.0},
+        "ExpressionIntegrand(ast=Call(fn='exp', args=(Neg(arg=Var(name='t')),)), "
+        "source='exp(-t)', grid_max=5.0)",
+        "expression('exp(-t)')",
+    ),
+]
+
+
+@pytest.mark.parametrize("raw,saved,built,label", INTEGRAND_CASES)
+def test_valid_integrand_config(raw, saved, built, label):
+    cfg, _, f = _load_and_build({} if raw is None else {"integrand": raw})
+    assert config_to_dict(cfg)["integrand"] == saved
+    assert repr(f) == built
+    assert integrand_label(f) == label
