@@ -25,9 +25,8 @@ from .analysis import (
 )
 from .config import (
     FSpec,
-    IntegrandSpec,
-    MapSpec,
     ProblemConfig,
+    Spec,
     build_domain,
     build_ffunction,
     build_integrand,

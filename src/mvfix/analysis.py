@@ -161,7 +161,11 @@ def _pair_distance(Sx: CompactSet, Sy: CompactSet, mode: str) -> float:
 
 def m_value(T: MultiMap, x: float, y: float) -> float:
     """Generalized displacement m(x, y) for the map T."""
-    Sx, Sy = apply_map(T, x), apply_map(T, y)
+    return _displacement(x, y, apply_map(T, x), apply_map(T, y))
+
+
+def _displacement(x: float, y: float, Sx: CompactSet, Sy: CompactSet) -> float:
+    """m(x, y) from the value sets Sx = T(x) and Sy = T(y)."""
     return max(
         abs(x - y),
         dist_point_set(x, Sx),
@@ -180,12 +184,7 @@ def _evaluate(
     mode: str,
 ) -> PairEvaluation:
     h = _pair_distance(Sx, Sy, mode)
-    m = max(
-        abs(x - y),
-        dist_point_set(x, Sx),
-        dist_point_set(y, Sy),
-        0.5 * (dist_point_set(x, Sy) + dist_point_set(y, Sx)),
-    )
+    m = _displacement(x, y, Sx, Sy)
     phi_h = capital_phi(f, h)
     phi_m = capital_phi(f, m)
     if not math.isfinite(phi_h):
@@ -251,7 +250,7 @@ def check_pair_ojha(
     _check_mode(mode)
     Sx, Sy = apply_map(T, x), apply_map(T, y)
     h = _pair_distance(Sx, Sy, mode)
-    m = m_value(T, x, y)
+    m = _displacement(x, y, Sx, Sy)
     lhs = capital_phi(f, h)
     rhs = alpha * capital_phi(f, m)
     return PairCheck.HOLDS if lhs <= rhs + VERDICT_SLACK else PairCheck.VIOLATED

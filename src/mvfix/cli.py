@@ -30,6 +30,8 @@ from .config import (
     build_ffunction,
     build_integrand,
     build_map,
+    config_from_dict,
+    config_to_dict,
     load_config,
 )
 from .errors import ConfigError, MvfixError
@@ -434,11 +436,10 @@ def cmd_check_f(kind: str, k: float, out_dir: Path | None) -> int:
 
 
 def _apply_overrides(cfg: ProblemConfig, args: argparse.Namespace) -> ProblemConfig:
-    if getattr(args, "mode", None) is not None:
-        cfg = replace(cfg, mode=args.mode)
-    if getattr(args, "seed", None) is not None:
-        cfg = replace(cfg, seed=args.seed)
-    return cfg
+    """``cfg`` with ``--mode`` and ``--seed`` applied, checked as config keys."""
+    given = {key: getattr(args, key, None) for key in ("mode", "seed")}
+    overrides = {key: v for key, v in given.items() if v is not None}
+    return config_from_dict({**config_to_dict(cfg), **overrides}) if overrides else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -4,32 +4,33 @@ A configuration bundles the domain, the multivalued map, the gauge
 function F, the integrand, and all sweep/iteration knobs.  Loading is
 strict: unknown keys and out-of-range values raise :class:`ConfigError`
 naming the offending key.  Serialization round-trips exactly.
+
+The keys of a map or integrand kind are the parameters of its factory in
+:data:`~mvfix.maps.MAP_KINDS` or :data:`~mvfix.integrand.INTEGRAND_KINDS`
+(after ``domain``), and a key left out takes the factory's default.  This
+module checks keys, not kinds: a key means the same thing in every kind
+that has it.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Union
+from typing import Any, Callable, Union
 
 from .analysis import MODES
 from .errors import ConfigError, MvfixError
 from .ffunctions import F_KINDS, FFunction
-from .integrand import (
-    ConstantIntegrand,
-    ExponentialIntegrand,
-    Integrand,
-    PowerIntegrand,
-    expression_integrand,
-)
-from .maps import MultiMap, finite_set_map, interval_map, singleton_map, table_map
+from .integrand import INTEGRAND_KINDS, Integrand
+from .maps import MAP_KINDS, MultiMap
 from .sets1d import CompactSet
 
 __all__ = [
-    "MapSpec",
+    "Spec",
     "FSpec",
-    "IntegrandSpec",
     "ProblemConfig",
     "config_from_dict",
     "config_to_dict",
@@ -41,51 +42,29 @@ __all__ = [
     "build_integrand",
 ]
 
-MAP_KINDS = ("interval_endpoints", "singleton", "finite_set", "table")
-INTEGRAND_KINDS = ("constant", "power", "exponential", "expression")
-
 
 @dataclass(frozen=True)
-class MapSpec:
+class Spec:
+    """A map or integrand kind with its factory's arguments, in parameter order.
+
+    Parameters read as attributes: ``spec.lo`` is the value of ``lo``.
+    """
+
     kind: str
-    lo: str | None = None
-    hi: str | None = None
-    f: str | None = None
-    members: tuple[str, ...] = ()
-    entries: tuple[tuple[float, tuple[tuple[float, float], ...]], ...] = ()
+    params: tuple[tuple[str, Any], ...] = ()
+
+    def __getattr__(self, name: str) -> Any:
+        # vars() keeps a half-built instance (as unpickling makes) from recursing
+        for key, value in vars(self).get("params", ()):
+            if key == name:
+                return value
+        raise AttributeError(name)
 
 
 @dataclass(frozen=True)
 class FSpec:
     kind: str = "log"
     k: float = 0.5
-
-
-@dataclass(frozen=True)
-class IntegrandSpec:
-    kind: str = "constant"
-    c: float = 1.0
-    p: float = 1.0
-    rate: float = 1.0
-    scale: float = 1.0
-    source: str | None = None
-    grid_max: float = 100.0
-
-
-@dataclass(frozen=True)
-class ProblemConfig:
-    domain: tuple[tuple[float, float], ...]
-    map: MapSpec
-    f: FSpec = field(default_factory=FSpec)
-    integrand: IntegrandSpec = field(default_factory=IntegrandSpec)
-    tau: float | None = None
-    grid_size: int = 101
-    random_pairs: int = 1000
-    seed: int = 42
-    mode: str = "hausdorff"
-    tol: float = 1e-12
-    max_iter: int = 10_000
-    x0: float | None = None
 
 
 def _require_keys(data: dict, allowed: set[str], where: str) -> None:
@@ -105,46 +84,105 @@ def _number(data: dict, key: str, where: str, default=None, required=False):
     return v
 
 
-def _map_spec_from_dict(data: Any) -> MapSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("map must be an object")
-    kind = data.get("kind")
-    if kind not in MAP_KINDS:
-        raise ConfigError(f"map.kind must be one of {MAP_KINDS}, got {kind!r}")
-    if kind == "interval_endpoints":
-        _require_keys(data, {"kind", "lo", "hi"}, "map")
-        lo, hi = data.get("lo"), data.get("hi")
-        if not isinstance(lo, str) or not isinstance(hi, str):
-            raise ConfigError("map.lo and map.hi must be expression strings")
-        return MapSpec(kind=kind, lo=lo, hi=hi)
-    if kind == "singleton":
-        _require_keys(data, {"kind", "f"}, "map")
-        f = data.get("f")
-        if not isinstance(f, str):
-            raise ConfigError("map.f must be an expression string")
-        return MapSpec(kind=kind, f=f)
-    if kind == "finite_set":
-        _require_keys(data, {"kind", "members"}, "map")
-        members = data.get("members")
-        if not isinstance(members, list) or not members or not all(
-            isinstance(m, str) for m in members
-        ):
-            raise ConfigError("map.members must be a nonempty list of expression strings")
-        return MapSpec(kind=kind, members=tuple(members))
-    _require_keys(data, {"kind", "entries"}, "map")
-    entries = data.get("entries")
-    if not isinstance(entries, list) or not entries:
+def _expression(message: str) -> Callable[[Any], str]:
+    def read(v: Any) -> str:
+        if not isinstance(v, str):
+            raise ConfigError(message)
+        return v
+
+    return read
+
+
+def _members(v: Any) -> tuple[str, ...]:
+    if not isinstance(v, list) or not v or not all(isinstance(m, str) for m in v):
+        raise ConfigError("map.members must be a nonempty list of expression strings")
+    return tuple(v)
+
+
+def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...]:
+    if not isinstance(v, list) or not v:
         raise ConfigError("map.entries must be a nonempty list of [x, intervals] rows")
     rows = []
-    for row in entries:
+    for row in v:
         try:
             key, intervals = row
-            rows.append(
-                (float(key), tuple((float(lo), float(hi)) for lo, hi in intervals))
-            )
+            rows.append((float(key), tuple((float(lo), float(hi)) for lo, hi in intervals)))
         except (TypeError, ValueError) as err:
             raise ConfigError(f"bad table entry {row!r}: {err}") from None
-    return MapSpec(kind=kind, entries=tuple(rows))
+    return tuple(rows)
+
+
+_ENDPOINT = _expression("map.lo and map.hi must be expression strings")
+
+# Every key a map or integrand factory takes.  A number key has its range
+# test and the words of its message; any other key has a reader that
+# turns the JSON value into the stored value or raises.
+_POSITIVE = (lambda v: v > 0.0, "must be positive")
+_ANY = (lambda v: True, "")
+_NUMBER_RANGES = {
+    "c": _POSITIVE,
+    "p": (lambda v: v > -1.0, "must be > -1"),
+    "rate": _ANY,
+    "scale": _POSITIVE,
+    "grid_max": _POSITIVE,
+}
+_READERS = {
+    "lo": _ENDPOINT,
+    "hi": _ENDPOINT,
+    "f": _expression("map.f must be an expression string"),
+    "members": _members,
+    "entries": _entries,
+    "source": _expression("integrand.source must be an expression string"),
+}
+
+
+def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None) -> Spec:
+    """Read a ``where`` object whose kind names a factory in ``kinds``.
+
+    Unknown keys are refused first, then every key's type is checked in
+    the factory's parameter order, then every number's range.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    kind = data.get("kind", default_kind)
+    if kind not in tuple(kinds):
+        raise ConfigError(f"{where}.kind must be one of {tuple(kinds)}, got {kind!r}")
+    params = inspect.signature(kinds[kind]).parameters.values()
+    params = [p for p in params if p.name != "domain"]
+    _require_keys(data, {"kind", *(p.name for p in params)}, where)
+    values = {}
+    for p in params:
+        if p.name in _NUMBER_RANGES:
+            values[p.name] = _number(data, p.name, where, p.default, p.default is p.empty)
+        else:
+            values[p.name] = _READERS[p.name](data.get(p.name))
+    for name, v in values.items():
+        if name in _NUMBER_RANGES:
+            in_range, words = _NUMBER_RANGES[name]
+            if not in_range(v):
+                raise ConfigError(f"{where}.{name} {words}, got {v}")
+            values[name] = float(v)
+    return Spec(kind, tuple(values.items()))
+
+
+def _integrand_spec(data: Any) -> Spec:
+    return _spec_from_dict(data, "integrand", INTEGRAND_KINDS, "constant")
+
+
+@dataclass(frozen=True)
+class ProblemConfig:
+    domain: tuple[tuple[float, float], ...]
+    map: Spec
+    f: FSpec = field(default_factory=FSpec)
+    integrand: Spec = field(default_factory=lambda: _integrand_spec({}))
+    tau: float | None = None
+    grid_size: int = 101
+    random_pairs: int = 1000
+    seed: int = 42
+    mode: str = "hausdorff"
+    tol: float = 1e-12
+    max_iter: int = 10_000
+    x0: float | None = None
 
 
 def _f_spec_from_dict(data: Any) -> FSpec:
@@ -160,67 +198,20 @@ def _f_spec_from_dict(data: Any) -> FSpec:
     return FSpec(kind=kind, k=float(k))
 
 
-def _integrand_spec_from_dict(data: Any) -> IntegrandSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("integrand must be an object")
-    kind = data.get("kind", "constant")
-    if kind not in INTEGRAND_KINDS:
-        raise ConfigError(
-            f"integrand.kind must be one of {INTEGRAND_KINDS}, got {kind!r}"
-        )
-    if kind == "constant":
-        _require_keys(data, {"kind", "c"}, "integrand")
-        c = _number(data, "c", "integrand", default=1.0)
-        if not c > 0.0:
-            raise ConfigError(f"integrand.c must be positive, got {c}")
-        return IntegrandSpec(kind=kind, c=float(c))
-    if kind == "power":
-        _require_keys(data, {"kind", "p", "scale"}, "integrand")
-        p = _number(data, "p", "integrand", required=True)
-        scale = _number(data, "scale", "integrand", default=1.0)
-        if not p > -1.0:
-            raise ConfigError(f"integrand.p must be > -1, got {p}")
-        if not scale > 0.0:
-            raise ConfigError(f"integrand.scale must be positive, got {scale}")
-        return IntegrandSpec(kind=kind, p=float(p), scale=float(scale))
-    if kind == "exponential":
-        _require_keys(data, {"kind", "rate", "scale"}, "integrand")
-        rate = _number(data, "rate", "integrand", required=True)
-        scale = _number(data, "scale", "integrand", default=1.0)
-        if not scale > 0.0:
-            raise ConfigError(f"integrand.scale must be positive, got {scale}")
-        return IntegrandSpec(kind=kind, rate=float(rate), scale=float(scale))
-    _require_keys(data, {"kind", "source", "grid_max"}, "integrand")
-    source = data.get("source")
-    if not isinstance(source, str):
-        raise ConfigError("integrand.source must be an expression string")
-    grid_max = _number(data, "grid_max", "integrand", default=100.0)
-    if not grid_max > 0.0:
-        raise ConfigError(f"integrand.grid_max must be positive, got {grid_max}")
-    return IntegrandSpec(kind=kind, source=source, grid_max=float(grid_max))
-
-
-_TOP_KEYS = {
-    "domain",
-    "map",
-    "f",
-    "integrand",
-    "tau",
-    "grid_size",
-    "random_pairs",
-    "seed",
-    "mode",
-    "tol",
-    "max_iter",
-    "x0",
-}
+def _integer(data: dict, key: str, default: int, least: int | None = None) -> int:
+    """A whole, finite number, at least ``least`` when that is given."""
+    v = _number(data, key, "configuration", default=default)
+    if not (math.isfinite(v) and int(v) == v and (least is None or v >= least)):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigError(f"{key} must be an integer{bound}, got {v}")
+    return int(v)
 
 
 def config_from_dict(data: Any) -> ProblemConfig:
     """Validate a parsed JSON object and produce a :class:`ProblemConfig`."""
     if not isinstance(data, dict):
         raise ConfigError("configuration must be a JSON object")
-    _require_keys(data, _TOP_KEYS, "configuration")
+    _require_keys(data, {f.name for f in fields(ProblemConfig)}, "configuration")
 
     domain_raw = data.get("domain")
     if not isinstance(domain_raw, list) or not domain_raw:
@@ -228,38 +219,31 @@ def config_from_dict(data: Any) -> ProblemConfig:
     try:
         domain = tuple((float(lo), float(hi)) for lo, hi in domain_raw)
         CompactSet(domain)  # surfaces reversed/non-finite endpoints now
-    except MvfixError as err:
-        raise ConfigError(f"bad domain: {err}") from None
-    except (TypeError, ValueError) as err:
+    except (MvfixError, TypeError, ValueError) as err:
         raise ConfigError(f"bad domain: {err}") from None
 
     if "map" not in data:
         raise ConfigError("configuration requires 'map'")
-    map_spec = _map_spec_from_dict(data["map"])
+    map_spec = _spec_from_dict(data["map"], "map", MAP_KINDS, None)
     f_spec = _f_spec_from_dict(data.get("f", {}))
-    integrand_spec = _integrand_spec_from_dict(data.get("integrand", {}))
+    integrand_spec = _integrand_spec(data.get("integrand", {}))
 
     tau = _number(data, "tau", "configuration")
-    if tau is not None and not tau > 0.0:
-        raise ConfigError(f"tau must be positive, got {tau}")
-    grid_size = _number(data, "grid_size", "configuration", default=101)
-    if int(grid_size) != grid_size or grid_size < 2:
-        raise ConfigError(f"grid_size must be an integer >= 2, got {grid_size}")
-    random_pairs = _number(data, "random_pairs", "configuration", default=1000)
-    if int(random_pairs) != random_pairs or random_pairs < 0:
-        raise ConfigError(f"random_pairs must be an integer >= 0, got {random_pairs}")
-    seed = _number(data, "seed", "configuration", default=42)
-    if int(seed) != seed:
-        raise ConfigError(f"seed must be an integer, got {seed}")
+    if tau is not None and not 0.0 < tau < math.inf:
+        raise ConfigError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
+    grid_size = _integer(data, "grid_size", 101, least=2)
+    random_pairs = _integer(data, "random_pairs", 1000, least=0)
+    # certify seeds numpy's generator, which takes no negative seed
+    seed = _integer(data, "seed", 42)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     mode = data.get("mode", "hausdorff")
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     tol = _number(data, "tol", "configuration", default=1e-12)
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise ConfigError(f"tol must be >= 0, got {tol}")
-    max_iter = _number(data, "max_iter", "configuration", default=10_000)
-    if int(max_iter) != max_iter or max_iter < 1:
-        raise ConfigError(f"max_iter must be an integer >= 1, got {max_iter}")
+    max_iter = _integer(data, "max_iter", 10_000, least=1)
     x0 = _number(data, "x0", "configuration")
 
     return ProblemConfig(
@@ -268,12 +252,12 @@ def config_from_dict(data: Any) -> ProblemConfig:
         f=f_spec,
         integrand=integrand_spec,
         tau=None if tau is None else float(tau),
-        grid_size=int(grid_size),
-        random_pairs=int(random_pairs),
-        seed=int(seed),
+        grid_size=grid_size,
+        random_pairs=random_pairs,
+        seed=seed,
         mode=mode,
         tol=float(tol),
-        max_iter=int(max_iter),
+        max_iter=max_iter,
         x0=None if x0 is None else float(x0),
     )
 
@@ -282,34 +266,22 @@ def config_to_dict(cfg: ProblemConfig) -> dict:
     """Plain JSON-ready dict; feeding it back reproduces an equal config."""
     raw = asdict(cfg)
     raw["domain"] = [list(pair) for pair in cfg.domain]
-    map_raw: dict[str, Any] = {"kind": cfg.map.kind}
-    if cfg.map.kind == "interval_endpoints":
-        map_raw.update(lo=cfg.map.lo, hi=cfg.map.hi)
-    elif cfg.map.kind == "singleton":
-        map_raw["f"] = cfg.map.f
-    elif cfg.map.kind == "finite_set":
-        map_raw["members"] = list(cfg.map.members)
-    else:
-        map_raw["entries"] = [
-            [key, [list(iv) for iv in intervals]] for key, intervals in cfg.map.entries
-        ]
-    raw["map"] = map_raw
+    raw["map"] = _spec_to_dict(cfg.map)
     raw["f"] = {"kind": cfg.f.kind, "k": cfg.f.k}
-    integrand_raw: dict[str, Any] = {"kind": cfg.integrand.kind}
-    if cfg.integrand.kind == "constant":
-        integrand_raw["c"] = cfg.integrand.c
-    elif cfg.integrand.kind == "power":
-        integrand_raw.update(p=cfg.integrand.p, scale=cfg.integrand.scale)
-    elif cfg.integrand.kind == "exponential":
-        integrand_raw.update(rate=cfg.integrand.rate, scale=cfg.integrand.scale)
-    else:
-        integrand_raw.update(source=cfg.integrand.source, grid_max=cfg.integrand.grid_max)
-    raw["integrand"] = integrand_raw
+    raw["integrand"] = _spec_to_dict(cfg.integrand)
     if cfg.tau is None:
         raw.pop("tau")
     if cfg.x0 is None:
         raw.pop("x0")
     return raw
+
+
+def _spec_to_dict(spec: Spec) -> dict:
+    return {"kind": spec.kind, **{key: _json(v) for key, v in spec.params}}
+
+
+def _json(v: Any) -> Any:
+    return [_json(item) for item in v] if isinstance(v, tuple) else v
 
 
 def load_config(path: Union[str, Path]) -> ProblemConfig:
@@ -336,15 +308,7 @@ def build_domain(cfg: ProblemConfig) -> CompactSet:
 
 def build_map(cfg: ProblemConfig) -> MultiMap:
     """Construct the configured map, running its grid validation."""
-    domain = build_domain(cfg)
-    spec = cfg.map
-    if spec.kind == "interval_endpoints":
-        return interval_map(domain, spec.lo, spec.hi)
-    if spec.kind == "singleton":
-        return singleton_map(domain, spec.f)
-    if spec.kind == "finite_set":
-        return finite_set_map(domain, spec.members)
-    return table_map(domain, [(key, list(intervals)) for key, intervals in spec.entries])
+    return MAP_KINDS[cfg.map.kind](build_domain(cfg), **dict(cfg.map.params))
 
 
 def build_ffunction(cfg: ProblemConfig) -> FFunction:
@@ -352,11 +316,4 @@ def build_ffunction(cfg: ProblemConfig) -> FFunction:
 
 
 def build_integrand(cfg: ProblemConfig) -> Integrand:
-    spec = cfg.integrand
-    if spec.kind == "constant":
-        return ConstantIntegrand(spec.c)
-    if spec.kind == "power":
-        return PowerIntegrand(p=spec.p, scale=spec.scale)
-    if spec.kind == "exponential":
-        return ExponentialIntegrand(rate=spec.rate, scale=spec.scale)
-    return expression_integrand(spec.source, grid_max=spec.grid_max)
+    return INTEGRAND_KINDS[cfg.integrand.kind](**dict(cfg.integrand.params))

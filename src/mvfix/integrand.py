@@ -19,6 +19,7 @@ from .errors import DomainError, EvalError, InvariantError, MvfixError, Quadratu
 from .expr import ExprAst, compile_expr, eval_expr_array, parse_expr
 
 __all__ = [
+    "INTEGRAND_KINDS",
     "ConstantIntegrand",
     "PowerIntegrand",
     "ExponentialIntegrand",
@@ -270,3 +271,14 @@ def _refine(func, a, b, fa, fm, fb, whole, tol, depth):
     return _refine(func, a, m, fa, flm, fm, left, 0.5 * tol, depth - 1) + _refine(
         func, m, b, fm, frm, fb, right, 0.5 * tol, depth - 1
     )
+
+
+# The factory of each integrand kind, by its config name.  A factory's
+# parameters are the kind's config keys, and their defaults the config
+# defaults.
+INTEGRAND_KINDS = {
+    "constant": ConstantIntegrand,
+    "power": PowerIntegrand,
+    "exponential": ExponentialIntegrand,
+    "expression": expression_integrand,
+}

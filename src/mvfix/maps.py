@@ -20,6 +20,7 @@ from .expr import ExprAst, compile_expr, eval_expr_array, format_expr, parse_exp
 from .sets1d import CompactSet, dist_point_set, domain_grid
 
 __all__ = [
+    "MAP_KINDS",
     "MultiMap",
     "interval_map",
     "singleton_map",
@@ -224,3 +225,14 @@ def is_fixed_point(T: MultiMap, x: float, tol: float = 0.0) -> bool:
     if tol < 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
     return dist_point_set(x, apply_map(T, x)) <= tol
+
+
+# The factory of each map kind, by its config name.  A factory's parameters
+# after ``domain`` are the kind's config keys, and their defaults the
+# config defaults.
+MAP_KINDS = {
+    "interval_endpoints": interval_map,
+    "singleton": singleton_map,
+    "finite_set": finite_set_map,
+    "table": table_map,
+}

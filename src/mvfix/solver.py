@@ -90,33 +90,28 @@ Outcome = Union[FixedPointFound, MaxIterReached, IterationError]
 class IterationTrace:
     """Recorded steps of one iteration, held as parallel columns.
 
-    Entry n of ``x``, ``next_point``, ``d_to_set``, ``gamma`` and
-    ``value_sets`` belongs to step n, so a run stores five tuples rather
-    than one object per step; ``x[n + 1]`` is ``next_point[n]``.
-    ``steps`` gives the same rows as a tuple of :class:`TraceStep`,
-    built on first access.
+    Entry n of ``x``, ``next_point``, ``d_to_set`` and ``gamma`` belongs
+    to step n, so a run stores four tuples rather than one object per
+    step; ``x[n + 1]`` is ``next_point[n]``.  ``map`` is the iterated map.
+    ``steps`` gives the same rows as a tuple of :class:`TraceStep`, built
+    on first access; each value set is evaluated again from ``x[n]``,
+    with the same bits as during the run.
     """
 
     x: tuple[float, ...]
     next_point: tuple[float, ...]
     d_to_set: tuple[float, ...]
     gamma: tuple[float, ...]
-    value_sets: tuple[CompactSet, ...]
+    map: MultiMap
     outcome: Outcome
     params: TraceParams
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
+        columns = zip(self.x, self.next_point, self.d_to_set, self.gamma)
         return tuple(
-            map(
-                TraceStep,
-                range(len(self.x)),
-                self.x,
-                self.value_sets,
-                self.next_point,
-                self.d_to_set,
-                self.gamma,
-            )
+            TraceStep(n, x, _value_set(self.map, x), nxt, d, gamma)
+            for n, (x, nxt, d, gamma) in enumerate(columns)
         )
 
     def decay_columns(
@@ -187,12 +182,9 @@ def iterate(
     nexts: list[float] = []
     ds: list[float] = []
     gammas: list[float] = []
-    sets: list[CompactSet] = []
 
     def finish(outcome: Outcome) -> IterationTrace:
-        return IterationTrace(
-            tuple(xs), tuple(nexts), tuple(ds), tuple(gammas), tuple(sets), outcome, params
-        )
+        return IterationTrace(tuple(xs), tuple(nexts), tuple(ds), tuple(gammas), T, outcome, params)
 
     # x0 is checked above and every later x by the domain check below, so
     # the value set is taken without apply_map's own check
@@ -215,7 +207,6 @@ def iterate(
         nexts.append(nxt)
         ds.append(d)
         gammas.append(gamma)
-        sets.append(S)
         if not in_domain(nxt):
             return finish(
                 IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt)

@@ -355,3 +355,43 @@ class TestOtherCommands:
     def test_unknown_kind_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit):
             main(["check-f", "--kind", "sin"])
+
+
+class TestNumericKnobs:
+    """JSON admits Infinity and NaN; no knob may turn them into a traceback."""
+
+    SOLVABLE = dict(HALVING, x0=0.8, tau=0.5, max_iter=50)
+
+    @pytest.mark.parametrize(
+        "command,patch,flags,message",
+        [
+            ("certify", {"grid_size": math.inf}, [], "grid_size must be an integer >= 2, got inf"),
+            ("certify", {"grid_size": math.nan}, [], "grid_size must be an integer >= 2, got nan"),
+            (
+                "certify",
+                {"random_pairs": math.inf},
+                [],
+                "random_pairs must be an integer >= 0, got inf",
+            ),
+            (
+                "certify",
+                {"random_pairs": math.nan},
+                [],
+                "random_pairs must be an integer >= 0, got nan",
+            ),
+            ("certify", {"seed": math.inf}, [], "seed must be an integer, got inf"),
+            ("certify", {"seed": math.nan}, [], "seed must be an integer, got nan"),
+            ("certify", {"seed": -5}, [], "seed must be >= 0, got -5"),
+            ("certify", {}, ["--seed", "-5"], "seed must be >= 0, got -5"),
+            ("solve", {"max_iter": math.inf}, [], "max_iter must be an integer >= 1, got inf"),
+            ("solve", {"max_iter": math.nan}, [], "max_iter must be an integer >= 1, got nan"),
+            ("solve", {"tol": math.nan}, [], "tol must be >= 0, got nan"),
+            ("solve", {"tau": math.inf}, [], "tau must be finite, got inf"),
+        ],
+    )
+    def test_rejected_with_one_error_line(self, tmp_path, capsys, command, patch, flags, message):
+        cfg = write_config(tmp_path, dict(self.SOLVABLE, **patch))
+        assert main([command, cfg, *flags]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
