@@ -14,6 +14,7 @@ that has it.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import json
 import math
@@ -118,11 +119,10 @@ _ENDPOINT = _expression("map.lo and map.hi must be expression strings")
 # test and the words of its message; any other key has a reader that
 # turns the JSON value into the stored value or raises.
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
-_ANY = (lambda v: True, "")
 _NUMBER_RANGES = {
     "c": _POSITIVE,
     "p": (lambda v: v > -1.0, "must be > -1"),
-    "rate": _ANY,
+    "rate": (lambda v: True, ""),
     "scale": _POSITIVE,
     "grid_max": _POSITIVE,
 }
@@ -136,6 +136,13 @@ _READERS = {
 }
 
 
+@functools.cache
+def _parameters(factory: Callable) -> tuple[inspect.Parameter, ...]:
+    """The factory's parameters that are config keys: all but ``domain``."""
+    params = inspect.signature(factory).parameters.values()
+    return tuple(p for p in params if p.name != "domain")
+
+
 def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None) -> Spec:
     """Read a ``where`` object whose kind names a factory in ``kinds``.
 
@@ -147,8 +154,7 @@ def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None
     kind = data.get("kind", default_kind)
     if kind not in tuple(kinds):
         raise ConfigError(f"{where}.kind must be one of {tuple(kinds)}, got {kind!r}")
-    params = inspect.signature(kinds[kind]).parameters.values()
-    params = [p for p in params if p.name != "domain"]
+    params = _parameters(kinds[kind])
     _require_keys(data, {"kind", *(p.name for p in params)}, where)
     values = {}
     for p in params:
@@ -267,7 +273,6 @@ def config_to_dict(cfg: ProblemConfig) -> dict:
     raw = asdict(cfg)
     raw["domain"] = [list(pair) for pair in cfg.domain]
     raw["map"] = _spec_to_dict(cfg.map)
-    raw["f"] = {"kind": cfg.f.kind, "k": cfg.f.k}
     raw["integrand"] = _spec_to_dict(cfg.integrand)
     if cfg.tau is None:
         raw.pop("tau")

@@ -273,9 +273,8 @@ def _refine(func, a, b, fa, fm, fb, whole, tol, depth):
     )
 
 
-# The factory of each integrand kind, by its config name.  A factory's
-# parameters are the kind's config keys, and their defaults the config
-# defaults.
+# The factory of each integrand kind, by config name.  Its parameters are
+# the kind's config keys, and their defaults the config defaults.
 INTEGRAND_KINDS = {
     "constant": ConstantIntegrand,
     "power": PowerIntegrand,

@@ -227,9 +227,8 @@ def is_fixed_point(T: MultiMap, x: float, tol: float = 0.0) -> bool:
     return dist_point_set(x, apply_map(T, x)) <= tol
 
 
-# The factory of each map kind, by its config name.  A factory's parameters
-# after ``domain`` are the kind's config keys, and their defaults the
-# config defaults.
+# The factory of each map kind, by config name.  Its parameters after
+# ``domain`` are the kind's config keys, their defaults the config defaults.
 MAP_KINDS = {
     "interval_endpoints": interval_map,
     "singleton": singleton_map,
