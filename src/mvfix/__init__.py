@@ -15,7 +15,6 @@ from .analysis import (
     CertificateReport,
     PairCheck,
     PairEvaluation,
-    PairTable,
     certify,
     check_pair_f_integral,
     check_pair_nadler,

@@ -22,7 +22,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +36,6 @@ __all__ = [
     "VERDICT_SLACK",
     "PairCheck",
     "PairEvaluation",
-    "PairTable",
     "CertificateReport",
     "m_value",
     "evaluate_pair",
@@ -78,59 +76,14 @@ class PairEvaluation:
     margin: float | None  # None exactly when the pair is vacuous (h == 0)
 
 
-TABLE_COLUMNS = ("x", "y", "h", "m", "phi_h", "phi_m", "margin")
-
-
-@dataclass(frozen=True, eq=False)
-class PairTable:
-    """Pair evaluations held as parallel float64 columns, one row per pair.
-
-    Row i holds the fields of one :class:`PairEvaluation`.  ``margin`` is
-    NaN exactly on the vacuous rows (h == 0), where the evaluation's
-    margin is None.  Two tables are equal when every column is.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    h: np.ndarray
-    m: np.ndarray
-    phi_h: np.ndarray
-    phi_m: np.ndarray
-    margin: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.x)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PairTable):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, c), getattr(other, c), equal_nan=True)
-            for c in TABLE_COLUMNS
-        )
-
-    def rows(self, index: np.ndarray | slice = slice(None)) -> tuple[PairEvaluation, ...]:
-        """The rows selected by ``index`` (all rows by default)."""
-        columns = (getattr(self, c)[index].tolist() for c in TABLE_COLUMNS)
-        return tuple(
-            PairEvaluation(x, y, h, m, phi_h, phi_m, None if math.isnan(margin) else margin)
-            for x, y, h, m, phi_h, phi_m, margin in zip(*columns)
-        )
-
-
 @dataclass(frozen=True)
 class CertificateReport:
     """Outcome of a certification sweep.
 
-    ``tau_star`` is None when every pair was vacuous.  ``table`` holds all
-    successful evaluations as columns in canonical (x, y) order (see
-    :class:`PairTable`); ``pairs`` gives the same rows as a tuple of
-    :class:`PairEvaluation`, built on first access, so a sweep stores
-    columns rather than one object per pair.  ``worst_pair`` and
-    ``violations`` are :class:`PairEvaluation` rows.  ``errors`` holds
-    (x, y, message) rows for pairs whose evaluation raised, without
-    aborting the sweep.  Reports compare equal field by field, the table
-    column by column.
+    ``tau_star`` is None when every pair was vacuous.  ``worst_pair`` and
+    ``violations`` are :class:`PairEvaluation` rows, in canonical (x, y)
+    order.  ``errors`` holds (x, y, message) rows, in the same order, for
+    pairs whose evaluation raised, without aborting the sweep.
     """
 
     mode: str
@@ -142,12 +95,7 @@ class CertificateReport:
     violations: tuple[PairEvaluation, ...]
     vacuous_pairs: int
     evaluated_pairs: int
-    table: PairTable
     errors: tuple[tuple[float, float, str], ...] = ()
-
-    @cached_property
-    def pairs(self) -> tuple[PairEvaluation, ...]:
-        return self.table.rows()
 
 
 def _check_mode(mode: str) -> None:
@@ -195,7 +143,7 @@ def _evaluate(
     # Phi(m) = inf leaves margin = +inf: the true Phi(m) exceeds every
     # float, Phi(h) among them, so the pair is no violation; its margin is
     # only too large to represent.  A NaN margin would read as vacuous in
-    # the report's table, so it is an error.
+    # the sweep's columns, so it is an error.
     margin = f_eval(F, phi_m) - f_eval(F, phi_h)
     if math.isnan(margin):
         raise DomainError(f"margin is not a number at h = {h}, m = {m}")
@@ -285,8 +233,9 @@ def certify(
 
     All unordered pairs from a deterministic ``grid_size``-point grid over
     the domain are evaluated, plus ``random_pairs`` pairs drawn with a
-    seeded generator; each pair is ordered x < y before evaluation, and
-    results are reported in canonical (x, y) order, so a repeated run
+    seeded generator; each pair is ordered x < y before evaluation.  Only
+    the reported rows are kept, in canonical (x, y) order (the worst pair
+    is the first of those tied at the least margin), so a repeated run
     with the same seed is bit-identical.  Per-pair failures are collected
     instead of aborting the sweep.
 
@@ -303,8 +252,52 @@ def certify(
     pair that touches a failed image, or whose batch values are unusable
     (not finite, or ``Phi <= 0`` where ``F`` needs a positive argument),
     is evaluated again by the scalar code on images from
-    :func:`apply_map`, which gives its value or its error message.  The
-    results are stored as a :class:`PairTable`.
+    :func:`apply_map`, which gives its value or its error message.
+    """
+    columns, errors = _sweep(T, F, f, grid_size, random_pairs, seed, mode)
+    margins = columns[-1]
+    live = ~np.isnan(margins)
+    worst: PairEvaluation | None = None
+    if live.any():
+        tied = np.flatnonzero(margins == margins[live].min())
+        (worst,) = _rows(columns, _canonical(columns, tied)[:1])
+
+    return CertificateReport(
+        mode=mode,
+        seed=seed,
+        grid_size=grid_size,
+        random_pairs=random_pairs,
+        tau_star=None if worst is None else worst.margin,
+        worst_pair=worst,
+        violations=_rows(columns, _canonical(columns, np.flatnonzero(margins <= 0.0))),
+        vacuous_pairs=len(margins) - int(live.sum()),
+        evaluated_pairs=len(margins),
+        errors=tuple(sorted(errors, key=lambda row: row[:2])),
+    )
+
+
+def _canonical(columns: tuple[np.ndarray, ...], index: np.ndarray) -> np.ndarray:
+    """``index`` stably sorted by the (x, y) of its rows."""
+    return index[np.lexsort((columns[1][index], columns[0][index]))]
+
+
+def _rows(columns: tuple[np.ndarray, ...], index: np.ndarray) -> tuple[PairEvaluation, ...]:
+    """The rows at ``index`` as :class:`PairEvaluation`, margin None where NaN."""
+    return tuple(
+        PairEvaluation(x, y, h, m, phi_h, phi_m, None if math.isnan(margin) else margin)
+        for x, y, h, m, phi_h, phi_m, margin in zip(*(c[index].tolist() for c in columns))
+    )
+
+
+def _sweep(
+    T: MultiMap, F: FFunction, f: Integrand, grid_size: int, random_pairs: int, seed: int, mode: str
+):
+    """Evaluate every pair of the sweep that :func:`certify` describes.
+
+    Returns the float64 columns ``(x, y, h, m, phi_h, phi_m, margin)`` of
+    the evaluated pairs (margin NaN exactly on the vacuous ones, h == 0)
+    and the (x, y, message) rows of the pairs that failed, both in sweep
+    order: the grid pairs row by row, then the drawn pairs.
     """
     _check_mode(mode)
     if grid_size < 2:
@@ -360,47 +353,22 @@ def certify(
 
     columns = (x, y, *values)
     if redo.any():
-        columns = (column[~redo] for column in columns)
-    table = PairTable(*columns)
-
-    margins = table.margin
-    live = np.flatnonzero(~np.isnan(margins))
-    tau_star: float | None = None
-    worst: PairEvaluation | None = None
-    if len(live):
-        k = live[np.argmin(margins[live])]
-        (worst,) = table.rows(slice(k, k + 1))
-        tau_star = worst.margin
-
-    return CertificateReport(
-        mode=mode,
-        seed=seed,
-        grid_size=grid_size,
-        random_pairs=random_pairs,
-        tau_star=tau_star,
-        worst_pair=worst,
-        violations=table.rows(np.flatnonzero(margins <= 0.0)),
-        vacuous_pairs=len(table) - len(live),
-        evaluated_pairs=len(table),
-        table=table,
-        errors=tuple(errors),
-    )
+        columns = tuple(column[~redo] for column in columns)
+    return columns, errors
 
 
 def _pair_arrays(grid: list[float], drawn: list[float], slot: dict[float, int]):
-    """x, y and the image slots of every pair, in canonical (x, y) order.
+    """x, y and the image slots of every pair, in sweep order.
 
-    The pairs are the grid pairs i < j, then the drawn pairs (``drawn``
-    holds them flat, x before y).  The sort is stable, so equal pairs
-    keep their draw order, as they did when the results were sorted.
+    The pairs are the grid pairs i < j, row by row, then the drawn pairs
+    (``drawn`` holds them flat, x before y).  The index arrays stay in
+    here, so they are freed before the batch sweep runs.
     """
     i, j = np.triu_indices(len(grid), 1)
     points = np.array(grid + drawn, dtype=float)
     slots = np.array([slot[v] for v in itertools.chain(grid, drawn)], dtype=np.intp)
     first = np.concatenate([i, np.arange(len(grid), len(points), 2)])
     second = np.concatenate([j, np.arange(len(grid) + 1, len(points), 2)])
-    order = np.lexsort((points[second], points[first]))
-    first, second = first[order], second[order]
     return points[first], points[second], slots[first], slots[second]
 
 

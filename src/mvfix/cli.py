@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -317,9 +316,6 @@ def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> int:
     F = build_ffunction(cfg)
     f = build_integrand(cfg)
     trace = iterate(T, cfg.x0, tol=cfg.tol, max_iter=cfg.max_iter, f=f)
-    trace = replace(
-        trace, params=replace(trace.params, f_kind=cfg.f.kind, tau=cfg.tau, k=cfg.f.k)
-    )
 
     verdict: TraceVerdict | None = None
     skip_reason: str | None = None
@@ -489,7 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as stop:
+        # argparse exits 2 on a usage error, and 2 means "budget exhausted" here
+        return EXIT_OK if stop.code == 0 else EXIT_ERROR
     try:
         if args.command == "certify":
             cfg = _apply_overrides(load_config(args.config), args)

@@ -116,13 +116,14 @@ def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...
 _ENDPOINT = _expression("map.lo and map.hi must be expression strings")
 
 # Every key a map or integrand factory takes.  A number key has its range
-# test and the words of its message; any other key has a reader that
-# turns the JSON value into the stored value or raises.
+# test and the words of its message, and must be finite; any other key
+# has a reader that turns the JSON value into the stored value or raises.
+_FINITE = (math.isfinite, "must be finite")
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
 _NUMBER_RANGES = {
     "c": _POSITIVE,
     "p": (lambda v: v > -1.0, "must be > -1"),
-    "rate": (lambda v: True, ""),
+    "rate": _FINITE,
     "scale": _POSITIVE,
     "grid_max": _POSITIVE,
 }
@@ -164,9 +165,9 @@ def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None
             values[p.name] = _READERS[p.name](data.get(p.name))
     for name, v in values.items():
         if name in _NUMBER_RANGES:
-            in_range, words = _NUMBER_RANGES[name]
-            if not in_range(v):
-                raise ConfigError(f"{where}.{name} {words}, got {v}")
+            for in_range, words in (_NUMBER_RANGES[name], _FINITE):
+                if not in_range(v):
+                    raise ConfigError(f"{where}.{name} {words}, got {v}")
             values[name] = float(v)
     return Spec(kind, tuple(values.items()))
 
@@ -204,12 +205,21 @@ def _f_spec_from_dict(data: Any) -> FSpec:
     return FSpec(kind=kind, k=float(k))
 
 
-def _integer(data: dict, key: str, default: int, least: int | None = None) -> int:
-    """A whole, finite number, at least ``least`` when that is given."""
+# Upper bound on grid_size and random_pairs: no sweep that large fits in
+# memory, and far larger sizes end in a raw numpy error.
+SWEEP_LIMIT = 10**9
+
+
+def _integer(
+    data: dict, key: str, default: int, least: int | None = None, most: int | None = None
+) -> int:
+    """A whole, finite number, at least ``least`` and at most ``most`` when given."""
     v = _number(data, key, "configuration", default=default)
     if not (math.isfinite(v) and int(v) == v and (least is None or v >= least)):
         bound = "" if least is None else f" >= {least}"
         raise ConfigError(f"{key} must be an integer{bound}, got {v}")
+    if most is not None and v > most:
+        raise ConfigError(f"{key} must be at most {most}, got {v}")
     return int(v)
 
 
@@ -237,8 +247,8 @@ def config_from_dict(data: Any) -> ProblemConfig:
     tau = _number(data, "tau", "configuration")
     if tau is not None and not 0.0 < tau < math.inf:
         raise ConfigError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
-    grid_size = _integer(data, "grid_size", 101, least=2)
-    random_pairs = _integer(data, "random_pairs", 1000, least=0)
+    grid_size = _integer(data, "grid_size", 101, least=2, most=SWEEP_LIMIT)
+    random_pairs = _integer(data, "random_pairs", 1000, least=0, most=SWEEP_LIMIT)
     # certify seeds numpy's generator, which takes no negative seed
     seed = _integer(data, "seed", 42)
     if seed < 0:

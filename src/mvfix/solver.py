@@ -61,9 +61,6 @@ class TraceParams:
     tol: float
     max_iter: int
     integrand: str
-    f_kind: str | None = None
-    tau: float | None = None
-    k: float | None = None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 from unittest import mock
 
@@ -15,12 +16,14 @@ from mvfix import (
     ExponentialIntegrand,
     FFunction,
     PairCheck,
+    PairEvaluation,
     PowerIntegrand,
     analysis,
     certify,
     check_pair_f_integral,
     check_pair_nadler,
     check_pair_ojha,
+    domain_grid,
     evaluate_pair,
     expression_integrand,
     finite_set_map,
@@ -41,6 +44,17 @@ def halving_interval_map():
 
 def halving_point_map():
     return singleton_map(UNIT, "x/2")
+
+
+def sweep_pairs(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hausdorff"):
+    """Every evaluated pair of certify's sweep as a PairEvaluation, sorted by (x, y)."""
+    columns, _ = analysis._sweep(T, F, f, grid_size, random_pairs, seed, mode)
+    assert len({len(c) for c in columns}) == 1
+    rows = [
+        PairEvaluation(x, y, h, m, phi_h, phi_m, None if math.isnan(margin) else margin)
+        for x, y, h, m, phi_h, phi_m, margin in zip(*(c.tolist() for c in columns))
+    ]
+    return sorted(rows, key=lambda p: (p.x, p.y))
 
 
 class TestDisplacement:
@@ -165,11 +179,11 @@ class TestCertify:
         # excess <= hausdorff pointwise and F is increasing, so per-pair
         # margins in excess mode can only be larger
         T = halving_interval_map()
-        hs = certify(T, LOG, ONE, grid_size=21, random_pairs=50)
-        ex = certify(T, LOG, ONE, grid_size=21, random_pairs=50, mode="excess")
-        by_key = {(p.x, p.y): p for p in hs.pairs}
+        hs = sweep_pairs(T, LOG, ONE, grid_size=21, random_pairs=50)
+        ex = sweep_pairs(T, LOG, ONE, grid_size=21, random_pairs=50, mode="excess")
+        by_key = {(p.x, p.y): p for p in hs}
         compared = 0
-        for p in ex.pairs:
+        for p in ex:
             q = by_key[(p.x, p.y)]
             if p.margin is None or q.margin is None:
                 continue
@@ -179,8 +193,7 @@ class TestCertify:
 
     def test_margin_sign_tracks_distance_comparison(self):
         # F monotone means margin >= 0 exactly when h <= m (up to rounding)
-        report = certify(halving_interval_map(), LOG, ONE, grid_size=31, random_pairs=100)
-        for p in report.pairs:
+        for p in sweep_pairs(halving_interval_map(), LOG, ONE, grid_size=31, random_pairs=100):
             if p.margin is None:
                 continue
             if p.margin > 1e-12:
@@ -205,15 +218,70 @@ class TestCertify:
         assert a == b
 
     def test_seed_changes_random_pairs(self):
-        a = certify(halving_point_map(), LOG, ONE, grid_size=5, random_pairs=20, seed=1)
-        b = certify(halving_point_map(), LOG, ONE, grid_size=5, random_pairs=20, seed=2)
-        assert a.pairs != b.pairs
+        a = sweep_pairs(halving_point_map(), LOG, ONE, grid_size=5, random_pairs=20, seed=1)
+        b = sweep_pairs(halving_point_map(), LOG, ONE, grid_size=5, random_pairs=20, seed=2)
+        assert a != b
 
     def test_parameter_validation(self):
         with pytest.raises(DomainError):
             certify(halving_point_map(), LOG, ONE, grid_size=1)
         with pytest.raises(DomainError):
             certify(halving_point_map(), LOG, ONE, random_pairs=-1)
+
+
+class TestReportOrder:
+    """The reported rows come in (x, y) order whatever order the sweep made them in."""
+
+    # (x, y, h, margin) in sweep order; counting from 0, rows 1, 3 and 4
+    # tie at the least margin, rows 3 and 4 are the same pair, and rows 0
+    # and 5 violate with margins 0.0 and -0.0
+    ROWS = [
+        (0.5, 0.75, 0.1, 0.0),
+        (0.25, 0.75, 0.2, -1.0),
+        (0.0, 1.0, 0.3, math.nan),
+        (0.25, 0.5, 0.4, -1.0),
+        (0.25, 0.5, 0.5, -1.0),
+        (0.1, 0.2, 0.6, -0.0),
+        (0.0, 0.5, 0.7, 2.0),
+    ]
+    ERRORS = [(0.75, 1.0, "c"), (0.0, 0.5, "b"), (0.5, 0.6, "d"), (0.0, 0.25, "a")]
+
+    def report(self):
+        x, y, h, margin = (np.array(c) for c in zip(*self.ROWS))
+        columns = (x, y, h, 2.0 * h, h, 2.0 * h, margin)
+        swept = (columns, list(self.ERRORS))
+        with mock.patch.object(analysis, "_sweep", return_value=swept):
+            return certify(halving_point_map(), LOG, ONE)
+
+    def test_worst_pair_is_the_first_tied_pair(self):
+        report = self.report()
+        assert report.worst_pair == PairEvaluation(0.25, 0.5, 0.4, 0.8, 0.4, 0.8, -1.0)
+        assert report.tau_star == -1.0
+        assert report.vacuous_pairs == 1 and report.evaluated_pairs == 7
+
+    def test_violations_in_pair_order(self):
+        rows = [(p.x, p.y, p.h) for p in self.report().violations]
+        assert rows == [
+            (0.1, 0.2, 0.6),
+            (0.25, 0.5, 0.4),
+            (0.25, 0.5, 0.5),
+            (0.25, 0.75, 0.2),
+            (0.5, 0.75, 0.1),
+        ]
+
+    def test_errors_in_pair_order(self):
+        assert [msg for _, _, msg in self.report().errors] == ["a", "b", "d", "c"]
+
+    def test_swept_violations_and_errors_in_pair_order(self):
+        # identity map: every margin is 0, so every drawn pair is a violation
+        report = certify(singleton_map(UNIT, "x"), LOG, ONE, grid_size=3, random_pairs=30)
+        pairs = [(p.x, p.y) for p in report.violations]
+        assert len(pairs) == 33 and pairs == sorted(pairs)
+        # a table keyed at 0 alone: every pair fails, as its y is never 0
+        T = table_map(UNIT, [(0.0, CompactSet.point(0.0))])
+        report = certify(T, LOG, ONE, grid_size=3, random_pairs=30)
+        pairs = [(x, y) for x, y, _ in report.errors]
+        assert len(pairs) == 33 and pairs == sorted(pairs)
 
 
 class TestNumericFailures:
@@ -285,7 +353,7 @@ def oracle_integrand(name):
     return ORACLE_INTEGRANDS[name]()
 
 
-def assert_bitwise_equal(report, oracle):
+def assert_bitwise_equal(report, pairs, oracle):
     # repr of a float round-trips exactly and tells -0.0 from 0.0
     for name in (
         "tau_star",
@@ -294,9 +362,9 @@ def assert_bitwise_equal(report, oracle):
         "vacuous_pairs",
         "evaluated_pairs",
         "errors",
-        "pairs",
     ):
         assert repr(getattr(report, name)) == repr(getattr(oracle, name)), name
+    assert repr(tuple(pairs)) == repr(oracle.pairs), "pairs"
 
 
 class TestBatchedSweepAgainstScalarLoop:
@@ -319,8 +387,8 @@ class TestBatchedSweepAgainstScalarLoop:
         T, f, F = oracle_map(kind, domain), oracle_integrand(integrand), FFunction(f_kind)
         args = dict(grid_size=grid_size, random_pairs=random_pairs, seed=seed, mode=mode)
         with mock.patch.object(analysis, "CHUNK_ELEMENTS", chunk_elements):
-            report = certify(T, F, f, **args)
-        assert_bitwise_equal(report, certify_scalar(T, F, f, **args))
+            report, pairs = certify(T, F, f, **args), sweep_pairs(T, F, f, **args)
+        assert_bitwise_equal(report, pairs, certify_scalar(T, F, f, **args))
 
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_sweep_spanning_several_chunks(self, mode):
@@ -329,11 +397,21 @@ class TestBatchedSweepAgainstScalarLoop:
         # four-point images: 2K + K - 1 candidates against K intervals, both ways
         pairs_per_chunk = analysis.CHUNK_ELEMENTS // (2 * (3 * 4 - 1) * 4)
         assert 61 * 60 // 2 + 200 > 2 * pairs_per_chunk
-        assert_bitwise_equal(certify(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args))
+        assert_bitwise_equal(
+            certify(T, LOG, ONE, **args),
+            sweep_pairs(T, LOG, ONE, **args),
+            certify_scalar(T, LOG, ONE, **args),
+        )
 
-    def test_table_holds_the_pairs_as_columns(self):
-        report = certify(halving_interval_map(), LOG, ONE, grid_size=11, random_pairs=20)
-        table = report.table
-        assert len(table) == report.evaluated_pairs == len(report.pairs)
-        assert table.x.tolist() == [p.x for p in report.pairs]
-        assert np.isnan(table.margin).sum() == report.vacuous_pairs
+    def test_sweep_holds_the_pairs_as_columns(self):
+        T = halving_interval_map()
+        args = dict(grid_size=11, random_pairs=20, seed=42, mode="hausdorff")
+        report = certify(T, LOG, ONE, **args)
+        (x, y, *_, margin), errors = analysis._sweep(T, LOG, ONE, *args.values())
+        assert len(x) == report.evaluated_pairs == 11 * 10 // 2 + 20
+        assert np.isnan(margin).sum() == report.vacuous_pairs
+        assert not errors
+        # sweep order: the grid pairs row by row, then the drawn pairs
+        grid = domain_grid(UNIT, 11)
+        assert list(zip(x[:55].tolist(), y[:55].tolist())) == list(itertools.combinations(grid, 2))
+        assert (x[55:] <= y[55:]).all()

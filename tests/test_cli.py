@@ -16,6 +16,7 @@ from mvfix.cli import (
     main,
     read_trace_csv,
 )
+from mvfix.config import SWEEP_LIMIT, config_from_dict
 from mvfix.sets1d import CompactSet
 
 HALVING = {
@@ -353,8 +354,17 @@ class TestOtherCommands:
         assert main(["check-f", "--kind", "neg_inv_sqrt", "--k", "0.9"]) == EXIT_OK
 
     def test_unknown_kind_rejected_by_parser(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["check-f", "--kind", "sin"])
+        # a usage error exits 1, not argparse's 2, which means "budget exhausted"
+        assert main(["check-f", "--kind", "sin"]) == EXIT_ERROR
+        assert "invalid choice: 'sin'" in capsys.readouterr().err
+
+    def test_missing_config_argument_is_a_usage_error(self, capsys):
+        assert main(["certify"]) == EXIT_ERROR
+        assert "required: config" in capsys.readouterr().err
+
+    def test_help_exits_ok(self, capsys):
+        assert main(["--help"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: mvfix")
 
 
 class TestNumericKnobs:
@@ -387,6 +397,18 @@ class TestNumericKnobs:
             ("solve", {"max_iter": math.nan}, [], "max_iter must be an integer >= 1, got nan"),
             ("solve", {"tol": math.nan}, [], "tol must be >= 0, got nan"),
             ("solve", {"tau": math.inf}, [], "tau must be finite, got inf"),
+            (
+                "certify",
+                {"grid_size": 1e20},
+                [],
+                f"grid_size must be at most {SWEEP_LIMIT}, got 1e+20",
+            ),
+            (
+                "certify",
+                {"random_pairs": 1e20},
+                [],
+                f"random_pairs must be at most {SWEEP_LIMIT}, got 1e+20",
+            ),
         ],
     )
     def test_rejected_with_one_error_line(self, tmp_path, capsys, command, patch, flags, message):
@@ -395,3 +417,9 @@ class TestNumericKnobs:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+    def test_sweep_limit_admits_the_sweeps_that_run(self):
+        cfg = config_from_dict(dict(self.SOLVABLE, grid_size=4001, random_pairs=10**6))
+        assert (cfg.grid_size, cfg.random_pairs) == (4001, 10**6)
+        cfg = config_from_dict(dict(self.SOLVABLE, grid_size=SWEEP_LIMIT))
+        assert cfg.grid_size == SWEEP_LIMIT

@@ -289,7 +289,7 @@ MESSAGE_CASES = [
     ("c-nan", _integrand(kind="constant", c=NAN),
      "ConfigError: integrand.c must be positive, got nan"),
     ("c-inf", _integrand(kind="constant", c=INF),
-     "InvariantError: constant integrand needs c > 0, got inf"),
+     "ConfigError: integrand.c must be finite, got inf"),
     ("p-missing", _integrand(kind="power"),
      "ConfigError: integrand requires 'p'"),
     ("p-type", _integrand(kind="power", p="x"),
@@ -298,6 +298,8 @@ MESSAGE_CASES = [
      "ConfigError: integrand.p must be > -1, got -1"),
     ("p-nan", _integrand(kind="power", p=NAN),
      "ConfigError: integrand.p must be > -1, got nan"),
+    ("p-inf", _integrand(kind="power", p=INF),
+     "ConfigError: integrand.p must be finite, got inf"),
     ("scale-power-type", _integrand(kind="power", p=1, scale="x"),
      "ConfigError: scale must be a number, got 'x'"),
     ("scale-power-range", _integrand(kind="power", p=1, scale=0),
@@ -306,12 +308,18 @@ MESSAGE_CASES = [
      "ConfigError: scale must be a number, got None"),
     ("scale-exponential-range", _integrand(kind="exponential", rate=1, scale=-2),
      "ConfigError: integrand.scale must be positive, got -2"),
+    ("scale-exponential-inf", _integrand(kind="exponential", rate=1, scale=INF),
+     "ConfigError: integrand.scale must be finite, got inf"),
     ("rate-missing", _integrand(kind="exponential"),
      "ConfigError: integrand requires 'rate'"),
     ("rate-type", _integrand(kind="exponential", rate="x"),
      "ConfigError: rate must be a number, got 'x'"),
     ("rate-range", _integrand(kind="exponential", rate=INF),
-     "InvariantError: exponential integrand needs finite rate, got inf"),
+     "ConfigError: integrand.rate must be finite, got inf"),
+    ("rate-nan", _integrand(kind="exponential", rate=NAN),
+     "ConfigError: integrand.rate must be finite, got nan"),
+    ("rate-negative-inf", _integrand(kind="exponential", rate=-INF),
+     "ConfigError: integrand.rate must be finite, got -inf"),
     ("source-missing", _integrand(kind="expression"),
      "ConfigError: integrand.source must be an expression string"),
     ("source-type", _integrand(kind="expression", source=1),
@@ -325,7 +333,7 @@ MESSAGE_CASES = [
     ("grid_max-range", _integrand(kind="expression", source="1", grid_max=0),
      "ConfigError: integrand.grid_max must be positive, got 0"),
     ("grid_max-inf", _integrand(kind="expression", source="1", grid_max=INF),
-     "InvariantError: grid_max must be positive and finite, got inf"),
+     "ConfigError: integrand.grid_max must be finite, got inf"),
     ("map-unknown-key", _map(kind="singleton", f="x", speed=2),
      "ConfigError: unknown key 'speed' in map"),
     ("map-other-kind-key", _map(kind="singleton", f="x", lo="x"),

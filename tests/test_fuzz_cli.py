@@ -110,8 +110,9 @@ def _run(argv):
 
 
 NUMERIC_KNOBS = [
-    {"grid_size": math.inf}, {"grid_size": math.nan}, {"random_pairs": math.inf},
-    {"random_pairs": math.nan}, {"seed": math.inf}, {"seed": math.nan}, {"seed": -5},
+    {"grid_size": math.inf}, {"grid_size": math.nan}, {"grid_size": 1e20},
+    {"random_pairs": math.inf}, {"random_pairs": math.nan}, {"random_pairs": 1e20},
+    {"seed": math.inf}, {"seed": math.nan}, {"seed": -5},
     {"max_iter": math.inf}, {"max_iter": math.nan}, {"tol": math.nan}, {"tau": math.inf},
 ]
 BASE = {"domain": [[0.0, 1.0]], "map": MAPS[2], "x0": 0.8, "tau": 0.5, "max_iter": 50,
