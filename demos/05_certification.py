@@ -22,7 +22,7 @@ one = ConstantIntegrand(1.0)
 
 def summarize(name, report):
     tau = "undefined" if report.tau_star is None else f"{report.tau_star:.12f}"
-    print(f"{name:24s} tau* = {tau:16s} violations = {len(report.violations):5d}"
+    print(f"{name:24s} tau* = {tau:16s} violations = {report.violation_count:5d}"
           f"  vacuous = {report.vacuous_pairs}")
 
 

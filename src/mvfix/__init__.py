@@ -12,6 +12,7 @@ decay law.  The ``mvfix`` command line exposes the same machinery.
 from .analysis import (
     MODES,
     VERDICT_SLACK,
+    VIOLATION_ROWS,
     CertificateReport,
     PairCheck,
     PairEvaluation,

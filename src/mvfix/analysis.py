@@ -34,6 +34,7 @@ from .sets1d import CompactSet, dist_point_set, domain_grid, excess, hausdorff, 
 __all__ = [
     "MODES",
     "VERDICT_SLACK",
+    "VIOLATION_ROWS",
     "PairCheck",
     "PairEvaluation",
     "CertificateReport",
@@ -50,10 +51,15 @@ MODES = ("hausdorff", "excess")
 # single comparison slack used by every verdict in this module
 VERDICT_SLACK = 1e-12
 
+# A certificate keeps the first this many violating pairs as rows and
+# counts the rest, so its size does not grow with the sweep.
+VIOLATION_ROWS = 100
+
 # Upper bound on the elements of one broadcast in the certify sweep.  A
-# chunk holds as many pairs as fit: each pair costs (candidates x
-# intervals) elements, so images with many intervals get smaller chunks
-# and peak memory stays flat whatever the image shape.
+# chunk holds as many pairs as fit: each pair costs the elements its
+# image shape needs (``_PaddedImages.elements_per_pair``), so images
+# with many intervals or points get smaller chunks and peak memory stays
+# flat whatever the image shape.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -82,8 +88,10 @@ class CertificateReport:
 
     ``tau_star`` is None when every pair was vacuous.  ``worst_pair`` and
     ``violations`` are :class:`PairEvaluation` rows, in canonical (x, y)
-    order.  ``errors`` holds (x, y, message) rows, in the same order, for
-    pairs whose evaluation raised, without aborting the sweep.
+    order; ``violations`` holds the first ``VIOLATION_ROWS`` of the
+    ``violation_count`` pairs with margin <= 0.  ``errors`` holds
+    (x, y, message) rows, in the same order, for pairs whose evaluation
+    raised, without aborting the sweep.
     """
 
     mode: str
@@ -93,6 +101,7 @@ class CertificateReport:
     tau_star: float | None
     worst_pair: PairEvaluation | None
     violations: tuple[PairEvaluation, ...]
+    violation_count: int
     vacuous_pairs: int
     evaluated_pairs: int
     errors: tuple[tuple[float, float, str], ...] = ()
@@ -235,7 +244,8 @@ def certify(
     the domain are evaluated, plus ``random_pairs`` pairs drawn with a
     seeded generator; each pair is ordered x < y before evaluation.  Only
     the reported rows are kept, in canonical (x, y) order (the worst pair
-    is the first of those tied at the least margin), so a repeated run
+    is the first of those tied at the least margin; violations past the
+    first ``VIOLATION_ROWS`` are only counted), so a repeated run
     with the same seed is bit-identical.  Per-pair failures are collected
     instead of aborting the sweep.
 
@@ -244,7 +254,10 @@ def certify(
     points are evaluated as arrays first (:func:`image_arrays`, the same
     bits as :func:`apply_map`).  The pair arithmetic then runs over numpy
     arrays, in chunks of at most ``CHUNK_ELEMENTS`` broadcast elements,
-    and gives the same bits as :func:`evaluate_pair`: only IEEE-exact
+    with the set metric picked from the image shape: closed forms for one
+    interval per image, point-to-point gaps for finite sets, and the
+    candidates of :func:`excess` for unions (see :class:`_PaddedImages`).
+    It gives the same bits as :func:`evaluate_pair`: only IEEE-exact
     operations (``+ - * /``, ``abs``, ``minimum`` and ``maximum``,
     comparisons, ``where``, ``sqrt``) touch the arrays, while ``log``,
     ``expm1``, ``pow`` and quadrature run through ``math`` one element at
@@ -256,6 +269,7 @@ def certify(
     """
     columns, errors = _sweep(T, F, f, grid_size, random_pairs, seed, mode)
     margins = columns[-1]
+    violating = np.flatnonzero(margins <= 0.0)
     live = ~np.isnan(margins)
     worst: PairEvaluation | None = None
     if live.any():
@@ -269,7 +283,8 @@ def certify(
         random_pairs=random_pairs,
         tau_star=None if worst is None else worst.margin,
         worst_pair=worst,
-        violations=_rows(columns, _canonical(columns, np.flatnonzero(margins <= 0.0))),
+        violations=_rows(columns, _canonical(columns, violating)[:VIOLATION_ROWS]),
+        violation_count=len(violating),
         vacuous_pairs=len(margins) - int(live.sum()),
         evaluated_pairs=len(margins),
         errors=tuple(sorted(errors, key=lambda row: row[:2])),
@@ -377,20 +392,39 @@ class _PaddedImages:
 
     ``lo`` and ``hi`` come from :func:`image_arrays`, whose padding (a
     repeated interval or a coinciding member) changes no distance and
-    adds no excess candidate.  ``mid`` holds the midpoints between
-    neighbouring columns and ``real_gap`` marks the ones where the next
-    interval starts after the previous ends, so repeated columns give no
-    candidate.  Failed rows hold anything; no batch pair reads them.
+    adds no excess candidate.  The arithmetic follows the image shape:
+
+    * one interval per image (K = 1: interval, singleton and one-interval
+      table images): ``lo`` and ``hi`` are kept as 1-D endpoint columns
+      and every distance has a closed form;
+    * point images with K > 1 (``lo is hi``, finite-set maps): ``lo`` is
+      kept transposed, one row per member, and a distance is the least
+      point-to-point gap, with no clamp and no gap midpoint;
+    * unions: ``mid`` holds the midpoints between neighbouring columns
+      and ``real_gap`` marks the ones where the next interval starts
+      after the previous ends, so repeated columns give no candidate.
+
+    ``elements_per_pair`` is the size of a pair's broadcasts, which sets
+    how many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Failed rows hold
+    anything; no batch pair reads them.
     """
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        self.lo, self.hi = lo, hi
-        self.mid = 0.5 * (hi[:, :-1] + lo[:, 1:])
-        self.real_gap = lo[:, 1:] > hi[:, :-1]
-        # excess enumerates 2K endpoints and K - 1 gap points of A against
-        # the K intervals of B, in both directions for the Hausdorff distance
         K = lo.shape[1]
-        self.elements_per_pair = 2 * (3 * K - 1) * K
+        self.points = K > 1 and lo is hi
+        if self.points:
+            self.lo = self.hi = np.ascontiguousarray(lo.T)
+            self.elements_per_pair = 2 * K * K  # K members against K, both ways
+        elif K == 1:
+            self.lo, self.hi = lo[:, 0], hi[:, 0]
+            self.elements_per_pair = 4
+        else:
+            self.lo, self.hi = lo, hi
+            self.mid = 0.5 * (hi[:, :-1] + lo[:, 1:])
+            self.real_gap = lo[:, 1:] > hi[:, :-1]
+            # excess enumerates 2K endpoints and K - 1 gap points of A
+            # against the K intervals of B, in both directions for Hausdorff
+            self.elements_per_pair = 2 * (3 * K - 1) * K
 
 
 def _dist(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -413,13 +447,60 @@ def _excess_batch(sets: _PaddedImages, a: np.ndarray, b: np.ndarray) -> np.ndarr
     and the maximum is the same bits.
     """
     alo, ahi = sets.lo[a], sets.hi[a]
-    candidates = [alo, ahi]
-    if alo.shape[1] > 1:
-        mid = sets.mid[b]
-        inside = (alo[:, None, :] <= mid[:, :, None]) & (mid[:, :, None] <= ahi[:, None, :])
-        held = sets.real_gap[b] & inside.any(axis=2)
-        candidates.append(np.where(held, mid, alo[:, :1]))
-    return _dist(np.concatenate(candidates, axis=1), sets.lo[b], sets.hi[b]).max(axis=1)
+    mid = sets.mid[b]
+    inside = (alo[:, None, :] <= mid[:, :, None]) & (mid[:, :, None] <= ahi[:, None, :])
+    held = sets.real_gap[b] & inside.any(axis=2)
+    candidates = np.concatenate([alo, ahi, np.where(held, mid, alo[:, :1])], axis=1)
+    return _dist(candidates, sets.lo[b], sets.hi[b]).max(axis=1)
+
+
+def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
+    """h and m of each pair, with the arithmetic the image shape allows.
+
+    Each form gives the same bits as ``sets1d``.  On one interval per
+    image, every clamp candidate of the two excesses is one rounded
+    subtraction of two endpoints, never larger than |lx - ly| or
+    |hx - hy| as rounding is monotone, so the Hausdorff distance is the
+    larger of those two.  On point images, the clamp onto a member is the
+    member, and the point nearest a gap midpoint is a member already.
+    Only h and m leave, so the gathered endpoints are freed before the
+    Phi and F stage, where the sweep's memory peaks.
+    """
+    if sets.points:
+        # np.take keeps the gathered rows C-contiguous, as the reductions need
+        lx = hx = np.take(sets.lo, xs, axis=1)
+        ly = hy = np.take(sets.lo, ys, axis=1)
+
+        def dist(p, lo, hi):  # hi is lo
+            return np.abs(p - lo).min(axis=0)
+
+        gaps = np.abs(lx[:, None, :] - ly[None, :, :])
+        h = gaps.min(axis=1).max(axis=0)
+        if mode == "hausdorff":
+            h = np.maximum(h, gaps.min(axis=0).max(axis=0))
+    elif sets.lo.ndim == 1:
+        lx, hx, ly, hy = sets.lo[xs], sets.hi[xs], sets.lo[ys], sets.hi[ys]
+
+        def dist(p, lo, hi):
+            return np.abs(p - np.clip(p, lo, hi))
+
+        if mode == "hausdorff":
+            h = np.maximum(np.abs(lx - ly), np.abs(hx - hy))
+        else:
+            h = np.maximum(dist(lx, ly, hy), dist(hx, ly, hy))
+    else:
+        lx, hx, ly, hy = sets.lo[xs], sets.hi[xs], sets.lo[ys], sets.hi[ys]
+
+        def dist(p, lo, hi):
+            return _dist(p[:, None], lo, hi)[:, 0]
+
+        h = _excess_batch(sets, xs, ys)
+        if mode == "hausdorff":
+            h = np.maximum(h, _excess_batch(sets, ys, xs))
+    own_x, own_y = dist(x, lx, hx), dist(y, ly, hy)
+    cross = 0.5 * (dist(x, ly, hy) + dist(y, lx, hx))
+    m = np.maximum(np.maximum(np.abs(x - y), own_x), np.maximum(own_y, cross))
+    return h, m
 
 
 def _evaluate_batch(
@@ -438,16 +519,7 @@ def _evaluate_batch(
     five value rows (margin NaN on vacuous pairs) and a mask of the pairs
     whose values are unusable and must be redone by the scalar code.
     """
-    h = _excess_batch(sets, xs, ys)
-    if mode == "hausdorff":
-        h = np.maximum(h, _excess_batch(sets, ys, xs))
-    own_x = _dist(x[:, None], sets.lo[xs], sets.hi[xs])[:, 0]
-    own_y = _dist(y[:, None], sets.lo[ys], sets.hi[ys])[:, 0]
-    cross_x = _dist(x[:, None], sets.lo[ys], sets.hi[ys])[:, 0]
-    cross_y = _dist(y[:, None], sets.lo[xs], sets.hi[xs])[:, 0]
-    m = np.maximum(
-        np.maximum(np.abs(x - y), own_x), np.maximum(own_y, 0.5 * (cross_x + cross_y))
-    )
+    h, m = _h_and_m(sets, mode, x, y, xs, ys)
     # Phi and F are functions of u alone, so each distinct u runs once
     n = len(x)
     u, where = np.unique(np.concatenate([h, m]), return_inverse=True)

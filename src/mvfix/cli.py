@@ -165,7 +165,7 @@ def _format_certify_report(
         f"mode: {report.mode}   F: {cfg.f.kind} (k = {cfg.f.k:g})   integrand: "
         f"{integrand_label(f)}",
         f"pairs: {report.evaluated_pairs} evaluated, {report.vacuous_pairs} vacuous, "
-        f"{len(report.errors)} errors, {len(report.violations)} violations",
+        f"{len(report.errors)} errors, {report.violation_count} violations",
     ]
     if report.tau_star is None:
         lines.append("tau_star: undefined (no pair produced distinct value sets)")
@@ -190,7 +190,7 @@ def _format_certify_report(
         ("evaluated_pairs", report.evaluated_pairs),
         ("vacuous_pairs", report.vacuous_pairs),
         ("error_count", len(report.errors)),
-        ("violation_count", len(report.violations)),
+        ("violation_count", report.violation_count),
         ("tau_star", report.tau_star),
     ]
     if report.worst_pair is not None:
@@ -210,7 +210,7 @@ def _format_certify_report(
 def _certify_exit_code(report: CertificateReport) -> int:
     if report.tau_star is None:
         return EXIT_ERROR if report.errors else EXIT_VACUOUS
-    if report.violations:
+    if report.violation_count:
         return EXIT_VIOLATED
     return EXIT_OK
 

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from mvfix import (
+    VIOLATION_ROWS,
     BinOp,
     Call,
     CompactSet,
@@ -126,7 +127,8 @@ def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hau
     """``certify`` evaluated one pair at a time through the scalar ``_evaluate``.
 
     Returns the report's fields (``pairs`` as a tuple of PairEvaluation)
-    in a namespace, for bit-for-bit comparison with ``certify``.
+    in a namespace, for bit-for-bit comparison with ``certify``; like the
+    report, it keeps the first ``VIOLATION_ROWS`` violations and counts all.
     """
     _check_mode(mode)
     grid = domain_grid(T.domain, grid_size)
@@ -177,7 +179,8 @@ def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hau
     return SimpleNamespace(
         tau_star=tau_star,
         worst_pair=worst,
-        violations=tuple(violations),
+        violations=tuple(violations[:VIOLATION_ROWS]),
+        violation_count=len(violations),
         vacuous_pairs=vacuous,
         evaluated_pairs=len(evaluations),
         pairs=tuple(evaluations),

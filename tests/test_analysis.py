@@ -32,6 +32,7 @@ from mvfix import (
     singleton_map,
     table_map,
 )
+from mvfix.maps import image_arrays
 
 UNIT = CompactSet.interval(0.0, 1.0)
 LOG = FFunction("log")
@@ -156,8 +157,8 @@ class TestCertify:
         # T(x) = {x}: h = m = |x - y|, so every margin is exactly zero
         report = certify(singleton_map(UNIT, "x"), LOG, ONE)
         assert report.tau_star == 0.0
-        assert len(report.violations) == report.evaluated_pairs - report.vacuous_pairs
-        assert report.violations
+        assert report.violation_count == report.evaluated_pairs - report.vacuous_pairs
+        assert len(report.violations) == analysis.VIOLATION_ROWS
 
     def test_constant_map_is_all_vacuous(self):
         report = certify(interval_map(UNIT, "0", "0"), LOG, ONE)
@@ -359,6 +360,7 @@ def assert_bitwise_equal(report, pairs, oracle):
         "tau_star",
         "worst_pair",
         "violations",
+        "violation_count",
         "vacuous_pairs",
         "evaluated_pairs",
         "errors",
@@ -390,18 +392,31 @@ class TestBatchedSweepAgainstScalarLoop:
             report, pairs = certify(T, F, f, **args), sweep_pairs(T, F, f, **args)
         assert_bitwise_equal(report, pairs, certify_scalar(T, F, f, **args))
 
+    @staticmethod
+    def assert_spans_chunks(T, mode, pairs_per_chunk):
+        # the chunk size the sweep really uses for these images
+        sets = analysis._PaddedImages(*image_arrays(T, np.array(domain_grid(T.domain, 11)))[:2])
+        assert analysis.CHUNK_ELEMENTS // sets.elements_per_pair == pairs_per_chunk
+        grid_size = math.isqrt(4 * pairs_per_chunk) + 2  # over 2 chunks of grid pairs
+        args = dict(grid_size=grid_size, random_pairs=200, seed=3, mode=mode)
+        spy = mock.patch.object(analysis, "_evaluate_batch", wraps=analysis._evaluate_batch)
+        with spy as batch:
+            report = certify(T, LOG, ONE, **args)
+        assert batch.call_count >= 3
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
+        )
+
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_sweep_spanning_several_chunks(self, mode):
+        # four-point images: 4 members against 4, both ways
         T = finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"])
-        args = dict(grid_size=61, random_pairs=200, seed=3, mode=mode)
-        # four-point images: 2K + K - 1 candidates against K intervals, both ways
-        pairs_per_chunk = analysis.CHUNK_ELEMENTS // (2 * (3 * 4 - 1) * 4)
-        assert 61 * 60 // 2 + 200 > 2 * pairs_per_chunk
-        assert_bitwise_equal(
-            certify(T, LOG, ONE, **args),
-            sweep_pairs(T, LOG, ONE, **args),
-            certify_scalar(T, LOG, ONE, **args),
-        )
+        self.assert_spans_chunks(T, mode, pairs_per_chunk=2048)
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_interval_sweep_spanning_several_chunks(self, mode):
+        # one interval per image: four endpoint columns
+        self.assert_spans_chunks(halving_interval_map(), mode, pairs_per_chunk=16384)
 
     def test_sweep_holds_the_pairs_as_columns(self):
         T = halving_interval_map()
@@ -415,3 +430,49 @@ class TestBatchedSweepAgainstScalarLoop:
         grid = domain_grid(UNIT, 11)
         assert list(zip(x[:55].tolist(), y[:55].tolist())) == list(itertools.combinations(grid, 2))
         assert (x[55:] <= y[55:]).all()
+
+
+# the table keys sit on a point domain, so the grid and the drawn pairs all hit them
+KEYS = CompactSet.from_points([0.0, 0.25, 0.5, 0.75, 1.0])
+HUGE = CompactSet.interval(-1.0, 1.0)
+SHAPE_CASES = {
+    # one interval per image: [0, 1] holds [0.2, 0.3], lies apart from
+    # [2, 3], touches [1, 2] at 1, and holds the degenerate {0.5}
+    "nested_disjoint_touching": lambda: table_map(
+        KEYS,
+        [
+            (0.0, [(0.0, 1.0)]),
+            (0.25, [(0.2, 0.3)]),
+            (0.5, [(2.0, 3.0)]),
+            (0.75, [(1.0, 2.0)]),
+            (1.0, [(0.5, 0.5)]),
+        ],
+    ),
+    "degenerate": lambda: interval_map(UNIT, "x/2", "x/2"),
+    # lo exceeds hi by less than the slack near 0: the image collapses
+    "near_tie": lambda: interval_map(UNIT, "x*x", "x*x + x/10 - 1e-13"),
+    "singleton": lambda: singleton_map(UNIT, "x - x^2"),
+    # members coincide at some x, so the number of distinct points varies
+    "coinciding_members": lambda: finite_set_map(UNIT, ["x/2", "x/2", "x*x", "min(x, 0.5)"]),
+    "four_points": lambda: finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"]),
+    # endpoint differences overflow to inf, and those pairs are redone
+    "huge_interval": lambda: interval_map(HUGE, "1.5e308*x", "1.5e308*x + x*x"),
+    "huge_points": lambda: finite_set_map(HUGE, ["1.5e308*x", "1e308*x"]),
+}
+
+
+class TestShapePathsAgainstScalarLoop:
+    """Each image shape's batch arithmetic against the scalar loop, on hand-picked images."""
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+    def test_bit_for_bit(self, case, mode):
+        T = SHAPE_CASES[case]()
+        args = dict(grid_size=5 if T.domain is KEYS else 21, random_pairs=40, seed=5, mode=mode)
+        report = certify(T, LOG, ONE, **args)
+        assert report.evaluated_pairs > 0
+        if case.startswith("huge"):
+            assert report.errors
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
+        )
