@@ -57,8 +57,8 @@ VIOLATION_ROWS = 100
 
 # Upper bound on the elements of one broadcast in the certify sweep.  A
 # chunk holds as many pairs as fit: each pair costs the elements its
-# image shape needs (``_PaddedImages.elements_per_pair``), so images
-# with many intervals or points get smaller chunks and peak memory stays
+# image shape needs (``_PaddedImages.elements_per_pair``), so point
+# images with many members get smaller chunks and peak memory stays
 # flat whatever the image shape.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -254,18 +254,18 @@ def certify(
     points are evaluated as arrays first (:func:`image_arrays`, the same
     bits as :func:`apply_map`).  The pair arithmetic then runs over numpy
     arrays, in chunks of at most ``CHUNK_ELEMENTS`` broadcast elements,
-    with the set metric picked from the image shape: closed forms for one
-    interval per image, point-to-point gaps for finite sets, and the
-    candidates of :func:`excess` for unions (see :class:`_PaddedImages`).
-    It gives the same bits as :func:`evaluate_pair`: only IEEE-exact
-    operations (``+ - * /``, ``abs``, ``minimum`` and ``maximum``,
-    comparisons, ``where``, ``sqrt``) touch the arrays, while ``log``,
-    ``expm1``, ``pow`` and quadrature run through ``math`` one element at
-    a time (see :func:`capital_phi_array` and :func:`f_eval_array`).  A
-    pair that touches a failed image, or whose batch values are unusable
-    (not finite, or ``Phi <= 0`` where ``F`` needs a positive argument),
-    is evaluated again by the scalar code on images from
-    :func:`apply_map`, which gives its value or its error message.
+    with closed forms for one interval per image and point-to-point gaps
+    for finite sets (see :class:`_PaddedImages`).  It gives the same bits
+    as :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
+    ``abs``, ``minimum`` and ``maximum``, comparisons, ``where``,
+    ``sqrt``) touch the arrays, while ``log``, ``expm1``, ``pow`` and
+    quadrature run through ``math`` one element at a time (see
+    :func:`capital_phi_array` and :func:`f_eval_array`).  A pair that
+    touches a failed image (union table images count as failed), or
+    whose batch values are unusable (not finite, or ``Phi <= 0`` where
+    ``F`` needs a positive argument), is evaluated again by the scalar
+    code on images from :func:`apply_map`, which gives its value or its
+    error message.
     """
     columns, errors = _sweep(T, F, f, grid_size, random_pairs, seed, mode)
     margins = columns[-1]
@@ -390,19 +390,16 @@ def _pair_arrays(grid: list[float], drawn: list[float], slot: dict[float, int]):
 class _PaddedImages:
     """Images as endpoint arrays of K intervals each, for the batch sweep.
 
-    ``lo`` and ``hi`` come from :func:`image_arrays`, whose padding (a
-    repeated interval or a coinciding member) changes no distance and
-    adds no excess candidate.  The arithmetic follows the image shape:
+    ``lo`` and ``hi`` come from :func:`image_arrays`, where K > 1 means
+    point images (union table rows are failed and take the scalar code).
+    The arithmetic follows the image shape:
 
     * one interval per image (K = 1: interval, singleton and one-interval
       table images): ``lo`` and ``hi`` are kept as 1-D endpoint columns
       and every distance has a closed form;
-    * point images with K > 1 (``lo is hi``, finite-set maps): ``lo`` is
-      kept transposed, one row per member, and a distance is the least
-      point-to-point gap, with no clamp and no gap midpoint;
-    * unions: ``mid`` holds the midpoints between neighbouring columns
-      and ``real_gap`` marks the ones where the next interval starts
-      after the previous ends, so repeated columns give no candidate.
+    * point images with K > 1 (finite-set maps): ``lo`` is kept
+      transposed, one row per member, and a distance is the least
+      point-to-point gap, with no clamp; a repeated member changes none.
 
     ``elements_per_pair`` is the size of a pair's broadcasts, which sets
     how many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Failed rows hold
@@ -411,47 +408,13 @@ class _PaddedImages:
 
     def __init__(self, lo: np.ndarray, hi: np.ndarray):
         K = lo.shape[1]
-        self.points = K > 1 and lo is hi
+        self.points = K > 1
         if self.points:
             self.lo = self.hi = np.ascontiguousarray(lo.T)
             self.elements_per_pair = 2 * K * K  # K members against K, both ways
-        elif K == 1:
+        else:
             self.lo, self.hi = lo[:, 0], hi[:, 0]
             self.elements_per_pair = 4
-        else:
-            self.lo, self.hi = lo, hi
-            self.mid = 0.5 * (hi[:, :-1] + lo[:, 1:])
-            self.real_gap = lo[:, 1:] > hi[:, :-1]
-            # excess enumerates 2K endpoints and K - 1 gap points of A
-            # against the K intervals of B, in both directions for Hausdorff
-            self.elements_per_pair = 2 * (3 * K - 1) * K
-
-
-def _dist(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """D(points[r, c], set r) for sets given by padded endpoints lo[r], hi[r].
-
-    The same clamp as ``sets1d``: |p - clamp(p, lo, hi)|, least over the
-    intervals.
-    """
-    p = points[:, :, None]
-    return np.abs(p - np.clip(p, lo[:, None, :], hi[:, None, :])).min(axis=2)
-
-
-def _excess_batch(sets: _PaddedImages, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """excess(T(a[r]), T(b[r])) per row r, with the candidates of ``sets1d.excess``.
-
-    Those are every endpoint of A and, for each real gap of B, the point
-    of A nearest the gap's midpoint.  That point is the midpoint itself
-    when A contains it and otherwise an endpoint of A, already a
-    candidate; so the midpoints A contains are the only extra candidates,
-    and the maximum is the same bits.
-    """
-    alo, ahi = sets.lo[a], sets.hi[a]
-    mid = sets.mid[b]
-    inside = (alo[:, None, :] <= mid[:, :, None]) & (mid[:, :, None] <= ahi[:, None, :])
-    held = sets.real_gap[b] & inside.any(axis=2)
-    candidates = np.concatenate([alo, ahi, np.where(held, mid, alo[:, :1])], axis=1)
-    return _dist(candidates, sets.lo[b], sets.hi[b]).max(axis=1)
 
 
 def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
@@ -478,7 +441,7 @@ def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
         h = gaps.min(axis=1).max(axis=0)
         if mode == "hausdorff":
             h = np.maximum(h, gaps.min(axis=0).max(axis=0))
-    elif sets.lo.ndim == 1:
+    else:
         lx, hx, ly, hy = sets.lo[xs], sets.hi[xs], sets.lo[ys], sets.hi[ys]
 
         def dist(p, lo, hi):
@@ -488,15 +451,6 @@ def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
             h = np.maximum(np.abs(lx - ly), np.abs(hx - hy))
         else:
             h = np.maximum(dist(lx, ly, hy), dist(hx, ly, hy))
-    else:
-        lx, hx, ly, hy = sets.lo[xs], sets.hi[xs], sets.lo[ys], sets.hi[ys]
-
-        def dist(p, lo, hi):
-            return _dist(p[:, None], lo, hi)[:, 0]
-
-        h = _excess_batch(sets, xs, ys)
-        if mode == "hausdorff":
-            h = np.maximum(h, _excess_batch(sets, ys, xs))
     own_x, own_y = dist(x, lx, hx), dist(y, ly, hy)
     cross = 0.5 * (dist(x, ly, hy) + dist(y, lx, hx))
     m = np.maximum(np.maximum(np.abs(x - y), own_x), np.maximum(own_y, cross))

@@ -102,30 +102,30 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     """Images of the points ``xs`` as padded endpoint arrays ``(lo, hi, failed)``.
 
     Row i describes T(xs[i]) as K intervals ``[lo[i, k], hi[i, k]]``, the
-    batch counterpart of :func:`apply_map`.  An interval map gives K = 1
-    (with the same near-tie collapse); singleton and finite-set maps give
-    their members as sorted point columns, so coinciding members repeat a
-    column; a table map pads each value set by repeating its last
-    interval.  None of these change a distance.  ``failed[i]`` is true
-    where :func:`apply_map` would raise, and may be true elsewhere; the
-    other entries of a failed row mean nothing.  Expressions are evaluated
-    by :func:`eval_expr_array`, with the same bits as their compiled closures.
+    batch counterpart of :func:`apply_map`.  Interval and table maps give
+    K = 1 (an interval map with the same near-tie collapse); a table row
+    whose value set is a union of intervals is flagged in ``failed``, as
+    a missing key is, and left to the scalar code.  Singleton and
+    finite-set maps give their members as sorted point columns, with
+    ``lo`` equal to ``hi``, so coinciding members repeat a column and
+    change no distance.  Hence K > 1 means point images.  ``failed[i]`` is
+    true where :func:`apply_map` would raise, and may be true elsewhere;
+    the other entries of a failed row mean nothing.  Expressions are
+    evaluated by :func:`eval_expr_array`, with the same bits as their
+    compiled closures.
     """
     xs = np.asarray(xs, dtype=float)
     if T.kind == "table":
-        rows: list[tuple[tuple[float, float], ...] | None] = []
-        for x in xs.tolist():
+        ends = np.zeros((len(xs), 2))
+        failed = np.ones(len(xs), dtype=bool)
+        for i, x in enumerate(xs.tolist()):
             try:
-                rows.append(apply_map(T, x).intervals)
+                intervals = apply_map(T, x).intervals
             except MvfixError:
-                rows.append(None)
-        K = max((len(r) for r in rows if r is not None), default=1)
-        failed = np.array([r is None for r in rows], dtype=bool)
-        ends = np.array(
-            [r + r[-1:] * (K - len(r)) if r is not None else ((0.0, 0.0),) * K for r in rows],
-            dtype=float,
-        ).reshape(len(rows), K, 2)
-        return ends[:, :, 0], ends[:, :, 1], failed
+                continue
+            if len(intervals) == 1:
+                ends[i], failed[i] = intervals[0], False
+        return ends[:, :1], ends[:, 1:], failed
 
     evaluated = [eval_expr_array(e, xs) for e in _expressions(T)]
     values = np.stack([v for v, _ in evaluated], axis=1)
@@ -198,13 +198,18 @@ def table_map(
     """Map tabulated points to explicit value sets.
 
     Lookups require exact argument hits; there is no interpolation.
-    Every key must belong to the domain.
+    Every key must belong to the domain, and no two keys may be equal
+    (``-0.0`` equals ``0.0``), since a lookup reads only the first.
     """
     rows = []
+    keys: set[float] = set()
     for key, value in entries:
         key = float(key)
         if not domain.contains(key):
             raise InvariantError(f"table key {key} lies outside the domain")
+        if key in keys:
+            raise InvariantError(f"table key {key} appears more than once")
+        keys.add(key)
         if not isinstance(value, CompactSet):
             value = CompactSet(value)
         rows.append((key, value))

@@ -458,6 +458,18 @@ SHAPE_CASES = {
     # endpoint differences overflow to inf, and those pairs are redone
     "huge_interval": lambda: interval_map(HUGE, "1.5e308*x", "1.5e308*x + x*x"),
     "huge_points": lambda: finite_set_map(HUGE, ["1.5e308*x", "1e308*x"]),
+    # unions, one holding the degenerate [0.2, 0.2]: the batch sweep fails
+    # these images, so every pair takes the scalar code
+    "union_images": lambda: table_map(
+        KEYS,
+        [
+            (0.0, [(0.0, 0.1), (0.5, 0.6)]),
+            (0.25, [(0.0, 0.05), (0.2, 0.2), (0.3, 0.4)]),
+            (0.5, [(0.1, 0.3), (0.7, 0.9)]),
+            (0.75, [(0.2, 0.3), (0.35, 0.5), (1.0, 1.5)]),
+            (1.0, [(0.0, 0.2), (0.6, 1.0)]),
+        ],
+    ),
 }
 
 
@@ -471,8 +483,22 @@ class TestShapePathsAgainstScalarLoop:
         args = dict(grid_size=5 if T.domain is KEYS else 21, random_pairs=40, seed=5, mode=mode)
         report = certify(T, LOG, ONE, **args)
         assert report.evaluated_pairs > 0
-        if case.startswith("huge"):
-            assert report.errors
+        assert bool(report.errors) == case.startswith("huge")
         assert_bitwise_equal(
             report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
         )
+
+    def test_union_pairs_take_the_scalar_code(self):
+        spy = mock.patch.object(analysis, "_evaluate", wraps=analysis._evaluate)
+        with spy as scalar:
+            report = certify(SHAPE_CASES["union_images"](), LOG, ONE, grid_size=5, random_pairs=40)
+        assert scalar.call_count == report.evaluated_pairs == 50
+
+    @pytest.mark.parametrize("domain", sorted(ORACLE_DOMAINS))
+    @pytest.mark.parametrize("kind", ORACLE_MAPS)
+    def test_images_are_one_interval_or_points(self, kind, domain):
+        # _PaddedImages reads K > 1 as point images
+        T = oracle_map(kind, domain)
+        lo, hi, failed = image_arrays(T, np.array(domain_grid(T.domain, 41) + [0.0, 0.25, 1.0]))
+        assert not failed.all()
+        assert lo.shape[1] == 1 or (lo[~failed] == hi[~failed]).all()

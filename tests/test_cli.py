@@ -234,6 +234,15 @@ class TestSolveCommand:
         assert abs(float(rows["final_x"])) < 1e-11
         assert rows["validated"] == "skipped"
 
+    @pytest.mark.parametrize("first,second", [(0.5, 0.5), (-0.0, 0.0)])
+    def test_repeated_table_key_is_one_error_line(self, tmp_path, capsys, first, second):
+        entries = [[first, [[0, 0.1]]], [second, [[0.3, 0.4]]], [1.0, [[0.2, 0.2]]]]
+        cfg = write_config(tmp_path, self.solve_config(map={"kind": "table", "entries": entries}))
+        assert main(["solve", cfg]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: table key {second} appears more than once\n"
+
     def test_missing_x0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HALVING)
         assert main(["solve", cfg]) == EXIT_ERROR

@@ -276,6 +276,12 @@ MESSAGE_CASES = [
      "InvariantError: table key 2.0 lies outside the domain"),
     ("entries-interval-range", _map(kind="table", entries=[[0.5, [[1.0, 0.0]]]]),
      "InvariantError: interval has lo > hi: (1.0, 0.0)"),
+    ("entries-key-repeated",
+     _map(kind="table", entries=[[0.5, [[0, 0.1]]], [0.5, [[0.3, 0.4]]], [1.0, [[0.2, 0.2]]]]),
+     "InvariantError: table key 0.5 appears more than once"),
+    ("entries-key-signed-zero",
+     _map(kind="table", entries=[[-0.0, [[0, 0.1]]], [0.0, [[0.3, 0.4]]]]),
+     "InvariantError: table key 0.0 appears more than once"),
     ("c-null", _integrand(kind="constant", c=None),
      "ConfigError: c must be a number, got None"),
     ("c-type", _integrand(kind="constant", c="x"),
