@@ -129,7 +129,10 @@ def _trace_rows(
         range(len(trace.x)), trace.next_point, trace.d_to_set, trace.gamma, f_gamma, n_gamma_k
     ):
         next_text = "%.17g" % nxt
-        yield "%d,%s,%s,%.17g,%.17g,%.17g,%.17g\n" % (n, x_text, next_text, d, gamma, fg, w)
+        d_text = "%.17g" % d
+        # phi = 1 gives Phi(d) = d; a recorded d is finite and > 0, so == means equal bits
+        gamma_text = d_text if gamma == d else "%.17g" % gamma
+        yield "%d,%s,%s,%s,%s,%.17g,%.17g\n" % (n, x_text, next_text, d_text, gamma_text, fg, w)
         x_text = next_text
 
 

@@ -47,6 +47,9 @@ class ConstantIntegrand:
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise InvariantError(f"constant integrand needs c > 0, got {self.c}")
 
+    def _cumulative(self, u: float) -> float:
+        return self.c * u
+
 
 @dataclass(frozen=True)
 class PowerIntegrand:
@@ -60,6 +63,9 @@ class PowerIntegrand:
             raise InvariantError(f"power integrand needs p > -1, got {self.p}")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise InvariantError(f"power integrand needs scale > 0, got {self.scale}")
+
+    def _cumulative(self, u: float) -> float:
+        return self.scale * u ** (self.p + 1.0) / (self.p + 1.0)
 
 
 @dataclass(frozen=True)
@@ -76,6 +82,11 @@ class ExponentialIntegrand:
             raise InvariantError(
                 f"exponential integrand needs scale > 0, got {self.scale}"
             )
+
+    def _cumulative(self, u: float) -> float:
+        if self.rate == 0.0:
+            return self.scale * u
+        return self.scale * math.expm1(self.rate * u) / self.rate
 
 
 @dataclass(frozen=True)
@@ -106,6 +117,10 @@ class ExpressionIntegrand:
 
         object.__setattr__(self, "_compiled", compiled)
         object.__setattr__(self, "_phi", phi)
+
+    def _cumulative(self, u: float) -> float:
+        # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
+        return adaptive_simpson(self._phi, 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH)
 
 
 Integrand = Union[
@@ -178,32 +193,21 @@ def phi_eval(f: Integrand, t: float) -> float:
 def capital_phi(f: Integrand, u: float) -> float:
     """Cumulative transform Phi(u) = integral of phi over [0, u].
 
-    Closed forms serve the constant, power, and exponential kinds; the
-    expression kind integrates numerically with :func:`adaptive_simpson`
-    at absolute tolerance 1e-10.
+    Each integrand class carries its Phi as ``_cumulative``: closed forms
+    for the constant, power, and exponential kinds, :func:`adaptive_simpson`
+    at absolute tolerance 1e-10 for the expression kind.
     """
     if u < 0.0:
         raise DomainError(f"cumulative transform argument must be >= 0, got {u}")
+    cumulative = getattr(f, "_cumulative", None)
+    if cumulative is None:
+        raise TypeError(f"not an integrand: {f!r}")
     try:
-        match f:
-            case ConstantIntegrand(c):
-                return c * u
-            case PowerIntegrand(p, scale):
-                return scale * u ** (p + 1.0) / (p + 1.0)
-            case ExponentialIntegrand(rate, scale):
-                if rate == 0.0:
-                    return scale * u
-                return scale * math.expm1(rate * u) / rate
-            case ExpressionIntegrand():
-                if u == 0.0:
-                    return 0.0
-                # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
-                return adaptive_simpson(f._phi, 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH)
+        return cumulative(u)
     except OverflowError:
         raise DomainError(
             f"cumulative transform of {integrand_label(f)} overflows at u = {u}"
         ) from None
-    raise TypeError(f"not an integrand: {f!r}")
 
 
 def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:

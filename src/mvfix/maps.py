@@ -10,6 +10,7 @@ inside an analysis run.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence, Union
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, MvfixError
 from .expr import ExprAst, compile_expr, eval_expr_array, format_expr, parse_expr
-from .sets1d import CompactSet, dist_point_set, domain_grid
+from .sets1d import CompactSet, _nearest, dist_point_set, domain_grid
 
 __all__ = [
     "MAP_KINDS",
@@ -75,19 +76,25 @@ def _as_ast(e: Union[str, ExprAst]) -> ExprAst:
     return parse_expr(e) if isinstance(e, str) else e
 
 
+def _checked_ends(x: float, lo: float, hi: float) -> tuple[float, float]:
+    """The endpoints ``lo = lo(x)``, ``hi = hi(x)`` of an interval image, checked.
+
+    An inversion within ``ENDPOINT_SLACK`` collapses to the midpoint; a
+    larger one, or a non-finite endpoint, raises :class:`InvariantError`.
+    """
+    if lo > hi:
+        if lo - hi > ENDPOINT_SLACK:
+            raise InvariantError(f"map endpoints inverted at x = {x}: lo = {lo}, hi = {hi}")
+        lo = hi = 0.5 * (lo + hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvariantError(f"interval endpoints must be finite, got ({lo}, {hi})")
+    return lo, hi
+
+
 def _value_set(T: MultiMap, x: float) -> CompactSet:
     if T.kind == "interval_endpoints":
         lo_fn, hi_fn = T._compiled
-        lo = lo_fn(x)
-        hi = hi_fn(x)
-        if lo > hi:
-            if lo - hi > ENDPOINT_SLACK:
-                raise InvariantError(
-                    f"map endpoints inverted at x = {x}: lo = {lo}, hi = {hi}"
-                )
-            mid = 0.5 * (lo + hi)
-            return CompactSet.point(mid)
-        return CompactSet.interval(lo, hi)
+        return CompactSet.interval(*_checked_ends(x, lo_fn(x), hi_fn(x)))
     if T.kind == "singleton":
         return CompactSet.point(T._compiled[0](x))
     if T.kind == "finite_set":
@@ -96,6 +103,22 @@ def _value_set(T: MultiMap, x: float) -> CompactSet:
         if key == x:
             return value
     raise DomainError(f"no table entry for x = {x}")
+
+
+def _nearest_step(T: MultiMap) -> Callable[[float], tuple[float, float]]:
+    """``x -> _nearest(x, _value_set(T, x))``; interval and singleton maps build no value set."""
+    if T.kind not in ("interval_endpoints", "singleton"):
+        return lambda x: _nearest(x, _value_set(T, x))
+    single = T.kind == "singleton"
+    lo_fn, hi_fn = T._compiled[0], T._compiled[-1]
+
+    def step(x: float) -> tuple[float, float]:
+        lo = lo_fn(x)
+        lo, hi = _checked_ends(x, lo, lo if single else hi_fn(x))
+        p = lo if x < lo else (hi if x > hi else x)
+        return p, abs(x - p)
+
+    return step
 
 
 def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -21,8 +21,8 @@ from typing import Sequence, Union
 from .errors import DomainError, InsufficientTraceError, MvfixError
 from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval
 from .integrand import ConstantIntegrand, Integrand, capital_phi, integrand_label
-from .maps import MultiMap, _value_set
-from .sets1d import CompactSet, _nearest
+from .maps import MultiMap, _nearest_step, _value_set
+from .sets1d import CompactSet
 
 __all__ = [
     "TraceStep",
@@ -165,7 +165,9 @@ def iterate(
     :class:`MaxIterReached` after ``max_iter`` recorded steps, or with an
     :class:`IterationError` outcome if the selected point leaves the
     domain, a map evaluation fails or Phi(d) is not finite; partial steps
-    are kept in every case.
+    are kept in every case.  A step is one call of a nearest-point closure
+    built once for the map (no value set for interval and singleton maps)
+    and one call of :func:`capital_phi`.
     """
     if tol < 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
@@ -184,13 +186,13 @@ def iterate(
         return IterationTrace(tuple(xs), tuple(nexts), tuple(ds), tuple(gammas), T, outcome, params)
 
     # x0 is checked above and every later x by the domain check below, so
-    # the value set is taken without apply_map's own check
+    # the step skips apply_map's own check
     in_domain = T.domain.contains
+    nearest = _nearest_step(T)
     x = x0
     for n in range(max_iter):
         try:
-            S = _value_set(T, x)
-            nxt, d = _nearest(x, S)
+            nxt, d = nearest(x)
             if d <= tol:
                 return finish(FixedPointFound(x, n))
             gamma = capital_phi(f, d)

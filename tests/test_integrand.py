@@ -80,6 +80,10 @@ class TestCumulativeTransform:
         with pytest.raises(DomainError):
             capital_phi(ConstantIntegrand(1.0), -1e-9)
 
+    def test_non_integrand_is_a_type_error(self):
+        with pytest.raises(TypeError, match="not an integrand"):
+            capital_phi(object(), 1.0)
+
     @pytest.mark.parametrize(
         "f, u", [(ExponentialIntegrand(rate=5.0), 1000.0), (PowerIntegrand(p=200.0), 50.0)]
     )

@@ -21,7 +21,8 @@ from mvfix import (
     singleton_map,
     table_map,
 )
-from mvfix.maps import MultiMap, _as_ast, image_arrays
+from mvfix.maps import ENDPOINT_SLACK, MultiMap, _as_ast, _nearest_step, _value_set, image_arrays
+from mvfix.sets1d import _nearest
 
 UNIT = CompactSet.interval(0.0, 1.0)
 
@@ -176,6 +177,7 @@ VALIDATION_CASES = [
     ("finite_set", UNIT, ("x/2", "x/2", "1 - x/2")),  # coinciding members
     ("finite_set", UNIT, ("x/2", "1/(x - 1)")),
     ("finite_set", UNIT, ("x", Num(math.inf))),
+    ("singleton", UNIT, (Num(math.nan),)),  # non-finite member
 ]
 
 
@@ -223,3 +225,28 @@ class TestArrayValidation:
         assert (lo[2, 0], hi[2, 0]) == (0.2, 0.3)
         # the union at 0.0 and the missing key 0.5 are left to the scalar code
         assert failed.tolist() == [True, True, False]
+
+
+def _one_interval_image(T, x):
+    """T(x) of an interval or singleton map, built the way CompactSet checks it."""
+    if T.kind == "singleton":
+        return CompactSet.point(T._compiled[0](x))
+    lo, hi = (fn(x) for fn in T._compiled)
+    if lo > hi:
+        if lo - hi > ENDPOINT_SLACK:
+            raise InvariantError(f"map endpoints inverted at x = {x}: lo = {lo}, hi = {hi}")
+        return CompactSet.point(0.5 * (lo + hi))
+    return CompactSet.interval(lo, hi)
+
+
+class TestNearestStep:
+    @pytest.mark.parametrize(
+        "kind, domain, exprs", [case for case in VALIDATION_CASES if case[0] != "finite_set"]
+    )
+    def test_same_bits_and_errors_as_the_value_set(self, kind, domain, exprs):
+        T = _unvalidated(kind, domain, exprs)
+        step = _nearest_step(T)
+        for x in domain_grid(domain, 41):
+            expected = outcome(lambda: _nearest(x, _one_interval_image(T, x)))
+            assert repr(outcome(step, x)) == repr(expected), x
+            assert repr(outcome(_value_set, T, x)) == repr(outcome(_one_interval_image, T, x)), x

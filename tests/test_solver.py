@@ -17,6 +17,7 @@ from mvfix import (
     InsufficientTraceError,
     IterationError,
     MaxIterReached,
+    MultiMap,
     PowerIntegrand,
     dist_point_set,
     expression_integrand,
@@ -27,6 +28,7 @@ from mvfix import (
     is_fixed_point,
     iterate,
     nearest_point,
+    parse_expr,
     singleton_map,
     table_map,
     validate_trace,
@@ -251,6 +253,12 @@ TRACE_MAPS = {
     # divides by zero once the orbit reaches 0.123456789
     "eval_error": lambda: singleton_map(UNIT, "x/2 + 0*(1/(x - 0.123456789))"),
     "wide": lambda: singleton_map(CompactSet.interval(0.0, 10.0), "x/2"),
+    # lo exceeds hi by 1e-13, within ENDPOINT_SLACK: every image collapses to its midpoint
+    "near_tie": lambda: interval_map(UNIT, "x/2 + 1e-13", "x/2"),
+    # unvalidated: the endpoints invert beyond ENDPOINT_SLACK once x < 0.2
+    "inverted": lambda: MultiMap(
+        UNIT, "interval_endpoints", lo=parse_expr("x/2"), hi=parse_expr("x - 0.1")
+    ),
 }
 TRACE_INTEGRANDS = {
     "constant": lambda: ConstantIntegrand(1.0),
@@ -310,6 +318,8 @@ class TestColumnarTraceAgainstScalarLoop:
             ("eval_error", "expression", 0.246913578, 0.0, IterationError),
             ("table", "constant", 0.6, 0.0, IterationError),
             ("finite_set", "power", 0.3, 0.0, MaxIterReached),
+            ("near_tie", "constant", 1.0, 0.0, MaxIterReached),
+            ("inverted", "expression", 0.6, 0.0, IterationError),
         ],
     )
     @pytest.mark.parametrize("f_kind", ["log", "log_plus_linear", "neg_inv_sqrt"])
@@ -330,10 +340,36 @@ class TestColumnarTraceAgainstScalarLoop:
             ("gapped", "iterate left the domain"),
             ("eval_error", "division by zero"),
             ("table", "no table entry"),
+            (
+                "inverted",
+                "map endpoints inverted at x = 0.10000000000000003: "
+                "lo = 0.05000000000000002, hi = 2.7755575615628914e-17",
+            ),
         ]:
             x0 = 0.246913578 if name == "eval_error" else 0.6
             trace = iterate(trace_map(name), x0, 0.0, 60, trace_integrand("constant"))
             assert detail in trace.outcome.detail and len(trace.x) >= 1, name
+        near_tie = iterate(trace_map("near_tie"), 1.0, 0.0, 60, trace_integrand("constant"))
+        assert all(len(s.value_set.intervals) == 1 for s in near_tie.steps)
+        assert all(lo == hi for s in near_tie.steps for lo, hi in s.value_set.intervals)
+
+    @pytest.mark.parametrize("map_name", ["singleton", "interval", "near_tie", "finite_set"])
+    def test_interval_and_singleton_steps_build_no_value_set(self, map_name, monkeypatch):
+        from mvfix import maps
+
+        T = trace_map(map_name)
+        calls = []
+        value_set, init, point = maps._value_set, CompactSet.__init__, CompactSet.point
+        monkeypatch.setattr(maps, "_value_set", lambda T, x: calls.append(x) or value_set(T, x))
+        monkeypatch.setattr(CompactSet, "__init__", lambda S, raw: calls.append(S) or init(S, raw))
+        spy_point = classmethod(lambda _, x: calls.append(x) or point(x))
+        monkeypatch.setattr(CompactSet, "point", spy_point)
+        trace = iterate(T, 0.5, 0.0, 60, trace_integrand("constant"))
+        assert len(trace.x) >= 10
+        if map_name == "finite_set":  # the spies see the value-set path
+            assert len(calls) >= 2 * len(trace.x)
+        else:
+            assert calls == []
 
     @given(
         map_name=st.sampled_from(sorted(TRACE_MAPS)),
