@@ -10,6 +10,7 @@ decay law.  The ``mvfix`` command line exposes the same machinery.
 """
 
 from .analysis import (
+    ERROR_ROWS,
     MODES,
     VERDICT_SLACK,
     VIOLATION_ROWS,

@@ -18,7 +18,7 @@ seeded random pairs; any tau below it makes the inequality
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -29,12 +29,13 @@ from .errors import DomainError, MvfixError
 from .ffunctions import FFunction, f_eval, f_eval_array
 from .integrand import Integrand, capital_phi, capital_phi_array
 from .maps import MultiMap, apply_map, image_arrays
-from .sets1d import CompactSet, dist_point_set, domain_grid, excess, hausdorff, sample_points
+from .sets1d import CompactSet, _grid_array, dist_point_set, excess, hausdorff, sample_points
 
 __all__ = [
     "MODES",
     "VERDICT_SLACK",
     "VIOLATION_ROWS",
+    "ERROR_ROWS",
     "PairCheck",
     "PairEvaluation",
     "CertificateReport",
@@ -51,15 +52,17 @@ MODES = ("hausdorff", "excess")
 # single comparison slack used by every verdict in this module
 VERDICT_SLACK = 1e-12
 
-# A certificate keeps the first this many violating pairs as rows and
-# counts the rest, so its size does not grow with the sweep.
+# A certificate keeps the first this many violating pairs, and the first
+# ERROR_ROWS failed pairs, as rows and counts the rest, so its size does
+# not grow with the sweep.
 VIOLATION_ROWS = 100
+ERROR_ROWS = 100
 
 # Upper bound on the elements of one broadcast in the certify sweep.  A
 # chunk holds as many pairs as fit: each pair costs the elements its
 # image shape needs (``_PaddedImages.elements_per_pair``), so point
 # images with many members get smaller chunks and peak memory stays
-# flat whatever the image shape.
+# flat whatever the image shape, and whatever the number of pairs.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -90,8 +93,9 @@ class CertificateReport:
     ``violations`` are :class:`PairEvaluation` rows, in canonical (x, y)
     order; ``violations`` holds the first ``VIOLATION_ROWS`` of the
     ``violation_count`` pairs with margin <= 0.  ``errors`` holds
-    (x, y, message) rows, in the same order, for pairs whose evaluation
-    raised, without aborting the sweep.
+    (x, y, message) rows, in the same order, for the first ``ERROR_ROWS``
+    of the ``error_count`` pairs whose evaluation raised, without
+    aborting the sweep.
     """
 
     mode: str
@@ -105,6 +109,7 @@ class CertificateReport:
     vacuous_pairs: int
     evaluated_pairs: int
     errors: tuple[tuple[float, float, str], ...] = ()
+    error_count: int = 0
 
 
 def _check_mode(mode: str) -> None:
@@ -243,17 +248,20 @@ def certify(
     All unordered pairs from a deterministic ``grid_size``-point grid over
     the domain are evaluated, plus ``random_pairs`` pairs drawn with a
     seeded generator; each pair is ordered x < y before evaluation.  Only
-    the reported rows are kept, in canonical (x, y) order (the worst pair
-    is the first of those tied at the least margin; violations past the
-    first ``VIOLATION_ROWS`` are only counted), so a repeated run
-    with the same seed is bit-identical.  Per-pair failures are collected
-    instead of aborting the sweep.
+    the reported rows are kept, in canonical (x, y) order, ties in sweep
+    order (the worst pair is the first of those tied at the least margin;
+    violations past the first ``VIOLATION_ROWS`` and errors past the
+    first ``ERROR_ROWS`` are only counted), so a repeated run with the
+    same seed is bit-identical.  Per-pair failures are collected instead
+    of aborting the sweep.
 
     The random points are drawn in one call (:func:`sample_points`, the
     same stream as one draw at a time).  The images of all distinct
     points are evaluated as arrays first (:func:`image_arrays`, the same
-    bits as :func:`apply_map`).  The pair arithmetic then runs over numpy
-    arrays, in chunks of at most ``CHUNK_ELEMENTS`` broadcast elements,
+    bits as :func:`apply_map`).  The pairs are then made, evaluated and
+    counted a chunk at a time, at most ``CHUNK_ELEMENTS`` broadcast
+    elements each, so the sweep's memory is set by the chunk and not by
+    the number of pairs.  The pair arithmetic runs over numpy arrays,
     with closed forms for one interval per image and point-to-point gaps
     for finite sets (see :class:`_PaddedImages`).  It gives the same bits
     as :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
@@ -263,19 +271,15 @@ def certify(
     :func:`capital_phi_array` and :func:`f_eval_array`).  A pair that
     touches a failed image (union table images count as failed), or
     whose batch values are unusable (not finite, or ``Phi <= 0`` where
-    ``F`` needs a positive argument), is evaluated again by the scalar
-    code on images from :func:`apply_map`, which gives its value or its
-    error message.
+    ``F`` needs a positive argument), is evaluated again, within its
+    chunk, by the scalar code on images from :func:`apply_map`, which
+    gives its value or its error message.
     """
-    columns, errors = _sweep(T, F, f, grid_size, random_pairs, seed, mode)
-    margins = columns[-1]
-    violating = np.flatnonzero(margins <= 0.0)
-    live = ~np.isnan(margins)
-    worst: PairEvaluation | None = None
-    if live.any():
-        tied = np.flatnonzero(margins == margins[live].min())
-        (worst,) = _rows(columns, _canonical(columns, tied)[:1])
-
+    tally = _Tally()
+    for block in _sweep(T, F, f, grid_size, random_pairs, seed, mode):
+        tally.add(*block)
+        del block  # so the next chunk is made with this one freed
+    worst = None if tally.worst is None else tally.worst[-1]
     return CertificateReport(
         mode=mode,
         seed=seed,
@@ -283,36 +287,84 @@ def certify(
         random_pairs=random_pairs,
         tau_star=None if worst is None else worst.margin,
         worst_pair=worst,
-        violations=_rows(columns, _canonical(columns, violating)[:VIOLATION_ROWS]),
-        violation_count=len(violating),
-        vacuous_pairs=len(margins) - int(live.sum()),
-        evaluated_pairs=len(margins),
-        errors=tuple(sorted(errors, key=lambda row: row[:2])),
+        violations=tuple(row for *_, row in tally.violations),
+        violation_count=tally.violation_count,
+        vacuous_pairs=tally.vacuous,
+        evaluated_pairs=tally.evaluated,
+        errors=tuple((x, y, message) for x, y, _, message in tally.errors),
+        error_count=tally.error_count,
     )
 
 
-def _canonical(columns: tuple[np.ndarray, ...], index: np.ndarray) -> np.ndarray:
-    """``index`` stably sorted by the (x, y) of its rows."""
-    return index[np.lexsort((columns[1][index], columns[0][index]))]
+class _Tally:
+    """The counts and the kept rows of a certificate, added up block by block.
+
+    Rows are ordered by the key ``(x, y, sweep index)``: canonical order,
+    ties in sweep order.  ``worst`` is ``(margin, *key, row)`` of the
+    least margin seen, ``violations`` the ``(*key, row)`` of the first
+    ``VIOLATION_ROWS`` violating pairs and ``errors`` the
+    ``(*key, message)`` of the first ``ERROR_ROWS`` failed pairs, so the
+    result does not depend on the order the blocks come in.
+    """
+
+    def __init__(self):
+        self.evaluated = self.vacuous = self.violation_count = self.error_count = 0
+        self.worst: tuple | None = None
+        self.violations: list[tuple] = []
+        self.errors: list[tuple] = []
+
+    def add(self, index: np.ndarray, columns: tuple[np.ndarray, ...], errors: list[tuple]) -> None:
+        """Count one block: the float64 ``columns`` (x, y, h, m, phi_h,
+        phi_m, margin) of evaluated pairs, margin NaN exactly on the
+        vacuous ones, at the ascending sweep indices ``index``, and the
+        ``(x, y, index, message)`` rows of failed pairs."""
+        margin = columns[-1]
+        live = ~np.isnan(margin)
+        self.evaluated += len(margin)
+        self.vacuous += len(margin) - int(np.count_nonzero(live))
+        if live.any():
+            least = margin[live].min()
+            (key_row,) = _first_rows(index, columns, np.flatnonzero(margin == least), 1)
+            first = (key_row[-1].margin, *key_row)
+            self.worst = first if self.worst is None else min(self.worst, first)
+        violating = np.flatnonzero(margin <= 0.0)
+        if len(violating):
+            self.violation_count += len(violating)
+            new = _first_rows(index, columns, violating, VIOLATION_ROWS)
+            self.violations = heapq.nsmallest(VIOLATION_ROWS, self.violations + new)
+        if errors:
+            self.error_count += len(errors)
+            self.errors = heapq.nsmallest(ERROR_ROWS, self.errors + errors)
 
 
-def _rows(columns: tuple[np.ndarray, ...], index: np.ndarray) -> tuple[PairEvaluation, ...]:
-    """The rows at ``index`` as :class:`PairEvaluation`, margin None where NaN."""
-    return tuple(
-        PairEvaluation(x, y, h, m, phi_h, phi_m, None if math.isnan(margin) else margin)
-        for x, y, h, m, phi_h, phi_m, margin in zip(*(c[index].tolist() for c in columns))
-    )
+def _first_rows(
+    index: np.ndarray, columns: tuple[np.ndarray, ...], which: np.ndarray, count: int
+) -> list[tuple]:
+    """``(x, y, index, row)`` of the first ``count`` of the rows ``which``, by key,
+    each row a :class:`PairEvaluation` with margin None where NaN.
+
+    A block's rows are in sweep order, and the stable sort keeps it on ties.
+    """
+    which = which[np.lexsort((columns[1][which], columns[0][which]))[:count]]
+    rows = zip(index[which].tolist(), *(c[which].tolist() for c in columns))
+    return [
+        (x, y, k, PairEvaluation(x, y, h, m, phi_h, phi_m, None if math.isnan(margin) else margin))
+        for k, x, y, h, m, phi_h, phi_m, margin in rows
+    ]
 
 
 def _sweep(
     T: MultiMap, F: FFunction, f: Integrand, grid_size: int, random_pairs: int, seed: int, mode: str
 ):
-    """Evaluate every pair of the sweep that :func:`certify` describes.
+    """Evaluate the pairs of the sweep that :func:`certify` describes, a chunk at a time.
 
-    Returns the float64 columns ``(x, y, h, m, phi_h, phi_m, margin)`` of
-    the evaluated pairs (margin NaN exactly on the vacuous ones, h == 0)
-    and the (x, y, message) rows of the pairs that failed, both in sweep
-    order: the grid pairs row by row, then the drawn pairs.
+    The pairs are the grid pairs i < j, row by row, then the drawn pairs;
+    a pair's place in that order is its sweep index.  Yields, per chunk,
+    ``(index, columns, errors)`` blocks as :meth:`_Tally.add` takes them:
+    one of the pairs the batch arithmetic evaluated and, if any pair of
+    the chunk took the scalar code, one of those.  A chunk's arrays live
+    only in its blocks, so a caller that drops a block before asking for
+    the next holds one chunk at a time.
     """
     _check_mode(mode)
     if grid_size < 2:
@@ -320,71 +372,98 @@ def _sweep(
     if random_pairs < 0:
         raise DomainError(f"random_pairs must be >= 0, got {random_pairs}")
 
-    grid = domain_grid(T.domain, grid_size)
-    rng = np.random.default_rng(seed)
-    a, b = sample_points(T.domain, rng, 2 * random_pairs).reshape(-1, 2).T
-    # (min(a, b), max(a, b)) per pair, with Python's pick between equal floats
-    drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel().tolist()
-
-    # Distinct points in the order the pairs first use them; equal floats
-    # share a slot and so one image.
-    slot: dict[float, int] = {}
-    for v in itertools.chain(grid, drawn):
-        slot.setdefault(v, len(slot))
-    lo, hi, failed = image_arrays(T, np.array(list(slot), dtype=float))
-
-    x, y, x_slot, y_slot = _pair_arrays(grid, drawn, slot)
-    values = np.full((5, len(x)), math.nan)  # h, m, phi_h, phi_m, margin
-    redo = failed[x_slot] | failed[y_slot]
-    with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
-        sets = _PaddedImages(lo, hi)
-        step = max(1, CHUNK_ELEMENTS // sets.elements_per_pair)
-        for start in range(0, len(x), step):
-            rows = start + np.flatnonzero(~redo[start : start + step])
-            values[:, rows], unusable = _evaluate_batch(
-                F, f, mode, x[rows], y[rows], sets, x_slot[rows], y_slot[rows]
-            )
-            redo[rows[unusable]] = True
-
-    images: dict[float, CompactSet] = {}
-
-    def image(v: float) -> CompactSet:
-        # a failed image fails again in apply_map, with the message for v
-        if v not in images:
-            images[v] = apply_map(T, v)
-        return images[v]
-
-    errors: list[tuple[float, float, str]] = []
-    for k in np.flatnonzero(redo).tolist():
-        xk, yk = x[k].item(), y[k].item()
-        try:
-            ev = _evaluate(F, f, xk, yk, image(xk), image(yk), mode)
-        except MvfixError as err:
-            errors.append((xk, yk, str(err)))
-            continue
-        margin = math.nan if ev.margin is None else ev.margin
-        values[:, k] = (ev.h, ev.m, ev.phi_h, ev.phi_m, margin)
-        redo[k] = False
-
-    columns = (x, y, *values)
-    if redo.any():
-        columns = tuple(column[~redo] for column in columns)
-    return columns, errors
+    sweep = _Sweep(T, F, f, mode, grid_size, random_pairs, seed)
+    step = max(1, CHUNK_ELEMENTS // sweep.sets.elements_per_pair)
+    for start in range(0, sweep.count, step):
+        yield from sweep.chunk(start, min(start + step, sweep.count))
 
 
-def _pair_arrays(grid: list[float], drawn: list[float], slot: dict[float, int]):
-    """x, y and the image slots of every pair, in sweep order.
+class _Sweep:
+    """The points of a sweep and their images; its pairs are made a chunk at a time.
 
-    The pairs are the grid pairs i < j, row by row, then the drawn pairs
-    (``drawn`` holds them flat, x before y).  The index arrays stay in
-    here, so they are freed before the batch sweep runs.
+    ``points`` holds the grid, then the drawn pairs flat (x before y).
+    Equal floats share a slot and so one image, the image of the first
+    point to use it.  Only these point arrays, the first sweep index of
+    each grid row and the scalar code's images outlive a chunk.
     """
-    i, j = np.triu_indices(len(grid), 1)
-    points = np.array(grid + drawn, dtype=float)
-    slots = np.array([slot[v] for v in itertools.chain(grid, drawn)], dtype=np.intp)
-    first = np.concatenate([i, np.arange(len(grid), len(points), 2)])
-    second = np.concatenate([j, np.arange(len(grid) + 1, len(points), 2)])
-    return points[first], points[second], slots[first], slots[second]
+
+    def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
+        self.T, self.F, self.f, self.mode = T, F, f, mode
+        grid = _grid_array(T.domain, grid_size)
+        rng = np.random.default_rng(seed)
+        a, b = sample_points(T.domain, rng, 2 * random_pairs).reshape(-1, 2).T
+        # (min(a, b), max(a, b)) per pair, with Python's pick between equal floats
+        drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel()
+        self.points = np.concatenate([grid, drawn])
+        slot: dict[float, int] = {}
+        self.slots = np.array(
+            [slot.setdefault(v, len(slot)) for v in self.points.tolist()], dtype=np.intp
+        )
+        lo, hi, self.failed = image_arrays(T, np.array(list(slot), dtype=float))
+        self.sets = _PaddedImages(lo, hi)
+        self.images: dict[float, CompactSet] = {}
+        self.grid_points = n = len(grid)
+        rows = np.arange(n - 1)
+        self.row_start = rows * (2 * n - 1 - rows) // 2  # sweep index of pair (i, i + 1)
+        self.grid_pairs = n * (n - 1) // 2
+        self.count = self.grid_pairs + random_pairs
+
+    def pairs(self, start: int, stop: int):
+        """x, y and the image slots of the pairs at sweep index ``start .. stop - 1``."""
+        p = np.arange(start, min(stop, self.grid_pairs))
+        i = np.searchsorted(self.row_start, p, side="right") - 1
+        j = i + 1 + (p - self.row_start[i])
+        q = np.arange(max(start, self.grid_pairs), stop) - self.grid_pairs
+        k = self.grid_points + 2 * q  # drawn pair q is points k and k + 1
+        first, second = np.concatenate([i, k]), np.concatenate([j, k + 1])
+        return self.points[first], self.points[second], self.slots[first], self.slots[second]
+
+    def chunk(self, start: int, stop: int) -> list[tuple]:
+        """The blocks of the pairs at sweep index ``start .. stop - 1`` (see :func:`_sweep`)."""
+        x, y, xs, ys = self.pairs(start, stop)
+        redo = self.failed[xs] | self.failed[ys]
+        # a slice keeps the batch's inputs views when no image failed
+        batch = np.flatnonzero(~redo) if redo.any() else slice(None)
+        xb, yb = x[batch], y[batch]
+        with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
+            values, unusable = _evaluate_batch(
+                self.F, self.f, self.mode, xb, yb, self.sets, xs[batch], ys[batch]
+            )
+        index = np.arange(start, stop)[batch]
+        columns = (xb, yb, *values)
+        if unusable.any():
+            redo[index[unusable] - start] = True
+            usable = ~unusable
+            index, columns = index[usable], tuple(c[usable] for c in columns)
+        blocks = [(index, columns, [])]
+        if redo.any():
+            blocks.append(self.scalar_block(x, y, start, np.flatnonzero(redo)))
+        return blocks
+
+    def scalar_block(self, x: np.ndarray, y: np.ndarray, start: int, rows: np.ndarray) -> tuple:
+        """The block of the chunk's pairs ``rows``, evaluated by the scalar code."""
+        index: list[int] = []
+        values: list[tuple[float, ...]] = []
+        errors: list[tuple[float, float, int, str]] = []
+        for k in rows.tolist():
+            xk, yk = x[k].item(), y[k].item()
+            try:
+                ev = _evaluate(self.F, self.f, xk, yk, self.image(xk), self.image(yk), self.mode)
+            except MvfixError as err:
+                errors.append((xk, yk, start + k, str(err)))
+                continue
+            index.append(start + k)
+            margin = math.nan if ev.margin is None else ev.margin
+            values.append((xk, yk, ev.h, ev.m, ev.phi_h, ev.phi_m, margin))
+        columns = tuple(np.array(values, dtype=float).reshape(-1, 7).T)
+        return np.array(index, dtype=np.intp), columns, errors
+
+    def image(self, v: float) -> CompactSet:
+        """T(v) from :func:`apply_map`, once per point; a failed image fails
+        again, with the message for v."""
+        if v not in self.images:
+            self.images[v] = apply_map(self.T, v)
+        return self.images[v]
 
 
 class _PaddedImages:
@@ -435,9 +514,12 @@ def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
         ly = hy = np.take(sets.lo, ys, axis=1)
 
         def dist(p, lo, hi):  # hi is lo
-            return np.abs(p - lo).min(axis=0)
+            gap = p - lo
+            return np.abs(gap, out=gap).min(axis=0)
 
-        gaps = np.abs(lx[:, None, :] - ly[None, :, :])
+        # abs in place: one K x K block per chunk, the largest array it has
+        gaps = lx[:, None, :] - ly[None, :, :]
+        np.abs(gaps, out=gaps)
         h = gaps.min(axis=1).max(axis=0)
         if mode == "hausdorff":
             h = np.maximum(h, gaps.min(axis=0).max(axis=0))

@@ -168,7 +168,7 @@ def _format_certify_report(
         f"mode: {report.mode}   F: {cfg.f.kind} (k = {cfg.f.k:g})   integrand: "
         f"{integrand_label(f)}",
         f"pairs: {report.evaluated_pairs} evaluated, {report.vacuous_pairs} vacuous, "
-        f"{len(report.errors)} errors, {report.violation_count} violations",
+        f"{report.error_count} errors, {report.violation_count} violations",
     ]
     if report.tau_star is None:
         lines.append("tau_star: undefined (no pair produced distinct value sets)")
@@ -192,7 +192,7 @@ def _format_certify_report(
         ("random_pairs", report.random_pairs),
         ("evaluated_pairs", report.evaluated_pairs),
         ("vacuous_pairs", report.vacuous_pairs),
-        ("error_count", len(report.errors)),
+        ("error_count", report.error_count),
         ("violation_count", report.violation_count),
         ("tau_star", report.tau_star),
     ]

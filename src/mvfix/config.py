@@ -205,8 +205,10 @@ def _f_spec_from_dict(data: Any) -> FSpec:
     return FSpec(kind=kind, k=float(k))
 
 
-# Upper bound on grid_size and random_pairs: no sweep that large fits in
-# memory, and far larger sizes end in a raw numpy error.
+# Upper bound on grid_size and random_pairs.  A sweep holds its pairs only
+# a chunk at a time, but its grid and drawn points are whole arrays: no
+# sweep that large fits them in memory, and far larger sizes end in a raw
+# numpy error.
 SWEEP_LIMIT = 10**9
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, MvfixError
 from .expr import ExprAst, compile_expr, eval_expr_array, format_expr, parse_expr
-from .sets1d import CompactSet, _nearest, dist_point_set, domain_grid
+from .sets1d import CompactSet, _grid_array, _nearest, dist_point_set
 
 __all__ = [
     "MAP_KINDS",
@@ -170,12 +170,12 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 
 
 def _validate_on_grid(T: MultiMap) -> MultiMap:
-    grid = domain_grid(T.domain, _VALIDATION_GRID_POINTS)
-    _, _, failed = image_arrays(T, np.array(grid))
+    grid = _grid_array(T.domain, _VALIDATION_GRID_POINTS)
+    _, _, failed = image_arrays(T, grid)
     if failed.any():
         # the scalar loop raises the error of the first bad point, as
         # apply_map would; a point flagged needlessly only costs time
-        for x in grid:
+        for x in grid.tolist():
             _value_set(T, x)  # raises on inverted endpoints or bad evaluations
     return T
 

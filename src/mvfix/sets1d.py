@@ -172,21 +172,27 @@ def domain_grid(A: CompactSet, size: int) -> list[float]:
     Every interval endpoint is included.  For a single interval this is
     exactly ``numpy.linspace(lo, hi, size)``; for unions the points are
     split across intervals in proportion to length, with at least two per
-    interval of positive length and one per singleton.
+    interval of positive length and one per singleton.  This is the list
+    view of :func:`_grid_array`.
     """
+    return _grid_array(A, size).tolist()
+
+
+def _grid_array(A: CompactSet, size: int) -> np.ndarray:
+    """The points of :func:`domain_grid` as one float64 array."""
     if size < 1:
         raise ValueError("grid size must be at least 1")
     total = A.total_length
     if total == 0.0:
-        return [lo for lo, _ in A.intervals][:size] or [A.min]
-    points: list[float] = []
+        return np.array([lo for lo, _ in A.intervals][:size] or [A.min])
+    pieces = []
     for lo, hi in A.intervals:
         if hi == lo:
-            points.append(lo)
+            pieces.append([lo])
             continue
         n = max(2, round(size * (hi - lo) / total))
-        points.extend(np.linspace(lo, hi, n).tolist())
-    return points
+        pieces.append(np.linspace(lo, hi, n))
+    return np.concatenate(pieces)
 
 
 def sample_point(A: CompactSet, rng: np.random.Generator) -> float:

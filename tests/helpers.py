@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from mvfix import (
+    ERROR_ROWS,
     VIOLATION_ROWS,
     BinOp,
     Call,
@@ -128,7 +129,8 @@ def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hau
 
     Returns the report's fields (``pairs`` as a tuple of PairEvaluation)
     in a namespace, for bit-for-bit comparison with ``certify``; like the
-    report, it keeps the first ``VIOLATION_ROWS`` violations and counts all.
+    report, it keeps the first ``VIOLATION_ROWS`` violations and the first
+    ``ERROR_ROWS`` errors and counts all.
     """
     _check_mode(mode)
     grid = domain_grid(T.domain, grid_size)
@@ -184,7 +186,8 @@ def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hau
         vacuous_pairs=vacuous,
         evaluated_pairs=len(evaluations),
         pairs=tuple(evaluations),
-        errors=tuple(errors),
+        errors=tuple(errors[:ERROR_ROWS]),
+        error_count=len(errors),
     )
 
 

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -47,15 +48,26 @@ def halving_point_map():
     return singleton_map(UNIT, "x/2")
 
 
+def swept_columns(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hausdorff"):
+    """The chunks of certify's sweep concatenated: sweep index, columns and error rows."""
+    blocks = list(analysis._sweep(T, F, f, grid_size, random_pairs, seed, mode))
+    for index, columns, _ in blocks:
+        assert {len(c) for c in columns} == {len(index)}
+    index = np.concatenate([index for index, _, _ in blocks])
+    columns = tuple(np.concatenate(c) for c in zip(*(columns for _, columns, _ in blocks)))
+    return index, columns, [row for _, _, errors in blocks for row in errors]
+
+
 def sweep_pairs(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hausdorff"):
     """Every evaluated pair of certify's sweep as a PairEvaluation, sorted by (x, y)."""
-    columns, _ = analysis._sweep(T, F, f, grid_size, random_pairs, seed, mode)
-    assert len({len(c) for c in columns}) == 1
-    rows = [
+    index, columns, _ = swept_columns(T, F, f, grid_size, random_pairs, seed, mode)
+    values = list(zip(*(c.tolist() for c in columns)))
+    # (x, y) order, ties in sweep order
+    order = sorted(range(len(values)), key=lambda k: (*values[k][:2], index[k]))
+    return [
         PairEvaluation(x, y, h, m, phi_h, phi_m, None if math.isnan(margin) else margin)
-        for x, y, h, m, phi_h, phi_m, margin in zip(*(c.tolist() for c in columns))
+        for x, y, h, m, phi_h, phi_m, margin in (values[k] for k in order)
     ]
-    return sorted(rows, key=lambda p: (p.x, p.y))
 
 
 class TestDisplacement:
@@ -248,10 +260,16 @@ class TestReportOrder:
     ERRORS = [(0.75, 1.0, "c"), (0.0, 0.5, "b"), (0.5, 0.6, "d"), (0.0, 0.25, "a")]
 
     def report(self):
-        x, y, h, margin = (np.array(c) for c in zip(*self.ROWS))
-        columns = (x, y, h, 2.0 * h, h, 2.0 * h, margin)
-        swept = (columns, list(self.ERRORS))
-        with mock.patch.object(analysis, "_sweep", return_value=swept):
+        # two chunks: rows 0-2, then rows 3-6 as a batch block (rows 4 and 6)
+        # and a scalar block (rows 3 and 5), so the tie and the duplicate
+        # pair span chunks and the later duplicate comes first
+        blocks = []
+        for rows, errors in [([0, 1, 2], [0, 1]), ([4, 6], [2]), ([3, 5], [3])]:
+            x, y, h, margin = (np.array(c) for c in zip(*(self.ROWS[k] for k in rows)))
+            columns = (x, y, h, 2.0 * h, h, 2.0 * h, margin)
+            errors = [(*self.ERRORS[k][:2], 10 + k, self.ERRORS[k][2]) for k in errors]
+            blocks.append((np.array(rows), columns, errors))
+        with mock.patch.object(analysis, "_sweep", return_value=iter(blocks)):
             return certify(halving_point_map(), LOG, ONE)
 
     def test_worst_pair_is_the_first_tied_pair(self):
@@ -285,6 +303,31 @@ class TestReportOrder:
         assert len(pairs) == 33 and pairs == sorted(pairs)
 
 
+class TestBoundedRows:
+    def test_error_rows_are_capped_and_counted(self):
+        # a table keyed at 0 alone: every pair fails, as its y is never 0
+        T = table_map(UNIT, [(0.0, CompactSet.point(0.0))])
+        args = dict(grid_size=21, random_pairs=100, seed=42, mode="hausdorff")
+        report = certify(T, LOG, ONE, **args)
+        oracle = certify_scalar(T, LOG, ONE, **args)
+        assert report.error_count == oracle.error_count == 21 * 20 // 2 + 100
+        assert len(report.errors) == analysis.ERROR_ROWS < report.error_count
+        assert report.errors == oracle.errors
+        assert report.evaluated_pairs == 0
+
+    def test_sweep_memory_is_set_by_the_chunk(self):
+        # 501,500 pairs; every per-pair array is freed with its chunk
+        T = halving_interval_map()
+        tracemalloc.start()
+        try:
+            report = certify(T, LOG, ONE, grid_size=1001, random_pairs=1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.evaluated_pairs == 1001 * 1000 // 2 + 1000
+        assert peak <= 10e6
+
+
 class TestNumericFailures:
     def test_overflowing_phi_h_is_an_error_not_a_nan(self):
         # Phi(h) = 1e308 * |x - y| / 2 overflows once |x - y| >= 4, which
@@ -304,7 +347,7 @@ class TestNumericFailures:
         report = certify(T, LOG, f, grid_size=21, random_pairs=10)
         assert report.errors
         assert all("overflows at u = " in msg for _, _, msg in report.errors)
-        assert report.evaluated_pairs + len(report.errors) == 21 * 20 // 2 + 10
+        assert report.evaluated_pairs + report.error_count == 21 * 20 // 2 + 10
 
 
 ORACLE_DOMAINS = {
@@ -364,6 +407,7 @@ def assert_bitwise_equal(report, pairs, oracle):
         "vacuous_pairs",
         "evaluated_pairs",
         "errors",
+        "error_count",
     ):
         assert repr(getattr(report, name)) == repr(getattr(oracle, name)), name
     assert repr(tuple(pairs)) == repr(oracle.pairs), "pairs"
@@ -379,7 +423,7 @@ class TestBatchedSweepAgainstScalarLoop:
         grid_size=st.integers(2, 12),
         random_pairs=st.integers(0, 30),
         seed=st.integers(0, 2**32 - 1),
-        chunk_elements=st.sampled_from([analysis.CHUNK_ELEMENTS, 64]),
+        chunk_elements=st.sampled_from([analysis.CHUNK_ELEMENTS, 64, 1]),
     )
     @settings(max_examples=150, deadline=None)
     def test_bit_for_bit(
@@ -419,14 +463,24 @@ class TestBatchedSweepAgainstScalarLoop:
         self.assert_spans_chunks(halving_interval_map(), mode, pairs_per_chunk=16384)
 
     def test_sweep_holds_the_pairs_as_columns(self):
+        self.assert_sweep_order()
+
+    def test_sweep_order_across_chunks(self):
+        # 28 elements make chunks of 7 interval pairs, which start mid-row
+        with mock.patch.object(analysis, "CHUNK_ELEMENTS", 28):
+            self.assert_sweep_order()
+
+    @staticmethod
+    def assert_sweep_order():
         T = halving_interval_map()
         args = dict(grid_size=11, random_pairs=20, seed=42, mode="hausdorff")
         report = certify(T, LOG, ONE, **args)
-        (x, y, *_, margin), errors = analysis._sweep(T, LOG, ONE, *args.values())
+        index, (x, y, *_, margin), errors = swept_columns(T, LOG, ONE, **args)
         assert len(x) == report.evaluated_pairs == 11 * 10 // 2 + 20
         assert np.isnan(margin).sum() == report.vacuous_pairs
         assert not errors
         # sweep order: the grid pairs row by row, then the drawn pairs
+        assert (index == np.arange(len(x))).all()
         grid = domain_grid(UNIT, 11)
         assert list(zip(x[:55].tolist(), y[:55].tolist())) == list(itertools.combinations(grid, 2))
         assert (x[55:] <= y[55:]).all()

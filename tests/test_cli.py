@@ -170,6 +170,24 @@ class TestCertifyCommand:
         assert code == (EXIT_OK if int(rows["evaluated_pairs"]) else EXIT_ERROR)
         assert out.err == ""
 
+    def test_error_rows_past_the_cap_are_counted(self, tmp_path, capsys):
+        # a table keyed at 0 alone: all 21 * 20 / 2 + 100 = 310 pairs fail,
+        # more than ERROR_ROWS; the lines are those of the uncapped report
+        cfg = write_config(
+            tmp_path,
+            {
+                "domain": [[0.0, 1.0]],
+                "map": {"kind": "table", "entries": [[0.0, [[0.0, 0.0]]]]},
+                "grid_size": 21,
+                "random_pairs": 100,
+            },
+        )
+        assert main(["certify", cfg]) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert "pairs: 0 evaluated, 0 vacuous, 310 errors, 0 violations\n" in out
+        assert "first error: x = 0.0, y = 0.05: no table entry for x = 0.05\n" in out
+        assert extract_machine_block(out)["error_count"] == "310"
+
     def test_integrand_is_built_once(self, tmp_path, capsys, monkeypatch):
         import mvfix.cli
 
