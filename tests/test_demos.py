@@ -1,5 +1,7 @@
 """Smoke test: every demo script runs to completion without output on stderr."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -31,3 +33,14 @@ def test_demo_runs_cleanly(demo):
     )
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
+
+
+def test_readme_quick_start_runs():
+    """The README's Python quick start runs as written."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    source = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(source, "README.md quick start", "exec"), {})
+    assert len(out.getvalue().splitlines()) == 3

@@ -65,6 +65,20 @@ CASES = {
     ),
     "paper_demo": (["paper-demo"], None),
     "check_f_log": (["check-f", "--kind", "log"], None),
+    # non-default (F3) exponents: k reaches the report header, the batch
+    # neg_inv_sqrt path, the trace's n_gamma_k column and check-f
+    "certify_neg_inv_sqrt_k": (
+        ["certify"],
+        {"domain": [[0.0, 1.0]], "map": INTERVAL_MAP, "f": {"kind": "neg_inv_sqrt", "k": 0.25},
+         "grid_size": 21, "random_pairs": 40, "seed": 11},
+    ),
+    "solve_neg_inv_sqrt_k": (
+        ["solve"],
+        {"domain": [[0.0, 1.0]], "map": {"kind": "singleton", "f": "x/2"},
+         "f": {"kind": "neg_inv_sqrt", "k": 0.25},
+         "x0": 0.9, "tol": 0.0, "tau": 0.3, "max_iter": 30},
+    ),
+    "check_f_log_plus_linear_k": (["check-f", "--kind", "log_plus_linear", "--k", "0.9"], None),
 }
 
 
