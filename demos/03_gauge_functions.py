@@ -17,9 +17,10 @@ print("F1 log:", check_f1(FFunction("log")).passed)
 v = check_f1(math.sin, grid=[1.0, 2.0, 3.0, 4.0])
 print("F1 sin:", v.passed, "first violation at", v.first_violation)
 
-# (F2) divergence at 0+ and (F3) vanishing weight alpha^k F(alpha)
+# (F2) divergence at 0+ and (F3) vanishing weight alpha^k F(alpha); the
+# exponent k belongs to F, FFunction(kind, k), and defaults to 1/2
 for kind, k in [("log", 0.5), ("neg_inv_sqrt", 0.5), ("neg_inv_sqrt", 0.9)]:
-    verdict = check_f2_f3(FFunction(kind), k)
+    verdict = check_f2_f3(FFunction(kind, k))
     print(f"F2/F3 {kind} at k={k}: f2={verdict.f2_passed} f3={verdict.f3_passed}")
     print("   ", verdict.f3_detail)
 

@@ -12,7 +12,8 @@ from mvfix import (
 )
 
 unit = CompactSet.interval(0.0, 1.0)
-F = FFunction("log")
+# F = ln with its (F3) exponent k = 1/2, which the rate bound below reads
+F = FFunction("log", k=0.5)
 
 # iterate x -> nearest point of T(x); for T(x) = [x/3, x/2] that nearest
 # point is x/2, so the orbit halves until it hits the tolerance
@@ -26,7 +27,7 @@ print("  ...")
 
 # validate against tau = ln 2: the chain F(gamma_n) <= F(gamma_0) - n tau
 # telescopes with equality, so the margins sit at zero
-verdict = validate_trace(trace, F, math.log(2.0), k=0.5)
+verdict = validate_trace(trace, F, math.log(2.0))
 print("\ndecay chain ok:", verdict.decay_chain_ok)
 print("worst margin:", max(abs(m) for m in verdict.per_step_margins))
 print("tail start n1:", verdict.n1)

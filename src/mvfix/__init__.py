@@ -25,7 +25,6 @@ from .analysis import (
     m_value,
 )
 from .config import (
-    FSpec,
     ProblemConfig,
     Spec,
     build_domain,

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -367,10 +368,9 @@ def _sweep(
     the next holds one chunk at a time.
     """
     _check_mode(mode)
-    if grid_size < 2:
-        raise DomainError(f"grid_size must be at least 2, got {grid_size}")
-    if random_pairs < 0:
-        raise DomainError(f"random_pairs must be >= 0, got {random_pairs}")
+    for name, count, least in (("grid_size", grid_size, 2), ("random_pairs", random_pairs, 0)):
+        if not (isinstance(count, numbers.Integral) and count >= least):
+            raise DomainError(f"{name} must be an integer >= {least}, got {count}")
 
     sweep = _Sweep(T, F, f, mode, grid_size, random_pairs, seed)
     step = max(1, CHUNK_ELEMENTS // sweep.sets.elements_per_pair)
@@ -395,11 +395,8 @@ class _Sweep:
         # (min(a, b), max(a, b)) per pair, with Python's pick between equal floats
         drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel()
         self.points = np.concatenate([grid, drawn])
-        slot: dict[float, int] = {}
-        self.slots = np.array(
-            [slot.setdefault(v, len(slot)) for v in self.points.tolist()], dtype=np.intp
-        )
-        lo, hi, self.failed = image_arrays(T, np.array(list(slot), dtype=float))
+        _, first, self.slots = np.unique(self.points, return_index=True, return_inverse=True)
+        lo, hi, self.failed = image_arrays(T, self.points[first])
         self.sets = _PaddedImages(lo, hi)
         self.images: dict[float, CompactSet] = {}
         self.grid_points = n = len(grid)

@@ -108,14 +108,14 @@ def extract_machine_block(text: str) -> dict[str, str]:
     return rows
 
 
-def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction, k: float) -> None:
+def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
     """Serialize the recorded steps, one row at a time; every float round-trips exactly.
 
     ``F_gamma`` and ``n_gamma_k`` come from :meth:`IterationTrace.decay_columns`,
     so a gamma that underflowed to 0 gets ``F_gamma = -inf``.  Row n's
     ``x`` is row n-1's ``next``, so each point is formatted once.
     """
-    f_gamma, n_gamma_k = trace.decay_columns(F, k)
+    f_gamma, n_gamma_k = trace.decay_columns(F)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         if trace.x:
@@ -328,13 +328,13 @@ def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> int:
     elif positive_steps < 2:
         skip_reason = f"only {positive_steps} positive-gamma steps recorded"
     else:
-        verdict = validate_trace(trace, F, cfg.tau, k=cfg.f.k)
+        verdict = validate_trace(trace, F, cfg.tau)
 
     trace_path = None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
         trace_path = out_dir / "trace.csv"
-        write_trace_csv(trace_path, trace, F, cfg.f.k)
+        write_trace_csv(trace_path, trace, F)
 
     text = _format_solve_report(cfg, T, trace, verdict, skip_reason, trace_path)
     print(text, end="")
@@ -402,9 +402,9 @@ def cmd_paper_demo(out_dir: Path | None) -> int:
 
 
 def cmd_check_f(kind: str, k: float, out_dir: Path | None) -> int:
-    F = FFunction(kind, k_witness=k)
+    F = FFunction(kind, k)
     v1 = check_f1(F)
-    v23 = check_f2_f3(F, k)
+    v23 = check_f2_f3(F)
     v4 = check_f4(F, CompactSet([(1.0, 2.0), (5.0, 5.0)]))
     lines = [
         f"gauge function check: kind = {kind}, k = {k:g}",

@@ -5,9 +5,10 @@ function F, the integrand, and all sweep/iteration knobs.  Loading is
 strict: unknown keys and out-of-range values raise :class:`ConfigError`
 naming the offending key.  Serialization round-trips exactly.
 
-The keys of a map or integrand kind are the parameters of its factory in
-:data:`~mvfix.maps.MAP_KINDS` or :data:`~mvfix.integrand.INTEGRAND_KINDS`
-(after ``domain``), and a key left out takes the factory's default.  This
+The keys of a map, integrand or F kind are the parameters of its factory
+in :data:`~mvfix.maps.MAP_KINDS`, :data:`~mvfix.integrand.INTEGRAND_KINDS`
+or :data:`F_FACTORIES` (a map's ``domain`` aside), and a key left out
+takes the factory's default.  This
 module checks keys, not kinds: a key means the same thing in every kind
 that has it.
 """
@@ -31,7 +32,6 @@ from .sets1d import CompactSet
 
 __all__ = [
     "Spec",
-    "FSpec",
     "ProblemConfig",
     "config_from_dict",
     "config_to_dict",
@@ -46,7 +46,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Spec:
-    """A map or integrand kind with its factory's arguments, in parameter order.
+    """A map, integrand or F kind with its factory's arguments, in parameter order.
 
     Parameters read as attributes: ``spec.lo`` is the value of ``lo``.
     """
@@ -60,12 +60,6 @@ class Spec:
             if key == name:
                 return value
         raise AttributeError(name)
-
-
-@dataclass(frozen=True)
-class FSpec:
-    kind: str = "log"
-    k: float = 0.5
 
 
 def _require_keys(data: dict, allowed: set[str], where: str) -> None:
@@ -115,7 +109,7 @@ def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...
 
 _ENDPOINT = _expression("map.lo and map.hi must be expression strings")
 
-# Every key a map or integrand factory takes.  A number key has its range
+# Every key a map, integrand or F factory takes.  A number key has its range
 # test and the words of its message, and must be finite; any other key
 # has a reader that turns the JSON value into the stored value or raises.
 _FINITE = (math.isfinite, "must be finite")
@@ -126,6 +120,7 @@ _NUMBER_RANGES = {
     "rate": _FINITE,
     "scale": _POSITIVE,
     "grid_max": _POSITIVE,
+    "k": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
 }
 _READERS = {
     "lo": _ENDPOINT,
@@ -172,15 +167,23 @@ def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None
     return Spec(kind, tuple(values.items()))
 
 
+# The factory of each F kind, by config name; its one key is F's exponent k.
+F_FACTORIES = {kind: functools.partial(FFunction, kind) for kind in F_KINDS}
+
+
 def _integrand_spec(data: Any) -> Spec:
     return _spec_from_dict(data, "integrand", INTEGRAND_KINDS, "constant")
+
+
+def _f_spec(data: Any) -> Spec:
+    return _spec_from_dict(data, "f", F_FACTORIES, "log")
 
 
 @dataclass(frozen=True)
 class ProblemConfig:
     domain: tuple[tuple[float, float], ...]
     map: Spec
-    f: FSpec = field(default_factory=FSpec)
+    f: Spec = field(default_factory=lambda: _f_spec({}))
     integrand: Spec = field(default_factory=lambda: _integrand_spec({}))
     tau: float | None = None
     grid_size: int = 101
@@ -190,19 +193,6 @@ class ProblemConfig:
     tol: float = 1e-12
     max_iter: int = 10_000
     x0: float | None = None
-
-
-def _f_spec_from_dict(data: Any) -> FSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("f must be an object")
-    _require_keys(data, {"kind", "k"}, "f")
-    kind = data.get("kind", "log")
-    if kind not in F_KINDS:
-        raise ConfigError(f"f.kind must be one of {F_KINDS}, got {kind!r}")
-    k = _number(data, "k", "f", default=0.5)
-    if not 0.0 < k < 1.0:
-        raise ConfigError(f"f.k must lie in (0, 1), got {k}")
-    return FSpec(kind=kind, k=float(k))
 
 
 # Upper bound on grid_size and random_pairs.  A sweep holds its pairs only
@@ -243,7 +233,7 @@ def config_from_dict(data: Any) -> ProblemConfig:
     if "map" not in data:
         raise ConfigError("configuration requires 'map'")
     map_spec = _spec_from_dict(data["map"], "map", MAP_KINDS, None)
-    f_spec = _f_spec_from_dict(data.get("f", {}))
+    f_spec = _f_spec(data.get("f", {}))
     integrand_spec = _integrand_spec(data.get("integrand", {}))
 
     tau = _number(data, "tau", "configuration")
@@ -285,6 +275,7 @@ def config_to_dict(cfg: ProblemConfig) -> dict:
     raw = asdict(cfg)
     raw["domain"] = [list(pair) for pair in cfg.domain]
     raw["map"] = _spec_to_dict(cfg.map)
+    raw["f"] = _spec_to_dict(cfg.f)
     raw["integrand"] = _spec_to_dict(cfg.integrand)
     if cfg.tau is None:
         raw.pop("tau")
@@ -329,7 +320,7 @@ def build_map(cfg: ProblemConfig) -> MultiMap:
 
 
 def build_ffunction(cfg: ProblemConfig) -> FFunction:
-    return FFunction(kind=cfg.f.kind, k_witness=cfg.f.k)
+    return F_FACTORIES[cfg.f.kind](**dict(cfg.f.params))
 
 
 def build_integrand(cfg: ProblemConfig) -> Integrand:

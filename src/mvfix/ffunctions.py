@@ -3,8 +3,10 @@
 The contraction machinery needs F to be strictly increasing (F1), to
 diverge to -inf exactly when its argument goes to 0 (F2), to satisfy
 alpha**k * F(alpha) -> 0 for some k in (0, 1) (F3), and to commute with
-infima over compact argument sets (F4).  The checks here are finite grid
-probes: they certify behaviour on the documented grids, not proofs.
+infima over compact argument sets (F4).  An :class:`FFunction` carries
+its kind and that exponent k, which every (F3) check reads from it.  The
+checks here are finite grid probes: they certify behaviour on the
+documented grids, not proofs.
 """
 
 from __future__ import annotations
@@ -31,53 +33,54 @@ __all__ = [
     "InfimumVerdict",
 ]
 
-F_KINDS = ("log", "log_plus_linear", "neg_inv_sqrt")
+# The value of each F kind at one alpha > 0, by kind name.
+_VALUES: dict[str, Callable[[float], float]] = {
+    "log": math.log,
+    "log_plus_linear": lambda alpha: math.log(alpha) + alpha,
+    "neg_inv_sqrt": lambda alpha: -1.0 / math.sqrt(alpha),
+}
+F_KINDS = tuple(_VALUES)
 
 
 @dataclass(frozen=True)
 class FFunction:
-    """A named gauge function with a witness exponent for the (F3) check.
+    """A named gauge function with its (F3) exponent ``k`` in (0, 1).
 
     Kinds: ``log`` is ln(alpha); ``log_plus_linear`` is ln(alpha) + alpha;
-    ``neg_inv_sqrt`` is -1/sqrt(alpha).
+    ``neg_inv_sqrt`` is -1/sqrt(alpha).  ``k`` is the exponent with
+    alpha**k * F(alpha) -> 0 that :func:`check_f2_f3`, the trace
+    validator and the trace CSV use.
     """
 
     kind: str
-    k_witness: float = 0.5
+    k: float = 0.5
 
     def __post_init__(self):
         if self.kind not in F_KINDS:
             raise InvariantError(f"unknown F kind {self.kind!r}, expected one of {F_KINDS}")
-        if not (0.0 < self.k_witness < 1.0):
-            raise InvariantError(f"k witness must lie in (0, 1), got {self.k_witness}")
+        if not (0.0 < self.k < 1.0):
+            raise InvariantError(f"k witness must lie in (0, 1), got {self.k}")
 
 
 def f_eval(F: FFunction, alpha: float) -> float:
     """Value F(alpha); the domain is strictly positive reals."""
     if not alpha > 0.0:
         raise DomainError(f"F is defined only for alpha > 0, got {alpha}")
-    if F.kind == "log":
-        return math.log(alpha)
-    if F.kind == "log_plus_linear":
-        return math.log(alpha) + alpha
-    return -1.0 / math.sqrt(alpha)
+    return _VALUES[F.kind](alpha)
 
 
 def f_eval_array(F: FFunction, alpha: np.ndarray) -> np.ndarray:
     """:func:`f_eval` over an array of alpha > 0, bit for bit.
 
-    ``sqrt`` and ``+ - /`` are correctly rounded in numpy as in ``math``,
-    so they run on the whole array; ``log`` runs through ``math.log`` one
-    element at a time, because numpy's vectorised ``log`` differs from it
-    in the last bit on some inputs (numpy 2.4.6 with AVX-512 on an Intel
-    Xeon: 59 of 600,000 inputs spread over exp(-40) .. exp(40)).
+    Each element goes through the kind's scalar function, because numpy's
+    vectorised ``log`` differs from ``math.log`` in the last bit on some
+    inputs (numpy 2.4.6 with AVX-512 on an Intel Xeon: 59 of 600,000
+    inputs spread over exp(-40) .. exp(40)).
     """
     if not np.all(alpha > 0.0):
         raise DomainError("F is defined only for alpha > 0")
-    if F.kind == "neg_inv_sqrt":
-        return -1.0 / np.sqrt(alpha)
-    log = np.array([math.log(a) for a in alpha.tolist()], dtype=float)
-    return log if F.kind == "log" else log + alpha
+    value = _VALUES[F.kind]
+    return np.array([value(a) for a in alpha.tolist()], dtype=float)
 
 
 def _as_callable(F: Union[FFunction, Callable[[float], float]]) -> Callable[[float], float]:
@@ -150,22 +153,18 @@ def eventually_strictly_decreasing(values: Sequence[float]) -> bool:
     return start < len(values) - 1
 
 
-def check_f2_f3(
-    F: Union[FFunction, Callable[[float], float]], k: float = 0.5
-) -> LimitVerdict:
+def check_f2_f3(F: FFunction) -> LimitVerdict:
     """Limit-behaviour probes at alpha_i = 10**(-2 i), i = 1 .. 8.
 
     (F2) passes when F(alpha_i) strictly decreases along the probe and the
-    final value is below -20.  (F3) passes when |alpha_i**k * F(alpha_i)|
-    is eventually strictly decreasing and the final value is below 1e-6.
-    The verdict contract is exactly these grid conditions; they witness,
-    but do not prove, the limits.
+    final value is below -20.  (F3) passes when |alpha_i**k * F(alpha_i)|,
+    with F's own exponent k = ``F.k``, is eventually strictly decreasing
+    and the final value is below 1e-6.  The verdict contract is exactly
+    these grid conditions; they witness, but do not prove, the limits.
     """
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"k must lie in (0, 1), got {k}")
-    fn = _as_callable(F)
+    k = F.k
     alphas = [10.0 ** (-2 * i) for i in range(1, 9)]
-    f_values = [fn(a) for a in alphas]
+    f_values = [f_eval(F, a) for a in alphas]
     weights = [abs(a**k * v) for a, v in zip(alphas, f_values)]
 
     f2_decreasing = all(b < a for a, b in zip(f_values, f_values[1:]))

@@ -250,7 +250,7 @@ def apply_map(T: MultiMap, x: float) -> CompactSet:
 
 def is_fixed_point(T: MultiMap, x: float, tol: float = 0.0) -> bool:
     """True when the distance from x to T(x) is at most ``tol``."""
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
     return dist_point_set(x, apply_map(T, x)) <= tol
 

@@ -111,10 +111,8 @@ class IterationTrace:
             for n, (x, nxt, d, gamma) in enumerate(columns)
         )
 
-    def decay_columns(
-        self, F: FFunction, k: float
-    ) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        """``(F(gamma_n), n * gamma_n**k)`` for every step, computed once per (F, k).
+    def decay_columns(self, F: FFunction) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        """``(F(gamma_n), n * gamma_n**k)`` for every step, k = ``F.k``, computed once per F.
 
         A gamma that underflowed to 0 gets ``F(gamma) = -inf``: F is
         defined only for alpha > 0, and (F2) makes -inf its limit at 0
@@ -122,18 +120,18 @@ class IterationTrace:
         both read these columns.
         """
         memo = self.__dict__.setdefault("_decay_memo", {})
-        key = (F, k)
-        if key not in memo:
-            memo[key] = (
+        if F not in memo:
+            k = F.k
+            memo[F] = (
                 tuple(-math.inf if g == 0.0 else f_eval(F, g) for g in self.gamma),
                 tuple(n * g**k for n, g in enumerate(self.gamma)),
             )
-        return memo[key]
+        return memo[F]
 
 
 @dataclass(frozen=True)
 class TraceVerdict:
-    """Validation outcome for one trace against (F, tau, k).
+    """Validation outcome for one trace against F, tau and F's exponent k = ``F.k``.
 
     ``per_step_margins`` holds the telescoped slack
     (F(gamma_0) - n * tau) - F(gamma_n) per recorded step; the decay chain
@@ -169,7 +167,7 @@ def iterate(
     built once for the map (no value set for interval and singleton maps)
     and one call of :func:`capital_phi`.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
@@ -214,25 +212,23 @@ def iterate(
     return finish(MaxIterReached(x))
 
 
-def validate_trace(
-    trace: IterationTrace, F: FFunction, tau: float, k: float = 0.5
-) -> TraceVerdict:
+def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerdict:
     """Check the decay chain, tail rate bound, and Cauchy envelope.
 
-    Needs at least two recorded steps with gamma > 0.  All comparisons
-    use the step's own index n, with the first positive-gamma step as the
-    baseline of the chain.
+    Needs at least two recorded steps with gamma > 0 and a finite
+    ``tau > 0``.  The rate bound and the envelope use F's exponent
+    k = ``F.k``.  All comparisons use the step's own index n, with the
+    first positive-gamma step as the baseline of the chain.
     """
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"k must lie in (0, 1), got {k}")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
+    k = F.k
     recorded = [n for n, gamma in enumerate(trace.gamma) if gamma > 0.0]
     if len(recorded) < 2:
         raise InsufficientTraceError(
             f"need at least 2 steps with positive gamma, found {len(recorded)}"
         )
-    f_gamma, n_gamma_k = trace.decay_columns(F, k)
+    f_gamma, n_gamma_k = trace.decay_columns(F)
 
     n0 = recorded[0]
     base = f_gamma[n0]
@@ -319,17 +315,15 @@ def gamma_sequence_probe(
     h_values: Sequence[float],
     f: Integrand,
     F: FFunction,
-    k: float = 0.5,
     indices: Sequence[int] | None = None,
 ) -> ProbeReport:
-    """Tabulate gamma_n = Phi(h_n) with its decay witnesses.
+    """Tabulate gamma_n = Phi(h_n) with its decay witnesses, k = ``F.k``.
 
     ``indices`` supplies the sequence positions n (default 1, 2, ...),
     which matter for the n * gamma_n**k column when the probe samples a
     sparse subset of a longer sequence.  All h values must be positive.
     """
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"k must lie in (0, 1), got {k}")
+    k = F.k
     hs = [float(h) for h in h_values]
     if not hs:
         raise DomainError("probe needs at least one h value")

@@ -155,7 +155,7 @@ def run_worked_example() -> WorkedExampleReport:
 
     # published step-size sequence h_n = 1/(4 n (n+1)) with phi = 1
     h_values = [1.0 / (4.0 * n * (n + 1.0)) for n in range(1, 9)]
-    probe = gamma_sequence_probe(h_values, f, F, k=0.5)
+    probe = gamma_sequence_probe(h_values, f, F)
     gamma1 = probe.rows[0].gamma
     lines.append(
         AuditLine(

@@ -282,7 +282,7 @@ def iterate_scalar(T, x0, tol, max_iter, f):
 
     Returns ``steps``, ``outcome`` and ``params`` in a namespace.
     """
-    if tol < 0.0:
+    if not tol >= 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
@@ -316,12 +316,11 @@ def iterate_scalar(T, x0, tol, max_iter, f):
     return trace(MaxIterReached(x))
 
 
-def validate_trace_scalar(trace, F, tau, k=0.5):
+def validate_trace_scalar(trace, F, tau):
     """``validate_trace`` over ``trace.steps``, calling ``f_eval`` for every margin."""
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    if not (0.0 < k < 1.0):
-        raise DomainError(f"k must lie in (0, 1), got {k}")
+    if not 0.0 < tau < math.inf:
+        raise DomainError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
+    k = F.k
     recorded = [(s.n, s.gamma) for s in trace.steps if s.gamma > 0.0]
     if len(recorded) < 2:
         raise InsufficientTraceError(
@@ -369,13 +368,13 @@ def validate_trace_scalar(trace, F, tau, k=0.5):
     )
 
 
-def write_trace_csv_scalar(path, trace, F, k):
+def write_trace_csv_scalar(path, trace, F):
     """The trace CSV written from ``trace.steps``, formatting every field of every row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         fh.writelines(
             f"{s.n},{s.x:.17g},{s.next_point:.17g},{s.d_to_set:.17g},{s.gamma:.17g},"
             f"{-math.inf if s.gamma == 0.0 else f_eval(F, s.gamma):.17g},"
-            f"{s.n * s.gamma**k:.17g}\n"
+            f"{s.n * s.gamma**F.k:.17g}\n"
             for s in trace.steps
         )

@@ -196,7 +196,7 @@ def test_criterion_05_decay_chain_exactness():
 def test_criterion_06_tail_rate_bound():
     failures = []
     trace = _halving_trace()
-    verdict = validate_trace(trace, FFunction("log"), LN2, k=0.5)
+    verdict = validate_trace(trace, FFunction("log", k=0.5), LN2)
     _check(failures, verdict.n1 is not None, "validator found no tail start n1")
     _check(failures, verdict.rate_bound_ok, "validator reports the rate bound broken")
     if verdict.n1 is not None:
@@ -220,7 +220,7 @@ def test_criterion_07_limit_probes_on_closed_form_steps():
     failures = []
     start = time.perf_counter()
     gamma = lambda n: 1.0 / (4.0 * n * (n + 1.0))  # phi = 1, so Phi(h) = h
-    F = FFunction("log")
+    F = FFunction("log", k=0.5)
     deep = f_eval(F, gamma(1e5))
     _check(failures, deep < -20.0, f"F(gamma) at n = 1e5 is {deep:g}, not below -20")
     g6 = gamma(1e6)
@@ -229,7 +229,7 @@ def test_criterion_07_limit_probes_on_closed_form_steps():
 
     ns = [10**e for e in range(0, 7)]
     probe = gamma_sequence_probe(
-        [gamma(n) for n in ns], ConstantIntegrand(1.0), F, k=0.5, indices=ns
+        [gamma(n) for n in ns], ConstantIntegrand(1.0), F, indices=ns
     )
     _check(failures, probe.f_gamma_decreasing, "F(gamma_n) not decreasing across the probe")
     _check(failures, probe.weight_decreasing, "weight not decreasing across the probe")

@@ -33,6 +33,7 @@ from mvfix import (
     singleton_map,
     table_map,
 )
+from mvfix import sets1d
 from mvfix.maps import image_arrays
 
 UNIT = CompactSet.interval(0.0, 1.0)
@@ -240,6 +241,17 @@ class TestCertify:
             certify(halving_point_map(), LOG, ONE, grid_size=1)
         with pytest.raises(DomainError):
             certify(halving_point_map(), LOG, ONE, random_pairs=-1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 21.0])
+    def test_grid_size_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match=f"grid_size must be an integer >= 2, got {value}"):
+            certify(halving_point_map(), LOG, ONE, grid_size=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5, 3.0])
+    def test_random_pairs_must_be_an_integer(self, value):
+        words = f"random_pairs must be an integer >= 0, got {value}"
+        with pytest.raises(DomainError, match=words):
+            certify(halving_point_map(), LOG, ONE, random_pairs=value)
 
 
 class TestReportOrder:
@@ -461,6 +473,27 @@ class TestBatchedSweepAgainstScalarLoop:
     def test_interval_sweep_spanning_several_chunks(self, mode):
         # one interval per image: four endpoint columns
         self.assert_spans_chunks(halving_interval_map(), mode, pairs_per_chunk=16384)
+
+    def test_signed_zeros_share_the_first_points_image(self, monkeypatch):
+        # the grid ends at -0.0 and each draw is 0.0 or -0.5: the two zeros
+        # compare equal, so they share one image, that of the grid's -0.0
+        def draw(A, rng, n):  # n scalar draws give the same stream as one call
+            return np.where(rng.random(n) < 0.5, 0.0, -0.5)
+
+        monkeypatch.setattr(analysis, "sample_points", draw)
+        monkeypatch.setattr(sets1d, "sample_points", draw)
+        T = singleton_map(CompactSet.interval(-1.0, -0.0), "x/2")
+        args = dict(grid_size=5, random_pairs=20, seed=3, mode="hausdorff")
+        spy = mock.patch.object(analysis, "image_arrays", wraps=analysis.image_arrays)
+        with spy as images:
+            report = certify(T, LOG, ONE, **args)
+        imaged = images.call_args.args[1]
+        zeros = imaged[imaged == 0.0]
+        assert len(zeros) == 1 and np.signbit(zeros[0])
+        assert report.vacuous_pairs > 0  # the drawn (0.0, 0.0) pairs
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
+        )
 
     def test_sweep_holds_the_pairs_as_columns(self):
         self.assert_sweep_order()

@@ -206,7 +206,7 @@ class TestBuilders:
 
     def test_ffunction(self):
         cfg = config_from_dict(dict(MINIMAL, f={"kind": "neg_inv_sqrt", "k": 0.9}))
-        assert build_ffunction(cfg) == FFunction("neg_inv_sqrt", k_witness=0.9)
+        assert build_ffunction(cfg) == FFunction("neg_inv_sqrt", k=0.9)
 
     def test_integrands(self):
         assert build_integrand(config_from_dict(MINIMAL)) == ConstantIntegrand(1.0)
@@ -222,7 +222,7 @@ class TestBuilders:
         assert f.source == "1 + t*t"
 
 
-# Each case: a map or integrand object put into MINIMAL, and the exact
+# Each case: a map, integrand or F object put into MINIMAL, and the exact
 # error text of loading the config and building its map and integrand.
 NAN, INF = float("nan"), float("inf")
 
@@ -233,6 +233,13 @@ def _map(**kw):
 
 def _integrand(**kw):
     return {"integrand": kw}
+
+
+def _f(**kw):
+    return {"f": kw}
+
+
+F_KIND_WORDS = "f.kind must be one of ('log', 'log_plus_linear', 'neg_inv_sqrt')"
 
 
 MESSAGE_CASES = [
@@ -391,6 +398,18 @@ MESSAGE_CASES = [
      "ConfigError: integrand.source must be an expression string"),
     ("expression-source-before-grid_max-type", _integrand(kind="expression", grid_max="x"),
      "ConfigError: integrand.source must be an expression string"),
+    ("f-not-object", {"f": "log"}, "ConfigError: f must be an object"),
+    ("f-kind-bad", _f(kind="cosh"), f"ConfigError: {F_KIND_WORDS}, got 'cosh'"),
+    ("f-kind-null", _f(kind=None), f"ConfigError: {F_KIND_WORDS}, got None"),
+    ("f-unknown-key", _f(kind="log", speed=2), "ConfigError: unknown key 'speed' in f"),
+    # as for map and integrand, the kind is checked before the keys
+    ("f-kind-before-unknown-key", _f(kind="cosh", speed=2),
+     f"ConfigError: {F_KIND_WORDS}, got 'cosh'"),
+    ("f-k-type", _f(k="0.5"), "ConfigError: k must be a number, got '0.5'"),
+    ("f-k-range", _f(k=1.5), "ConfigError: f.k must lie in (0, 1), got 1.5"),
+    ("f-k-zero", _f(kind="neg_inv_sqrt", k=0), "ConfigError: f.k must lie in (0, 1), got 0"),
+    ("f-k-nan", _f(k=NAN), "ConfigError: f.k must lie in (0, 1), got nan"),
+    ("f-k-inf", _f(k=INF), "ConfigError: f.k must lie in (0, 1), got inf"),
 ]
 
 

@@ -54,7 +54,7 @@ class TestEvaluation:
     @pytest.mark.parametrize("k", [0.0, 1.0, -0.5])
     def test_witness_exponent_range(self, k):
         with pytest.raises(InvariantError):
-            FFunction("log", k_witness=k)
+            FFunction("log", k=k)
 
 
 class TestStrictMonotonicity:
@@ -100,24 +100,24 @@ class TestStrictMonotonicity:
 class TestLimitProbes:
     @pytest.mark.parametrize("kind,k", [("log", 0.5), ("log", 0.99), ("log_plus_linear", 0.5)])
     def test_passing_combinations(self, kind, k):
-        verdict = check_f2_f3(FFunction(kind, k_witness=k), k)
+        verdict = check_f2_f3(FFunction(kind, k))
         assert verdict.f2_passed
         assert verdict.f3_passed
         assert verdict.passed
 
     def test_neg_inv_sqrt_half(self):
         # alpha^(1/2) * (-alpha^(-1/2)) = -1, so the weight never shrinks
-        verdict = check_f2_f3(FFunction("neg_inv_sqrt"), 0.5)
+        verdict = check_f2_f3(FFunction("neg_inv_sqrt", 0.5))
         assert verdict.f2_passed
         assert not verdict.f3_passed
 
     def test_neg_inv_sqrt_quarter(self):
         # alpha^(1/4 - 1/2) diverges as alpha drops to zero
-        verdict = check_f2_f3(FFunction("neg_inv_sqrt"), 0.25)
+        verdict = check_f2_f3(FFunction("neg_inv_sqrt", 0.25))
         assert not verdict.f3_passed
 
     def test_neg_inv_sqrt_large_witness(self):
-        verdict = check_f2_f3(FFunction("neg_inv_sqrt", k_witness=0.9), 0.9)
+        verdict = check_f2_f3(FFunction("neg_inv_sqrt", 0.9))
         assert verdict.f2_passed
         assert verdict.f3_passed
 
@@ -127,8 +127,9 @@ class TestLimitProbes:
         assert "final value" in verdict.f3_detail
 
     def test_bad_witness_exponent(self):
-        with pytest.raises(DomainError):
-            check_f2_f3(FFunction("log"), k=1.5)
+        # k is F's own: an F with k outside (0, 1) cannot be made to probe
+        with pytest.raises(InvariantError, match=r"k witness must lie in \(0, 1\), got 1.5"):
+            FFunction("log", 1.5)
 
 
 class TestInfimumAttainment:

@@ -127,6 +127,11 @@ class TestApplication:
         with pytest.raises(DomainError):
             is_fixed_point(halving_map(), 0.5, tol=-1.0)
 
+    def test_nan_tolerance_rejected(self):
+        # d <= nan is False, which would read as "not a fixed point"
+        with pytest.raises(DomainError, match="tolerance must be >= 0, got nan"):
+            is_fixed_point(halving_map(), 0.0, tol=math.nan)
+
     def test_describe_shows_endpoints(self):
         text = halving_map().describe()
         assert text.startswith("T(x) = [")

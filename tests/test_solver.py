@@ -12,6 +12,7 @@ from mvfix import (
     CompactSet,
     ConstantIntegrand,
     DomainError,
+    InvariantError,
     FFunction,
     FixedPointFound,
     InsufficientTraceError,
@@ -140,6 +141,11 @@ class TestIterate:
         with pytest.raises(DomainError):
             iterate(T, 1.0, max_iter=0)
 
+    def test_nan_tolerance_rejected(self):
+        # a NaN tolerance would compare false at every step and run to max_iter
+        with pytest.raises(DomainError, match="tolerance must be >= 0, got nan"):
+            iterate(singleton_map(UNIT, "x/2"), 1.0, tol=math.nan)
+
     def test_determinism(self):
         assert halving_trace() == halving_trace()
 
@@ -159,7 +165,7 @@ class TestValidateTrace:
         assert max(abs(m) for m in verdict.per_step_margins) <= 1e-13
 
     def test_halving_rate_tail(self):
-        verdict = validate_trace(halving_trace(), LOG, math.log(2.0), k=0.5)
+        verdict = validate_trace(halving_trace(), FFunction("log", k=0.5), math.log(2.0))
         assert verdict.n1 == 3
         assert verdict.rate_bound_ok
         assert verdict.rate_first_failure is None
@@ -180,6 +186,11 @@ class TestValidateTrace:
         margins = verdict.per_step_margins
         assert all(b > a for a, b in zip(margins, margins[1:]))
 
+    def test_infinite_tau_rejected(self):
+        # 0 * inf would put NaN in the first margin
+        with pytest.raises(DomainError, match="tau must be finite, got inf"):
+            validate_trace(halving_trace(), LOG, math.inf)
+
     def test_short_trace_rejected(self):
         T = singleton_map(UNIT, "x/2")
         trace = iterate(T, 1.0, tol=0.0, max_iter=1)
@@ -190,8 +201,11 @@ class TestValidateTrace:
         trace = halving_trace()
         with pytest.raises(DomainError):
             validate_trace(trace, LOG, 0.0)
-        with pytest.raises(DomainError):
-            validate_trace(trace, LOG, 0.5, k=1.0)
+        with pytest.raises(DomainError, match="tau must be positive, got nan"):
+            validate_trace(trace, LOG, math.nan)
+        # k is F's own, so its range is checked where F is made
+        with pytest.raises(InvariantError, match=r"k witness must lie in \(0, 1\), got 1.0"):
+            FFunction("log", k=1.0)
 
 
 class TestGammaProbe:
@@ -227,8 +241,8 @@ class TestGammaProbe:
             gamma_sequence_probe([0.0], ConstantIntegrand(1.0), LOG)
         with pytest.raises(DomainError):
             gamma_sequence_probe([0.5], ConstantIntegrand(1.0), LOG, indices=[1, 2])
-        with pytest.raises(DomainError):
-            gamma_sequence_probe([0.5], ConstantIntegrand(1.0), LOG, k=0.0)
+        with pytest.raises(InvariantError, match=r"k witness must lie in \(0, 1\), got 0.0"):
+            gamma_sequence_probe([0.5], ConstantIntegrand(1.0), FFunction("log", k=0.0))
 
 
 TRACE_MAPS = {
@@ -282,7 +296,7 @@ def trace_integrand(name):
     return TRACE_INTEGRANDS[name]()
 
 
-def assert_trace_matches_oracles(T, x0, tol, max_iter, f, F, tau, k):
+def assert_trace_matches_oracles(T, x0, tol, max_iter, f, F, tau):
     """Columnar trace, verdict and CSV equal the one-step-at-a-time oracles, bit for bit."""
     trace = outcome(iterate, T, x0, tol, max_iter, f)
     oracle = outcome(iterate_scalar, T, x0, tol, max_iter, f)
@@ -294,13 +308,13 @@ def assert_trace_matches_oracles(T, x0, tol, max_iter, f, F, tau, k):
     assert trace.steps == oracle.steps
     assert repr(trace.outcome) == repr(oracle.outcome)
     assert trace.params == oracle.params
-    assert repr(outcome(validate_trace, trace, F, tau, k)) == repr(
-        outcome(validate_trace_scalar, oracle, F, tau, k)
+    assert repr(outcome(validate_trace, trace, F, tau)) == repr(
+        outcome(validate_trace_scalar, oracle, F, tau)
     )
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        write_trace_csv(got, trace, F, k)
-        write_trace_csv_scalar(want, oracle, F, k)
+        write_trace_csv(got, trace, F)
+        write_trace_csv_scalar(want, oracle, F)
         assert got.read_bytes() == want.read_bytes()
     return trace
 
@@ -326,7 +340,7 @@ class TestColumnarTraceAgainstScalarLoop:
     def test_probe(self, map_name, integrand, x0, tol, expected, f_kind):
         trace = assert_trace_matches_oracles(
             trace_map(map_name), x0, tol, 60, trace_integrand(integrand),
-            FFunction(f_kind), 0.5, 0.5,
+            FFunction(f_kind, 0.5), 0.5,
         )
         assert isinstance(trace.outcome, expected)
 
@@ -385,7 +399,7 @@ class TestColumnarTraceAgainstScalarLoop:
     def test_bit_for_bit(self, map_name, integrand, f_kind, x0, tol, max_iter, tau, k):
         assert_trace_matches_oracles(
             trace_map(map_name), x0, tol, max_iter, trace_integrand(integrand),
-            FFunction(f_kind), tau, k,
+            FFunction(f_kind, k), tau,
         )
 
     def test_steps_are_built_from_the_columns_once(self):
@@ -401,16 +415,16 @@ class TestColumnarTraceAgainstScalarLoop:
         real_f_eval = solver.f_eval
         monkeypatch.setattr(solver, "f_eval", lambda F, g: calls.append(g) or real_f_eval(F, g))
         trace = halving_trace()
-        f_gamma, n_gamma_k = trace.decay_columns(LOG, 0.5)
-        assert trace.decay_columns(LOG, 0.5) == (f_gamma, n_gamma_k)
-        validate_trace(trace, LOG, math.log(2.0), k=0.5)
+        f_gamma, n_gamma_k = trace.decay_columns(LOG)
+        assert trace.decay_columns(LOG) == (f_gamma, n_gamma_k)
+        validate_trace(trace, LOG, math.log(2.0))
         assert len(calls) == 60
         assert f_gamma == tuple(math.log(g) for g in trace.gamma)
         assert n_gamma_k == tuple(n * math.sqrt(g) for n, g in enumerate(trace.gamma))
-        # another F or k gets its own columns
-        assert trace.decay_columns(LOG, 0.25)[1] == tuple(
+        # an F of another kind or k gets its own columns
+        assert trace.decay_columns(FFunction("log", 0.25))[1] == tuple(
             n * g**0.25 for n, g in enumerate(trace.gamma)
         )
-        assert trace.decay_columns(FFunction("neg_inv_sqrt"), 0.5)[0] == tuple(
+        assert trace.decay_columns(FFunction("neg_inv_sqrt"))[0] == tuple(
             -1.0 / math.sqrt(g) for g in trace.gamma
         )
