@@ -61,9 +61,10 @@ ERROR_ROWS = 100
 
 # Upper bound on the elements of one broadcast in the certify sweep.  A
 # chunk holds as many pairs as fit: each pair costs the elements its
-# image shape needs (``_PaddedImages.elements_per_pair``), so point
-# images with many members get smaller chunks and peak memory stays
-# flat whatever the image shape, and whatever the number of pairs.
+# image shape needs (``_Sweep.elements_per_pair``), so point images with
+# many members get smaller chunks and peak memory stays flat whatever
+# the image shape, and whatever the number of pairs.  Each chunk is
+# evaluated, redone where needed and counted as one block.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -264,17 +265,18 @@ def certify(
     elements each, so the sweep's memory is set by the chunk and not by
     the number of pairs.  The pair arithmetic runs over numpy arrays,
     with closed forms for one interval per image and point-to-point gaps
-    for finite sets (see :class:`_PaddedImages`).  It gives the same bits
-    as :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
+    for finite sets (see :func:`_h_and_m`).  It gives the same bits as
+    :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
     ``abs``, ``minimum`` and ``maximum``, comparisons, ``where``,
     ``sqrt``) touch the arrays, while ``log``, ``expm1``, ``pow`` and
     quadrature run through ``math`` one element at a time (see
     :func:`capital_phi_array` and :func:`f_eval_array`).  A pair that
     touches a failed image (union table images count as failed), or
     whose batch values are unusable (not finite, or ``Phi <= 0`` where
-    ``F`` needs a positive argument), is evaluated again, within its
-    chunk, by the scalar code on images from :func:`apply_map`, which
-    gives its value or its error message.
+    ``F`` needs a positive argument), is evaluated again in place by the
+    scalar code on images from :func:`apply_map`, which gives its value
+    or its error message.  ``seed``, ``grid_size`` and ``random_pairs``
+    must be integers (``seed >= 0``, ``grid_size >= 2``).
     """
     tally = _Tally()
     for block in _sweep(T, F, f, grid_size, random_pairs, seed, mode):
@@ -360,22 +362,22 @@ def _sweep(
     """Evaluate the pairs of the sweep that :func:`certify` describes, a chunk at a time.
 
     The pairs are the grid pairs i < j, row by row, then the drawn pairs;
-    a pair's place in that order is its sweep index.  Yields, per chunk,
-    ``(index, columns, errors)`` blocks as :meth:`_Tally.add` takes them:
-    one of the pairs the batch arithmetic evaluated and, if any pair of
-    the chunk took the scalar code, one of those.  A chunk's arrays live
-    only in its blocks, so a caller that drops a block before asking for
-    the next holds one chunk at a time.
+    a pair's place in that order is its sweep index.  Yields one
+    ``(index, columns, errors)`` block per chunk, as :meth:`_Tally.add`
+    takes it.  A chunk's arrays live only in its block, so a caller that
+    drops a block before asking for the next holds one chunk at a time.
     """
     _check_mode(mode)
-    for name, count, least in (("grid_size", grid_size, 2), ("random_pairs", random_pairs, 0)):
-        if not (isinstance(count, numbers.Integral) and count >= least):
-            raise DomainError(f"{name} must be an integer >= {least}, got {count}")
+    for name, value, least in (
+        ("grid_size", grid_size, 2), ("random_pairs", random_pairs, 0), ("seed", seed, 0)
+    ):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise DomainError(f"{name} must be an integer >= {least}, got {value}")
 
     sweep = _Sweep(T, F, f, mode, grid_size, random_pairs, seed)
-    step = max(1, CHUNK_ELEMENTS // sweep.sets.elements_per_pair)
+    step = max(1, CHUNK_ELEMENTS // sweep.elements_per_pair)
     for start in range(0, sweep.count, step):
-        yield from sweep.chunk(start, min(start + step, sweep.count))
+        yield sweep.chunk(start, min(start + step, sweep.count))
 
 
 class _Sweep:
@@ -383,8 +385,14 @@ class _Sweep:
 
     ``points`` holds the grid, then the drawn pairs flat (x before y).
     Equal floats share a slot and so one image, the image of the first
-    point to use it.  Only these point arrays, the first sweep index of
-    each grid row and the scalar code's images outlive a chunk.
+    point to use it.  The images from :func:`image_arrays` are kept as
+    ``lo`` and ``hi`` in the form :func:`_h_and_m` reads: 1-D endpoint
+    columns when each image is one interval (K = 1), else one ``(K, n)``
+    array of point members, one row per member, as both ``lo`` and
+    ``hi``.  ``elements_per_pair`` is the size of a pair's broadcasts,
+    which sets how many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Only
+    these arrays, the first sweep index of each grid row and the scalar
+    code's images outlive a chunk.
     """
 
     def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
@@ -397,7 +405,13 @@ class _Sweep:
         self.points = np.concatenate([grid, drawn])
         _, first, self.slots = np.unique(self.points, return_index=True, return_inverse=True)
         lo, hi, self.failed = image_arrays(T, self.points[first])
-        self.sets = _PaddedImages(lo, hi)
+        K = lo.shape[1]
+        if K > 1:  # point images (image_arrays gives unions K = 1, failed)
+            self.lo = self.hi = np.ascontiguousarray(lo.T)
+            self.elements_per_pair = 2 * K * K  # K members against K, both ways
+        else:
+            self.lo, self.hi = lo[:, 0], hi[:, 0]
+            self.elements_per_pair = 4
         self.images: dict[float, CompactSet] = {}
         self.grid_points = n = len(grid)
         rows = np.arange(n - 1)
@@ -415,45 +429,37 @@ class _Sweep:
         first, second = np.concatenate([i, k]), np.concatenate([j, k + 1])
         return self.points[first], self.points[second], self.slots[first], self.slots[second]
 
-    def chunk(self, start: int, stop: int) -> list[tuple]:
-        """The blocks of the pairs at sweep index ``start .. stop - 1`` (see :func:`_sweep`)."""
-        x, y, xs, ys = self.pairs(start, stop)
-        redo = self.failed[xs] | self.failed[ys]
-        # a slice keeps the batch's inputs views when no image failed
-        batch = np.flatnonzero(~redo) if redo.any() else slice(None)
-        xb, yb = x[batch], y[batch]
-        with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
-            values, unusable = _evaluate_batch(
-                self.F, self.f, self.mode, xb, yb, self.sets, xs[batch], ys[batch]
-            )
-        index = np.arange(start, stop)[batch]
-        columns = (xb, yb, *values)
-        if unusable.any():
-            redo[index[unusable] - start] = True
-            usable = ~unusable
-            index, columns = index[usable], tuple(c[usable] for c in columns)
-        blocks = [(index, columns, [])]
-        if redo.any():
-            blocks.append(self.scalar_block(x, y, start, np.flatnonzero(redo)))
-        return blocks
+    def chunk(self, start: int, stop: int) -> tuple:
+        """The block of the pairs at sweep index ``start .. stop - 1`` (see :func:`_sweep`).
 
-    def scalar_block(self, x: np.ndarray, y: np.ndarray, start: int, rows: np.ndarray) -> tuple:
-        """The block of the chunk's pairs ``rows``, evaluated by the scalar code."""
-        index: list[int] = []
-        values: list[tuple[float, ...]] = []
+        Every pair goes through the batch arithmetic.  A pair that touches
+        a failed image (union table images count as failed), or whose
+        batch values are unusable, is evaluated again by the scalar code
+        on images from :func:`apply_map`: its values overwrite the batch
+        row, or its error drops the row from the columns.
+        """
+        x, y, xs, ys = self.pairs(start, stop)
+        with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
+            h, m = _h_and_m(self.lo, self.hi, self.mode, x, y, xs, ys)
+            values, unusable = _evaluate_batch(self.F, self.f, h, m)
+        redo = unusable | self.failed[xs] | self.failed[ys]
         errors: list[tuple[float, float, int, str]] = []
-        for k in rows.tolist():
+        for k in np.flatnonzero(redo).tolist():
             xk, yk = x[k].item(), y[k].item()
             try:
                 ev = _evaluate(self.F, self.f, xk, yk, self.image(xk), self.image(yk), self.mode)
             except MvfixError as err:
                 errors.append((xk, yk, start + k, str(err)))
                 continue
-            index.append(start + k)
             margin = math.nan if ev.margin is None else ev.margin
-            values.append((xk, yk, ev.h, ev.m, ev.phi_h, ev.phi_m, margin))
-        columns = tuple(np.array(values, dtype=float).reshape(-1, 7).T)
-        return np.array(index, dtype=np.intp), columns, errors
+            for column, value in zip(values, (ev.h, ev.m, ev.phi_h, ev.phi_m, margin)):
+                column[k] = value
+            redo[k] = False
+        index, columns = np.arange(start, stop), (x, y, *values)
+        if errors:
+            keep = ~redo
+            index, columns = index[keep], tuple(c[keep] for c in columns)
+        return index, columns, errors
 
     def image(self, v: float) -> CompactSet:
         """T(v) from :func:`apply_map`, once per point; a failed image fails
@@ -463,52 +469,32 @@ class _Sweep:
         return self.images[v]
 
 
-class _PaddedImages:
-    """Images as endpoint arrays of K intervals each, for the batch sweep.
-
-    ``lo`` and ``hi`` come from :func:`image_arrays`, where K > 1 means
-    point images (union table rows are failed and take the scalar code).
-    The arithmetic follows the image shape:
-
-    * one interval per image (K = 1: interval, singleton and one-interval
-      table images): ``lo`` and ``hi`` are kept as 1-D endpoint columns
-      and every distance has a closed form;
-    * point images with K > 1 (finite-set maps): ``lo`` is kept
-      transposed, one row per member, and a distance is the least
-      point-to-point gap, with no clamp; a repeated member changes none.
-
-    ``elements_per_pair`` is the size of a pair's broadcasts, which sets
-    how many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Failed rows hold
-    anything; no batch pair reads them.
-    """
-
-    def __init__(self, lo: np.ndarray, hi: np.ndarray):
-        K = lo.shape[1]
-        self.points = K > 1
-        if self.points:
-            self.lo = self.hi = np.ascontiguousarray(lo.T)
-            self.elements_per_pair = 2 * K * K  # K members against K, both ways
-        else:
-            self.lo, self.hi = lo[:, 0], hi[:, 0]
-            self.elements_per_pair = 4
-
-
-def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
+def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
     """h and m of each pair, with the arithmetic the image shape allows.
 
-    Each form gives the same bits as ``sets1d``.  On one interval per
-    image, every clamp candidate of the two excesses is one rounded
-    subtraction of two endpoints, never larger than |lx - ly| or
-    |hx - hy| as rounding is monotone, so the Hausdorff distance is the
-    larger of those two.  On point images, the clamp onto a member is the
-    member, and the point nearest a gap midpoint is a member already.
+    ``xs`` and ``ys`` index the pairs' images in ``lo`` and ``hi``, kept
+    as :class:`_Sweep` describes.  Each form gives the same bits as
+    ``sets1d``:
+
+    * one interval per image (1-D ``lo``: interval, singleton and
+      one-interval table images): every distance has a closed form.
+      Every clamp candidate of the two excesses is one rounded
+      subtraction of two endpoints, never larger than |lx - ly| or
+      |hx - hy| as rounding is monotone, so the Hausdorff distance is the
+      larger of those two;
+    * point images (2-D ``lo``, one row per member): a distance is the
+      least point-to-point gap, with no clamp, as the clamp onto a member
+      is the member and the point nearest a gap midpoint is a member
+      already; a repeated member changes none.
+
+    Rows of failed images hold anything; the caller redoes their pairs.
     Only h and m leave, so the gathered endpoints are freed before the
     Phi and F stage, where the sweep's memory peaks.
     """
-    if sets.points:
+    if lo.ndim == 2:
         # np.take keeps the gathered rows C-contiguous, as the reductions need
-        lx = hx = np.take(sets.lo, xs, axis=1)
-        ly = hy = np.take(sets.lo, ys, axis=1)
+        lx = hx = np.take(lo, xs, axis=1)
+        ly = hy = np.take(lo, ys, axis=1)
 
         def dist(p, lo, hi):  # hi is lo
             gap = p - lo
@@ -521,7 +507,7 @@ def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
         if mode == "hausdorff":
             h = np.maximum(h, gaps.min(axis=0).max(axis=0))
     else:
-        lx, hx, ly, hy = sets.lo[xs], sets.hi[xs], sets.lo[ys], sets.hi[ys]
+        lx, hx, ly, hy = lo[xs], hi[xs], lo[ys], hi[ys]
 
         def dist(p, lo, hi):
             return np.abs(p - np.clip(p, lo, hi))
@@ -536,25 +522,17 @@ def _h_and_m(sets: _PaddedImages, mode: str, x, y, xs, ys):
     return h, m
 
 
-def _evaluate_batch(
-    F: FFunction,
-    f: Integrand,
-    mode: str,
-    x: np.ndarray,
-    y: np.ndarray,
-    sets: _PaddedImages,
-    xs: np.ndarray,
-    ys: np.ndarray,
-):
-    """h, m, Phi(h), Phi(m) and margin of each pair, as :func:`_evaluate` has them.
+def _evaluate_batch(F: FFunction, f: Integrand, h: np.ndarray, m: np.ndarray):
+    """Phi(h), Phi(m) and margin of each pair from its h and m, as :func:`_evaluate` has them.
 
-    ``xs`` and ``ys`` index the pairs' images in ``sets``.  Returns the
-    five value rows (margin NaN on vacuous pairs) and a mask of the pairs
-    whose values are unusable and must be redone by the scalar code.
+    Returns the five value columns h, m, Phi(h), Phi(m) and margin
+    (NaN on vacuous pairs), which the caller may write into, and a mask
+    of the pairs whose values are unusable (not finite, or ``Phi <= 0``
+    where ``F`` needs a positive argument) and must be redone by the
+    scalar code.
     """
-    h, m = _h_and_m(sets, mode, x, y, xs, ys)
     # Phi and F are functions of u alone, so each distinct u runs once
-    n = len(x)
+    n = len(h)
     u, where = np.unique(np.concatenate([h, m]), return_inverse=True)
     phi_u = capital_phi_array(f, u)
     f_u = np.full(len(u), math.nan)

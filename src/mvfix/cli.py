@@ -436,27 +436,28 @@ def cmd_check_f(kind: str, k: float, out_dir: Path | None) -> int:
 
 def _apply_overrides(cfg: ProblemConfig, args: argparse.Namespace) -> ProblemConfig:
     """``cfg`` with ``--mode`` and ``--seed`` applied, checked as config keys."""
-    given = {key: getattr(args, key, None) for key in ("mode", "seed")}
+    given = {key: getattr(args, key) for key in ("mode", "seed")}
     overrides = {key: v for key, v in given.items() if v is not None}
     return config_from_dict({**config_to_dict(cfg), **overrides}) if overrides else cfg
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--mode",
-        choices=MODES,
-        default=None,
-        help="pair distance mode: two-sided hausdorff or one-sided excess",
-    )
-    common.add_argument("--seed", type=int, default=None, help="override the sweep seed")
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument(
         "--out",
         type=Path,
         default=None,
         metavar="DIR",
         help="directory to write report and trace files into",
     )
+    overrides = argparse.ArgumentParser(add_help=False)  # of the config's keys
+    overrides.add_argument(
+        "--mode",
+        choices=MODES,
+        default=None,
+        help="pair distance mode: two-sided hausdorff or one-sided excess",
+    )
+    overrides.add_argument("--seed", type=int, default=None, help="override the sweep seed")
     parser = argparse.ArgumentParser(
         prog="mvfix",
         description="certify and solve multivalued integral-type contractions on the line",
@@ -464,24 +465,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser(
         "certify",
-        parents=[common],
+        parents=[overrides, out],
         help="sweep pairs and report the empirical contraction modulus",
     )
     p.add_argument("config", type=Path, help="problem configuration JSON")
     p = sub.add_parser(
         "solve",
-        parents=[common],
+        parents=[overrides, out],
         help="run the nearest-point iteration and validate its decay law",
     )
     p.add_argument("config", type=Path, help="problem configuration JSON")
     sub.add_parser(
         "paper-demo",
-        parents=[common],
+        parents=[out],
         help="audit the built-in worked example against its published values",
     )
-    p = sub.add_parser(
-        "check-f", parents=[common], help="probe the axioms of a gauge function"
-    )
+    p = sub.add_parser("check-f", parents=[out], help="probe the axioms of a gauge function")
     p.add_argument("--kind", choices=F_KINDS, required=True)
     p.add_argument("--k", type=float, default=0.5, help="witness exponent in (0, 1)")
     return parser

@@ -14,6 +14,7 @@ validator checks those claims against a concrete trace.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
@@ -169,8 +170,8 @@ def iterate(
     """
     if not tol >= 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
     if not T.domain.contains(x0):
         raise DomainError(f"starting point {x0} lies outside the domain")
 

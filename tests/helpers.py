@@ -16,6 +16,7 @@ trace.
 """
 
 import math
+import numbers
 from types import SimpleNamespace
 
 import numpy as np
@@ -284,8 +285,8 @@ def iterate_scalar(T, x0, tol, max_iter, f):
     """
     if not tol >= 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
-    if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
     if not T.domain.contains(x0):
         raise DomainError(f"starting point {x0} lies outside the domain")
 

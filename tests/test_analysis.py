@@ -253,6 +253,11 @@ class TestCertify:
         with pytest.raises(DomainError, match=words):
             certify(halving_point_map(), LOG, ONE, random_pairs=value)
 
+    @pytest.mark.parametrize("value", [-1, 1.5, math.nan])
+    def test_seed_must_be_a_nonnegative_integer(self, value):
+        with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {value}"):
+            certify(halving_point_map(), LOG, ONE, seed=value)
+
 
 class TestReportOrder:
     """The reported rows come in (x, y) order whatever order the sweep made them in."""
@@ -272,9 +277,9 @@ class TestReportOrder:
     ERRORS = [(0.75, 1.0, "c"), (0.0, 0.5, "b"), (0.5, 0.6, "d"), (0.0, 0.25, "a")]
 
     def report(self):
-        # two chunks: rows 0-2, then rows 3-6 as a batch block (rows 4 and 6)
-        # and a scalar block (rows 3 and 5), so the tie and the duplicate
-        # pair span chunks and the later duplicate comes first
+        # three blocks: rows 0-2, rows 4 and 6, then rows 3 and 5, so the
+        # tie and the duplicate pair span blocks and the later duplicate
+        # comes first
         blocks = []
         for rows, errors in [([0, 1, 2], [0, 1]), ([4, 6], [2]), ([3, 5], [3])]:
             x, y, h, margin = (np.array(c) for c in zip(*(self.ROWS[k] for k in rows)))
@@ -451,8 +456,8 @@ class TestBatchedSweepAgainstScalarLoop:
     @staticmethod
     def assert_spans_chunks(T, mode, pairs_per_chunk):
         # the chunk size the sweep really uses for these images
-        sets = analysis._PaddedImages(*image_arrays(T, np.array(domain_grid(T.domain, 11)))[:2])
-        assert analysis.CHUNK_ELEMENTS // sets.elements_per_pair == pairs_per_chunk
+        sweep = analysis._Sweep(T, LOG, ONE, mode, 11, 0, 0)
+        assert analysis.CHUNK_ELEMENTS // sweep.elements_per_pair == pairs_per_chunk
         grid_size = math.isqrt(4 * pairs_per_chunk) + 2  # over 2 chunks of grid pairs
         args = dict(grid_size=grid_size, random_pairs=200, seed=3, mode=mode)
         spy = mock.patch.object(analysis, "_evaluate_batch", wraps=analysis._evaluate_batch)
@@ -581,10 +586,31 @@ class TestShapePathsAgainstScalarLoop:
             report = certify(SHAPE_CASES["union_images"](), LOG, ONE, grid_size=5, random_pairs=40)
         assert scalar.call_count == report.evaluated_pairs == 50
 
+    def test_one_block_per_chunk_with_redone_pairs_in_place(self):
+        # pairs whose h or m overflow are redone by the scalar code: some
+        # get a margin there, the rest fail and leave their chunk's block
+        T = SHAPE_CASES["huge_interval"]()
+        args = dict(grid_size=21, random_pairs=40, seed=5, mode="hausdorff")
+        spy = mock.patch.object(analysis, "_evaluate", wraps=analysis._evaluate)
+        with mock.patch.object(analysis, "CHUNK_ELEMENTS", 64), spy as scalar:
+            blocks = list(analysis._sweep(T, LOG, ONE, **args))  # 16 interval pairs a chunk
+        count = 21 * 20 // 2 + 40
+        assert len(blocks) == math.ceil(count / 16)
+        failed = {k for *_, errors in blocks for _, _, k, _ in errors}
+        index = np.concatenate([index for index, _, _ in blocks])
+        assert failed and index.tolist() == sorted(set(range(count)) - failed)
+
+        failed_xy = {(x, y) for *_, errors in blocks for x, y, _, _ in errors}
+        redone = {call.args[2:4] for call in scalar.call_args_list} - failed_xy
+        oracle = {(p.x, p.y): p for p in certify_scalar(T, LOG, ONE, **args).pairs}
+        rows = [p for p in sweep_pairs(T, LOG, ONE, **args) if (p.x, p.y) in redone]
+        assert rows and all(p.margin == math.inf for p in rows)
+        assert repr(rows) == repr([oracle[p.x, p.y] for p in rows])
+
     @pytest.mark.parametrize("domain", sorted(ORACLE_DOMAINS))
     @pytest.mark.parametrize("kind", ORACLE_MAPS)
     def test_images_are_one_interval_or_points(self, kind, domain):
-        # _PaddedImages reads K > 1 as point images
+        # _Sweep reads K > 1 as point images
         T = oracle_map(kind, domain)
         lo, hi, failed = image_arrays(T, np.array(domain_grid(T.domain, 41) + [0.0, 0.25, 1.0]))
         assert not failed.all()

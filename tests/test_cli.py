@@ -1,5 +1,8 @@
+import argparse
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from mvfix.cli import (
     EXIT_VACUOUS,
     EXIT_VIOLATED,
     TRACE_COLUMNS,
+    build_parser,
     extract_machine_block,
     fmt_value,
     main,
@@ -392,6 +396,19 @@ class TestOtherCommands:
     def test_help_exits_ok(self, capsys):
         assert main(["--help"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: mvfix")
+
+    def test_readme_usage_lists_each_parsers_options(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+        lines = [line.split() for line in block.splitlines() if line.strip()]
+        actions = build_parser()._actions
+        (commands,) = (a.choices for a in actions if isinstance(a, argparse._SubParsersAction))
+        assert [words[1] for words in lines] == list(commands)
+        for words in lines:
+            options = commands[words[1]]._option_string_actions
+            assert set(re.findall(r"--[a-z-]+", " ".join(words))) == {
+                o for o in options if o.startswith("--") and o != "--help"
+            }, words[1]
 
 
 class TestNumericKnobs:

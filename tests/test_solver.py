@@ -141,6 +141,11 @@ class TestIterate:
         with pytest.raises(DomainError):
             iterate(T, 1.0, max_iter=0)
 
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    def test_max_iter_must_be_an_integer(self, value):
+        with pytest.raises(DomainError, match=f"max_iter must be an integer >= 1, got {value}"):
+            iterate(singleton_map(UNIT, "x/2"), 1.0, max_iter=value)
+
     def test_nan_tolerance_rejected(self):
         # a NaN tolerance would compare false at every step and run to max_iter
         with pytest.raises(DomainError, match="tolerance must be >= 0, got nan"):
