@@ -268,8 +268,9 @@ def certify(
     for finite sets (see :func:`_h_and_m`).  It gives the same bits as
     :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
     ``abs``, ``minimum`` and ``maximum``, comparisons, ``where``,
-    ``sqrt``) touch the arrays, while ``log``, ``expm1``, ``pow`` and
-    quadrature run through ``math`` one element at a time (see
+    ``sqrt``) touch the arrays, while ``log``, ``expm1`` and ``pow`` run
+    through ``math`` one element at a time, and the expression kind's
+    quadrature runs level by level over all of a chunk's u at once (see
     :func:`capital_phi_array` and :func:`f_eval_array`).  A pair that
     touches a failed image (union table images count as failed), or
     whose batch values are unusable (not finite, or ``Phi <= 0`` where

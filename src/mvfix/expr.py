@@ -353,15 +353,29 @@ def eval_expr_array(node: ExprAst, xs: np.ndarray) -> tuple[np.ndarray, np.ndarr
         return _eval_array(node, np.asarray(xs, dtype=float))
 
 
+# _pointwise turns this many elements into Python floats at a time
+_POINTWISE_BLOCK = 4096
+
+
 def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    """``fn`` applied element by element; an element where it raises is NaN."""
-    out = []
-    for row in zip(*(a.tolist() for a in args)):
+    """``fn`` applied element by element; an element where it raises is NaN.
+
+    Each block of elements is one ``fromiter`` pass, so the Python floats
+    made at a time stay few; a block where some call raised is redone one
+    element at a time.
+    """
+    out = np.empty(len(args[0]))
+    for start in range(0, len(out), _POINTWISE_BLOCK):
+        lists = [a[start : start + _POINTWISE_BLOCK].tolist() for a in args]
         try:
-            out.append(fn(*row))
+            out[start : start + len(lists[0])] = np.fromiter(map(fn, *lists), float)
         except (ValueError, OverflowError):
-            out.append(math.nan)
-    return np.array(out, dtype=float)
+            for k, row in enumerate(zip(*lists), start):
+                try:
+                    out[k] = fn(*row)
+                except (ValueError, OverflowError):
+                    out[k] = math.nan
+    return out
 
 
 _ARRAY_BINOPS = {

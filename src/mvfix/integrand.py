@@ -35,6 +35,13 @@ __all__ = [
 
 QUAD_TOL = 1e-10
 QUAD_MAX_DEPTH = 40
+# The expression kind's batch Simpson (capital_phi_array) refines this many
+# u at a time, and hands a u back to the scalar quadrature once its panels
+# exceed this budget.  Both bound its memory and time: refined breadth
+# first, a panel that never converges doubles at every level, and a u
+# where the scalar raises after some 41 panels can refine hundreds.
+QUAD_BATCH_SLICE = 1024
+QUAD_BATCH_PANELS = 128
 
 
 @dataclass(frozen=True)
@@ -211,20 +218,41 @@ def capital_phi(f: Integrand, u: float) -> float:
 
 
 def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
-    """:func:`capital_phi` over an array of u >= 0, bit for bit.
+    """:func:`capital_phi` over a 1-D array of u, bit for bit.
 
-    The constant kind is one IEEE multiply on the whole array.  The other
-    kinds need ``expm1``, ``pow`` or quadrature, so they run through
-    :func:`capital_phi` one element at a time: numpy's vectorised
-    transcendentals are not correctly rounded and differ from ``math`` in
-    the last bit on some inputs (numpy 2.4.6 with AVX-512 on an Intel Xeon:
-    ``expm1`` on 33,049 of 600,000 uniform inputs in [-30, 30], ``pow`` on
-    10,635 of 200,000).  An element where :func:`capital_phi`
-    raises comes back as NaN, and overflow as inf; callers rerun such
-    elements through :func:`capital_phi` to get its value or error.
+    An element where :func:`capital_phi` raises comes back as NaN, and
+    overflow as inf; callers rerun NaN elements through
+    :func:`capital_phi` to get its error.  The constant kind is one IEEE
+    multiply on the whole array.  The expression kind runs
+    :func:`adaptive_simpson` for all u at once, one refinement level at a
+    time (:func:`_simpson_slice`): each u gets the panels and operations
+    of the scalar recursion in the same order, so the same bits.  It
+    takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u whose
+    panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi` then
+    computes.  The power and exponential kinds need ``expm1`` or ``pow``,
+    so they run through :func:`capital_phi` one element at a time:
+    numpy's vectorised transcendentals are not correctly rounded and
+    differ from ``math`` in the last bit on some inputs (numpy 2.4.6 with
+    AVX-512 on an Intel Xeon: ``expm1`` on 33,049 of 600,000 uniform
+    inputs in [-30, 30], ``pow`` on 10,635 of 200,000).
     """
     if isinstance(f, ConstantIntegrand):
         return f.c * u
+    if not isinstance(f, ExpressionIntegrand):
+        return _capital_phi_loop(f, u)
+    # u == 0 is the scalar's a == b branch; negative, NaN and infinite u
+    # raise there (an infinite panel's error estimate is NaN at every level)
+    out = np.where(u == 0.0, 0.0, math.nan)
+    todo = np.flatnonzero((u > 0.0) & np.isfinite(u))
+    with np.errstate(all="ignore"):
+        for start in range(0, len(todo), QUAD_BATCH_SLICE):
+            part = todo[start : start + QUAD_BATCH_SLICE]
+            out[part], over = _simpson_slice(f, u[part])
+            out[part[over]] = _capital_phi_loop(f, u[part[over]])
+    return out
+
+
+def _capital_phi_loop(f: Integrand, u: np.ndarray) -> np.ndarray:
     out = []
     for v in u.tolist():
         try:
@@ -232,6 +260,71 @@ def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
         except MvfixError:
             out.append(math.nan)
     return np.array(out, dtype=float)
+
+
+def _phi_nodes(f: ExpressionIntegrand, *ts: np.ndarray):
+    """phi at each of the equal-length node arrays, and where some node fails.
+
+    A node fails where ``f._phi`` raises: the expression raises, or its
+    value is NaN or negative.
+    """
+    values, ok = eval_expr_array(f.ast, np.concatenate(ts))
+    good = (ok & (values >= 0.0)).reshape(len(ts), -1)
+    return values.reshape(len(ts), -1), ~good.all(axis=0)
+
+
+def _simpson_slice(f: ExpressionIntegrand, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """adaptive_simpson(f._phi, 0, b) for each finite b > 0, and the u handed back.
+
+    Each level holds the panels whose ``_refine`` call runs at that
+    recursion depth, as arrays, with the u each belongs to in ``owner``.
+    A panel that is not accepted gets its two children at the next
+    level, left children first; after the last level a refined panel's
+    value is its children's sum, one addition per panel as the scalar
+    recursion does it.  A u fails where a node fails or a panel exhausts
+    the depth, as the scalar raises there, and is handed back where its
+    panels would exceed ``QUAD_BATCH_PANELS``.  Either way its panels are
+    dropped and its value is NaN.
+    """
+    n = len(b)
+    owner = np.arange(n)
+    a = np.zeros(n)
+    m = 0.5 * (a + b)
+    (fa, fm, fb), failed = _phi_nodes(f, a, m, b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    used, over = np.ones(n, dtype=np.int64), np.zeros(n, dtype=bool)
+    tol, depth = QUAD_TOL, QUAD_MAX_DEPTH
+    levels = []  # (value if accepted, refined) per level
+    while len(owner):
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        (flm, frm), bad = _phi_nodes(f, lm, rm)
+        failed[owner[bad]] = True
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        err = (left + right - whole) / 15.0
+        refined = ~(np.abs(err) <= tol)
+        if depth <= 0:
+            failed[owner[refined]] = True
+        used += 2 * np.bincount(owner[refined], minlength=n)
+        over |= (used > QUAD_BATCH_PANELS) & ~failed
+        refined &= ~(failed | over)[owner]
+        levels.append((left + right + err, refined))
+        a, b, fa, fm, fb, whole, owner = (
+            np.concatenate([lo[refined], hi[refined]])
+            for lo, hi in (
+                (a, m), (m, b), (fa, fm), (flm, frm), (fm, fb), (left, right), (owner, owner)
+            )
+        )
+        tol, depth = 0.5 * tol, depth - 1
+    below = None
+    for value, refined in reversed(levels):
+        if below is not None:
+            half = len(below) // 2
+            value[refined] = below[:half] + below[half:]
+        below = value
+    below[failed | over] = math.nan
+    return below, over
 
 
 def adaptive_simpson(

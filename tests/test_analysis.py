@@ -382,6 +382,8 @@ ORACLE_INTEGRANDS = {
     # Phi(m) overflows to inf near m = 1, leaving a margin of +inf
     "exponential_inf": lambda: ExponentialIntegrand(rate=700.0, scale=1e10),
     "expression": lambda: expression_integrand("1 + t^2", grid_max=2.0),
+    # Simpson trees dozens of panels deep, summed child by child
+    "expression_deep": lambda: expression_integrand("exp(t) + abs(t - 0.3)", grid_max=2.0),
 }
 
 
@@ -452,6 +454,18 @@ class TestBatchedSweepAgainstScalarLoop:
         with mock.patch.object(analysis, "CHUNK_ELEMENTS", chunk_elements):
             report, pairs = certify(T, F, f, **args), sweep_pairs(T, F, f, **args)
         assert_bitwise_equal(report, pairs, certify_scalar(T, F, f, **args))
+
+    def test_grid_max_probe_errors_match_the_scalar_loop(self):
+        # 1/(2-t) is validated on [0, 1] only, so Phi fails past the pole
+        # at 2 on most pairs: each error row and message is the scalar's
+        T = singleton_map(CompactSet.interval(0.0, 10.0), "x/2")
+        f = expression_integrand("1/(2-t)", grid_max=1.0)
+        args = dict(grid_size=11, random_pairs=10, seed=1)
+        report = certify(T, LOG, f, **args)
+        assert (report.evaluated_pairs, report.error_count) == (4, 61)
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, f, **args), certify_scalar(T, LOG, f, **args)
+        )
 
     @staticmethod
     def assert_spans_chunks(T, mode, pairs_per_chunk):
@@ -578,6 +592,18 @@ class TestShapePathsAgainstScalarLoop:
         assert bool(report.errors) == case.startswith("huge")
         assert_bitwise_equal(
             report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
+        )
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    @pytest.mark.parametrize("case", sorted(SHAPE_CASES))
+    def test_deep_expression_integrand_bit_for_bit(self, case, mode):
+        T, f = SHAPE_CASES[case](), oracle_integrand("expression_deep")
+        args = dict(grid_size=5 if T.domain is KEYS else 21, random_pairs=40, seed=5, mode=mode)
+        report = certify(T, LOG, f, **args)
+        # exp overflows on every pair of the huge images
+        assert (report.evaluated_pairs == 0) == case.startswith("huge")
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, f, **args), certify_scalar(T, LOG, f, **args)
         )
 
     def test_union_pairs_take_the_scalar_code(self):

@@ -270,6 +270,8 @@ ERROR_CORPUS = [
     ("exp(1000*x)", np.linspace(0.0, 1.0, 11)),  # exp overflow
     ("x^2000", np.linspace(0.0, 2.0, 11)),  # pow overflow
     ("x*1e300*1e300", np.linspace(-1.0, 1.0, 5)),  # product overflow
+    # pow and ln fail in the first and the last of three pointwise blocks
+    ("(x - 1)^0.5 + ln(2.5 - x)", np.linspace(-3.0, 3.0, 10_001)),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from mvfix import (
     ExponentialIntegrand,
     ExpressionIntegrand,
     InvariantError,
+    MvfixError,
     ParseError,
     PowerIntegrand,
     QuadratureError,
@@ -22,6 +24,7 @@ from mvfix import (
     parse_expr,
     phi_eval,
 )
+from mvfix import integrand
 from mvfix.integrand import capital_phi_array
 
 
@@ -93,6 +96,27 @@ class TestCumulativeTransform:
         assert integrand_label(f) in str(err.value)
         assert f"u = {u}" in str(err.value)
 
+    # 0, -0.0, the least subnormal and far-out values, u in [0, 200],
+    # where most deep integrands raise, and u in [0, 2], where they refine
+    # deeply and some are handed back to the scalar quadrature
+    EDGE_U = [0.0, -0.0, 5e-324, 1e-300, 1e3, math.nan, math.inf]
+    NEAR_U = np.random.default_rng(3).uniform(0.0, 2.0, 60)
+    ARRAY_U = np.concatenate([EDGE_U, np.random.default_rng(2).uniform(0.0, 200.0, 60), NEAR_U])
+    # the scalar takes 20-50 ms to raise at most u far past 2 on the deep
+    # integrands, so they get only the first 8 of the u in [0, 200]
+    DEEP_U = np.concatenate([EDGE_U, ARRAY_U[len(EDGE_U) :][:8], NEAR_U])
+
+    @staticmethod
+    def scalar_or_nan(f, u):
+        # NaN marks the elements where the scalar transform raises
+        out = []
+        for v in u.tolist():
+            try:
+                out.append(capital_phi(f, v))
+            except MvfixError:
+                out.append(math.nan)
+        return out
+
     @pytest.mark.parametrize(
         "f",
         [
@@ -102,18 +126,51 @@ class TestCumulativeTransform:
             ExponentialIntegrand(rate=5.0),
             ExponentialIntegrand(rate=0.0, scale=2.0),
             expression_integrand("1 + t^2", grid_max=2.0),
+            expression_integrand("1 + abs(t - 0.3)", grid_max=2.0),
+            # raise: depth exhausted near 0, a pole at 2, an infinite panel
+            expression_integrand("1 + t^0.3", grid_max=2.0),
+            expression_integrand("1/(2-t)", grid_max=1.0),
+            expression_integrand("min(1, t)", grid_max=2.0),
         ],
     )
     def test_array_matches_scalar_bit_for_bit(self, f):
-        # NaN marks the elements where the scalar transform raises
-        u = np.concatenate([[0.0, 1e-300], np.random.default_rng(2).uniform(0.0, 200.0, 60)])
-        expected = []
-        for v in u.tolist():
-            try:
-                expected.append(capital_phi(f, v))
-            except DomainError:
-                expected.append(math.nan)
-        assert repr(capital_phi_array(f, u).tolist()) == repr(expected)
+        expected = self.scalar_or_nan(f, self.ARRAY_U)
+        assert repr(capital_phi_array(f, self.ARRAY_U).tolist()) == repr(expected)
+
+    @pytest.mark.parametrize("source", ["exp(t)", "ln(1+t)", "exp(t) + abs(t - 0.3)"])
+    def test_deep_array_matches_scalar_bit_for_bit(self, source):
+        f = expression_integrand(source, grid_max=2.0)
+        expected = self.scalar_or_nan(f, self.DEEP_U)
+        assert repr(capital_phi_array(f, self.DEEP_U).tolist()) == repr(expected)
+
+    @staticmethod
+    def batch_and_handed_back(f, u):
+        # capital_phi_array's values, and how many u it handed to the scalar
+        loop = mock.patch.object(integrand, "_capital_phi_loop", wraps=integrand._capital_phi_loop)
+        with loop as scalar:
+            got = capital_phi_array(f, u)
+        return got, sum(len(call.args[1]) for call in scalar.call_args_list)
+
+    @pytest.mark.parametrize(
+        "source", ["exp(t) + abs(t - 0.3)", "1 + t^0.3", "1/(2-t)", "ln(1+t)"]
+    )
+    def test_small_slices_and_budget_keep_the_scalar_bits(self, source, monkeypatch):
+        # slices of 7 u, and a budget that hands most u back to the scalar
+        monkeypatch.setattr(integrand, "QUAD_BATCH_SLICE", 7)
+        monkeypatch.setattr(integrand, "QUAD_BATCH_PANELS", 9)
+        f = expression_integrand(source, grid_max=1.0)
+        got, handed = self.batch_and_handed_back(f, self.DEEP_U)
+        assert 0 < handed < np.count_nonzero(np.isfinite(self.DEEP_U) & (self.DEEP_U > 0.0))
+        assert repr(got.tolist()) == repr(self.scalar_or_nan(f, self.DEEP_U))
+
+    def test_deep_trees_are_summed_in_the_batch(self):
+        # each u in [0, 1] needs dozens of panels, and none is handed back,
+        # so every value comes from the level-by-level sums
+        f = expression_integrand("exp(t) + abs(t - 0.3)", grid_max=2.0)
+        u = np.random.default_rng(4).uniform(0.0, 1.0, 300)
+        got, handed = self.batch_and_handed_back(f, u)
+        assert handed == 0
+        assert repr(got.tolist()) == repr(self.scalar_or_nan(f, u))
 
     def test_strictly_monotone(self):
         rng = np.random.default_rng(5)
