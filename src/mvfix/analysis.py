@@ -271,13 +271,13 @@ def certify(
     ``sqrt``) touch the arrays, while ``log``, ``expm1`` and ``pow`` run
     through ``math`` one element at a time, and the expression kind's
     quadrature runs level by level over all of a chunk's u at once (see
-    :func:`capital_phi_array` and :func:`f_eval_array`).  A pair that
-    touches a failed image (union table images count as failed), or
-    whose batch values are unusable (not finite, or ``Phi <= 0`` where
-    ``F`` needs a positive argument), is evaluated again in place by the
-    scalar code on images from :func:`apply_map`, which gives its value
-    or its error message.  ``seed``, ``grid_size`` and ``random_pairs``
-    must be integers (``seed >= 0``, ``grid_size >= 2``).
+    :func:`capital_phi_array` and :func:`f_eval_array`).  Each batch stage
+    gives NaN exactly where its scalar counterpart raises, and a union
+    table image is NaN as well; NaN carries through to the pair's values.
+    A pair whose batch values are not finite is evaluated again in place
+    by the scalar code on images from :func:`apply_map`, which gives its
+    value or its error message.  ``seed``, ``grid_size`` and
+    ``random_pairs`` must be integers (``seed >= 0``, ``grid_size >= 2``).
     """
     tally = _Tally()
     for block in _sweep(T, F, f, grid_size, random_pairs, seed, mode):
@@ -390,10 +390,10 @@ class _Sweep:
     ``lo`` and ``hi`` in the form :func:`_h_and_m` reads: 1-D endpoint
     columns when each image is one interval (K = 1), else one ``(K, n)``
     array of point members, one row per member, as both ``lo`` and
-    ``hi``.  ``elements_per_pair`` is the size of a pair's broadcasts,
-    which sets how many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Only
-    these arrays, the first sweep index of each grid row and the scalar
-    code's images outlive a chunk.
+    ``hi``; a failed image is NaN there.  ``elements_per_pair`` is the
+    size of a pair's broadcasts, which sets how many pairs a chunk of
+    ``CHUNK_ELEMENTS`` holds.  Only these arrays, the first sweep index
+    of each grid row and the scalar code's images outlive a chunk.
     """
 
     def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
@@ -405,9 +405,9 @@ class _Sweep:
         drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel()
         self.points = np.concatenate([grid, drawn])
         _, first, self.slots = np.unique(self.points, return_index=True, return_inverse=True)
-        lo, hi, self.failed = image_arrays(T, self.points[first])
+        lo, hi = image_arrays(T, self.points[first])
         K = lo.shape[1]
-        if K > 1:  # point images (image_arrays gives unions K = 1, failed)
+        if K > 1:  # point images (image_arrays gives unions K = 1, as NaN)
             self.lo = self.hi = np.ascontiguousarray(lo.T)
             self.elements_per_pair = 2 * K * K  # K members against K, both ways
         else:
@@ -433,17 +433,16 @@ class _Sweep:
     def chunk(self, start: int, stop: int) -> tuple:
         """The block of the pairs at sweep index ``start .. stop - 1`` (see :func:`_sweep`).
 
-        Every pair goes through the batch arithmetic.  A pair that touches
-        a failed image (union table images count as failed), or whose
-        batch values are unusable, is evaluated again by the scalar code
-        on images from :func:`apply_map`: its values overwrite the batch
-        row, or its error drops the row from the columns.
+        Every pair goes through the batch arithmetic, where a NaN image
+        makes its values unusable.  A pair whose batch values are unusable
+        is evaluated again by the scalar code on images from
+        :func:`apply_map`: its values overwrite the batch row, or its
+        error drops the row from the columns.
         """
         x, y, xs, ys = self.pairs(start, stop)
         with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
             h, m = _h_and_m(self.lo, self.hi, self.mode, x, y, xs, ys)
-            values, unusable = _evaluate_batch(self.F, self.f, h, m)
-        redo = unusable | self.failed[xs] | self.failed[ys]
+            values, redo = _evaluate_batch(self.F, self.f, h, m)
         errors: list[tuple[float, float, int, str]] = []
         for k in np.flatnonzero(redo).tolist():
             xk, yk = x[k].item(), y[k].item()
@@ -488,7 +487,7 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
       is the member and the point nearest a gap midpoint is a member
       already; a repeated member changes none.
 
-    Rows of failed images hold anything; the caller redoes their pairs.
+    A NaN image gives its pairs a NaN m (and h), so the caller redoes them.
     Only h and m leave, so the gathered endpoints are freed before the
     Phi and F stage, where the sweep's memory peaks.
     """
@@ -528,17 +527,15 @@ def _evaluate_batch(F: FFunction, f: Integrand, h: np.ndarray, m: np.ndarray):
 
     Returns the five value columns h, m, Phi(h), Phi(m) and margin
     (NaN on vacuous pairs), which the caller may write into, and a mask
-    of the pairs whose values are unusable (not finite, or ``Phi <= 0``
-    where ``F`` needs a positive argument) and must be redone by the
-    scalar code.
+    of the pairs whose values are unusable (not finite, which a NaN h or
+    m, a failed ``Phi`` and a failed ``F`` all are) and must be redone by
+    the scalar code.
     """
     # Phi and F are functions of u alone, so each distinct u runs once
     n = len(h)
     u, where = np.unique(np.concatenate([h, m]), return_inverse=True)
     phi_u = capital_phi_array(f, u)
-    f_u = np.full(len(u), math.nan)
-    positive = np.isfinite(phi_u) & (phi_u > 0.0)
-    f_u[positive] = f_eval_array(F, phi_u[positive])
+    f_u = f_eval_array(F, phi_u)
     phi_h, phi_m = phi_u[where[:n]], phi_u[where[n:]]
     margin = f_u[where[n:]] - f_u[where[:n]]
     vacuous = h == 0.0

@@ -450,14 +450,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help="directory to write report and trace files into",
     )
-    overrides = argparse.ArgumentParser(add_help=False)  # of the config's keys
-    overrides.add_argument(
-        "--mode",
-        choices=MODES,
-        default=None,
-        help="pair distance mode: two-sided hausdorff or one-sided excess",
-    )
-    overrides.add_argument("--seed", type=int, default=None, help="override the sweep seed")
     parser = argparse.ArgumentParser(
         prog="mvfix",
         description="certify and solve multivalued integral-type contractions on the line",
@@ -465,13 +457,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser(
         "certify",
-        parents=[overrides, out],
+        parents=[out],
         help="sweep pairs and report the empirical contraction modulus",
     )
     p.add_argument("config", type=Path, help="problem configuration JSON")
+    # overrides of the config's keys
+    p.add_argument(
+        "--mode",
+        choices=MODES,
+        default=None,
+        help="pair distance mode: two-sided hausdorff or one-sided excess",
+    )
+    p.add_argument("--seed", type=int, default=None, help="override the sweep seed")
     p = sub.add_parser(
         "solve",
-        parents=[overrides, out],
+        parents=[out],
         help="run the nearest-point iteration and validate its decay law",
     )
     p.add_argument("config", type=Path, help="problem configuration JSON")
@@ -497,8 +497,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             cfg = _apply_overrides(load_config(args.config), args)
             return cmd_certify(cfg, args.out)
         if args.command == "solve":
-            cfg = _apply_overrides(load_config(args.config), args)
-            return cmd_solve(cfg, args.out)
+            return cmd_solve(load_config(args.config), args.out)
         if args.command == "paper-demo":
             return cmd_paper_demo(args.out)
         return cmd_check_f(args.kind, args.k, args.out)

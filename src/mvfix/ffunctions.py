@@ -18,6 +18,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InvariantError
+from .expr import _pointwise
 from .sets1d import CompactSet, domain_grid
 
 __all__ = [
@@ -70,17 +71,15 @@ def f_eval(F: FFunction, alpha: float) -> float:
 
 
 def f_eval_array(F: FFunction, alpha: np.ndarray) -> np.ndarray:
-    """:func:`f_eval` over an array of alpha > 0, bit for bit.
+    """:func:`f_eval` over a 1-D array, bit for bit; NaN where it raises.
 
-    Each element goes through the kind's scalar function, because numpy's
-    vectorised ``log`` differs from ``math.log`` in the last bit on some
-    inputs (numpy 2.4.6 with AVX-512 on an Intel Xeon: 59 of 600,000
-    inputs spread over exp(-40) .. exp(40)).
+    An alpha that is not > 0, NaN included, gives NaN.  The others go
+    through the kind's scalar function by :func:`~mvfix.expr._pointwise`.
     """
-    if not np.all(alpha > 0.0):
-        raise DomainError("F is defined only for alpha > 0")
-    value = _VALUES[F.kind]
-    return np.array([value(a) for a in alpha.tolist()], dtype=float)
+    out = np.full(len(alpha), math.nan)
+    positive = alpha > 0.0
+    out[positive] = _pointwise(_VALUES[F.kind], alpha[positive])
+    return out
 
 
 def _as_callable(F: Union[FFunction, Callable[[float], float]]) -> Callable[[float], float]:

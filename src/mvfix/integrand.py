@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, EvalError, InvariantError, MvfixError, QuadratureError
 from .expr import ExprAst, compile_expr, eval_expr_array, parse_expr
+from .maps import _VALIDATION_GRID_POINTS
 
 __all__ = [
     "INTEGRAND_KINDS",
@@ -134,9 +135,6 @@ Integrand = Union[
     ConstantIntegrand, PowerIntegrand, ExponentialIntegrand, ExpressionIntegrand
 ]
 
-_VALIDATION_GRID_POINTS = 10_001
-
-
 def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionIntegrand:
     """Parse ``source`` (variable ``t``) and validate it as an integrand.
 
@@ -151,8 +149,8 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
         raise InvariantError(f"grid_max must be positive and finite, got {grid_max}")
     f = ExpressionIntegrand(ast=parse_expr(source, variable="t"), source=source, grid_max=grid_max)
     ts = np.linspace(0.0, grid_max, _VALIDATION_GRID_POINTS)
-    values, ok = eval_expr_array(f.ast, ts)
-    if not (ok & np.isfinite(values) & np.where(ts == 0.0, values >= 0.0, values > 0.0)).all():
+    values = eval_expr_array(f.ast, ts)
+    if not (np.isfinite(values) & np.where(ts == 0.0, values >= 0.0, values > 0.0)).all():
         for t in ts:
             v = f._compiled(float(t))
             if t == 0.0:
@@ -230,11 +228,8 @@ def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
     takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u whose
     panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi` then
     computes.  The power and exponential kinds need ``expm1`` or ``pow``,
-    so they run through :func:`capital_phi` one element at a time:
-    numpy's vectorised transcendentals are not correctly rounded and
-    differ from ``math`` in the last bit on some inputs (numpy 2.4.6 with
-    AVX-512 on an Intel Xeon: ``expm1`` on 33,049 of 600,000 uniform
-    inputs in [-30, 30], ``pow`` on 10,635 of 200,000).
+    so they run through :func:`capital_phi` one element at a time, for
+    the reason ``expr._pointwise`` gives.
     """
     if isinstance(f, ConstantIntegrand):
         return f.c * u
@@ -265,12 +260,11 @@ def _capital_phi_loop(f: Integrand, u: np.ndarray) -> np.ndarray:
 def _phi_nodes(f: ExpressionIntegrand, *ts: np.ndarray):
     """phi at each of the equal-length node arrays, and where some node fails.
 
-    A node fails where ``f._phi`` raises: the expression raises, or its
-    value is NaN or negative.
+    A node fails where ``f._phi`` raises: the expression raises (a NaN
+    value), or its value is negative.
     """
-    values, ok = eval_expr_array(f.ast, np.concatenate(ts))
-    good = (ok & (values >= 0.0)).reshape(len(ts), -1)
-    return values.reshape(len(ts), -1), ~good.all(axis=0)
+    values = eval_expr_array(f.ast, np.concatenate(ts)).reshape(len(ts), -1)
+    return values, ~(values >= 0.0).all(axis=0)
 
 
 def _simpson_slice(f: ExpressionIntegrand, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

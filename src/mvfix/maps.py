@@ -60,12 +60,10 @@ class MultiMap:
     def describe(self) -> str:
         if self.kind == "interval_endpoints":
             return f"T(x) = [{format_expr(self.lo)}, {format_expr(self.hi)}]"
-        if self.kind == "singleton":
-            return f"T(x) = {{{format_expr(self.members[0])}}}"
-        if self.kind == "finite_set":
-            inner = ", ".join(format_expr(e) for e in self.members)
-            return f"T(x) = {{{inner}}}"
-        return f"table with {len(self.table)} entries"
+        if self.kind == "table":
+            return f"table with {len(self.table)} entries"
+        # a singleton is a one-member finite set
+        return f"T(x) = {{{', '.join(format_expr(e) for e in self.members)}}}"
 
 
 def _expressions(T: MultiMap) -> tuple[ExprAst, ...]:
@@ -95,14 +93,12 @@ def _value_set(T: MultiMap, x: float) -> CompactSet:
     if T.kind == "interval_endpoints":
         lo_fn, hi_fn = T._compiled
         return CompactSet.interval(*_checked_ends(x, lo_fn(x), hi_fn(x)))
-    if T.kind == "singleton":
-        return CompactSet.point(T._compiled[0](x))
-    if T.kind == "finite_set":
-        return CompactSet.from_points(fn(x) for fn in T._compiled)
-    for key, value in T.table:
-        if key == x:
-            return value
-    raise DomainError(f"no table entry for x = {x}")
+    if T.kind == "table":
+        for key, value in T.table:
+            if key == x:
+                return value
+        raise DomainError(f"no table entry for x = {x}")
+    return CompactSet.from_points(fn(x) for fn in T._compiled)
 
 
 def _nearest_step(T: MultiMap) -> Callable[[float], tuple[float, float]]:
@@ -121,60 +117,62 @@ def _nearest_step(T: MultiMap) -> Callable[[float], tuple[float, float]]:
     return step
 
 
-def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Images of the points ``xs`` as padded endpoint arrays ``(lo, hi, failed)``.
+def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Images of the points ``xs`` as padded endpoint arrays ``(lo, hi)``.
 
     Row i describes T(xs[i]) as K intervals ``[lo[i, k], hi[i, k]]``, the
     batch counterpart of :func:`apply_map`.  Interval and table maps give
-    K = 1 (an interval map with the same near-tie collapse); a table row
-    whose value set is a union of intervals is flagged in ``failed``, as
-    a missing key is, and left to the scalar code.  Singleton and
-    finite-set maps give their members as sorted point columns, with
+    K = 1 (an interval map with the same near-tie collapse).  Singleton
+    and finite-set maps give their members as sorted point columns, with
     ``lo`` equal to ``hi``, so coinciding members repeat a column and
-    change no distance.  Hence K > 1 means point images.  ``failed[i]`` is
-    true where :func:`apply_map` would raise, and may be true elsewhere;
-    the other entries of a failed row mean nothing.  Expressions are
-    evaluated by :func:`eval_expr_array`, with the same bits as their
-    compiled closures.
+    change no distance.  Hence K > 1 means point images.  A row is all
+    NaN where :func:`apply_map` would raise, and where a table's value
+    set is a union of intervals, which is left to the scalar code; no
+    other row holds a NaN.  Expressions are evaluated by
+    :func:`eval_expr_array`, with the same bits as their compiled
+    closures.
     """
     xs = np.asarray(xs, dtype=float)
     if T.kind == "table":
-        ends = np.zeros((len(xs), 2))
-        failed = np.ones(len(xs), dtype=bool)
+        ends = np.full((len(xs), 2), math.nan)
         for i, x in enumerate(xs.tolist()):
             try:
                 intervals = apply_map(T, x).intervals
             except MvfixError:
                 continue
             if len(intervals) == 1:
-                ends[i], failed[i] = intervals[0], False
-        return ends[:, :1], ends[:, 1:], failed
+                ends[i] = intervals[0]
+        return ends[:, :1], ends[:, 1:]
 
-    evaluated = [eval_expr_array(e, xs) for e in _expressions(T)]
-    values = np.stack([v for v, _ in evaluated], axis=1)
-    failed = ~np.logical_and.reduce([ok for _, ok in evaluated])
+    # fresh, so the collapse, the sort and the NaN rows are written in place
+    values = np.stack([eval_expr_array(e, xs) for e in _expressions(T)], axis=1)
+    failed = np.ones(len(xs), dtype=bool)
+    for a, b in T.domain.intervals:
+        failed &= ~((a <= xs) & (xs <= b))
     with np.errstate(all="ignore"):
         if T.kind == "interval_endpoints":
-            lo, hi = values[:, :1], values[:, 1:]
+            lo, hi = values[:, 0], values[:, 1]
             inverted = lo > hi
-            failed |= (inverted & (lo - hi > ENDPOINT_SLACK))[:, 0]
+            failed |= inverted & (lo - hi > ENDPOINT_SLACK)
             mid = 0.5 * (lo + hi)
-            lo, hi = np.where(inverted, mid, lo), np.where(inverted, mid, hi)
+            np.copyto(lo, mid, where=inverted)
+            np.copyto(hi, mid, where=inverted)
         else:
-            lo = hi = np.sort(values, axis=1, kind="stable")
-        failed |= ~(np.isfinite(lo) & np.isfinite(hi)).all(axis=1)
-    inside = np.zeros(len(xs), dtype=bool)
-    for a, b in T.domain.intervals:
-        inside |= (a <= xs) & (xs <= b)
-    return lo, hi, failed | ~inside
+            values.sort(axis=1, kind="stable")
+    for column in values.T:  # numpy reduces along a short row far slower
+        failed |= ~np.isfinite(column)
+    values[failed] = math.nan
+    if T.kind == "interval_endpoints":
+        return values[:, :1], values[:, 1:]
+    return values, values
 
 
 def _validate_on_grid(T: MultiMap) -> MultiMap:
     grid = _grid_array(T.domain, _VALIDATION_GRID_POINTS)
-    _, _, failed = image_arrays(T, grid)
-    if failed.any():
+    lo, _ = image_arrays(T, grid)
+    if np.isnan(lo).any():
         # the scalar loop raises the error of the first bad point, as
-        # apply_map would; a point flagged needlessly only costs time
+        # apply_map would
         for x in grid.tolist():
             _value_set(T, x)  # raises on inverted endpoints or bad evaluations
     return T

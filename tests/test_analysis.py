@@ -30,11 +30,12 @@ from mvfix import (
     finite_set_map,
     interval_map,
     m_value,
+    parse_expr,
     singleton_map,
     table_map,
 )
 from mvfix import sets1d
-from mvfix.maps import image_arrays
+from mvfix.maps import MultiMap, image_arrays
 
 UNIT = CompactSet.interval(0.0, 1.0)
 LOG = FFunction("log")
@@ -564,6 +565,13 @@ SHAPE_CASES = {
     # endpoint differences overflow to inf, and those pairs are redone
     "huge_interval": lambda: interval_map(HUGE, "1.5e308*x", "1.5e308*x + x*x"),
     "huge_points": lambda: finite_set_map(HUGE, ["1.5e308*x", "1e308*x"]),
+    # unvalidated maps whose images fail on part of the domain, inside the sweep
+    "failing_points": lambda: MultiMap(
+        UNIT, "finite_set", members=tuple(map(parse_expr, ["x/4", "ln(x - 0.5)", "x*x"]))
+    ),
+    "failing_interval": lambda: MultiMap(
+        UNIT, "interval_endpoints", lo=parse_expr("x/4"), hi=parse_expr("sqrt(x - 0.5) + 1")
+    ),
     # unions, one holding the degenerate [0.2, 0.2]: the batch sweep fails
     # these images, so every pair takes the scalar code
     "union_images": lambda: table_map(
@@ -589,7 +597,7 @@ class TestShapePathsAgainstScalarLoop:
         args = dict(grid_size=5 if T.domain is KEYS else 21, random_pairs=40, seed=5, mode=mode)
         report = certify(T, LOG, ONE, **args)
         assert report.evaluated_pairs > 0
-        assert bool(report.errors) == case.startswith("huge")
+        assert bool(report.errors) == case.startswith(("huge", "failing"))
         assert_bitwise_equal(
             report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
         )
@@ -638,6 +646,7 @@ class TestShapePathsAgainstScalarLoop:
     def test_images_are_one_interval_or_points(self, kind, domain):
         # _Sweep reads K > 1 as point images
         T = oracle_map(kind, domain)
-        lo, hi, failed = image_arrays(T, np.array(domain_grid(T.domain, 41) + [0.0, 0.25, 1.0]))
+        lo, hi = image_arrays(T, np.array(domain_grid(T.domain, 41) + [0.0, 0.25, 1.0]))
+        failed = np.isnan(lo[:, 0])
         assert not failed.all()
         assert lo.shape[1] == 1 or (lo[~failed] == hi[~failed]).all()

@@ -265,6 +265,15 @@ class TestSolveCommand:
         assert captured.out == ""
         assert captured.err == f"error: table key {second} appears more than once\n"
 
+    @pytest.mark.parametrize("flags", [["--seed", "1"], ["--mode", "excess"]])
+    def test_sweep_flags_are_usage_errors(self, tmp_path, capsys, flags):
+        # solve reads neither the seed nor the mode, so it takes neither flag
+        cfg = write_config(tmp_path, self.solve_config())
+        assert main(["solve", cfg, *flags]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
+
     def test_missing_x0(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HALVING)
         assert main(["solve", cfg]) == EXIT_ERROR

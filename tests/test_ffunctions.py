@@ -29,9 +29,21 @@ class TestEvaluation:
         expected = [f_eval(F, a) for a in alpha.tolist()]
         assert repr(f_eval_array(F, alpha).tolist()) == repr(expected)
 
+    @pytest.mark.parametrize("kind", F_KINDS)
+    def test_array_is_nan_where_scalar_raises(self, kind):
+        F = FFunction(kind)
+        alpha = [1.0, 0.0, -0.0, -1.0, math.nan, math.inf]
+        expected = []
+        for a in alpha:
+            try:
+                expected.append(f_eval(F, a))
+            except DomainError:
+                expected.append(math.nan)
+        assert repr(f_eval_array(F, np.array(alpha)).tolist()) == repr(expected)
+
     def test_array_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            f_eval_array(FFunction("neg_inv_sqrt"), np.array([1.0, 0.0]))
+        values = f_eval_array(FFunction("neg_inv_sqrt"), np.array([1.0, 0.0]))
+        assert np.isnan(values).tolist() == [False, True]
 
     def test_log(self):
         assert f_eval(FFunction("log"), 0.25) == -1.3862943611198906
