@@ -386,14 +386,14 @@ class _Sweep:
 
     ``points`` holds the grid, then the drawn pairs flat (x before y).
     Equal floats share a slot and so one image, the image of the first
-    point to use it.  The images from :func:`image_arrays` are kept as
-    ``lo`` and ``hi`` in the form :func:`_h_and_m` reads: 1-D endpoint
-    columns when each image is one interval (K = 1), else one ``(K, n)``
-    array of point members, one row per member, as both ``lo`` and
-    ``hi``; a failed image is NaN there.  ``elements_per_pair`` is the
-    size of a pair's broadcasts, which sets how many pairs a chunk of
-    ``CHUNK_ELEMENTS`` holds.  Only these arrays, the first sweep index
-    of each grid row and the scalar code's images outlive a chunk.
+    point to use it.  ``lo`` and ``hi`` are the images as
+    :func:`image_arrays` gives them, already in the form :func:`_h_and_m`
+    reads: 1-D endpoint arrays when each image is one interval, else one
+    ``(K, n)`` array of point members as both; a failed image is NaN
+    there.  ``elements_per_pair`` is the size of a pair's broadcasts,
+    which sets how many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Only
+    these arrays, the first sweep index of each grid row and the scalar
+    code's images outlive a chunk.
     """
 
     def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
@@ -405,14 +405,9 @@ class _Sweep:
         drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel()
         self.points = np.concatenate([grid, drawn])
         _, first, self.slots = np.unique(self.points, return_index=True, return_inverse=True)
-        lo, hi = image_arrays(T, self.points[first])
-        K = lo.shape[1]
-        if K > 1:  # point images (image_arrays gives unions K = 1, as NaN)
-            self.lo = self.hi = np.ascontiguousarray(lo.T)
-            self.elements_per_pair = 2 * K * K  # K members against K, both ways
-        else:
-            self.lo, self.hi = lo[:, 0], hi[:, 0]
-            self.elements_per_pair = 4
+        self.lo, self.hi = image_arrays(T, self.points[first])
+        # four endpoints, or K members against K both ways
+        self.elements_per_pair = 4 if self.lo.ndim == 1 else 2 * len(self.lo) ** 2
         self.images: dict[float, CompactSet] = {}
         self.grid_points = n = len(grid)
         rows = np.arange(n - 1)
@@ -472,20 +467,21 @@ class _Sweep:
 def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
     """h and m of each pair, with the arithmetic the image shape allows.
 
-    ``xs`` and ``ys`` index the pairs' images in ``lo`` and ``hi``, kept
-    as :class:`_Sweep` describes.  Each form gives the same bits as
-    ``sets1d``:
+    ``xs`` and ``ys`` index the pairs' images in ``lo`` and ``hi``, in
+    the layout :func:`image_arrays` gives.  Each form gives the same bits
+    as ``sets1d``:
 
-    * one interval per image (1-D ``lo``: interval, singleton and
+    * one interval per image (1-D ``lo``: interval, one-member and
       one-interval table images): every distance has a closed form.
       Every clamp candidate of the two excesses is one rounded
       subtraction of two endpoints, never larger than |lx - ly| or
       |hx - hy| as rounding is monotone, so the Hausdorff distance is the
       larger of those two;
-    * point images (2-D ``lo``, one row per member): a distance is the
-      least point-to-point gap, with no clamp, as the clamp onto a member
-      is the member and the point nearest a gap midpoint is a member
-      already; a repeated member changes none.
+    * point images (2-D ``lo``, one row per member, K >= 2): a distance
+      is the least point-to-point gap, with no clamp, as the clamp onto a
+      member is the member and the point nearest a gap midpoint is a
+      member already.  Only the least and the largest gap count, so
+      neither the order of the members nor a repeated member changes one.
 
     A NaN image gives its pairs a NaN m (and h), so the caller redoes them.
     Only h and m leave, so the gathered endpoints are freed before the

@@ -142,24 +142,21 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
     t = 0 and phi(t) > 0 at every other point of a 10001-point grid over
     [0, grid_max]; zeros on sets of positive measure would break the
     strict positivity of Phi.  The grid is evaluated as one array
-    (:func:`eval_expr_array`); only when some point fails there does the
-    scalar loop run, to raise the error of the first bad point.
+    (:func:`eval_expr_array`, NaN where the expression raises); only at
+    the first point that fails there does the scalar expression run, to
+    raise its error or to give the value the message reports.
     """
     if not (grid_max > 0.0 and math.isfinite(grid_max)):
         raise InvariantError(f"grid_max must be positive and finite, got {grid_max}")
     f = ExpressionIntegrand(ast=parse_expr(source, variable="t"), source=source, grid_max=grid_max)
     ts = np.linspace(0.0, grid_max, _VALIDATION_GRID_POINTS)
     values = eval_expr_array(f.ast, ts)
-    if not (np.isfinite(values) & np.where(ts == 0.0, values >= 0.0, values > 0.0)).all():
-        for t in ts:
-            v = f._compiled(float(t))
-            if t == 0.0:
-                if v < 0.0:
-                    raise InvariantError(f"integrand '{source}' is negative at t = 0: {v}")
-            elif not v > 0.0:
-                raise InvariantError(
-                    f"integrand '{source}' is not strictly positive at t = {float(t)}: {v}"
-                )
+    failed = np.flatnonzero(~np.where(ts == 0.0, values >= 0.0, values > 0.0))
+    if len(failed):
+        t = ts[failed[0]].item()
+        v = f._compiled(t)  # raises where the value is NaN
+        at = "negative at t = 0" if t == 0.0 else f"not strictly positive at t = {t}"
+        raise InvariantError(f"integrand '{source}' is {at}: {v}")
     return f
 
 
@@ -221,18 +218,18 @@ def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
     An element where :func:`capital_phi` raises comes back as NaN, and
     overflow as inf; callers rerun NaN elements through
     :func:`capital_phi` to get its error.  The constant kind is one IEEE
-    multiply on the whole array.  The expression kind runs
-    :func:`adaptive_simpson` for all u at once, one refinement level at a
-    time (:func:`_simpson_slice`): each u gets the panels and operations
-    of the scalar recursion in the same order, so the same bits.  It
-    takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u whose
-    panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi` then
-    computes.  The power and exponential kinds need ``expm1`` or ``pow``,
-    so they run through :func:`capital_phi` one element at a time, for
-    the reason ``expr._pointwise`` gives.
+    multiply on the whole array, NaN where u is negative.  The expression
+    kind runs :func:`adaptive_simpson` for all u at once, one refinement
+    level at a time (:func:`_simpson_slice`): each u gets the panels and
+    operations of the scalar recursion in the same order, so the same
+    bits.  It takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u
+    whose panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi`
+    then computes.  The power and exponential kinds need ``expm1`` or
+    ``pow``, so they run through :func:`capital_phi` one element at a
+    time, for the reason ``expr._pointwise`` gives.
     """
     if isinstance(f, ConstantIntegrand):
-        return f.c * u
+        return np.where(u >= 0.0, f.c * u, math.nan)
     if not isinstance(f, ExpressionIntegrand):
         return _capital_phi_loop(f, u)
     # u == 0 is the scalar's a == b branch; negative, NaN and infinite u

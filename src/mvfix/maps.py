@@ -118,63 +118,60 @@ def _nearest_step(T: MultiMap) -> Callable[[float], tuple[float, float]]:
 
 
 def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Images of the points ``xs`` as padded endpoint arrays ``(lo, hi)``.
+    """Images of the points ``xs`` as ``(lo, hi)``, in the layout ``analysis._h_and_m`` reads.
 
-    Row i describes T(xs[i]) as K intervals ``[lo[i, k], hi[i, k]]``, the
-    batch counterpart of :func:`apply_map`.  Interval and table maps give
-    K = 1 (an interval map with the same near-tie collapse).  Singleton
-    and finite-set maps give their members as sorted point columns, with
-    ``lo`` equal to ``hi``, so coinciding members repeat a column and
-    change no distance.  Hence K > 1 means point images.  A row is all
-    NaN where :func:`apply_map` would raise, and where a table's value
-    set is a union of intervals, which is left to the scalar code; no
-    other row holds a NaN.  Expressions are evaluated by
-    :func:`eval_expr_array`, with the same bits as their compiled
+    The batch counterpart of :func:`apply_map`.  Interval, table and
+    one-member maps give 1-D endpoint arrays: T(xs[i]) is the interval
+    ``[lo[i], hi[i]]`` (an interval map with the same near-tie collapse;
+    for one member, ``lo`` is ``hi``).  Finite sets with K >= 2 members
+    give one ``(K, n)`` array of point members, in expression order, as
+    both ``lo`` and ``hi``; a repeated member changes no distance.  Image
+    i is NaN throughout where :func:`apply_map` would raise, and where a
+    table's value set is a union of intervals, which is left to the
+    scalar code; no other image holds a NaN.  Expressions are evaluated
+    by :func:`eval_expr_array`, with the same bits as their compiled
     closures.
     """
     xs = np.asarray(xs, dtype=float)
     if T.kind == "table":
-        ends = np.full((len(xs), 2), math.nan)
+        ends = np.full((2, len(xs)), math.nan)
         for i, x in enumerate(xs.tolist()):
             try:
                 intervals = apply_map(T, x).intervals
             except MvfixError:
                 continue
             if len(intervals) == 1:
-                ends[i] = intervals[0]
-        return ends[:, :1], ends[:, 1:]
+                ends[:, i] = intervals[0]
+        return ends[0], ends[1]
 
-    # fresh, so the collapse, the sort and the NaN rows are written in place
-    values = np.stack([eval_expr_array(e, xs) for e in _expressions(T)], axis=1)
+    # fresh rows, one per expression, so the collapse and NaN images are written in place
+    values = np.stack([eval_expr_array(e, xs) for e in _expressions(T)])
     failed = np.ones(len(xs), dtype=bool)
     for a, b in T.domain.intervals:
         failed &= ~((a <= xs) & (xs <= b))
-    with np.errstate(all="ignore"):
-        if T.kind == "interval_endpoints":
-            lo, hi = values[:, 0], values[:, 1]
+    if T.kind == "interval_endpoints":
+        lo, hi = values
+        with np.errstate(all="ignore"):
             inverted = lo > hi
             failed |= inverted & (lo - hi > ENDPOINT_SLACK)
             mid = 0.5 * (lo + hi)
-            np.copyto(lo, mid, where=inverted)
-            np.copyto(hi, mid, where=inverted)
-        else:
-            values.sort(axis=1, kind="stable")
-    for column in values.T:  # numpy reduces along a short row far slower
-        failed |= ~np.isfinite(column)
-    values[failed] = math.nan
-    if T.kind == "interval_endpoints":
-        return values[:, :1], values[:, 1:]
+        np.copyto(lo, mid, where=inverted)
+        np.copyto(hi, mid, where=inverted)
+    failed |= ~np.isfinite(values).all(axis=0)
+    values[:, failed] = math.nan
+    if T.kind == "interval_endpoints" or len(values) == 1:
+        return values[0], values[-1]
     return values, values
 
 
 def _validate_on_grid(T: MultiMap) -> MultiMap:
     grid = _grid_array(T.domain, _VALIDATION_GRID_POINTS)
     lo, _ = image_arrays(T, grid)
-    if np.isnan(lo).any():
-        # the scalar loop raises the error of the first bad point, as
-        # apply_map would
-        for x in grid.tolist():
-            _value_set(T, x)  # raises on inverted endpoints or bad evaluations
+    failed = np.flatnonzero(np.isnan(lo))
+    if len(failed):
+        # a failed image is NaN in every row, so its first NaN lies in the
+        # first row; the scalar raises that point's error, as apply_map would
+        _value_set(T, grid[failed[0]].item())
     return T
 
 
@@ -189,7 +186,7 @@ def interval_map(
     the domain; the map is rejected if any evaluation fails or if
     lo(x) > hi(x) beyond a 1e-12 slack.  The grid is evaluated as one
     array (:func:`image_arrays`); only when that flags a point does the
-    scalar loop run, to raise the error of the first bad point.
+    scalar code run, once, at the first flagged point, to raise its error.
     """
     T = MultiMap(domain, "interval_endpoints", lo=_as_ast(lo), hi=_as_ast(hi))
     return _validate_on_grid(T)

@@ -562,6 +562,8 @@ SHAPE_CASES = {
     # members coincide at some x, so the number of distinct points varies
     "coinciding_members": lambda: finite_set_map(UNIT, ["x/2", "x/2", "x*x", "min(x, 0.5)"]),
     "four_points": lambda: finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"]),
+    # the same points, permuted and with one repeated
+    "permuted_points": lambda: finite_set_map(UNIT, ["0.9*x", "(x+1)/2", "x/4", "x/3", "(x+1)/2"]),
     # endpoint differences overflow to inf, and those pairs are redone
     "huge_interval": lambda: interval_map(HUGE, "1.5e308*x", "1.5e308*x + x*x"),
     "huge_points": lambda: finite_set_map(HUGE, ["1.5e308*x", "1e308*x"]),
@@ -614,6 +616,14 @@ class TestShapePathsAgainstScalarLoop:
             report, sweep_pairs(T, LOG, f, **args), certify_scalar(T, LOG, f, **args)
         )
 
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_member_order_and_repeats_change_no_bit(self, mode):
+        # each also matches the scalar loop in test_bit_for_bit
+        args = dict(grid_size=21, random_pairs=40, seed=5, mode=mode)
+        cases = ("four_points", "permuted_points")
+        same, permuted = (certify(SHAPE_CASES[case](), LOG, ONE, **args) for case in cases)
+        assert same.tau_star is not None and repr(permuted) == repr(same)
+
     def test_union_pairs_take_the_scalar_code(self):
         spy = mock.patch.object(analysis, "_evaluate", wraps=analysis._evaluate)
         with spy as scalar:
@@ -644,9 +654,10 @@ class TestShapePathsAgainstScalarLoop:
     @pytest.mark.parametrize("domain", sorted(ORACLE_DOMAINS))
     @pytest.mark.parametrize("kind", ORACLE_MAPS)
     def test_images_are_one_interval_or_points(self, kind, domain):
-        # _Sweep reads K > 1 as point images
+        # _Sweep reads 1-D images as one interval each, 2-D as point members
         T = oracle_map(kind, domain)
         lo, hi = image_arrays(T, np.array(domain_grid(T.domain, 41) + [0.0, 0.25, 1.0]))
-        failed = np.isnan(lo[:, 0])
+        assert lo.ndim == (2 if kind == "finite_set" else 1)
+        failed = np.isnan(lo).reshape(-1, lo.shape[-1])[0]
         assert not failed.all()
-        assert lo.shape[1] == 1 or (lo[~failed] == hi[~failed]).all()
+        assert lo.ndim == 1 or (lo[:, ~failed] == hi[:, ~failed]).all()

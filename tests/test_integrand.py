@@ -96,10 +96,10 @@ class TestCumulativeTransform:
         assert integrand_label(f) in str(err.value)
         assert f"u = {u}" in str(err.value)
 
-    # 0, -0.0, the least subnormal and far-out values, u in [0, 200],
-    # where most deep integrands raise, and u in [0, 2], where they refine
-    # deeply and some are handed back to the scalar quadrature
-    EDGE_U = [0.0, -0.0, 5e-324, 1e-300, 1e3, math.nan, math.inf]
+    # 0, -0.0, the least subnormal, far-out and negative values, u in
+    # [0, 200], where most deep integrands raise, and u in [0, 2], where
+    # they refine deeply and some are handed back to the scalar quadrature
+    EDGE_U = [0.0, -0.0, 5e-324, 1e-300, 1e3, math.nan, math.inf, -1.0, -math.inf]
     NEAR_U = np.random.default_rng(3).uniform(0.0, 2.0, 60)
     ARRAY_U = np.concatenate([EDGE_U, np.random.default_rng(2).uniform(0.0, 200.0, 60), NEAR_U])
     # the scalar takes 20-50 ms to raise at most u far past 2 on the deep
@@ -306,6 +306,19 @@ class TestValidation:
     def test_expression_same_verdict_as_scalar_loop(self, source, grid_max):
         expected = outcome(validate_integrand_scalar, source, grid_max)
         assert outcome(expression_integrand, source, grid_max) == expected
+
+    @pytest.mark.parametrize(
+        "source, error",
+        [
+            # the first failures lie mid-grid, at t = 1 exactly
+            ("abs(t - 1)", "integrand 'abs(t - 1)' is not strictly positive at t = 1.0: 0.0"),
+            ("1/(t - 1)^2", "division by zero in '1.0 / (t - 1.0) ^ 2.0'"),
+            ("t - 1", "integrand 't - 1' is negative at t = 0: -1.0"),
+        ],
+    )
+    def test_expression_error_names_the_first_bad_point(self, source, error):
+        kind = EvalError if "division" in error else InvariantError
+        assert outcome(expression_integrand, source, 2.0) == (kind, error)
 
     def test_unvalidated_expression_flags_negative_values(self):
         # constructing the dataclass directly skips the grid check, but the

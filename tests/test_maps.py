@@ -183,6 +183,8 @@ VALIDATION_CASES = [
     ("finite_set", UNIT, ("x/2", "1/(x - 1)")),
     ("finite_set", UNIT, ("x", Num(math.inf))),
     ("singleton", UNIT, (Num(math.nan),)),  # non-finite member
+    ("interval_endpoints", UNIT, ("x", "0.5")),  # inverted from mid-grid on
+    ("interval_endpoints", UNIT, ("x/4", "sqrt(0.3 - x) + 1")),  # fails from mid-grid on
 ]
 
 
@@ -207,29 +209,45 @@ class TestArrayValidation:
         expected = outcome(validate_map_scalar, _unvalidated(kind, domain, exprs))
         assert outcome(_factory, kind, domain, exprs) == expected
 
+    @pytest.mark.parametrize(
+        "lo, hi, error",
+        [
+            (
+                "x",
+                "0.5",
+                (InvariantError, "map endpoints inverted at x = 0.5001: lo = 0.5001, hi = 0.5"),
+            ),
+            ("x/4", "sqrt(0.3 - x) + 1", (EvalError, "sqrt of negative value in 'sqrt(0.3 - x)'")),
+        ],
+    )
+    def test_error_names_the_first_bad_point(self, lo, hi, error):
+        # both fail from mid-grid on
+        assert outcome(interval_map, UNIT, lo, hi) == error
+
     @pytest.mark.parametrize("kind, domain, exprs", VALIDATION_CASES)
     def test_image_arrays_match_apply_map(self, kind, domain, exprs):
         T = _unvalidated(kind, domain, exprs)
         xs = domain_grid(domain, 41) + [-0.5, 0.5, 2.0]
-        lo, hi = image_arrays(T, np.array(xs))
+        # one interval per image, or one row per point member
+        lo, hi = (np.atleast_2d(a) for a in image_arrays(T, np.array(xs)))
         for i, x in enumerate(xs):
             try:
                 S = apply_map(T, x)
             except MvfixError:
-                assert np.isnan(lo[i]).all() and np.isnan(hi[i]).all(), x
+                assert np.isnan(lo[:, i]).all() and np.isnan(hi[:, i]).all(), x
                 continue
-            assert not (np.isnan(lo[i]).any() or np.isnan(hi[i]).any()), x
-            # sorted columns; a repeated column is padding
-            assert tuple(dict.fromkeys(zip(lo[i].tolist(), hi[i].tolist()))) == S.intervals
+            assert not (np.isnan(lo[:, i]).any() or np.isnan(hi[:, i]).any()), x
+            # members in expression order; a repeated member is one point
+            assert tuple(sorted(set(zip(lo[:, i].tolist(), hi[:, i].tolist())))) == S.intervals
 
     def test_table_images_are_one_interval_or_failed(self):
         T = table_map(UNIT, [(0.0, [(0.0, 0.1), (0.5, 0.6)]), (1.0, [(0.2, 0.3)])])
         lo, hi = image_arrays(T, np.array([0.0, 0.5, 1.0]))
-        # a one-interval row keeps its endpoints, with K = 1
-        assert lo.shape == hi.shape == (3, 1)
-        assert (lo[2, 0], hi[2, 0]) == (0.2, 0.3)
+        # a one-interval image keeps its endpoints, in 1-D arrays
+        assert lo.shape == hi.shape == (3,)
+        assert (lo[2], hi[2]) == (0.2, 0.3)
         # the union at 0.0 and the missing key 0.5 are left to the scalar code
-        assert np.isnan(lo[:, 0]).tolist() == np.isnan(hi[:, 0]).tolist() == [True, True, False]
+        assert np.isnan(lo).tolist() == np.isnan(hi).tolist() == [True, True, False]
 
 
 def _one_interval_image(T, x):
