@@ -21,7 +21,9 @@ import argparse
 import csv
 import sys
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .analysis import MODES, CertificateReport, certify
 from .config import (
@@ -108,32 +110,99 @@ def extract_machine_block(text: str) -> dict[str, str]:
     return rows
 
 
+# Exact %.17g of float64s: |v| * 10**(16 - E) rounded once in x87 precision, where 10**27 is exact
+_X87 = np.finfo(np.longdouble).nmant == 63
+_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_QUADS = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10  # digits of 0 .. 9999
+_TRAILING_ZEROS = (_QUADS[:, ::-1].cumsum(axis=1) == 0).sum(axis=1).astype(np.uint8)
+_QUADS = (_QUADS + 48).astype(np.uint8).view("<u4").ravel()  # "0000" .. "9999", in byte order
+_AROUND = np.zeros((28, 24), np.uint8)  # by E + 11: "0.000" before the digits, or "e-05" after
+for _e in range(-11, 0):
+    _text = b"0." + b"0" * (-_e - 1) if _e >= -4 else b"e-%02d" % -_e
+    _AROUND[_e + 11, 1 if _e >= -4 else 19 :][: len(_text)] = list(_text)
+_SLOT = np.arange(24, dtype=np.uint8)[:, None]  # a %.17g of a float64 has at most 24 characters
+_BLOCK = 512  # rows
+
+
+def _format_g17(v: np.ndarray) -> np.ndarray:
+    """``"%.17g" % x`` for each x of ``v``, as rows of 24 NUL-padded bytes."""
+    a = np.abs(v)
+    fast = (a > 1e-11) & (a < 1e16) & _X87
+    a = np.where(fast, a, 1.0)
+    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -11, 15)
+    a = a.astype(np.longdouble)
+    r = a * _POW10.take(16 - e)
+    e += (r >= 1e17).astype(np.int64) - (r < 1e16)  # log10 is one off below 10**k
+    r = a * _POW10.take(16 - e)  # one rounding; r * 10 would round twice
+    n = r.astype(np.int64)
+    r -= n  # a multiple of ulp(r) <= 2**-7: on the exact product's side of 1/2 unless == 1/2
+    fast &= r != 0.5
+    n += r > 0.5
+    carry = n == 10**17  # 9.9999999999999995e-05 rounds to 1.0000000000000000e-04
+    n -= carry * (9 * 10**16)
+    e += carry  # now |v| rounds to n * 10**(e - 16), n of 17 digits, where fast
+    q, units = np.divmod(np.array(np.divmod(n, 10**8), np.int32), 10**4)
+    groups = np.stack([q[0] // 10**4, q[0] % 10**4, units[0], q[1], units[1]])  # 1 + 4 * 4 digits
+    del a, r, n, q, units
+    z = _TRAILING_ZEROS.take(groups)
+    sig = 17 - (z[4] + (z[4] == 4) * (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * z[1])))
+    point = np.where(e >= 0, e + 1, 1).astype(np.uint8)  # digits before the point
+    digits = _QUADS.take(groups.T).view(np.uint8).T  # "000" and the 17 digits
+    del groups, z
+    # byte j of slot i is out[j, i]; blends by xor and multiply, as np.where is slow on bytes
+    pad = np.zeros((30, len(v)), np.uint8)  # digit i in row 6 + i
+    np.multiply(digits[3:], _SLOT[:17] < np.maximum(sig, point), out=pad[6:23])
+    del digits
+    out = pad[4:28] ^ pad[5:29]
+    out *= _SLOT <= point
+    out ^= pad[4:28]
+    out[point + 1, np.arange(len(v))] = np.where(sig > point, ord("."), 0)
+    out ^= np.multiply(pad[:24] ^ out, (e < 0) & (e >= -4), out=pad[:24])  # 0.000ddd: from byte 6
+    out = out.T.copy()  # now slot i is out[i]
+    out |= _AROUND.take(e + 11, axis=0)
+    out[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    slow = np.flatnonzero(~fast)
+    out[slow] = np.array(["%.17g" % x for x in v[slow].tolist()], "S24")[:, None].view(np.uint8)
+    return out
+
+
 def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
-    """Serialize the recorded steps, one row at a time; every float round-trips exactly.
+    """Serialize the recorded steps, every float as ``"%.17g"``, so it round-trips exactly.
 
     ``F_gamma`` and ``n_gamma_k`` come from :meth:`IterationTrace.decay_columns`,
-    so a gamma that underflowed to 0 gets ``F_gamma = -inf``.  Row n's
-    ``x`` is row n-1's ``next``, so each point is formatted once.
+    so a gamma that underflowed to 0 gets ``F_gamma = -inf``.  Rows go out
+    in blocks of 512: one kernel call fills a 24-byte NUL-padded slot per
+    value of the block, and the row bytes are the slots and separators
+    with the NULs squeezed out.  Row n's ``x`` reuses row n-1's ``next``
+    slot, and ``gamma`` the ``d`` slot where the two have equal bits.  The
+    kernel takes the 17 digits of ``|v| * 10**(16 - E)`` rounded once in
+    x87 extended precision.  Values that are not finite, lie outside
+    (1e-11, 1e16) or whose product has a fraction of exactly 1/2 fall back
+    to ``"%.17g" % v``, as does every value where ``np.longdouble`` is not
+    the x87 format.
     """
     f_gamma, n_gamma_k = trace.decay_columns(F)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        if trace.x:
-            fh.writelines(_trace_rows("%.17g" % trace.x[0], trace, f_gamma, n_gamma_k))
-
-
-def _trace_rows(
-    x_text: str, trace: IterationTrace, f_gamma: Sequence[float], n_gamma_k: Sequence[float]
-) -> Iterator[str]:
-    for n, nxt, d, gamma, fg, w in zip(
-        range(len(trace.x)), trace.next_point, trace.d_to_set, trace.gamma, f_gamma, n_gamma_k
-    ):
-        next_text = "%.17g" % nxt
-        d_text = "%.17g" % d
-        # phi = 1 gives Phi(d) = d; a recorded d is finite and > 0, so == means equal bits
-        gamma_text = d_text if gamma == d else "%.17g" % gamma
-        yield "%d,%s,%s,%s,%s,%.17g,%.17g\n" % (n, x_text, next_text, d_text, gamma_text, fg, w)
-        x_text = next_text
+    cols = (trace.next_point, trace.d_to_set, f_gamma, n_gamma_k, trace.gamma)
+    x_slot = _format_g17(np.array(trace.x[:1]))
+    with open(path, "wb") as fh:
+        fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
+        buf = np.zeros((_BLOCK, 7, 25), np.uint8)
+        buf[:, :, 24] = list(b",,,,,,\n")
+        for start in range(0, len(trace.x), _BLOCK):
+            nxt, d, fg, w, gamma = (np.fromiter(c[start : start + _BLOCK], float) for c in cols)
+            rows = len(nxt)
+            own = gamma.view(np.int64) != d.view(np.int64)
+            # n < 2**53 is exact as a float, and its %.17g is its %d
+            n = np.arange(start, start + rows, dtype=float)
+            slots = _format_g17(np.concatenate([n, nxt, d, fg, w, gamma[own]]))
+            block = buf[:rows]
+            block[:, [0, 2, 3, 5, 6], :24] = slots[: 5 * rows].reshape(5, rows, 24).swapaxes(0, 1)
+            block[:, 4, :24] = block[:, 3, :24]
+            block[own, 4, :24] = slots[5 * rows :]
+            del slots
+            block[:, 1, :24] = np.concatenate([x_slot, block[:-1, 2, :24]])
+            x_slot = block[-1:, 2, :24].copy()
+            fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float, float, float, float, float, float]]:

@@ -34,11 +34,12 @@ __all__ = [
     "InfimumVerdict",
 ]
 
-# The value of each F kind at one alpha > 0, by kind name.
-_VALUES: dict[str, Callable[[float], float]] = {
-    "log": math.log,
-    "log_plus_linear": lambda alpha: math.log(alpha) + alpha,
-    "neg_inv_sqrt": lambda alpha: -1.0 / math.sqrt(alpha),
+# Each F kind by name: its value at one alpha > 0, and the same bits at an
+# array of them (numpy's sqrt, / and + are correctly rounded; its log is not).
+_VALUES: dict[str, tuple[Callable[[float], float], Callable[[np.ndarray], np.ndarray]]] = {
+    "log": (math.log, lambda a: _pointwise(math.log, a)),
+    "log_plus_linear": (lambda a: math.log(a) + a, lambda a: _pointwise(math.log, a) + a),
+    "neg_inv_sqrt": (lambda a: -1.0 / math.sqrt(a), lambda a: -1.0 / np.sqrt(a)),
 }
 F_KINDS = tuple(_VALUES)
 
@@ -67,18 +68,18 @@ def f_eval(F: FFunction, alpha: float) -> float:
     """Value F(alpha); the domain is strictly positive reals."""
     if not alpha > 0.0:
         raise DomainError(f"F is defined only for alpha > 0, got {alpha}")
-    return _VALUES[F.kind](alpha)
+    return _VALUES[F.kind][0](alpha)
 
 
 def f_eval_array(F: FFunction, alpha: np.ndarray) -> np.ndarray:
     """:func:`f_eval` over a 1-D array, bit for bit; NaN where it raises.
 
     An alpha that is not > 0, NaN included, gives NaN.  The others go
-    through the kind's scalar function by :func:`~mvfix.expr._pointwise`.
+    through the kind's array form.
     """
     out = np.full(len(alpha), math.nan)
     positive = alpha > 0.0
-    out[positive] = _pointwise(_VALUES[F.kind], alpha[positive])
+    out[positive] = _VALUES[F.kind][1](alpha[positive])
     return out
 
 

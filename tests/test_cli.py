@@ -4,9 +4,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvfix import FFunction, f_eval, iterate, singleton_map
+from mvfix import FFunction, cli, f_eval, iterate, singleton_map
 from mvfix.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -50,6 +53,89 @@ class TestFormatting:
         text = "preamble\n" + machine_block([("a", 1.5), ("b", None), ("c", True)])
         rows = extract_machine_block(text)
         assert rows == {"a": "1.5", "b": "undefined", "c": "true"}
+
+
+def g17_mismatches(values):
+    """The values whose slot from the vectorised kernel is not ``"%.17g" % v``."""
+    values = np.asarray(values, dtype=float)
+    slots = cli._format_g17(values)
+    assert slots.shape == (len(values), 24)
+    return [
+        (v, bytes(slot))
+        for v, slot in zip(values.tolist(), slots)
+        if bytes(slot).replace(b"\0", b"") != b"%.17g" % v
+    ]
+
+
+def bits_as_floats(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
+FLOAT64_BITS = st.integers(0, 2**64 - 1)
+# every bit pattern of a float64 in the kernel's fast range, either sign
+FAST_RANGE_BITS = st.builds(
+    lambda sign, bits: sign | bits,
+    st.sampled_from([0, 2**63]),
+    st.integers(
+        int(np.float64(1e-11).view(np.uint64)) + 1, int(np.float64(1e16).view(np.uint64)) - 1
+    ),
+)
+# |v| * 10**(16 - E) rounds to a fraction of exactly 1/2 in x87 extended
+# precision, though the exact fraction is 0.4994 and 0.5015; the third is an exact tie
+HALF_WITNESSES = [0.0002481361948173567, 7.005112445184033e-09, 848165541590462.6]
+G17_CORPUS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.225073858507201e-308,
+    2.2250738585072014e-308, 1.7976931348623157e308, 1e-11, 1e16,
+    2.0**53 - 1, 2.0**53, 2.0**53 + 2, -(2.0**53 - 1), 9.9999999999999995e-05,
+    *(2.0**-k for k in range(1, 61)),
+    *(w for k in range(-12, 18) for w in
+      (10.0**k, math.nextafter(10.0**k, 0.0), math.nextafter(10.0**k, math.inf))),
+    *HALF_WITNESSES,
+]
+
+
+class TestG17Kernel:
+    """``cli._format_g17`` gives the bytes of ``"%.17g" % v`` for every float64."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FLOAT64_BITS, min_size=1, max_size=40))
+    def test_raw_bit_patterns(self, bits):
+        assert g17_mismatches(bits_as_floats(bits)) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FAST_RANGE_BITS, min_size=1, max_size=40))
+    def test_bit_patterns_in_the_fast_range(self, bits):
+        assert g17_mismatches(bits_as_floats(bits)) == []
+
+    def test_corpus(self):
+        assert g17_mismatches(G17_CORPUS) == []
+        assert g17_mismatches([-v for v in G17_CORPUS]) == []
+
+    def test_near_powers_of_ten(self):
+        # log10 gives the exponent one too high on some of these, which the kernel corrects
+        powers = np.array([10.0**k for k in range(-12, 18)])
+        near = (powers.view(np.int64)[:, None] + np.arange(-300, 301)).view(np.float64)
+        assert g17_mismatches(near.ravel()) == []
+
+    @pytest.mark.parametrize("v", HALF_WITNESSES)
+    def test_a_product_on_the_half(self, v):
+        assert g17_mismatches([v, -v]) == []
+
+    def test_spread_values(self):
+        rng = np.random.default_rng(17)
+        values = np.concatenate([
+            rng.uniform(0.0, 1.0, 20_000),
+            np.exp(rng.uniform(np.log(1e-12), np.log(1e17), 40_000)) * rng.choice([-1, 1], 40_000),
+            np.arange(-2000, 2000) / 8,
+            np.arange(0, 20_000, dtype=float),
+        ])
+        assert g17_mismatches(values) == []
+
+    def test_without_x87_every_value_takes_the_fallback(self, monkeypatch):
+        monkeypatch.setattr(cli, "_X87", False)
+        # powers of ten of 0 would spoil every digit the kernel made itself
+        monkeypatch.setattr(cli, "_POW10", cli._POW10 * 0)
+        assert g17_mismatches(G17_CORPUS + [0.5, 1.25, -3e-7, 123456.789]) == []
 
 
 class TestCertifyCommand:

@@ -1,6 +1,7 @@
 import functools
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,8 @@ from mvfix import (
     table_map,
     validate_trace,
 )
-from mvfix.cli import write_trace_csv
+from mvfix import cli
+from mvfix.cli import read_trace_csv, write_trace_csv
 
 UNIT = CompactSet.interval(0.0, 1.0)
 LOG = FFunction("log")
@@ -433,3 +435,63 @@ class TestColumnarTraceAgainstScalarLoop:
         assert trace.decay_columns(FFunction("neg_inv_sqrt"))[0] == tuple(
             -1.0 / math.sqrt(g) for g in trace.gamma
         )
+
+
+BLOCK = cli._BLOCK
+# map, integrand and start; a 0-step trace starts at 0, a fixed point of each map
+CSV_CASES = {
+    # phi = 1 gives gamma = d, so the writer reuses the d slot
+    "phi_one": (lambda: singleton_map(UNIT, "x - x^2"), "constant", 0.5),
+    "expression": (lambda: singleton_map(UNIT, "x - x^2"), "expression", 0.5),
+    "power": (lambda: singleton_map(UNIT, "x - x^2"), "power", 0.5),
+    # Phi(d) = d^51 / 51 is 0 from step 110 on: F_gamma = -inf, n_gamma_k = 0
+    "underflow": (lambda: singleton_map(UNIT, "0.9*x"), "power_underflow", 0.5),
+    # negative points; d, gamma and n * gamma**k of 1e16 and more
+    "negative_large": (
+        lambda: singleton_map(CompactSet.interval(-1e20, 0.0), "0.99*x"), "constant", -1e19
+    ),
+}
+
+
+class TestTraceCsvBlocks:
+    """The blocked writer against ``write_trace_csv_scalar`` across block edges."""
+
+    @pytest.mark.parametrize("steps", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    @pytest.mark.parametrize("case", sorted(CSV_CASES))
+    def test_block_boundaries(self, case, steps):
+        make_map, integrand, x0 = CSV_CASES[case]
+        trace = assert_trace_matches_oracles(
+            make_map(), x0 if steps else 0.0, 0.0, max(steps, 1), trace_integrand(integrand),
+            LOG, 0.5,
+        )
+        assert len(trace.x) == steps
+
+    def test_cases_reach_their_edge_values(self):
+        underflow = iterate(singleton_map(UNIT, "0.9*x"), 0.5, 0.0, BLOCK, PowerIntegrand(p=50.0))
+        assert underflow.gamma[0] > 0.0 and underflow.gamma[-1] == 0.0
+        make_map, _, x0 = CSV_CASES["negative_large"]
+        large = iterate(make_map(), x0, 0.0, BLOCK, ConstantIntegrand(1.0))
+        assert max(large.x) < 0.0 and large.d_to_set[0] >= 1e16
+        assert large.decay_columns(LOG)[1][-1] >= 1e10  # n * gamma**k
+
+    def test_without_x87_the_writer_formats_every_value_by_python(self, monkeypatch):
+        monkeypatch.setattr(cli, "_X87", False)
+        for case in sorted(CSV_CASES):
+            make_map, integrand, x0 = CSV_CASES[case]
+            assert_trace_matches_oracles(
+                make_map(), x0, 0.0, BLOCK + 1, trace_integrand(integrand), LOG, 0.5
+            )
+
+    def test_memory_is_bounded_by_the_block(self, tmp_path):
+        T = singleton_map(UNIT, "x - x^2")
+        trace = iterate(T, 0.5, 0.0, 20 * BLOCK, ConstantIntegrand(1.0))
+        trace.decay_columns(LOG)  # computed and kept once, before the writer runs
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            write_trace_csv(tmp_path / "trace.csv", trace, LOG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start <= 1_000_000
+        assert len(read_trace_csv(tmp_path / "trace.csv")) == 20 * BLOCK
