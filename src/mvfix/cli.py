@@ -183,13 +183,13 @@ def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
     """
     f_gamma, n_gamma_k = trace.decay_columns(F)
     cols = (trace.next_point, trace.d_to_set, f_gamma, n_gamma_k, trace.gamma)
-    x_slot = _format_g17(np.array(trace.x[:1]))
+    x_slot = _format_g17(trace.x[:1])
     with open(path, "wb") as fh:
         fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
         buf = np.zeros((_BLOCK, 7, 25), np.uint8)
         buf[:, :, 24] = list(b",,,,,,\n")
         for start in range(0, len(trace.x), _BLOCK):
-            nxt, d, fg, w, gamma = (np.fromiter(c[start : start + _BLOCK], float) for c in cols)
+            nxt, d, fg, w, gamma = (c[start : start + _BLOCK] for c in cols)
             rows = len(nxt)
             own = gamma.view(np.int64) != d.view(np.int64)
             # n < 2**53 is exact as a float, and its %.17g is its %d
@@ -391,7 +391,7 @@ def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> int:
 
     verdict: TraceVerdict | None = None
     skip_reason: str | None = None
-    positive_steps = sum(1 for gamma in trace.gamma if gamma > 0.0)
+    positive_steps = int(np.count_nonzero(trace.gamma > 0.0))
     if cfg.tau is None:
         skip_reason = "no tau configured"
     elif positive_steps < 2:

@@ -229,7 +229,8 @@ def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
     time, for the reason ``expr._pointwise`` gives.
     """
     if isinstance(f, ConstantIntegrand):
-        return np.where(u >= 0.0, f.c * u, math.nan)
+        with np.errstate(over="ignore"):  # overflow is inf, as capital_phi gives
+            return np.where(u >= 0.0, f.c * u, math.nan)
     if not isinstance(f, ExpressionIntegrand):
         return _capital_phi_loop(f, u)
     # u == 0 is the scalar's a == b branch; negative, NaN and infinite u

@@ -159,9 +159,10 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(hi, mid, where=inverted)
     failed |= ~np.isfinite(values).all(axis=0)
     values[:, failed] = math.nan
-    if T.kind == "interval_endpoints" or len(values) == 1:
-        return values[0], values[-1]
-    return values, values
+    lo = values[0]
+    if T.kind == "interval_endpoints":
+        return lo, values[1]
+    return (lo, lo) if len(values) == 1 else (values, values)
 
 
 def _validate_on_grid(T: MultiMap) -> MultiMap:

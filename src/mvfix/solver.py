@@ -13,14 +13,19 @@ validator checks those claims against a concrete trace.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import DomainError, InsufficientTraceError, MvfixError
-from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval
+from .expr import _POINTWISE_BLOCK, _pointwise
+from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval, f_eval_array
 from .integrand import ConstantIntegrand, Integrand, capital_phi, integrand_label
 from .maps import MultiMap, _nearest_step, _value_set
 from .sets1d import CompactSet
@@ -84,50 +89,71 @@ class IterationError:
 Outcome = Union[FixedPointFound, MaxIterReached, IterationError]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IterationTrace:
     """Recorded steps of one iteration, held as parallel columns.
 
     Entry n of ``x``, ``next_point``, ``d_to_set`` and ``gamma`` belongs
-    to step n, so a run stores four tuples rather than one object per
-    step; ``x[n + 1]`` is ``next_point[n]``.  ``map`` is the iterated map.
-    ``steps`` gives the same rows as a tuple of :class:`TraceStep`, built
-    on first access; each value set is evaluated again from ``x[n]``,
-    with the same bits as during the run.
+    to step n.  Each column is a read-only float64 array, 8 bytes per
+    value; ``x`` and ``next_point`` are views of one buffer holding x0
+    and then the next points, so ``x[n + 1]`` is ``next_point[n]``.
+    ``map`` is the iterated map.  ``steps`` gives the same rows as a
+    tuple of :class:`TraceStep`, built on first access; each value set
+    is evaluated again from ``x[n]``, with the same bits as during the
+    run.  Two traces are equal when their columns hold the same bytes
+    and their map, outcome and params are equal.
     """
 
-    x: tuple[float, ...]
-    next_point: tuple[float, ...]
-    d_to_set: tuple[float, ...]
-    gamma: tuple[float, ...]
+    x: np.ndarray
+    next_point: np.ndarray
+    d_to_set: np.ndarray
+    gamma: np.ndarray
     map: MultiMap
     outcome: Outcome
     params: TraceParams
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IterationTrace):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def _key(self) -> tuple:
+        columns = (self.x, self.next_point, self.d_to_set, self.gamma)
+        return (*(c.tobytes() for c in columns), self.map, self.outcome, self.params)
+
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
-        columns = zip(self.x, self.next_point, self.d_to_set, self.gamma)
+        columns = zip(*(c.tolist() for c in (self.x, self.next_point, self.d_to_set, self.gamma)))
         return tuple(
             TraceStep(n, x, _value_set(self.map, x), nxt, d, gamma)
             for n, (x, nxt, d, gamma) in enumerate(columns)
         )
 
-    def decay_columns(self, F: FFunction) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    def decay_columns(self, F: FFunction) -> tuple[np.ndarray, np.ndarray]:
         """``(F(gamma_n), n * gamma_n**k)`` for every step, k = ``F.k``, computed once per F.
 
-        A gamma that underflowed to 0 gets ``F(gamma) = -inf``: F is
-        defined only for alpha > 0, and (F2) makes -inf its limit at 0
-        for every kind.  :func:`validate_trace` and the CLI's trace CSV
-        both read these columns.
+        Both are read-only float64 arrays, from one :func:`f_eval_array`
+        call and one ``math.pow`` pass (``expr._pointwise``), so the bits
+        are those of ``f_eval`` and of Python's ``**``.  A gamma that
+        underflowed to 0 gets ``F(gamma) = -inf``: F is defined only for
+        alpha > 0, and (F2) makes -inf its limit at 0 for every kind.
+        :func:`validate_trace` and the CLI's trace CSV both read these
+        columns.
         """
         memo = self.__dict__.setdefault("_decay_memo", {})
         if F not in memo:
-            k = F.k
-            memo[F] = (
-                tuple(-math.inf if g == 0.0 else f_eval(F, g) for g in self.gamma),
-                tuple(n * g**k for n, g in enumerate(self.gamma)),
-            )
+            f_gamma = f_eval_array(F, self.gamma)
+            f_gamma[self.gamma == 0.0] = -math.inf
+            power = _pointwise(math.pow, self.gamma, np.broadcast_to(F.k, self.gamma.shape))
+            memo[F] = tuple(map(_read_only, (f_gamma, np.arange(len(power)) * power)))
         return memo[F]
+
+
+def _read_only(column) -> np.ndarray:
+    # a read-only float64 view of an array("d") or of a float64 array
+    column = np.frombuffer(column, float)
+    column.flags.writeable = False
+    return column
 
 
 @dataclass(frozen=True)
@@ -176,13 +202,11 @@ def iterate(
         raise DomainError(f"starting point {x0} lies outside the domain")
 
     params = TraceParams(tol=tol, max_iter=max_iter, integrand=integrand_label(f))
-    xs: list[float] = []
-    nexts: list[float] = []
-    ds: list[float] = []
-    gammas: list[float] = []
+    points, ds, gammas = array("d", [x0]), array("d"), array("d")  # x0, then each next point
 
     def finish(outcome: Outcome) -> IterationTrace:
-        return IterationTrace(tuple(xs), tuple(nexts), tuple(ds), tuple(gammas), T, outcome, params)
+        p, d, g = map(_read_only, (points, ds, gammas))
+        return IterationTrace(p[:-1], p[1:], d, g, T, outcome, params)
 
     # x0 is checked above and every later x by the domain check below, so
     # the step skips apply_map's own check
@@ -201,8 +225,7 @@ def iterate(
             return finish(
                 IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x)
             )
-        xs.append(x)
-        nexts.append(nxt)
+        points.append(nxt)
         ds.append(d)
         gammas.append(gamma)
         if not in_domain(nxt):
@@ -219,12 +242,16 @@ def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerd
     Needs at least two recorded steps with gamma > 0 and a finite
     ``tau > 0``.  The rate bound and the envelope use F's exponent
     k = ``F.k``.  All comparisons use the step's own index n, with the
-    first positive-gamma step as the baseline of the chain.
+    first positive-gamma step as the baseline of the chain.  Each check
+    is array code over :meth:`IterationTrace.decay_columns`, with the
+    bits of a step-by-step loop: the margins use only IEEE ``-`` and
+    ``*``, ``n**(-1/k)`` comes from ``math.pow`` once per n and serves
+    both the rate bound and the envelope, and the envelope is one
+    builtin ``sum`` over those terms in order.
     """
     if not 0.0 < tau < math.inf:
         raise DomainError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
-    k = F.k
-    recorded = [n for n, gamma in enumerate(trace.gamma) if gamma > 0.0]
+    recorded = np.flatnonzero(trace.gamma > 0.0)
     if len(recorded) < 2:
         raise InsufficientTraceError(
             f"need at least 2 steps with positive gamma, found {len(recorded)}"
@@ -232,59 +259,35 @@ def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerd
     f_gamma, n_gamma_k = trace.decay_columns(F)
 
     n0 = recorded[0]
-    base = f_gamma[n0]
-    margins = []
-    first_failure = None
-    for n in recorded:
-        slack = (base - (n - n0) * tau) - f_gamma[n]
-        margins.append(slack)
-        if first_failure is None and slack < -DECAY_SLACK:
-            first_failure = n
-    decay_ok = first_failure is None
+    margins = (f_gamma[n0] - (recorded - n0) * tau) - f_gamma[recorded]
+    failures = recorded[margins < -DECAY_SLACK]
+    first_failure = int(failures[0]) if len(failures) else None
 
-    n1 = _tail_start(recorded, [n_gamma_k[n] for n in recorded])
-    rate_ok = True
-    rate_first_failure = None
-    if n1 is None:
-        rate_ok = False
-    else:
-        for n in recorded:
-            if n < max(n1, 1):
-                continue
-            if trace.gamma[n] > n ** (-1.0 / k) + RATE_SLACK:
-                rate_ok = False
-                rate_first_failure = n
-                break
-
-    cauchy = None
-    if n1 is not None:
-        last_n = recorded[-1]
-        cauchy = sum(i ** (-1.0 / k) for i in range(max(n1, 1), last_n + 1))
+    # n1 starts the longest suffix whose weights stay <= 1 and never increase
+    weights, limit = n_gamma_k[recorded], 1.0 + RATE_SLACK
+    n1 = rate_first_failure = cauchy = None
+    if weights[-1] <= limit:
+        breaks = np.flatnonzero(~((weights[:-1] >= weights[1:]) & (weights[:-1] <= limit)))
+        n1 = int(recorded[breaks[-1] + 1 if len(breaks) else 0])
+        lo, hi = max(n1, 1), int(recorded[-1]) + 1
+        n = np.arange(lo, hi, dtype=float)  # exact below 2**53, as Python's int-to-float is
+        bound = _pointwise(math.pow, n, np.broadcast_to(-1.0 / F.k, n.shape))
+        over = np.flatnonzero(trace.gamma[lo:hi] > bound + RATE_SLACK)
+        rate_first_failure = lo + int(over[0]) if len(over) else None
+        chunks = range(0, len(bound), _POINTWISE_BLOCK)
+        cauchy = sum(  # one builtin sum, over the terms in order
+            itertools.chain.from_iterable(bound[i : i + _POINTWISE_BLOCK].tolist() for i in chunks)
+        )
 
     return TraceVerdict(
-        decay_chain_ok=decay_ok,
+        decay_chain_ok=first_failure is None,
         first_failure=first_failure,
-        per_step_margins=tuple(margins),
+        per_step_margins=tuple(margins.tolist()),
         n1=n1,
-        rate_bound_ok=rate_ok,
+        rate_bound_ok=n1 is not None and rate_first_failure is None,
         rate_first_failure=rate_first_failure,
         cauchy_tail_bound=cauchy,
     )
-
-
-def _tail_start(recorded: list[int], weights: list[float]) -> int | None:
-    # longest suffix on which the weight stays <= 1 (with slack) and never
-    # increases; returns the step index n at its start
-    if weights[-1] > 1.0 + RATE_SLACK:
-        return None
-    i = len(weights) - 1
-    while (
-        i > 0
-        and weights[i - 1] >= weights[i]
-        and weights[i - 1] <= 1.0 + RATE_SLACK
-    ):
-        i -= 1
-    return recorded[i]
 
 
 @dataclass(frozen=True)

@@ -137,6 +137,13 @@ class TestCumulativeTransform:
         expected = self.scalar_or_nan(f, self.ARRAY_U)
         assert repr(capital_phi_array(f, self.ARRAY_U).tolist()) == repr(expected)
 
+    @pytest.mark.filterwarnings("error")
+    def test_constant_array_overflows_to_inf_without_a_warning(self):
+        f, u = ConstantIntegrand(1e308), np.array([0.0, 1.0, 5.0, math.inf, -1.0])
+        expected = self.scalar_or_nan(f, u)
+        assert expected[2:4] == [math.inf, math.inf]
+        assert repr(capital_phi_array(f, u).tolist()) == repr(expected)
+
     @pytest.mark.parametrize("source", ["exp(t)", "ln(1+t)", "exp(t) + abs(t - 0.3)"])
     def test_deep_array_matches_scalar_bit_for_bit(self, source):
         f = expression_integrand(source, grid_max=2.0)

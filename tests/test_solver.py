@@ -4,6 +4,7 @@ import tempfile
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -412,29 +413,107 @@ class TestColumnarTraceAgainstScalarLoop:
     def test_steps_are_built_from_the_columns_once(self):
         trace = halving_trace()
         assert trace.steps is trace.steps
-        assert [s.x for s in trace.steps] == list(trace.x)
-        assert trace.x[1:] == trace.next_point[:-1]
+        assert [s.x for s in trace.steps] == trace.x.tolist()
+        assert trace.x[1:].tobytes() == trace.next_point[:-1].tobytes()
+        assert np.shares_memory(trace.x, trace.next_point)  # one buffer: x0, then the next points
 
     def test_decay_columns_are_computed_once(self, monkeypatch):
         from mvfix import solver
 
         calls = []
-        real_f_eval = solver.f_eval
-        monkeypatch.setattr(solver, "f_eval", lambda F, g: calls.append(g) or real_f_eval(F, g))
+        real_f_eval_array = solver.f_eval_array
+        monkeypatch.setattr(
+            solver, "f_eval_array", lambda F, g: calls.append(F) or real_f_eval_array(F, g)
+        )
         trace = halving_trace()
         f_gamma, n_gamma_k = trace.decay_columns(LOG)
-        assert trace.decay_columns(LOG) == (f_gamma, n_gamma_k)
+        assert all(a is b for a, b in zip(trace.decay_columns(LOG), (f_gamma, n_gamma_k)))
         validate_trace(trace, LOG, math.log(2.0))
-        assert len(calls) == 60
-        assert f_gamma == tuple(math.log(g) for g in trace.gamma)
-        assert n_gamma_k == tuple(n * math.sqrt(g) for n, g in enumerate(trace.gamma))
+        assert calls == [LOG]
+        gammas = trace.gamma.tolist()
+        assert f_gamma.tolist() == [math.log(g) for g in gammas]
+        assert n_gamma_k.tolist() == [n * math.sqrt(g) for n, g in enumerate(gammas)]
         # an F of another kind or k gets its own columns
-        assert trace.decay_columns(FFunction("log", 0.25))[1] == tuple(
-            n * g**0.25 for n, g in enumerate(trace.gamma)
+        assert trace.decay_columns(FFunction("log", 0.25))[1].tolist() == [
+            n * g**0.25 for n, g in enumerate(gammas)
+        ]
+        assert trace.decay_columns(FFunction("neg_inv_sqrt"))[0].tolist() == [
+            -1.0 / math.sqrt(g) for g in gammas
+        ]
+        assert calls == [LOG, FFunction("log", 0.25), FFunction("neg_inv_sqrt")]
+
+    def test_columns_are_read_only(self):
+        trace = iterate(trace_map("interval"), 0.5, 0.0, 200, trace_integrand("power_underflow"))
+        columns = [trace.x, trace.next_point, trace.d_to_set, trace.gamma]
+        for column in columns + list(trace.decay_columns(LOG)):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1.0
+
+    def test_equal_traces_compare_their_column_bytes(self):
+        assert halving_trace() == halving_trace()
+        assert halving_trace() != iterate(singleton_map(UNIT, "x/2"), 1.0, tol=0.0, max_iter=59)
+        assert halving_trace() != iterate(singleton_map(UNIT, "x/2"), 0.5, tol=0.0, max_iter=60)
+
+
+# a table orbit: step 0 moves by 2**-40, whose Phi(d) = d^51 / 51 is 0, then
+# it halves, so gamma is positive from step 1 until it underflows again
+LATE_ORBIT = [0.5, 0.5 - 2.0**-40] + [2.0**-k for k in range(2, 40)]
+# from 0, gamma is 1 and then 1 + 2e-12: with k = 0.25 the weight 1 * gamma**k
+# stays <= 1 + 1e-12, so n1 = 1, but gamma > 1**-4 + 1e-12 there
+RATE_ORBIT = [0.0, 1.0, 2.0 + 2e-12]
+
+
+def _orbit_map(domain, orbit):
+    pairs = list(zip(orbit, orbit[1:])) + [(orbit[-1], orbit[-1])]
+    return table_map(domain, [(a, [(b, b)]) for a, b in pairs])
+
+
+class TestValidateTraceColumns:
+    """The array validator against ``validate_trace_scalar`` where its edges lie."""
+
+    @pytest.mark.parametrize(
+        "case, T, x0, max_iter, f, F, tau, edge",
+        [
+            # weights rise to the end: n1 is the last recorded step
+            ("n1_last", lambda: singleton_map(UNIT, "x/2"), 1.0, 4, "constant", LOG, 0.5,
+             lambda v, rec: v.n1 == rec[-1] == 3),
+            ("n1_first", lambda: _orbit_map(UNIT, LATE_ORBIT), 0.5, 100, "power_underflow", LOG,
+             0.5, lambda v, rec: v.n1 == rec[0] == 1 and rec[-1] == 19),
+            ("rate_failure", lambda: _orbit_map(CompactSet.interval(-10.0, 10.0), RATE_ORBIT),
+             0.0, 10, "constant", FFunction("log", 0.25), 1e-12,
+             lambda v, rec: v.decay_chain_ok and v.n1 == 1 and v.rate_first_failure == 1),
+            ("underflow", lambda: singleton_map(UNIT, "0.9*x"), 0.5, 200, "power_underflow",
+             LOG, 0.5, lambda v, rec: rec[0] == 0 and rec[-1] == 109),
+            # F(gamma) falls by ln 2 per step, less than tau
+            ("decay_failure", lambda: singleton_map(UNIT, "x/2"), 1.0, 60, "constant", LOG, 1.0,
+             lambda v, rec: v.first_failure == 1 and v.rate_bound_ok),
+            # past one and two _pointwise blocks and Cauchy chunks of 4,096
+            ("long_4097", lambda: singleton_map(UNIT, "x - x^2"), 0.5, 4097, "constant",
+             FFunction("log", 0.9), 1e-9, lambda v, rec: v.n1 == 3 and rec[-1] == 4096),
+            ("long_8193", lambda: singleton_map(UNIT, "x - x^2"), 0.5, 8193, "constant",
+             FFunction("log", 0.9), 1e-9, lambda v, rec: v.n1 == 3 and rec[-1] == 8192),
+        ],
+    )
+    def test_edge(self, case, T, x0, max_iter, f, F, tau, edge):
+        trace = assert_trace_matches_oracles(T(), x0, 0.0, max_iter, trace_integrand(f), F, tau)
+        assert edge(validate_trace(trace, F, tau), np.flatnonzero(trace.gamma > 0.0)), case
+
+    def test_one_step_is_too_short(self):
+        T = singleton_map(UNIT, "x - x^2")
+        trace = assert_trace_matches_oracles(T, 0.5, 0.0, 1, ConstantIntegrand(1.0), LOG, 0.5)
+        assert len(trace.x) == 1
+        with pytest.raises(InsufficientTraceError, match="found 1"):
+            validate_trace(trace, LOG, 0.5)
+
+    def test_an_error_at_step_0_leaves_empty_columns(self):
+        trace = assert_trace_matches_oracles(
+            trace_map("wide"), 10.0, 0.0, 60, trace_integrand("constant_inf"), LOG, 0.5
         )
-        assert trace.decay_columns(FFunction("neg_inv_sqrt"))[0] == tuple(
-            -1.0 / math.sqrt(g) for g in trace.gamma
-        )
+        assert trace.outcome.detail.startswith("Phi(d) is not finite at step 0")
+        for column in [trace.x, trace.next_point, trace.d_to_set, trace.gamma]:
+            assert column.dtype == np.float64 and column.shape == (0,)
+        assert all(c.shape == (0,) for c in trace.decay_columns(LOG))
 
 
 BLOCK = cli._BLOCK
