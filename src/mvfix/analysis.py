@@ -476,8 +476,7 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
       Every clamp candidate of the two excesses is one rounded
       subtraction of two endpoints, never larger than |lx - ly| or
       |hx - hy| as rounding is monotone, so the Hausdorff distance is the
-      larger of those two.  For one member (``lo is hi``) the clamp onto
-      [l, l] is l exactly, so a distance is |p - l| and h is |lx - ly|;
+      larger of those two;
     * point images (2-D ``lo``, one row per member, K >= 2): a distance
       is the least point-to-point gap, with no clamp, as the clamp onto a
       member is the member and the point nearest a gap midpoint is a
@@ -503,14 +502,6 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
         h = gaps.min(axis=1).max(axis=0)
         if mode == "hausdorff":
             h = np.maximum(h, gaps.min(axis=0).max(axis=0))
-    elif lo is hi:
-        lx = hx = lo[xs]
-        ly = hy = lo[ys]
-
-        def dist(p, lo, hi):  # hi is lo
-            return np.abs(p - lo)
-
-        h = np.abs(lx - ly)
     else:
         lx, hx, ly, hy = lo[xs], hi[xs], lo[ys], hi[ys]
 

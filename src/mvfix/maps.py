@@ -123,7 +123,7 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The batch counterpart of :func:`apply_map`.  Interval, table and
     one-member maps give 1-D endpoint arrays: T(xs[i]) is the interval
     ``[lo[i], hi[i]]`` (an interval map with the same near-tie collapse;
-    for one member, ``lo`` is ``hi``).  Finite sets with K >= 2 members
+    for one member, ``lo`` equals ``hi``).  Finite sets with K >= 2 members
     give one ``(K, n)`` array of point members, in expression order, as
     both ``lo`` and ``hi``; a repeated member changes no distance.  Image
     i is NaN throughout where :func:`apply_map` would raise, and where a
@@ -159,10 +159,9 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(hi, mid, where=inverted)
     failed |= ~np.isfinite(values).all(axis=0)
     values[:, failed] = math.nan
-    lo = values[0]
-    if T.kind == "interval_endpoints":
-        return lo, values[1]
-    return (lo, lo) if len(values) == 1 else (values, values)
+    if T.kind == "interval_endpoints" or len(values) == 1:
+        return values[0], values[-1]
+    return values, values
 
 
 def _validate_on_grid(T: MultiMap) -> MultiMap:

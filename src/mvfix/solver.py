@@ -13,7 +13,6 @@ validator checks those claims against a concrete trace.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from array import array
@@ -116,6 +115,9 @@ class IterationTrace:
         if not isinstance(other, IterationTrace):
             return NotImplemented
         return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def _key(self) -> tuple:
         columns = (self.x, self.next_point, self.d_to_set, self.gamma)
@@ -274,10 +276,7 @@ def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerd
         bound = _pointwise(math.pow, n, np.broadcast_to(-1.0 / F.k, n.shape))
         over = np.flatnonzero(trace.gamma[lo:hi] > bound + RATE_SLACK)
         rate_first_failure = lo + int(over[0]) if len(over) else None
-        chunks = range(0, len(bound), _POINTWISE_BLOCK)
-        cauchy = sum(  # one builtin sum, over the terms in order
-            itertools.chain.from_iterable(bound[i : i + _POINTWISE_BLOCK].tolist() for i in chunks)
-        )
+        cauchy = sum(bound.tolist())  # one builtin sum, over the terms in order
 
     return TraceVerdict(
         decay_chain_ok=first_failure is None,

@@ -454,6 +454,7 @@ class TestColumnarTraceAgainstScalarLoop:
         assert halving_trace() == halving_trace()
         assert halving_trace() != iterate(singleton_map(UNIT, "x/2"), 1.0, tol=0.0, max_iter=59)
         assert halving_trace() != iterate(singleton_map(UNIT, "x/2"), 0.5, tol=0.0, max_iter=60)
+        assert hash(halving_trace()) == hash(halving_trace())
 
 
 # a table orbit: step 0 moves by 2**-40, whose Phi(d) = d^51 / 51 is 0, then
