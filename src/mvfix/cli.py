@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -555,9 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: ``prog`` is fixed, so nothing in it reads sys.argv
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as stop:
         # argparse exits 2 on a usage error, and 2 means "budget exhausted" here
         return EXIT_OK if stop.code == 0 else EXIT_ERROR

@@ -10,16 +10,18 @@ Parsing is recursive descent over a flat token list.  Failures raise
 overflows to infinity is one.  Evaluation failures raise
 :class:`EvalError` carrying the offending subexpression in printed form,
 so at a finite point :func:`eval_expr` returns a finite value or raises.
-:func:`compile_expr` turns an AST into a closure once, for callers that
-evaluate it at many points; :func:`eval_expr` is that closure's value.
-:func:`eval_expr_array` evaluates over a whole array with the same bits,
-and gives NaN at the points where :func:`eval_expr` would raise.
+:func:`compile_expr` generates one straight-line Python function per AST,
+with its literals, nodes and messages bound by reference rather than
+printed into the source; callers that evaluate an AST at many points
+compile it once, and maps and integrands do so on first scalar use.
+:func:`eval_expr` is that function's value.  :func:`eval_expr_array`
+evaluates over a whole array with the same bits, and gives NaN at the
+points where :func:`eval_expr` would raise.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -224,115 +226,155 @@ def parse_expr(src: str, variable: str = "x") -> ExprAst:
 
 
 def compile_expr(node: ExprAst) -> Callable[[float], float]:
-    """Turn ``node`` into a closure ``x -> value`` that evaluates it in binary64.
+    """Turn ``node`` into a function ``x -> value`` that evaluates it in binary64.
 
-    The closure tree is built once, so a call does no dispatch on node
-    kinds.  Operands are evaluated left to right, except that ``/``
-    evaluates and tests its divisor first.  Division by zero, ``ln`` of a
-    nonpositive value, ``sqrt`` of a negative value, and any non-finite
-    result of ``+ - * / ^ exp`` raise :class:`EvalError` carrying the
-    failing subexpression, which is printed only when it raises.  A
-    malformed node raises :class:`EvalError` when its closure runs.
+    The function is generated as straight-line Python source, one
+    statement per operation, and built with one ``compile``/``exec``, so a
+    call makes no call per node and no dispatch on node kinds.  Every
+    literal, node and message the source needs is bound to it by
+    reference: no text of the expression enters the source.  Operands are
+    evaluated left to right, except that ``/`` evaluates and tests its
+    divisor first.  Division by zero, ``ln`` of a nonpositive value,
+    ``sqrt`` of a negative value, and any non-finite result of
+    ``+ - * / ^ exp`` raise :class:`EvalError` carrying the failing
+    subexpression, which is printed only when it raises.  A malformed
+    node raises :class:`EvalError` when its statement runs.
     """
-    match node:
-        case Num(value):
-            return lambda x: value
-        case Var(_):
-            return lambda x: x
-        case Neg(arg):
-            f = compile_expr(arg)
-            return lambda x: -f(x)
-        case BinOp("+" | "-" | "*" as op, lhs, rhs):
-            a, b, apply = compile_expr(lhs), compile_expr(rhs), _ARITHMETIC[op]
-
-            def arithmetic(x):
-                v = apply(a(x), b(x))
-                if math.isfinite(v):
-                    return v
-                raise EvalError("non-finite result", format_expr(node))
-
-            return arithmetic
-        case BinOp("/", lhs, rhs):
-            a, b = compile_expr(lhs), compile_expr(rhs)
-
-            def divide(x):
-                denom = b(x)
-                if denom == 0.0:
-                    raise EvalError("division by zero", format_expr(node))
-                v = a(x) / denom
-                if math.isfinite(v):
-                    return v
-                raise EvalError("non-finite result", format_expr(node))
-
-            return divide
-        case BinOp("^", lhs, rhs):
-            a, b = compile_expr(lhs), compile_expr(rhs)
-
-            def power(x):
-                base, exponent = a(x), b(x)
-                try:
-                    v = math.pow(base, exponent)
-                except (ValueError, OverflowError) as err:
-                    raise EvalError(f"invalid power: {err}", format_expr(node)) from None
-                if math.isfinite(v):
-                    return v
-                raise EvalError("non-finite result", format_expr(node))
-
-            return power
-        case Call("abs", (arg,)):
-            f = compile_expr(arg)
-            return lambda x: abs(f(x))
-        case Call("sqrt", (arg,)):
-            f = compile_expr(arg)
-
-            def sqrt(x):
-                v = f(x)
-                if v < 0.0:
-                    raise EvalError("sqrt of negative value", format_expr(node))
-                return math.sqrt(v)
-
-            return sqrt
-        case Call("ln", (arg,)):
-            f = compile_expr(arg)
-
-            def ln(x):
-                v = f(x)
-                if v <= 0.0:
-                    raise EvalError("ln of non-positive value", format_expr(node))
-                return math.log(v)
-
-            return ln
-        case Call("exp", (arg,)):
-            f = compile_expr(arg)
-
-            def exp(x):
-                try:
-                    v = math.exp(f(x))
-                except OverflowError:
-                    raise EvalError("exp overflow", format_expr(node)) from None
-                if math.isfinite(v):
-                    return v
-                raise EvalError("non-finite result", format_expr(node))
-
-            return exp
-        case Call("min" | "max" as fn, (a, b)):
-            fa, fb, pick = compile_expr(a), compile_expr(b), min if fn == "min" else max
-            return lambda x: pick(fa(x), fb(x))
-
-    def malformed(x):
-        raise EvalError("malformed AST node", repr(node))
-
-    return malformed
+    gen = _Codegen()
+    result = gen.value(node, 2)
+    source = "\n".join(
+        [
+            f"def bind({', '.join(f'b{i}' for i in range(len(gen.bound)))}):",
+            "    def compiled(x):",
+            *gen.lines,
+            f"        return {result}",
+            "    return compiled",
+        ]
+    )
+    namespace = dict(_GENERATED_GLOBALS)
+    exec(compile(source, "<mvfix.expr.compile_expr>", "exec"), namespace)
+    return namespace["bind"](*gen.bound)
 
 
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+def _fail(message: str, node: ExprAst):
+    raise EvalError(message, format_expr(node)) from None
+
+
+def _invalid_power(err: Exception, node: ExprAst):
+    _fail(f"invalid power: {err}", node)
+
+
+def _malformed(node):
+    raise EvalError("malformed AST node", repr(node))
+
+
+# the names generated source reads besides x, its temporaries and its bound objects
+_GENERATED_GLOBALS = {
+    "_pow": math.pow,
+    "_sqrt": math.sqrt,
+    "_log": math.log,
+    "_exp": math.exp,
+    "_isfinite": math.isfinite,
+    "_fail": _fail,
+    "_invalid_power": _invalid_power,
+    "_malformed": _malformed,
+}
+
+# exp nests its argument's statements in its own try block, one indent
+# deeper; from this indent on (the body starts at 2) the argument is
+# compiled on its own, since CPython nests at most 20 blocks
+_MAX_TRY_INDENT = 16
+
+
+class _Codegen:
+    """Statements of one compiled expression, in evaluation order."""
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.bound: list[object] = []  # passed to the source as b0, b1, ...
+        self.temps = 0
+
+    def bind(self, obj) -> str:
+        self.bound.append(obj)
+        return f"b{len(self.bound) - 1}"
+
+    def emit(self, indent: int, text: str) -> None:
+        self.lines.append("    " * indent + text)
+
+    def let(self, indent: int, value: str) -> str:
+        name = f"v{self.temps}"
+        self.temps += 1
+        self.emit(indent, f"{name} = {value}")
+        return name
+
+    def fail(self, indent: int, message: str, at: str) -> None:
+        self.emit(indent + 1, f"_fail({self.bind(message)}, {at})")
+
+    def finite(self, indent: int, value: str, at: str) -> str:
+        name = self.let(indent, value)
+        self.emit(indent, f"if not _isfinite({name}):")
+        self.fail(indent, "non-finite result", at)
+        return name
+
+    def value(self, node: ExprAst, indent: int) -> str:
+        """Emit the statements that compute ``node``; return the name holding its value."""
+        match node:
+            case Num(value):
+                return self.bind(value)
+            case Var(_):
+                return "x"
+            case Neg(arg):
+                return self.let(indent, f"-{self.value(arg, indent)}")
+            case BinOp("+" | "-" | "*" as op, lhs, rhs):
+                a, b = self.value(lhs, indent), self.value(rhs, indent)
+                return self.finite(indent, f"{a} {op} {b}", self.bind(node))
+            case BinOp("/", lhs, rhs):
+                b, at = self.value(rhs, indent), self.bind(node)
+                self.emit(indent, f"if {b} == 0.0:")
+                self.fail(indent, "division by zero", at)
+                return self.finite(indent, f"{self.value(lhs, indent)} / {b}", at)
+            case BinOp("^", lhs, rhs):
+                a, b, at = self.value(lhs, indent), self.value(rhs, indent), self.bind(node)
+                self.emit(indent, "try:")
+                v = self.let(indent + 1, f"_pow({a}, {b})")
+                self.emit(indent, "except (ValueError, OverflowError) as err:")
+                self.emit(indent + 1, f"_invalid_power(err, {at})")
+                return self.finite(indent, v, at)
+            case Call("abs", (arg,)):
+                return self.let(indent, f"abs({self.value(arg, indent)})")
+            case Call("sqrt", (arg,)):
+                a = self.value(arg, indent)
+                self.emit(indent, f"if {a} < 0.0:")
+                self.fail(indent, "sqrt of negative value", self.bind(node))
+                return self.let(indent, f"_sqrt({a})")
+            case Call("ln", (arg,)):
+                a = self.value(arg, indent)
+                self.emit(indent, f"if {a} <= 0.0:")
+                self.fail(indent, "ln of non-positive value", self.bind(node))
+                return self.let(indent, f"_log({a})")
+            case Call("exp", (arg,)):
+                # the try covers the argument too, as math.exp(f(x)) does
+                self.emit(indent, "try:")
+                if indent < _MAX_TRY_INDENT:
+                    a = self.value(arg, indent + 1)
+                else:
+                    a = self.let(indent + 1, f"{self.bind(compile_expr(arg))}(x)")
+                v = self.let(indent + 1, f"_exp({a})")
+                self.emit(indent, "except OverflowError:")
+                at = self.bind(node)
+                self.fail(indent, "exp overflow", at)
+                return self.finite(indent, v, at)
+            case Call("min" | "max" as fn, (a, b)):
+                return self.let(indent, f"{fn}({self.value(a, indent)}, {self.value(b, indent)})")
+        self.emit(indent, f"_malformed({self.bind(node)})")
+        return "None"
 
 
 def eval_expr(node: ExprAst, x: float) -> float:
     """Evaluate ``node`` at the variable value ``x``; see :func:`compile_expr`.
 
     Compiles ``node`` on every call: a caller that evaluates one AST at
-    many points compiles it once and keeps the closure.
+    many points compiles it once and keeps the function.
     """
     return compile_expr(node)(x)
 
@@ -390,7 +432,7 @@ _ARRAY_BINOPS = {
 
 
 def _eval_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
-    # Mirrors compile_expr case by case.  A NaN operand stays NaN through
+    # Mirrors _Codegen.value case by case.  A NaN operand stays NaN through
     # + - * /, abs, sqrt, ln and exp, so each case only adds the NaNs of
     # its own raise.  Returned arrays are never written in place: xs is one.
     match node:

@@ -10,7 +10,8 @@ the expression kind falls back on adaptive Simpson quadrature.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -43,6 +44,9 @@ QUAD_MAX_DEPTH = 40
 # where the scalar raises after some 41 panels can refine hundreds.
 QUAD_BATCH_SLICE = 1024
 QUAD_BATCH_PANELS = 128
+# Fewer u than this go to the scalar quadrature one at a time, which is
+# faster for them than the batch's level loop.
+QUAD_BATCH_MIN = 64
 
 
 @dataclass(frozen=True)
@@ -108,14 +112,16 @@ class ExpressionIntegrand:
     ast: ExprAst
     source: str
     grid_max: float = 100.0
-    _compiled: Callable[[float], float] = field(init=False, compare=False, repr=False)
-    # phi at a point t >= 0, rejecting NaN and negative values; the
-    # quadrature calls it at every node
-    _phi: Callable[[float], float] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        compiled = compile_expr(self.ast)
-        source = self.source
+    @cached_property
+    def _compiled(self) -> Callable[[float], float]:
+        """The compiled expression, on first scalar use."""
+        return compile_expr(self.ast)
+
+    @cached_property
+    def _phi(self) -> Callable[[float], float]:
+        """phi at a point t >= 0, rejecting NaN and negative values, for the quadrature's nodes."""
+        compiled, source = self._compiled, self.source
 
         def phi(t: float) -> float:
             v = compiled(t)
@@ -123,8 +129,7 @@ class ExpressionIntegrand:
                 raise EvalError(f"integrand produced an invalid value {v}", source)
             return v
 
-        object.__setattr__(self, "_compiled", compiled)
-        object.__setattr__(self, "_phi", phi)
+        return phi
 
     def _cumulative(self, u: float) -> float:
         # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
@@ -231,7 +236,7 @@ def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
     if isinstance(f, ConstantIntegrand):
         with np.errstate(over="ignore"):  # overflow is inf, as capital_phi gives
             return np.where(u >= 0.0, f.c * u, math.nan)
-    if not isinstance(f, ExpressionIntegrand):
+    if not isinstance(f, ExpressionIntegrand) or len(u) < QUAD_BATCH_MIN:
         return _capital_phi_loop(f, u)
     # u == 0 is the scalar's a == b branch; negative, NaN and infinite u
     # raise there (an infinite panel's error estimate is NaN at every level)

@@ -11,7 +11,8 @@ inside an analysis run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -49,13 +50,11 @@ class MultiMap:
     hi: ExprAst | None = None
     members: tuple[ExprAst, ...] = ()
     table: tuple[tuple[float, CompactSet], ...] = ()
-    # compiled (lo, hi) or members, in that order; empty for a table map
-    _compiled: tuple[Callable[[float], float], ...] = field(
-        init=False, compare=False, repr=False
-    )
 
-    def __post_init__(self):
-        object.__setattr__(self, "_compiled", tuple(compile_expr(e) for e in _expressions(self)))
+    @cached_property
+    def _compiled(self) -> tuple[Callable[[float], float], ...]:
+        """Compiled (lo, hi) or members, in that order, on first scalar use; empty for a table."""
+        return tuple(compile_expr(e) for e in _expressions(self))
 
     def describe(self) -> str:
         if self.kind == "interval_endpoints":
@@ -103,14 +102,24 @@ def _value_set(T: MultiMap, x: float) -> CompactSet:
 
 def _nearest_step(T: MultiMap) -> Callable[[float], tuple[float, float]]:
     """``x -> _nearest(x, _value_set(T, x))``; interval and singleton maps build no value set."""
-    if T.kind not in ("interval_endpoints", "singleton"):
+    if T.kind == "singleton":
+        (member,) = T._compiled
+        isfinite = math.isfinite
+
+        def point_step(x: float) -> tuple[float, float]:
+            p = member(x)
+            if not isfinite(p):
+                _checked_ends(x, p, p)  # raises its non-finite endpoint error
+            p = x if x == p else p  # the clamp onto [p, p] keeps x, and its sign of zero
+            return p, abs(x - p)
+
+        return point_step
+    if T.kind != "interval_endpoints":
         return lambda x: _nearest(x, _value_set(T, x))
-    single = T.kind == "singleton"
-    lo_fn, hi_fn = T._compiled[0], T._compiled[-1]
+    lo_fn, hi_fn = T._compiled
 
     def step(x: float) -> tuple[float, float]:
-        lo = lo_fn(x)
-        lo, hi = _checked_ends(x, lo, lo if single else hi_fn(x))
+        lo, hi = _checked_ends(x, lo_fn(x), hi_fn(x))
         p = lo if x < lo else (hi if x > hi else x)
         return p, abs(x - p)
 
@@ -130,7 +139,7 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     table's value set is a union of intervals, which is left to the
     scalar code; no other image holds a NaN.  Expressions are evaluated
     by :func:`eval_expr_array`, with the same bits as their compiled
-    closures.
+    functions, which this never compiles.
     """
     xs = np.asarray(xs, dtype=float)
     if T.kind == "table":

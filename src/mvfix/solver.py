@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, InsufficientTraceError, MvfixError
 from .expr import _POINTWISE_BLOCK, _pointwise
 from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval, f_eval_array
-from .integrand import ConstantIntegrand, Integrand, capital_phi, integrand_label
+from .integrand import ConstantIntegrand, Integrand, capital_phi, capital_phi_array, integrand_label
 from .maps import MultiMap, _nearest_step, _value_set
 from .sets1d import CompactSet
 
@@ -47,6 +47,8 @@ __all__ = [
 
 DECAY_SLACK = 1e-9
 RATE_SLACK = 1e-12
+# iterate takes Phi over windows of 1, 2, 4, ... steps, up to this many
+PHI_WINDOW = 1024
 
 
 @dataclass(frozen=True)
@@ -193,8 +195,14 @@ def iterate(
     :class:`IterationError` outcome if the selected point leaves the
     domain, a map evaluation fails or Phi(d) is not finite; partial steps
     are kept in every case.  A step is one call of a nearest-point closure
-    built once for the map (no value set for interval and singleton maps)
-    and one call of :func:`capital_phi`.
+    built once for the map (no value set for interval and singleton maps).
+    Phi is taken in windows of 1, 2, 4, ... and at most ``PHI_WINDOW``
+    steps: the orbit runs a window's steps, then one
+    :func:`capital_phi_array` call gives their gammas (a one-step window
+    calls :func:`capital_phi`).  At the first gamma that is not finite the
+    trace is cut before that step, and :func:`capital_phi` on that one d
+    gives the outcome, so the steps and the outcome are those of a loop
+    that takes Phi step by step.
     """
     if not tol >= 0.0:
         raise DomainError(f"tolerance must be >= 0, got {tol}")
@@ -214,28 +222,55 @@ def iterate(
     # the step skips apply_map's own check
     in_domain = T.domain.contains
     nearest = _nearest_step(T)
-    x = x0
-    for n in range(max_iter):
-        try:
-            nxt, d = nearest(x)
+    x, done, window, stop = x0, 0, 1, None
+    while stop is None and done < max_iter:
+        end = min(done + window, max_iter)
+        window = min(2 * window, PHI_WINDOW)
+        for n in range(done, end):
+            try:
+                nxt, d = nearest(x)
+            except MvfixError as err:
+                stop = IterationError(str(err), x)
+                break
             if d <= tol:
-                return finish(FixedPointFound(x, n))
-            gamma = capital_phi(f, d)
-        except MvfixError as err:
-            return finish(IterationError(str(err), x))
-        if not math.isfinite(gamma):
-            return finish(
-                IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x)
-            )
-        points.append(nxt)
-        ds.append(d)
-        gammas.append(gamma)
-        if not in_domain(nxt):
-            return finish(
-                IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt)
-            )
-        x = nxt
-    return finish(MaxIterReached(x))
+                stop = FixedPointFound(x, n)
+                break
+            points.append(nxt)
+            ds.append(d)
+            if not in_domain(nxt):
+                stop = IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt)
+                break
+            x = nxt
+        window_d = np.frombuffer(ds[done:])
+        # a one-step window leaves its Phi to capital_phi below: in a batch
+        # of one, a transform that fails would run twice
+        if len(window_d) > 1:
+            gamma = capital_phi_array(f, window_d)
+        else:
+            gamma = np.full(len(window_d), math.nan)
+        bad = np.flatnonzero(~np.isfinite(gamma))
+        if len(bad):
+            n = done + int(bad[0])
+            phi = _scalar_phi(f, n, ds[n], points[n] if n else x0)
+            if isinstance(phi, IterationError):
+                gammas.frombytes(gamma[: bad[0]].tobytes())
+                del points[n + 1 :], ds[n:]
+                return finish(phi)
+            gamma[bad[0]] = phi
+        gammas.frombytes(gamma.tobytes())
+        done = len(ds)
+    return finish(MaxIterReached(x) if stop is None else stop)
+
+
+def _scalar_phi(f: Integrand, n: int, d: float, x: float) -> Union[float, IterationError]:
+    """Phi(d) at step n from :func:`capital_phi`, or the outcome of the step where it fails."""
+    try:
+        gamma = capital_phi(f, d)
+    except MvfixError as err:
+        return IterationError(str(err), x)
+    if math.isfinite(gamma):
+        return gamma
+    return IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x)
 
 
 def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerdict:

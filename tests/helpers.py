@@ -8,7 +8,7 @@ a-time certification loop, kept as the reference for the batched sweep;
 ``validate_map_scalar`` and ``validate_integrand_scalar`` are the
 point-by-point construction checks, kept as the reference for the
 array validation.  ``interpret_expr`` is the recursive expression
-interpreter, kept as the reference for the compiled closures.
+interpreter, kept as the reference for the compiled functions.
 ``iterate_scalar``, ``validate_trace_scalar`` and
 ``write_trace_csv_scalar`` are the one-object-per-step iteration, its
 validator and its CSV writer, kept as the reference for the columnar
@@ -45,7 +45,6 @@ from mvfix import (
     apply_map,
     capital_phi,
     domain_grid,
-    eval_expr,
     f_eval,
     format_expr,
     integrand_label,
@@ -54,6 +53,7 @@ from mvfix import (
 )
 from mvfix.analysis import _check_mode, _evaluate
 from mvfix.cli import TRACE_COLUMNS
+from mvfix.expr import compile_expr
 from mvfix.maps import _value_set
 from mvfix.sets1d import _nearest
 from mvfix.solver import DECAY_SLACK, RATE_SLACK
@@ -202,8 +202,9 @@ def validate_map_scalar(T):
 def validate_integrand_scalar(source, grid_max=100.0):
     """The construction check of an expression integrand, one grid point at a time."""
     ast = parse_expr(source, variable="t")
+    phi = compile_expr(ast)  # eval_expr(ast, t) at every t, compiled once
     for t in np.linspace(0.0, grid_max, 10_001):
-        v = eval_expr(ast, float(t))
+        v = phi(float(t))
         if t == 0.0:
             if v < 0.0:
                 raise InvariantError(f"integrand '{source}' is negative at t = 0: {v}")

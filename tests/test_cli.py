@@ -492,6 +492,19 @@ class TestOtherCommands:
         assert main(["--help"]) == EXIT_OK
         assert capsys.readouterr().out.startswith("usage: mvfix")
 
+    def test_parser_is_built_once_per_process(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        try:
+            assert main(["check-f", "--kind", "log"]) == EXIT_OK
+            assert main(["check-f", "--kind", "sin"]) == EXIT_ERROR  # a usage error keeps it
+            assert main(["check-f", "--kind", "neg_inv_sqrt", "--k", "0.9"]) == EXIT_OK
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
+        assert "kind = neg_inv_sqrt, k = 0.9" in capsys.readouterr().out
+
     def test_readme_usage_lists_each_parsers_options(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Command line", 1)[1].split("```", 2)[1]

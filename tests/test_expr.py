@@ -246,9 +246,10 @@ def assert_array_matches_scalar(ast, xs):
     """eval_expr_array agrees with eval_expr at every point, bit for bit."""
     values = eval_expr_array(ast, np.array(xs, dtype=float))
     assert values.shape == (len(xs),)
+    scalar = compile_expr(ast)  # eval_expr(ast, x) at every x, compiled once
     for x, value in zip(xs, values.tolist()):
         try:
-            expected = eval_expr(ast, x)
+            expected = scalar(x)
         except EvalError:
             assert math.isnan(value), (format_expr(ast), x)
             continue
@@ -363,6 +364,60 @@ class TestCompiledEvaluation:
     )
     def test_malformed_nodes_raise_when_reached(self, ast):
         assert_compiled_matches_interpreter(ast, [0.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "ast",
+        [
+            Num(-0.0),
+            Neg(Num(-0.0)),
+            BinOp("+", Var("x"), Num(-0.0)),
+            BinOp("*", Num(-0.0), Var("x")),
+            Call("min", (Num(-0.0), Var("x"))),
+            Call("max", (Var("x"), Num(-0.0))),
+            Call("sqrt", (Num(-0.0),)),
+            Num(math.nan),
+            Call("sqrt", (Num(math.nan),)),
+            Call("ln", (Neg(Num(math.nan)),)),
+            BinOp("^", Num(math.nan), Num(0.0)),  # math.pow(nan, 0) is 1.0
+            BinOp("+", Var("x"), Num(math.nan)),
+            BinOp("/", Var("x"), Num(math.nan)),
+            Num(math.inf),
+            Call("abs", (Num(-math.inf),)),
+            Call("ln", (Num(math.inf),)),
+            Call("exp", (Num(math.inf),)),
+            Call("exp", (Neg(Num(math.inf)),)),
+            BinOp("-", Num(math.inf), Num(math.inf)),
+            BinOp("^", Var("x"), Num(math.inf)),
+            Num(5e-324),
+            BinOp("*", Num(5e-324), Var("x")),
+            BinOp("/", Var("x"), Num(5e-324)),
+            BinOp("/", Num(5e-324), Var("x")),
+            BinOp("^", Num(5e-324), Num(0.5)),
+            # an int too large for a float raises OverflowError, which exp's
+            # try block catches when it comes from exp's argument
+            BinOp("+", Var("x"), Num(10**400)),
+            Call("exp", (BinOp("+", Var("x"), Num(10**400)),)),
+        ],
+    )
+    def test_literals_built_directly_keep_their_bits(self, ast):
+        assert_compiled_matches_interpreter(ast, [0.0, -0.0, 0.5, -2.0, 1e300])
+
+    def test_literals_are_bound_not_printed(self):
+        ast = parse_expr("x * 0.1 + 1e-300")
+        fn = compile_expr(ast)
+        cells = [cell.cell_contents for cell in fn.__closure__]
+        assert any(c is ast.lhs.rhs.value for c in cells)
+        assert any(c is ast.rhs.value for c in cells)
+        assert 0.1 not in fn.__code__.co_consts and 1e-300 not in fn.__code__.co_consts
+
+    @pytest.mark.parametrize("x", [0.5, -3.0, 700.0, 1000.0])
+    def test_deeply_nested_exp(self, x):
+        # each exp holds its argument in a try block, and CPython nests at most 20
+        ast = Var("x")
+        for _ in range(30):
+            ast = Call("ln", (Call("exp", (ast,)),))
+        assert_compiled_matches_interpreter(ast, [x])
+        assert_compiled_matches_interpreter(Call("exp", (ast,)), [x])
 
     def test_subexpression_is_printed_only_on_failure(self, monkeypatch):
         import mvfix.expr

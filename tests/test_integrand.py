@@ -170,6 +170,13 @@ class TestCumulativeTransform:
         assert 0 < handed < np.count_nonzero(np.isfinite(self.DEEP_U) & (self.DEEP_U > 0.0))
         assert repr(got.tolist()) == repr(self.scalar_or_nan(f, self.DEEP_U))
 
+    def test_few_u_take_the_scalar_quadrature(self):
+        f = expression_integrand("1 + t^0.3", grid_max=1.0)
+        u = self.DEEP_U[: integrand.QUAD_BATCH_MIN - 1]
+        got, handed = self.batch_and_handed_back(f, u)
+        assert handed == len(u)
+        assert repr(got.tolist()) == repr(self.scalar_or_nan(f, u))
+
     def test_deep_trees_are_summed_in_the_batch(self):
         # each u in [0, 1] needs dozens of panels, and none is handed back,
         # so every value comes from the level-by-level sums
@@ -334,6 +341,18 @@ class TestValidation:
         assert phi_eval(raw, 60.0) == 10.0
         with pytest.raises(EvalError):
             phi_eval(raw, 0.0)
+
+    def test_expression_compiles_on_first_scalar_use(self, monkeypatch):
+        compiled = []
+        real = integrand.compile_expr
+        monkeypatch.setattr(integrand, "compile_expr", lambda e: compiled.append(e) or real(e))
+        f = expression_integrand("1 + t^2", grid_max=2.0)
+        capital_phi_array(f, np.linspace(0.1, 1.0, integrand.QUAD_BATCH_MIN))
+        assert compiled == []
+        assert phi_eval(f, 1.0) == 2.0
+        capital_phi(f, 0.5)
+        capital_phi(f, 0.7)
+        assert compiled == [f.ast]
 
     def test_compiled_expression_is_not_a_field_that_shows(self):
         f = expression_integrand("1 + t^2", grid_max=2.0)

@@ -156,6 +156,28 @@ class TestApplication:
         with pytest.raises(TypeError):
             MultiMap(UNIT, "singleton", members=T.members, _compiled=())
 
+    @pytest.mark.parametrize(
+        "build, exprs",
+        [
+            (interval_map, ("x/4", "(x+1)/2")),
+            (singleton_map, ("x - x^2",)),
+            (finite_set_map, (["x/4", "x/3", "0.9*x"],)),
+        ],
+    )
+    def test_expressions_compile_on_first_scalar_use(self, build, exprs, monkeypatch):
+        from mvfix import maps
+
+        compiled = []
+        real = maps.compile_expr
+        monkeypatch.setattr(maps, "compile_expr", lambda e: compiled.append(e) or real(e))
+        T = build(UNIT, *exprs)
+        image_arrays(T, np.linspace(0.0, 1.0, 11))
+        assert compiled == []
+        apply_map(T, 0.5)
+        apply_map(T, 0.25)
+        _nearest_step(T)(0.75)
+        assert compiled == [T.lo, T.hi] if T.lo is not None else list(T.members)
+
     def test_replace_recompiles(self):
         T = replace(halving_map(), hi=_as_ast("(x+1)/4"))
         assert apply_map(T, 1.0) == CompactSet.interval(0.25, 0.5)
@@ -273,3 +295,21 @@ class TestNearestStep:
             expected = outcome(lambda: _nearest(x, _one_interval_image(T, x)))
             assert repr(outcome(step, x)) == repr(expected), x
             assert repr(outcome(_value_set, T, x)) == repr(outcome(_one_interval_image, T, x)), x
+
+    def test_a_finite_singleton_step_makes_no_endpoint_check(self, monkeypatch):
+        from mvfix import maps
+
+        checked = []
+        real = maps._checked_ends
+        monkeypatch.setattr(maps, "_checked_ends", lambda *a: checked.append(a) or real(*a))
+        step = _nearest_step(singleton_map(UNIT, "x - x^2"))
+        assert step(0.5) == (0.25, 0.25) and step(0.0) == (0.0, 0.0)
+        # at x == T(x) the clamp keeps x, and with it x's sign of zero
+        point = CompactSet.point(-0.0)
+        assert repr(_nearest_step(singleton_map(UNIT, "-x"))(0.0)) == repr(_nearest(0.0, point))
+        assert checked == []
+        nan_step = _nearest_step(MultiMap(UNIT, "singleton", members=(Num(math.nan),)))
+        message = r"^interval endpoints must be finite, got \(nan, nan\)$"
+        with pytest.raises(InvariantError, match=message):
+            nan_step(0.5)
+        assert len(checked) == 1

@@ -14,6 +14,7 @@ from mvfix import (
     CompactSet,
     ConstantIntegrand,
     DomainError,
+    ExponentialIntegrand,
     InvariantError,
     FFunction,
     FixedPointFound,
@@ -515,6 +516,97 @@ class TestValidateTraceColumns:
         for column in [trace.x, trace.next_point, trace.d_to_set, trace.gamma]:
             assert column.dtype == np.float64 and column.shape == (0,)
         assert all(c.shape == (0,) for c in trace.decay_columns(LOG))
+
+
+def _jump_map(steps, leave=False):
+    """x + 0.001 until step ``steps``, which moves by about 50.
+
+    With ``leave`` the domain ends just past the small steps, so the long
+    step also leaves it.
+    """
+    edge = (steps - 0.5) * 1e-3
+    domain = CompactSet.interval(0.0, edge + 0.01 if leave else 1e3)
+    return singleton_map(domain, f"x + 0.001 + 1e5 * max(x - {edge!r}, 0)")
+
+
+# Phi is finite at d = 0.001 and fails at d = 50, one integrand per kind
+FAILING_PHI = {
+    "constant_inf": lambda: ConstantIntegrand(1e308),  # Phi = inf
+    "power_overflow": lambda: PowerIntegrand(p=300.0),  # d^301 overflows: DomainError
+    "exponential_overflow": lambda: ExponentialIntegrand(rate=800.0),  # expm1 overflows
+    # phi is negative past t = 2, where the quadrature's nodes reach
+    "expression_pole": lambda: expression_integrand("1/(2-t)", grid_max=1.0),
+}
+# steps around the edges of the Phi windows 1, 2, 4, ..., 1024
+WINDOW_EDGES = [1, 2, 3, 4, 7, 8, 1023, 1024, 1025, 2047]
+
+
+class TestPhiWindows:
+    """Phi taken per window against ``iterate_scalar``, which takes it per step."""
+
+    @pytest.mark.parametrize("steps", [0] + WINDOW_EDGES)
+    @pytest.mark.parametrize("kind", sorted(FAILING_PHI))
+    def test_failing_phi(self, kind, steps):
+        f = FAILING_PHI[kind]()
+        trace = assert_trace_matches_oracles(_jump_map(steps), 0.0, 0.0, 4000, f, LOG, 0.5)
+        assert isinstance(trace.outcome, IterationError) and len(trace.x) == steps
+        assert trace.outcome.last_x == (trace.next_point[-1] if steps else 0.0)
+
+    @pytest.mark.parametrize("steps", [0, 8, 1024])
+    @pytest.mark.parametrize("kind", sorted(FAILING_PHI))
+    def test_failing_phi_on_the_step_that_leaves_the_domain(self, kind, steps):
+        f = FAILING_PHI[kind]()
+        trace = assert_trace_matches_oracles(_jump_map(steps, True), 0.0, 0.0, 4000, f, LOG, 0.5)
+        assert len(trace.x) == steps and "left the domain" not in trace.outcome.detail
+        # with a finite Phi the same step is recorded and leaves the domain
+        left = iterate(_jump_map(steps, True), 0.0, 0.0, 4000, ConstantIntegrand(1.0))
+        assert len(left.x) == steps + 1 and "left the domain" in left.outcome.detail
+
+    def test_phi_failing_at_every_u(self):
+        f = expression_integrand("1 + t^0.3", grid_max=1.0)
+        trace = assert_trace_matches_oracles(trace_map("wide"), 1.0, 0.0, 4000, f, LOG, 0.5)
+        assert len(trace.x) == 0 and "refinement depth exhausted" in trace.outcome.detail
+
+    @pytest.mark.parametrize("max_iter", WINDOW_EDGES)
+    def test_window_edges_without_failure(self, max_iter):
+        trace = assert_trace_matches_oracles(
+            _jump_map(4000), 0.0, 0.0, max_iter, trace_integrand("expression"), LOG, 0.5
+        )
+        assert isinstance(trace.outcome, MaxIterReached) and len(trace.x) == max_iter
+
+    @staticmethod
+    def phi_calls(monkeypatch):
+        """The u of each scalar Phi call and the length of each batch call iterate makes."""
+        from mvfix import solver
+
+        scalar, batch = [], []
+        real_scalar, real_batch = solver.capital_phi, solver.capital_phi_array
+
+        def spy_scalar(f, u):
+            scalar.append(u)
+            return real_scalar(f, u)
+
+        def spy_batch(f, u):
+            batch.append(len(u))
+            return real_batch(f, u)
+
+        monkeypatch.setattr(solver, "capital_phi", spy_scalar)
+        monkeypatch.setattr(solver, "capital_phi_array", spy_batch)
+        return scalar, batch
+
+    @pytest.mark.parametrize("kind", sorted(FAILING_PHI))
+    def test_a_step_0_failure_runs_the_scalar_transform_once(self, kind, monkeypatch):
+        scalar, batch = self.phi_calls(monkeypatch)
+        trace = iterate(_jump_map(0), 0.0, 0.0, 4000, FAILING_PHI[kind]())
+        assert trace.outcome.detail and (len(scalar), batch) == (1, [])
+
+    def test_windows_double_up_to_the_cap(self, monkeypatch):
+        scalar, batch = self.phi_calls(monkeypatch)
+        trace = iterate(trace_map("singleton"), 0.5, 0.0, 10_000, ConstantIntegrand(1.0))
+        assert len(trace.x) == 10_000
+        # the first window is one step, which capital_phi takes on its own
+        assert len(scalar) == 1
+        assert batch == [2**k for k in range(1, 10)] + [1024] * 8 + [785]
 
 
 BLOCK = cli._BLOCK
