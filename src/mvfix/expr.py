@@ -16,7 +16,9 @@ printed into the source; callers that evaluate an AST at many points
 compile it once, and maps and integrands do so on first scalar use.
 :func:`eval_expr` is that function's value.  :func:`eval_expr_array`
 evaluates over a whole array with the same bits, and gives NaN at the
-points where :func:`eval_expr` would raise.
+points where :func:`eval_expr` would raise.  :func:`enclose` bounds the
+compiled function over a whole interval of the variable, or says that it
+may raise there.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "compile_expr",
     "eval_expr",
     "eval_expr_array",
+    "enclose",
     "format_expr",
 ]
 
@@ -468,6 +471,100 @@ def _eval_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
             better = (vb < va if fn == "min" else vb > va) | np.isnan(vb)
             return np.where(better, vb, va)
     raise EvalError("malformed AST node", repr(node))
+
+
+# enclose widens what math.pow, math.exp and math.log give at an endpoint
+# by this many ulps each way
+_LIBM_ULPS = 4
+
+
+def enclose(node: ExprAst, lo: float, hi: float) -> tuple[float, float] | None:
+    """An interval holding ``compile_expr(node)(x)`` at every float ``x`` in ``[lo, hi]``.
+
+    Mirrors :func:`_eval_array` case by case, on intervals of finite
+    floats (Moore, Kearfott and Cloud, *Introduction to Interval
+    Analysis*, SIAM 2009).  Each end of a rounded result steps one float
+    outward (``math.nextafter``), so the interval holds the float result
+    and also the exact one; an expression made of literals and
+    ``+ - * /`` has its exact value at ``x`` inside.  ``^``, ``exp`` and
+    ``ln`` take ``math`` at the ends, where each is monotone, and step
+    ``_LIBM_ULPS`` floats outward: this is sound if the platform's libm
+    is within one ulp of the exact value, as glibc documents.  Returns
+    None, a claim of nothing, where some point may raise or the bound is
+    not known: a literal that is not a finite float, a divisor interval
+    that holds 0, ``sqrt`` of an interval reaching below 0, ``ln`` of one
+    reaching 0 or below, a non-finite end, a malformed node, and ``^``
+    unless its base is positive, or nonnegative with a positive
+    exponent, or its exponent is one integer (nonnegative, or with a
+    negative base).
+    """
+    match node:
+        case Num(value) if isinstance(value, float) and math.isfinite(value):
+            return value, value
+        case Var(_):
+            return lo, hi
+        case Neg(arg):
+            if (a := enclose(arg, lo, hi)) is not None:
+                return -a[1], -a[0]
+        case BinOp("+" | "-" | "*" | "/" | "^" as op, lhs, rhs):
+            a, b = enclose(lhs, lo, hi), enclose(rhs, lo, hi)
+            if a is None or b is None:
+                return None
+            if op == "+":
+                return _outward(a[0] + b[0], a[1] + b[1])
+            if op == "-":
+                return _outward(a[0] - b[1], a[1] - b[0])
+            if op == "^":
+                return _enclose_power(a, b)
+            if op == "/" and b[0] <= 0.0 <= b[1]:
+                return None
+            ends = [u * v if op == "*" else u / v for u in a for v in b]
+            return _outward(min(ends), max(ends))
+        case Call("abs", (arg,)):
+            if (a := enclose(arg, lo, hi)) is not None:
+                if a[0] >= 0.0:
+                    return a
+                return (-a[1], -a[0]) if a[1] <= 0.0 else (0.0, max(-a[0], a[1]))
+        case Call("sqrt", (arg,)):
+            if (a := enclose(arg, lo, hi)) is not None and a[0] >= 0.0:
+                return _outward(math.sqrt(a[0]), math.sqrt(a[1]))
+        case Call("ln", (arg,)):
+            if (a := enclose(arg, lo, hi)) is not None and a[0] > 0.0:
+                return _outward(math.log(a[0]), math.log(a[1]), _LIBM_ULPS)
+        case Call("exp", (arg,)):
+            if (a := enclose(arg, lo, hi)) is not None:
+                try:
+                    return _outward(math.exp(a[0]), math.exp(a[1]), _LIBM_ULPS)
+                except OverflowError:
+                    return None
+        case Call("min" | "max" as fn, (lhs, rhs)):
+            a, b = enclose(lhs, lo, hi), enclose(rhs, lo, hi)
+            if a is not None and b is not None:
+                pick = min if fn == "min" else max
+                return pick(a[0], b[0]), pick(a[1], b[1])
+    return None
+
+
+def _outward(lo: float, hi: float, ulps: int = 1) -> tuple[float, float] | None:
+    """``[lo, hi]`` with each end ``ulps`` floats outward, or None if an end is not finite."""
+    for _ in range(ulps):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
+
+
+def _enclose_power(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float] | None:
+    # x^y is monotone in each argument over these boxes, so its bounds lie
+    # at the corners; an even power of a base around 0 has its least value 0
+    (a0, a1), (b0, b1) = a, b
+    integer = b0 == b1 and float(b0).is_integer()
+    if not (a0 > 0.0 or (a0 >= 0.0 and b0 > 0.0) or (integer and (b0 >= 0.0 or a1 < 0.0))):
+        return None
+    try:
+        ends = [math.pow(u, v) for u in a for v in b]
+    except (ValueError, OverflowError):
+        return None
+    low = 0.0 if a0 < 0.0 < a1 and b0 % 2.0 == 0.0 else min(ends)
+    return _outward(low, max(ends), _LIBM_ULPS)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}

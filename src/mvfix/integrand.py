@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import DomainError, EvalError, InvariantError, MvfixError, QuadratureError
-from .expr import ExprAst, compile_expr, eval_expr_array, parse_expr
+from .expr import ExprAst, compile_expr, enclose, eval_expr_array, parse_expr
 from .maps import _VALIDATION_GRID_POINTS
 
 __all__ = [
@@ -105,8 +105,9 @@ class ExponentialIntegrand:
 class ExpressionIntegrand:
     """phi given by an expression AST in the variable ``t``.
 
-    Build through :func:`expression_integrand`, which validates positivity
-    on a dense grid; constructing the dataclass directly skips that check.
+    Build through :func:`expression_integrand`, which proves or checks
+    positivity on ``[0, grid_max]``; constructing the dataclass directly
+    skips that check.
     """
 
     ast: ExprAst
@@ -146,14 +147,20 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
     The expression must evaluate to a finite value with phi(t) >= 0 at
     t = 0 and phi(t) > 0 at every other point of a 10001-point grid over
     [0, grid_max]; zeros on sets of positive measure would break the
-    strict positivity of Phi.  The grid is evaluated as one array
-    (:func:`eval_expr_array`, NaN where the expression raises); only at
-    the first point that fails there does the scalar expression run, to
-    raise its error or to give the value the message reports.
+    strict positivity of Phi.  An interval enclosure of the expression
+    over all of [0, grid_max] (:func:`expr.enclose`) with a lower end
+    above 0 proves that, and then no grid is evaluated.  Otherwise the
+    grid is evaluated as one array (:func:`eval_expr_array`, NaN where
+    the expression raises); only at the first point that fails there
+    does the scalar expression run, to raise its error or to give the
+    value the message reports.
     """
     if not (grid_max > 0.0 and math.isfinite(grid_max)):
         raise InvariantError(f"grid_max must be positive and finite, got {grid_max}")
     f = ExpressionIntegrand(ast=parse_expr(source, variable="t"), source=source, grid_max=grid_max)
+    box = enclose(f.ast, 0.0, grid_max)
+    if box is not None and box[0] > 0.0:
+        return f
     ts = np.linspace(0.0, grid_max, _VALIDATION_GRID_POINTS)
     values = eval_expr_array(f.ast, ts)
     failed = np.flatnonzero(~np.where(ts == 0.0, values >= 0.0, values > 0.0))

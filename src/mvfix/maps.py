@@ -3,9 +3,10 @@
 A map sends each point x of its domain to a compact value set T(x).
 Four shapes cover the use cases: an interval with expression endpoints,
 a singleton given by one expression, a finite set of expression points,
-and an explicit lookup table.  Expression-backed maps are validated on a
-dense grid at construction so that sweeps fail early rather than deep
-inside an analysis run.
+and an explicit lookup table.  Expression-backed maps are validated at
+construction, by an interval enclosure over the domain or else on a
+dense grid, so that sweeps fail early rather than deep inside an
+analysis run.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InvariantError, MvfixError
-from .expr import ExprAst, compile_expr, eval_expr_array, format_expr, parse_expr
+from .expr import ExprAst, compile_expr, enclose, eval_expr_array, format_expr, parse_expr
 from .sets1d import CompactSet, _grid_array, _nearest, dist_point_set
 
 __all__ = [
@@ -173,7 +174,29 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, values
 
 
+def _proved_valid(T: MultiMap, a: float, b: float) -> bool:
+    """Whether enclosures over ``[a, b]`` show every image there finite, and not inverted."""
+    boxes = [enclose(e, a, b) for e in _expressions(T)]
+    if any(box is None for box in boxes):
+        return False
+    return T.kind != "interval_endpoints" or boxes[0][1] <= boxes[1][0]
+
+
 def _validate_on_grid(T: MultiMap) -> MultiMap:
+    """``T`` if every image over its domain is valid; else raise the first grid point's error.
+
+    First the proof: where the enclosure (:func:`expr.enclose`) of every
+    expression over each interval of the domain exists, and for an
+    interval map the highest ``lo`` lies at or below the lowest ``hi``,
+    no point of the domain can fail, so neither can the grid, and ``T``
+    comes back untouched.  Otherwise ``T`` is checked at the points of a
+    10,001-point grid over the domain, evaluated as one array
+    (:func:`image_arrays`); only when that flags a point does the scalar
+    code run, once, at the first flagged point, to raise its error.  So
+    every refusal, and its message, comes from the grid.
+    """
+    if all(_proved_valid(T, a, b) for a, b in T.domain.intervals):
+        return T
     grid = _grid_array(T.domain, _VALIDATION_GRID_POINTS)
     lo, _ = image_arrays(T, grid)
     failed = np.flatnonzero(np.isnan(lo))
@@ -191,18 +214,23 @@ def interval_map(
 ) -> MultiMap:
     """Map x to the interval [lo(x), hi(x)].
 
-    Both endpoint expressions are evaluated on a 10001-point grid over
-    the domain; the map is rejected if any evaluation fails or if
-    lo(x) > hi(x) beyond a 1e-12 slack.  The grid is evaluated as one
-    array (:func:`image_arrays`); only when that flags a point does the
-    scalar code run, once, at the first flagged point, to raise its error.
+    The map is rejected if an endpoint expression fails, or lo(x) > hi(x)
+    beyond a 1e-12 slack, at a point of a 10,001-point grid over the
+    domain.  No grid is evaluated where interval enclosures of both
+    endpoints prove that no point of the domain can fail
+    (:func:`_validate_on_grid`).
     """
     T = MultiMap(domain, "interval_endpoints", lo=_as_ast(lo), hi=_as_ast(hi))
     return _validate_on_grid(T)
 
 
 def singleton_map(domain: CompactSet, f: Union[str, ExprAst]) -> MultiMap:
-    """Map x to the one-point set {f(x)}."""
+    """Map x to the one-point set {f(x)}.
+
+    The map is rejected if ``f`` fails, or is not finite, at a point of
+    a 10,001-point grid over the domain, unless an interval enclosure
+    proves it valid first (:func:`_validate_on_grid`).
+    """
     T = MultiMap(domain, "singleton", members=(_as_ast(f),))
     return _validate_on_grid(T)
 
@@ -210,7 +238,12 @@ def singleton_map(domain: CompactSet, f: Union[str, ExprAst]) -> MultiMap:
 def finite_set_map(
     domain: CompactSet, members: Iterable[Union[str, ExprAst]]
 ) -> MultiMap:
-    """Map x to the finite set {e(x) for each member expression e}."""
+    """Map x to the finite set {e(x) for each member expression e}.
+
+    The map is rejected if a member fails, or is not finite, at a point
+    of a 10,001-point grid over the domain, unless interval enclosures
+    prove it valid first (:func:`_validate_on_grid`).
+    """
     asts = tuple(_as_ast(e) for e in members)
     if not asts:
         raise InvariantError("finite-set map needs at least one member expression")

@@ -215,6 +215,31 @@ def validate_integrand_scalar(source, grid_max=100.0):
     return ExpressionIntegrand(ast=ast, source=source, grid_max=grid_max)
 
 
+def spy_on_grid(monkeypatch):
+    """A list to which each validation-grid evaluation from now on appends its function's name.
+
+    Spies on ``maps.image_arrays`` and on ``eval_expr_array`` under each
+    name the package binds it to.
+    """
+    from mvfix import expr, integrand, maps
+
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    spy(maps, "image_arrays")
+    for module in (expr, maps, integrand):
+        spy(module, "eval_expr_array")
+    return calls
+
+
 def outcome(build, *args):
     """What ``build(*args)`` gives: its result, or the type and message it raised."""
     try:

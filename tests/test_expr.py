@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from mvfix import (
     parse_expr,
 )
 from helpers import interpret_expr
-from mvfix.expr import compile_expr, eval_expr_array
+from mvfix.expr import compile_expr, enclose, eval_expr_array
 
 
 class TestParsing:
@@ -322,6 +323,40 @@ def assert_compiled_matches_interpreter(ast, xs):
         ), (format_expr(ast), x)
 
 
+# ASTs built directly, with literals the parser never makes
+LITERAL_ASTS = [
+    Num(-0.0),
+    Neg(Num(-0.0)),
+    BinOp("+", Var("x"), Num(-0.0)),
+    BinOp("*", Num(-0.0), Var("x")),
+    Call("min", (Num(-0.0), Var("x"))),
+    Call("max", (Var("x"), Num(-0.0))),
+    Call("sqrt", (Num(-0.0),)),
+    Num(math.nan),
+    Call("sqrt", (Num(math.nan),)),
+    Call("ln", (Neg(Num(math.nan)),)),
+    BinOp("^", Num(math.nan), Num(0.0)),  # math.pow(nan, 0) is 1.0
+    BinOp("+", Var("x"), Num(math.nan)),
+    BinOp("/", Var("x"), Num(math.nan)),
+    Num(math.inf),
+    Call("abs", (Num(-math.inf),)),
+    Call("ln", (Num(math.inf),)),
+    Call("exp", (Num(math.inf),)),
+    Call("exp", (Neg(Num(math.inf)),)),
+    BinOp("-", Num(math.inf), Num(math.inf)),
+    BinOp("^", Var("x"), Num(math.inf)),
+    Num(5e-324),
+    BinOp("*", Num(5e-324), Var("x")),
+    BinOp("/", Var("x"), Num(5e-324)),
+    BinOp("/", Num(5e-324), Var("x")),
+    BinOp("^", Num(5e-324), Num(0.5)),
+    # an int too large for a float raises OverflowError, which exp's
+    # try block catches when it comes from exp's argument
+    BinOp("+", Var("x"), Num(10**400)),
+    Call("exp", (BinOp("+", Var("x"), Num(10**400)),)),
+]
+
+
 class TestCompiledEvaluation:
     @given(_ast_strategy(), st.lists(POINTS, min_size=1, max_size=16))
     @settings(max_examples=400, deadline=None)
@@ -365,40 +400,7 @@ class TestCompiledEvaluation:
     def test_malformed_nodes_raise_when_reached(self, ast):
         assert_compiled_matches_interpreter(ast, [0.0, 1.0])
 
-    @pytest.mark.parametrize(
-        "ast",
-        [
-            Num(-0.0),
-            Neg(Num(-0.0)),
-            BinOp("+", Var("x"), Num(-0.0)),
-            BinOp("*", Num(-0.0), Var("x")),
-            Call("min", (Num(-0.0), Var("x"))),
-            Call("max", (Var("x"), Num(-0.0))),
-            Call("sqrt", (Num(-0.0),)),
-            Num(math.nan),
-            Call("sqrt", (Num(math.nan),)),
-            Call("ln", (Neg(Num(math.nan)),)),
-            BinOp("^", Num(math.nan), Num(0.0)),  # math.pow(nan, 0) is 1.0
-            BinOp("+", Var("x"), Num(math.nan)),
-            BinOp("/", Var("x"), Num(math.nan)),
-            Num(math.inf),
-            Call("abs", (Num(-math.inf),)),
-            Call("ln", (Num(math.inf),)),
-            Call("exp", (Num(math.inf),)),
-            Call("exp", (Neg(Num(math.inf)),)),
-            BinOp("-", Num(math.inf), Num(math.inf)),
-            BinOp("^", Var("x"), Num(math.inf)),
-            Num(5e-324),
-            BinOp("*", Num(5e-324), Var("x")),
-            BinOp("/", Var("x"), Num(5e-324)),
-            BinOp("/", Num(5e-324), Var("x")),
-            BinOp("^", Num(5e-324), Num(0.5)),
-            # an int too large for a float raises OverflowError, which exp's
-            # try block catches when it comes from exp's argument
-            BinOp("+", Var("x"), Num(10**400)),
-            Call("exp", (BinOp("+", Var("x"), Num(10**400)),)),
-        ],
-    )
+    @pytest.mark.parametrize("ast", LITERAL_ASTS)
     def test_literals_built_directly_keep_their_bits(self, ast):
         assert_compiled_matches_interpreter(ast, [0.0, -0.0, 0.5, -2.0, 1e300])
 
@@ -436,3 +438,118 @@ class TestCompiledEvaluation:
     def test_eval_expr_is_the_compiled_value(self):
         ast = parse_expr("x - x^2")
         assert eval_expr(ast, 0.3) == compile_expr(ast)(0.3) == interpret_expr(ast, 0.3)
+
+
+def exact_value(node, x):
+    """The exact value at ``x`` of an expression of literals, ``x``, negation and ``+ - * /``.
+
+    None for an expression with any other node.
+    """
+    match node:
+        case Num(value):
+            return Fraction(value)
+        case Var(_):
+            return Fraction(x)
+        case Neg(arg):
+            a = exact_value(arg, x)
+            return None if a is None else -a
+        case BinOp("+" | "-" | "*" | "/" as op, lhs, rhs):
+            a, b = exact_value(lhs, x), exact_value(rhs, x)
+            if a is None or b is None:
+                return None
+            return {"+": a + b, "-": a - b, "*": a * b}[op] if op != "/" else a / b
+    return None
+
+
+@st.composite
+def cells(draw):
+    """A cell ``[a, b]`` and a point in it; -0.0 sorts below 0.0."""
+    a, b = sorted((draw(POINTS), draw(POINTS)), key=lambda v: (v, math.copysign(1.0, v)))
+    return a, b, draw(st.floats(min_value=a, max_value=b))
+
+
+def assert_enclosed(ast, a, b, xs):
+    """Where enclose gives an interval over [a, b], no point of ``xs`` raises and each lies in it."""
+    box = enclose(ast, a, b)
+    if box is None:
+        return
+    lo, hi = box
+    assert math.isfinite(lo) and math.isfinite(hi) and lo <= hi, (format_expr(ast), box)
+    compiled = compile_expr(ast)
+    for x in xs:
+        value = compiled(x)
+        assert lo <= value <= hi, (format_expr(ast), a, b, x, value, box)
+        exact = exact_value(ast, x)
+        if exact is not None:
+            assert Fraction(lo) <= exact <= Fraction(hi), (format_expr(ast), a, b, x, box)
+
+
+ENCLOSURE_CORPUS = (
+    [parse_expr(src) for src in ROUND_TRIP_CORPUS]
+    + [parse_expr(src) for src, _ in ERROR_CORPUS]
+    + LITERAL_ASTS
+)
+
+
+class TestEnclosure:
+    @given(st.sampled_from(ENCLOSURE_CORPUS), cells())
+    @settings(max_examples=1000, deadline=None)
+    def test_corpus_is_enclosed(self, ast, cell):
+        a, b, x = cell
+        assert_enclosed(ast, a, b, [a, x, b])
+
+    @given(_ast_strategy(), cells())
+    @settings(max_examples=400, deadline=None)
+    def test_random_ast_is_enclosed(self, ast, cell):
+        a, b, x = cell
+        assert_enclosed(ast, a, b, [a, x, b])
+
+    @pytest.mark.parametrize(
+        "src, lo, hi",
+        [
+            ("x/4", 0.0, 1.0),
+            ("(x+1)/2", 0.0, 1.0),
+            ("x/3", 0.0, 1.0),
+            ("0.9*x", 0.0, 1.0),
+            ("x - x^2", 0.0, 1.0),
+            ("1 + x^2", 0.0, 2.0),
+            ("x^2", -1.0, 2.0),  # an even power of a base around 0
+            ("x^-3", -2.0, -1.0),  # a negative integer power of a negative base
+            ("exp(x) + abs(x - 0.3)", 0.0, 2.0),
+            ("sqrt(x) + ln(x + 1)", 0.0, 1.0),
+            ("min(x, 1 - x) + max(-x, 0.5)", -1.0, 1.0),
+        ],
+    )
+    def test_proves_what_maps_and_integrands_use(self, src, lo, hi):
+        ast = parse_expr(src)
+        assert enclose(ast, lo, hi) is not None
+        assert_enclosed(ast, lo, hi, np.linspace(lo, hi, 101).tolist())
+
+    @pytest.mark.parametrize(
+        "src, lo, hi",
+        [
+            ("0.001/(x - 0.123456789)", 0.0, 1.0),  # a divisor interval that holds 0
+            ("1/x", -0.0, 1.0),
+            ("ln(x)", 0.0, 1.0),  # ln reaching 0
+            ("sqrt(x - 0.5)", 0.0, 1.0),  # sqrt reaching below 0
+            ("exp(1000*x)", 0.0, 1.0),  # exp overflows
+            ("x*1e300*1e300", -1.0, 1.0),  # a non-finite end
+            ("(-1)^x", -2.0, 2.0),  # a negative base to a non-integer power
+            ("x^-1", -1.0, 1.0),  # a negative power of a base around 0
+            ("x^0.5", -1.0, 1.0),
+        ],
+    )
+    def test_may_fail_is_none(self, src, lo, hi):
+        assert enclose(parse_expr(src), lo, hi) is None
+
+    @pytest.mark.parametrize(
+        "ast", [BinOp("%", Var("x"), Num(1.0)), Call("log", (Var("x"),)), Num(1), Num(10**400)]
+    )
+    def test_malformed_nodes_and_int_literals_are_none(self, ast):
+        assert enclose(ast, 0.0, 1.0) is None
+
+    def test_rounded_ends_step_outward(self):
+        # 0.1 + 0.2 rounds up, so the exact sum lies below the float one
+        lo, hi = enclose(parse_expr("x + 0.2"), 0.1, 0.1)
+        assert lo == math.nextafter(0.1 + 0.2, -math.inf) and hi == math.nextafter(0.1 + 0.2, math.inf)
+        assert Fraction(lo) <= Fraction(0.1) + Fraction(0.2) <= Fraction(hi)

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import outcome, validate_integrand_scalar
+from helpers import outcome, spy_on_grid, validate_integrand_scalar
 
 from mvfix import (
     ConstantIntegrand,
@@ -25,6 +25,7 @@ from mvfix import (
     phi_eval,
 )
 from mvfix import integrand
+from mvfix.expr import enclose
 from mvfix.integrand import capital_phi_array
 
 
@@ -258,6 +259,25 @@ class TestQuadratureAgainstClosedForms:
             adaptive_simpson(lambda t: math.sin(t) + 2.0, 0.0, 10.0, tol=1e-30, max_depth=3)
 
 
+# expression integrands accepted and refused on the grid, or proved
+INTEGRAND_PARITY_CASES = [
+    ("1 + t^2", 100.0),
+    ("t*t", 100.0),  # zero at the origin only
+    ("t - 50", 100.0),
+    ("-t", 100.0),
+    ("max(0, t - 1)", 100.0),
+    # zero at one interior grid point
+    (f"abs(t - {np.linspace(0.0, 1.0, 10_001)[1234].item()!r})", 1.0),
+    ("ln(t)", 100.0),
+    ("1/t", 100.0),
+    ("sqrt(t - 1)", 100.0),
+    ("exp(t)", 1000.0),
+    ("(-1)^t + 2", 1.0),
+    ("1 + t^0.3", 2.0),
+    ("exp(t) + abs(t - 0.3)", 2.0),
+]
+
+
 class TestValidation:
     @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
     def test_constant_needs_positive_c(self, c):
@@ -300,26 +320,26 @@ class TestValidation:
         with pytest.raises(ParseError, match="number literal is not finite"):
             expression_integrand("1e999", grid_max=1.0)
 
-    @pytest.mark.parametrize(
-        "source, grid_max",
-        [
-            ("1 + t^2", 100.0),
-            ("t*t", 100.0),  # zero at the origin only
-            ("t - 50", 100.0),
-            ("-t", 100.0),
-            ("max(0, t - 1)", 100.0),
-            # zero at one interior grid point
-            (f"abs(t - {np.linspace(0.0, 1.0, 10_001)[1234].item()!r})", 1.0),
-            ("ln(t)", 100.0),
-            ("1/t", 100.0),
-            ("sqrt(t - 1)", 100.0),
-            ("exp(t)", 1000.0),
-            ("(-1)^t + 2", 1.0),
-        ],
-    )
+    @pytest.mark.parametrize("source, grid_max", INTEGRAND_PARITY_CASES)
     def test_expression_same_verdict_as_scalar_loop(self, source, grid_max):
         expected = outcome(validate_integrand_scalar, source, grid_max)
         assert outcome(expression_integrand, source, grid_max) == expected
+
+    def test_benchmark_expression_evaluates_no_grid(self, monkeypatch):
+        calls = spy_on_grid(monkeypatch)
+        f = expression_integrand("1 + t^2", grid_max=2.0)
+        assert f == ExpressionIntegrand(parse_expr("1 + t^2", variable="t"), "1 + t^2", 2.0)
+        assert calls == []
+
+    @pytest.mark.parametrize("source, grid_max", INTEGRAND_PARITY_CASES)
+    def test_grid_runs_where_the_proof_fails(self, source, grid_max, monkeypatch):
+        box = enclose(parse_expr(source, variable="t"), 0.0, grid_max)
+        proved = box is not None and box[0] > 0.0
+        calls = spy_on_grid(monkeypatch)
+        result = outcome(expression_integrand, source, grid_max)
+        assert bool(calls) == (not proved)
+        if not isinstance(result, ExpressionIntegrand):  # every refusal comes from the grid
+            assert calls
 
     @pytest.mark.parametrize(
         "source, error",

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from helpers import outcome, validate_map_scalar
+from helpers import outcome, spy_on_grid, validate_map_scalar
 
 from mvfix import (
     CompactSet,
@@ -21,7 +21,15 @@ from mvfix import (
     singleton_map,
     table_map,
 )
-from mvfix.maps import ENDPOINT_SLACK, MultiMap, _as_ast, _nearest_step, _value_set, image_arrays
+from mvfix.maps import (
+    ENDPOINT_SLACK,
+    MultiMap,
+    _as_ast,
+    _nearest_step,
+    _proved_valid,
+    _value_set,
+    image_arrays,
+)
 from mvfix.sets1d import _nearest
 
 UNIT = CompactSet.interval(0.0, 1.0)
@@ -207,6 +215,17 @@ VALIDATION_CASES = [
     ("singleton", UNIT, (Num(math.nan),)),  # non-finite member
     ("interval_endpoints", UNIT, ("x", "0.5")),  # inverted from mid-grid on
     ("interval_endpoints", UNIT, ("x/4", "sqrt(0.3 - x) + 1")),  # fails from mid-grid on
+    # valid on the grid, which misses the pole; the enclosure cannot prove it
+    ("singleton", UNIT, ("0.001/(x - 0.123456789)",)),
+    # valid, but one cell cannot prove lo <= hi: lo reaches 0.4 and hi starts at 0
+    ("interval_endpoints", UNIT, ("x/2 - 0.1", "x/2")),
+]
+
+# the maps of the benchmark's configs
+BENCHMARK_MAPS = [
+    ("interval_endpoints", UNIT, ("x/4", "(x+1)/2")),
+    ("finite_set", UNIT, ("x/4", "x/3", "(x+1)/2", "0.9*x")),
+    ("singleton", UNIT, ("x - x^2",)),
 ]
 
 
@@ -230,6 +249,31 @@ class TestArrayValidation:
     def test_same_verdict_as_scalar_loop(self, kind, domain, exprs):
         expected = outcome(validate_map_scalar, _unvalidated(kind, domain, exprs))
         assert outcome(_factory, kind, domain, exprs) == expected
+
+    @pytest.mark.parametrize("kind, domain, exprs", BENCHMARK_MAPS)
+    def test_proved_maps_evaluate_no_grid(self, kind, domain, exprs, monkeypatch):
+        calls = spy_on_grid(monkeypatch)
+        assert _factory(kind, domain, exprs) == _unvalidated(kind, domain, exprs)
+        assert calls == []
+
+    @pytest.mark.parametrize("kind, domain, exprs", VALIDATION_CASES)
+    def test_grid_runs_where_the_proof_fails(self, kind, domain, exprs, monkeypatch):
+        T = _unvalidated(kind, domain, exprs)
+        proved = all(_proved_valid(T, a, b) for a, b in domain.intervals)
+        calls = spy_on_grid(monkeypatch)
+        result = outcome(_factory, kind, domain, exprs)
+        assert bool(calls) == (not proved)
+        if result != T:  # every refusal comes from the grid
+            assert calls
+
+    @pytest.mark.parametrize(
+        "kind, exprs",
+        [("singleton", ("0.001/(x - 0.123456789)",)), ("interval_endpoints", ("x/2 - 0.1", "x/2"))],
+    )
+    def test_maps_the_proof_cannot_settle_load_through_the_grid(self, kind, exprs, monkeypatch):
+        calls = spy_on_grid(monkeypatch)
+        assert _factory(kind, UNIT, exprs) == _unvalidated(kind, UNIT, exprs)
+        assert "image_arrays" in calls
 
     @pytest.mark.parametrize(
         "lo, hi, error",

@@ -24,6 +24,7 @@ from mvfix import (
     sample_point,
     sample_points,
 )
+from mvfix.sets1d import _grid_array
 
 
 class TestConstruction:
@@ -215,7 +216,38 @@ class TestMemberDistanceBound:
                 assert dist_point_set(a, B) <= bound + 1e-12
 
 
+def _unions():
+    ends = st.floats(-1e6, 1e6)
+    return st.lists(st.tuples(ends, ends).map(sorted), min_size=1, max_size=5).map(CompactSet)
+
+
 class TestGridAndSampling:
+    # a proof over each interval of the domain covers the validation grid
+    # only if every grid point lies in one of them
+    @pytest.mark.parametrize(
+        "A",
+        [
+            CompactSet.interval(0.0, 1.0),
+            CompactSet([(0.0, 0.25), (0.75, 1.0)]),
+            CompactSet.from_points([0.0, 0.5, 1.0]),
+        ],
+    )
+    def test_validation_grid_lies_in_the_intervals(self, A):
+        self.assert_grid_in_intervals(A)
+
+    @given(_unions())
+    @settings(max_examples=200, deadline=None)
+    def test_validation_grid_of_a_union_lies_in_the_intervals(self, A):
+        self.assert_grid_in_intervals(A)
+
+    @staticmethod
+    def assert_grid_in_intervals(A):
+        grid = _grid_array(A, 10_001)
+        inside = np.zeros(len(grid), dtype=bool)
+        for lo, hi in A.intervals:
+            inside |= (lo <= grid) & (grid <= hi)
+        assert inside.all(), grid[~inside]
+
     def test_single_interval_grid_is_linspace(self):
         got = domain_grid(CompactSet.interval(0.0, 1.0), 101)
         expect = [float(t) for t in np.linspace(0.0, 1.0, 101)]
