@@ -29,7 +29,7 @@ print("  ...")
 # telescopes with equality, so the margins sit at zero
 verdict = validate_trace(trace, F, math.log(2.0))
 print("\ndecay chain ok:", verdict.decay_chain_ok)
-print("worst margin:", max(abs(m) for m in verdict.per_step_margins))
+print("worst margin:", float(abs(verdict.per_step_margins).max()))
 print("tail start n1:", verdict.n1)
 print("rate bound gamma_n <= n^(-1/k):", verdict.rate_bound_ok)
 print("cauchy tail bound:", verdict.cauchy_tail_bound)

@@ -244,19 +244,8 @@ def compile_expr(node: ExprAst) -> Callable[[float], float]:
     node raises :class:`EvalError` when its statement runs.
     """
     gen = _Codegen()
-    result = gen.value(node, 2)
-    source = "\n".join(
-        [
-            f"def bind({', '.join(f'b{i}' for i in range(len(gen.bound)))}):",
-            "    def compiled(x):",
-            *gen.lines,
-            f"        return {result}",
-            "    return compiled",
-        ]
-    )
-    namespace = dict(_GENERATED_GLOBALS)
-    exec(compile(source, "<mvfix.expr.compile_expr>", "exec"), namespace)
-    return namespace["bind"](*gen.bound)
+    gen.emit(2, f"return {gen.value(node, 2)}")
+    return gen.build("<mvfix.expr.compile_expr>", "compiled", "x")
 
 
 def _fail(message: str, node: ExprAst):
@@ -284,8 +273,9 @@ _GENERATED_GLOBALS = {
 }
 
 # exp nests its argument's statements in its own try block, one indent
-# deeper; from this indent on (the body starts at 2) the argument is
-# compiled on its own, since CPython nests at most 20 blocks
+# deeper; from this indent on (the body starts at 2, and each indent past
+# it is one block, a loop's too) the argument is compiled on its own,
+# since CPython nests at most 20 blocks
 _MAX_TRY_INDENT = 16
 
 
@@ -309,6 +299,24 @@ class _Codegen:
         self.temps += 1
         self.emit(indent, f"{name} = {value}")
         return name
+
+    def build(self, filename: str, name: str, params: str) -> Callable:
+        """``def name(params)`` with the emitted lines (indent 2 on) as its body, built by one exec.
+
+        Every bound object reaches the body as a closure cell ``b0``,
+        ``b1``, ...; the names of ``_GENERATED_GLOBALS`` are its globals.
+        """
+        source = "\n".join(
+            [
+                f"def bind({', '.join(f'b{i}' for i in range(len(self.bound)))}):",
+                f"    def {name}({params}):",
+                *self.lines,
+                f"    return {name}",
+            ]
+        )
+        namespace = dict(_GENERATED_GLOBALS)
+        exec(compile(source, filename, "exec"), namespace)
+        return namespace["bind"](*self.bound)
 
     def fail(self, indent: int, message: str, at: str) -> None:
         self.emit(indent + 1, f"_fail({self.bind(message)}, {at})")

@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InvariantError, MvfixError
-from .expr import ExprAst, compile_expr, enclose, eval_expr_array, format_expr, parse_expr
+from .expr import ExprAst, _Codegen, compile_expr, enclose, eval_expr_array, format_expr, parse_expr
 from .sets1d import CompactSet, _grid_array, _nearest, dist_point_set
 
 __all__ = [
@@ -56,6 +56,11 @@ class MultiMap:
     def _compiled(self) -> tuple[Callable[[float], float], ...]:
         """Compiled (lo, hi) or members, in that order, on first scalar use; empty for a table."""
         return tuple(compile_expr(e) for e in _expressions(self))
+
+    @cached_property
+    def _orbit(self) -> Callable[..., tuple]:
+        """The generated window loop of :func:`_compile_orbit`, built on first use."""
+        return _compile_orbit(self)
 
     def describe(self) -> str:
         if self.kind == "interval_endpoints":
@@ -101,30 +106,49 @@ def _value_set(T: MultiMap, x: float) -> CompactSet:
     return CompactSet.from_points(fn(x) for fn in T._compiled)
 
 
-def _nearest_step(T: MultiMap) -> Callable[[float], tuple[float, float]]:
-    """``x -> _nearest(x, _value_set(T, x))``; interval and singleton maps build no value set."""
-    if T.kind == "singleton":
-        (member,) = T._compiled
-        isfinite = math.isfinite
+def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
+    """The nearest-point orbit of ``T`` over one Phi window, generated as one function.
 
-        def point_step(x: float) -> tuple[float, float]:
-            p = member(x)
-            if not isfinite(p):
-                _checked_ends(x, p, p)  # raises its non-finite endpoint error
-            p = x if x == p else p  # the clamp onto [p, p] keeps x, and its sign of zero
-            return p, abs(x - p)
-
-        return point_step
-    if T.kind != "interval_endpoints":
-        return lambda x: _nearest(x, _value_set(T, x))
-    lo_fn, hi_fn = T._compiled
-
-    def step(x: float) -> tuple[float, float]:
-        lo, hi = _checked_ends(x, lo_fn(x), hi_fn(x))
-        p = lo if x < lo else (hi if x > hi else x)
-        return p, abs(x - p)
-
-    return step
+    ``orbit(x, start, end, tol, record_point, record_d)`` runs steps
+    ``start .. end - 1`` from ``x``.  A step takes p, the point of T(x)
+    nearest x, and ``d = |x - p|``; it stops if ``d <= tol``, else records
+    p and d and stops if p lies outside the domain.  It returns ``(x, n,
+    stop, err)``: the last x (p, if it left), the step it stopped at (or
+    ``end``), and ``stop``, one of None, ``"fixed"``, ``"left"`` and
+    ``"error"`` with ``err`` the :class:`MvfixError` T raised at x.
+    Interval and singleton (one-point interval) maps have their
+    expressions' statements inline, as :func:`compile_expr` emits them,
+    and clamp x onto the endpoints with the bits of ``_nearest``, building
+    no value set; ``_checked_ends`` runs only on an inverted or non-finite
+    endpoint.  Other maps call ``_nearest(x, _value_set(T, x))``.  The
+    domain test is chained comparisons with the domain's intervals.
+    """
+    gen = _Codegen()
+    clamped = T.kind in ("singleton", "interval_endpoints")
+    gen.emit(2, "for n in range(start, end):")
+    gen.emit(3, "try:")
+    if clamped:
+        ends = [gen.value(e, 4) for e in _expressions(T)]  # a singleton is [f(x), f(x)]
+        gen.emit(4, f"lo, hi = {ends[0]}, {ends[-1]}")
+        gen.emit(4, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
+        gen.emit(5, f"lo, hi = {gen.bind(_checked_ends)}(x, lo, hi)")
+    else:
+        gen.emit(4, f"p = {gen.bind(_nearest)}(x, {gen.bind(_value_set)}({gen.bind(T)}, x))[0]")
+    gen.emit(3, f"except {gen.bind(MvfixError)} as err:")
+    gen.emit(4, "return x, n, 'error', err")
+    if clamped:
+        gen.emit(3, "p = lo if x < lo else (hi if x > hi else x)")
+    gen.emit(3, "d = abs(x - p)")
+    gen.emit(3, "if d <= tol:")
+    gen.emit(4, "return x, n, 'fixed', None")
+    gen.emit(3, "record_point(p)")
+    gen.emit(3, "record_d(d)")
+    inside = " or ".join(f"{gen.bind(a)} <= p <= {gen.bind(b)}" for a, b in T.domain.intervals)
+    gen.emit(3, f"if not ({inside}):")
+    gen.emit(4, "return p, n, 'left', None")
+    gen.emit(3, "x = p")
+    gen.emit(2, "return x, end, None, None")
+    return gen.build("<mvfix.maps.orbit>", "orbit", "x, start, end, tol, record_point, record_d")
 
 
 def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import numbers
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Sequence, Union
 
@@ -26,7 +26,7 @@ from .errors import DomainError, InsufficientTraceError, MvfixError
 from .expr import _POINTWISE_BLOCK, _pointwise
 from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval, f_eval_array
 from .integrand import ConstantIntegrand, Integrand, capital_phi, capital_phi_array, integrand_label
-from .maps import MultiMap, _nearest_step, _value_set
+from .maps import MultiMap, _value_set
 from .sets1d import CompactSet
 
 __all__ = [
@@ -90,8 +90,24 @@ class IterationError:
 Outcome = Union[FixedPointFound, MaxIterReached, IterationError]
 
 
+class _BytewiseEq:
+    """Equality and hash over a dataclass's fields, each array field by its bytes."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in fields(self))
+        return tuple(v.tobytes() if isinstance(v, np.ndarray) else v for v in values)
+
+
 @dataclass(frozen=True, eq=False)
-class IterationTrace:
+class IterationTrace(_BytewiseEq):
     """Recorded steps of one iteration, held as parallel columns.
 
     Entry n of ``x``, ``next_point``, ``d_to_set`` and ``gamma`` belongs
@@ -112,18 +128,6 @@ class IterationTrace:
     map: MultiMap
     outcome: Outcome
     params: TraceParams
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IterationTrace):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def _key(self) -> tuple:
-        columns = (self.x, self.next_point, self.d_to_set, self.gamma)
-        return (*(c.tobytes() for c in columns), self.map, self.outcome, self.params)
 
     @cached_property
     def steps(self) -> tuple[TraceStep, ...]:
@@ -160,21 +164,23 @@ def _read_only(column) -> np.ndarray:
     return column
 
 
-@dataclass(frozen=True)
-class TraceVerdict:
+@dataclass(frozen=True, eq=False)
+class TraceVerdict(_BytewiseEq):
     """Validation outcome for one trace against F, tau and F's exponent k = ``F.k``.
 
     ``per_step_margins`` holds the telescoped slack
-    (F(gamma_0) - n * tau) - F(gamma_n) per recorded step; the decay chain
-    is intact when every slack is >= -1e-9.  ``n1`` is the start of the
-    longest trace suffix on which n * gamma_n**k stays <= 1 and is
-    nonincreasing (None when even the last step exceeds 1); the rate
-    bound gamma_n <= n**(-1/k) is then checked on that tail.
+    (F(gamma_0) - n * tau) - F(gamma_n) per recorded step, as a read-only
+    float64 array; the decay chain is intact when every slack is
+    >= -1e-9.  ``n1`` is the start of the longest trace suffix on which
+    n * gamma_n**k stays <= 1 and is nonincreasing (None when even the
+    last step exceeds 1); the rate bound gamma_n <= n**(-1/k) is then
+    checked on that tail.  Two verdicts are equal when their margins hold
+    the same bytes and their other fields are equal.
     """
 
     decay_chain_ok: bool
     first_failure: int | None
-    per_step_margins: tuple[float, ...]
+    per_step_margins: np.ndarray
     n1: int | None
     rate_bound_ok: bool
     rate_first_failure: int | None
@@ -194,12 +200,13 @@ def iterate(
     :class:`MaxIterReached` after ``max_iter`` recorded steps, or with an
     :class:`IterationError` outcome if the selected point leaves the
     domain, a map evaluation fails or Phi(d) is not finite; partial steps
-    are kept in every case.  A step is one call of a nearest-point closure
-    built once for the map (no value set for interval and singleton maps).
-    Phi is taken in windows of 1, 2, 4, ... and at most ``PHI_WINDOW``
-    steps: the orbit runs a window's steps, then one
+    are kept in every case.  Phi is taken in windows of 1, 2, 4, ... and
+    at most ``PHI_WINDOW`` steps: one call of the map's generated orbit
+    loop (``maps._compile_orbit``, compiled on the map's first
+    ``iterate`` and kept by the map) runs a window's steps, then one
     :func:`capital_phi_array` call gives their gammas (a one-step window
-    calls :func:`capital_phi`).  At the first gamma that is not finite the
+    calls :func:`capital_phi`).  Interval and singleton maps build no
+    value set in that loop.  At the first gamma that is not finite the
     trace is cut before that step, and :func:`capital_phi` on that one d
     gives the outcome, so the steps and the outcome are those of a loop
     that takes Phi step by step.
@@ -218,29 +225,17 @@ def iterate(
         p, d, g = map(_read_only, (points, ds, gammas))
         return IterationTrace(p[:-1], p[1:], d, g, T, outcome, params)
 
-    # x0 is checked above and every later x by the domain check below, so
-    # the step skips apply_map's own check
-    in_domain = T.domain.contains
-    nearest = _nearest_step(T)
     x, done, window, stop = x0, 0, 1, None
     while stop is None and done < max_iter:
         end = min(done + window, max_iter)
         window = min(2 * window, PHI_WINDOW)
-        for n in range(done, end):
-            try:
-                nxt, d = nearest(x)
-            except MvfixError as err:
-                stop = IterationError(str(err), x)
-                break
-            if d <= tol:
-                stop = FixedPointFound(x, n)
-                break
-            points.append(nxt)
-            ds.append(d)
-            if not in_domain(nxt):
-                stop = IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt)
-                break
-            x = nxt
+        x, n, kind, err = T._orbit(x, done, end, tol, points.append, ds.append)
+        if kind == "fixed":
+            stop = FixedPointFound(x, n)
+        elif kind == "left":
+            stop = IterationError(f"iterate left the domain at step {n}: x = {x!r}", x)
+        elif kind == "error":
+            stop = IterationError(str(err), x)
         window_d = np.frombuffer(ds[done:])
         # a one-step window leaves its Phi to capital_phi below: in a batch
         # of one, a transform that fails would run twice
@@ -316,7 +311,7 @@ def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerd
     return TraceVerdict(
         decay_chain_ok=first_failure is None,
         first_failure=first_failure,
-        per_step_margins=tuple(margins.tolist()),
+        per_step_margins=_read_only(margins),
         n1=n1,
         rate_bound_ok=n1 is not None and rate_first_failure is None,
         rate_first_failure=rate_first_failure,

@@ -17,9 +17,11 @@ trace.
 
 import math
 import numbers
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
+from hypothesis import strategies as st
 
 from mvfix import (
     ERROR_ROWS,
@@ -304,6 +306,32 @@ def interpret_expr(node, x):
     raise EvalError("malformed AST node", repr(node))
 
 
+def random_asts(numbers):
+    """A hypothesis strategy for ASTs over ``x`` of every node kind, literals from ``numbers``."""
+    leaves = st.one_of(st.builds(Num, numbers), st.just(Var("x")))
+
+    def extend(children):
+        return st.one_of(
+            st.builds(Neg, children),
+            st.builds(
+                BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children
+            ),
+            st.builds(
+                lambda fn, a: Call(fn, (a,)),
+                st.sampled_from(["abs", "sqrt", "ln", "exp"]),
+                children,
+            ),
+            st.builds(
+                lambda fn, a, b: Call(fn, (a, b)),
+                st.sampled_from(["min", "max"]),
+                children,
+                children,
+            ),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
 def iterate_scalar(T, x0, tol, max_iter, f):
     """``iterate`` recording one ``TraceStep`` per step, each value set via ``apply_map``.
 
@@ -384,15 +412,24 @@ def validate_trace_scalar(trace, F, tau):
     if n1 is not None:
         cauchy = sum(i ** (-1.0 / k) for i in range(max(n1, 1), recorded[-1][0] + 1))
 
+    margins = np.array(margins, dtype=float)
+    margins.flags.writeable = False
     return TraceVerdict(
         decay_chain_ok=first_failure is None,
         first_failure=first_failure,
-        per_step_margins=tuple(margins),
+        per_step_margins=margins,
         n1=n1,
         rate_bound_ok=rate_ok,
         rate_first_failure=rate_first_failure,
         cauchy_tail_bound=cauchy,
     )
+
+
+def verdict_bits(verdict):
+    """``verdict`` with its margins as bytes, so equal reprs mean equal bits; others as they are."""
+    if isinstance(verdict, TraceVerdict):
+        return replace(verdict, per_step_margins=verdict.per_step_margins.tobytes())
+    return verdict
 
 
 def write_trace_csv_scalar(path, trace, F):

@@ -18,7 +18,7 @@ from mvfix import (
     format_expr,
     parse_expr,
 )
-from helpers import interpret_expr
+from helpers import interpret_expr, random_asts
 from mvfix.expr import compile_expr, enclose, eval_expr_array
 
 
@@ -213,28 +213,7 @@ def _ast_strategy():
     numbers = st.floats(
         min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False
     ).map(abs)
-    leaves = st.one_of(st.builds(Num, numbers), st.just(Var("x")))
-
-    def extend(children):
-        return st.one_of(
-            st.builds(Neg, children),
-            st.builds(
-                BinOp, st.sampled_from(["+", "-", "*", "/", "^"]), children, children
-            ),
-            st.builds(
-                lambda fn, a: Call(fn, (a,)),
-                st.sampled_from(["abs", "sqrt", "ln", "exp"]),
-                children,
-            ),
-            st.builds(
-                lambda fn, a, b: Call(fn, (a, b)),
-                st.sampled_from(["min", "max"]),
-                children,
-                children,
-            ),
-        )
-
-    return st.recursive(leaves, extend, max_leaves=12)
+    return random_asts(numbers)
 
 
 @given(_ast_strategy())

@@ -18,6 +18,7 @@ from mvfix import (
     finite_set_map,
     interval_map,
     is_fixed_point,
+    iterate,
     singleton_map,
     table_map,
 )
@@ -25,7 +26,6 @@ from mvfix.maps import (
     ENDPOINT_SLACK,
     MultiMap,
     _as_ast,
-    _nearest_step,
     _proved_valid,
     _value_set,
     image_arrays,
@@ -183,7 +183,7 @@ class TestApplication:
         assert compiled == []
         apply_map(T, 0.5)
         apply_map(T, 0.25)
-        _nearest_step(T)(0.75)
+        _step(T, 0.75)  # the orbit inlines its expressions, or reads the compiled members
         assert compiled == [T.lo, T.hi] if T.lo is not None else list(T.members)
 
     def test_replace_recompiles(self):
@@ -328,16 +328,24 @@ def _one_interval_image(T, x):
     return CompactSet.interval(lo, hi)
 
 
+def _step(T, x):
+    """One step of ``T``'s generated orbit loop from ``x``: ``(p, d)``, or the error T raises."""
+    points, ds = [], []
+    _, _, stop, err = T._orbit(x, 0, 1, -1.0, points.append, ds.append)  # d <= -1 never holds
+    if stop == "error":
+        raise err
+    return points[0], ds[0]
+
+
 class TestNearestStep:
     @pytest.mark.parametrize(
         "kind, domain, exprs", [case for case in VALIDATION_CASES if case[0] != "finite_set"]
     )
     def test_same_bits_and_errors_as_the_value_set(self, kind, domain, exprs):
         T = _unvalidated(kind, domain, exprs)
-        step = _nearest_step(T)
         for x in domain_grid(domain, 41):
             expected = outcome(lambda: _nearest(x, _one_interval_image(T, x)))
-            assert repr(outcome(step, x)) == repr(expected), x
+            assert repr(outcome(_step, T, x)) == repr(expected), x
             assert repr(outcome(_value_set, T, x)) == repr(outcome(_one_interval_image, T, x)), x
 
     def test_a_finite_singleton_step_makes_no_endpoint_check(self, monkeypatch):
@@ -346,14 +354,91 @@ class TestNearestStep:
         checked = []
         real = maps._checked_ends
         monkeypatch.setattr(maps, "_checked_ends", lambda *a: checked.append(a) or real(*a))
-        step = _nearest_step(singleton_map(UNIT, "x - x^2"))
-        assert step(0.5) == (0.25, 0.25) and step(0.0) == (0.0, 0.0)
+        T = singleton_map(UNIT, "x - x^2")
+        assert _step(T, 0.5) == (0.25, 0.25) and _step(T, 0.0) == (0.0, 0.0)
         # at x == T(x) the clamp keeps x, and with it x's sign of zero
         point = CompactSet.point(-0.0)
-        assert repr(_nearest_step(singleton_map(UNIT, "-x"))(0.0)) == repr(_nearest(0.0, point))
+        assert repr(_step(singleton_map(UNIT, "-x"), 0.0)) == repr(_nearest(0.0, point))
         assert checked == []
-        nan_step = _nearest_step(MultiMap(UNIT, "singleton", members=(Num(math.nan),)))
+        nan_map = MultiMap(UNIT, "singleton", members=(Num(math.nan),))
         message = r"^interval endpoints must be finite, got \(nan, nan\)$"
         with pytest.raises(InvariantError, match=message):
-            nan_step(0.5)
+            _step(nan_map, 0.5)
         assert len(checked) == 1
+
+    def test_a_valid_interval_step_makes_no_endpoint_check(self, monkeypatch):
+        from mvfix import maps
+
+        checked = []
+        real = maps._checked_ends
+        monkeypatch.setattr(maps, "_checked_ends", lambda *a: checked.append(a) or real(*a))
+        assert _step(halving_map(), 1.0) == (1.0, 0.0)
+        assert _step(halving_map(), 0.0) == (0.0, 0.0)
+        assert checked == []
+        # a near tie collapses to its midpoint; an infinite endpoint raises
+        assert _step(_unvalidated("interval_endpoints", UNIT, ("x + 1e-15", "x")), 0.0) == (
+            5e-16, 5e-16,
+        )
+        with pytest.raises(InvariantError, match="interval endpoints must be finite"):
+            _step(_unvalidated("interval_endpoints", UNIT, (Num(-math.inf), "x")), 0.5)
+        assert len(checked) == 2
+
+
+class TestOrbit:
+    """The generated window loop on its own; tests/test_solver.py checks ``iterate`` on it."""
+
+    def run(self, T, x, start, end, tol=0.0):
+        points, ds = [], []
+        result = T._orbit(x, start, end, tol, points.append, ds.append)
+        return result, points, ds
+
+    def test_a_window_runs_its_steps_and_returns_the_last_x(self):
+        (x, n, stop, err), points, ds = self.run(singleton_map(UNIT, "x/2"), 1.0, 5, 9)
+        assert (x, n, stop, err) == (1.0 / 16, 9, None, None)
+        assert points == [0.5, 0.25, 0.125, 0.0625] and ds == points
+
+    def test_each_stop_names_its_step(self):
+        # the fixed point is not recorded; the point that leaves is
+        assert self.run(singleton_map(UNIT, "x/2"), 0.25, 3, 10, tol=0.1) == (
+            (0.125, 4, "fixed", None), [0.125], [0.125],
+        )
+        left = self.run(singleton_map(GAPPED, "x/2"), 1.0, 0, 10)
+        assert left == ((0.5, 0, "left", None), [0.5], [0.5])
+        # ln(1) = 0 is recorded, then ln(0) raises at x = 0
+        T = _unvalidated("singleton", UNIT, ("ln(x)",))
+        (x, n, stop, err), points, _ = self.run(T, 1.0, 0, 10)
+        assert (x, n, stop, points) == (0.0, 1, "error", [0.0])
+        assert str(err) == "ln of non-positive value in 'ln(x)'"
+
+    @pytest.mark.parametrize(
+        "domain", [UNIT, GAPPED, POINTS, CompactSet([(0.0, 0.1), (0.3, 0.3), (0.5, 1.0)])]
+    )
+    def test_domain_test_matches_contains(self, domain):
+        # a map that jumps to each probe once: its step leaves exactly where contains fails
+        for p in [-0.5, -0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0, 1.5, 5e-324]:
+            T = MultiMap(domain, "singleton", members=(Num(p),))
+            (_, _, stop, _), _, _ = self.run(T, domain.min, 0, 1)
+            if p == domain.min:  # a fixed point at the start
+                continue
+            assert (stop == "left") == (not domain.contains(p)), (domain, p)
+
+    def test_finite_sets_and_tables_take_the_value_set(self):
+        T = finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"])
+        (_, _, stop, _), points, ds = self.run(T, 0.5, 0, 3)
+        assert stop is None and points == [0.9 * 0.5, 0.9 * (0.9 * 0.5), 0.9 * (0.9 * (0.9 * 0.5))]
+        table = table_map(UNIT, [(0.5, [(0.2, 0.3)]), (0.3, [(0.6, 0.7)])])
+        (x, n, stop, err), points, _ = self.run(table, 0.5, 0, 5)
+        assert (x, n, stop, points) == (0.6, 2, "error", [0.3, 0.6])
+        assert str(err) == "no table entry for x = 0.6"
+
+    def test_the_orbit_is_compiled_on_first_use_and_kept(self, monkeypatch):
+        from mvfix import maps
+
+        built = []
+        real = maps._compile_orbit
+        monkeypatch.setattr(maps, "_compile_orbit", lambda T: built.append(T) or real(T))
+        T = singleton_map(UNIT, "x - x^2")
+        assert built == [] and "_orbit" not in vars(T)
+        iterate(T, 0.5, 0.0, 20)
+        iterate(T, 0.25, 0.0, 20)
+        assert built == [T]

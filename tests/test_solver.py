@@ -2,6 +2,7 @@ import functools
 import math
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import iterate_scalar, outcome, validate_trace_scalar, write_trace_csv_scalar
+from helpers import (
+    iterate_scalar,
+    random_asts,
+    outcome,
+    validate_trace_scalar,
+    verdict_bits,
+    write_trace_csv_scalar,
+)
 from mvfix import (
+    BinOp,
+    Call,
     CompactSet,
     ConstantIntegrand,
     DomainError,
@@ -22,8 +32,11 @@ from mvfix import (
     IterationError,
     MaxIterReached,
     MultiMap,
+    Num,
     PowerIntegrand,
+    Var,
     dist_point_set,
+    domain_grid,
     expression_integrand,
     finite_set_map,
     gamma_sequence_probe,
@@ -171,7 +184,7 @@ class TestValidateTrace:
         verdict = validate_trace(halving_trace(), LOG, math.log(2.0))
         assert verdict.decay_chain_ok
         assert verdict.first_failure is None
-        assert max(abs(m) for m in verdict.per_step_margins) <= 1e-13
+        assert np.abs(verdict.per_step_margins).max() <= 1e-13
 
     def test_halving_rate_tail(self):
         verdict = validate_trace(halving_trace(), FFunction("log", k=0.5), math.log(2.0))
@@ -192,8 +205,27 @@ class TestValidateTrace:
         # a smaller tau leaves more room at every step
         verdict = validate_trace(halving_trace(), LOG, 0.5)
         assert verdict.decay_chain_ok
+        assert (np.diff(verdict.per_step_margins) > 0.0).all()
+
+    def test_margins_are_a_read_only_float64_array(self):
+        verdict = validate_trace(halving_trace(), LOG, 0.5)
         margins = verdict.per_step_margins
-        assert all(b > a for a, b in zip(margins, margins[1:]))
+        assert margins.dtype == np.float64 and margins.shape == (60,)
+        assert not margins.flags.writeable
+        with pytest.raises(ValueError):
+            margins[0] = 1.0
+
+    def test_verdicts_compare_margins_byte_wise(self):
+        verdict = validate_trace(halving_trace(), LOG, 0.5)
+        again = validate_trace(halving_trace(), LOG, 0.5)
+        assert verdict == again and hash(verdict) == hash(again)
+        assert verdict != validate_trace(halving_trace(), LOG, 0.4)
+        # margins equal as floats but not as bytes: 0.0 against -0.0
+        zero, negative_zero = np.zeros(2), np.array([0.0, -0.0])
+        assert replace(verdict, per_step_margins=zero) != replace(
+            verdict, per_step_margins=negative_zero
+        )
+        assert replace(verdict, n1=None) != verdict
 
     def test_infinite_tau_rejected(self):
         # 0 * inf would put NaN in the first margin
@@ -317,9 +349,10 @@ def assert_trace_matches_oracles(T, x0, tol, max_iter, f, F, tau):
     assert trace.steps == oracle.steps
     assert repr(trace.outcome) == repr(oracle.outcome)
     assert trace.params == oracle.params
-    assert repr(outcome(validate_trace, trace, F, tau)) == repr(
-        outcome(validate_trace_scalar, oracle, F, tau)
-    )
+    verdict = outcome(validate_trace, trace, F, tau)
+    expected = outcome(validate_trace_scalar, oracle, F, tau)
+    assert verdict == expected
+    assert repr(verdict_bits(verdict)) == repr(verdict_bits(expected))
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
         write_trace_csv(got, trace, F)
@@ -380,7 +413,7 @@ class TestColumnarTraceAgainstScalarLoop:
     def test_interval_and_singleton_steps_build_no_value_set(self, map_name, monkeypatch):
         from mvfix import maps
 
-        T = trace_map(map_name)
+        T = TRACE_MAPS[map_name]()  # a fresh map: its orbit loop is built under the spies
         calls = []
         value_set, init, point = maps._value_set, CompactSet.__init__, CompactSet.point
         monkeypatch.setattr(maps, "_value_set", lambda T, x: calls.append(x) or value_set(T, x))
@@ -469,6 +502,120 @@ RATE_ORBIT = [0.0, 1.0, 2.0 + 2e-12]
 def _orbit_map(domain, orbit):
     pairs = list(zip(orbit, orbit[1:])) + [(orbit[-1], orbit[-1])]
     return table_map(domain, [(a, [(b, b)]) for a, b in pairs])
+
+
+def _deep(ast):
+    """``ast`` inside 30 nested ``ln(exp(.))``: past ``expr._MAX_TRY_INDENT``, whose
+    argument is compiled on its own, and two blocks deeper inside the orbit's loop."""
+    for _ in range(30):
+        ast = Call("ln", (Call("exp", (ast,)),))
+    return ast
+
+
+GAPPED = CompactSet([(0.0, 0.3), (0.5, 1.0)])
+# fixed probes of the generated orbit loop: (map, x0, tol, outcome type, detail)
+ORBIT_PROBES = {
+    "deep_exp": (
+        lambda: MultiMap(UNIT, "singleton", members=(_deep(parse_expr("x/2 + 0.25")),)),
+        1.0, 0.0, FixedPointFound, None,
+    ),
+    # sqrt(x - 0.3) = x has no real root: the orbit falls below 0.3, where the
+    # innermost sqrt raises, 31 exp blocks down
+    "deep_exp_error": (
+        lambda: MultiMap(UNIT, "singleton", members=(_deep(parse_expr("sqrt(x - 0.3)")),)),
+        1.0, 0.0, IterationError, "sqrt of negative value in 'sqrt(x - 0.3)'",
+    ),
+    "deep_interval": (
+        lambda: MultiMap(
+            GAPPED, "interval_endpoints",
+            lo=_deep(parse_expr("x/3")), hi=_deep(parse_expr("x/2 - 0.1")),
+        ),
+        1.0, 0.0, IterationError, "iterate left the domain at step 0: x = 0.4",
+    ),
+    "leaves_the_gap": (
+        lambda: singleton_map(GAPPED, "x - 0.15"), 1.0, 0.0, IterationError,
+        "iterate left the domain at step 3",
+    ),
+    "near_tie": (lambda: interval_map(UNIT, "x/2 + 1e-13", "x/2"), 1.0, 0.0, MaxIterReached, None),
+    "inverted": (
+        lambda: MultiMap(
+            UNIT, "interval_endpoints", lo=parse_expr("x/2"), hi=parse_expr("x - 0.1")
+        ),
+        0.6, 0.0, IterationError, "map endpoints inverted at x = 0.10000000000000003",
+    ),
+    "nan_member": (
+        lambda: MultiMap(UNIT, "singleton", members=(Num(math.nan),)), 0.5, 0.0, IterationError,
+        "interval endpoints must be finite, got (nan, nan)",
+    ),
+    "nan_in_a_finite_set": (
+        lambda: MultiMap(UNIT, "finite_set", members=(parse_expr("x/2"), Num(math.nan))),
+        0.5, 0.0, IterationError, "interval endpoints must be finite, got (nan, nan)",
+    ),
+    "fixed_point_within_tol": (
+        lambda: singleton_map(UNIT, "x/2 + 0.25"), 1.0, 1e-6, FixedPointFound, None,
+    ),
+}
+
+
+def _mix(c, a):
+    """``c x + (1 - c) min(max(a, 0), 1)``, which maps [0, 1] into itself: longer orbits."""
+    clamped = Call("min", (Call("max", (a, Num(0.0))), Num(1.0)))
+    return BinOp("+", BinOp("*", Num(c), Var("x")), BinOp("*", Num(1.0 - c), clamped))
+
+
+@st.composite
+def orbit_maps(draw):
+    """Unvalidated maps of every expression kind over one or two intervals, from random ASTs."""
+    domain = draw(st.sampled_from([UNIT, GAPPED]))
+    asts = random_asts(st.floats(0.0, 2.0))
+    mixed = st.builds(_mix, st.floats(0.05, 0.95), asts)
+    members = st.one_of(asts, mixed, mixed.map(_deep), st.just(Num(math.nan)))
+    kind = draw(st.sampled_from(["singleton", "interval", "near_tie", "inverted", "finite_set"]))
+    a = draw(members)
+    if kind == "singleton":
+        return MultiMap(domain, "singleton", members=(a,))
+    if kind == "finite_set":
+        return MultiMap(domain, "finite_set", members=(a, draw(members)))
+    if kind == "interval":
+        return MultiMap(domain, "interval_endpoints", lo=a, hi=draw(members))
+    # lo above hi by a gap within ENDPOINT_SLACK, or beyond it
+    gap = 1e-13 if kind == "near_tie" else draw(st.sampled_from([2e-12, 1e-3, 0.5]))
+    return MultiMap(domain, "interval_endpoints", lo=BinOp("+", a, Num(gap)), hi=a)
+
+
+class TestGeneratedOrbitAgainstScalarLoop:
+    """``iterate``, which runs each map's generated window loop, against ``iterate_scalar``."""
+
+    @pytest.mark.parametrize("name", sorted(ORBIT_PROBES))
+    def test_probe(self, name):
+        make_map, x0, tol, expected, detail = ORBIT_PROBES[name]
+        trace = assert_trace_matches_oracles(
+            make_map(), x0, tol, 60, ConstantIntegrand(1.0), LOG, 0.5
+        )
+        assert isinstance(trace.outcome, expected)
+        if detail is not None:
+            assert trace.outcome.detail.startswith(detail)
+        if tol > 0.0:
+            assert trace.outcome.step > 0 and 0.0 < trace.d_to_set[-1] <= 1e-5
+
+    @given(
+        T=orbit_maps(),
+        data=st.data(),
+        tol=st.sampled_from([0.0, 1e-9, 1e-3, 0.1]),
+        max_iter=st.integers(1, 40),
+        integrand=st.sampled_from(["constant", "power", "expression"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_maps_bit_for_bit(self, T, data, tol, max_iter, integrand):
+        x0 = data.draw(
+            st.one_of(
+                st.sampled_from(domain_grid(T.domain, 11)),
+                st.floats(0.0, 1.0).filter(T.domain.contains),
+            )
+        )
+        assert_trace_matches_oracles(
+            T, x0, tol, max_iter, trace_integrand(integrand), LOG, 0.5
+        )
 
 
 class TestValidateTraceColumns:
