@@ -4,28 +4,33 @@ Supported syntax: decimal literals, one designated variable name, unary
 minus, the binary operators ``+ - * / ^`` (with ``^`` right-associative
 and binding tighter than unary minus), parentheses, and the functions
 ``abs``, ``sqrt``, ``ln``, ``exp`` (unary) and ``min``, ``max`` (binary).
+Literals are floats: :class:`Num` stores ``float(value)``.
 
 Parsing is recursive descent over a flat token list.  Failures raise
 :class:`ParseError` with a 0-based character position; a literal that
 overflows to infinity is one.  Evaluation failures raise
 :class:`EvalError` carrying the offending subexpression in printed form,
 so at a finite point :func:`eval_expr` returns a finite value or raises.
-:func:`compile_expr` generates one straight-line Python function per AST,
-with its literals, nodes and messages bound by reference rather than
-printed into the source; callers that evaluate an AST at many points
-compile it once, and maps and integrands do so on first scalar use.
-:func:`eval_expr` is that function's value.  :func:`eval_expr_array`
-evaluates over a whole array with the same bits, and gives NaN at the
-points where :func:`eval_expr` would raise.  :func:`enclose` bounds the
-compiled function over a whole interval of the variable, or says that it
-may raise there.
+
+Each operator is one row of :data:`OPERATORS`, which gives it in every
+form below and says once, for all of them, where it raises.
+:func:`compile_expr` generates one straight-line Python function per
+AST; callers that evaluate an AST at many points compile it once, and
+maps and integrands do so on first scalar use.  :func:`eval_expr` is
+that function's value.  :func:`eval_expr_array` evaluates over a whole
+array with the same bits, NaN where :func:`eval_expr` would raise.
+:func:`enclose` bounds the compiled function over an interval of the
+variable, or says that it may raise there.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
+from functools import partial
+from itertools import product
 from typing import Callable, Union
 
 import numpy as np
@@ -47,12 +52,14 @@ __all__ = [
     "format_expr",
 ]
 
-FUNCTIONS = {"abs": 1, "sqrt": 1, "ln": 1, "exp": 1, "min": 2, "max": 2}
-
 
 @dataclass(frozen=True)
 class Num:
     value: float
+
+    def __post_init__(self):
+        # an int too large for a float raises OverflowError here
+        object.__setattr__(self, "value", float(self.value))
 
 
 @dataclass(frozen=True)
@@ -228,20 +235,152 @@ def parse_expr(src: str, variable: str = "x") -> ExprAst:
     return node
 
 
+# _pointwise turns this many elements into Python floats at a time
+_POINTWISE_BLOCK = 4096
+
+
+def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
+    """``fn`` applied element by element; an element where it raises is NaN.
+
+    A transcendental runs through ``math`` one element at a time, because
+    numpy's vectorised ones are not correctly rounded and differ from
+    ``math`` in the last bit on some inputs (numpy 2.4.6 with AVX-512 on
+    an Intel Xeon: ``log`` on 59 of 600,000 inputs spread over
+    exp(-40) .. exp(40), ``expm1`` on 33,049 of 600,000 uniform inputs in
+    [-30, 30], ``pow`` on 10,635 of 200,000).  Each block of elements is
+    one ``fromiter`` pass, so the Python floats made at a time stay few; a
+    block where some call raised is redone one element at a time.
+    """
+    out = np.empty(len(args[0]))
+    for start in range(0, len(out), _POINTWISE_BLOCK):
+        lists = [a[start : start + _POINTWISE_BLOCK].tolist() for a in args]
+        try:
+            out[start : start + len(lists[0])] = np.fromiter(map(fn, *lists), float)
+        except (ValueError, OverflowError):
+            for k, row in enumerate(zip(*lists), start):
+                try:
+                    out[k] = fn(*row)
+                except (ValueError, OverflowError):
+                    out[k] = math.nan
+    return out
+
+
+def _array_power(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    v = _pointwise(math.pow, a, b)
+    v[np.isnan(a) | np.isnan(b)] = math.nan  # math.pow(nan, 0) and math.pow(1, nan) are 1.0
+    return v
+
+
+def _pick(better: Callable) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    # Python's min(a, b) keeps a unless b < a (max: unless b > a), which
+    # fixes the choice between -0.0 and 0.0; a NaN b is never picked, so it
+    # is put back
+    return lambda a, b: np.where(better(b, a) | np.isnan(b), b, a)
+
+
+def _with_zero(box: tuple[float, float]) -> tuple[float, ...]:
+    return (*box, 0.0) if box[0] < 0.0 < box[1] else box
+
+
+def _power_corners(a: tuple[float, float], b: tuple[float, float]):
+    # x^y is monotone in each argument over these boxes, so its bounds lie
+    # at the corners; an even power of a base around 0 has its least value at 0
+    (a0, a1), (b0, b1) = a, b
+    integer = b0 == b1 and float(b0).is_integer()
+    if not (a0 > 0.0 or (a0 >= 0.0 and b0 > 0.0) or (integer and (b0 >= 0.0 or a1 < 0.0))):
+        return None
+    return product(_with_zero(a) if b0 % 2.0 == 0.0 else a, b)
+
+
+# enclose widens what math.pow, math.exp and math.log give at an endpoint
+# by this many ulps each way
+_LIBM_ULPS = 4
+
+# binding strength of a call, a literal or the variable in printed source
+_ATOM = 5
+
+
+@dataclass(frozen=True)
+class _Op:
+    """One operator, in each form an expression is evaluated in.
+
+    ``source`` is scalar code over the operand names ``{0}``, ``{1}``;
+    ``array`` the same on arrays, NaN where an operand is NaN.  ``point``
+    at ``corners(*boxes)`` takes its least and greatest values over the
+    operands' intervals (None: not known), which :func:`enclose` rounds
+    ``ulps`` floats outward (0: exact).  The ``guard``, ``(operand,
+    relation to 0, message)``, drives the scalar test (the operand is
+    evaluated first), the array NaNs and :func:`enclose`'s refusal.
+    ``raises`` is what ``point`` raises and the message for it.
+    """
+
+    arity: int
+    prec: int  # binding strength in printed source
+    source: str
+    array: Callable[..., np.ndarray]
+    point: Callable[..., float]
+    ulps: int = 0
+    guard: tuple[int, str, str] | None = None
+    finite: bool = False  # a non-finite result raises
+    raises: tuple[tuple[type[Exception], ...], str] | None = None
+    corners: Callable = product
+    zero_is_exact: bool = False  # a 0 result is exact even with no zero operand
+    right: bool = False  # right-associative
+
+
+# a rounded sum or difference is 0 only where it is exactly 0; abs is
+# monotone on each side of 0
+OPERATORS = {
+    "neg": _Op(1, 3, "-{0}", np.negative, operator.neg),
+    "+": _Op(2, 1, "{0} + {1}", np.add, operator.add, 1, finite=True, zero_is_exact=True),
+    "-": _Op(2, 1, "{0} - {1}", np.subtract, operator.sub, 1, finite=True, zero_is_exact=True),
+    "*": _Op(2, 2, "{0} * {1}", np.multiply, operator.mul, 1, finite=True),
+    "/": _Op(2, 2, "{0} / {1}", np.true_divide, operator.truediv, 1, finite=True,
+             guard=(1, "==", "division by zero")),
+    "^": _Op(2, 4, "_pow({0}, {1})", _array_power, math.pow, _LIBM_ULPS, finite=True,
+             raises=((ValueError, OverflowError), "invalid power: {}"),
+             corners=_power_corners, right=True),
+    "abs": _Op(1, _ATOM, "abs({0})", np.abs, abs, corners=lambda a: product(_with_zero(a))),
+    "sqrt": _Op(1, _ATOM, "_sqrt({0})", np.sqrt, math.sqrt, 1,
+                guard=(0, "<", "sqrt of negative value")),
+    "ln": _Op(1, _ATOM, "_log({0})", partial(_pointwise, math.log), math.log, _LIBM_ULPS,
+              guard=(0, "<=", "ln of non-positive value")),
+    "exp": _Op(1, _ATOM, "_exp({0})", partial(_pointwise, math.exp), math.exp, _LIBM_ULPS,
+               finite=True, raises=((OverflowError,), "exp overflow")),
+    "min": _Op(2, _ATOM, "min({0}, {1})", _pick(np.less), min),
+    "max": _Op(2, _ATOM, "max({0}, {1})", _pick(np.greater), max),
+}
+
+FUNCTIONS = {name: op.arity for name, op in OPERATORS.items() if op.prec == _ATOM}
+_INFIX = {name for name, op in OPERATORS.items() if op.arity == 2 and op.prec < _ATOM}
+_RELATIONS = {"==": operator.eq, "<": operator.lt, "<=": operator.le}
+
+
+def _operation(node: ExprAst) -> tuple[str, _Op, tuple[ExprAst, ...]] | None:
+    """The name, row and operands of an operation node; None for a leaf or a malformed node."""
+    match node:
+        case Neg(arg):
+            return "neg", OPERATORS["neg"], (arg,)
+        case BinOp(name, lhs, rhs) if name in _INFIX:
+            return name, OPERATORS[name], (lhs, rhs)
+        case Call(name, args) if FUNCTIONS.get(name) == len(args):
+            return name, OPERATORS[name], tuple(args)
+    return None
+
+
 def compile_expr(node: ExprAst) -> Callable[[float], float]:
     """Turn ``node`` into a function ``x -> value`` that evaluates it in binary64.
 
-    The function is generated as straight-line Python source, one
-    statement per operation, and built with one ``compile``/``exec``, so a
-    call makes no call per node and no dispatch on node kinds.  Every
-    literal, node and message the source needs is bound to it by
-    reference: no text of the expression enters the source.  Operands are
-    evaluated left to right, except that ``/`` evaluates and tests its
-    divisor first.  Division by zero, ``ln`` of a nonpositive value,
-    ``sqrt`` of a negative value, and any non-finite result of
-    ``+ - * / ^ exp`` raise :class:`EvalError` carrying the failing
-    subexpression, which is printed only when it raises.  A malformed
-    node raises :class:`EvalError` when its statement runs.
+    Straight-line Python source, one statement per operation from its
+    row's ``source``, built with one ``compile``/``exec``: a call makes no
+    call per node and no dispatch on node kinds.  Literals, nodes and
+    messages are bound by reference, so no text of the expression enters
+    the source.  Operands run left to right, except that a guarded one
+    (the divisor of ``/``) is evaluated and tested first.  Where a guard
+    holds, where ``^`` or ``exp`` raises in ``math``, and at a non-finite
+    result of ``+ - * / ^ exp``, it raises :class:`EvalError` with the
+    failing subexpression, printed only then; a malformed node raises it
+    when its statement runs.
     """
     gen = _Codegen()
     gen.emit(2, f"return {gen.value(node, 2)}")
@@ -250,10 +389,6 @@ def compile_expr(node: ExprAst) -> Callable[[float], float]:
 
 def _fail(message: str, node: ExprAst):
     raise EvalError(message, format_expr(node)) from None
-
-
-def _invalid_power(err: Exception, node: ExprAst):
-    _fail(f"invalid power: {err}", node)
 
 
 def _malformed(node):
@@ -268,15 +403,8 @@ _GENERATED_GLOBALS = {
     "_exp": math.exp,
     "_isfinite": math.isfinite,
     "_fail": _fail,
-    "_invalid_power": _invalid_power,
     "_malformed": _malformed,
 }
-
-# exp nests its argument's statements in its own try block, one indent
-# deeper; from this indent on (the body starts at 2, and each indent past
-# it is one block, a loop's too) the argument is compiled on its own,
-# since CPython nests at most 20 blocks
-_MAX_TRY_INDENT = 16
 
 
 class _Codegen:
@@ -334,51 +462,30 @@ class _Codegen:
                 return self.bind(value)
             case Var(_):
                 return "x"
-            case Neg(arg):
-                return self.let(indent, f"-{self.value(arg, indent)}")
-            case BinOp("+" | "-" | "*" as op, lhs, rhs):
-                a, b = self.value(lhs, indent), self.value(rhs, indent)
-                return self.finite(indent, f"{a} {op} {b}", self.bind(node))
-            case BinOp("/", lhs, rhs):
-                b, at = self.value(rhs, indent), self.bind(node)
-                self.emit(indent, f"if {b} == 0.0:")
-                self.fail(indent, "division by zero", at)
-                return self.finite(indent, f"{self.value(lhs, indent)} / {b}", at)
-            case BinOp("^", lhs, rhs):
-                a, b, at = self.value(lhs, indent), self.value(rhs, indent), self.bind(node)
-                self.emit(indent, "try:")
-                v = self.let(indent + 1, f"_pow({a}, {b})")
-                self.emit(indent, "except (ValueError, OverflowError) as err:")
-                self.emit(indent + 1, f"_invalid_power(err, {at})")
-                return self.finite(indent, v, at)
-            case Call("abs", (arg,)):
-                return self.let(indent, f"abs({self.value(arg, indent)})")
-            case Call("sqrt", (arg,)):
-                a = self.value(arg, indent)
-                self.emit(indent, f"if {a} < 0.0:")
-                self.fail(indent, "sqrt of negative value", self.bind(node))
-                return self.let(indent, f"_sqrt({a})")
-            case Call("ln", (arg,)):
-                a = self.value(arg, indent)
-                self.emit(indent, f"if {a} <= 0.0:")
-                self.fail(indent, "ln of non-positive value", self.bind(node))
-                return self.let(indent, f"_log({a})")
-            case Call("exp", (arg,)):
-                # the try covers the argument too, as math.exp(f(x)) does
-                self.emit(indent, "try:")
-                if indent < _MAX_TRY_INDENT:
-                    a = self.value(arg, indent + 1)
-                else:
-                    a = self.let(indent + 1, f"{self.bind(compile_expr(arg))}(x)")
-                v = self.let(indent + 1, f"_exp({a})")
-                self.emit(indent, "except OverflowError:")
-                at = self.bind(node)
-                self.fail(indent, "exp overflow", at)
-                return self.finite(indent, v, at)
-            case Call("min" | "max" as fn, (a, b)):
-                return self.let(indent, f"{fn}({self.value(a, indent)}, {self.value(b, indent)})")
-        self.emit(indent, f"_malformed({self.bind(node)})")
-        return "None"
+        if (found := _operation(node)) is None:
+            self.emit(indent, f"_malformed({self.bind(node)})")
+            return "None"
+        _, op, args = found
+        names: list[str | None] = [None] * len(args)
+        at = None  # the node, bound where a failure needs it
+        if op.guard:
+            i, relation, message = op.guard
+            names[i] = self.value(args[i], indent)
+            at = self.bind(node)
+            self.emit(indent, f"if {names[i]} {relation} 0.0:")
+            self.fail(indent, message, at)
+        names = [name or self.value(arg, indent) for name, arg in zip(names, args)]
+        text = op.source.format(*names)
+        if op.raises:
+            errors, message = op.raises
+            at = at or self.bind(node)
+            self.emit(indent, "try:")
+            text = self.let(indent + 1, text)
+            self.emit(indent, f"except {self.bind(errors)} as err:")
+            self.emit(indent + 1, f"_fail({self.bind(message)}.format(err), {at})")
+        if op.finite:
+            return self.finite(indent, text, at or self.bind(node))
+        return self.let(indent, text)
 
 
 def eval_expr(node: ExprAst, x: float) -> float:
@@ -403,188 +510,86 @@ def eval_expr_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
         return _eval_array(node, np.asarray(xs, dtype=float))
 
 
-# _pointwise turns this many elements into Python floats at a time
-_POINTWISE_BLOCK = 4096
-
-
-def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
-    """``fn`` applied element by element; an element where it raises is NaN.
-
-    A transcendental runs through ``math`` one element at a time, because
-    numpy's vectorised ones are not correctly rounded and differ from
-    ``math`` in the last bit on some inputs (numpy 2.4.6 with AVX-512 on
-    an Intel Xeon: ``log`` on 59 of 600,000 inputs spread over
-    exp(-40) .. exp(40), ``expm1`` on 33,049 of 600,000 uniform inputs in
-    [-30, 30], ``pow`` on 10,635 of 200,000).  Each block of elements is
-    one ``fromiter`` pass, so the Python floats made at a time stay few; a
-    block where some call raised is redone one element at a time.
-    """
-    out = np.empty(len(args[0]))
-    for start in range(0, len(out), _POINTWISE_BLOCK):
-        lists = [a[start : start + _POINTWISE_BLOCK].tolist() for a in args]
-        try:
-            out[start : start + len(lists[0])] = np.fromiter(map(fn, *lists), float)
-        except (ValueError, OverflowError):
-            for k, row in enumerate(zip(*lists), start):
-                try:
-                    out[k] = fn(*row)
-                except (ValueError, OverflowError):
-                    out[k] = math.nan
-    return out
-
-
-_ARRAY_BINOPS = {
-    "+": np.add,
-    "-": np.subtract,
-    "*": np.multiply,
-    "/": np.true_divide,
-    "^": lambda a, b: _pointwise(math.pow, a, b),
-}
-
-
 def _eval_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
-    # Mirrors _Codegen.value case by case.  A NaN operand stays NaN through
-    # + - * /, abs, sqrt, ln and exp, so each case only adds the NaNs of
-    # its own raise.  Returned arrays are never written in place: xs is one.
+    # A NaN operand stays NaN through every row's array form, so each
+    # operation only adds the NaNs of its own raise.  Returned arrays are
+    # never written in place: xs is one.
     match node:
         case Num(value):
-            return np.full(xs.shape, value, dtype=float)
+            return np.full(xs.shape, value)
         case Var(_):
             return xs
-        case Neg(arg):
-            return -_eval_array(arg, xs)
-        case BinOp(op, lhs, rhs) if op in _ARRAY_BINOPS:
-            a, b = _eval_array(lhs, xs), _eval_array(rhs, xs)
-            v = _ARRAY_BINOPS[op](a, b)
-            if op == "^":  # math.pow(nan, 0) and math.pow(1, nan) are 1.0
-                v[np.isnan(a) | np.isnan(b)] = math.nan
-            # the scalar raises on a non-finite result; a zero divisor gives one
-            v[np.isinf(v)] = math.nan
-            return v
-        case Call("abs", (arg,)):
-            return np.abs(_eval_array(arg, xs))
-        case Call("sqrt", (arg,)):
-            return np.sqrt(_eval_array(arg, xs))  # NaN below 0, where the scalar raises
-        case Call("ln", (arg,)):
-            return _pointwise(math.log, _eval_array(arg, xs))
-        case Call("exp", (arg,)):
-            v = _pointwise(math.exp, _eval_array(arg, xs))
-            v[np.isinf(v)] = math.nan  # math.exp(inf) is inf
-            return v
-        case Call("min" | "max" as fn, (a, b)):
-            va, vb = _eval_array(a, xs), _eval_array(b, xs)
-            # Python's min(a, b) keeps a unless b < a (max: unless b > a),
-            # which fixes the choice between -0.0 and 0.0; a NaN vb is
-            # never picked, so it is put back
-            better = (vb < va if fn == "min" else vb > va) | np.isnan(vb)
-            return np.where(better, vb, va)
-    raise EvalError("malformed AST node", repr(node))
-
-
-# enclose widens what math.pow, math.exp and math.log give at an endpoint
-# by this many ulps each way
-_LIBM_ULPS = 4
+    if (found := _operation(node)) is None:
+        raise EvalError("malformed AST node", repr(node))
+    _, op, args = found
+    operands = [_eval_array(arg, xs) for arg in args]
+    if op.guard:  # NaN where it holds, so math.log is never called there
+        i, relation, _ = op.guard
+        operands[i] = np.where(_RELATIONS[relation](operands[i], 0.0), math.nan, operands[i])
+    v = op.array(*operands)
+    if op.finite:
+        v[np.isinf(v)] = math.nan
+    return v
 
 
 def enclose(node: ExprAst, lo: float, hi: float) -> tuple[float, float] | None:
     """An interval holding ``compile_expr(node)(x)`` at every float ``x`` in ``[lo, hi]``.
 
-    Mirrors :func:`_eval_array` case by case, on intervals of finite
-    floats (Moore, Kearfott and Cloud, *Introduction to Interval
-    Analysis*, SIAM 2009).  Each end of a rounded result steps one float
-    outward (``math.nextafter``), so the interval holds the float result
-    and also the exact one; an expression made of literals and
-    ``+ - * /`` has its exact value at ``x`` inside.  ``^``, ``exp`` and
-    ``ln`` take ``math`` at the ends, where each is monotone, and step
-    ``_LIBM_ULPS`` floats outward: this is sound if the platform's libm
-    is within one ulp of the exact value, as glibc documents.  Returns
-    None, a claim of nothing, where some point may raise or the bound is
-    not known: a literal that is not a finite float, a divisor interval
-    that holds 0, ``sqrt`` of an interval reaching below 0, ``ln`` of one
-    reaching 0 or below, a non-finite end, a malformed node, and ``^``
-    unless its base is positive, or nonnegative with a positive
-    exponent, or its exponent is one integer (nonnegative, or with a
-    negative base).
+    Interval arithmetic on finite floats (Moore, Kearfott and Cloud,
+    *Introduction to Interval Analysis*, SIAM 2009): each row's ``point``
+    at the ``corners`` of its operands' intervals, the least and greatest
+    value stepped ``ulps`` floats outward (``math.nextafter``).  That is
+    one float for the correctly rounded ``+ - * /`` and ``sqrt``, so the
+    exact value lies inside too, and ``_LIBM_ULPS`` for ``^``, ``exp`` and
+    ``ln``, sound if libm is within one ulp, as glibc documents.  A zero
+    end stays where every corner giving 0 is exact: a sum or difference,
+    or one with a zero operand (a product or quotient, ``sqrt(0)``, a
+    zero base to a positive power); a product that underflows is not.
+    Returns None, a claim of nothing, where some point may raise or the
+    bound is not known: a literal that is not finite, a malformed node, a
+    guard that may hold (``==``: the operand's interval holds 0; else the
+    relation holds at its low end), a ``point`` raising at a corner, a
+    non-finite end, and ``^`` unless its base is positive, or nonnegative
+    with a positive exponent, or its exponent is one integer
+    (nonnegative, or with a negative base).
     """
     match node:
-        case Num(value) if isinstance(value, float) and math.isfinite(value):
-            return value, value
+        case Num(value):
+            return (value, value) if math.isfinite(value) else None
         case Var(_):
             return lo, hi
-        case Neg(arg):
-            if (a := enclose(arg, lo, hi)) is not None:
-                return -a[1], -a[0]
-        case BinOp("+" | "-" | "*" | "/" | "^" as op, lhs, rhs):
-            a, b = enclose(lhs, lo, hi), enclose(rhs, lo, hi)
-            if a is None or b is None:
-                return None
-            if op == "+":
-                return _outward(a[0] + b[0], a[1] + b[1])
-            if op == "-":
-                return _outward(a[0] - b[1], a[1] - b[0])
-            if op == "^":
-                return _enclose_power(a, b)
-            if op == "/" and b[0] <= 0.0 <= b[1]:
-                return None
-            ends = [u * v if op == "*" else u / v for u in a for v in b]
-            return _outward(min(ends), max(ends))
-        case Call("abs", (arg,)):
-            if (a := enclose(arg, lo, hi)) is not None:
-                if a[0] >= 0.0:
-                    return a
-                return (-a[1], -a[0]) if a[1] <= 0.0 else (0.0, max(-a[0], a[1]))
-        case Call("sqrt", (arg,)):
-            if (a := enclose(arg, lo, hi)) is not None and a[0] >= 0.0:
-                return _outward(math.sqrt(a[0]), math.sqrt(a[1]))
-        case Call("ln", (arg,)):
-            if (a := enclose(arg, lo, hi)) is not None and a[0] > 0.0:
-                return _outward(math.log(a[0]), math.log(a[1]), _LIBM_ULPS)
-        case Call("exp", (arg,)):
-            if (a := enclose(arg, lo, hi)) is not None:
-                try:
-                    return _outward(math.exp(a[0]), math.exp(a[1]), _LIBM_ULPS)
-                except OverflowError:
-                    return None
-        case Call("min" | "max" as fn, (lhs, rhs)):
-            a, b = enclose(lhs, lo, hi), enclose(rhs, lo, hi)
-            if a is not None and b is not None:
-                pick = min if fn == "min" else max
-                return pick(a[0], b[0]), pick(a[1], b[1])
-    return None
-
-
-def _outward(lo: float, hi: float, ulps: int = 1) -> tuple[float, float] | None:
-    """``[lo, hi]`` with each end ``ulps`` floats outward, or None if an end is not finite."""
-    for _ in range(ulps):
-        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
-    return (lo, hi) if math.isfinite(lo) and math.isfinite(hi) else None
-
-
-def _enclose_power(a: tuple[float, float], b: tuple[float, float]) -> tuple[float, float] | None:
-    # x^y is monotone in each argument over these boxes, so its bounds lie
-    # at the corners; an even power of a base around 0 has its least value 0
-    (a0, a1), (b0, b1) = a, b
-    integer = b0 == b1 and float(b0).is_integer()
-    if not (a0 > 0.0 or (a0 >= 0.0 and b0 > 0.0) or (integer and (b0 >= 0.0 or a1 < 0.0))):
+    if (found := _operation(node)) is None:
         return None
+    _, op, args = found
+    boxes = [enclose(arg, lo, hi) for arg in args]
+    if None in boxes:
+        return None
+    if op.guard:
+        i, relation, _ = op.guard
+        a0, a1 = boxes[i]
+        if a0 <= 0.0 <= a1 if relation == "==" else _RELATIONS[relation](a0, 0.0):
+            return None
+    if (corners := op.corners(*boxes)) is None:
+        return None
+    corners = list(corners)
     try:
-        ends = [math.pow(u, v) for u in a for v in b]
-    except (ValueError, OverflowError):
+        values = [op.point(*c) for c in corners]
+    except op.raises[0] if op.raises else ():
         return None
-    low = 0.0 if a0 < 0.0 < a1 and b0 % 2.0 == 0.0 else min(ends)
-    return _outward(low, max(ends), _LIBM_ULPS)
+    a, b = min(values), max(values)
+    if op.ulps:
+        exact_zero = 0.0 in values and all(
+            op.zero_is_exact or 0.0 in c for v, c in zip(values, corners) if v == 0.0
+        )
+        a = a if a == 0.0 and exact_zero else _outward(a, -math.inf, op.ulps)
+        b = b if b == 0.0 and exact_zero else _outward(b, math.inf, op.ulps)
+    return (a, b) if math.isfinite(a) and math.isfinite(b) else None
 
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
-
-def _prec(node: ExprAst) -> int:
-    match node:
-        case BinOp(op, _, _):
-            return _PREC[op]
-        case Neg(_):
-            return _PREC["neg"]
-    return 5
+def _outward(end: float, toward: float, ulps: int) -> float:
+    for _ in range(ulps):
+        end = math.nextafter(end, toward)
+    return end
 
 
 def format_expr(node: ExprAst) -> str:
@@ -594,26 +599,17 @@ def format_expr(node: ExprAst) -> str:
             return repr(value)
         case Var(name):
             return name
-        case Neg(arg):
-            inner = format_expr(arg)
-            if _prec(arg) < _PREC["neg"]:
-                inner = f"({inner})"
-            return f"-{inner}"
-        case BinOp(op, lhs, rhs):
-            p = _PREC[op]
-            left, right = format_expr(lhs), format_expr(rhs)
-            if op == "^":
-                # right-associative: parenthesize the left side on ties
-                if _prec(lhs) <= p:
-                    left = f"({left})"
-                if _prec(rhs) < p:
-                    right = f"({right})"
-            else:
-                if _prec(lhs) < p:
-                    left = f"({left})"
-                if _prec(rhs) <= p:
-                    right = f"({right})"
-            return f"{left} {op} {right}"
         case Call(fn, args):
-            return f"{fn}({', '.join(format_expr(a) for a in args)})"
-    raise ValueError(f"malformed AST node: {node!r}")
+            return f"{fn}({', '.join(format_expr(arg) for arg in args)})"
+    if (found := _operation(node)) is None:
+        raise ValueError(f"malformed AST node: {node!r}")
+    name, op, args = found
+    parts = [format_expr(arg) for arg in args]
+    # an operand binding looser is parenthesized, and so is one binding as
+    # tight on the side the operator does not associate from
+    tie = 0 if op.right else 1
+    for i, arg in enumerate(args):
+        inner = _operation(arg)
+        if (inner[1].prec if inner else _ATOM) < op.prec + (i == tie):
+            parts[i] = f"({parts[i]})"
+    return f"-{parts[0]}" if op.arity == 1 else f"{parts[0]} {name} {parts[1]}"

@@ -250,7 +250,10 @@ class TestArrayValidation:
         expected = outcome(validate_map_scalar, _unvalidated(kind, domain, exprs))
         assert outcome(_factory, kind, domain, exprs) == expected
 
-    @pytest.mark.parametrize("kind, domain, exprs", BENCHMARK_MAPS)
+    # sqrt(1 - x) reaches 0 exactly at x = 1
+    @pytest.mark.parametrize(
+        "kind, domain, exprs", BENCHMARK_MAPS + [("singleton", UNIT, ("sqrt(1 - x)",))]
+    )
     def test_proved_maps_evaluate_no_grid(self, kind, domain, exprs, monkeypatch):
         calls = spy_on_grid(monkeypatch)
         assert _factory(kind, domain, exprs) == _unvalidated(kind, domain, exprs)

@@ -505,8 +505,8 @@ def _orbit_map(domain, orbit):
 
 
 def _deep(ast):
-    """``ast`` inside 30 nested ``ln(exp(.))``: past ``expr._MAX_TRY_INDENT``, whose
-    argument is compiled on its own, and two blocks deeper inside the orbit's loop."""
+    """``ast`` inside 30 nested ``ln(exp(.))``, more than the 20 blocks CPython nests:
+    each ``exp``'s try block holds only its own call, inside the orbit's loop too."""
     for _ in range(30):
         ast = Call("ln", (Call("exp", (ast,)),))
     return ast
