@@ -4,11 +4,15 @@ Supported syntax: decimal literals, one designated variable name, unary
 minus, the binary operators ``+ - * / ^`` (with ``^`` right-associative
 and binding tighter than unary minus), parentheses, and the functions
 ``abs``, ``sqrt``, ``ln``, ``exp`` (unary) and ``min``, ``max`` (binary).
-Literals are floats: :class:`Num` stores ``float(value)``.
+Literals are floats: :class:`Num` stores ``float(value)``.  Names are
+ASCII.
 
-Parsing is recursive descent over a flat token list.  Failures raise
-:class:`ParseError` with a 0-based character position; a literal that
-overflows to infinity is one.  Evaluation failures raise
+Parsing is top-down operator precedence over a flat token list, with
+each operator's binding strength and associativity read from its row of
+:data:`OPERATORS`.  Failures raise :class:`ParseError` with a 0-based
+character position; a literal that overflows to infinity is one, and so
+is nesting deeper than :data:`MAX_DEPTH` (200) levels of parentheses,
+calls and operations.  Evaluation failures raise
 :class:`EvalError` carrying the offending subexpression in printed form,
 so at a finite point :func:`eval_expr` returns a finite value or raises.
 
@@ -31,7 +35,7 @@ import re
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -87,62 +91,55 @@ class Call:
 
 ExprAst = Union[Num, Var, Neg, BinOp, Call]
 
-_NUMBER = re.compile(r"(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?")
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+# Deepest nesting parse_expr admits, in levels: parentheses, calls and
+# operations.  The recursive walkers of an AST (_Codegen.value,
+# _eval_array, enclose, format_expr) take about two frames per level, so
+# about 500 levels overflow Python's default recursion limit; 200 leaves
+# a 2x margin.  ASTs built directly are not limited.
+MAX_DEPTH = 200
+
+# one alternative per token kind, the group's name being the kind; where
+# no token starts after the whitespace, the match holds no group
+_TOKEN = re.compile(
+    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^])"
+    r"|(?P<lparen>\()|(?P<rparen>\))|(?P<comma>,))?"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "ident" | "op" | "lparen" | "rparen" | "comma" | "end"
+class _Token(NamedTuple):
+    kind: str  # a group name of _TOKEN, or "end"
     text: str
     pos: int
-    value: float = 0.0
 
 
 def _tokenize(src: str) -> list[_Token]:
     tokens = []
-    i = 0
-    n = len(src)
-    while i < n:
+    m = _TOKEN.match(src)
+    while kind := m.lastgroup:
+        tokens.append(_Token(kind, m[kind], m.start(kind)))
+        if kind == "num" and not math.isfinite(float(m[kind])):
+            raise ParseError("number literal is not finite", m.start(kind))
+        m = _TOKEN.match(src, m.end())
+    if (i := m.end()) < len(src):
         ch = src[i]
-        if ch.isspace():
-            i += 1
-            continue
         if ch.isdigit() or ch == ".":
-            m = _NUMBER.match(src, i)
-            if m is None:
-                raise ParseError(f"malformed number starting with '{ch}'", i)
-            value = float(m.group(0))
-            if not math.isfinite(value):
-                raise ParseError("number literal is not finite", i)
-            tokens.append(_Token("num", m.group(0), i, value))
-            i = m.end()
-            continue
-        if ch.isalpha() or ch == "_":
-            m = _IDENT.match(src, i)
-            tokens.append(_Token("ident", m.group(0), i))
-            i = m.end()
-            continue
-        if ch in "+-*/^":
-            tokens.append(_Token("op", ch, i))
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-        elif ch == ",":
-            tokens.append(_Token("comma", ch, i))
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-        i += 1
-    tokens.append(_Token("end", "", n))
-    return tokens
+            raise ParseError(f"malformed number starting with '{ch}'", i)
+        raise ParseError(f"unexpected character {ch!r}", i)
+    return [*tokens, _Token("end", "", i)]
 
 
 class _Parser:
+    """Top-down operator precedence (Pratt, POPL 1973) over the rows of :data:`OPERATORS`.
+
+    Each parsing method returns a tree and its height in levels.
+    """
+
     def __init__(self, tokens: list[_Token], variable: str):
         self.tokens = tokens
         self.pos = 0
         self.variable = variable
+        self.depth = 0  # levels open around the next token
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -158,62 +155,62 @@ class _Parser:
             raise ParseError(f"expected {what}", tok.pos)
         return self.advance()
 
-    # expr := term (('+'|'-') term)*
-    def expr(self) -> ExprAst:
-        node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
-        return node
+    def expr(self, least: int = 0) -> tuple[ExprAst, int]:
+        """An operand, then each infix operator whose row's ``prec`` is at least ``least``.
 
-    # term := factor (('*'|'/') factor)*
-    def term(self) -> ExprAst:
-        node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = BinOp(op, node, self.factor())
-        return node
-
-    # factor := '-' factor | power        (unary minus binds looser than '^')
-    def factor(self) -> ExprAst:
-        if self.peek().kind == "op" and self.peek().text == "-":
+        A right operand takes in each operator after it that binds
+        tighter, and one that binds as tight where the row is ``right``.
+        """
+        if (tok := self.peek()).text == "-":
             self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    # power := atom ('^' factor)?         (right-associative)
-    def power(self) -> ExprAst:
-        node = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
+            arg, height = self.nested(tok, OPERATORS["neg"].prec)
+            node = Neg(arg)
+        else:
+            node, height = self.atom()
+        while (tok := self.peek()).kind == "op" and (op := OPERATORS[tok.text]).prec >= least:
             self.advance()
-            return BinOp("^", node, self.factor())
-        return node
+            rhs, height = self.nested(tok, op.prec if op.right else op.prec + 1, height)
+            node = BinOp(tok.text, node, rhs)
+        return node, height
 
-    def atom(self) -> ExprAst:
+    def nested(self, opener: _Token, least: int = 0, lhs: int = 0) -> tuple[ExprAst, int]:
+        """``expr(least)`` one level down, and the height of that level.
+
+        The level also holds a left operand of height ``lhs``; one past
+        ``MAX_DEPTH`` raises at ``opener``.
+        """
+        if self.depth + lhs >= MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", opener.pos)
+        self.depth += 1
+        node, height = self.expr(least)
+        self.depth -= 1
+        return node, max(height, lhs) + 1
+
+    def atom(self) -> tuple[ExprAst, int]:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(tok.value)
+            return Num(float(tok.text)), 0
         if tok.kind == "lparen":
             self.advance()
-            node = self.expr()
+            found = self.nested(tok)
             self.expect("rparen", "')'")
-            return node
+            return found
         if tok.kind == "ident":
             self.advance()
             if tok.text in FUNCTIONS:
                 return self.call(tok)
             if tok.text == self.variable:
-                return Var(tok.text)
+                return Var(tok.text), 0
             raise ParseError(f"unknown identifier '{tok.text}'", tok.pos)
         raise ParseError("expected operand", tok.pos)
 
-    def call(self, name: _Token) -> ExprAst:
-        self.expect("lparen", "'(' after function name")
-        args = [self.expr()]
+    def call(self, name: _Token) -> tuple[ExprAst, int]:
+        opener = self.expect("lparen", "'(' after function name")
+        args = [self.nested(opener)]
         while self.peek().kind == "comma":
             self.advance()
-            args.append(self.expr())
+            args.append(self.nested(opener))
         self.expect("rparen", "')'")
         arity = FUNCTIONS[name.text]
         if len(args) != arity:
@@ -222,13 +219,13 @@ class _Parser:
                 f" got {len(args)}",
                 name.pos,
             )
-        return Call(name.text, tuple(args))
+        return Call(name.text, tuple(arg for arg, _ in args)), max(h for _, h in args)
 
 
 def parse_expr(src: str, variable: str = "x") -> ExprAst:
     """Parse ``src`` into an AST; the only legal free name is ``variable``."""
     parser = _Parser(_tokenize(src), variable)
-    node = parser.expr()
+    node, _ = parser.expr()
     tail = parser.peek()
     if tail.kind != "end":
         raise ParseError(f"unexpected trailing input '{tail.text}'", tail.pos)
@@ -328,8 +325,9 @@ class _Op:
     right: bool = False  # right-associative
 
 
-# a rounded sum or difference is 0 only where it is exactly 0; abs is
-# monotone on each side of 0
+# a rounded sum or difference is 0 only where it is exactly 0, and a log
+# only at 1, where C99 Annex F makes it exactly +0; abs is monotone on
+# each side of 0
 OPERATORS = {
     "neg": _Op(1, 3, "-{0}", np.negative, operator.neg),
     "+": _Op(2, 1, "{0} + {1}", np.add, operator.add, 1, finite=True, zero_is_exact=True),
@@ -344,7 +342,7 @@ OPERATORS = {
     "sqrt": _Op(1, _ATOM, "_sqrt({0})", np.sqrt, math.sqrt, 1,
                 guard=(0, "<", "sqrt of negative value")),
     "ln": _Op(1, _ATOM, "_log({0})", partial(_pointwise, math.log), math.log, _LIBM_ULPS,
-              guard=(0, "<=", "ln of non-positive value")),
+              guard=(0, "<=", "ln of non-positive value"), zero_is_exact=True),
     "exp": _Op(1, _ATOM, "_exp({0})", partial(_pointwise, math.exp), math.exp, _LIBM_ULPS,
                finite=True, raises=((OverflowError,), "exp overflow")),
     "min": _Op(2, _ATOM, "min({0}, {1})", _pick(np.less), min),
@@ -542,9 +540,9 @@ def enclose(node: ExprAst, lo: float, hi: float) -> tuple[float, float] | None:
     one float for the correctly rounded ``+ - * /`` and ``sqrt``, so the
     exact value lies inside too, and ``_LIBM_ULPS`` for ``^``, ``exp`` and
     ``ln``, sound if libm is within one ulp, as glibc documents.  A zero
-    end stays where every corner giving 0 is exact: a sum or difference,
-    or one with a zero operand (a product or quotient, ``sqrt(0)``, a
-    zero base to a positive power); a product that underflows is not.
+    end stays where every corner giving 0 is exact: a sum, a difference,
+    ``ln(1)``, or one with a zero operand (a product or quotient,
+    ``sqrt(0)``, a zero base to a positive power), but not an underflow.
     Returns None, a claim of nothing, where some point may raise or the
     bound is not known: a literal that is not finite, a malformed node, a
     guard that may hold (``==``: the operand's interval holds 0; else the

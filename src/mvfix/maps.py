@@ -116,7 +116,7 @@ def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
     stop, err)``: the last x (p, if it left), the step it stopped at (or
     ``end``), and ``stop``, one of None, ``"fixed"``, ``"left"`` and
     ``"error"`` with ``err`` the :class:`MvfixError` T raised at x.
-    Interval and singleton (one-point interval) maps have their
+    Interval and one-member (one-point interval) maps have their
     expressions' statements inline, as :func:`compile_expr` emits them,
     and clamp x onto the endpoints with the bits of ``_nearest``, building
     no value set; ``_checked_ends`` runs only on an inverted or non-finite
@@ -124,11 +124,11 @@ def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
     domain test is chained comparisons with the domain's intervals.
     """
     gen = _Codegen()
-    clamped = T.kind in ("singleton", "interval_endpoints")
+    clamped = T.kind == "interval_endpoints" or len(T.members) == 1
     gen.emit(2, "for n in range(start, end):")
     gen.emit(3, "try:")
     if clamped:
-        ends = [gen.value(e, 4) for e in _expressions(T)]  # a singleton is [f(x), f(x)]
+        ends = [gen.value(e, 4) for e in _expressions(T)]  # one member is [f(x), f(x)]
         gen.emit(4, f"lo, hi = {ends[0]}, {ends[-1]}")
         gen.emit(4, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
         gen.emit(5, f"lo, hi = {gen.bind(_checked_ends)}(x, lo, hi)")

@@ -23,7 +23,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InsufficientTraceError, MvfixError
-from .expr import _POINTWISE_BLOCK, _pointwise
+from .expr import _pointwise
 from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval, f_eval_array
 from .integrand import ConstantIntegrand, Integrand, capital_phi, capital_phi_array, integrand_label
 from .maps import MultiMap, _value_set

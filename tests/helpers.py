@@ -12,7 +12,8 @@ interpreter, kept as the reference for the compiled functions.
 ``iterate_scalar``, ``validate_trace_scalar`` and
 ``write_trace_csv_scalar`` are the one-object-per-step iteration, its
 validator and its CSV writer, kept as the reference for the columnar
-trace.
+trace.  ``nested_sources`` and ``TOO_DEEP`` are expression texts at and
+far past the parser's nesting limit.
 """
 
 import math
@@ -330,6 +331,28 @@ def random_asts(numbers):
         )
 
     return st.recursive(leaves, extend, max_leaves=12)
+
+
+def nested_sources(levels):
+    """Texts of exactly ``levels`` levels in x, one per way to nest.
+
+    Each is x/2, the unary minus one where ``levels`` is even.
+    """
+    return {
+        "parentheses": "(" * (levels - 1) + "x/2" + ")" * (levels - 1),
+        "unary minus": "-" * (levels - 2) + "(x/2)",
+        "sum": " + ".join([f"x/{2 * levels}"] * levels),
+        "power": "0.5 * x" + " ^ 1" * (levels - 1),
+    }
+
+
+# each way to nest, ten thousand levels deep
+TOO_DEEP = {
+    "parentheses": "(" * 10_000 + "x" + ")" * 10_000,
+    "unary minus": "-" * 10_000 + "x",
+    "sum": "+".join(["x"] * 10_000),
+    "power": "^".join(["x"] * 10_000),
+}
 
 
 def iterate_scalar(T, x0, tol, max_iter, f):

@@ -23,7 +23,9 @@ from mvfix.cli import (
     main,
     read_trace_csv,
 )
+from helpers import TOO_DEEP, nested_sources
 from mvfix.config import SWEEP_LIMIT, config_from_dict
+from mvfix.expr import MAX_DEPTH
 from mvfix.sets1d import CompactSet
 
 HALVING = {
@@ -575,3 +577,36 @@ class TestNumericKnobs:
         assert (cfg.grid_size, cfg.random_pairs) == (4001, 10**6)
         cfg = config_from_dict(dict(self.SOLVABLE, grid_size=SWEEP_LIMIT))
         assert cfg.grid_size == SWEEP_LIMIT
+
+
+class TestMapText:
+    """Any map text ends in a report or one error line; text at the nesting limit runs."""
+
+    @staticmethod
+    def problem(tmp_path, f):
+        return write_config(
+            tmp_path, dict(HALVING, map={"kind": "singleton", "f": f}, x0=0.8, grid_size=11)
+        )
+
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize(
+        "f, message",
+        [
+            ("xé", "unexpected character 'é' (at position 1)"),
+            *[(TOO_DEEP[shape], f"expression nests deeper than {MAX_DEPTH} levels")
+              for shape in sorted(TOO_DEEP)],
+        ],
+        ids=["non-ascii", *sorted(TOO_DEEP)],
+    )
+    def test_refused_with_one_error_line(self, tmp_path, capsys, command, f, message):
+        assert main([command, self.problem(tmp_path, f)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    @pytest.mark.parametrize("shape", sorted(nested_sources(MAX_DEPTH)))
+    def test_at_the_limit_runs(self, tmp_path, capsys, command, shape):
+        f = nested_sources(MAX_DEPTH)[shape]
+        assert main([command, self.problem(tmp_path, f)]) == EXIT_OK
+        assert capsys.readouterr().err == ""

@@ -18,8 +18,10 @@ from mvfix import (
     format_expr,
     parse_expr,
 )
-from helpers import interpret_expr, random_asts
-from mvfix.expr import FUNCTIONS, OPERATORS, compile_expr, enclose, eval_expr_array
+from helpers import TOO_DEEP, interpret_expr, nested_sources, random_asts
+from mvfix.expr import FUNCTIONS, MAX_DEPTH, OPERATORS, compile_expr, enclose, eval_expr_array
+
+X = Var("x")
 
 
 class TestParsing:
@@ -43,6 +45,24 @@ class TestParsing:
         with pytest.raises(OverflowError):
             Num(10**400)
         assert Num(1) == Num(1.0) and type(Num(1).value) is float
+
+    # written out, not read from OPERATORS, so that a wrong row shows here
+    # although the printer would round-trip it
+    @pytest.mark.parametrize(
+        "src, expected",
+        [
+            ("x - x - x", BinOp("-", BinOp("-", X, X), X)),
+            ("x / x / x", BinOp("/", BinOp("/", X, X), X)),
+            ("x ^ x ^ x", BinOp("^", X, BinOp("^", X, X))),
+            ("-x ^ x", Neg(BinOp("^", X, X))),
+            ("-x * x", BinOp("*", Neg(X), X)),
+            ("x * -x", BinOp("*", X, Neg(X))),
+            ("x ^ -x * x", BinOp("*", BinOp("^", X, Neg(X)), X)),
+            ("x + x * x ^ x", BinOp("+", X, BinOp("*", X, BinOp("^", X, X)))),
+        ],
+    )
+    def test_precedence_and_associativity(self, src, expected):
+        assert parse_expr(src) == expected
 
 
 class TestEvaluation:
@@ -137,6 +157,45 @@ class TestParseErrors:
 
     def test_largest_finite_literal_is_kept(self):
         assert parse_expr("1.7976931348623157e308") == Num(1.7976931348623157e308)
+
+    def test_names_are_ascii(self):
+        with pytest.raises(ParseError) as err:
+            parse_expr("xé")
+        assert str(err.value) == "unexpected character 'é' (at position 1)"
+        assert err.value.position == 1
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "shape, position",
+        [("parentheses", MAX_DEPTH), ("unary minus", MAX_DEPTH), ("sum", 2 * MAX_DEPTH + 1),
+         ("power", 2 * MAX_DEPTH + 1)],
+    )
+    def test_refused_where_the_limit_is_crossed(self, shape, position):
+        with pytest.raises(ParseError) as err:
+            parse_expr(TOO_DEEP[shape])
+        assert err.value.position == position
+        assert str(err.value).startswith(f"expression nests deeper than {MAX_DEPTH} levels")
+
+    @pytest.mark.parametrize("shape", sorted(nested_sources(MAX_DEPTH)))
+    def test_at_the_limit_every_walker_runs(self, shape):
+        ast = parse_expr(nested_sources(MAX_DEPTH)[shape])
+        assert parse_expr(format_expr(ast)) == ast
+        value = compile_expr(ast)(0.5)
+        assert eval_expr_array(ast, np.array([0.5])).tolist() == [value]
+        assert_enclosed(ast, 0.0, 1.0, [0.0, 0.5, 1.0])
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_expr(nested_sources(MAX_DEPTH + 1)[shape])
+
+    def test_levels_add_up_across_ways_to_nest(self):
+        # a call, parentheses and a chain of operations, one level per operation
+        def src(operations):
+            return "abs((" + "+".join(["x"] * (operations + 1)) + "))"
+
+        assert isinstance(parse_expr(src(MAX_DEPTH - 2)), Call)
+        with pytest.raises(ParseError) as err:
+            parse_expr(src(MAX_DEPTH - 1))
+        assert err.value.position == 5 + 2 * (MAX_DEPTH - 2) + 1  # the last '+'
 
 
 ROUND_TRIP_CORPUS = [
@@ -537,6 +596,7 @@ class TestEnclosure:
             ("sqrt(x/2)", 0.0, 1.0),
             ("sqrt(x*x)", 0.0, 1.0),
             ("sqrt(x^2)", 0.0, 1.0),
+            ("sqrt(ln(x))", 1.0, 2.0),  # ln(1) is exactly 0
         ],
     )
     def test_proves_what_maps_and_integrands_use(self, src, lo, hi):
@@ -569,6 +629,11 @@ class TestEnclosure:
     def test_a_product_that_underflows_to_zero_is_not_exact(self, src, lo, hi):
         assert enclose(parse_expr(src), lo, hi) is not None
         assert_enclosed(parse_expr(src), lo, hi, [lo, hi])
+
+    def test_ln_of_one_is_an_exact_zero(self):
+        # log(2.0) is 0.6931471805599453, here stepped 4 floats up
+        lo, hi = enclose(parse_expr("ln(x)"), 1.0, 2.0)
+        assert (lo, math.copysign(1.0, lo), hi) == (0.0, 1.0, 0.6931471805599457)
 
     def test_rounded_ends_step_outward(self):
         # 0.1 + 0.2 rounds up, so the exact sum lies below the float one

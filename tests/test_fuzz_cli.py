@@ -131,6 +131,10 @@ def _with_knob_examples(test):
 
 
 @_with_knob_examples
+@example(cfg=dict(BASE, map={"kind": "singleton", "f": "xé"}), invocation=("solve", []))
+@example(
+    cfg=dict(BASE, integrand={"kind": "expression", "source": "xé"}), invocation=("certify", [])
+)
 @settings(
     max_examples=150,
     deadline=None,

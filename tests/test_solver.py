@@ -290,6 +290,7 @@ TRACE_MAPS = {
     "singleton": lambda: singleton_map(UNIT, "x - x^2"),
     "interval": lambda: interval_map(UNIT, "x/3", "x/2"),
     "finite_set": lambda: finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"]),
+    "one_member": lambda: finite_set_map(UNIT, ["x - x^2"]),
     # 0.1 maps to [0.7, 0.8], whose keys are missing: the run ends in a DomainError
     "table": lambda: table_map(
         UNIT,
@@ -374,6 +375,7 @@ class TestColumnarTraceAgainstScalarLoop:
             ("eval_error", "expression", 0.246913578, 0.0, IterationError),
             ("table", "constant", 0.6, 0.0, IterationError),
             ("finite_set", "power", 0.3, 0.0, MaxIterReached),
+            ("one_member", "expression", 0.5, 0.0, MaxIterReached),
             ("near_tie", "constant", 1.0, 0.0, MaxIterReached),
             ("inverted", "expression", 0.6, 0.0, IterationError),
         ],
@@ -409,7 +411,9 @@ class TestColumnarTraceAgainstScalarLoop:
         assert all(len(s.value_set.intervals) == 1 for s in near_tie.steps)
         assert all(lo == hi for s in near_tie.steps for lo, hi in s.value_set.intervals)
 
-    @pytest.mark.parametrize("map_name", ["singleton", "interval", "near_tie", "finite_set"])
+    @pytest.mark.parametrize(
+        "map_name", ["singleton", "interval", "near_tie", "one_member", "finite_set"]
+    )
     def test_interval_and_singleton_steps_build_no_value_set(self, map_name, monkeypatch):
         from mvfix import maps
 
