@@ -34,7 +34,7 @@ print(T3.describe(), " T(0.8) =", apply_map(T3, 0.8))
 T4 = table_map(
     CompactSet([(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)]),
     [(0.0, CompactSet.interval(0.0, 0.5)),
-     (1.0, CompactSet.point(0.25)),
+     (1.0, CompactSet.interval(0.25, 0.25)),
      (2.0, CompactSet([(0.1, 0.2), (1.9, 2.0)]))],
 )
 print(T4.describe(), " T(2) =", apply_map(T4, 2.0))

@@ -20,9 +20,9 @@ F = FFunction("log", k=0.5)
 T = interval_map(unit, "x/3", "x/2")
 trace = iterate(T, 1.0, tol=1e-12)
 print("outcome:", trace.outcome)
-print("steps recorded:", len(trace.steps))
-for s in trace.steps[:5]:
-    print(f"  n={s.n:2d}  x={s.x:.6f}  next={s.next_point:.6f}  gamma={s.gamma:.6f}")
+print("steps recorded:", len(trace.x))
+for n, (x, nxt, gamma) in enumerate(zip(trace.x[:5], trace.next_point, trace.gamma)):
+    print(f"  n={n:2d}  x={x:.6f}  next={nxt:.6f}  gamma={gamma:.6f}")
 print("  ...")
 
 # validate against tau = ln 2: the chain F(gamma_n) <= F(gamma_0) - n tau

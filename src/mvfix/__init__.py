@@ -46,7 +46,7 @@ from .errors import (
     ParseError,
     QuadratureError,
 )
-from .expr import BinOp, Call, ExprAst, Neg, Num, Var, eval_expr, format_expr, parse_expr
+from .expr import BinOp, Call, ExprAst, Neg, Num, Var, compile_expr, format_expr, parse_expr
 from .ffunctions import (
     FFunction,
     InfimumVerdict,
@@ -98,7 +98,6 @@ from .solver import (
     ProbeReport,
     ProbeRow,
     TraceParams,
-    TraceStep,
     TraceVerdict,
     gamma_sequence_probe,
     iterate,

@@ -67,6 +67,12 @@ ERROR_ROWS = 100
 # evaluated, redone where needed and counted as one block.
 CHUNK_ELEMENTS = 1 << 16
 
+# Upper bound on grid_size and random_pairs.  A sweep holds its pairs only
+# a chunk at a time, but its grid and drawn points are whole arrays: no
+# sweep that large fits them in memory, and far larger sizes end in a raw
+# numpy error.
+SWEEP_LIMIT = 10**9
+
 
 class PairCheck(Enum):
     HOLDS = "holds"
@@ -277,7 +283,8 @@ def certify(
     A pair whose batch values are not finite is evaluated again in place
     by the scalar code on images from :func:`apply_map`, which gives its
     value or its error message.  ``seed``, ``grid_size`` and
-    ``random_pairs`` must be integers (``seed >= 0``, ``grid_size >= 2``).
+    ``random_pairs`` must be integers (``seed >= 0``, ``grid_size >= 2``;
+    ``grid_size`` and ``random_pairs`` at most ``SWEEP_LIMIT``).
     """
     tally = _Tally()
     for block in _sweep(T, F, f, grid_size, random_pairs, seed, mode):
@@ -369,11 +376,15 @@ def _sweep(
     drops a block before asking for the next holds one chunk at a time.
     """
     _check_mode(mode)
-    for name, value, least in (
-        ("grid_size", grid_size, 2), ("random_pairs", random_pairs, 0), ("seed", seed, 0)
+    for name, value, least, most in (
+        ("grid_size", grid_size, 2, SWEEP_LIMIT),
+        ("random_pairs", random_pairs, 0, SWEEP_LIMIT),
+        ("seed", seed, 0, math.inf),
     ):
         if not (isinstance(value, numbers.Integral) and value >= least):
             raise DomainError(f"{name} must be an integer >= {least}, got {value}")
+        if value > most:
+            raise DomainError(f"{name} must be at most {most}, got {value}")
 
     sweep = _Sweep(T, F, f, mode, grid_size, random_pairs, seed)
     step = max(1, CHUNK_ELEMENTS // sweep.elements_per_pair)

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Union
 
-from .analysis import MODES
+from .analysis import MODES, SWEEP_LIMIT
 from .errors import ConfigError, MvfixError
 from .ffunctions import F_KINDS, FFunction
 from .integrand import INTEGRAND_KINDS, Integrand
@@ -193,13 +193,6 @@ class ProblemConfig:
     tol: float = 1e-12
     max_iter: int = 10_000
     x0: float | None = None
-
-
-# Upper bound on grid_size and random_pairs.  A sweep holds its pairs only
-# a chunk at a time, but its grid and drawn points are whole arrays: no
-# sweep that large fits them in memory, and far larger sizes end in a raw
-# numpy error.
-SWEEP_LIMIT = 10**9
 
 
 def _integer(

@@ -14,15 +14,16 @@ character position; a literal that overflows to infinity is one, and so
 is nesting deeper than :data:`MAX_DEPTH` (200) levels of parentheses,
 calls and operations.  Evaluation failures raise
 :class:`EvalError` carrying the offending subexpression in printed form,
-so at a finite point :func:`eval_expr` returns a finite value or raises.
+so at a finite point a compiled expression returns a finite value or
+raises.
 
 Each operator is one row of :data:`OPERATORS`, which gives it in every
 form below and says once, for all of them, where it raises.
 :func:`compile_expr` generates one straight-line Python function per
 AST; callers that evaluate an AST at many points compile it once, and
-maps and integrands do so on first scalar use.  :func:`eval_expr` is
-that function's value.  :func:`eval_expr_array` evaluates over a whole
-array with the same bits, NaN where :func:`eval_expr` would raise.
+maps and integrands do so on first scalar use.  :func:`eval_expr_array`
+evaluates over a whole array with the same bits, NaN where the compiled
+function would raise.
 :func:`enclose` bounds the compiled function over an interval of the
 variable, or says that it may raise there.
 """
@@ -50,7 +51,6 @@ __all__ = [
     "ExprAst",
     "parse_expr",
     "compile_expr",
-    "eval_expr",
     "eval_expr_array",
     "enclose",
     "format_expr",
@@ -123,8 +123,8 @@ def _tokenize(src: str) -> list[_Token]:
         m = _TOKEN.match(src, m.end())
     if (i := m.end()) < len(src):
         ch = src[i]
-        if ch.isdigit() or ch == ".":
-            raise ParseError(f"malformed number starting with '{ch}'", i)
+        if ch == ".":  # a \d always starts a number token, so only "." can fail to
+            raise ParseError("malformed number starting with '.'", i)
         raise ParseError(f"unexpected character {ch!r}", i)
     return [*tokens, _Token("end", "", i)]
 
@@ -486,19 +486,10 @@ class _Codegen:
         return self.let(indent, text)
 
 
-def eval_expr(node: ExprAst, x: float) -> float:
-    """Evaluate ``node`` at the variable value ``x``; see :func:`compile_expr`.
-
-    Compiles ``node`` on every call: a caller that evaluates one AST at
-    many points compiles it once and keeps the function.
-    """
-    return compile_expr(node)(x)
-
-
 def eval_expr_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
     """Evaluate ``node`` at every element of the 1-D array ``xs`` of non-NaN values.
 
-    ``values[i]`` is NaN exactly where ``eval_expr(node, xs[i])`` raises,
+    ``values[i]`` is NaN exactly where ``compile_expr(node)(xs[i])`` raises,
     and elsewhere its result bit for bit, sign of zero included.  Only
     IEEE-exact operations (``+ - * /``, ``abs``, ``sqrt``, negation,
     comparisons, ``where``) run on whole arrays; ``^``, ``ln`` and

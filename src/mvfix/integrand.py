@@ -190,17 +190,20 @@ def phi_eval(f: Integrand, t: float) -> float:
     """Pointwise value phi(t) for t >= 0."""
     if t < 0.0:
         raise DomainError(f"integrand argument must be >= 0, got {t}")
-    match f:
-        case ConstantIntegrand(c):
-            return c
-        case PowerIntegrand(p, scale):
-            if t == 0.0 and p < 0.0:
-                return math.inf
-            return scale * t**p
-        case ExponentialIntegrand(rate, scale):
-            return scale * math.exp(rate * t)
-        case ExpressionIntegrand():
-            return f._phi(t)
+    try:
+        match f:
+            case ConstantIntegrand(c):
+                return c
+            case PowerIntegrand(p, scale):
+                if t == 0.0 and p < 0.0:
+                    return math.inf
+                return scale * t**p
+            case ExponentialIntegrand(rate, scale):
+                return scale * math.exp(rate * t)
+            case ExpressionIntegrand():
+                return f._phi(t)
+    except OverflowError:
+        raise DomainError(f"integrand {integrand_label(f)} overflows at t = {t}") from None
     raise TypeError(f"not an integrand: {f!r}")
 
 

@@ -72,16 +72,6 @@ class CompactSet:
         object.__setattr__(self, "intervals", _normalize(intervals))
 
     @classmethod
-    def point(cls, x: float) -> "CompactSet":
-        # one interval is already normalized; only the finiteness check applies
-        x = float(x)
-        if not math.isfinite(x):
-            raise InvariantError(f"interval endpoints must be finite, got ({x}, {x})")
-        S = object.__new__(cls)
-        object.__setattr__(S, "intervals", ((x, x),))
-        return S
-
-    @classmethod
     def interval(cls, lo: float, hi: float) -> "CompactSet":
         return cls([(lo, hi)])
 

@@ -17,7 +17,6 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
@@ -26,11 +25,9 @@ from .errors import DomainError, InsufficientTraceError, MvfixError
 from .expr import _pointwise
 from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval, f_eval_array
 from .integrand import ConstantIntegrand, Integrand, capital_phi, capital_phi_array, integrand_label
-from .maps import MultiMap, _value_set
-from .sets1d import CompactSet
+from .maps import MultiMap
 
 __all__ = [
-    "TraceStep",
     "TraceParams",
     "FixedPointFound",
     "MaxIterReached",
@@ -49,18 +46,6 @@ DECAY_SLACK = 1e-9
 RATE_SLACK = 1e-12
 # iterate takes Phi over windows of 1, 2, 4, ... steps, up to this many
 PHI_WINDOW = 1024
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    """One completed transition x -> next_point inside T(x)."""
-
-    n: int
-    x: float
-    value_set: CompactSet
-    next_point: float
-    d_to_set: float
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -114,11 +99,10 @@ class IterationTrace(_BytewiseEq):
     to step n.  Each column is a read-only float64 array, 8 bytes per
     value; ``x`` and ``next_point`` are views of one buffer holding x0
     and then the next points, so ``x[n + 1]`` is ``next_point[n]``.
-    ``map`` is the iterated map.  ``steps`` gives the same rows as a
-    tuple of :class:`TraceStep`, built on first access; each value set
-    is evaluated again from ``x[n]``, with the same bits as during the
-    run.  Two traces are equal when their columns hold the same bytes
-    and their map, outcome and params are equal.
+    ``map`` is the iterated map; ``apply_map(trace.map, trace.x[n])``
+    gives step n's value set, with the same bits as during the run.  Two
+    traces are equal when their columns hold the same bytes and their
+    map, outcome and params are equal.
     """
 
     x: np.ndarray
@@ -128,14 +112,6 @@ class IterationTrace(_BytewiseEq):
     map: MultiMap
     outcome: Outcome
     params: TraceParams
-
-    @cached_property
-    def steps(self) -> tuple[TraceStep, ...]:
-        columns = zip(*(c.tolist() for c in (self.x, self.next_point, self.d_to_set, self.gamma)))
-        return tuple(
-            TraceStep(n, x, _value_set(self.map, x), nxt, d, gamma)
-            for n, (x, nxt, d, gamma) in enumerate(columns)
-        )
 
     def decay_columns(self, F: FFunction) -> tuple[np.ndarray, np.ndarray]:
         """``(F(gamma_n), n * gamma_n**k)`` for every step, k = ``F.k``, computed once per F.

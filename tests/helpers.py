@@ -19,6 +19,7 @@ far past the parser's nesting limit.
 import math
 import numbers
 from dataclasses import replace
+from typing import NamedTuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +43,6 @@ from mvfix import (
     Neg,
     Num,
     TraceParams,
-    TraceStep,
     TraceVerdict,
     Var,
     apply_map,
@@ -205,7 +205,7 @@ def validate_map_scalar(T):
 def validate_integrand_scalar(source, grid_max=100.0):
     """The construction check of an expression integrand, one grid point at a time."""
     ast = parse_expr(source, variable="t")
-    phi = compile_expr(ast)  # eval_expr(ast, t) at every t, compiled once
+    phi = compile_expr(ast)
     for t in np.linspace(0.0, grid_max, 10_001):
         v = phi(float(t))
         if t == 0.0:
@@ -355,8 +355,19 @@ TOO_DEEP = {
 }
 
 
+class ScalarStep(NamedTuple):
+    """One transition x -> next_point inside T(x), as ``iterate_scalar`` records it."""
+
+    n: int
+    x: float
+    value_set: CompactSet
+    next_point: float
+    d_to_set: float
+    gamma: float
+
+
 def iterate_scalar(T, x0, tol, max_iter, f):
-    """``iterate`` recording one ``TraceStep`` per step, each value set via ``apply_map``.
+    """``iterate`` recording one ``ScalarStep`` per step, each value set via ``apply_map``.
 
     Returns ``steps``, ``outcome`` and ``params`` in a namespace.
     """
@@ -387,7 +398,7 @@ def iterate_scalar(T, x0, tol, max_iter, f):
             return trace(
                 IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x)
             )
-        steps.append(TraceStep(n, x, S, nxt, d, gamma))
+        steps.append(ScalarStep(n, x, S, nxt, d, gamma))
         if not T.domain.contains(nxt):
             return trace(IterationError(f"iterate left the domain at step {n}: x = {nxt!r}", nxt))
         x = nxt
@@ -395,7 +406,7 @@ def iterate_scalar(T, x0, tol, max_iter, f):
 
 
 def validate_trace_scalar(trace, F, tau):
-    """``validate_trace`` over ``trace.steps``, calling ``f_eval`` for every margin."""
+    """``validate_trace`` over an ``iterate_scalar`` result, one ``f_eval`` per margin."""
     if not 0.0 < tau < math.inf:
         raise DomainError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
     k = F.k
@@ -456,7 +467,7 @@ def verdict_bits(verdict):
 
 
 def write_trace_csv_scalar(path, trace, F):
-    """The trace CSV written from ``trace.steps``, formatting every field of every row."""
+    """The trace CSV of an ``iterate_scalar`` result, formatting every field of every row."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_COLUMNS) + "\n")
         fh.writelines(

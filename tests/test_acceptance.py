@@ -175,10 +175,11 @@ def test_criterion_05_decay_chain_exactness():
     failures = []
     trace = _halving_trace()
     F = FFunction("log")
-    steps = [s for s in trace.steps if s.gamma > 0.0]
-    _check(failures, len(steps) >= 40, f"only {len(steps)} positive steps, need 40")
-    base = f_eval(F, steps[0].gamma)
-    worst = max(abs(f_eval(F, s.gamma) - (base - s.n * LN2)) for s in steps)
+    ns = np.flatnonzero(trace.gamma > 0.0).tolist()
+    gammas = trace.gamma[ns].tolist()
+    _check(failures, len(ns) >= 40, f"only {len(ns)} positive steps, need 40")
+    base = f_eval(F, gammas[0])
+    worst = max(abs(f_eval(F, g) - (base - n * LN2)) for n, g in zip(ns, gammas))
     _check(failures, worst <= 1e-9, f"decay chain deviates by {worst:g} > 1e-9")
 
     good = validate_trace(trace, F, LN2)
@@ -201,13 +202,13 @@ def test_criterion_06_tail_rate_bound():
     _check(failures, verdict.rate_bound_ok, "validator reports the rate bound broken")
     if verdict.n1 is not None:
         n1 = max(verdict.n1, 1)
-        tail = [s for s in trace.steps if s.n >= n1 and s.gamma > 0.0]
+        tail = [(n, g) for n, g in enumerate(trace.gamma.tolist()) if n >= n1 and g > 0.0]
         _check(
             failures,
-            all(s.gamma <= s.n**-2.0 + 1e-12 for s in tail),
+            all(g <= n**-2.0 + 1e-12 for n, g in tail),
             "gamma_n exceeds n**-2 + 1e-12 on the tail",
         )
-        weights = [s.n * math.sqrt(s.gamma) for s in tail]
+        weights = [n * math.sqrt(g) for n, g in tail]
         _check(
             failures,
             all(b < a for a, b in zip(weights, weights[1:])),
@@ -266,9 +267,10 @@ def test_criterion_09_solver_convergence():
     _check(
         failures,
         all(
-            abs(s.x - s.next_point) == s.d_to_set
-            and s.d_to_set == dist_point_set(s.x, s.value_set)
-            for s in trace.steps
+            abs(x - nxt) == d and d == dist_point_set(x, apply_map(trace.map, x))
+            for x, nxt, d in zip(
+                trace.x.tolist(), trace.next_point.tolist(), trace.d_to_set.tolist()
+            )
         ),
         "a step's selection is not exactly the nearest point",
     )
@@ -323,18 +325,10 @@ def test_criterion_10_determinism_and_round_trip(tmp_path, capsys):
     rows = read_trace_csv(out / "trace.csv")
     trace = _halving_trace()
     F = FFunction("log")
-    same = len(rows) == len(trace.steps) and all(
-        row
-        == (
-            s.n,
-            s.x,
-            s.next_point,
-            s.d_to_set,
-            s.gamma,
-            f_eval(F, s.gamma),
-            s.n * math.sqrt(s.gamma),
-        )
-        for row, s in zip(rows, trace.steps)
+    columns = (trace.x, trace.next_point, trace.d_to_set, trace.gamma)
+    same = len(rows) == len(trace.x) and all(
+        row == (n, x, nxt, d, gamma, f_eval(F, gamma), n * math.sqrt(gamma))
+        for n, (row, x, nxt, d, gamma) in enumerate(zip(rows, *(c.tolist() for c in columns)))
     )
     _check(failures, same, "trace CSV does not round-trip losslessly")
     _verdict(10, "deterministic reports and lossless trace round-trip", failures)

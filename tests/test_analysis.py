@@ -35,6 +35,7 @@ from mvfix import (
     table_map,
 )
 from mvfix import sets1d
+from mvfix.analysis import SWEEP_LIMIT
 from mvfix.maps import MultiMap, image_arrays
 
 UNIT = CompactSet.interval(0.0, 1.0)
@@ -220,7 +221,7 @@ class TestCertify:
         # a table with one entry: lookups at the other grid point fail but
         # the sweep still completes
         domain = CompactSet([(0.0, 0.0), (1.0, 1.0)])
-        T = table_map(domain, [(0.0, CompactSet.point(0.0))])
+        T = table_map(domain, [(0.0, CompactSet.interval(0.0, 0.0))])
         report = certify(T, LOG, ONE, grid_size=2, random_pairs=0)
         assert report.evaluated_pairs == 0
         assert report.tau_star is None
@@ -253,6 +254,13 @@ class TestCertify:
         words = f"random_pairs must be an integer >= 0, got {value}"
         with pytest.raises(DomainError, match=words):
             certify(halving_point_map(), LOG, ONE, random_pairs=value)
+
+    # refused before the grid or the drawn points are allocated
+    @pytest.mark.parametrize("name", ["grid_size", "random_pairs"])
+    def test_sweep_size_is_at_most_the_limit(self, name):
+        with pytest.raises(DomainError) as err:
+            certify(halving_point_map(), LOG, ONE, **{name: 10**20})
+        assert str(err.value) == f"{name} must be at most {SWEEP_LIMIT}, got {10**20}"
 
     @pytest.mark.parametrize("value", [-1, 1.5, math.nan])
     def test_seed_must_be_a_nonnegative_integer(self, value):
@@ -315,7 +323,7 @@ class TestReportOrder:
         pairs = [(p.x, p.y) for p in report.violations]
         assert len(pairs) == 33 and pairs == sorted(pairs)
         # a table keyed at 0 alone: every pair fails, as its y is never 0
-        T = table_map(UNIT, [(0.0, CompactSet.point(0.0))])
+        T = table_map(UNIT, [(0.0, CompactSet.interval(0.0, 0.0))])
         report = certify(T, LOG, ONE, grid_size=3, random_pairs=30)
         pairs = [(x, y) for x, y, _ in report.errors]
         assert len(pairs) == 33 and pairs == sorted(pairs)
@@ -324,7 +332,7 @@ class TestReportOrder:
 class TestBoundedRows:
     def test_error_rows_are_capped_and_counted(self):
         # a table keyed at 0 alone: every pair fails, as its y is never 0
-        T = table_map(UNIT, [(0.0, CompactSet.point(0.0))])
+        T = table_map(UNIT, [(0.0, CompactSet.interval(0.0, 0.0))])
         args = dict(grid_size=21, random_pairs=100, seed=42, mode="hausdorff")
         report = certify(T, LOG, ONE, **args)
         oracle = certify_scalar(T, LOG, ONE, **args)

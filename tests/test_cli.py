@@ -396,15 +396,16 @@ class TestSolveCommand:
         T = singleton_map(CompactSet.interval(0.0, 1.0), "x/2")
         trace = iterate(T, 1.0, tol=0.0, max_iter=60)
         F = FFunction("log")
-        assert len(rows) == len(trace.steps)
-        for row, step in zip(rows, trace.steps):
-            assert row[0] == step.n
-            assert row[1] == step.x
-            assert row[2] == step.next_point
-            assert row[3] == step.d_to_set
-            assert row[4] == step.gamma
-            assert row[5] == f_eval(F, step.gamma)
-            assert row[6] == step.n * math.sqrt(step.gamma)
+        assert len(rows) == len(trace.x)
+        for n, row in enumerate(rows):
+            gamma = trace.gamma[n].item()
+            assert row[0] == n
+            assert row[1] == trace.x[n]
+            assert row[2] == trace.next_point[n]
+            assert row[3] == trace.d_to_set[n]
+            assert row[4] == gamma
+            assert row[5] == f_eval(F, gamma)
+            assert row[6] == n * math.sqrt(gamma)
 
     def test_underflowed_gamma_is_written_as_the_limit(self, tmp_path, capsys):
         # Phi(d) = d^51 / 51 underflows to 0 from step 19 on; (F2) puts F at -inf
@@ -593,10 +594,11 @@ class TestMapText:
         "f, message",
         [
             ("xé", "unexpected character 'é' (at position 1)"),
+            ("x²", "unexpected character '²' (at position 1)"),
             *[(TOO_DEEP[shape], f"expression nests deeper than {MAX_DEPTH} levels")
               for shape in sorted(TOO_DEEP)],
         ],
-        ids=["non-ascii", *sorted(TOO_DEEP)],
+        ids=["non-ascii", "superscript", *sorted(TOO_DEEP)],
     )
     def test_refused_with_one_error_line(self, tmp_path, capsys, command, f, message):
         assert main([command, self.problem(tmp_path, f)]) == EXIT_ERROR

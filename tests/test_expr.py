@@ -14,12 +14,12 @@ from mvfix import (
     Num,
     ParseError,
     Var,
-    eval_expr,
+    compile_expr,
     format_expr,
     parse_expr,
 )
 from helpers import TOO_DEEP, interpret_expr, nested_sources, random_asts
-from mvfix.expr import FUNCTIONS, MAX_DEPTH, OPERATORS, compile_expr, enclose, eval_expr_array
+from mvfix.expr import FUNCTIONS, MAX_DEPTH, OPERATORS, enclose, eval_expr_array
 
 X = Var("x")
 
@@ -87,28 +87,28 @@ class TestEvaluation:
         ],
     )
     def test_values(self, src, x, expected):
-        assert eval_expr(parse_expr(src), x) == expected
+        assert compile_expr(parse_expr(src))(x) == expected
 
     def test_division_by_zero(self):
         with pytest.raises(EvalError) as err:
-            eval_expr(parse_expr("1/x"), 0.0)
+            compile_expr(parse_expr("1/x"))(0.0)
         assert "1.0 / x" in str(err.value)
 
     def test_ln_nonpositive(self):
         with pytest.raises(EvalError):
-            eval_expr(parse_expr("ln(x)"), 0.0)
+            compile_expr(parse_expr("ln(x)"))(0.0)
 
     def test_sqrt_negative(self):
         with pytest.raises(EvalError):
-            eval_expr(parse_expr("sqrt(x)"), -1.0)
+            compile_expr(parse_expr("sqrt(x)"))(-1.0)
 
     def test_fractional_power_of_negative(self):
         with pytest.raises(EvalError):
-            eval_expr(parse_expr("x^0.5"), -2.0)
+            compile_expr(parse_expr("x^0.5"))(-2.0)
 
     def test_overflow_is_reported(self):
         with pytest.raises(EvalError):
-            eval_expr(parse_expr("exp(x)"), 1e6)
+            compile_expr(parse_expr("exp(x)"))(1e6)
 
 
 class TestParseErrors:
@@ -163,6 +163,19 @@ class TestParseErrors:
             parse_expr("xé")
         assert str(err.value) == "unexpected character 'é' (at position 1)"
         assert err.value.position == 1
+
+    # a superscript is a digit to str.isdigit, but never starts a number token
+    @pytest.mark.parametrize(
+        "src, message",
+        [
+            ("x²", "unexpected character '²' (at position 1)"),
+            ("x + .", "malformed number starting with '.' (at position 4)"),
+        ],
+    )
+    def test_only_a_dot_starts_a_malformed_number(self, src, message):
+        with pytest.raises(ParseError) as err:
+            parse_expr(src)
+        assert str(err.value) == message
 
 
 class TestNestingLimit:
@@ -283,12 +296,13 @@ class TestRoundTrip:
     def test_printer_preserves_semantics(self):
         for src in ROUND_TRIP_CORPUS:
             ast = parse_expr(src)
+            fn, printed = compile_expr(ast), compile_expr(parse_expr(format_expr(ast)))
             for x in (0.3, 0.9):
                 try:
-                    before = eval_expr(ast, x)
+                    before = fn(x)
                 except EvalError:
                     continue
-                assert eval_expr(parse_expr(format_expr(ast)), x) == before
+                assert printed(x) == before
 
 
 def _ast_strategy():
@@ -305,10 +319,10 @@ def test_round_trip_random_ast(ast):
 
 
 def assert_array_matches_scalar(ast, xs):
-    """eval_expr_array agrees with eval_expr at every point, bit for bit."""
+    """eval_expr_array agrees with the compiled function at every point, bit for bit."""
     values = eval_expr_array(ast, np.array(xs, dtype=float))
     assert values.shape == (len(xs),)
-    scalar = compile_expr(ast)  # eval_expr(ast, x) at every x, compiled once
+    scalar = compile_expr(ast)
     for x, value in zip(xs, values.tolist()):
         try:
             expected = scalar(x)
@@ -507,10 +521,6 @@ class TestCompiledEvaluation:
         with pytest.raises(EvalError):
             fn(0.5)
         assert len(printed) == 1
-
-    def test_eval_expr_is_the_compiled_value(self):
-        ast = parse_expr("x - x^2")
-        assert eval_expr(ast, 0.3) == compile_expr(ast)(0.3) == interpret_expr(ast, 0.3)
 
 
 def exact_value(node, x):

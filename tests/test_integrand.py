@@ -55,6 +55,14 @@ class TestPointwiseValues:
         with pytest.raises(DomainError):
             phi_eval(ConstantIntegrand(1.0), -0.1)
 
+    @pytest.mark.parametrize(
+        "f, t", [(ExponentialIntegrand(rate=1000.0), 1.0), (PowerIntegrand(p=2.0), 1e200)]
+    )
+    def test_overflow_is_a_domain_error(self, f, t):
+        with pytest.raises(DomainError) as err:
+            phi_eval(f, t)
+        assert str(err.value) == f"integrand {integrand_label(f)} overflows at t = {t}"
+
 
 class TestCumulativeTransform:
     def test_constant_quarter(self):

@@ -82,7 +82,7 @@ class TestIntervalMap:
 class TestSingletonMap:
     def test_value(self):
         T = singleton_map(UNIT, "x/2")
-        assert apply_map(T, 0.8) == CompactSet.point(0.4)
+        assert apply_map(T, 0.8) == CompactSet.interval(0.4, 0.4)
 
     def test_only_origin_is_fixed(self):
         T = singleton_map(UNIT, "x/2")
@@ -119,7 +119,7 @@ class TestTableMap:
 
     def test_key_outside_domain_rejected(self):
         with pytest.raises(InvariantError):
-            table_map(UNIT, [(2.0, CompactSet.point(0.0))])
+            table_map(UNIT, [(2.0, CompactSet.interval(0.0, 0.0))])
 
     def test_empty_table_rejected(self):
         with pytest.raises(InvariantError):
@@ -322,12 +322,14 @@ class TestArrayValidation:
 def _one_interval_image(T, x):
     """T(x) of an interval or singleton map, built the way CompactSet checks it."""
     if T.kind == "singleton":
-        return CompactSet.point(T._compiled[0](x))
+        p = T._compiled[0](x)
+        return CompactSet.interval(p, p)
     lo, hi = (fn(x) for fn in T._compiled)
     if lo > hi:
         if lo - hi > ENDPOINT_SLACK:
             raise InvariantError(f"map endpoints inverted at x = {x}: lo = {lo}, hi = {hi}")
-        return CompactSet.point(0.5 * (lo + hi))
+        mid = 0.5 * (lo + hi)
+        return CompactSet.interval(mid, mid)
     return CompactSet.interval(lo, hi)
 
 
@@ -360,7 +362,7 @@ class TestNearestStep:
         T = singleton_map(UNIT, "x - x^2")
         assert _step(T, 0.5) == (0.25, 0.25) and _step(T, 0.0) == (0.0, 0.0)
         # at x == T(x) the clamp keeps x, and with it x's sign of zero
-        point = CompactSet.point(-0.0)
+        point = CompactSet.interval(-0.0, -0.0)
         assert repr(_step(singleton_map(UNIT, "-x"), 0.0)) == repr(_nearest(0.0, point))
         assert checked == []
         nan_map = MultiMap(UNIT, "singleton", members=(Num(math.nan),))

@@ -41,7 +41,7 @@ class TestConstruction:
         assert s.intervals == ((1.0, 1.0), (4.0, 5.0))
 
     def test_singleton_helpers(self):
-        assert CompactSet.point(2.0).intervals == ((2.0, 2.0),)
+        assert CompactSet.interval(2.0, 2.0).intervals == ((2.0, 2.0),)
         assert CompactSet.from_points([3.0, 1.0]).intervals == ((1.0, 1.0), (3.0, 3.0))
 
     def test_rejects_empty(self):
@@ -54,18 +54,19 @@ class TestConstruction:
             CompactSet([bad])
 
     @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-    def test_point_rejects_non_finite_as_the_constructor_does(self, x):
-        with pytest.raises(InvariantError) as via_point:
-            CompactSet.point(x)
-        with pytest.raises(InvariantError) as via_init:
-            CompactSet([(x, x)])
-        assert str(via_point.value) == str(via_init.value)
+    def test_singleton_rejects_non_finite_with_the_endpoints(self, x):
+        with pytest.raises(InvariantError) as err:
+            CompactSet.interval(x, x)
+        assert str(err.value) == f"interval endpoints must be finite, got ({x}, {x})"
 
+    # a singleton is the interval [x, x]; its endpoints are stored as float
     @pytest.mark.parametrize("x", [0.0, -0.0, 3, np.float64(2.5), -1e-300])
-    def test_point_equals_the_constructed_singleton(self, x):
-        p = CompactSet.point(x)
-        assert repr(p) == repr(CompactSet([(x, x)])) and p == CompactSet([(x, x)])
-        assert type(p.intervals[0][0]) is float
+    def test_singleton_is_one_float_interval(self, x):
+        S = CompactSet.interval(x, x)
+        assert repr(S) == repr(CompactSet.from_points([x])) == repr(CompactSet([(float(x), float(x))]))
+        assert S.intervals == ((x, x),)
+        assert type(S.intervals[0][0]) is float and type(S.intervals[0][1]) is float
+        assert math.copysign(1.0, S.min) == math.copysign(1.0, x)  # -0.0 keeps its sign
 
     def test_rejects_reversed(self):
         with pytest.raises(InvariantError):

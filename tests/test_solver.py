@@ -35,6 +35,7 @@ from mvfix import (
     Num,
     PowerIntegrand,
     Var,
+    apply_map,
     dist_point_set,
     domain_grid,
     expression_integrand,
@@ -67,31 +68,30 @@ class TestIterate:
         T = interval_map(UNIT, "x/4", "(x+1)/2")
         trace = iterate(T, 0.3, tol=0.0)
         assert trace.outcome == FixedPointFound(0.3, 0)
-        assert trace.steps == ()
+        assert len(trace.x) == len(trace.gamma) == 0
 
     def test_halving_orbit_is_exact(self):
         trace = halving_trace()
         assert isinstance(trace.outcome, MaxIterReached)
-        assert len(trace.steps) == 60
-        for step in trace.steps:
-            assert step.x == 2.0 ** (-step.n)
-            assert step.next_point == 2.0 ** (-step.n - 1)
-            assert step.d_to_set == 2.0 ** (-step.n - 1)
-            assert step.gamma == step.d_to_set  # unit constant integrand
+        assert len(trace.x) == 60
+        assert trace.x.tolist() == [2.0 ** (-n) for n in range(60)]
+        assert trace.next_point.tolist() == [2.0 ** (-n - 1) for n in range(60)]
+        assert trace.d_to_set.tolist() == trace.next_point.tolist()
+        assert trace.gamma.tolist() == trace.d_to_set.tolist()  # unit constant integrand
 
     def test_steps_chain_together(self):
         trace = halving_trace()
-        for a, b in zip(trace.steps, trace.steps[1:]):
-            assert b.x == a.next_point
-            assert b.n == a.n + 1
+        assert trace.x[1:].tobytes() == trace.next_point[:-1].tobytes()
+        assert np.shares_memory(trace.x, trace.next_point)  # one buffer: x0, then the next points
 
     def test_selection_is_nearest(self):
         T = interval_map(UNIT, "x/3", "x/2")
         trace = iterate(T, 1.0, tol=1e-12)
-        for step in trace.steps:
-            assert step.next_point == nearest_point(step.x, step.value_set)
-            assert abs(step.x - step.next_point) == step.d_to_set
-            assert step.d_to_set == dist_point_set(step.x, step.value_set)
+        for x, nxt, d in zip(trace.x.tolist(), trace.next_point.tolist(), trace.d_to_set.tolist()):
+            S = apply_map(T, x)
+            assert nxt == nearest_point(x, S)
+            assert abs(x - nxt) == d
+            assert d == dist_point_set(x, S)
 
     def test_interval_contraction_converges(self):
         T = interval_map(UNIT, "x/3", "x/2")
@@ -115,7 +115,7 @@ class TestIterate:
 
     def test_gamma_monotone_for_contraction(self):
         trace = halving_trace()
-        gammas = [s.gamma for s in trace.steps]
+        gammas = trace.gamma.tolist()
         assert all(b < a for a, b in zip(gammas, gammas[1:]))
 
     def test_step_distance_bounded_by_image_hausdorff(self):
@@ -123,15 +123,16 @@ class TestIterate:
         # x_{n+1} is a member of T(x_n)
         T = interval_map(UNIT, "x/3", "x/2")
         trace = iterate(T, 1.0, tol=1e-12)
-        for a, b in zip(trace.steps, trace.steps[1:]):
-            assert b.d_to_set <= hausdorff(a.value_set, b.value_set) + 1e-12
+        sets = [apply_map(T, x) for x in trace.x.tolist()]
+        for a, b, d in zip(sets, sets[1:], trace.d_to_set[1:].tolist()):
+            assert d <= hausdorff(a, b) + 1e-12
 
     def test_domain_escape_is_reported(self):
         T = singleton_map(CompactSet.interval(0.0, 1.5), "x + 1")
         trace = iterate(T, 0.5, tol=0.0, max_iter=10)
         assert isinstance(trace.outcome, IterationError)
         assert trace.outcome.last_x == 2.5
-        assert len(trace.steps) == 2
+        assert len(trace.x) == 2
 
     @pytest.mark.parametrize(
         "f, x0, steps, detail",
@@ -143,8 +144,8 @@ class TestIterate:
     def test_overflowing_gamma_is_reported(self, f, x0, steps, detail):
         T = singleton_map(CompactSet.interval(0.0, 100.0), f)
         trace = iterate(T, x0, tol=0.0, max_iter=40, f=ConstantIntegrand(1e308))
-        assert len(trace.steps) == steps
-        assert all(math.isfinite(s.gamma) for s in trace.steps)
+        assert len(trace.x) == steps
+        assert np.isfinite(trace.gamma).all()
         assert trace.outcome == IterationError(detail, 2.0 * x0 if steps else x0)
 
     def test_start_outside_domain_rejected(self):
@@ -345,9 +346,13 @@ def assert_trace_matches_oracles(T, x0, tol, max_iter, f, F, tau):
     if isinstance(oracle, tuple):  # the start was rejected
         assert trace == oracle
         return None
-    # repr of a float round-trips exactly and tells -0.0 from 0.0
-    assert repr(trace.steps) == repr(oracle.steps)
-    assert trace.steps == oracle.steps
+    # bytes tell -0.0 from 0.0
+    assert [s.n for s in oracle.steps] == list(range(len(trace.x)))
+    for name in ("x", "next_point", "d_to_set", "gamma"):
+        column = np.array([getattr(s, name) for s in oracle.steps], dtype=float)
+        assert getattr(trace, name).tobytes() == column.tobytes(), name
+    value_sets = [apply_map(trace.map, x) for x in trace.x.tolist()]
+    assert repr(value_sets) == repr([s.value_set for s in oracle.steps])
     assert repr(trace.outcome) == repr(oracle.outcome)
     assert trace.params == oracle.params
     verdict = outcome(validate_trace, trace, F, tau)
@@ -408,8 +413,9 @@ class TestColumnarTraceAgainstScalarLoop:
             trace = iterate(trace_map(name), x0, 0.0, 60, trace_integrand("constant"))
             assert detail in trace.outcome.detail and len(trace.x) >= 1, name
         near_tie = iterate(trace_map("near_tie"), 1.0, 0.0, 60, trace_integrand("constant"))
-        assert all(len(s.value_set.intervals) == 1 for s in near_tie.steps)
-        assert all(lo == hi for s in near_tie.steps for lo, hi in s.value_set.intervals)
+        sets = [apply_map(near_tie.map, x) for x in near_tie.x.tolist()]
+        assert all(len(S.intervals) == 1 for S in sets)
+        assert all(lo == hi for S in sets for lo, hi in S.intervals)
 
     @pytest.mark.parametrize(
         "map_name", ["singleton", "interval", "near_tie", "one_member", "finite_set"]
@@ -419,11 +425,9 @@ class TestColumnarTraceAgainstScalarLoop:
 
         T = TRACE_MAPS[map_name]()  # a fresh map: its orbit loop is built under the spies
         calls = []
-        value_set, init, point = maps._value_set, CompactSet.__init__, CompactSet.point
+        value_set, init = maps._value_set, CompactSet.__init__
         monkeypatch.setattr(maps, "_value_set", lambda T, x: calls.append(x) or value_set(T, x))
         monkeypatch.setattr(CompactSet, "__init__", lambda S, raw: calls.append(S) or init(S, raw))
-        spy_point = classmethod(lambda _, x: calls.append(x) or point(x))
-        monkeypatch.setattr(CompactSet, "point", spy_point)
         trace = iterate(T, 0.5, 0.0, 60, trace_integrand("constant"))
         assert len(trace.x) >= 10
         if map_name == "finite_set":  # the spies see the value-set path
@@ -447,13 +451,6 @@ class TestColumnarTraceAgainstScalarLoop:
             trace_map(map_name), x0, tol, max_iter, trace_integrand(integrand),
             FFunction(f_kind, k), tau,
         )
-
-    def test_steps_are_built_from_the_columns_once(self):
-        trace = halving_trace()
-        assert trace.steps is trace.steps
-        assert [s.x for s in trace.steps] == trace.x.tolist()
-        assert trace.x[1:].tobytes() == trace.next_point[:-1].tobytes()
-        assert np.shares_memory(trace.x, trace.next_point)  # one buffer: x0, then the next points
 
     def test_decay_columns_are_computed_once(self, monkeypatch):
         from mvfix import solver
