@@ -219,14 +219,6 @@ def read_trace_csv(path: Path) -> list[tuple[int, float, float, float, float, fl
     return rows
 
 
-def _write_report(out_dir: Path | None, filename: str, text: str) -> None:
-    if out_dir is None:
-        return
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / filename, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _format_certify_report(
     cfg: ProblemConfig, T: MultiMap, f: Integrand, report: CertificateReport
 ) -> str:
@@ -288,7 +280,7 @@ def _certify_exit_code(report: CertificateReport) -> int:
     return EXIT_OK
 
 
-def cmd_certify(cfg: ProblemConfig, out_dir: Path | None) -> int:
+def cmd_certify(cfg: ProblemConfig) -> tuple[str, int]:
     T = build_map(cfg)
     f = build_integrand(cfg)
     report = certify(
@@ -300,10 +292,7 @@ def cmd_certify(cfg: ProblemConfig, out_dir: Path | None) -> int:
         seed=cfg.seed,
         mode=cfg.mode,
     )
-    text = _format_certify_report(cfg, T, f, report)
-    print(text, end="")
-    _write_report(out_dir, "certify_report.txt", text)
-    return _certify_exit_code(report)
+    return _format_certify_report(cfg, T, f, report), _certify_exit_code(report)
 
 
 def _outcome_fields(trace: IterationTrace) -> tuple[str, float]:
@@ -382,7 +371,7 @@ def _format_solve_report(
     return "\n".join(lines)
 
 
-def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> int:
+def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> tuple[str, int]:
     if cfg.x0 is None:
         raise ConfigError("solve requires 'x0' in the configuration")
     T = build_map(cfg)
@@ -407,16 +396,13 @@ def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> int:
         write_trace_csv(trace_path, trace, F)
 
     text = _format_solve_report(cfg, T, trace, verdict, skip_reason, trace_path)
-    print(text, end="")
-    _write_report(out_dir, "solve_report.txt", text)
-
     if isinstance(trace.outcome, IterationError):
-        return EXIT_ERROR
+        return text, EXIT_ERROR
     if isinstance(trace.outcome, MaxIterReached):
-        return EXIT_BUDGET
+        return text, EXIT_BUDGET
     if verdict is not None and not (verdict.decay_chain_ok and verdict.rate_bound_ok):
-        return EXIT_VIOLATED
-    return EXIT_OK
+        return text, EXIT_VIOLATED
+    return text, EXIT_OK
 
 
 def _format_demo_report(report: WorkedExampleReport) -> str:
@@ -463,15 +449,12 @@ def _format_demo_report(report: WorkedExampleReport) -> str:
     return "\n".join(lines)
 
 
-def cmd_paper_demo(out_dir: Path | None) -> int:
+def cmd_paper_demo() -> tuple[str, int]:
     report = run_worked_example()
-    text = _format_demo_report(report)
-    print(text, end="")
-    _write_report(out_dir, "paper_demo_report.txt", text)
-    return EXIT_OK if report.passed else EXIT_VIOLATED
+    return _format_demo_report(report), EXIT_OK if report.passed else EXIT_VIOLATED
 
 
-def cmd_check_f(kind: str, k: float, out_dir: Path | None) -> int:
+def cmd_check_f(kind: str, k: float) -> tuple[str, int]:
     F = FFunction(kind, k)
     v1 = check_f1(F)
     v23 = check_f2_f3(F)
@@ -498,10 +481,7 @@ def cmd_check_f(kind: str, k: float, out_dir: Path | None) -> int:
         ("overall", "pass" if all_passed else "fail"),
     ]
     lines.append(machine_block(rows))
-    text = "\n".join(lines)
-    print(text, end="")
-    _write_report(out_dir, "check_f_report.txt", text)
-    return EXIT_OK if all_passed else EXIT_VIOLATED
+    return "\n".join(lines), EXIT_OK if all_passed else EXIT_VIOLATED
 
 
 def _apply_overrides(cfg: ProblemConfig, args: argparse.Namespace) -> ProblemConfig:
@@ -570,16 +550,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if stop.code == 0 else EXIT_ERROR
     try:
         if args.command == "certify":
-            cfg = _apply_overrides(load_config(args.config), args)
-            return cmd_certify(cfg, args.out)
-        if args.command == "solve":
-            return cmd_solve(load_config(args.config), args.out)
-        if args.command == "paper-demo":
-            return cmd_paper_demo(args.out)
-        return cmd_check_f(args.kind, args.k, args.out)
+            text, code = cmd_certify(_apply_overrides(load_config(args.config), args))
+        elif args.command == "solve":
+            text, code = cmd_solve(load_config(args.config), args.out)
+        elif args.command == "paper-demo":
+            text, code = cmd_paper_demo()
+        else:
+            text, code = cmd_check_f(args.kind, args.k)
+        if args.out is not None:
+            args.out.mkdir(parents=True, exist_ok=True)
+            report = args.out / f"{args.command.replace('-', '_')}_report.txt"
+            report.write_text(text, encoding="utf-8", newline="\n")
     except MvfixError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
+    except OSError as err:  # the only files a command writes are under --out
+        print(f"error: cannot write --out: {err}", file=sys.stderr)
+        return EXIT_ERROR
+    print(text, end="")
+    return code
 
 
 def run() -> None:

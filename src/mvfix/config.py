@@ -76,6 +76,10 @@ def _number(data: dict, key: str, where: str, default=None, required=False):
     v = data[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{key} must be a number, got {v!r}")
+    try:
+        float(v)
+    except OverflowError:
+        raise ConfigError(f"{key} must be a number, got an integer too large for a float") from None
     return v
 
 
@@ -102,7 +106,7 @@ def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...
         try:
             key, intervals = row
             rows.append((float(key), tuple((float(lo), float(hi)) for lo, hi in intervals)))
-        except (TypeError, ValueError) as err:
+        except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad table entry {row!r}: {err}") from None
     return tuple(rows)
 
@@ -220,7 +224,7 @@ def config_from_dict(data: Any) -> ProblemConfig:
     try:
         domain = tuple((float(lo), float(hi)) for lo, hi in domain_raw)
         CompactSet(domain)  # surfaces reversed/non-finite endpoints now
-    except (MvfixError, TypeError, ValueError) as err:
+    except (MvfixError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad domain: {err}") from None
 
     if "map" not in data:
@@ -292,7 +296,7 @@ def load_config(path: Union[str, Path]) -> ProblemConfig:
             data = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read configuration: {err}") from None
-    except json.JSONDecodeError as err:
+    except (ValueError, RecursionError) as err:  # bad JSON, bad UTF-8 or nesting too deep
         raise ConfigError(f"configuration is not valid JSON: {err}") from None
     return config_from_dict(data)
 

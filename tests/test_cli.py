@@ -32,6 +32,7 @@ HALVING = {
     "domain": [[0.0, 1.0]],
     "map": {"kind": "singleton", "f": "x/2"},
 }
+TOO_BIG = "must be a number, got an integer too large for a float"
 
 
 def write_config(tmp_path, data, name="problem.json"):
@@ -508,6 +509,75 @@ class TestOtherCommands:
         assert built == [1]
         assert "kind = neg_inv_sqrt, k = 0.9" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "argv", [["certify", "CFG"], ["solve", "CFG"], ["paper-demo"], ["check-f", "--kind", "log"]]
+    )
+    @pytest.mark.parametrize("out", ["a_file", "a_file/sub"])
+    def test_unwritable_out_is_one_error_line(self, tmp_path, capsys, argv, out):
+        cfg = write_config(tmp_path, dict(HALVING, x0=0.8))
+        (tmp_path / "a_file").write_text("kept")
+        argv = [cfg if arg == "CFG" else arg for arg in argv]
+        assert main([*argv, "--out", str(tmp_path / out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot write --out: [Errno ")
+        assert captured.err.count("\n") == 1
+        assert (tmp_path / "a_file").read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_failed_config_creates_no_out_dir(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, dict(HALVING, x0=0.8, tau=-1.0))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: tau must be positive, got -1.0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "raw,detail",
+        [(b'{"seed": \xff}', "'utf-8' codec can't decode byte 0xff"), (b"[" * 100_000, "maximum")],
+        ids=["not-utf-8", "nested-too-deep"],
+    )
+    @pytest.mark.parametrize("command", ["certify", "solve"])
+    def test_undecodable_config_is_one_error_line(self, tmp_path, capsys, command, raw, detail):
+        path = tmp_path / "problem.json"
+        path.write_bytes(raw)
+        assert main([command, str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: configuration is not valid JSON: {detail}")
+        assert captured.err.count("\n") == 1
+
+    # the names the benchmark's phase clock and tracer rebind on mvfix.cli
+    PHASE_NAMES = (
+        "load_config", "build_map", "build_ffunction", "build_integrand",
+        "certify", "iterate", "validate_trace", "write_trace_csv",
+    )
+
+    @pytest.mark.parametrize(
+        "command,used",
+        [
+            ("certify", {"certify"}),
+            ("solve", {"iterate", "validate_trace", "write_trace_csv"}),
+        ],
+    )
+    def test_main_calls_each_rebound_name_once(self, tmp_path, capsys, monkeypatch, command, used):
+        """Each name used is called once: what bench/spans.py rebinds to time a run's phases."""
+        used = used | {"load_config", "build_map", "build_ffunction", "build_integrand"}
+        calls = dict.fromkeys(self.PHASE_NAMES, 0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return call
+
+        for name in self.PHASE_NAMES:
+            monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+        cfg = write_config(tmp_path, dict(HALVING, x0=0.8, tau=0.5, tol=1e-9, max_iter=60))
+        assert main([command, cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        capsys.readouterr()
+        assert calls == {name: int(name in used) for name in self.PHASE_NAMES}
+
     def test_readme_usage_lists_each_parsers_options(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         block = readme.split("## Command line", 1)[1].split("```", 2)[1]
@@ -564,6 +634,19 @@ class TestNumericKnobs:
                 [],
                 f"random_pairs must be at most {SWEEP_LIMIT}, got 1e+20",
             ),
+            *[
+                (command, {key: 10**400}, [], f"{key} {TOO_BIG}")
+                for command, key in [
+                    ("solve", "tau"),
+                    ("solve", "tol"),
+                    ("solve", "x0"),
+                    ("certify", "grid_size"),
+                    ("certify", "random_pairs"),
+                    ("certify", "seed"),
+                    ("solve", "max_iter"),
+                ]
+            ],
+            ("certify", {}, ["--seed", "1" + "0" * 400], f"seed {TOO_BIG}"),
         ],
     )
     def test_rejected_with_one_error_line(self, tmp_path, capsys, command, patch, flags, message):

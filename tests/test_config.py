@@ -185,6 +185,20 @@ class TestRoundTrip:
         with pytest.raises(ConfigError, match="not valid JSON"):
             load_config(path)
 
+    @pytest.mark.parametrize(
+        "raw,detail",
+        [
+            (b'{"seed": \xff}', "'utf-8' codec can't decode byte 0xff in position 9"),
+            (b"[" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf-8", "nested-too-deep"],
+    )
+    def test_undecodable_file(self, tmp_path, raw, detail):
+        path = tmp_path / "broken.json"
+        path.write_bytes(raw)
+        with pytest.raises(ConfigError, match=f"^configuration is not valid JSON: {detail}"):
+            load_config(path)
+
 
 class TestBuilders:
     def test_domain(self):
@@ -225,6 +239,8 @@ class TestBuilders:
 # Each case: a map, integrand or F object put into MINIMAL, and the exact
 # error text of loading the config and building its map and integrand.
 NAN, INF = float("nan"), float("inf")
+BIG = 10**400  # a JSON integer that no float can hold
+TOO_BIG = "must be a number, got an integer too large for a float"
 
 
 def _map(**kw):
@@ -347,6 +363,19 @@ MESSAGE_CASES = [
      "ConfigError: integrand.grid_max must be positive, got 0"),
     ("grid_max-inf", _integrand(kind="expression", source="1", grid_max=INF),
      "ConfigError: integrand.grid_max must be finite, got inf"),
+    ("c-big", _integrand(kind="constant", c=BIG), f"ConfigError: c {TOO_BIG}"),
+    ("p-big", _integrand(kind="power", p=BIG), f"ConfigError: p {TOO_BIG}"),
+    ("scale-big", _integrand(kind="power", p=1, scale=-BIG), f"ConfigError: scale {TOO_BIG}"),
+    ("rate-big", _integrand(kind="exponential", rate=BIG), f"ConfigError: rate {TOO_BIG}"),
+    ("grid_max-big", _integrand(kind="expression", source="1", grid_max=BIG),
+     f"ConfigError: grid_max {TOO_BIG}"),
+    ("f-k-big", _f(k=BIG), f"ConfigError: k {TOO_BIG}"),
+    ("domain-endpoint-big", {"domain": [[0.0, BIG]]},
+     "ConfigError: bad domain: int too large to convert to float"),
+    ("entries-key-big", _map(kind="table", entries=[[BIG, [[0.0, 1.0]]]]),
+     f"ConfigError: bad table entry [{BIG}, [[0.0, 1.0]]]: int too large to convert to float"),
+    ("entries-interval-big", _map(kind="table", entries=[[0.5, [[0.0, BIG]]]]),
+     f"ConfigError: bad table entry [0.5, [[0.0, {BIG}]]]: int too large to convert to float"),
     ("map-unknown-key", _map(kind="singleton", f="x", speed=2),
      "ConfigError: unknown key 'speed' in map"),
     ("map-other-kind-key", _map(kind="singleton", f="x", lo="x"),

@@ -48,7 +48,8 @@ INTEGRANDS = [
 # Values a mutation puts in place of any one value in the config.
 BAD_VALUES = st.sampled_from(
     [None, True, "x", "x +", "(", "ln(x - 5)", "1/x", "nope(x)", [], [1], [[1, 0]], {},
-     {"kind": "fractal"}, -5, -1, -0.5, 0, 0.5, 1.5, 3, math.inf, -math.inf, math.nan]
+     {"kind": "fractal"}, -5, -1, -0.5, 0, 0.5, 1.5, 3, 10**400, math.inf, -math.inf,
+     math.nan]
 )
 
 # the flags each command takes: only certify overrides config keys
@@ -114,7 +115,7 @@ def _run(argv):
 
 
 NUMERIC_KNOBS = [
-    {"grid_size": math.inf}, {"grid_size": math.nan}, {"grid_size": 1e20},
+    {"grid_size": math.inf}, {"grid_size": math.nan}, {"grid_size": 1e20}, {"grid_size": 10**400},
     {"random_pairs": math.inf}, {"random_pairs": math.nan}, {"random_pairs": 1e20},
     {"seed": math.inf}, {"seed": math.nan}, {"seed": -5},
     {"max_iter": math.inf}, {"max_iter": math.nan}, {"tol": math.nan}, {"tau": math.inf},
