@@ -6,11 +6,8 @@ from mvfix import (
     CompactSet,
     ConstantIntegrand,
     FFunction,
-    PairCheck,
     certify,
-    check_pair_f_integral,
-    check_pair_nadler,
-    check_pair_ojha,
+    evaluate_pair,
     interval_map,
     singleton_map,
 )
@@ -44,10 +41,13 @@ summarize("interval, hausdorff", certify(T, F, one))
 summarize("interval, excess", certify(T, F, one, mode="excess"))
 print("   ln 4 =", math.log(4.0))
 
-# single pairs can be checked against specific conditions too
+# a single pair's fields give its verdict under each special condition
 print()
-print("tau = 0.69 on (0, 1):", check_pair_f_integral(halving, F, one, 0.69, 0.0, 1.0))
-print("tau = 0.70 on (0, 1):", check_pair_f_integral(halving, F, one, 0.70, 0.0, 1.0))
-print("linear ratio 1/4:    ", check_pair_ojha(T, one, 0.25, 0.0, 1.0, mode="excess"))
-print("lipschitz 1/2:       ", check_pair_nadler(halving, 0.5, 0.0, 1.0))
-assert check_pair_nadler(halving, 0.4, 0.0, 1.0) is PairCheck.VIOLATED
+pair = evaluate_pair(halving, F, one, 0.0, 1.0)
+excess_pair = evaluate_pair(T, F, one, 0.0, 1.0, mode="excess")
+verdict = {True: "holds", False: "violated"}
+print("tau = 0.69 on (0, 1):", verdict[0.69 <= pair.margin + 1e-12])
+print("tau = 0.70 on (0, 1):", verdict[0.70 <= pair.margin + 1e-12])
+print("linear ratio 1/4:    ", verdict[excess_pair.phi_h <= 0.25 * excess_pair.phi_m + 1e-12])
+print("lipschitz 1/2:       ", verdict[pair.h <= 0.5 * abs(pair.x - pair.y) + 1e-12])
+assert pair.h > 0.4 * abs(pair.x - pair.y) + 1e-12  # lipschitz 0.4 is violated

@@ -12,15 +12,10 @@ decay law.  The ``mvfix`` command line exposes the same machinery.
 from .analysis import (
     ERROR_ROWS,
     MODES,
-    VERDICT_SLACK,
     VIOLATION_ROWS,
     CertificateReport,
-    PairCheck,
     PairEvaluation,
     certify,
-    check_pair_f_integral,
-    check_pair_nadler,
-    check_pair_ojha,
     evaluate_pair,
     m_value,
 )

@@ -22,7 +22,6 @@ import heapq
 import math
 import numbers
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -34,24 +33,16 @@ from .sets1d import CompactSet, _grid_array, dist_point_set, excess, hausdorff, 
 
 __all__ = [
     "MODES",
-    "VERDICT_SLACK",
     "VIOLATION_ROWS",
     "ERROR_ROWS",
-    "PairCheck",
     "PairEvaluation",
     "CertificateReport",
     "m_value",
     "evaluate_pair",
-    "check_pair_f_integral",
-    "check_pair_ojha",
-    "check_pair_nadler",
     "certify",
 ]
 
 MODES = ("hausdorff", "excess")
-
-# single comparison slack used by every verdict in this module
-VERDICT_SLACK = 1e-12
 
 # A certificate keeps the first this many violating pairs, and the first
 # ERROR_ROWS failed pairs, as rows and counts the rest, so its size does
@@ -72,12 +63,6 @@ CHUNK_ELEMENTS = 1 << 16
 # sweep that large fits them in memory, and far larger sizes end in a raw
 # numpy error.
 SWEEP_LIMIT = 10**9
-
-
-class PairCheck(Enum):
-    HOLDS = "holds"
-    VIOLATED = "violated"
-    VACUOUS = "vacuous"
 
 
 @dataclass(frozen=True)
@@ -125,10 +110,6 @@ def _check_mode(mode: str) -> None:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
 
 
-def _pair_distance(Sx: CompactSet, Sy: CompactSet, mode: str) -> float:
-    return hausdorff(Sx, Sy) if mode == "hausdorff" else excess(Sx, Sy)
-
-
 def m_value(T: MultiMap, x: float, y: float) -> float:
     """Generalized displacement m(x, y) for the map T."""
     return _displacement(x, y, apply_map(T, x), apply_map(T, y))
@@ -153,7 +134,7 @@ def _evaluate(
     Sy: CompactSet,
     mode: str,
 ) -> PairEvaluation:
-    h = _pair_distance(Sx, Sy, mode)
+    h = hausdorff(Sx, Sy) if mode == "hausdorff" else excess(Sx, Sy)
     m = _displacement(x, y, Sx, Sy)
     phi_h = capital_phi(f, h)
     phi_m = capital_phi(f, m)
@@ -180,66 +161,14 @@ def evaluate_pair(
     y: float,
     mode: str = "hausdorff",
 ) -> PairEvaluation:
-    """Evaluate h, m, their transforms, and the margin for one pair."""
+    """Evaluate h, m, their transforms, and the margin for one pair.
+
+    In excess mode ``h`` is the excess of T(x) over T(y), so the order of
+    the pair matters: on the map [x/4, (x+1)/2] the pair (0, 1) has the
+    margin ln 4 and the pair (1, 0) the margin ln 2.
+    """
     _check_mode(mode)
     return _evaluate(F, f, x, y, apply_map(T, x), apply_map(T, y), mode)
-
-
-def check_pair_f_integral(
-    T: MultiMap,
-    F: FFunction,
-    f: Integrand,
-    tau: float,
-    x: float,
-    y: float,
-    mode: str = "hausdorff",
-) -> PairCheck:
-    """Check tau + F(Phi(h)) <= F(Phi(m)) on one pair.
-
-    Vacuous when h = 0; otherwise holds iff tau <= margin + 1e-12.
-    """
-    if not tau > 0.0:
-        raise DomainError(f"tau must be positive, got {tau}")
-    ev = evaluate_pair(T, F, f, x, y, mode)
-    if ev.margin is None:
-        return PairCheck.VACUOUS
-    return PairCheck.HOLDS if tau <= ev.margin + VERDICT_SLACK else PairCheck.VIOLATED
-
-
-def check_pair_ojha(
-    T: MultiMap,
-    f: Integrand,
-    alpha: float,
-    x: float,
-    y: float,
-    mode: str = "hausdorff",
-) -> PairCheck:
-    """Check the linear integral condition Phi(h) <= alpha * Phi(m)."""
-    if not (0.0 <= alpha < 1.0):
-        raise DomainError(f"alpha must lie in [0, 1), got {alpha}")
-    _check_mode(mode)
-    Sx, Sy = apply_map(T, x), apply_map(T, y)
-    h = _pair_distance(Sx, Sy, mode)
-    m = _displacement(x, y, Sx, Sy)
-    lhs = capital_phi(f, h)
-    rhs = alpha * capital_phi(f, m)
-    return PairCheck.HOLDS if lhs <= rhs + VERDICT_SLACK else PairCheck.VIOLATED
-
-
-def check_pair_nadler(
-    T: MultiMap,
-    lam: float,
-    x: float,
-    y: float,
-    mode: str = "hausdorff",
-) -> PairCheck:
-    """Check the plain Lipschitz condition h <= lam * |x - y|."""
-    if not (0.0 <= lam < 1.0):
-        raise DomainError(f"lambda must lie in [0, 1), got {lam}")
-    _check_mode(mode)
-    Sx, Sy = apply_map(T, x), apply_map(T, y)
-    h = _pair_distance(Sx, Sy, mode)
-    return PairCheck.HOLDS if h <= lam * abs(x - y) + VERDICT_SLACK else PairCheck.VIOLATED
 
 
 def certify(
@@ -255,7 +184,8 @@ def certify(
 
     All unordered pairs from a deterministic ``grid_size``-point grid over
     the domain are evaluated, plus ``random_pairs`` pairs drawn with a
-    seeded generator; each pair is ordered x < y before evaluation.  Only
+    seeded generator; each pair is ordered x < y before evaluation, so
+    excess mode measures the excess of T(x) over T(y) with x < y.  Only
     the reported rows are kept, in canonical (x, y) order, ties in sweep
     order (the worst pair is the first of those tied at the least margin;
     violations past the first ``VIOLATION_ROWS`` and errors past the

@@ -26,6 +26,8 @@ __all__ = ["AuditLine", "WorkedExampleReport", "build_example_map", "run_worked_
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 
+EXCESS_MATCH = "MATCH under excess mode"
+
 
 @dataclass(frozen=True)
 class AuditLine:
@@ -62,177 +64,64 @@ def run_worked_example() -> WorkedExampleReport:
     T = build_example_map()
     F = FFunction("log")
     f = ConstantIntegrand(1.0)
-    lines: list[AuditLine] = []
-
-    T0 = apply_map(T, 0.0)
-    T1 = apply_map(T, 1.0)
-
-    e01 = excess(T0, T1)
-    lines.append(
-        AuditLine(
-            key="excess_t0_t1",
-            label="excess(T0, T1)",
-            value=e01,
-            published="1/4",
-            matches=e01 == 0.25,
-            note="MATCH under excess mode",
-        )
-    )
-
-    h01 = hausdorff(T0, T1)
-    lines.append(
-        AuditLine(
-            key="hausdorff_t0_t1",
-            label="hausdorff(T0, T1)",
-            value=h01,
-            published="1/4",
-            matches=h01 == 0.5,
-            note="DISCREPANCY: the published figure equals the one-sided excess;"
-            " the two-sided distance is 0.5",
-        )
-    )
-
-    ev_excess = evaluate_pair(T, F, f, 0.0, 1.0, mode="excess")
-    ev_hausdorff = evaluate_pair(T, F, f, 0.0, 1.0, mode="hausdorff")
-
-    alpha_min = ev_excess.phi_h / ev_excess.phi_m
-    lines.append(
-        AuditLine(
-            key="alpha_min_excess",
-            label="smallest admissible linear ratio alpha on (0, 1)",
-            value=alpha_min,
-            published="1/4",
-            matches=abs(alpha_min - 0.25) <= 1e-12,
-            note="MATCH under excess mode",
-        )
-    )
-
-    lines.append(
-        AuditLine(
-            key="tau_bound_excess",
-            label="tau upper bound from the pair (0, 1)",
-            value=ev_excess.margin,
-            published="(0, 1.39)",
-            matches=abs(ev_excess.margin - LN4) <= 1e-9 and ev_excess.margin < 1.39,
-            note="MATCH under excess mode: the bound is ln 4 ~ 1.3863",
-        )
-    )
-    lines.append(
-        AuditLine(
-            key="tau_bound_hausdorff",
-            label="tau upper bound from the pair (0, 1), two-sided",
-            value=ev_hausdorff.margin,
-            published=None,
-            matches=abs(ev_hausdorff.margin - LN2) <= 1e-9,
-            note="two-sided counterpart: ln 2 ~ 0.6931",
-        )
-    )
-
-    # step sizes along x_n = 1/n: the published value 1/(4 n (n+1)) is the
-    # excess of T(x_{n+1}) over T(x_n); the two-sided distance is twice that
-    step_excess = excess(apply_map(T, 0.5), apply_map(T, 1.0))
-    lines.append(
-        AuditLine(
-            key="step_excess_n1",
-            label="excess(T(x_2), T(x_1)) with x_n = 1/n",
-            value=step_excess,
-            published="1/8",
-            matches=step_excess == 0.125,
-            note="MATCH under excess mode",
-        )
-    )
-    step_hausdorff = hausdorff(apply_map(T, 0.5), apply_map(T, 1.0))
-    lines.append(
-        AuditLine(
-            key="step_hausdorff_n1",
-            label="hausdorff(T(x_2), T(x_1)) with x_n = 1/n",
-            value=step_hausdorff,
-            published="1/8",
-            matches=step_hausdorff == 0.25,
-            note="DISCREPANCY: the two-sided distance is 1/(2 n (n+1)), not 1/(4 n (n+1))",
-        )
-    )
-
-    # published step-size sequence h_n = 1/(4 n (n+1)) with phi = 1
-    h_values = [1.0 / (4.0 * n * (n + 1.0)) for n in range(1, 9)]
-    probe = gamma_sequence_probe(h_values, f, F)
-    gamma1 = probe.rows[0].gamma
-    lines.append(
-        AuditLine(
-            key="gamma_1",
-            label="gamma_1 = Phi(h_1)",
-            value=gamma1,
-            published="1/8",
-            matches=gamma1 == 0.125,
-            note="MATCH",
-        )
+    T0, T1, T2 = (apply_map(T, x) for x in (0.0, 1.0, 0.5))  # T2 = T(x_2), x_n = 1/n
+    pair = {mode: evaluate_pair(T, F, f, 0.0, 1.0, mode) for mode in ("excess", "hausdorff")}
+    # published step sizes h_n = 1/(4 n (n+1)) with phi = 1, the excess of
+    # T(x_{n+1}) over T(x_n); the two-sided distance is twice that
+    probe = gamma_sequence_probe([1.0 / (4.0 * n * (n + 1.0)) for n in range(1, 9)], f, F)
+    # the iterate value sets T(1/n) approach T(0) = [0, 1/2]
+    set_limit_rows = tuple(
+        (n, hausdorff(apply_map(T, 1.0 / n), T0)) for n in (10, 10**3, 10**5, 10**7)
     )
 
     # far-tail witnesses of the two decay limits, via the closed form h_n
     def gamma_at(n: float) -> float:
         return capital_phi(f, 1.0 / (4.0 * n * (n + 1.0)))
 
-    f_gamma_deep = f_eval(F, gamma_at(1e5))
-    lines.append(
-        AuditLine(
-            key="f_gamma_at_n1e5",
-            label="F(gamma_n) at n = 1e5",
-            value=f_gamma_deep,
-            published=None,
-            matches=f_gamma_deep < -20.0,
-            note="diverges toward -inf (threshold -20)",
-        )
-    )
     g6 = gamma_at(1e6)
-    weight_deep = abs(g6**0.5 * f_eval(F, g6))
-    lines.append(
-        AuditLine(
-            key="weight_at_n1e6",
-            label="|gamma_n**0.5 * F(gamma_n)| at n = 1e6",
-            value=weight_deep,
-            published=None,
-            matches=weight_deep < 1e-2,
-            note="vanishing weight (threshold 1e-2)",
-        )
-    )
-
-    # the iterate value sets T(1/n) approach T(0) = [0, 1/2]
-    set_limit_rows = []
-    for n in (10, 10**3, 10**5, 10**7):
-        dist = hausdorff(apply_map(T, 1.0 / n), T0)
-        set_limit_rows.append((n, dist))
-    tail = set_limit_rows[-1][1]
-    lines.append(
-        AuditLine(
-            key="set_limit_n1e7",
-            label="hausdorff(T(1/n), [0, 1/2]) at n = 1e7",
-            value=tail,
-            published="limit 0",
-            matches=tail < 1e-6,
-            note="MATCH: consistent with the published convergence claim",
-        )
-    )
-
-    fixed0 = is_fixed_point(T, 0.0, 0.0)
-    lines.append(
-        AuditLine(
-            key="fixed_point_zero",
-            label="0 belongs to T(0)",
-            value=1.0 if fixed0 else 0.0,
-            published="0 is a fixed point",
-            matches=fixed0,
-            note="MATCH",
-        )
-    )
-
-    passed = (
-        all(line.matches for line in lines)
-        and probe.f_gamma_decreasing
-        and probe.weight_decreasing
+    rows = [
+        # key, label, value, published figure, test of the value, note
+        ("excess_t0_t1", "excess(T0, T1)", excess(T0, T1), "1/4",
+         lambda v: v == 0.25, EXCESS_MATCH),
+        ("hausdorff_t0_t1", "hausdorff(T0, T1)", hausdorff(T0, T1), "1/4",
+         lambda v: v == 0.5, "DISCREPANCY: the published figure equals the one-sided excess;"
+         " the two-sided distance is 0.5"),
+        ("alpha_min_excess", "smallest admissible linear ratio alpha on (0, 1)",
+         pair["excess"].phi_h / pair["excess"].phi_m, "1/4",
+         lambda v: abs(v - 0.25) <= 1e-12, EXCESS_MATCH),
+        ("tau_bound_excess", "tau upper bound from the pair (0, 1)", pair["excess"].margin,
+         "(0, 1.39)", lambda v: abs(v - LN4) <= 1e-9 and v < 1.39,
+         "MATCH under excess mode: the bound is ln 4 ~ 1.3863"),
+        ("tau_bound_hausdorff", "tau upper bound from the pair (0, 1), two-sided",
+         pair["hausdorff"].margin, None, lambda v: abs(v - LN2) <= 1e-9,
+         "two-sided counterpart: ln 2 ~ 0.6931"),
+        ("step_excess_n1", "excess(T(x_2), T(x_1)) with x_n = 1/n", excess(T2, T1), "1/8",
+         lambda v: v == 0.125, EXCESS_MATCH),
+        ("step_hausdorff_n1", "hausdorff(T(x_2), T(x_1)) with x_n = 1/n", hausdorff(T2, T1),
+         "1/8", lambda v: v == 0.25,
+         "DISCREPANCY: the two-sided distance is 1/(2 n (n+1)), not 1/(4 n (n+1))"),
+        ("gamma_1", "gamma_1 = Phi(h_1)", probe.rows[0].gamma, "1/8",
+         lambda v: v == 0.125, "MATCH"),
+        ("f_gamma_at_n1e5", "F(gamma_n) at n = 1e5", f_eval(F, gamma_at(1e5)), None,
+         lambda v: v < -20.0, "diverges toward -inf (threshold -20)"),
+        ("weight_at_n1e6", "|gamma_n**0.5 * F(gamma_n)| at n = 1e6",
+         abs(g6**0.5 * f_eval(F, g6)), None,
+         lambda v: v < 1e-2, "vanishing weight (threshold 1e-2)"),
+        ("set_limit_n1e7", "hausdorff(T(1/n), [0, 1/2]) at n = 1e7", set_limit_rows[-1][1],
+         "limit 0", lambda v: v < 1e-6,
+         "MATCH: consistent with the published convergence claim"),
+        ("fixed_point_zero", "0 belongs to T(0)", float(is_fixed_point(T, 0.0, 0.0)),
+         "0 is a fixed point", lambda v: v == 1.0, "MATCH"),
+    ]
+    lines = tuple(
+        AuditLine(key, label, value, published, test(value), note)
+        for key, label, value, published, test, note in rows
     )
     return WorkedExampleReport(
-        lines=tuple(lines),
+        lines=lines,
         probe=probe,
-        set_limit_rows=tuple(set_limit_rows),
-        passed=passed,
+        set_limit_rows=set_limit_rows,
+        passed=all(line.matches for line in lines)
+        and probe.f_gamma_decreasing
+        and probe.weight_decreasing,
     )

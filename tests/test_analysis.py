@@ -16,14 +16,10 @@ from mvfix import (
     DomainError,
     ExponentialIntegrand,
     FFunction,
-    PairCheck,
     PairEvaluation,
     PowerIntegrand,
     analysis,
     certify,
-    check_pair_f_integral,
-    check_pair_nadler,
-    check_pair_ojha,
     domain_grid,
     evaluate_pair,
     expression_integrand,
@@ -116,6 +112,13 @@ class TestPairEvaluation:
         assert ev.h == 0.25
         assert ev.margin == pytest.approx(math.log(4.0), abs=1e-15)
 
+    def test_excess_mode_pair_order(self):
+        # the excess of T(x) over T(y): certify's x < y order gives ln 4,
+        # the reverse order ln 2, as hausdorff mode does
+        T = halving_interval_map()
+        assert abs(evaluate_pair(T, LOG, ONE, 0.0, 1.0, "excess").margin - math.log(4.0)) <= 1e-12
+        assert abs(evaluate_pair(T, LOG, ONE, 1.0, 0.0, "excess").margin - math.log(2.0)) <= 1e-12
+
     def test_equal_points_are_vacuous(self):
         ev = evaluate_pair(halving_interval_map(), LOG, ONE, 0.3, 0.3)
         assert ev.h == 0.0
@@ -127,36 +130,29 @@ class TestPairEvaluation:
 
 
 class TestPairChecks:
+    """The single-pair conditions, read off evaluate_pair's fields."""
+
     def test_f_integral_holds_and_fails(self):
         T = halving_point_map()
         # margin is exactly ln 2 on every non-vacuous pair of this map
-        assert check_pair_f_integral(T, LOG, ONE, math.log(2.0), 0.0, 1.0) is PairCheck.HOLDS
-        assert check_pair_f_integral(T, LOG, ONE, 0.8, 0.0, 1.0) is PairCheck.VIOLATED
-        assert check_pair_f_integral(T, LOG, ONE, 0.6, 0.25, 0.25) is PairCheck.VACUOUS
-
-    def test_f_integral_needs_positive_tau(self):
-        with pytest.raises(DomainError):
-            check_pair_f_integral(halving_point_map(), LOG, ONE, 0.0, 0.0, 1.0)
+        ev = evaluate_pair(T, LOG, ONE, 0.0, 1.0)
+        assert math.log(2.0) <= ev.margin + 1e-12
+        assert not 0.8 <= ev.margin + 1e-12
+        assert evaluate_pair(T, LOG, ONE, 0.25, 0.25).margin is None
 
     def test_ojha_boundary(self):
         # excess(T(0), T(1)) = 1/4 and m = 1, so alpha = 1/4 sits on the edge
         T = halving_interval_map()
-        assert check_pair_ojha(T, ONE, 0.25, 0.0, 1.0, mode="excess") is PairCheck.HOLDS
-        assert check_pair_ojha(T, ONE, 0.2, 0.0, 1.0, mode="excess") is PairCheck.VIOLATED
-        assert check_pair_ojha(T, ONE, 0.5, 0.0, 1.0, mode="hausdorff") is PairCheck.HOLDS
-
-    def test_ojha_range(self):
-        with pytest.raises(DomainError):
-            check_pair_ojha(halving_interval_map(), ONE, 1.0, 0.0, 1.0)
+        ev = evaluate_pair(T, LOG, ONE, 0.0, 1.0, mode="excess")
+        assert ev.phi_h <= 0.25 * ev.phi_m + 1e-12
+        assert not ev.phi_h <= 0.2 * ev.phi_m + 1e-12
+        ev = evaluate_pair(T, LOG, ONE, 0.0, 1.0, mode="hausdorff")
+        assert ev.phi_h <= 0.5 * ev.phi_m + 1e-12
 
     def test_nadler_boundary(self):
-        T = halving_point_map()
-        assert check_pair_nadler(T, 0.5, 0.0, 1.0) is PairCheck.HOLDS
-        assert check_pair_nadler(T, 0.4, 0.0, 1.0) is PairCheck.VIOLATED
-
-    def test_nadler_range(self):
-        with pytest.raises(DomainError):
-            check_pair_nadler(halving_point_map(), -0.1, 0.0, 1.0)
+        ev = evaluate_pair(halving_point_map(), LOG, ONE, 0.0, 1.0)
+        assert ev.h <= 0.5 * abs(ev.x - ev.y) + 1e-12
+        assert not ev.h <= 0.4 * abs(ev.x - ev.y) + 1e-12
 
 
 class TestCertify:
@@ -190,6 +186,28 @@ class TestCertify:
         # h = H = |x-y|/2 and m = |x-y|, margin = ln 2
         report = certify(halving_interval_map(), LOG, ONE)
         assert abs(report.tau_star - math.log(2.0)) <= 1e-9
+
+    # the moduli with the displacement M of six maps at grid 201 + 2000,
+    # seed 1: (map, mode, tau_star, violation_count, vacuous_pairs)
+    @pytest.mark.parametrize(
+        "make, mode, tau_star, violations, vacuous",
+        [
+            (halving_interval_map, "hausdorff", 0.6931471805560339, 0, 0),
+            (halving_interval_map, "excess", 1.38629436111989, 0, 0),
+            (lambda: singleton_map(UNIT, "(1-x)/2 + x^2/2"), "hausdorff", 1.3862943611198904, 0, 75),
+            (lambda: singleton_map(UNIT, "1 - x^2"), "hausdorff", -0.09808575034389122, 1343, 0),
+            (lambda: singleton_map(UNIT, "0.9 - 0.9*x^2"), "hausdorff", -0.02581243806692557, 94, 0),
+            (lambda: singleton_map(UNIT, "x^2"), "hausdorff", -0.2868469993343581, 8147, 0),
+        ],
+        ids=["interval", "interval-excess", "half-square", "one-minus-square",
+             "scaled-one-minus-square", "square"],
+    )
+    def test_modulus_regressions(self, make, mode, tau_star, violations, vacuous):
+        report = certify(make(), LOG, ONE, grid_size=201, random_pairs=2000, seed=1, mode=mode)
+        assert abs(report.tau_star - tau_star) <= 1e-12
+        assert report.violation_count == violations
+        assert report.vacuous_pairs == vacuous
+        assert report.error_count == 0
 
     def test_excess_margin_dominates_hausdorff_margin(self):
         # excess <= hausdorff pointwise and F is increasing, so per-pair
