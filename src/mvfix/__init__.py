@@ -22,7 +22,6 @@ from .analysis import (
 from .config import (
     ProblemConfig,
     Spec,
-    build_domain,
     build_ffunction,
     build_integrand,
     build_map,
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .expr import BinOp, Call, ExprAst, Neg, Num, Var, compile_expr, format_expr, parse_expr
 from .ffunctions import (
+    F1_GRID,
     FFunction,
     InfimumVerdict,
     LimitVerdict,
@@ -50,7 +50,6 @@ from .ffunctions import (
     check_f1,
     check_f2_f3,
     check_f4,
-    default_f1_grid,
     f_eval,
 )
 from .integrand import (
@@ -81,7 +80,6 @@ from .sets1d import (
     excess,
     hausdorff,
     nearest_point,
-    sample_point,
     sample_points,
 )
 from .solver import (

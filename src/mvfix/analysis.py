@@ -29,7 +29,7 @@ from .errors import DomainError, MvfixError
 from .ffunctions import FFunction, f_eval, f_eval_array
 from .integrand import Integrand, capital_phi, capital_phi_array
 from .maps import MultiMap, apply_map, image_arrays
-from .sets1d import CompactSet, _grid_array, dist_point_set, excess, hausdorff, sample_points
+from .sets1d import CompactSet, dist_point_set, domain_grid, excess, hausdorff, sample_points
 
 __all__ = [
     "MODES",
@@ -339,7 +339,7 @@ class _Sweep:
 
     def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
         self.T, self.F, self.f, self.mode = T, F, f, mode
-        grid = _grid_array(T.domain, grid_size)
+        grid = domain_grid(T.domain, grid_size)
         rng = np.random.default_rng(seed)
         a, b = sample_points(T.domain, rng, 2 * random_pairs).reshape(-1, 2).T
         # (min(a, b), max(a, b)) per pair, with Python's pick between equal floats

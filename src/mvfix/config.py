@@ -37,7 +37,6 @@ __all__ = [
     "config_to_dict",
     "load_config",
     "save_config",
-    "build_domain",
     "build_map",
     "build_ffunction",
     "build_integrand",
@@ -113,18 +112,34 @@ def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...
 
 _ENDPOINT = _expression("map.lo and map.hi must be expression strings")
 
-# Every key a map, integrand or F factory takes.  A number key has its range
-# test and the words of its message, and must be finite; any other key
-# has a reader that turns the JSON value into the stored value or raises.
-_FINITE = (math.isfinite, "must be finite")
+
+def _whole(least: float = -math.inf) -> tuple[Callable[[Any], bool], str]:
+    """The test of an integer key, at least ``least``."""
+    words = "must be an integer" + (f" >= {least}" if least > -math.inf else "")
+    return (lambda v: math.isfinite(v) and int(v) == v and v >= least, words)
+
+
+# Every number key, of a kind or a setting: the type it is stored as, then
+# its tests in order, each with the words of its message.  Any other key of
+# a kind has a reader that turns the JSON value into the stored value or raises.
 _POSITIVE = (lambda v: v > 0.0, "must be positive")
-_NUMBER_RANGES = {
-    "c": _POSITIVE,
-    "p": (lambda v: v > -1.0, "must be > -1"),
-    "rate": _FINITE,
-    "scale": _POSITIVE,
-    "grid_max": _POSITIVE,
-    "k": (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+_FINITE = (math.isfinite, "must be finite")
+_SWEEP = (lambda v: v <= SWEEP_LIMIT, f"must be at most {SWEEP_LIMIT}")
+_NUMBER_RULES = {
+    "c": (float, _POSITIVE, _FINITE),
+    "p": (float, (lambda v: v > -1.0, "must be > -1"), _FINITE),
+    "rate": (float, _FINITE),
+    "scale": (float, _POSITIVE, _FINITE),
+    "grid_max": (float, _POSITIVE, _FINITE),
+    "k": (float, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
+    "tau": (float, _POSITIVE, _FINITE),
+    "grid_size": (int, _whole(2), _SWEEP),
+    "random_pairs": (int, _whole(0), _SWEEP),
+    # certify seeds numpy's generator, which takes no negative seed
+    "seed": (int, _whole(), (lambda v: v >= 0, "must be >= 0")),
+    "tol": (float, (lambda v: v >= 0.0, "must be >= 0")),
+    "max_iter": (int, _whole(1)),
+    "x0": (float,),
 }
 _READERS = {
     "lo": _ENDPOINT,
@@ -143,6 +158,18 @@ def _parameters(factory: Callable) -> tuple[inspect.Parameter, ...]:
     return tuple(p for p in params if p.name != "domain")
 
 
+def _checked(v: Any, key: str, name: str) -> Any:
+    """``v`` through ``key``'s tests, named ``name`` in messages, then stored
+    as the key's type; None, a setting left unset, stays None."""
+    if v is None:
+        return None
+    store, *tests = _NUMBER_RULES[key]
+    for test, words in tests:
+        if not test(v):
+            raise ConfigError(f"{name} {words}, got {v}")
+    return store(v)
+
+
 def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None) -> Spec:
     """Read a ``where`` object whose kind names a factory in ``kinds``.
 
@@ -158,16 +185,13 @@ def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None
     _require_keys(data, {"kind", *(p.name for p in params)}, where)
     values = {}
     for p in params:
-        if p.name in _NUMBER_RANGES:
+        if p.name in _NUMBER_RULES:
             values[p.name] = _number(data, p.name, where, p.default, p.default is p.empty)
         else:
             values[p.name] = _READERS[p.name](data.get(p.name))
-    for name, v in values.items():
-        if name in _NUMBER_RANGES:
-            for in_range, words in (_NUMBER_RANGES[name], _FINITE):
-                if not in_range(v):
-                    raise ConfigError(f"{where}.{name} {words}, got {v}")
-            values[name] = float(v)
+    for key, v in values.items():
+        if key in _NUMBER_RULES:
+            values[key] = _checked(v, key, f"{where}.{key}")
     return Spec(kind, tuple(values.items()))
 
 
@@ -199,19 +223,6 @@ class ProblemConfig:
     x0: float | None = None
 
 
-def _integer(
-    data: dict, key: str, default: int, least: int | None = None, most: int | None = None
-) -> int:
-    """A whole, finite number, at least ``least`` and at most ``most`` when given."""
-    v = _number(data, key, "configuration", default=default)
-    if not (math.isfinite(v) and int(v) == v and (least is None or v >= least)):
-        bound = "" if least is None else f" >= {least}"
-        raise ConfigError(f"{key} must be an integer{bound}, got {v}")
-    if most is not None and v > most:
-        raise ConfigError(f"{key} must be at most {most}, got {v}")
-    return int(v)
-
-
 def config_from_dict(data: Any) -> ProblemConfig:
     """Validate a parsed JSON object and produce a :class:`ProblemConfig`."""
     if not isinstance(data, dict):
@@ -233,38 +244,16 @@ def config_from_dict(data: Any) -> ProblemConfig:
     f_spec = _f_spec(data.get("f", {}))
     integrand_spec = _integrand_spec(data.get("integrand", {}))
 
-    tau = _number(data, "tau", "configuration")
-    if tau is not None and not 0.0 < tau < math.inf:
-        raise ConfigError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
-    grid_size = _integer(data, "grid_size", 101, least=2, most=SWEEP_LIMIT)
-    random_pairs = _integer(data, "random_pairs", 1000, least=0, most=SWEEP_LIMIT)
-    # certify seeds numpy's generator, which takes no negative seed
-    seed = _integer(data, "seed", 42)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
-    mode = data.get("mode", "hausdorff")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    tol = _number(data, "tol", "configuration", default=1e-12)
-    if not tol >= 0.0:
-        raise ConfigError(f"tol must be >= 0, got {tol}")
-    max_iter = _integer(data, "max_iter", 10_000, least=1)
-    x0 = _number(data, "x0", "configuration")
-
-    return ProblemConfig(
-        domain=domain,
-        map=map_spec,
-        f=f_spec,
-        integrand=integrand_spec,
-        tau=None if tau is None else float(tau),
-        grid_size=grid_size,
-        random_pairs=random_pairs,
-        seed=seed,
-        mode=mode,
-        tol=float(tol),
-        max_iter=max_iter,
-        x0=None if x0 is None else float(x0),
-    )
+    settings = {}
+    for setting in fields(ProblemConfig):
+        key = setting.name
+        if key == "mode":
+            settings[key] = data.get(key, setting.default)
+            if settings[key] not in MODES:
+                raise ConfigError(f"mode must be one of {MODES}, got {settings[key]!r}")
+        elif key in _NUMBER_RULES:
+            settings[key] = _checked(_number(data, key, "configuration", setting.default), key, key)
+    return ProblemConfig(domain, map_spec, f_spec, integrand_spec, **settings)
 
 
 def config_to_dict(cfg: ProblemConfig) -> dict:
@@ -307,13 +296,9 @@ def save_config(cfg: ProblemConfig, path: Union[str, Path]) -> None:
         fh.write("\n")
 
 
-def build_domain(cfg: ProblemConfig) -> CompactSet:
-    return CompactSet(cfg.domain)
-
-
 def build_map(cfg: ProblemConfig) -> MultiMap:
     """Construct the configured map, running its grid validation."""
-    return MAP_KINDS[cfg.map.kind](build_domain(cfg), **dict(cfg.map.params))
+    return MAP_KINDS[cfg.map.kind](CompactSet(cfg.domain), **dict(cfg.map.params))
 
 
 def build_ffunction(cfg: ProblemConfig) -> FFunction:

@@ -25,7 +25,7 @@ __all__ = [
     "FFunction",
     "f_eval",
     "f_eval_array",
-    "default_f1_grid",
+    "F1_GRID",
     "check_f1",
     "check_f2_f3",
     "check_f4",
@@ -89,9 +89,8 @@ def _as_callable(F: Union[FFunction, Callable[[float], float]]) -> Callable[[flo
     return F
 
 
-def default_f1_grid() -> tuple[float, ...]:
-    """Logarithmic probe grid 1e-8 .. 1e8 used by the monotonicity check."""
-    return tuple(10.0**e for e in range(-8, 9))
+# Logarithmic probe grid 1e-8 .. 1e8 of the monotonicity check.
+F1_GRID = tuple(10.0**e for e in range(-8, 9))
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def check_f1(
     grid cannot change the verdict.  The first violating adjacent pair,
     if any, is reported.
     """
-    pts = tuple(default_f1_grid() if grid is None else grid)
+    pts = tuple(F1_GRID if grid is None else grid)
     if len(pts) < 2:
         raise ValueError("monotonicity grid needs at least 2 points")
     if any(b <= a for a, b in zip(pts, pts[1:])):
@@ -153,6 +152,16 @@ def eventually_strictly_decreasing(values: Sequence[float]) -> bool:
     return start < len(values) - 1
 
 
+def decay_witnesses(
+    alphas: Sequence[float], f_values: Sequence[float], k: float
+) -> tuple[list[float], bool, bool]:
+    """The weights |alpha**k * F(alpha)|, given F(alpha) as ``f_values``, and
+    the two witnesses: F strictly decreasing, the weights eventually so."""
+    weights = [abs(a**k * v) for a, v in zip(alphas, f_values)]
+    f_decreasing = all(b < a for a, b in zip(f_values, f_values[1:]))
+    return weights, f_decreasing, eventually_strictly_decreasing(weights)
+
+
 def check_f2_f3(F: FFunction) -> LimitVerdict:
     """Limit-behaviour probes at alpha_i = 10**(-2 i), i = 1 .. 8.
 
@@ -162,12 +171,10 @@ def check_f2_f3(F: FFunction) -> LimitVerdict:
     and the final value is below 1e-6.  The verdict contract is exactly
     these grid conditions; they witness, but do not prove, the limits.
     """
-    k = F.k
     alphas = [10.0 ** (-2 * i) for i in range(1, 9)]
     f_values = [f_eval(F, a) for a in alphas]
-    weights = [abs(a**k * v) for a, v in zip(alphas, f_values)]
+    weights, f2_decreasing, f3_trend = decay_witnesses(alphas, f_values, F.k)
 
-    f2_decreasing = all(b < a for a, b in zip(f_values, f_values[1:]))
     f2_deep = f_values[-1] < -20.0
     f2_passed = f2_decreasing and f2_deep
     f2_detail = (
@@ -176,7 +183,6 @@ def check_f2_f3(F: FFunction) -> LimitVerdict:
         f" ({'<' if f2_deep else '>='} -20)"
     )
 
-    f3_trend = eventually_strictly_decreasing(weights)
     f3_small = weights[-1] < 1e-6
     f3_passed = f3_trend and f3_small
     f3_detail = (
@@ -200,9 +206,6 @@ def check_f4(
     if not A.min > 0.0:
         raise DomainError(f"set minimum must be positive, got {A.min}")
     fn = _as_callable(F)
-    pts = domain_grid(A, samples_per_interval * len(A.intervals))
-    for lo, hi in A.intervals:
-        pts.extend((lo, hi))
     lhs = fn(A.min)
-    rhs = min(fn(p) for p in pts)
+    rhs = min(fn(p) for p in domain_grid(A, samples_per_interval * len(A.intervals)).tolist())
     return InfimumVerdict(abs(lhs - rhs) <= 1e-9, lhs, rhs)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, InvariantError, MvfixError
 from .expr import ExprAst, _Codegen, compile_expr, enclose, eval_expr_array, format_expr, parse_expr
-from .sets1d import CompactSet, _grid_array, _nearest, dist_point_set
+from .sets1d import CompactSet, _nearest, dist_point_set, domain_grid
 
 __all__ = [
     "MAP_KINDS",
@@ -221,7 +221,7 @@ def _validate_on_grid(T: MultiMap) -> MultiMap:
     """
     if all(_proved_valid(T, a, b) for a, b in T.domain.intervals):
         return T
-    grid = _grid_array(T.domain, _VALIDATION_GRID_POINTS)
+    grid = domain_grid(T.domain, _VALIDATION_GRID_POINTS)
     lo, _ = image_arrays(T, grid)
     failed = np.flatnonzero(np.isnan(lo))
     if len(failed):

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import DomainError, InvariantError
 
 __all__ = [
     "CompactSet",
@@ -29,7 +29,6 @@ __all__ = [
     "excess",
     "hausdorff",
     "domain_grid",
-    "sample_point",
     "sample_points",
 ]
 
@@ -99,9 +98,6 @@ class CompactSet:
 
     __contains__ = contains
 
-    def __iter__(self) -> Iterator[tuple[float, float]]:
-        return iter(self.intervals)
-
     def __repr__(self) -> str:
         parts = ", ".join(
             f"{{{lo}}}" if lo == hi else f"[{lo}, {hi}]" for lo, hi in self.intervals
@@ -156,25 +152,22 @@ def hausdorff(A: CompactSet, B: CompactSet) -> float:
     return max(excess(A, B), excess(B, A))
 
 
-def domain_grid(A: CompactSet, size: int) -> list[float]:
-    """Deterministic evenly spaced grid over ``A`` with roughly ``size`` points.
+def domain_grid(A: CompactSet, size: int) -> np.ndarray:
+    """Deterministic evenly spaced float64 grid over ``A`` with roughly ``size`` points.
 
     Every interval endpoint is included.  For a single interval this is
     exactly ``numpy.linspace(lo, hi, size)``; for unions the points are
     split across intervals in proportion to length, with at least two per
-    interval of positive length and one per singleton.  This is the list
-    view of :func:`_grid_array`.
+    interval of positive length and one per singleton.  A set too long for
+    ``size`` times its length to be a float raises :class:`DomainError`.
     """
-    return _grid_array(A, size).tolist()
-
-
-def _grid_array(A: CompactSet, size: int) -> np.ndarray:
-    """The points of :func:`domain_grid` as one float64 array."""
     if size < 1:
         raise ValueError("grid size must be at least 1")
     total = A.total_length
     if total == 0.0:
         return np.array([lo for lo, _ in A.intervals][:size] or [A.min])
+    if not math.isfinite(size * total):
+        raise DomainError(f"a {size}-point grid over {A!r} overflows a float")
     pieces = []
     for lo, hi in A.intervals:
         if hi == lo:
@@ -185,23 +178,21 @@ def _grid_array(A: CompactSet, size: int) -> np.ndarray:
     return np.concatenate(pieces)
 
 
-def sample_point(A: CompactSet, rng: np.random.Generator) -> float:
-    """Draw a point uniformly from ``A`` (by length, or uniformly over
-    the points when the set is finite)."""
-    return sample_points(A, rng, 1)[0].item()
-
-
 def sample_points(A: CompactSet, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` points as :func:`sample_point` does, in one generator call.
+    """Draw ``n`` points uniformly from ``A``, in one generator call.
 
-    The result equals ``n`` successive :func:`sample_point` draws from the
+    Points are drawn by length, or uniformly over the points when the set
+    is finite.  The result equals ``n`` successive one-point draws from the
     same generator state: ``rng.random(n)`` and ``rng.integers(k, size=n)``
-    give the same numbers as ``n`` scalar calls.
+    give the same numbers as ``n`` scalar calls.  A set whose total length
+    overflows a float raises :class:`DomainError`.
     """
     total = A.total_length
     if total == 0.0:
         pts = np.array([lo for lo, _ in A.intervals])
         return pts[rng.integers(len(pts), size=n)]
+    if not math.isfinite(total):
+        raise DomainError(f"the total length of {A!r} overflows a float")
     u = rng.random(n) * total
     out = np.full(n, A.intervals[-1][1])
     todo = np.ones(n, dtype=bool)

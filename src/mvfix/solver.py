@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError, InsufficientTraceError, MvfixError
 from .expr import _pointwise
-from .ffunctions import FFunction, eventually_strictly_decreasing, f_eval, f_eval_array
+from .ffunctions import FFunction, decay_witnesses, f_eval, f_eval_array
 from .integrand import ConstantIntegrand, Integrand, capital_phi, capital_phi_array, integrand_label
 from .maps import MultiMap
 
@@ -347,10 +347,6 @@ def gamma_sequence_probe(
         gamma = capital_phi(f, h)
         fg = f_eval(F, gamma)
         rows.append(ProbeRow(n, h, gamma, fg, n * gamma**k, gamma**k * fg))
-    f_gammas = [r.f_gamma for r in rows]
-    weights = [abs(r.gamma_k_f_gamma) for r in rows]
-    return ProbeReport(
-        rows=tuple(rows),
-        f_gamma_decreasing=all(b < a for a, b in zip(f_gammas, f_gammas[1:])),
-        weight_decreasing=eventually_strictly_decreasing(weights),
-    )
+    gammas, f_gammas = [r.gamma for r in rows], [r.f_gamma for r in rows]
+    _, f_gamma_decreasing, weight_decreasing = decay_witnesses(gammas, f_gammas, k)
+    return ProbeReport(tuple(rows), f_gamma_decreasing, weight_decreasing)

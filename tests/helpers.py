@@ -52,8 +52,8 @@ from mvfix import (
     format_expr,
     integrand_label,
     parse_expr,
-    sample_point,
 )
+from mvfix import sets1d
 from mvfix.analysis import _check_mode, _evaluate
 from mvfix.cli import TRACE_COLUMNS
 from mvfix.expr import compile_expr
@@ -137,15 +137,15 @@ def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hau
     ``ERROR_ROWS`` errors and counts all.
     """
     _check_mode(mode)
-    grid = domain_grid(T.domain, grid_size)
+    grid = domain_grid(T.domain, grid_size).tolist()
     pair_args = []
     for i in range(len(grid)):
         for j in range(i + 1, len(grid)):
             pair_args.append((grid[i], grid[j]))
     rng = np.random.default_rng(seed)
     for _ in range(random_pairs):
-        a = sample_point(T.domain, rng)
-        b = sample_point(T.domain, rng)
+        a = sets1d.sample_points(T.domain, rng, 1)[0].item()
+        b = sets1d.sample_points(T.domain, rng, 1)[0].item()
         pair_args.append((min(a, b), max(a, b)))
 
     cache = {}
@@ -197,7 +197,7 @@ def certify_scalar(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hau
 
 def validate_map_scalar(T):
     """The construction check of an expression map, one grid point at a time."""
-    for x in domain_grid(T.domain, 10_001):
+    for x in domain_grid(T.domain, 10_001).tolist():
         _value_set(T, x)
     return T
 

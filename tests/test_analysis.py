@@ -560,7 +560,7 @@ class TestBatchedSweepAgainstScalarLoop:
         assert not errors
         # sweep order: the grid pairs row by row, then the drawn pairs
         assert (index == np.arange(len(x))).all()
-        grid = domain_grid(UNIT, 11)
+        grid = domain_grid(UNIT, 11).tolist()
         assert list(zip(x[:55].tolist(), y[:55].tolist())) == list(itertools.combinations(grid, 2))
         assert (x[55:] <= y[55:]).all()
 
@@ -682,7 +682,7 @@ class TestShapePathsAgainstScalarLoop:
     def test_images_are_one_interval_or_points(self, kind, domain):
         # _Sweep reads 1-D images as one interval each, 2-D as point members
         T = oracle_map(kind, domain)
-        lo, hi = image_arrays(T, np.array(domain_grid(T.domain, 41) + [0.0, 0.25, 1.0]))
+        lo, hi = image_arrays(T, np.array(domain_grid(T.domain, 41).tolist() + [0.0, 0.25, 1.0]))
         assert lo.ndim == (2 if kind == "finite_set" else 1)
         failed = np.isnan(lo).reshape(-1, lo.shape[-1])[0]
         assert not failed.all()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvfix import FFunction, cli, f_eval, iterate, singleton_map
+from mvfix import FFunction, MvfixError, cli, f_eval, iterate, singleton_map
 from mvfix.cli import (
     EXIT_BUDGET,
     EXIT_ERROR,
@@ -381,6 +381,12 @@ class TestSolveCommand:
         rows = extract_machine_block(capsys.readouterr().out)
         assert rows["outcome"] == "error"
 
+    def test_read_trace_csv_refuses_another_header(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("n,x\n0,0.5\n")
+        with pytest.raises(MvfixError, match=r"^unexpected trace header \('n', 'x'\)$"):
+            read_trace_csv(path)
+
     def test_trace_csv_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.solve_config())
         out = tmp_path / "reports"
@@ -590,6 +596,29 @@ class TestOtherCommands:
             assert set(re.findall(r"--[a-z-]+", " ".join(words))) == {
                 o for o in options if o.startswith("--") and o != "--help"
             }, words[1]
+
+
+class TestOverflowingDomain:
+    """A domain whose total length overflows a float: certify refuses it in one line."""
+
+    CONFIG = dict(HALVING, domain=[[-1e308, 1e308]], x0=0.5)
+
+    def test_certify_is_one_error_line(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["certify", cfg]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a 101-point grid over CompactSet([-1e+308, 1e+308]) overflows a float\n"
+        )
+
+    def test_solve_needs_no_grid(self, tmp_path, capsys):
+        # the enclosure of x/2 over the domain shows every image valid, so no grid is built
+        cfg = write_config(tmp_path, self.CONFIG)
+        assert main(["solve", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        rows = extract_machine_block(capsys.readouterr().out)
+        assert (rows["outcome"], rows["steps"]) == ("fixed_point_found", "38")
+        assert rows["final_x"] == "1.8189894035458565e-12"
 
 
 class TestNumericKnobs:

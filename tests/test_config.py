@@ -11,7 +11,7 @@ from mvfix import (
     InvariantError,
     MvfixError,
     PowerIntegrand,
-    build_domain,
+    Spec,
     build_ffunction,
     build_integrand,
     build_map,
@@ -200,10 +200,19 @@ class TestRoundTrip:
             load_config(path)
 
 
+class TestSpec:
+    def test_parameters_read_as_attributes(self):
+        spec = Spec("power", (("p", 1.0), ("scale", 2.0)))
+        assert (spec.p, spec.scale) == (1.0, 2.0)
+        with pytest.raises(AttributeError, match="^rate$"):
+            spec.rate
+        assert getattr(spec, "rate", None) is None
+
+
 class TestBuilders:
     def test_domain(self):
         cfg = config_from_dict(FULL)
-        assert build_domain(cfg) == CompactSet([(0.0, 1.0), (2.0, 3.0)])
+        assert build_map(cfg).domain == CompactSet([(0.0, 1.0), (2.0, 3.0)])
 
     def test_map(self):
         cfg = config_from_dict(MINIMAL)

@@ -393,6 +393,14 @@ class TestArrayEvaluation:
     def test_min_max_keep_python_choice_of_zero(self, src):
         assert_array_matches_scalar(parse_expr(src), [0.0, -0.0])
 
+    @pytest.mark.parametrize(
+        "ast",
+        [BinOp("%", X, Num(1.0)), Call("log", (X,)), BinOp("+", Num(1.0), Neg(Call("min", (X,))))],
+    )
+    def test_malformed_node_raises(self, ast):
+        with pytest.raises(EvalError, match="^malformed AST node in "):
+            eval_expr_array(ast, np.array([0.5]))
+
     def test_empty_input(self):
         values = eval_expr_array(parse_expr("ln(x) + 1"), np.array([]))
         assert values.shape == (0,)

@@ -13,10 +13,15 @@ from mvfix import (
     check_f1,
     check_f2_f3,
     check_f4,
-    default_f1_grid,
     f_eval,
 )
-from mvfix.ffunctions import F_KINDS, f_eval_array
+from mvfix.ffunctions import (
+    F1_GRID,
+    F_KINDS,
+    decay_witnesses,
+    eventually_strictly_decreasing,
+    f_eval_array,
+)
 
 from helpers import random_compact_set
 
@@ -77,7 +82,7 @@ class TestStrictMonotonicity:
         assert verdict.first_violation is None
 
     def test_default_grid_shape(self):
-        grid = default_f1_grid()
+        grid = F1_GRID
         assert grid[0] == pytest.approx(1e-8)
         assert grid[-1] == pytest.approx(1e8)
         assert all(a < b for a, b in zip(grid, grid[1:]))
@@ -88,7 +93,7 @@ class TestStrictMonotonicity:
         assert verdict.first_violation == (2.0, 3.0)
 
     def test_shuffled_then_sorted_grid_same_verdict(self):
-        grid = list(default_f1_grid())
+        grid = list(F1_GRID)
         shuffled = grid[:]
         random.Random(3).shuffle(shuffled)
         a = check_f1(FFunction("log"), grid=grid)
@@ -137,6 +142,21 @@ class TestLimitProbes:
         verdict = check_f2_f3(FFunction("log"))
         assert "strictly decreasing" in verdict.f2_detail
         assert "final value" in verdict.f3_detail
+
+    @pytest.mark.parametrize("values", [[], [1.0]])
+    def test_fewer_than_two_values_are_not_decreasing(self, values):
+        assert not eventually_strictly_decreasing(values)
+
+    def test_decay_witnesses(self):
+        # F = -1/sqrt at 1/4 and 1/16 with k = 1/2: F falls, each weight is 1
+        witnesses = decay_witnesses([0.25, 0.0625], [-2.0, -4.0], 0.5)
+        assert witnesses == ([1.0, 1.0], True, False)
+        alphas = [10.0 ** (-2 * i) for i in range(1, 9)]
+        f_values = [math.log(a) for a in alphas]
+        weights, f_decreasing, weight_decreasing = decay_witnesses(alphas, f_values, 0.5)
+        expected = [abs(a**0.5 * v) for a, v in zip(alphas, f_values)]
+        assert [w.hex() for w in weights] == [w.hex() for w in expected]
+        assert f_decreasing and weight_decreasing
 
     def test_bad_witness_exponent(self):
         # k is F's own: an F with k outside (0, 1) cannot be made to probe

@@ -300,6 +300,11 @@ class TestValidation:
         with pytest.raises(InvariantError):
             PowerIntegrand(p=1.0, scale=0.0)
 
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_exponential_needs_finite_rate(self, rate):
+        with pytest.raises(InvariantError, match="exponential integrand needs finite rate"):
+            ExponentialIntegrand(rate=rate)
+
     def test_exponential_needs_positive_scale(self):
         with pytest.raises(InvariantError):
             ExponentialIntegrand(rate=1.0, scale=-2.0)

@@ -75,7 +75,7 @@ class TestIntervalMap:
     def test_every_fixed_point_on_grid(self):
         # x in [x/4, (x+1)/2] for all x in [0, 1], so D(x, Tx) = 0 everywhere
         T = halving_map()
-        for x in domain_grid(UNIT, 101):
+        for x in domain_grid(UNIT, 101).tolist():
             assert is_fixed_point(T, x, tol=0.0)
 
 
@@ -296,7 +296,7 @@ class TestArrayValidation:
     @pytest.mark.parametrize("kind, domain, exprs", VALIDATION_CASES)
     def test_image_arrays_match_apply_map(self, kind, domain, exprs):
         T = _unvalidated(kind, domain, exprs)
-        xs = domain_grid(domain, 41) + [-0.5, 0.5, 2.0]
+        xs = domain_grid(domain, 41).tolist() + [-0.5, 0.5, 2.0]
         # one interval per image, or one row per point member
         lo, hi = (np.atleast_2d(a) for a in image_arrays(T, np.array(xs)))
         for i, x in enumerate(xs):
@@ -348,7 +348,7 @@ class TestNearestStep:
     )
     def test_same_bits_and_errors_as_the_value_set(self, kind, domain, exprs):
         T = _unvalidated(kind, domain, exprs)
-        for x in domain_grid(domain, 41):
+        for x in domain_grid(domain, 41).tolist():
             expected = outcome(lambda: _nearest(x, _one_interval_image(T, x)))
             assert repr(outcome(_step, T, x)) == repr(expected), x
             assert repr(outcome(_value_set, T, x)) == repr(outcome(_one_interval_image, T, x)), x

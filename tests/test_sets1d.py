@@ -15,16 +15,15 @@ from helpers import (
 )
 from mvfix import (
     CompactSet,
+    DomainError,
     InvariantError,
     dist_point_set,
     domain_grid,
     excess,
     hausdorff,
     nearest_point,
-    sample_point,
     sample_points,
 )
-from mvfix.sets1d import _grid_array
 
 
 class TestConstruction:
@@ -243,7 +242,7 @@ class TestGridAndSampling:
 
     @staticmethod
     def assert_grid_in_intervals(A):
-        grid = _grid_array(A, 10_001)
+        grid = domain_grid(A, 10_001)
         inside = np.zeros(len(grid), dtype=bool)
         for lo, hi in A.intervals:
             inside |= (lo <= grid) & (grid <= hi)
@@ -251,27 +250,45 @@ class TestGridAndSampling:
 
     def test_single_interval_grid_is_linspace(self):
         got = domain_grid(CompactSet.interval(0.0, 1.0), 101)
-        expect = [float(t) for t in np.linspace(0.0, 1.0, 101)]
-        assert got == expect
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.linspace(0.0, 1.0, 101).tobytes()
 
     def test_grid_covers_all_components(self):
         A = CompactSet([(0.0, 1.0), (2.0, 2.0), (3.0, 5.0)])
-        grid = domain_grid(A, 50)
+        grid = domain_grid(A, 50).tolist()
         assert 2.0 in grid
         for lo, hi in A.intervals:
             assert lo in grid and hi in grid
         assert all(x in A for x in grid)
 
+    @pytest.mark.parametrize(
+        "A", [CompactSet.interval(-1e308, 1e308), CompactSet([(-1e308, 0.0), (1.0, 1e308)])]
+    )
+    def test_overflowing_total_length_raises(self, A):
+        assert A.total_length == math.inf
+        with pytest.raises(DomainError, match="a 101-point grid over .* overflows a float"):
+            domain_grid(A, 101)
+        with pytest.raises(DomainError, match="the total length of .* overflows a float"):
+            sample_points(A, np.random.default_rng(0), 10)
+
+    def test_grid_whose_size_times_length_overflows_raises(self):
+        # the length is a float, but 101 times it is not
+        A = CompactSet.interval(0.0, 1e308)
+        with pytest.raises(DomainError, match="a 101-point grid over"):
+            domain_grid(A, 101)
+        assert domain_grid(A, 1).tolist() == [0.0, 1e308]
+        assert all(x in A for x in sample_points(A, np.random.default_rng(0), 100).tolist())
+
     def test_finite_set_grid(self):
         A = CompactSet.from_points([0.0, 1.0])
-        assert domain_grid(A, 5) == [0.0, 1.0]
+        assert domain_grid(A, 5).tolist() == [0.0, 1.0]
 
-    def test_sample_point_stays_inside(self):
+    def test_drawn_points_stay_inside(self):
         rng = np.random.default_rng(43)
         for _ in range(50):
             A = random_compact_set(rng)
             for _ in range(20):
-                assert sample_point(A, rng) in A
+                assert sample_points(A, rng, 1)[0].item() in A
 
     def test_vector_draws_repeat_scalar_draws(self):
         # sample_points relies on this property of the installed numpy
@@ -292,9 +309,9 @@ class TestGridAndSampling:
             expected = random_points_in(A, np.random.default_rng(seed), 200)
             assert [v.hex() for v in drawn.tolist()] == [float(v).hex() for v in expected]
 
-    def test_sample_point_finite_sets(self):
+    def test_draws_from_finite_sets(self):
         rng = np.random.default_rng(47)
         A = CompactSet.from_points([1.0, 2.0, 3.0])
-        seen = {sample_point(A, rng) for _ in range(100)}
+        seen = {sample_points(A, rng, 1)[0].item() for _ in range(100)}
         assert seen <= {1.0, 2.0, 3.0}
         assert len(seen) == 3

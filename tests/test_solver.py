@@ -36,6 +36,7 @@ from mvfix import (
     PowerIntegrand,
     Var,
     apply_map,
+    check_f2_f3,
     dist_point_set,
     domain_grid,
     expression_integrand,
@@ -258,6 +259,19 @@ class TestGammaProbe:
         assert report.rows[0].f_gamma == pytest.approx(-math.log(8.0), abs=1e-15)
         assert report.f_gamma_decreasing
         assert report.weight_decreasing
+
+    @pytest.mark.parametrize(
+        "kind,k", [("log", 0.5), ("neg_inv_sqrt", 0.5), ("neg_inv_sqrt", 0.25)]
+    )
+    def test_witnesses_match_the_f2_f3_probe(self, kind, k):
+        # Phi(h) = h for the unit constant integrand, so the probe sees check_f2_f3's alphas
+        F = FFunction(kind, k)
+        alphas = [10.0 ** (-2 * i) for i in range(1, 9)]
+        report = gamma_sequence_probe(alphas, ConstantIntegrand(1.0), F)
+        verdict = check_f2_f3(F)
+        assert [r.gamma for r in report.rows] == alphas
+        assert verdict.f2_detail.startswith("F(alpha) strictly") == report.f_gamma_decreasing
+        assert ("eventually strictly" in verdict.f3_detail) == report.weight_decreasing
 
     def test_constant_sequence_fails_both(self):
         report = gamma_sequence_probe([0.5] * 6, ConstantIntegrand(1.0), LOG)
@@ -491,6 +505,11 @@ class TestColumnarTraceAgainstScalarLoop:
         assert halving_trace() != iterate(singleton_map(UNIT, "x/2"), 0.5, tol=0.0, max_iter=60)
         assert hash(halving_trace()) == hash(halving_trace())
 
+    def test_a_trace_is_not_equal_to_another_type(self):
+        trace = halving_trace()
+        assert trace.__eq__(trace.x) is NotImplemented
+        assert trace != trace.x.tobytes() and trace != None  # noqa: E711
+
 
 # a table orbit: step 0 moves by 2**-40, whose Phi(d) = d^51 / 51 is 0, then
 # it halves, so gamma is positive from step 1 until it underflows again
@@ -610,7 +629,7 @@ class TestGeneratedOrbitAgainstScalarLoop:
     def test_random_maps_bit_for_bit(self, T, data, tol, max_iter, integrand):
         x0 = data.draw(
             st.one_of(
-                st.sampled_from(domain_grid(T.domain, 11)),
+                st.sampled_from(domain_grid(T.domain, 11).tolist()),
                 st.floats(0.0, 1.0).filter(T.domain.contains),
             )
         )
