@@ -207,8 +207,11 @@ def certify(
     ``sqrt``) touch the arrays, while ``log``, ``expm1`` and ``pow`` run
     through ``math`` one element at a time, and the expression kind's
     quadrature runs level by level over all of a chunk's u at once (see
-    :func:`capital_phi_array` and :func:`f_eval_array`).  Each batch stage
-    gives NaN exactly where its scalar counterpart raises, and a union
+    :func:`capital_phi_array` and :func:`f_eval_array`), once per bit
+    pattern of a chunk's h and m: one sort of packed hash-and-index keys
+    groups them, and a hash collision splits a pattern's group but never
+    merges two patterns (:func:`_dedupe`).  Each batch stage gives NaN
+    exactly where its scalar counterpart raises, and a union
     table image is NaN as well; NaN carries through to the pair's values.
     A pair whose batch values are not finite is evaluated again in place
     by the scalar code on images from :func:`apply_map`, which gives its
@@ -351,16 +354,26 @@ class _Sweep:
         self.elements_per_pair = 4 if self.lo.ndim == 1 else 2 * len(self.lo) ** 2
         self.images: dict[float, CompactSet] = {}
         self.grid_points = n = len(grid)
-        rows = np.arange(n - 1)
-        self.row_start = rows * (2 * n - 1 - rows) // 2  # sweep index of pair (i, i + 1)
+        rows = np.arange(n)
+        # sweep index of pair (i, i + 1); the last is the count of grid pairs
+        self.row_start = rows * (2 * n - 1 - rows) // 2
         self.grid_pairs = n * (n - 1) // 2
         self.count = self.grid_pairs + random_pairs
 
     def pairs(self, start: int, stop: int):
-        """x, y and the image slots of the pairs at sweep index ``start .. stop - 1``."""
-        p = np.arange(start, min(stop, self.grid_pairs))
-        i = np.searchsorted(self.row_start, p, side="right") - 1
-        j = i + 1 + (p - self.row_start[i])
+        """x, y and the image slots of the pairs at sweep index ``start .. stop - 1``.
+
+        Grid pair p of row i is (i, p - (row_start[i] - i - 1)).  Only the
+        first and last grid pair's rows are looked up; each row's i and
+        offset are then repeated over its pairs in the range.
+        """
+        end = min(stop, self.grid_pairs)
+        p = np.arange(start, end)
+        # a range past the grid pairs gets no rows: top is the last entry of row_start
+        top, bottom = np.searchsorted(self.row_start, (start, end - 1), side="right") - 1
+        rows, edges = np.arange(top, bottom + 1), self.row_start[top : bottom + 2]
+        counts = np.diff(np.clip(edges, start, end))
+        i, j = np.repeat(rows, counts), p - np.repeat(edges[:-1] - rows - 1, counts)
         q = np.arange(max(start, self.grid_pairs), stop) - self.grid_pairs
         k = self.grid_points + 2 * q  # drawn pair q is points k and k + 1
         first, second = np.concatenate([i, k]), np.concatenate([j, k + 1])
@@ -466,11 +479,13 @@ def _evaluate_batch(F: FFunction, f: Integrand, h: np.ndarray, m: np.ndarray):
     (NaN on vacuous pairs), which the caller may write into, and a mask
     of the pairs whose values are unusable (not finite, which a NaN h or
     m, a failed ``Phi`` and a failed ``F`` all are) and must be redone by
-    the scalar code.
+    the scalar code.  ``Phi`` and ``F`` run once per group of equal bits
+    of :func:`_dedupe`; a group split by a hash collision costs one more
+    call and changes no bit, as each value depends on its u alone.
     """
     # Phi and F are functions of u alone, so each distinct u runs once
     n = len(h)
-    u, where = np.unique(np.concatenate([h, m]), return_inverse=True)
+    u, where = _dedupe(np.concatenate([h, m]))
     phi_u = capital_phi_array(f, u)
     f_u = f_eval_array(F, phi_u)
     phi_h, phi_m = phi_u[where[:n]], phi_u[where[n:]]
@@ -485,3 +500,35 @@ def _evaluate_batch(F: FFunction, f: Integrand, h: np.ndarray, m: np.ndarray):
         & (vacuous | np.isfinite(margin))
     )
     return (h, m, phi_h, phi_m, margin), ~usable
+
+
+# Odd multiplier of _dedupe's hash (2^64 over the golden ratio)
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _dedupe(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, inverse)``: the float64 ``u`` in groups of equal bits, with
+    ``values[inverse]`` equal to ``u`` bit for bit.
+
+    A uint64 key packs a hash of an element's bits above its index, so one
+    in-place sort puts equal bits together in index order.  Equal bits hash
+    alike, so a group never holds two patterns (±0 and NaN payloads stay
+    apart); a hash collision interleaves two patterns, which only splits
+    one into more groups.
+    """
+    n = len(u)
+    bits = u.view(np.uint64)
+    low = (np.uint64(1) << np.uint64(max(16, n.bit_length()))) - np.uint64(1)  # index bits
+    key = bits * _HASH_MULTIPLIER  # wraps modulo 2^64
+    key &= ~low
+    key |= np.arange(n, dtype=np.uint64)
+    key.sort()
+    order = np.bitwise_and(key, low, out=key).view(np.intp)
+    ordered = bits[order]
+    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    values = ordered[starts].view(np.float64)
+    group = np.cumsum(starts, out=ordered.view(np.intp))  # the bits are used up
+    group -= 1
+    inverse = np.empty(n, dtype=np.intp)
+    inverse[order] = group
+    return values, inverse

@@ -137,7 +137,7 @@ _NUMBER_RULES = {
     "random_pairs": (int, _whole(0), _SWEEP),
     # certify seeds numpy's generator, which takes no negative seed
     "seed": (int, _whole(), (lambda v: v >= 0, "must be >= 0")),
-    "tol": (float, (lambda v: v >= 0.0, "must be >= 0")),
+    "tol": (float, (lambda v: v >= 0.0, "must be >= 0"), _FINITE),
     "max_iter": (int, _whole(1)),
     "x0": (float,),
 }

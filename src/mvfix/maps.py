@@ -120,8 +120,11 @@ def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
     expressions' statements inline, as :func:`compile_expr` emits them,
     and clamp x onto the endpoints with the bits of ``_nearest``, building
     no value set; ``_checked_ends`` runs only on an inverted or non-finite
-    endpoint.  Other maps call ``_nearest(x, _value_set(T, x))``.  The
-    domain test is chained comparisons with the domain's intervals.
+    endpoint.  Finite sets keep the inline member with the least
+    ``abs(x - v)``; where two tie on it or one is not finite, and for
+    tables, the step calls ``_nearest(x, _value_set(T, x))``, which picks
+    the smaller point.  The domain test is chained comparisons with the
+    domain's intervals.
     """
     gen = _Codegen()
     clamped = T.kind == "interval_endpoints" or len(T.members) == 1
@@ -133,7 +136,15 @@ def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
         gen.emit(4, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
         gen.emit(5, f"lo, hi = {gen.bind(_checked_ends)}(x, lo, hi)")
     else:
-        gen.emit(4, f"p = {gen.bind(_nearest)}(x, {gen.bind(_value_set)}({gen.bind(T)}, x))[0]")
+        members = [gen.value(e, 4) for e in T.members]  # none for a table
+        below, above = gen.bind(-math.inf), gen.bind(math.inf)
+        gen.emit(4, f"p, dp, tie = None, {above}, True")
+        for v in members:
+            gen.emit(4, f"e = abs(x - {v})")
+            gen.emit(4, "if e <= dp:")
+            gen.emit(5, f"p, dp, tie = {v}, e, e == dp")
+        gen.emit(4, f"if tie{''.join(f' or not {below} < {v} < {above}' for v in members)}:")
+        gen.emit(5, f"p = {gen.bind(_nearest)}(x, {gen.bind(_value_set)}({gen.bind(T)}, x))[0]")
     gen.emit(3, f"except {gen.bind(MvfixError)} as err:")
     gen.emit(4, "return x, n, 'error', err")
     if clamped:
@@ -311,8 +322,8 @@ def apply_map(T: MultiMap, x: float) -> CompactSet:
 
 def is_fixed_point(T: MultiMap, x: float, tol: float = 0.0) -> bool:
     """True when the distance from x to T(x) is at most ``tol``."""
-    if not tol >= 0.0:
-        raise DomainError(f"tolerance must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:  # tol = inf would call every point fixed
+        raise DomainError(f"tolerance must be {'finite' if tol > 0 else '>= 0'}, got {tol}")
     return dist_point_set(x, apply_map(T, x)) <= tol
 
 

@@ -181,14 +181,14 @@ def iterate(
     loop (``maps._compile_orbit``, compiled on the map's first
     ``iterate`` and kept by the map) runs a window's steps, then one
     :func:`capital_phi_array` call gives their gammas (a one-step window
-    calls :func:`capital_phi`).  Interval and singleton maps build no
-    value set in that loop.  At the first gamma that is not finite the
-    trace is cut before that step, and :func:`capital_phi` on that one d
-    gives the outcome, so the steps and the outcome are those of a loop
-    that takes Phi step by step.
+    calls :func:`capital_phi`).  Only table maps, and finite sets whose
+    nearest members tie, build a value set there.  At the first gamma
+    that is not finite the trace is cut before that step, and
+    :func:`capital_phi` on that one d gives the outcome, so the steps and
+    the outcome are those of a loop that takes Phi step by step.
     """
-    if not tol >= 0.0:
-        raise DomainError(f"tolerance must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:  # tol = inf would stop at x0 as a fixed point
+        raise DomainError(f"tolerance must be {'finite' if tol > 0 else '>= 0'}, got {tol}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
     if not T.domain.contains(x0):

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 import itertools
 import math
@@ -6,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import certify_scalar
@@ -563,6 +564,105 @@ class TestBatchedSweepAgainstScalarLoop:
         grid = domain_grid(UNIT, 11).tolist()
         assert list(zip(x[:55].tolist(), y[:55].tolist())) == list(itertools.combinations(grid, 2))
         assert (x[55:] <= y[55:]).all()
+
+
+# bit patterns _dedupe must keep apart: NaN payloads (quiet, signalling,
+# negative), both zeros and infinities, subnormals and their neighbours
+DEDUPE_POOL = np.array(
+    [
+        0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001,
+        0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+        0x0000000000000001, 0x8000000000000001, 0x000FFFFFFFFFFFFF, 0x0010000000000000,
+        0x3FF0000000000000, 0x3FF0000000000001, 0x3FE0000000000000, 0x7FEFFFFFFFFFFFFF,
+    ],
+    dtype=np.uint64,
+)
+NO_HASH = mock.patch.object(analysis, "_HASH_MULTIPLIER", np.uint64(0))  # every key collides
+
+
+class TestDedupe:
+    """``_dedupe`` groups equal bits, and a hash collision only splits a group."""
+
+    # the first length whose indices take 17 bits
+    @example(n=2**16 + 1, shape="distinct", seed=0, collide=False)
+    @example(n=2**16 + 1, shape="pool", seed=0, collide=True)
+    @given(
+        n=st.one_of(st.integers(1, 70), st.integers(1, 2**16 + 1)),
+        shape=st.sampled_from(["pool", "equal", "distinct", "mixed"]),
+        seed=st.integers(0, 2**32 - 1),
+        collide=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_values_at_inverse_are_the_bits(self, n, shape, seed, collide):
+        rng = np.random.default_rng(seed)
+        if shape == "pool":
+            bits = rng.choice(DEDUPE_POOL, n)
+        elif shape == "equal":
+            bits = np.full(n, rng.choice(DEDUPE_POOL))
+        elif shape == "distinct":  # consecutive patterns, subnormals and NaNs among them
+            bits = rng.choice(DEDUPE_POOL) + np.arange(n, dtype=np.uint64)
+        else:
+            pool, fresh = rng.choice(DEDUPE_POOL, n), rng.random(n).view(np.uint64)
+            bits = np.where(rng.random(n) < 0.5, pool, fresh)
+        with NO_HASH if collide else contextlib.nullcontext():
+            values, inverse = analysis._dedupe(bits.view(np.float64))
+        assert values.dtype == np.float64 and inverse.shape == (n,)
+        assert (values[inverse].view(np.uint64) == bits).all()
+        distinct = len(np.unique(bits))
+        if collide:  # equal bits are grouped only where they run together
+            assert distinct <= len(values) <= n
+        else:
+            assert len(values) == distinct
+
+    @given(
+        kind=st.sampled_from(ORACLE_MAPS),
+        domain=st.sampled_from(sorted(ORACLE_DOMAINS)),
+        integrand=st.sampled_from(sorted(ORACLE_INTEGRANDS)),
+        mode=st.sampled_from(analysis.MODES),
+        grid_size=st.integers(2, 12),
+        random_pairs=st.integers(0, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_colliding_keys_change_no_bit(
+        self, kind, domain, integrand, mode, grid_size, random_pairs, seed
+    ):
+        T, f = oracle_map(kind, domain), oracle_integrand(integrand)
+        args = dict(grid_size=grid_size, random_pairs=random_pairs, seed=seed, mode=mode)
+        with NO_HASH:
+            report, pairs = certify(T, LOG, f, **args), sweep_pairs(T, LOG, f, **args)
+        assert_bitwise_equal(report, pairs, certify_scalar(T, LOG, f, **args))
+
+
+@st.composite
+def sweep_ranges(draw):
+    """A grid size, a number of drawn pairs and a range of sweep indices in that sweep."""
+    grid_size, random_pairs = draw(st.integers(2, 40)), draw(st.integers(0, 30))
+    count = grid_size * (grid_size - 1) // 2 + random_pairs
+    start = draw(st.integers(0, count - 1))
+    return grid_size, random_pairs, start, draw(st.integers(start + 1, count))
+
+
+class TestSweepPairs:
+    # grid 5 has 10 pairs, its rows starting at 0, 4, 7 and 9: the range
+    # 8 .. 12 starts mid-row and straddles the grid/drawn boundary
+    @example(case=(5, 3, 8, 12))
+    @example(case=(2, 0, 0, 1))
+    @example(case=(40, 30, 0, 810))
+    @given(case=sweep_ranges())
+    @settings(max_examples=150, deadline=None)
+    def test_pairs_follow_the_rows(self, case):
+        grid_size, random_pairs, start, stop = case
+        T = halving_interval_map()
+        sweep = analysis._Sweep(T, LOG, ONE, "hausdorff", grid_size, random_pairs, 1)
+        drawn = range(grid_size, len(sweep.points), 2)
+        reference = [*itertools.combinations(range(grid_size), 2), *((k, k + 1) for k in drawn)]
+        first, second = (np.array(side, dtype=np.intp) for side in zip(*reference[start:stop]))
+        x, y, xs, ys = sweep.pairs(start, stop)
+        assert x.tobytes() == sweep.points[first].tobytes()
+        assert y.tobytes() == sweep.points[second].tobytes()
+        assert xs.tolist() == sweep.slots[first].tolist()
+        assert ys.tolist() == sweep.slots[second].tolist()
 
 
 # the table keys sit on a point domain, so the grid and the drawn pairs all hit them

@@ -650,6 +650,7 @@ class TestNumericKnobs:
             ("solve", {"max_iter": math.inf}, [], "max_iter must be an integer >= 1, got inf"),
             ("solve", {"max_iter": math.nan}, [], "max_iter must be an integer >= 1, got nan"),
             ("solve", {"tol": math.nan}, [], "tol must be >= 0, got nan"),
+            ("solve", {"tol": math.inf}, [], "tol must be finite, got inf"),
             ("solve", {"tau": math.inf}, [], "tau must be finite, got inf"),
             (
                 "certify",

@@ -448,6 +448,9 @@ MESSAGE_CASES = [
     ("f-k-zero", _f(kind="neg_inv_sqrt", k=0), "ConfigError: f.k must lie in (0, 1), got 0"),
     ("f-k-nan", _f(k=NAN), "ConfigError: f.k must lie in (0, 1), got nan"),
     ("f-k-inf", _f(k=INF), "ConfigError: f.k must lie in (0, 1), got inf"),
+    # an infinite tol would call every start a fixed point
+    ("tol-inf", {"tol": INF}, "ConfigError: tol must be finite, got inf"),
+    ("tol-nan", {"tol": NAN}, "ConfigError: tol must be >= 0, got nan"),
 ]
 
 

@@ -170,6 +170,11 @@ class TestIterate:
         with pytest.raises(DomainError, match="tolerance must be >= 0, got nan"):
             iterate(singleton_map(UNIT, "x/2"), 1.0, tol=math.nan)
 
+    def test_infinite_tolerance_rejected(self):
+        # d <= inf would stop at step 0 with a non-fixed point called fixed
+        with pytest.raises(DomainError, match="tolerance must be finite, got inf"):
+            iterate(singleton_map(UNIT, "x/2"), 0.5, tol=math.inf)
+
     def test_determinism(self):
         assert halving_trace() == halving_trace()
 
@@ -353,6 +358,17 @@ def trace_integrand(name):
     return TRACE_INTEGRANDS[name]()
 
 
+def spy_value_sets(monkeypatch) -> list:
+    """Record every ``maps._value_set`` call and every ``CompactSet`` built."""
+    from mvfix import maps
+
+    calls = []
+    value_set, init = maps._value_set, CompactSet.__init__
+    monkeypatch.setattr(maps, "_value_set", lambda T, x: calls.append(x) or value_set(T, x))
+    monkeypatch.setattr(CompactSet, "__init__", lambda S, raw: calls.append(S) or init(S, raw))
+    return calls
+
+
 def assert_trace_matches_oracles(T, x0, tol, max_iter, f, F, tau):
     """Columnar trace, verdict and CSV equal the one-step-at-a-time oracles, bit for bit."""
     trace = outcome(iterate, T, x0, tol, max_iter, f)
@@ -434,20 +450,28 @@ class TestColumnarTraceAgainstScalarLoop:
     @pytest.mark.parametrize(
         "map_name", ["singleton", "interval", "near_tie", "one_member", "finite_set"]
     )
-    def test_interval_and_singleton_steps_build_no_value_set(self, map_name, monkeypatch):
-        from mvfix import maps
-
+    def test_steps_build_no_value_set(self, map_name, monkeypatch):
+        calls = spy_value_sets(monkeypatch)
         T = TRACE_MAPS[map_name]()  # a fresh map: its orbit loop is built under the spies
-        calls = []
-        value_set, init = maps._value_set, CompactSet.__init__
-        monkeypatch.setattr(maps, "_value_set", lambda T, x: calls.append(x) or value_set(T, x))
-        monkeypatch.setattr(CompactSet, "__init__", lambda S, raw: calls.append(S) or init(S, raw))
         trace = iterate(T, 0.5, 0.0, 60, trace_integrand("constant"))
         assert len(trace.x) >= 10
-        if map_name == "finite_set":  # the spies see the value-set path
-            assert len(calls) >= 2 * len(trace.x)
-        else:
-            assert calls == []
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "members, x0, expected",
+        [
+            # x - 1/4 and x + 1/4 tie at every step: the smaller point wins
+            (["x + 0.25", "x - 0.25", "x/10 + 1"], 0.75, [0.5, 0.25, 0.0]),
+            # equal members merge into one point
+            (["0.9*x", "x/2 + 1", "0.9*x"], 0.5, [0.45, 0.9 * 0.45, 0.9 * (0.9 * 0.45)]),
+        ],
+    )
+    def test_tied_members_take_the_value_set(self, members, x0, expected, monkeypatch):
+        calls = spy_value_sets(monkeypatch)
+        T = finite_set_map(CompactSet.interval(-1.0, 2.0), members)
+        trace = assert_trace_matches_oracles(T, x0, 0.0, 3, ConstantIntegrand(1.0), LOG, 0.5)
+        assert trace.next_point.tolist() == expected
+        assert len(calls) >= 2 * len(trace.x)  # oracle and orbit alike
 
     @given(
         map_name=st.sampled_from(sorted(TRACE_MAPS)),
@@ -595,7 +619,8 @@ def orbit_maps(draw):
     if kind == "singleton":
         return MultiMap(domain, "singleton", members=(a,))
     if kind == "finite_set":
-        return MultiMap(domain, "finite_set", members=(a, draw(members)))
+        more = draw(st.lists(members, min_size=1, max_size=3))
+        return MultiMap(domain, "finite_set", members=(a, *more))
     if kind == "interval":
         return MultiMap(domain, "interval_endpoints", lo=a, hi=draw(members))
     # lo above hi by a gap within ENDPOINT_SLACK, or beyond it
