@@ -50,11 +50,11 @@ MODES = ("hausdorff", "excess")
 VIOLATION_ROWS = 100
 ERROR_ROWS = 100
 
-# Upper bound on the elements of one broadcast in the certify sweep.  A
-# chunk holds as many pairs as fit: each pair costs the elements its
-# image shape needs (``_Sweep.elements_per_pair``), so point images with
-# many members get smaller chunks and peak memory stays flat whatever
-# the image shape, and whatever the number of pairs.  Each chunk is
+# The budget of one chunk of the certify sweep, in values of its set
+# arithmetic.  A chunk holds as many pairs as fit: each pair costs the
+# values its image shape counts (``_Sweep.elements_per_pair``), so point
+# images with many members get smaller chunks and peak memory stays flat
+# whatever the image shape, and whatever the number of pairs.  Each chunk is
 # evaluated, redone where needed and counted as one block.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -133,11 +133,14 @@ def _evaluate(
     Sx: CompactSet,
     Sy: CompactSet,
     mode: str,
+    phi=None,
 ) -> PairEvaluation:
+    # phi(u) is capital_phi(f, u), or a caller's memo of it
+    phi = phi or (lambda u: capital_phi(f, u))
     h = hausdorff(Sx, Sy) if mode == "hausdorff" else excess(Sx, Sy)
     m = _displacement(x, y, Sx, Sy)
-    phi_h = capital_phi(f, h)
-    phi_m = capital_phi(f, m)
+    phi_h = phi(h)
+    phi_m = phi(m)
     if not math.isfinite(phi_h):
         raise DomainError(f"Phi(h) is not finite at h = {h}: {phi_h}")
     if h == 0.0:
@@ -197,11 +200,12 @@ def certify(
     same stream as one draw at a time).  The images of all distinct
     points are evaluated as arrays first (:func:`image_arrays`, the same
     bits as :func:`apply_map`).  The pairs are then made, evaluated and
-    counted a chunk at a time, at most ``CHUNK_ELEMENTS`` broadcast
-    elements each, so the sweep's memory is set by the chunk and not by
-    the number of pairs.  The pair arithmetic runs over numpy arrays,
-    with closed forms for one interval per image and point-to-point gaps
-    for finite sets (see :func:`_h_and_m`).  It gives the same bits as
+    counted a chunk at a time, ``CHUNK_ELEMENTS`` values of the set
+    arithmetic each, so the sweep's memory is set by the chunk and not
+    by the number of pairs.  The pair arithmetic runs over numpy arrays,
+    with closed forms for one interval per image, and for finite sets
+    point-to-point gaps taken one member at a time, with each point's own
+    distance taken once (see :func:`_h_and_m`).  It gives the same bits as
     :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
     ``abs``, ``minimum`` and ``maximum``, comparisons, ``where``,
     ``sqrt``) touch the arrays, while ``log``, ``expm1`` and ``pow`` run
@@ -215,7 +219,8 @@ def certify(
     table image is NaN as well; NaN carries through to the pair's values.
     A pair whose batch values are not finite is evaluated again in place
     by the scalar code on images from :func:`apply_map`, which gives its
-    value or its error message.  ``seed``, ``grid_size`` and
+    value or its error message; it takes ``Phi`` of each distinct u from
+    one :func:`capital_phi` call per sweep.  ``seed``, ``grid_size`` and
     ``random_pairs`` must be integers (``seed >= 0``, ``grid_size >= 2``;
     ``grid_size`` and ``random_pairs`` at most ``SWEEP_LIMIT``).
     """
@@ -334,10 +339,13 @@ class _Sweep:
     :func:`image_arrays` gives them, already in the form :func:`_h_and_m`
     reads: 1-D endpoint arrays when each image is one interval, else one
     ``(K, n)`` array of point members as both; a failed image is NaN
-    there.  ``elements_per_pair`` is the size of a pair's broadcasts,
-    which sets how many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Only
-    these arrays, the first sweep index of each grid row and the scalar
-    code's images outlive a chunk.
+    there.  For point images ``own`` holds D(p, T(p)) of each slot, taken
+    once here and gathered per pair (NaN for a failed image); else it is
+    None.  ``elements_per_pair`` counts the values of a pair's set
+    arithmetic in :func:`_h_and_m`, which sets how many pairs a chunk of
+    ``CHUNK_ELEMENTS`` holds.  Only these arrays, the first sweep index of
+    each grid row and the scalar code's images and ``Phi`` values outlive
+    a chunk.
     """
 
     def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
@@ -350,9 +358,17 @@ class _Sweep:
         self.points = np.concatenate([grid, drawn])
         _, first, self.slots = np.unique(self.points, return_index=True, return_inverse=True)
         self.lo, self.hi = image_arrays(T, self.points[first])
-        # four endpoints, or K members against K both ways
-        self.elements_per_pair = 4 if self.lo.ndim == 1 else 2 * len(self.lo) ** 2
+        self.own = None
+        # four endpoints; or the K members of both images, and twelve columns:
+        # x, y, their slots, h, m, two own distances, the cross sum and the
+        # running minimum, maximum and gap
+        self.elements_per_pair = 4
+        if self.lo.ndim == 2:
+            # ±0 share a slot, and |0.0 - a| and |-0.0 - a| have the same bits
+            self.own = _nearest(self.points[first], self.lo)
+            self.elements_per_pair = 2 * len(self.lo) + 12
         self.images: dict[float, CompactSet] = {}
+        self.phis: dict[float, float | str] = {}  # a failed u keeps its message
         self.grid_points = n = len(grid)
         rows = np.arange(n)
         # sweep index of pair (i, i + 1); the last is the count of grid pairs
@@ -390,13 +406,14 @@ class _Sweep:
         """
         x, y, xs, ys = self.pairs(start, stop)
         with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
-            h, m = _h_and_m(self.lo, self.hi, self.mode, x, y, xs, ys)
+            h, m = _h_and_m(self.lo, self.hi, self.own, self.mode, x, y, xs, ys)
             values, redo = _evaluate_batch(self.F, self.f, h, m)
         errors: list[tuple[float, float, int, str]] = []
         for k in np.flatnonzero(redo).tolist():
             xk, yk = x[k].item(), y[k].item()
             try:
-                ev = _evaluate(self.F, self.f, xk, yk, self.image(xk), self.image(yk), self.mode)
+                Sx, Sy = self.image(xk), self.image(yk)
+                ev = _evaluate(self.F, self.f, xk, yk, Sx, Sy, self.mode, self.phi)
             except MvfixError as err:
                 errors.append((xk, yk, start + k, str(err)))
                 continue
@@ -417,8 +434,23 @@ class _Sweep:
             self.images[v] = apply_map(self.T, v)
         return self.images[v]
 
+    def phi(self, u: float) -> float:
+        """Phi(u) from :func:`capital_phi`, once per u; a failed u raises an
+        :class:`MvfixError` with its message each time.  Only the message is
+        kept, as a kept error would hold the frames it passed through.  u is
+        a distance, never -0.0 or NaN, so equal floats here are equal bits."""
+        if u not in self.phis:
+            try:
+                self.phis[u] = capital_phi(self.f, u)
+            except MvfixError as err:
+                self.phis[u] = str(err)
+        value = self.phis[u]
+        if isinstance(value, str):
+            raise MvfixError(value)
+        return value
 
-def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
+
+def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
     """h and m of each pair, with the arithmetic the image shape allows.
 
     ``xs`` and ``ys`` index the pairs' images in ``lo`` and ``hi``, in
@@ -436,26 +468,28 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
       member is the member and the point nearest a gap midpoint is a
       member already.  Only the least and the largest gap count, so
       neither the order of the members nor a repeated member changes one.
+      The own distances D(x, Tx) and D(y, Ty) are ``own``, taken once per
+      image slot.  The excess, the Hausdorff distance and the cross terms
+      D(x, Ty) and D(y, Tx) are running ``minimum`` and ``maximum`` over
+      loops of one member each (:func:`_nearest`, :func:`_excess`), so no
+      array grows with K^2 per pair; only ``-``, ``abs``, ``minimum`` and
+      ``maximum`` touch the members, so the loop order changes no bit.
 
     A NaN image gives its pairs a NaN m (and h), so the caller redoes them.
     Only h and m leave, so the gathered endpoints are freed before the
     Phi and F stage, where the sweep's memory peaks.
     """
     if lo.ndim == 2:
-        # np.take keeps the gathered rows C-contiguous, as the reductions need
-        lx = hx = np.take(lo, xs, axis=1)
-        ly = hy = np.take(lo, ys, axis=1)
-
-        def dist(p, lo, hi):  # hi is lo
-            gap = p - lo
-            return np.abs(gap, out=gap).min(axis=0)
-
-        # abs in place: one K x K block per chunk, the largest array it has
-        gaps = lx[:, None, :] - ly[None, :, :]
-        np.abs(gaps, out=gaps)
-        h = gaps.min(axis=1).max(axis=0)
+        # np.take keeps the gathered rows C-contiguous, one member a row
+        lx, ly = np.take(lo, xs, axis=1), np.take(lo, ys, axis=1)
+        h = _excess(lx, ly)
         if mode == "hausdorff":
-            h = np.maximum(h, gaps.min(axis=0).max(axis=0))
+            np.maximum(h, _excess(ly, lx), out=h)
+        cross = _nearest(x, ly)
+        cross += _nearest(y, lx)
+        cross *= 0.5
+        del lx, ly  # the members go before the other columns come
+        own_x, own_y = own[xs], own[ys]
     else:
         lx, hx, ly, hy = lo[xs], hi[xs], lo[ys], hi[ys]
 
@@ -466,10 +500,29 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, mode: str, x, y, xs, ys):
             h = np.maximum(np.abs(lx - ly), np.abs(hx - hy))
         else:
             h = np.maximum(dist(lx, ly, hy), dist(hx, ly, hy))
-    own_x, own_y = dist(x, lx, hx), dist(y, ly, hy)
-    cross = 0.5 * (dist(x, ly, hy) + dist(y, lx, hx))
+        own_x, own_y = dist(x, lx, hx), dist(y, ly, hy)
+        cross = 0.5 * (dist(x, ly, hy) + dist(y, lx, hx))
     m = np.maximum(np.maximum(np.abs(x - y), own_x), np.maximum(own_y, cross))
     return h, m
+
+
+def _nearest(p: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """The least |p - b| over the rows b of ``members``: the distance from each
+    element of ``p`` to its point image, one pass per member."""
+    best = np.abs(p - members[0])
+    gap = np.empty_like(best)
+    for b in members[1:]:
+        np.abs(np.subtract(p, b, out=gap), out=gap)
+        np.minimum(best, gap, out=best)
+    return best
+
+
+def _excess(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """The largest :func:`_nearest` of a row of ``A`` to the members ``B``."""
+    worst = _nearest(A[0], B)
+    for a in A[1:]:
+        np.maximum(worst, _nearest(a, B), out=worst)
+    return worst
 
 
 def _evaluate_batch(F: FFunction, f: Integrand, h: np.ndarray, m: np.ndarray):

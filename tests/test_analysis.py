@@ -48,6 +48,10 @@ def halving_point_map():
     return singleton_map(UNIT, "x/2")
 
 
+FOUR_POINTS = finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"])
+NONPOSITIVE = CompactSet.interval(-1.0, -0.0)
+
+
 def swept_columns(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hausdorff"):
     """The chunks of certify's sweep concatenated: sweep index, columns and error rows."""
     blocks = list(analysis._sweep(T, F, f, grid_size, random_pairs, seed, mode))
@@ -361,16 +365,26 @@ class TestBoundedRows:
         assert report.evaluated_pairs == 0
 
     def test_sweep_memory_is_set_by_the_chunk(self):
+        self.assert_peak_at_most(halving_interval_map(), "hausdorff", 10e6)
+
+    @pytest.mark.parametrize("mode, bound", [("excess", 825_100), ("hausdorff", 817_400)])
+    def test_point_sweep_memory_is_set_by_the_chunk(self, mode, bound):
+        # the bounds are the measured peaks (825,089 and 817,386 B) of the
+        # point form that broadcast a K x K gap block, so it cannot come back
+        self.assert_peak_at_most(FOUR_POINTS, mode, bound)
+
+    @staticmethod
+    def assert_peak_at_most(T, mode, bound):
         # 501,500 pairs; every per-pair array is freed with its chunk
-        T = halving_interval_map()
+        certify(T, LOG, ONE, grid_size=2, random_pairs=1, mode=mode)  # imports done
         tracemalloc.start()
         try:
-            report = certify(T, LOG, ONE, grid_size=1001, random_pairs=1000)
+            report = certify(T, LOG, ONE, grid_size=1001, random_pairs=1000, mode=mode)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert report.evaluated_pairs == 1001 * 1000 // 2 + 1000
-        assert peak <= 10e6
+        assert peak <= bound
 
 
 class TestNumericFailures:
@@ -495,6 +509,19 @@ class TestBatchedSweepAgainstScalarLoop:
             report, sweep_pairs(T, LOG, f, **args), certify_scalar(T, LOG, f, **args)
         )
 
+    def test_grid_max_probe_runs_phi_once_per_u(self):
+        # 17,936 of 20,300 pairs fail and are redone by the scalar code,
+        # which takes Phi of each of their 952 distinct u from one call
+        T = singleton_map(CompactSet.interval(0.0, 10.0), "x/2")
+        f = expression_integrand("1/(2-t)", grid_max=1.0)
+        spy = mock.patch.object(analysis, "capital_phi", wraps=analysis.capital_phi)
+        with spy as phi:
+            report = certify(T, LOG, f, grid_size=201, random_pairs=200, seed=1)
+        us = [call.args[1] for call in phi.call_args_list]
+        assert len(us) == len(set(us)) == 952
+        assert (report.evaluated_pairs, report.error_count) == (2364, 17936)
+        assert report.tau_star == 0.6994965783477536
+
     @staticmethod
     def assert_spans_chunks(T, mode, pairs_per_chunk):
         # the chunk size the sweep really uses for these images
@@ -512,9 +539,8 @@ class TestBatchedSweepAgainstScalarLoop:
 
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_sweep_spanning_several_chunks(self, mode):
-        # four-point images: 4 members against 4, both ways
-        T = finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"])
-        self.assert_spans_chunks(T, mode, pairs_per_chunk=2048)
+        # four-point images: the 4 members of both images and 12 columns
+        self.assert_spans_chunks(FOUR_POINTS, mode, pairs_per_chunk=3276)
 
     @pytest.mark.parametrize("mode", analysis.MODES)
     def test_interval_sweep_spanning_several_chunks(self, mode):
@@ -522,6 +548,15 @@ class TestBatchedSweepAgainstScalarLoop:
         self.assert_spans_chunks(halving_interval_map(), mode, pairs_per_chunk=16384)
 
     def test_signed_zeros_share_the_first_points_image(self, monkeypatch):
+        self.assert_signed_zeros_share(monkeypatch, singleton_map(NONPOSITIVE, "x/2"))
+
+    def test_signed_zeros_share_the_first_points_own_distance(self, monkeypatch):
+        # two points: D(p, T(p)) is taken once per slot, at the grid's -0.0
+        T = finite_set_map(NONPOSITIVE, ["x/2", "x/4 - 0.25"])
+        self.assert_signed_zeros_share(monkeypatch, T)
+
+    @staticmethod
+    def assert_signed_zeros_share(monkeypatch, T):
         # the grid ends at -0.0 and each draw is 0.0 or -0.5: the two zeros
         # compare equal, so they share one image, that of the grid's -0.0
         def draw(A, rng, n):  # n scalar draws give the same stream as one call
@@ -529,7 +564,6 @@ class TestBatchedSweepAgainstScalarLoop:
 
         monkeypatch.setattr(analysis, "sample_points", draw)
         monkeypatch.setattr(sets1d, "sample_points", draw)
-        T = singleton_map(CompactSet.interval(-1.0, -0.0), "x/2")
         args = dict(grid_size=5, random_pairs=20, seed=3, mode="hausdorff")
         spy = mock.patch.object(analysis, "image_arrays", wraps=analysis.image_arrays)
         with spy as images:
