@@ -51,10 +51,11 @@ VIOLATION_ROWS = 100
 ERROR_ROWS = 100
 
 # The budget of one chunk of the certify sweep, in values of its set
-# arithmetic.  A chunk holds as many pairs as fit: each pair costs the
-# values its image shape counts (``_Sweep.elements_per_pair``), so point
-# images with many members get smaller chunks and peak memory stays flat
-# whatever the image shape, and whatever the number of pairs.  Each chunk is
+# arithmetic only: each pair costs the values its image shape counts
+# (``_Sweep.elements_per_pair``), and a chunk holds as many pairs as fit.
+# The Phi and F stage adds uncounted columns per pair, so a chunk's
+# tracemalloc peak follows its pairs: about 1.97 MB for interval images
+# (16,384 pairs), 0.58 MB for 4-point images (3,276).  Each chunk is
 # evaluated, redone where needed and counted as one block.
 CHUNK_ELEMENTS = 1 << 16
 
@@ -197,15 +198,14 @@ def certify(
     of aborting the sweep.
 
     The random points are drawn in one call (:func:`sample_points`, the
-    same stream as one draw at a time).  The images of all distinct
-    points are evaluated as arrays first (:func:`image_arrays`, the same
-    bits as :func:`apply_map`).  The pairs are then made, evaluated and
-    counted a chunk at a time, ``CHUNK_ELEMENTS`` values of the set
-    arithmetic each, so the sweep's memory is set by the chunk and not
-    by the number of pairs.  The pair arithmetic runs over numpy arrays,
-    with closed forms for one interval per image, and for finite sets
-    point-to-point gaps taken one member at a time, with each point's own
-    distance taken once (see :func:`_h_and_m`).  It gives the same bits as
+    same stream as one draw at a time).  The image of every point is
+    evaluated as arrays first (:func:`image_arrays`, the same bits as
+    :func:`apply_map`).  The pairs are then made, evaluated and counted a
+    chunk at a time, ``CHUNK_ELEMENTS`` values of the set arithmetic
+    each.  The pair arithmetic runs over numpy arrays, with closed forms
+    for one interval per image, and for finite sets point-to-point gaps
+    taken one member at a time, with each point's own distance taken
+    once (see :func:`_h_and_m`).  It gives the same bits as
     :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
     ``abs``, ``minimum`` and ``maximum``, comparisons, ``where``,
     ``sqrt``) touch the arrays, while ``log``, ``expm1`` and ``pow`` run
@@ -333,19 +333,19 @@ def _sweep(
 class _Sweep:
     """The points of a sweep and their images; its pairs are made a chunk at a time.
 
-    ``points`` holds the grid, then the drawn pairs flat (x before y).
-    Equal floats share a slot and so one image, the image of the first
-    point to use it.  ``lo`` and ``hi`` are the images as
-    :func:`image_arrays` gives them, already in the form :func:`_h_and_m`
-    reads: 1-D endpoint arrays when each image is one interval, else one
-    ``(K, n)`` array of point members as both; a failed image is NaN
-    there.  For point images ``own`` holds D(p, T(p)) of each slot, taken
-    once here and gathered per pair (NaN for a failed image); else it is
-    None.  ``elements_per_pair`` counts the values of a pair's set
-    arithmetic in :func:`_h_and_m`, which sets how many pairs a chunk of
-    ``CHUNK_ELEMENTS`` holds.  Only these arrays, the first sweep index of
-    each grid row and the scalar code's images and ``Phi`` values outlive
-    a chunk.
+    ``points`` holds the grid, then the drawn pairs flat (x before y),
+    each with its own image: those of 0.0 and -0.0 differ at most in the
+    sign of a zero, which no bit of h or m shows.  ``lo`` and ``hi`` are
+    the images as :func:`image_arrays` gives them, already in the form
+    :func:`_h_and_m` reads: 1-D endpoint arrays when each image is one
+    interval, else one ``(K, n)`` array of point members as both; a
+    failed image is NaN there.  For point images ``own`` holds D(p, T(p))
+    of each point, taken once here and gathered per pair (NaN for a
+    failed image); else it is None.  ``elements_per_pair`` counts the
+    values of a pair's set arithmetic in :func:`_h_and_m`, which sets how
+    many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Only these arrays,
+    the first sweep index of each grid row and the scalar code's images
+    and ``Phi`` values outlive a chunk.
     """
 
     def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
@@ -356,16 +356,15 @@ class _Sweep:
         # (min(a, b), max(a, b)) per pair, with Python's pick between equal floats
         drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel()
         self.points = np.concatenate([grid, drawn])
-        _, first, self.slots = np.unique(self.points, return_index=True, return_inverse=True)
-        self.lo, self.hi = image_arrays(T, self.points[first])
+        self.lo, self.hi = image_arrays(T, self.points)
         self.own = None
         # four endpoints; or the K members of both images, and twelve columns:
-        # x, y, their slots, h, m, two own distances, the cross sum and the
+        # x, y, their indices, h, m, two own distances, the cross sum and the
         # running minimum, maximum and gap
         self.elements_per_pair = 4
         if self.lo.ndim == 2:
-            # ±0 share a slot, and |0.0 - a| and |-0.0 - a| have the same bits
-            self.own = _nearest(self.points[first], self.lo)
+            with np.errstate(all="ignore"):  # as in a chunk: an inf is redone
+                self.own = _nearest(self.points, self.lo)
             self.elements_per_pair = 2 * len(self.lo) + 12
         self.images: dict[float, CompactSet] = {}
         self.phis: dict[float, float | str] = {}  # a failed u keeps its message
@@ -377,7 +376,7 @@ class _Sweep:
         self.count = self.grid_pairs + random_pairs
 
     def pairs(self, start: int, stop: int):
-        """x, y and the image slots of the pairs at sweep index ``start .. stop - 1``.
+        """x, y and the point indices of the pairs at sweep index ``start .. stop - 1``.
 
         Grid pair p of row i is (i, p - (row_start[i] - i - 1)).  Only the
         first and last grid pair's rows are looked up; each row's i and
@@ -393,7 +392,7 @@ class _Sweep:
         q = np.arange(max(start, self.grid_pairs), stop) - self.grid_pairs
         k = self.grid_points + 2 * q  # drawn pair q is points k and k + 1
         first, second = np.concatenate([i, k]), np.concatenate([j, k + 1])
-        return self.points[first], self.points[second], self.slots[first], self.slots[second]
+        return self.points[first], self.points[second], first, second
 
     def chunk(self, start: int, stop: int) -> tuple:
         """The block of the pairs at sweep index ``start .. stop - 1`` (see :func:`_sweep`).
@@ -469,7 +468,7 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
       member already.  Only the least and the largest gap count, so
       neither the order of the members nor a repeated member changes one.
       The own distances D(x, Tx) and D(y, Ty) are ``own``, taken once per
-      image slot.  The excess, the Hausdorff distance and the cross terms
+      point.  The excess, the Hausdorff distance and the cross terms
       D(x, Ty) and D(y, Tx) are running ``minimum`` and ``maximum`` over
       loops of one member each (:func:`_nearest`, :func:`_excess`), so no
       array grows with K^2 per pair; only ``-``, ``abs``, ``minimum`` and

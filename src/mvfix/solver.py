@@ -180,10 +180,10 @@ def iterate(
     at most ``PHI_WINDOW`` steps: one call of the map's generated orbit
     loop (``maps._compile_orbit``, compiled on the map's first
     ``iterate`` and kept by the map) runs a window's steps, then one
-    :func:`capital_phi_array` call gives their gammas (a one-step window
-    calls :func:`capital_phi`).  Only table maps, and finite sets whose
-    nearest members tie, build a value set there.  At the first gamma
-    that is not finite the trace is cut before that step, and
+    :func:`capital_phi_array` call gives their gammas.  Only table maps,
+    and finite sets whose nearest members tie, build a value set there.
+    At the first gamma that is not finite (where :func:`capital_phi`
+    raises or is not finite) the trace is cut before that step, and
     :func:`capital_phi` on that one d gives the outcome, so the steps and
     the outcome are those of a loop that takes Phi step by step.
     """
@@ -212,35 +212,26 @@ def iterate(
             stop = IterationError(f"iterate left the domain at step {n}: x = {x!r}", x)
         elif kind == "error":
             stop = IterationError(str(err), x)
-        window_d = np.frombuffer(ds[done:])
-        # a one-step window leaves its Phi to capital_phi below: in a batch
-        # of one, a transform that fails would run twice
-        if len(window_d) > 1:
-            gamma = capital_phi_array(f, window_d)
-        else:
-            gamma = np.full(len(window_d), math.nan)
+        gamma = capital_phi_array(f, np.frombuffer(ds[done:]))
         bad = np.flatnonzero(~np.isfinite(gamma))
         if len(bad):
             n = done + int(bad[0])
-            phi = _scalar_phi(f, n, ds[n], points[n] if n else x0)
-            if isinstance(phi, IterationError):
-                gammas.frombytes(gamma[: bad[0]].tobytes())
-                del points[n + 1 :], ds[n:]
-                return finish(phi)
-            gamma[bad[0]] = phi
+            failure = _phi_failure(f, n, ds[n], points[n] if n else x0)
+            gammas.frombytes(gamma[: bad[0]].tobytes())
+            del points[n + 1 :], ds[n:]
+            return finish(failure)
         gammas.frombytes(gamma.tobytes())
         done = len(ds)
     return finish(MaxIterReached(x) if stop is None else stop)
 
 
-def _scalar_phi(f: Integrand, n: int, d: float, x: float) -> Union[float, IterationError]:
-    """Phi(d) at step n from :func:`capital_phi`, or the outcome of the step where it fails."""
+def _phi_failure(f: Integrand, n: int, d: float, x: float) -> IterationError:
+    """The outcome of step n, whose Phi(d) is not finite: :func:`capital_phi`'s
+    error there, or the value it gives."""
     try:
         gamma = capital_phi(f, d)
     except MvfixError as err:
         return IterationError(str(err), x)
-    if math.isfinite(gamma):
-        return gamma
     return IterationError(f"Phi(d) is not finite at step {n}, d = {d!r}: {gamma}", x)
 
 
@@ -267,7 +258,8 @@ def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerd
     f_gamma, n_gamma_k = trace.decay_columns(F)
 
     n0 = recorded[0]
-    margins = (f_gamma[n0] - (recorded - n0) * tau) - f_gamma[recorded]
+    with np.errstate(over="ignore"):  # a large tau overflows to -inf, as in a loop
+        margins = (f_gamma[n0] - (recorded - n0) * tau) - f_gamma[recorded]
     failures = recorded[margins < -DECAY_SLACK]
     first_failure = int(failures[0]) if len(failures) else None
 

@@ -400,6 +400,21 @@ class TestNumericFailures:
         assert all("Phi(h) is not finite" in msg for _, _, msg in report.errors)
         assert abs(report.tau_star - math.log(2.0)) <= 1e-9
 
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_own_distance_overflow_is_redone(self, mode):
+        # x + 1.8e308 overflows in the point-image own distances; the inf
+        # is redone by the scalar code, and no RuntimeWarning escapes.  The
+        # image is the same set at every x, so every pair is vacuous
+        T = finite_set_map(
+            CompactSet.interval(0.0, 1e305), ["1.7976931348623157e308", "-1.7976931348623157e308"]
+        )
+        args = dict(grid_size=5, random_pairs=2, seed=42, mode=mode)
+        report = certify(T, LOG, ONE, **args)
+        assert report.vacuous_pairs == report.evaluated_pairs == 12
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
+        )
+
     @pytest.mark.parametrize("f", [ExponentialIntegrand(rate=5.0), PowerIntegrand(p=200.0)])
     def test_phi_overflow_is_recorded_per_pair(self, f):
         T = singleton_map(CompactSet.interval(0.0, 1000.0), "x/2")
@@ -547,30 +562,34 @@ class TestBatchedSweepAgainstScalarLoop:
         # one interval per image: four endpoint columns
         self.assert_spans_chunks(halving_interval_map(), mode, pairs_per_chunk=16384)
 
-    def test_signed_zeros_share_the_first_points_image(self, monkeypatch):
-        self.assert_signed_zeros_share(monkeypatch, singleton_map(NONPOSITIVE, "x/2"))
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_signed_zeros_take_separate_images_bit_for_bit(self, monkeypatch, mode):
+        self.assert_signed_zeros_match(monkeypatch, singleton_map(NONPOSITIVE, "x/2"), mode)
 
-    def test_signed_zeros_share_the_first_points_own_distance(self, monkeypatch):
-        # two points: D(p, T(p)) is taken once per slot, at the grid's -0.0
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_signed_zeros_take_separate_own_distances_bit_for_bit(self, monkeypatch, mode):
+        # two points: D(p, T(p)) is taken once per point, at -0.0 and at 0.0
         T = finite_set_map(NONPOSITIVE, ["x/2", "x/4 - 0.25"])
-        self.assert_signed_zeros_share(monkeypatch, T)
+        self.assert_signed_zeros_match(monkeypatch, T, mode)
 
     @staticmethod
-    def assert_signed_zeros_share(monkeypatch, T):
-        # the grid ends at -0.0 and each draw is 0.0 or -0.5: the two zeros
-        # compare equal, so they share one image, that of the grid's -0.0
+    def assert_signed_zeros_match(monkeypatch, T, mode):
+        # the grid ends at -0.0 and each draw is 0.0 or -0.5: each zero is
+        # imaged at its own sign, while the scalar loop's float-keyed memo
+        # gives 0.0 the image of the grid's -0.0
         def draw(A, rng, n):  # n scalar draws give the same stream as one call
             return np.where(rng.random(n) < 0.5, 0.0, -0.5)
 
         monkeypatch.setattr(analysis, "sample_points", draw)
         monkeypatch.setattr(sets1d, "sample_points", draw)
-        args = dict(grid_size=5, random_pairs=20, seed=3, mode="hausdorff")
+        args = dict(grid_size=5, random_pairs=20, seed=3, mode=mode)
         spy = mock.patch.object(analysis, "image_arrays", wraps=analysis.image_arrays)
         with spy as images:
             report = certify(T, LOG, ONE, **args)
         imaged = images.call_args.args[1]
-        zeros = imaged[imaged == 0.0]
-        assert len(zeros) == 1 and np.signbit(zeros[0])
+        assert len(imaged) == 5 + 2 * 20
+        signs = np.signbit(imaged[imaged == 0.0])
+        assert signs.any() and not signs.all()
         assert report.vacuous_pairs > 0  # the drawn (0.0, 0.0) pairs
         assert_bitwise_equal(
             report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
@@ -695,8 +714,8 @@ class TestSweepPairs:
         x, y, xs, ys = sweep.pairs(start, stop)
         assert x.tobytes() == sweep.points[first].tobytes()
         assert y.tobytes() == sweep.points[second].tobytes()
-        assert xs.tolist() == sweep.slots[first].tolist()
-        assert ys.tolist() == sweep.slots[second].tolist()
+        assert xs.tolist() == first.tolist()
+        assert ys.tolist() == second.tolist()
 
 
 # the table keys sit on a point domain, so the grid and the drawn pairs all hit them

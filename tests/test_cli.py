@@ -167,6 +167,18 @@ class TestCertifyCommand:
         rows = extract_machine_block(capsys.readouterr().out)
         assert rows["tau_star"] == "undefined"
 
+    def test_overflowing_own_distances_are_quiet(self, tmp_path, capsys):
+        # x + 1.8e308 overflows in the point-image own distances and is redone
+        members = ["1.7976931348623157e308", "-1.7976931348623157e308"]
+        data = {
+            "domain": [[0, 1e305]],
+            "map": {"kind": "finite_set", "members": members},
+            "grid_size": 5,
+            "random_pairs": 2,
+        }
+        assert main(["certify", write_config(tmp_path, data)]) == EXIT_VACUOUS
+        assert capsys.readouterr().err == ""
+
     def test_mode_flag_overrides(self, tmp_path, capsys):
         data = dict(
             HALVING, map={"kind": "interval_endpoints", "lo": "x/4", "hi": "(x+1)/2"}
@@ -321,6 +333,13 @@ class TestSolveCommand:
         rows = extract_machine_block(capsys.readouterr().out)
         assert rows["decay_chain_ok"] == "false"
         assert rows["first_failure"] == "1"
+
+    def test_overflowing_tau_fails_quietly(self, tmp_path, capsys):
+        # 2 * tau overflows to a margin of -inf
+        data = dict(HALVING, x0=0.5, tau=1e308)
+        assert main(["solve", write_config(tmp_path, data)]) == EXIT_VIOLATED
+        out, err = capsys.readouterr()
+        assert err == "" and extract_machine_block(out)["first_failure"] == "1"
 
     def test_overclaimed_tau_fails(self, tmp_path, capsys):
         # the orbit of [x/3, x/2] converges, so the verdict drives the exit

@@ -687,6 +687,9 @@ class TestValidateTraceColumns:
              FFunction("log", 0.9), 1e-9, lambda v, rec: v.n1 == 3 and rec[-1] == 4096),
             ("long_8193", lambda: singleton_map(UNIT, "x - x^2"), 0.5, 8193, "constant",
              FFunction("log", 0.9), 1e-9, lambda v, rec: v.n1 == 3 and rec[-1] == 8192),
+            # 2 * tau overflows: the margin is -inf, with no RuntimeWarning
+            ("tau_overflow", lambda: singleton_map(UNIT, "x/2"), 0.5, 3, "constant", LOG, 1e308,
+             lambda v, rec: v.first_failure == 1 and v.per_step_margins[-1] == -math.inf),
         ],
     )
     def test_edge(self, case, T, x0, max_iter, f, F, tau, edge):
@@ -787,18 +790,23 @@ class TestPhiWindows:
         return scalar, batch
 
     @pytest.mark.parametrize("kind", sorted(FAILING_PHI))
-    def test_a_step_0_failure_runs_the_scalar_transform_once(self, kind, monkeypatch):
+    def test_a_step_0_failure_takes_one_batch_call(self, kind, monkeypatch):
+        # the one-step window is a batch of one; capital_phi then names the failure
         scalar, batch = self.phi_calls(monkeypatch)
-        trace = iterate(_jump_map(0), 0.0, 0.0, 4000, FAILING_PHI[kind]())
-        assert trace.outcome.detail and (len(scalar), batch) == (1, [])
+        f = FAILING_PHI[kind]()
+        trace = assert_trace_matches_oracles(_jump_map(0), 0.0, 0.0, 4000, f, LOG, 0.5)
+        assert isinstance(trace.outcome, IterationError) and len(trace.x) == 0
+        assert (len(scalar), batch) == (1, [1])
 
     def test_windows_double_up_to_the_cap(self, monkeypatch):
         scalar, batch = self.phi_calls(monkeypatch)
-        trace = iterate(trace_map("singleton"), 0.5, 0.0, 10_000, ConstantIntegrand(1.0))
+        trace = assert_trace_matches_oracles(
+            trace_map("singleton"), 0.5, 0.0, 10_000, ConstantIntegrand(1.0), LOG, 1e-9
+        )
         assert len(trace.x) == 10_000
-        # the first window is one step, which capital_phi takes on its own
-        assert len(scalar) == 1
-        assert batch == [2**k for k in range(1, 10)] + [1024] * 8 + [785]
+        # every window is one batch call, and a run that does not fail makes no scalar call
+        assert scalar == []
+        assert batch == [2**k for k in range(10)] + [1024] * 8 + [785]
 
 
 BLOCK = cli._BLOCK
