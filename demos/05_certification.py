@@ -8,6 +8,7 @@ from mvfix import (
     FFunction,
     certify,
     evaluate_pair,
+    evaluate_pairs,
     interval_map,
     singleton_map,
 )
@@ -40,6 +41,12 @@ T = interval_map(unit, "x/4", "(x+1)/2")
 summarize("interval, hausdorff", certify(T, F, one))
 summarize("interval, excess", certify(T, F, one, mode="excess"))
 print("   ln 4 =", math.log(4.0))
+
+# a list of pairs is evaluated in the given order: in excess mode the pair
+# (0, 1) has the margin ln 4 and the reversed pair (1, 0) the margin ln 2
+_, columns, _ = evaluate_pairs(T, F, one, [0.0, 1.0], [1.0, 0.0], mode="excess")
+print("excess margins of (0, 1) and (1, 0):", *columns[-1].tolist())
+print("   ln 4 =", math.log(4.0), "  ln 2 =", math.log(2.0))
 
 # a single pair's fields give its verdict under each special condition
 print()

@@ -17,6 +17,7 @@ from .analysis import (
     PairEvaluation,
     certify,
     evaluate_pair,
+    evaluate_pairs,
     m_value,
 )
 from .config import (

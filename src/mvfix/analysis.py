@@ -39,6 +39,7 @@ __all__ = [
     "CertificateReport",
     "m_value",
     "evaluate_pair",
+    "evaluate_pairs",
     "certify",
 ]
 
@@ -50,10 +51,10 @@ MODES = ("hausdorff", "excess")
 VIOLATION_ROWS = 100
 ERROR_ROWS = 100
 
-# The budget of one chunk of the certify sweep, in values of its set
-# arithmetic only: each pair costs the values its image shape counts
-# (``_Sweep.elements_per_pair``), and a chunk holds as many pairs as fit.
-# The Phi and F stage adds uncounted columns per pair, so a chunk's
+# The budget of one chunk of pairs, in values of their set arithmetic
+# only: each pair costs the values its image shape counts (see
+# ``_Evaluator``), and a chunk holds as many pairs as fit.  The Phi and F
+# stage adds uncounted columns per pair, so a chunk's
 # tracemalloc peak follows its pairs: about 1.97 MB for interval images
 # (16,384 pairs), 0.58 MB for 4-point images (3,276).  Each chunk is
 # evaluated, redone where needed and counted as one block.
@@ -175,6 +176,30 @@ def evaluate_pair(
     return _evaluate(F, f, x, y, apply_map(T, x), apply_map(T, y), mode)
 
 
+def evaluate_pairs(
+    T: MultiMap, F: FFunction, f: Integrand, x, y, mode: str = "hausdorff"
+) -> tuple[np.ndarray, tuple[np.ndarray, ...], list[tuple[float, float, int, str]]]:
+    """Evaluate the pairs (x[i], y[i]) in the given order, with the bits of :func:`evaluate_pair`.
+
+    Returns the positions i of the evaluated pairs, their float64 columns
+    (x, y, h, m, phi_h, phi_m, margin), margin NaN exactly on the vacuous
+    ones, and an ``(x, y, i, message)`` row for each pair where
+    :func:`evaluate_pair` would raise.  In excess mode h is the excess of
+    T(x[i]) over T(y[i]).
+    """
+    _check_mode(mode)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise DomainError(f"x and y must be 1-D of one length, got shapes {x.shape} and {y.shape}")
+    n, evaluator = len(x), _Evaluator(T, F, f, mode, np.concatenate([x, y]))
+    k = np.arange(n)  # pair i is points i and n + i
+    blocks = [(k[:0], (np.empty(0),) * 7, [])]  # the result when n = 0
+    blocks += evaluator.blocks(lambda start, stop: (k[start:stop], k[start:stop] + n), n)
+    index = np.concatenate([index for index, _, _ in blocks])
+    columns = tuple(map(np.concatenate, zip(*(columns for _, columns, _ in blocks))))
+    return index, columns, [row for _, _, errors in blocks for row in errors]
+
+
 def certify(
     T: MultiMap,
     F: FFunction,
@@ -198,31 +223,11 @@ def certify(
     of aborting the sweep.
 
     The random points are drawn in one call (:func:`sample_points`, the
-    same stream as one draw at a time).  The image of every point is
-    evaluated as arrays first (:func:`image_arrays`, the same bits as
-    :func:`apply_map`).  The pairs are then made, evaluated and counted a
-    chunk at a time, ``CHUNK_ELEMENTS`` values of the set arithmetic
-    each.  The pair arithmetic runs over numpy arrays, with closed forms
-    for one interval per image, and for finite sets point-to-point gaps
-    taken one member at a time, with each point's own distance taken
-    once (see :func:`_h_and_m`).  It gives the same bits as
-    :func:`evaluate_pair`: only IEEE-exact operations (``+ - * /``,
-    ``abs``, ``minimum`` and ``maximum``, comparisons, ``where``,
-    ``sqrt``) touch the arrays, while ``log``, ``expm1`` and ``pow`` run
-    through ``math`` one element at a time, and the expression kind's
-    quadrature runs level by level over all of a chunk's u at once (see
-    :func:`capital_phi_array` and :func:`f_eval_array`), once per bit
-    pattern of a chunk's h and m: one sort of packed hash-and-index keys
-    groups them, and a hash collision splits a pattern's group but never
-    merges two patterns (:func:`_dedupe`).  Each batch stage gives NaN
-    exactly where its scalar counterpart raises, and a union
-    table image is NaN as well; NaN carries through to the pair's values.
-    A pair whose batch values are not finite is evaluated again in place
-    by the scalar code on images from :func:`apply_map`, which gives its
-    value or its error message; it takes ``Phi`` of each distinct u from
-    one :func:`capital_phi` call per sweep.  ``seed``, ``grid_size`` and
-    ``random_pairs`` must be integers (``seed >= 0``, ``grid_size >= 2``;
-    ``grid_size`` and ``random_pairs`` at most ``SWEEP_LIMIT``).
+    same stream as one draw at a time).  The pairs are made, evaluated
+    (:class:`_Evaluator`, with the bits of :func:`evaluate_pair`) and
+    counted a chunk at a time.  ``seed``, ``grid_size`` and
+    ``random_pairs`` must be integers, not bools (``seed >= 0``,
+    ``grid_size >= 2``; both sizes at most ``SWEEP_LIMIT``).
     """
     tally = _Tally()
     for block in _sweep(T, F, f, grid_size, random_pairs, seed, mode):
@@ -305,69 +310,36 @@ def _first_rows(
 def _sweep(
     T: MultiMap, F: FFunction, f: Integrand, grid_size: int, random_pairs: int, seed: int, mode: str
 ):
-    """Evaluate the pairs of the sweep that :func:`certify` describes, a chunk at a time.
-
-    The pairs are the grid pairs i < j, row by row, then the drawn pairs;
-    a pair's place in that order is its sweep index.  Yields one
-    ``(index, columns, errors)`` block per chunk, as :meth:`_Tally.add`
-    takes it.  A chunk's arrays live only in its block, so a caller that
-    drops a block before asking for the next holds one chunk at a time.
-    """
+    """Check the arguments of :func:`certify`, then yield the blocks of its
+    pairs (:class:`_GridPairs`) from one :class:`_Evaluator`."""
     _check_mode(mode)
     for name, value, least, most in (
         ("grid_size", grid_size, 2, SWEEP_LIMIT),
         ("random_pairs", random_pairs, 0, SWEEP_LIMIT),
         ("seed", seed, 0, math.inf),
     ):
-        if not (isinstance(value, numbers.Integral) and value >= least):
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
             raise DomainError(f"{name} must be an integer >= {least}, got {value}")
         if value > most:
             raise DomainError(f"{name} must be at most {most}, got {value}")
 
-    sweep = _Sweep(T, F, f, mode, grid_size, random_pairs, seed)
-    step = max(1, CHUNK_ELEMENTS // sweep.elements_per_pair)
-    for start in range(0, sweep.count, step):
-        yield sweep.chunk(start, min(start + step, sweep.count))
+    pairs = _GridPairs(T.domain, grid_size, random_pairs, seed)
+    yield from _Evaluator(T, F, f, mode, pairs.points).blocks(pairs, pairs.count)
 
 
-class _Sweep:
-    """The points of a sweep and their images; its pairs are made a chunk at a time.
+class _GridPairs:
+    """The pairs of a :func:`certify` sweep: the grid pairs i < j, row by
+    row, then the drawn pairs; a pair's place in that order is its sweep
+    index.  ``points`` holds the grid, then the drawn pairs flat (x before
+    y), and ``count`` is the number of pairs."""
 
-    ``points`` holds the grid, then the drawn pairs flat (x before y),
-    each with its own image: those of 0.0 and -0.0 differ at most in the
-    sign of a zero, which no bit of h or m shows.  ``lo`` and ``hi`` are
-    the images as :func:`image_arrays` gives them, already in the form
-    :func:`_h_and_m` reads: 1-D endpoint arrays when each image is one
-    interval, else one ``(K, n)`` array of point members as both; a
-    failed image is NaN there.  For point images ``own`` holds D(p, T(p))
-    of each point, taken once here and gathered per pair (NaN for a
-    failed image); else it is None.  ``elements_per_pair`` counts the
-    values of a pair's set arithmetic in :func:`_h_and_m`, which sets how
-    many pairs a chunk of ``CHUNK_ELEMENTS`` holds.  Only these arrays,
-    the first sweep index of each grid row and the scalar code's images
-    and ``Phi`` values outlive a chunk.
-    """
-
-    def __init__(self, T, F, f, mode, grid_size, random_pairs, seed):
-        self.T, self.F, self.f, self.mode = T, F, f, mode
-        grid = domain_grid(T.domain, grid_size)
+    def __init__(self, domain: CompactSet, grid_size: int, random_pairs: int, seed: int):
+        grid = domain_grid(domain, grid_size)
         rng = np.random.default_rng(seed)
-        a, b = sample_points(T.domain, rng, 2 * random_pairs).reshape(-1, 2).T
+        a, b = sample_points(domain, rng, 2 * random_pairs).reshape(-1, 2).T
         # (min(a, b), max(a, b)) per pair, with Python's pick between equal floats
         drawn = np.stack([np.where(b < a, b, a), np.where(b > a, b, a)], axis=1).ravel()
         self.points = np.concatenate([grid, drawn])
-        self.lo, self.hi = image_arrays(T, self.points)
-        self.own = None
-        # four endpoints; or the K members of both images, and twelve columns:
-        # x, y, their indices, h, m, two own distances, the cross sum and the
-        # running minimum, maximum and gap
-        self.elements_per_pair = 4
-        if self.lo.ndim == 2:
-            with np.errstate(all="ignore"):  # as in a chunk: an inf is redone
-                self.own = _nearest(self.points, self.lo)
-            self.elements_per_pair = 2 * len(self.lo) + 12
-        self.images: dict[float, CompactSet] = {}
-        self.phis: dict[float, float | str] = {}  # a failed u keeps its message
         self.grid_points = n = len(grid)
         rows = np.arange(n)
         # sweep index of pair (i, i + 1); the last is the count of grid pairs
@@ -375,8 +347,8 @@ class _Sweep:
         self.grid_pairs = n * (n - 1) // 2
         self.count = self.grid_pairs + random_pairs
 
-    def pairs(self, start: int, stop: int):
-        """x, y and the point indices of the pairs at sweep index ``start .. stop - 1``.
+    def __call__(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The point indices of x and of y of the pairs at sweep index ``start .. stop - 1``.
 
         Grid pair p of row i is (i, p - (row_start[i] - i - 1)).  Only the
         first and last grid pair's rows are looked up; each row's i and
@@ -391,11 +363,61 @@ class _Sweep:
         i, j = np.repeat(rows, counts), p - np.repeat(edges[:-1] - rows - 1, counts)
         q = np.arange(max(start, self.grid_pairs), stop) - self.grid_pairs
         k = self.grid_points + 2 * q  # drawn pair q is points k and k + 1
-        first, second = np.concatenate([i, k]), np.concatenate([j, k + 1])
-        return self.points[first], self.points[second], first, second
+        return np.concatenate([i, k]), np.concatenate([j, k + 1])
 
-    def chunk(self, start: int, stop: int) -> tuple:
-        """The block of the pairs at sweep index ``start .. stop - 1`` (see :func:`_sweep`).
+
+class _Evaluator:
+    """Pairs of ``points`` evaluated a chunk at a time, with the bits of :func:`evaluate_pair`.
+
+    Each point is imaged once, as arrays (:func:`image_arrays`, the bits
+    of :func:`apply_map`), at its own sign: the images of 0.0 and -0.0
+    differ at most in the sign of a zero, which no bit of h or m shows.
+    ``lo`` and ``hi`` are 1-D endpoint arrays when each image is one
+    interval, else one ``(K, n)`` array of point members as both, NaN
+    where an image fails; for point images ``own`` holds D(p, T(p)) of
+    each point, else it is None.  A chunk holds ``chunk_size`` pairs, as
+    many as ``CHUNK_ELEMENTS`` values of their set arithmetic allow.
+
+    The pair arithmetic runs over numpy arrays (:func:`_h_and_m`): only
+    IEEE-exact operations (``+ - * /``, ``abs``, ``minimum`` and
+    ``maximum``, comparisons, ``where``, ``sqrt``) touch the arrays, while
+    ``log``, ``expm1`` and ``pow`` run through ``math`` one element at a
+    time, and the expression kind's quadrature runs level by level over
+    all of a chunk's u at once (:func:`capital_phi_array`,
+    :func:`f_eval_array`), once per bit pattern of a chunk's h and m
+    (:func:`_dedupe`).  Each batch stage gives NaN exactly where its
+    scalar counterpart raises, and a union table image is NaN as well;
+    NaN carries through to the pair's values.  A pair whose batch values
+    are not finite is evaluated again in place by the scalar code, on
+    images from :func:`apply_map` and with one :func:`capital_phi` call
+    per distinct u, which gives its values or its error message.
+    """
+
+    def __init__(self, T: MultiMap, F: FFunction, f: Integrand, mode: str, points: np.ndarray):
+        self.T, self.F, self.f, self.mode, self.points = T, F, f, mode, points
+        self.lo, self.hi = image_arrays(T, points)
+        self.own = None
+        # four endpoints; or the K members of both images, and twelve columns:
+        # x, y, their indices, h, m, two own distances, the cross sum and the
+        # running minimum, maximum and gap
+        elements_per_pair = 4
+        if self.lo.ndim == 2:
+            with np.errstate(all="ignore"):  # as in a chunk: an inf is redone
+                self.own = _nearest(points, self.lo)
+            elements_per_pair = 2 * len(self.lo) + 12
+        self.chunk_size = max(1, CHUNK_ELEMENTS // elements_per_pair)
+        self.images: dict[float, CompactSet] = {}
+        self.phis: dict[float, float | str] = {}  # a failed u keeps its message
+
+    def blocks(self, pairs, count: int):
+        """Yield the ``(index, columns, errors)`` block of each chunk of pairs
+        0 .. ``count`` - 1, as :meth:`_Tally.add` takes it; ``pairs(start,
+        stop)`` gives the point indices of x and of y of pairs start .. stop - 1."""
+        for start in range(0, count, self.chunk_size):
+            yield self.chunk(start, *pairs(start, min(start + self.chunk_size, count)))
+
+    def chunk(self, start: int, xs: np.ndarray, ys: np.ndarray) -> tuple:
+        """The block of the pairs of points ``xs`` and ``ys``, numbered from ``start``.
 
         Every pair goes through the batch arithmetic, where a NaN image
         makes its values unusable.  A pair whose batch values are unusable
@@ -403,7 +425,7 @@ class _Sweep:
         :func:`apply_map`: its values overwrite the batch row, or its
         error drops the row from the columns.
         """
-        x, y, xs, ys = self.pairs(start, stop)
+        x, y = self.points[xs], self.points[ys]
         with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
             h, m = _h_and_m(self.lo, self.hi, self.own, self.mode, x, y, xs, ys)
             values, redo = _evaluate_batch(self.F, self.f, h, m)
@@ -420,7 +442,7 @@ class _Sweep:
             for column, value in zip(values, (ev.h, ev.m, ev.phi_h, ev.phi_m, margin)):
                 column[k] = value
             redo[k] = False
-        index, columns = np.arange(start, stop), (x, y, *values)
+        index, columns = np.arange(start, start + len(x)), (x, y, *values)
         if errors:
             keep = ~redo
             index, columns = index[keep], tuple(c[keep] for c in columns)

@@ -189,7 +189,7 @@ def iterate(
     """
     if not 0.0 <= tol < math.inf:  # tol = inf would stop at x0 as a fixed point
         raise DomainError(f"tolerance must be {'finite' if tol > 0 else '>= 0'}, got {tol}")
-    if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
+    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
     if not T.domain.contains(x0):
         raise DomainError(f"starting point {x0} lies outside the domain")

@@ -17,15 +17,18 @@ from mvfix import (
     DomainError,
     ExponentialIntegrand,
     FFunction,
+    MvfixError,
     PairEvaluation,
     PowerIntegrand,
     analysis,
     certify,
     domain_grid,
     evaluate_pair,
+    evaluate_pairs,
     expression_integrand,
     finite_set_map,
     interval_map,
+    iterate,
     m_value,
     parse_expr,
     singleton_map,
@@ -123,6 +126,9 @@ class TestPairEvaluation:
         T = halving_interval_map()
         assert abs(evaluate_pair(T, LOG, ONE, 0.0, 1.0, "excess").margin - math.log(4.0)) <= 1e-12
         assert abs(evaluate_pair(T, LOG, ONE, 1.0, 0.0, "excess").margin - math.log(2.0)) <= 1e-12
+        # evaluate_pairs keeps the given order too
+        _, columns, _ = evaluate_pairs(T, LOG, ONE, [0.0, 1.0], [1.0, 0.0], "excess")
+        assert np.abs(columns[-1] - [math.log(4.0), math.log(2.0)]).max() <= 1e-12
 
     def test_equal_points_are_vacuous(self):
         ev = evaluate_pair(halving_interval_map(), LOG, ONE, 0.3, 0.3)
@@ -267,12 +273,13 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(halving_point_map(), LOG, ONE, random_pairs=-1)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 21.0])
+    # a bool is no integer here, as in the config
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 21.0, True, False])
     def test_grid_size_must_be_an_integer(self, value):
         with pytest.raises(DomainError, match=f"grid_size must be an integer >= 2, got {value}"):
             certify(halving_point_map(), LOG, ONE, grid_size=value)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5, 3.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5, 3.0, True, False])
     def test_random_pairs_must_be_an_integer(self, value):
         words = f"random_pairs must be an integer >= 0, got {value}"
         with pytest.raises(DomainError, match=words):
@@ -285,7 +292,7 @@ class TestCertify:
             certify(halving_point_map(), LOG, ONE, **{name: 10**20})
         assert str(err.value) == f"{name} must be at most {SWEEP_LIMIT}, got {10**20}"
 
-    @pytest.mark.parametrize("value", [-1, 1.5, math.nan])
+    @pytest.mark.parametrize("value", [-1, 1.5, math.nan, True, False])
     def test_seed_must_be_a_nonnegative_integer(self, value):
         with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {value}"):
             certify(halving_point_map(), LOG, ONE, seed=value)
@@ -540,8 +547,8 @@ class TestBatchedSweepAgainstScalarLoop:
     @staticmethod
     def assert_spans_chunks(T, mode, pairs_per_chunk):
         # the chunk size the sweep really uses for these images
-        sweep = analysis._Sweep(T, LOG, ONE, mode, 11, 0, 0)
-        assert analysis.CHUNK_ELEMENTS // sweep.elements_per_pair == pairs_per_chunk
+        evaluator = analysis._Evaluator(T, LOG, ONE, mode, domain_grid(T.domain, 11))
+        assert evaluator.chunk_size == pairs_per_chunk
         grid_size = math.isqrt(4 * pairs_per_chunk) + 2  # over 2 chunks of grid pairs
         args = dict(grid_size=grid_size, random_pairs=200, seed=3, mode=mode)
         spy = mock.patch.object(analysis, "_evaluate_batch", wraps=analysis._evaluate_batch)
@@ -706,16 +713,81 @@ class TestSweepPairs:
     @settings(max_examples=150, deadline=None)
     def test_pairs_follow_the_rows(self, case):
         grid_size, random_pairs, start, stop = case
-        T = halving_interval_map()
-        sweep = analysis._Sweep(T, LOG, ONE, "hausdorff", grid_size, random_pairs, 1)
-        drawn = range(grid_size, len(sweep.points), 2)
+        pairs = analysis._GridPairs(UNIT, grid_size, random_pairs, 1)
+        drawn = range(grid_size, len(pairs.points), 2)
         reference = [*itertools.combinations(range(grid_size), 2), *((k, k + 1) for k in drawn)]
+        assert pairs.count == len(reference)
         first, second = (np.array(side, dtype=np.intp) for side in zip(*reference[start:stop]))
-        x, y, xs, ys = sweep.pairs(start, stop)
-        assert x.tobytes() == sweep.points[first].tobytes()
-        assert y.tobytes() == sweep.points[second].tobytes()
+        xs, ys = pairs(start, stop)
+        assert xs.dtype == ys.dtype == np.intp
         assert xs.tolist() == first.tolist()
         assert ys.tolist() == second.tolist()
+
+
+PAIR_MAPS = {
+    "interval": halving_interval_map,
+    "singleton": lambda: oracle_map("singleton", "interval"),
+    "four_points": lambda: FOUR_POINTS,
+    # one-interval and union images, and a missing key at 0.5
+    "union_table": lambda: oracle_map("table", "points"),
+}
+# NaN, the infinities, points outside [0, 1], both zeros and the table's keys
+PAIR_POINTS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.5, 1.5, 0.0, -0.0, 0.25, 0.5, 1.0]),
+    st.floats(0.0, 1.0),
+)
+
+
+class TestEvaluatePairsAgainstEvaluatePair:
+    @given(
+        name=st.sampled_from(sorted(PAIR_MAPS)),
+        integrand=st.sampled_from(sorted(ORACLE_INTEGRANDS)),
+        f_kind=st.sampled_from(["log", "log_plus_linear", "neg_inv_sqrt"]),
+        mode=st.sampled_from(analysis.MODES),
+        pairs=st.lists(st.tuples(PAIR_POINTS, PAIR_POINTS), max_size=30),
+        chunk_elements=st.sampled_from([analysis.CHUNK_ELEMENTS, 64, 1]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_for_bit(self, name, integrand, f_kind, mode, pairs, chunk_elements):
+        T, f, F = PAIR_MAPS[name](), oracle_integrand(integrand), FFunction(f_kind)
+        pairs += [(y, x) for x, y in pairs]  # each pair in both orders
+        x, y = (np.array([pair[side] for pair in pairs]) for side in (0, 1))
+        with mock.patch.object(analysis, "CHUNK_ELEMENTS", chunk_elements):
+            index, columns, errors = evaluate_pairs(T, F, f, x, y, mode)
+        assert {len(c) for c in columns} == {len(index)}
+        rows = [
+            (k, PairEvaluation(*values[:6], None if math.isnan(values[6]) else values[6]))
+            for k, *values in zip(index.tolist(), *(c.tolist() for c in columns))
+        ]
+        expected_rows, expected_errors = [], []
+        for k, (a, b) in enumerate(pairs):
+            try:
+                expected_rows.append((k, evaluate_pair(T, F, f, a, b, mode)))
+            except MvfixError as err:
+                expected_errors.append((a, b, k, str(err)))
+        # repr of a float round-trips exactly and tells -0.0 from 0.0
+        assert repr(rows) == repr(expected_rows)
+        assert repr(errors) == repr(expected_errors)
+
+    def test_orbit_pairs_take_no_scalar_code(self):
+        # the (x, next) pairs of 10,000 nearest-point steps on x - x^2
+        T = singleton_map(UNIT, "x - x^2")
+        trace = iterate(T, 0.5, tol=0.0, max_iter=10_000)
+        spy = mock.patch.object(analysis, "_evaluate", wraps=analysis._evaluate)
+        with spy as scalar:
+            index, columns, errors = evaluate_pairs(T, LOG, ONE, trace.x, trace.next_point)
+        assert scalar.call_count == 0 and not errors
+        assert index.tolist() == list(range(10_000))
+        expected = [
+            evaluate_pair(T, LOG, ONE, x, y)
+            for x, y in zip(trace.x.tolist(), trace.next_point.tolist())
+        ]
+        rows = [PairEvaluation(*values) for values in zip(*(c.tolist() for c in columns))]
+        assert repr(rows) == repr(expected)
+
+    def test_x_and_y_must_be_one_length(self):
+        with pytest.raises(DomainError, match=r"got shapes \(2,\) and \(1,\)"):
+            evaluate_pairs(halving_interval_map(), LOG, ONE, [0.0, 1.0], [0.5])
 
 
 # the table keys sit on a point domain, so the grid and the drawn pairs all hit them
@@ -833,7 +905,7 @@ class TestShapePathsAgainstScalarLoop:
     @pytest.mark.parametrize("domain", sorted(ORACLE_DOMAINS))
     @pytest.mark.parametrize("kind", ORACLE_MAPS)
     def test_images_are_one_interval_or_points(self, kind, domain):
-        # _Sweep reads 1-D images as one interval each, 2-D as point members
+        # _Evaluator reads 1-D images as one interval each, 2-D as point members
         T = oracle_map(kind, domain)
         lo, hi = image_arrays(T, np.array(domain_grid(T.domain, 41).tolist() + [0.0, 0.25, 1.0]))
         assert lo.ndim == (2 if kind == "finite_set" else 1)

@@ -160,7 +160,8 @@ class TestIterate:
         with pytest.raises(DomainError):
             iterate(T, 1.0, max_iter=0)
 
-    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf])
+    # a bool is no integer here, as in the config
+    @pytest.mark.parametrize("value", [2.5, math.nan, math.inf, True, False])
     def test_max_iter_must_be_an_integer(self, value):
         with pytest.raises(DomainError, match=f"max_iter must be an integer >= 1, got {value}"):
             iterate(singleton_map(UNIT, "x/2"), 1.0, max_iter=value)
