@@ -20,12 +20,11 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MvfixError
+from .errors import SWEEP_LIMIT, DomainError, MvfixError, checked_number
 from .ffunctions import FFunction, f_eval, f_eval_array
 from .integrand import Integrand, capital_phi, capital_phi_array
 from .maps import MultiMap, apply_map, image_arrays
@@ -33,6 +32,7 @@ from .sets1d import CompactSet, dist_point_set, domain_grid, excess, hausdorff, 
 
 __all__ = [
     "MODES",
+    "SWEEP_LIMIT",
     "VIOLATION_ROWS",
     "ERROR_ROWS",
     "PairEvaluation",
@@ -59,12 +59,6 @@ ERROR_ROWS = 100
 # (16,384 pairs), 0.58 MB for 4-point images (3,276).  Each chunk is
 # evaluated, redone where needed and counted as one block.
 CHUNK_ELEMENTS = 1 << 16
-
-# Upper bound on grid_size and random_pairs.  A sweep holds its pairs only
-# a chunk at a time, but its grid and drawn points are whole arrays: no
-# sweep that large fits them in memory, and far larger sizes end in a raw
-# numpy error.
-SWEEP_LIMIT = 10**9
 
 
 @dataclass(frozen=True)
@@ -225,10 +219,14 @@ def certify(
     The random points are drawn in one call (:func:`sample_points`, the
     same stream as one draw at a time).  The pairs are made, evaluated
     (:class:`_Evaluator`, with the bits of :func:`evaluate_pair`) and
-    counted a chunk at a time.  ``seed``, ``grid_size`` and
-    ``random_pairs`` must be integers, not bools (``seed >= 0``,
-    ``grid_size >= 2``; both sizes at most ``SWEEP_LIMIT``).
+    counted a chunk at a time.  ``grid_size``, ``random_pairs`` and
+    ``seed`` take whole numbers, kept as ints, by their number rules
+    (``grid_size >= 2``, ``seed >= 0``; both sizes at most ``SWEEP_LIMIT``).
     """
+    _check_mode(mode)
+    grid_size = checked_number("grid_size", grid_size)
+    random_pairs = checked_number("random_pairs", random_pairs)
+    seed = checked_number("seed", seed)
     tally = _Tally()
     for block in _sweep(T, F, f, grid_size, random_pairs, seed, mode):
         tally.add(*block)
@@ -310,19 +308,8 @@ def _first_rows(
 def _sweep(
     T: MultiMap, F: FFunction, f: Integrand, grid_size: int, random_pairs: int, seed: int, mode: str
 ):
-    """Check the arguments of :func:`certify`, then yield the blocks of its
-    pairs (:class:`_GridPairs`) from one :class:`_Evaluator`."""
-    _check_mode(mode)
-    for name, value, least, most in (
-        ("grid_size", grid_size, 2, SWEEP_LIMIT),
-        ("random_pairs", random_pairs, 0, SWEEP_LIMIT),
-        ("seed", seed, 0, math.inf),
-    ):
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
-            raise DomainError(f"{name} must be an integer >= {least}, got {value}")
-        if value > most:
-            raise DomainError(f"{name} must be at most {most}, got {value}")
-
+    """The blocks of :func:`certify`'s pairs (:class:`_GridPairs`), from one
+    :class:`_Evaluator`; the arguments are :func:`certify`'s, checked."""
     pairs = _GridPairs(T.domain, grid_size, random_pairs, seed)
     yield from _Evaluator(T, F, f, mode, pairs.points).blocks(pairs, pairs.count)
 

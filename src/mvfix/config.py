@@ -8,9 +8,9 @@ naming the offending key.  Serialization round-trips exactly.
 The keys of a map, integrand or F kind are the parameters of its factory
 in :data:`~mvfix.maps.MAP_KINDS`, :data:`~mvfix.integrand.INTEGRAND_KINDS`
 or :data:`F_FACTORIES` (a map's ``domain`` aside), and a key left out
-takes the factory's default.  This
-module checks keys, not kinds: a key means the same thing in every kind
-that has it.
+takes the factory's default.  This module checks keys, not kinds: a key
+means the same thing in every kind that has it, and a number key keeps the
+rule of the library argument of its name (:func:`~mvfix.errors.checked_number`).
 """
 
 from __future__ import annotations
@@ -18,19 +18,19 @@ from __future__ import annotations
 import functools
 import inspect
 import json
-import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Union
 
-from .analysis import MODES, SWEEP_LIMIT
-from .errors import ConfigError, MvfixError
+from .analysis import MODES
+from .errors import _NUMBER_RULES, SWEEP_LIMIT, ConfigError, MvfixError, checked_number, real_number
 from .ffunctions import F_KINDS, FFunction
 from .integrand import INTEGRAND_KINDS, Integrand
 from .maps import MAP_KINDS, MultiMap
 from .sets1d import CompactSet
 
 __all__ = [
+    "SWEEP_LIMIT",
     "Spec",
     "ProblemConfig",
     "config_from_dict",
@@ -67,21 +67,6 @@ def _require_keys(data: dict, allowed: set[str], where: str) -> None:
         raise ConfigError(f"unknown key '{sorted(unknown)[0]}' in {where}")
 
 
-def _number(data: dict, key: str, where: str, default=None, required=False):
-    if key not in data:
-        if required:
-            raise ConfigError(f"{where} requires '{key}'")
-        return default
-    v = data[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
-    try:
-        float(v)
-    except OverflowError:
-        raise ConfigError(f"{key} must be a number, got an integer too large for a float") from None
-    return v
-
-
 def _expression(message: str) -> Callable[[Any], str]:
     def read(v: Any) -> str:
         if not isinstance(v, str):
@@ -113,34 +98,8 @@ def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...
 _ENDPOINT = _expression("map.lo and map.hi must be expression strings")
 
 
-def _whole(least: float = -math.inf) -> tuple[Callable[[Any], bool], str]:
-    """The test of an integer key, at least ``least``."""
-    words = "must be an integer" + (f" >= {least}" if least > -math.inf else "")
-    return (lambda v: math.isfinite(v) and int(v) == v and v >= least, words)
-
-
-# Every number key, of a kind or a setting: the type it is stored as, then
-# its tests in order, each with the words of its message.  Any other key of
-# a kind has a reader that turns the JSON value into the stored value or raises.
-_POSITIVE = (lambda v: v > 0.0, "must be positive")
-_FINITE = (math.isfinite, "must be finite")
-_SWEEP = (lambda v: v <= SWEEP_LIMIT, f"must be at most {SWEEP_LIMIT}")
-_NUMBER_RULES = {
-    "c": (float, _POSITIVE, _FINITE),
-    "p": (float, (lambda v: v > -1.0, "must be > -1"), _FINITE),
-    "rate": (float, _FINITE),
-    "scale": (float, _POSITIVE, _FINITE),
-    "grid_max": (float, _POSITIVE, _FINITE),
-    "k": (float, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
-    "tau": (float, _POSITIVE, _FINITE),
-    "grid_size": (int, _whole(2), _SWEEP),
-    "random_pairs": (int, _whole(0), _SWEEP),
-    # certify seeds numpy's generator, which takes no negative seed
-    "seed": (int, _whole(), (lambda v: v >= 0, "must be >= 0")),
-    "tol": (float, (lambda v: v >= 0.0, "must be >= 0"), _FINITE),
-    "max_iter": (int, _whole(1)),
-    "x0": (float,),
-}
+# Every key of a kind other than a number key (see ``_NUMBER_RULES``) has a
+# reader that turns the JSON value into the stored value or raises.
 _READERS = {
     "lo": _ENDPOINT,
     "hi": _ENDPOINT,
@@ -158,18 +117,6 @@ def _parameters(factory: Callable) -> tuple[inspect.Parameter, ...]:
     return tuple(p for p in params if p.name != "domain")
 
 
-def _checked(v: Any, key: str, name: str) -> Any:
-    """``v`` through ``key``'s tests, named ``name`` in messages, then stored
-    as the key's type; None, a setting left unset, stays None."""
-    if v is None:
-        return None
-    store, *tests = _NUMBER_RULES[key]
-    for test, words in tests:
-        if not test(v):
-            raise ConfigError(f"{name} {words}, got {v}")
-    return store(v)
-
-
 def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None) -> Spec:
     """Read a ``where`` object whose kind names a factory in ``kinds``.
 
@@ -185,13 +132,15 @@ def _spec_from_dict(data: Any, where: str, kinds: dict, default_kind: str | None
     _require_keys(data, {"kind", *(p.name for p in params)}, where)
     values = {}
     for p in params:
-        if p.name in _NUMBER_RULES:
-            values[p.name] = _number(data, p.name, where, p.default, p.default is p.empty)
-        else:
+        if p.name not in _NUMBER_RULES:
             values[p.name] = _READERS[p.name](data.get(p.name))
+        elif p.name not in data and p.default is p.empty:
+            raise ConfigError(f"{where} requires '{p.name}'")
+        else:
+            values[p.name] = real_number(data.get(p.name, p.default), p.name, ConfigError)
     for key, v in values.items():
         if key in _NUMBER_RULES:
-            values[key] = _checked(v, key, f"{where}.{key}")
+            values[key] = checked_number(key, v, f"{where}.{key}", ConfigError)
     return Spec(kind, tuple(values.items()))
 
 
@@ -251,8 +200,8 @@ def config_from_dict(data: Any) -> ProblemConfig:
             settings[key] = data.get(key, setting.default)
             if settings[key] not in MODES:
                 raise ConfigError(f"mode must be one of {MODES}, got {settings[key]!r}")
-        elif key in _NUMBER_RULES:
-            settings[key] = _checked(_number(data, key, "configuration", setting.default), key, key)
+        elif key in data and key in _NUMBER_RULES:
+            settings[key] = checked_number(key, data[key], key, ConfigError)
     return ProblemConfig(domain, map_spec, f_spec, integrand_spec, **settings)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, checked_number
 from .expr import _pointwise
 from .sets1d import CompactSet, domain_grid
 
@@ -60,8 +60,7 @@ class FFunction:
     def __post_init__(self):
         if self.kind not in F_KINDS:
             raise InvariantError(f"unknown F kind {self.kind!r}, expected one of {F_KINDS}")
-        if not (0.0 < self.k < 1.0):
-            raise InvariantError(f"k witness must lie in (0, 1), got {self.k}")
+        checked_number("k", self.k, error=InvariantError)
 
 
 def f_eval(F: FFunction, alpha: float) -> float:

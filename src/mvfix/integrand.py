@@ -16,7 +16,14 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import DomainError, EvalError, InvariantError, MvfixError, QuadratureError
+from .errors import (
+    DomainError,
+    EvalError,
+    InvariantError,
+    MvfixError,
+    QuadratureError,
+    checked_number,
+)
 from .expr import ExprAst, compile_expr, enclose, eval_expr_array, parse_expr
 from .maps import _VALIDATION_GRID_POINTS
 
@@ -56,8 +63,7 @@ class ConstantIntegrand:
     c: float = 1.0
 
     def __post_init__(self):
-        if not (self.c > 0.0 and math.isfinite(self.c)):
-            raise InvariantError(f"constant integrand needs c > 0, got {self.c}")
+        checked_number("c", self.c, error=InvariantError)
 
     def _cumulative(self, u: float) -> float:
         return self.c * u
@@ -71,10 +77,8 @@ class PowerIntegrand:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.p > -1.0 and math.isfinite(self.p)):
-            raise InvariantError(f"power integrand needs p > -1, got {self.p}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise InvariantError(f"power integrand needs scale > 0, got {self.scale}")
+        checked_number("p", self.p, error=InvariantError)
+        checked_number("scale", self.scale, error=InvariantError)
 
     def _cumulative(self, u: float) -> float:
         return self.scale * u ** (self.p + 1.0) / (self.p + 1.0)
@@ -88,12 +92,8 @@ class ExponentialIntegrand:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.rate):
-            raise InvariantError(f"exponential integrand needs finite rate, got {self.rate}")
-        if not (self.scale > 0.0 and math.isfinite(self.scale)):
-            raise InvariantError(
-                f"exponential integrand needs scale > 0, got {self.scale}"
-            )
+        checked_number("rate", self.rate, error=InvariantError)
+        checked_number("scale", self.scale, error=InvariantError)
 
     def _cumulative(self, u: float) -> float:
         if self.rate == 0.0:
@@ -155,8 +155,7 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
     does the scalar expression run, to raise its error or to give the
     value the message reports.
     """
-    if not (grid_max > 0.0 and math.isfinite(grid_max)):
-        raise InvariantError(f"grid_max must be positive and finite, got {grid_max}")
+    grid_max = checked_number("grid_max", grid_max, error=InvariantError)
     f = ExpressionIntegrand(ast=parse_expr(source, variable="t"), source=source, grid_max=grid_max)
     box = enclose(f.ast, 0.0, grid_max)
     if box is not None and box[0] > 0.0:

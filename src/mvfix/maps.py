@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, MvfixError
+from .errors import DomainError, InvariantError, MvfixError, checked_number
 from .expr import ExprAst, _Codegen, compile_expr, enclose, eval_expr_array, format_expr, parse_expr
 from .sets1d import CompactSet, _nearest, dist_point_set, domain_grid
 
@@ -322,8 +322,7 @@ def apply_map(T: MultiMap, x: float) -> CompactSet:
 
 def is_fixed_point(T: MultiMap, x: float, tol: float = 0.0) -> bool:
     """True when the distance from x to T(x) is at most ``tol``."""
-    if not 0.0 <= tol < math.inf:  # tol = inf would call every point fixed
-        raise DomainError(f"tolerance must be {'finite' if tol > 0 else '>= 0'}, got {tol}")
+    tol = checked_number("tol", tol)  # tol = inf would call every point fixed
     return dist_point_set(x, apply_map(T, x)) <= tol
 
 

@@ -14,14 +14,13 @@ validator checks those claims against a concrete trace.
 from __future__ import annotations
 
 import math
-import numbers
 from array import array
 from dataclasses import dataclass, fields
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InsufficientTraceError, MvfixError
+from .errors import DomainError, InsufficientTraceError, MvfixError, checked_number
 from .expr import _pointwise
 from .ffunctions import FFunction, decay_witnesses, f_eval, f_eval_array
 from .integrand import ConstantIntegrand, Integrand, capital_phi, capital_phi_array, integrand_label
@@ -187,10 +186,9 @@ def iterate(
     :func:`capital_phi` on that one d gives the outcome, so the steps and
     the outcome are those of a loop that takes Phi step by step.
     """
-    if not 0.0 <= tol < math.inf:  # tol = inf would stop at x0 as a fixed point
-        raise DomainError(f"tolerance must be {'finite' if tol > 0 else '>= 0'}, got {tol}")
-    if isinstance(max_iter, bool) or not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
-        raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
+    tol = checked_number("tol", tol)  # tol = inf would stop at x0 as a fixed point
+    max_iter = checked_number("max_iter", max_iter)
+    x0 = checked_number("x0", x0)
     if not T.domain.contains(x0):
         raise DomainError(f"starting point {x0} lies outside the domain")
 
@@ -248,8 +246,7 @@ def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerd
     both the rate bound and the envelope, and the envelope is one
     builtin ``sum`` over those terms in order.
     """
-    if not 0.0 < tau < math.inf:
-        raise DomainError(f"tau must be {'finite' if tau > 0.0 else 'positive'}, got {tau}")
+    tau = checked_number("tau", tau)
     recorded = np.flatnonzero(trace.gamma > 0.0)
     if len(recorded) < 2:
         raise InsufficientTraceError(

@@ -372,7 +372,7 @@ def iterate_scalar(T, x0, tol, max_iter, f):
     Returns ``steps``, ``outcome`` and ``params`` in a namespace.
     """
     if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tolerance must be {'finite' if tol > 0 else '>= 0'}, got {tol}")
+        raise DomainError(f"tol must be {'finite' if tol > 0 else '>= 0'}, got {tol}")
     if not (isinstance(max_iter, numbers.Integral) and max_iter >= 1):
         raise DomainError(f"max_iter must be an integer >= 1, got {max_iter}")
     if not T.domain.contains(x0):

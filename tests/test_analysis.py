@@ -273,17 +273,43 @@ class TestCertify:
         with pytest.raises(DomainError):
             certify(halving_point_map(), LOG, ONE, random_pairs=-1)
 
-    # a bool is no integer here, as in the config
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 2.5, 21.0, True, False])
-    def test_grid_size_must_be_an_integer(self, value):
-        with pytest.raises(DomainError, match=f"grid_size must be an integer >= 2, got {value}"):
+    # a bool is no number here, as in the config
+    @pytest.mark.parametrize(
+        "value, words",
+        [
+            (math.nan, "must be an integer >= 2, got nan"),
+            (math.inf, "must be an integer >= 2, got inf"),
+            (2.5, "must be an integer >= 2, got 2.5"),
+            (True, "must be a number, got True"),
+            (False, "must be a number, got False"),
+        ],
+    )
+    def test_grid_size_must_be_an_integer(self, value, words):
+        with pytest.raises(DomainError) as err:
             certify(halving_point_map(), LOG, ONE, grid_size=value)
+        assert str(err.value) == f"grid_size {words}"
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.5, 3.0, True, False])
-    def test_random_pairs_must_be_an_integer(self, value):
-        words = f"random_pairs must be an integer >= 0, got {value}"
-        with pytest.raises(DomainError, match=words):
+    @pytest.mark.parametrize(
+        "value, words",
+        [
+            (math.nan, "must be an integer >= 0, got nan"),
+            (math.inf, "must be an integer >= 0, got inf"),
+            (0.5, "must be an integer >= 0, got 0.5"),
+            (True, "must be a number, got True"),
+            (False, "must be a number, got False"),
+        ],
+    )
+    def test_random_pairs_must_be_an_integer(self, value, words):
+        with pytest.raises(DomainError) as err:
             certify(halving_point_map(), LOG, ONE, random_pairs=value)
+        assert str(err.value) == f"random_pairs {words}"
+
+    def test_whole_float_sizes_and_seed_run_as_integers(self):
+        # as in the config, a whole float counts as the integer it equals
+        report = certify(halving_point_map(), LOG, ONE, grid_size=21, random_pairs=3, seed=7)
+        whole = certify(halving_point_map(), LOG, ONE, grid_size=21.0, random_pairs=3.0, seed=7.0)
+        assert whole == report
+        assert [type(v) for v in (whole.grid_size, whole.random_pairs, whole.seed)] == [int] * 3
 
     # refused before the grid or the drawn points are allocated
     @pytest.mark.parametrize("name", ["grid_size", "random_pairs"])
@@ -292,10 +318,20 @@ class TestCertify:
             certify(halving_point_map(), LOG, ONE, **{name: 10**20})
         assert str(err.value) == f"{name} must be at most {SWEEP_LIMIT}, got {10**20}"
 
-    @pytest.mark.parametrize("value", [-1, 1.5, math.nan, True, False])
-    def test_seed_must_be_a_nonnegative_integer(self, value):
-        with pytest.raises(DomainError, match=f"seed must be an integer >= 0, got {value}"):
+    @pytest.mark.parametrize(
+        "value, words",
+        [
+            (-1, "must be >= 0, got -1"),
+            (1.5, "must be an integer, got 1.5"),
+            (math.nan, "must be an integer, got nan"),
+            (True, "must be a number, got True"),
+            (False, "must be a number, got False"),
+        ],
+    )
+    def test_seed_must_be_a_nonnegative_integer(self, value, words):
+        with pytest.raises(DomainError) as err:
             certify(halving_point_map(), LOG, ONE, seed=value)
+        assert str(err.value) == f"seed {words}"
 
 
 class TestReportOrder:

@@ -68,10 +68,20 @@ class TestEvaluation:
         with pytest.raises(InvariantError):
             FFunction("tanh")
 
-    @pytest.mark.parametrize("k", [0.0, 1.0, -0.5])
-    def test_witness_exponent_range(self, k):
-        with pytest.raises(InvariantError):
+    @pytest.mark.parametrize(
+        "k, words",
+        [
+            (0.0, "must lie in (0, 1), got 0.0"),
+            (1.0, "must lie in (0, 1), got 1.0"),
+            (-0.5, "must lie in (0, 1), got -0.5"),
+            (True, "must be a number, got True"),
+            (False, "must be a number, got False"),
+        ],
+    )
+    def test_witness_exponent_range(self, k, words):
+        with pytest.raises(InvariantError) as err:
             FFunction("log", k=k)
+        assert str(err.value) == f"k {words}"
 
 
 class TestStrictMonotonicity:
@@ -160,7 +170,7 @@ class TestLimitProbes:
 
     def test_bad_witness_exponent(self):
         # k is F's own: an F with k outside (0, 1) cannot be made to probe
-        with pytest.raises(InvariantError, match=r"k witness must lie in \(0, 1\), got 1.5"):
+        with pytest.raises(InvariantError, match=r"^k must lie in \(0, 1\), got 1.5$"):
             FFunction("log", 1.5)
 
 

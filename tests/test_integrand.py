@@ -287,10 +287,21 @@ INTEGRAND_PARITY_CASES = [
 
 
 class TestValidation:
-    @pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
-    def test_constant_needs_positive_c(self, c):
-        with pytest.raises(InvariantError):
+    @pytest.mark.parametrize(
+        "c, words",
+        [
+            (0.0, "must be positive, got 0.0"),
+            (-1.0, "must be positive, got -1.0"),
+            (math.nan, "must be positive, got nan"),
+            (math.inf, "must be finite, got inf"),
+            (True, "must be a number, got True"),
+            (False, "must be a number, got False"),
+        ],
+    )
+    def test_constant_needs_positive_c(self, c, words):
+        with pytest.raises(InvariantError) as err:
             ConstantIntegrand(c)
+        assert str(err.value) == f"c {words}"
 
     def test_power_needs_p_above_minus_one(self):
         with pytest.raises(InvariantError):
@@ -300,10 +311,20 @@ class TestValidation:
         with pytest.raises(InvariantError):
             PowerIntegrand(p=1.0, scale=0.0)
 
-    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
-    def test_exponential_needs_finite_rate(self, rate):
-        with pytest.raises(InvariantError, match="exponential integrand needs finite rate"):
+    @pytest.mark.parametrize(
+        "rate, words",
+        [
+            (math.inf, "must be finite, got inf"),
+            (-math.inf, "must be finite, got -inf"),
+            (math.nan, "must be finite, got nan"),
+            (True, "must be a number, got True"),
+            (False, "must be a number, got False"),
+        ],
+    )
+    def test_exponential_needs_finite_rate(self, rate, words):
+        with pytest.raises(InvariantError) as err:
             ExponentialIntegrand(rate=rate)
+        assert str(err.value) == f"rate {words}"
 
     def test_exponential_needs_positive_scale(self):
         with pytest.raises(InvariantError):

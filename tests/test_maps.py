@@ -137,12 +137,12 @@ class TestApplication:
 
     def test_nan_tolerance_rejected(self):
         # d <= nan is False, which would read as "not a fixed point"
-        with pytest.raises(DomainError, match="tolerance must be >= 0, got nan"):
+        with pytest.raises(DomainError, match=r"^tol must be >= 0, got nan$"):
             is_fixed_point(halving_map(), 0.0, tol=math.nan)
 
     def test_infinite_tolerance_rejected(self):
         # d <= inf holds for every x, which would call every point fixed
-        with pytest.raises(DomainError, match="tolerance must be finite, got inf"):
+        with pytest.raises(DomainError, match=r"^tol must be finite, got inf$"):
             is_fixed_point(halving_map(), 0.5, tol=math.inf)
 
     def test_describe_shows_endpoints(self):
