@@ -112,59 +112,137 @@ def extract_machine_block(text: str) -> dict[str, str]:
 
 
 # Exact %.17g of float64s: |v| * 10**(16 - E) rounded once in x87 precision, where 10**27 is exact
+# (10**0 and 10**28 only serve a log10 one off at the ends of the fast range)
 _X87 = np.finfo(np.longdouble).nmant == 63
-_POW10 = np.cumprod(np.r_[1, np.full(27, 10)].astype(np.longdouble))
+_POW10 = np.cumprod(np.r_[1, np.full(28, 10)].astype(np.longdouble))
 _QUADS = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10  # digits of 0 .. 9999
 _TRAILING_ZEROS = (_QUADS[:, ::-1].cumsum(axis=1) == 0).sum(axis=1).astype(np.uint8)
 _QUADS = (_QUADS + 48).astype(np.uint8).view("<u4").ravel()  # "0000" .. "9999", in byte order
-_AROUND = np.zeros((28, 24), np.uint8)  # by E + 11: "0.000" before the digits, or "e-05" after
-for _e in range(-11, 0):
-    _text = b"0." + b"0" * (-_e - 1) if _e >= -4 else b"e-%02d" % -_e
-    _AROUND[_e + 11, 1 if _e >= -4 else 19 :][: len(_text)] = list(_text)
-_SLOT = np.arange(24, dtype=np.uint8)[:, None]  # a %.17g of a float64 has at most 24 characters
+_QUAD_WORDS = _QUADS.astype(np.uint64), _QUADS.astype(np.uint64) << 32  # as low, high half-word
+_TENS = np.array([10**k for k in range(1, 8)])  # an index of k + 1 digits has k of these <= it
+_KEEP_DIGITS = np.array([2**64 - 2 ** (56 - 8 * k) for k in range(8)], np.uint64)  # last k+1 of 8
 _BLOCK = 512  # rows
 
 
+def _slot_layouts() -> tuple[np.ndarray, ...]:
+    """Where a fast value's digits go, by class ``17 * (E + 11) + sig - 1``.
+
+    Digit i of the 17 is byte 7 + i of three 64-bit words.  The lead
+    digits, those before the point, move 6 bytes down to byte 1 + i, the
+    kept tail digits 5 bytes down to byte 2 + i, past the point in byte
+    1 + p, and an exponent "e-05" fills bytes 19 to 22; for 1e-4 <= |v| < 1
+    every kept digit moves 1 byte down, past "0.000" in bytes 1 to 5.
+    Byte 0 is the sign.  Returns the lead masks, tail masks and fixed text
+    of each class as words (the text of a negative value 459 classes on),
+    and the tail shift in bits.
+    """
+    lead, tail, text = (np.zeros((459, 24), np.uint8) for _ in range(3))
+    shift = np.full(459, 40, np.uint64)
+    for c in range(459):
+        e, sig = c // 17 - 11, c % 17 + 1
+        if -4 <= e < 0:
+            tail[c, 7 : 7 + sig] = 255
+            text[c, 1 : 2 - e] = list(b"0." + b"0" * (-e - 1))
+            shift[c] = 8
+            continue
+        p = max(e + 1, 1)  # digits before the point
+        lead[c, 7 : 7 + p] = 255
+        tail[c, 7 + p : 7 + max(sig, p)] = 255
+        text[c, 1 + p] = ord(".") * (sig > p)
+        if e < 0:
+            text[c, 19:23] = list(b"e-%02d" % -e)
+    text = np.concatenate([text, text])
+    text[459:, 0] = ord("-")
+    lead, tail = (np.ascontiguousarray(t.view(np.uint64).T) for t in (lead, tail))
+    return lead, tail, text.view(np.uint64), shift
+
+
+_LEAD, _TAIL, _TEXT, _SHIFT = _slot_layouts()
+
+
+def _divmod(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    q = x // d  # np.divmod and % take several times as long
+    return q, x - q * d
+
+
 def _format_g17(v: np.ndarray) -> np.ndarray:
-    """``"%.17g" % x`` for each x of ``v``, as rows of 24 NUL-padded bytes."""
+    """``"%.17g" % x`` for each x of ``v``, as rows of 24 NUL-padded bytes.
+
+    The 17 digits are ``|x| * 10**(16 - E)`` rounded once in x87 extended
+    precision, as one digit and four 4-digit groups; each slot is put
+    together as three 64-bit words by the tables of :func:`_slot_layouts`.
+    Values that are not finite, lie outside (1e-11, 1e16) or whose product
+    has a fraction of exactly 1/2 fall back to ``"%.17g" % x``, as does
+    every value where ``np.longdouble`` is not the x87 format.
+    """
     a = np.abs(v)
     fast = (a > 1e-11) & (a < 1e16) & _X87
     a = np.where(fast, a, 1.0)
-    e = np.clip(np.floor(np.log10(a)).astype(np.int64), -11, 15)
-    a = a.astype(np.longdouble)
-    r = a * _POW10.take(16 - e)
-    e += (r >= 1e17).astype(np.int64) - (r < 1e16)  # log10 is one off below 10**k
-    r = a * _POW10.take(16 - e)  # one rounding; r * 10 would round twice
+    e = np.floor(np.log10(a)).astype(np.int8)
+    r = a.astype(np.longdouble)
+    r *= _POW10.take(16 - e)
     n = r.astype(np.int64)
-    r -= n  # a multiple of ulp(r) <= 2**-7: on the exact product's side of 1/2 unless == 1/2
-    fast &= r != 0.5
-    n += r > 0.5
-    carry = n == 10**17  # 9.9999999999999995e-05 rounds to 1.0000000000000000e-04
-    n -= carry * (9 * 10**16)
-    e += carry  # now |v| rounds to n * 10**(e - 16), n of 17 digits, where fast
-    q, units = np.divmod(np.array(np.divmod(n, 10**8), np.int32), 10**4)
-    groups = np.stack([q[0] // 10**4, q[0] % 10**4, units[0], q[1], units[1]])  # 1 + 4 * 4 digits
-    del a, r, n, q, units
-    z = _TRAILING_ZEROS.take(groups)
-    sig = 17 - (z[4] + (z[4] == 4) * (z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * z[1])))
-    point = np.where(e >= 0, e + 1, 1).astype(np.uint8)  # digits before the point
-    digits = _QUADS.take(groups.T).view(np.uint8).T  # "000" and the 17 digits
-    del groups, z
-    # byte j of slot i is out[j, i]; blends by xor and multiply, as np.where is slow on bytes
-    pad = np.zeros((30, len(v)), np.uint8)  # digit i in row 6 + i
-    np.multiply(digits[3:], _SLOT[:17] < np.maximum(sig, point), out=pad[6:23])
-    del digits
-    out = pad[4:28] ^ pad[5:29]
-    out *= _SLOT <= point
-    out ^= pad[4:28]
-    out[point + 1, np.arange(len(v))] = np.where(sig > point, ord("."), 0)
-    out ^= np.multiply(pad[:24] ^ out, (e < 0) & (e >= -4), out=pad[:24])  # 0.000ddd: from byte 6
-    out = out.T.copy()  # now slot i is out[i]
-    out |= _AROUND.take(e + 11, axis=0)
-    out[:, 0] = np.signbit(v) * np.uint8(ord("-"))
+    off = np.flatnonzero((n >= 10**17) | (n < 10**16))  # log10 is one off below 10**k
+    if off.size:
+        e[off] += (n[off] >= 10**17).astype(np.int8) - (n[off] < 10**16)
+        r[off] = a[off].astype(np.longdouble) * _POW10.take(16 - e[off])  # not r * 10: one rounding
+    del a
+    r += 0.5  # exact: ulp(r) <= 2**-7, so r + 1/2 keeps its fraction
+    n = r.astype(np.int64)  # r rounded half up, on the exact product's side of 1/2 unless == 1/2
+    fast &= r != n
+    del r
+    # now |v| rounds to n * 10**(e - 16) where fast, with n of 17 digits (no product in the fast
+    # range rounds up to 10**17: the nearest comes within 4.5 of it); d0 and the quads of n, as
+    # the halves of three words: (pad, d0), (q1, q2), (q3, q4)
+    low, high = np.zeros((3, len(v)), np.int64), np.empty((3, len(v)), np.int64)
+    high[0], n = _divmod(n, 10**16)
+    low[1], low[2] = _divmod(n, 10**8)
+    low[1:], high[1:] = _divmod(low[1:], 10**4)
+    (zeros, z3), (z2, z4) = _TRAILING_ZEROS.take(low[1:]), _TRAILING_ZEROS.take(high[1:])
+    for z in z2, z3, z4:
+        zeros *= z == 4
+        zeros += z  # trailing zeros of the digits after d0, which is never 0
+    c = e.astype(np.intp) * 17 + (203 - zeros)  # the class, with sig = 17 - zeros
+    del n, e, zeros, z2, z3, z4
+    w = _QUAD_WORDS[0].take(low)
+    del low
+    w |= _QUAD_WORDS[1].take(high)  # digit i in byte 7 + i
+    del high
+    lead = _LEAD.take(c, axis=1)
+    lead &= w
+    words = lead >> 48
+    words[:2] |= lead[1:] << 16
+    del lead
+    tail = _TAIL.take(c, axis=1)
+    tail &= w
+    del w
+    shift = _SHIFT.take(c)
+    words[:2] |= tail[1:] << (64 - shift)
+    tail >>= shift
+    words |= tail
+    del tail, shift
+    out = _TEXT.take(c + np.signbit(v) * 459, axis=0)
+    np.bitwise_or(out.T, words, out=out.T)
+    out = out.view(np.uint8)
     slow = np.flatnonzero(~fast)
-    out[slow] = np.array(["%.17g" % x for x in v[slow].tolist()], "S24")[:, None].view(np.uint8)
+    if slow.size:
+        out[slow] = np.array(["%.17g" % x for x in v[slow].tolist()], "S24")[:, None].view(np.uint8)
     return out
+
+
+def _format_index(n: np.ndarray) -> np.ndarray:
+    """``b"%d" % i`` for each row index i of ``n``, as rows of 24 NUL-padded bytes.
+
+    Below 10**8 an index is two 4-digit groups of the table with its
+    leading zeros masked off; from there on the float kernel formats it.
+    """
+    if n.max() >= 10**8:  # past two quads: exact as floats, whose %.17g is the %d
+        return _format_g17(n.astype(float))
+    out = np.zeros((len(n), 3), np.uint64)
+    high, low = _divmod(n, 10**4)
+    out[:, 0] = _QUAD_WORDS[0].take(high) | _QUAD_WORDS[1].take(low)
+    out[:, 0] &= _KEEP_DIGITS.take(np.searchsorted(_TENS, n, "right"))
+    return out.view(np.uint8)
 
 
 def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
@@ -172,38 +250,38 @@ def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
 
     ``F_gamma`` and ``n_gamma_k`` come from :meth:`IterationTrace.decay_columns`,
     so a gamma that underflowed to 0 gets ``F_gamma = -inf``.  Rows go out
-    in blocks of 512: one kernel call fills a 24-byte NUL-padded slot per
-    value of the block, and the row bytes are the slots and separators
-    with the NULs squeezed out.  Row n's ``x`` reuses row n-1's ``next``
-    slot, and ``gamma`` the ``d`` slot where the two have equal bits.  The
-    kernel takes the 17 digits of ``|v| * 10**(16 - E)`` rounded once in
-    x87 extended precision.  Values that are not finite, lie outside
-    (1e-11, 1e16) or whose product has a fraction of exactly 1/2 fall back
-    to ``"%.17g" % v``, as does every value where ``np.longdouble`` is not
-    the x87 format.
+    in blocks of 512 through one buffer of 25-byte fields, each a 24-byte
+    NUL-padded slot and its separator; the row bytes are the buffer with
+    the NULs squeezed out.  The row index ``n`` comes from
+    :func:`_format_index`, the float fields from one :func:`_format_g17`
+    call per block, which also formats ``x0`` in the first block.  Row n's
+    ``x`` reuses row n-1's ``next`` slot, and ``gamma`` the ``d`` slot
+    where the two have equal bits.
     """
     f_gamma, n_gamma_k = trace.decay_columns(F)
     cols = (trace.next_point, trace.d_to_set, f_gamma, n_gamma_k, trace.gamma)
-    x_slot = _format_g17(trace.x[:1])
     with open(path, "wb") as fh:
         fh.write((",".join(TRACE_COLUMNS) + "\n").encode())
-        buf = np.zeros((_BLOCK, 7, 25), np.uint8)
+        raw = bytearray(_BLOCK * 7 * 25)
+        buf = np.frombuffer(raw, np.uint8).reshape(_BLOCK, 7, 25)
         buf[:, :, 24] = list(b",,,,,,\n")
+        fields = buf[:, :, :24].view("V24")[:, :, 0]
         for start in range(0, len(trace.x), _BLOCK):
             nxt, d, fg, w, gamma = (c[start : start + _BLOCK] for c in cols)
-            rows = len(nxt)
+            rows, first = len(nxt), int(start == 0)
             own = gamma.view(np.int64) != d.view(np.int64)
-            # n < 2**53 is exact as a float, and its %.17g is its %d
-            n = np.arange(start, start + rows, dtype=float)
-            slots = _format_g17(np.concatenate([n, nxt, d, fg, w, gamma[own]]))
-            block = buf[:rows]
-            block[:, [0, 2, 3, 5, 6], :24] = slots[: 5 * rows].reshape(5, rows, 24).swapaxes(0, 1)
-            block[:, 4, :24] = block[:, 3, :24]
-            block[own, 4, :24] = slots[5 * rows :]
-            del slots
-            block[:, 1, :24] = np.concatenate([x_slot, block[:-1, 2, :24]])
-            x_slot = block[-1:, 2, :24].copy()
-            fh.write(block.tobytes().translate(None, b"\0"))
+            values = np.concatenate([trace.x[:first], nxt, d, fg, w, gamma[own]])
+            slots = _format_g17(values).view("V24")[:, 0]
+            block = fields[:rows]
+            block[0, 1] = slots[0] if first else fields[-1, 2]  # x0, or the last block's last next
+            slots = slots[first:]
+            block[:, 0] = _format_index(np.arange(start, start + rows)).view("V24")[:, 0]
+            for i, k in enumerate((2, 3, 5, 6)):
+                block[:, k] = slots[i * rows : (i + 1) * rows]
+            block[:, 4] = block[:, 3]
+            block[own, 4] = slots[4 * rows :]
+            block[1:, 1] = block[:-1, 2]
+            fh.write((raw if rows == _BLOCK else raw[: rows * 7 * 25]).translate(None, b"\0"))
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float, float, float, float, float, float]]:

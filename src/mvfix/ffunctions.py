@@ -129,11 +129,11 @@ def check_f1(
     """
     pts = tuple(F1_GRID if grid is None else grid)
     if len(pts) < 2:
-        raise ValueError("monotonicity grid needs at least 2 points")
+        raise DomainError("monotonicity grid needs at least 2 points")
     if any(b <= a for a, b in zip(pts, pts[1:])):
-        raise ValueError("monotonicity grid must be strictly ascending")
+        raise DomainError("monotonicity grid must be strictly ascending")
     if pts[0] <= 0.0:
-        raise ValueError("monotonicity grid must be strictly positive")
+        raise DomainError("monotonicity grid must be strictly positive")
     fn = _as_callable(F)
     for a, b in zip(pts, pts[1:]):
         if not fn(a) < fn(b):

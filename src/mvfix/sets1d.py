@@ -162,7 +162,7 @@ def domain_grid(A: CompactSet, size: int) -> np.ndarray:
     ``size`` times its length to be a float raises :class:`DomainError`.
     """
     if size < 1:
-        raise ValueError("grid size must be at least 1")
+        raise DomainError("grid size must be at least 1")
     total = A.total_length
     if total == 0.0:
         return np.array([lo for lo, _ in A.intervals][:size] or [A.min])

@@ -21,6 +21,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DomainError, InsufficientTraceError, MvfixError, checked_number
+from .errors import _whole, real_number
 from .expr import _pointwise
 from .ffunctions import FFunction, decay_witnesses, f_eval, f_eval_array
 from .integrand import ConstantIntegrand, Integrand, capital_phi, capital_phi_array, integrand_label
@@ -328,6 +329,10 @@ def gamma_sequence_probe(
     if any(not h > 0.0 for h in hs):
         raise DomainError("all probe h values must be positive")
     ns = list(indices) if indices is not None else list(range(1, len(hs) + 1))
+    whole, words = _whole()
+    for n in ns:  # a bool, a string or None is no number
+        if not whole(real_number(n, "index", DomainError)):
+            raise DomainError(f"index {words}, got {n}")
     if len(ns) != len(hs):
         raise DomainError("indices and h_values must have equal length")
 

@@ -141,6 +141,35 @@ class TestG17Kernel:
         assert g17_mismatches(G17_CORPUS + [0.5, 1.25, -3e-7, 123456.789]) == []
 
 
+def index_mismatches(rows):
+    """The row indices whose slot from ``cli._format_index`` is not ``b"%d" % n``."""
+    slots = cli._format_index(np.array(rows))
+    assert slots.shape == (len(rows), 24)
+    return [
+        (n, bytes(slot))
+        for n, slot in zip(rows, slots)
+        if bytes(slot).replace(b"\0", b"") != b"%d" % n
+    ]
+
+
+class TestIndexColumn:
+    """``cli._format_index`` gives ``b"%d" % n`` from its table of 4-digit groups, or past it."""
+
+    def test_digit_length_edges(self):
+        edges = [0, *(m for k in range(1, 8) for m in (10**k - 1, 10**k)), 10**8 - 1]
+        assert index_mismatches(edges) == []
+
+    def test_rows_past_the_table(self, monkeypatch):
+        calls, kernel = [], cli._format_g17
+        monkeypatch.setattr(cli, "_format_g17", lambda v: calls.append(len(v)) or kernel(v))
+        assert index_mismatches(list(range(10**8, 10**8 + 5))) == []
+        # a block that straddles the end of the table takes the float kernel whole
+        assert index_mismatches(list(range(10**8 - 3, 10**8 + 2))) == []
+        assert index_mismatches([10**8 - 1, 2**53 - 1]) == []
+        assert index_mismatches(list(range(10**8 - 5, 10**8))) == []
+        assert calls == [5, 5, 2]
+
+
 class TestCertifyCommand:
     def test_contraction_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, HALVING)

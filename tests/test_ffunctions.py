@@ -112,15 +112,15 @@ class TestStrictMonotonicity:
         assert a.first_violation == b.first_violation
 
     def test_unsorted_grid_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^monotonicity grid must be strictly ascending$"):
             check_f1(FFunction("log"), grid=[2.0, 1.0, 3.0])
 
     def test_bad_grids_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^monotonicity grid needs at least 2 points$"):
             check_f1(FFunction("log"), grid=[1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^monotonicity grid must be strictly positive$"):
             check_f1(FFunction("log"), grid=[0.0, 1.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(DomainError, match="^monotonicity grid must be strictly ascending$"):
             check_f1(FFunction("log"), grid=[1.0, 1.0, 2.0])
 
 

@@ -261,6 +261,11 @@ class TestGridAndSampling:
             assert lo in grid and hi in grid
         assert all(x in A for x in grid)
 
+    @pytest.mark.parametrize("size", [0, -1])
+    def test_grid_of_no_points_raises(self, size):
+        with pytest.raises(DomainError, match="^grid size must be at least 1$"):
+            domain_grid(CompactSet.interval(0.0, 1.0), size)
+
     @pytest.mark.parametrize(
         "A", [CompactSet.interval(-1e308, 1e308), CompactSet([(-1e308, 0.0), (1.0, 1e308)])]
     )

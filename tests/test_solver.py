@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -315,6 +316,28 @@ class TestGammaProbe:
             gamma_sequence_probe([0.5], ConstantIntegrand(1.0), LOG, indices=[1, 2])
         with pytest.raises(InvariantError, match=r"^k must lie in \(0, 1\), got 0.0$"):
             gamma_sequence_probe([0.5], ConstantIntegrand(1.0), FFunction("log", k=0.0))
+
+    # "a" and None once ended in a raw TypeError, and True ran as n = 1
+    @pytest.mark.parametrize(
+        "index,words",
+        [
+            ("a", "must be a number, got 'a'"),
+            (None, "must be a number, got None"),
+            (True, "must be a number, got True"),
+            (1.5, "must be an integer, got 1.5"),
+            (math.nan, "must be an integer, got nan"),
+            (math.inf, "must be an integer, got inf"),
+            (10**400, "must be a number, got an integer too large for a float"),
+        ],
+        ids=repr,
+    )
+    def test_a_non_whole_index_is_refused(self, index, words):
+        with pytest.raises(DomainError, match=f"^index {re.escape(words)}$"):
+            gamma_sequence_probe([0.5, 0.25], ConstantIntegrand(1.0), LOG, indices=[1, index])
+
+    def test_whole_float_indices_are_taken(self):
+        report = gamma_sequence_probe([0.5, 0.25], ConstantIntegrand(1.0), LOG, indices=[1, 2.0])
+        assert [r.n for r in report.rows] == [1, 2]
 
 
 TRACE_MAPS = {
