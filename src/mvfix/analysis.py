@@ -55,7 +55,7 @@ ERROR_ROWS = 100
 # only: each pair costs the values its image shape counts (see
 # ``_Evaluator``), and a chunk holds as many pairs as fit.  The Phi and F
 # stage adds uncounted columns per pair, so a chunk's
-# tracemalloc peak follows its pairs: about 1.97 MB for interval images
+# tracemalloc peak follows its pairs: about 1.89 MB for interval images
 # (16,384 pairs), 0.58 MB for 4-point images (3,276).  Each chunk is
 # evaluated, redone where needed and counted as one block.
 CHUNK_ELEMENTS = 1 << 16
@@ -361,9 +361,9 @@ class _Evaluator:
     differ at most in the sign of a zero, which no bit of h or m shows.
     ``lo`` and ``hi`` are 1-D endpoint arrays when each image is one
     interval, else one ``(K, n)`` array of point members as both, NaN
-    where an image fails; for point images ``own`` holds D(p, T(p)) of
-    each point, else it is None.  A chunk holds ``chunk_size`` pairs, as
-    many as ``CHUNK_ELEMENTS`` values of their set arithmetic allow.
+    where an image fails; ``own`` holds D(p, T(p)) of each point, whatever
+    the image shape.  A chunk holds ``chunk_size`` pairs, as many as
+    ``CHUNK_ELEMENTS`` values of their set arithmetic allow.
 
     The pair arithmetic runs over numpy arrays (:func:`_h_and_m`): only
     IEEE-exact operations (``+ - * /``, ``abs``, ``minimum`` and
@@ -375,26 +375,23 @@ class _Evaluator:
     (:func:`_dedupe`).  Each batch stage gives NaN exactly where its
     scalar counterpart raises, and a union table image is NaN as well;
     NaN carries through to the pair's values.  A pair whose batch values
-    are not finite is evaluated again in place by the scalar code, on
-    images from :func:`apply_map` and with one :func:`capital_phi` call
-    per distinct u, which gives its values or its error message.
+    are not finite is evaluated again in place by the scalar code, which
+    gives its values or its error message; it images each point and
+    integrates each u at most once (:func:`_once`).
     """
 
     def __init__(self, T: MultiMap, F: FFunction, f: Integrand, mode: str, points: np.ndarray):
-        self.T, self.F, self.f, self.mode, self.points = T, F, f, mode, points
+        self.F, self.f, self.mode, self.points = F, f, mode, points
         self.lo, self.hi = image_arrays(T, points)
-        self.own = None
+        with np.errstate(all="ignore"):  # as in a chunk: an inf is redone
+            self.own = _distance(points, self.lo, self.hi)
         # four endpoints; or the K members of both images, and twelve columns:
         # x, y, their indices, h, m, two own distances, the cross sum and the
         # running minimum, maximum and gap
-        elements_per_pair = 4
-        if self.lo.ndim == 2:
-            with np.errstate(all="ignore"):  # as in a chunk: an inf is redone
-                self.own = _nearest(points, self.lo)
-            elements_per_pair = 2 * len(self.lo) + 12
+        elements_per_pair = 4 if self.lo.ndim == 1 else 2 * len(self.lo) + 12
         self.chunk_size = max(1, CHUNK_ELEMENTS // elements_per_pair)
-        self.images: dict[float, CompactSet] = {}
-        self.phis: dict[float, float | str] = {}  # a failed u keeps its message
+        self.image = _once(lambda v: apply_map(T, v))
+        self.phi = _once(lambda u: capital_phi(f, u))
 
     def blocks(self, pairs, count: int):
         """Yield the ``(index, columns, errors)`` block of each chunk of pairs
@@ -431,39 +428,36 @@ class _Evaluator:
             redo[k] = False
         index, columns = np.arange(start, start + len(x)), (x, y, *values)
         if errors:
-            keep = ~redo
-            index, columns = index[keep], tuple(c[keep] for c in columns)
+            index, columns = index[~redo], tuple(c[~redo] for c in columns)
         return index, columns, errors
 
-    def image(self, v: float) -> CompactSet:
-        """T(v) from :func:`apply_map`, once per point; a failed image fails
-        again, with the message for v."""
-        if v not in self.images:
-            self.images[v] = apply_map(self.T, v)
-        return self.images[v]
 
-    def phi(self, u: float) -> float:
-        """Phi(u) from :func:`capital_phi`, once per u; a failed u raises an
-        :class:`MvfixError` with its message each time.  Only the message is
-        kept, as a kept error would hold the frames it passed through.  u is
-        a distance, never -0.0 or NaN, so equal floats here are equal bits."""
-        if u not in self.phis:
+def _once(call):
+    """``call`` at most once per argument; a failure is kept as its message alone (an error
+    would hold its frames) and raised as an :class:`MvfixError` each time.  Equal floats share
+    a result: a u is never -0.0 or NaN, and images of ±0 differ at most in a zero's sign."""
+    kept: dict[float, object] = {}
+
+    def once(v: float):
+        if v not in kept:
             try:
-                self.phis[u] = capital_phi(self.f, u)
+                kept[v] = call(v)
             except MvfixError as err:
-                self.phis[u] = str(err)
-        value = self.phis[u]
-        if isinstance(value, str):
-            raise MvfixError(value)
-        return value
+                kept[v] = str(err)
+        if isinstance(kept[v], str):
+            raise MvfixError(kept[v])
+        return kept[v]
+
+    return once
 
 
 def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
     """h and m of each pair, with the arithmetic the image shape allows.
 
-    ``xs`` and ``ys`` index the pairs' images in ``lo`` and ``hi``, in
-    the layout :func:`image_arrays` gives.  Each form gives the same bits
-    as ``sets1d``:
+    ``xs`` and ``ys`` index the pairs' images in ``lo`` and ``hi``, in the
+    layout :func:`image_arrays` gives, and their own distances in ``own``;
+    only h and the cross sum D(x, Ty) + D(y, Tx) follow the image shape.
+    Each form gives the same bits as ``sets1d``:
 
     * one interval per image (1-D ``lo``: interval, one-member and
       one-interval table images): every distance has a closed form.
@@ -476,8 +470,7 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
       member is the member and the point nearest a gap midpoint is a
       member already.  Only the least and the largest gap count, so
       neither the order of the members nor a repeated member changes one.
-      The own distances D(x, Tx) and D(y, Ty) are ``own``, taken once per
-      point.  The excess, the Hausdorff distance and the cross terms
+      The excess, the Hausdorff distance and the cross terms
       D(x, Ty) and D(y, Tx) are running ``minimum`` and ``maximum`` over
       loops of one member each (:func:`_nearest`, :func:`_excess`), so no
       array grows with K^2 per pair; only ``-``, ``abs``, ``minimum`` and
@@ -489,29 +482,30 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
     """
     if lo.ndim == 2:
         # np.take keeps the gathered rows C-contiguous, one member a row
-        lx, ly = np.take(lo, xs, axis=1), np.take(lo, ys, axis=1)
+        lx, ly = hx, hy = np.take(lo, xs, axis=1), np.take(lo, ys, axis=1)
         h = _excess(lx, ly)
         if mode == "hausdorff":
             np.maximum(h, _excess(ly, lx), out=h)
-        cross = _nearest(x, ly)
-        cross += _nearest(y, lx)
-        cross *= 0.5
-        del lx, ly  # the members go before the other columns come
-        own_x, own_y = own[xs], own[ys]
     else:
         lx, hx, ly, hy = lo[xs], hi[xs], lo[ys], hi[ys]
-
-        def dist(p, lo, hi):
-            return np.abs(p - np.clip(p, lo, hi))
-
         if mode == "hausdorff":
             h = np.maximum(np.abs(lx - ly), np.abs(hx - hy))
         else:
-            h = np.maximum(dist(lx, ly, hy), dist(hx, ly, hy))
-        own_x, own_y = dist(x, lx, hx), dist(y, ly, hy)
-        cross = 0.5 * (dist(x, ly, hy) + dist(y, lx, hx))
-    m = np.maximum(np.maximum(np.abs(x - y), own_x), np.maximum(own_y, cross))
+            h = np.maximum(_distance(lx, ly, hy), _distance(hx, ly, hy))
+    cross = _distance(x, ly, hy)
+    cross += _distance(y, lx, hx)
+    del lx, hx, ly, hy  # the members go before the other columns come
+    cross *= 0.5
+    m = np.maximum(np.maximum(np.abs(x - y), own[xs]), np.maximum(own[ys], cross))
     return h, m
+
+
+def _distance(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The distance from each element of ``p`` to its image in the :func:`image_arrays`
+    layout: :func:`_nearest` of point members, else |p - clamp(p, lo, hi)|."""
+    if lo.ndim == 2:
+        return _nearest(p, lo)
+    return np.abs(p - np.clip(p, lo, hi))
 
 
 def _nearest(p: np.ndarray, members: np.ndarray) -> np.ndarray:

@@ -187,7 +187,7 @@ def integrand_label(f: Integrand) -> str:
 
 def phi_eval(f: Integrand, t: float) -> float:
     """Pointwise value phi(t) for t >= 0."""
-    if t < 0.0:
+    if not t >= 0.0:
         raise DomainError(f"integrand argument must be >= 0, got {t}")
     try:
         match f:
@@ -213,7 +213,7 @@ def capital_phi(f: Integrand, u: float) -> float:
     for the constant, power, and exponential kinds, :func:`adaptive_simpson`
     at absolute tolerance 1e-10 for the expression kind.
     """
-    if u < 0.0:
+    if not u >= 0.0:
         raise DomainError(f"cumulative transform argument must be >= 0, got {u}")
     cumulative = getattr(f, "_cumulative", None)
     if cumulative is None:

@@ -580,6 +580,24 @@ class TestBatchedSweepAgainstScalarLoop:
         assert (report.evaluated_pairs, report.error_count) == (2364, 17936)
         assert report.tau_star == 0.6994965783477536
 
+    def test_redo_images_each_point_once(self):
+        # the unvalidated sqrt(x - 0.3) fails below 0.3: every pair with
+        # x < 0.3 is redone by the scalar code and fails at its x, so the
+        # redo images each such x once, keeps its failure, and images no y
+        T = MultiMap(UNIT, "singleton", members=(parse_expr("sqrt(x - 0.3)"),))
+        args = dict(grid_size=201, random_pairs=1000, seed=42)
+        spy = mock.patch.object(analysis, "apply_map", wraps=analysis.apply_map)
+        with spy as apply:
+            report = certify(T, LOG, ONE, **args)
+        imaged = [call.args[1] for call in apply.call_args_list]
+        pairs = analysis._GridPairs(UNIT, 201, 1000, 42)
+        x = pairs.points[pairs(0, pairs.count)[0]]
+        assert sorted(imaged) == sorted(set(x[x < 0.3].tolist()))
+        assert (len(imaged), report.error_count) == (559, 10_729)
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
+        )
+
     @staticmethod
     def assert_spans_chunks(T, mode, pairs_per_chunk):
         # the chunk size the sweep really uses for these images

@@ -52,8 +52,9 @@ class TestPointwiseValues:
         assert phi_eval(f, 2.0) == 5.0
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError):
-            phi_eval(ConstantIntegrand(1.0), -0.1)
+        for t in (-0.1, math.nan):
+            with pytest.raises(DomainError, match=f"^integrand argument must be >= 0, got {t}$"):
+                phi_eval(ConstantIntegrand(1.0), t)
 
     @pytest.mark.parametrize(
         "f, t", [(ExponentialIntegrand(rate=1000.0), 1.0), (PowerIntegrand(p=2.0), 1e200)]
@@ -89,12 +90,15 @@ class TestCumulativeTransform:
         assert capital_phi(ExponentialIntegrand(rate=0.0, scale=2.0), 3.0) == 6.0
 
     def test_negative_argument_rejected(self):
-        with pytest.raises(DomainError):
-            capital_phi(ConstantIntegrand(1.0), -1e-9)
+        for u in (-1e-9, math.nan):
+            message = f"^cumulative transform argument must be >= 0, got {u}$"
+            with pytest.raises(DomainError, match=message):
+                capital_phi(ConstantIntegrand(1.0), u)
 
     def test_non_integrand_is_a_type_error(self):
-        with pytest.raises(TypeError, match="not an integrand"):
-            capital_phi(object(), 1.0)
+        for call, args in ((capital_phi, (1.0,)), (phi_eval, (1.0,)), (integrand_label, ())):
+            with pytest.raises(TypeError, match="^not an integrand: <object object at "):
+                call(object(), *args)
 
     @pytest.mark.parametrize(
         "f, u", [(ExponentialIntegrand(rate=5.0), 1000.0), (PowerIntegrand(p=200.0), 50.0)]

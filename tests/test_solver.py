@@ -852,9 +852,10 @@ CSV_CASES = {
     "power": (lambda: singleton_map(UNIT, "x - x^2"), "power", 0.5),
     # Phi(d) = d^51 / 51 is 0 from step 110 on: F_gamma = -inf, n_gamma_k = 0
     "underflow": (lambda: singleton_map(UNIT, "0.9*x"), "power_underflow", 0.5),
-    # negative points; d, gamma and n * gamma**k of 1e16 and more
+    # negative points; d and gamma of 1e16 and more, and n * gamma**k of
+    # 1e10 and more through row 2,220, past any block the writer uses
     "negative_large": (
-        lambda: singleton_map(CompactSet.interval(-1e20, 0.0), "0.99*x"), "constant", -1e19
+        lambda: singleton_map(CompactSet.interval(-1e26, 0.0), "0.99*x"), "constant", -1e25
     ),
 }
 
