@@ -459,12 +459,14 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
     only h and the cross sum D(x, Ty) + D(y, Tx) follow the image shape.
     Each form gives the same bits as ``sets1d``:
 
-    * one interval per image (1-D ``lo``: interval, one-member and
-      one-interval table images): every distance has a closed form.
-      Every clamp candidate of the two excesses is one rounded
-      subtraction of two endpoints, never larger than |lx - ly| or
-      |hx - hy| as rounding is monotone, so the Hausdorff distance is the
-      larger of those two;
+    * one interval per image (1-D ``lo``: interval and one-interval
+      table images): every distance has a closed form.  Every clamp
+      candidate of the two excesses is one rounded subtraction of two
+      endpoints, never larger than |lx - ly| or |hx - hy| as rounding is
+      monotone, so the Hausdorff distance is the larger of those two;
+    * one point per image (1-D ``lo`` that is ``hi``: one-member images):
+      h is |lx - ly| in either mode, and a distance to an image is
+      |p - v| with no clamp, as the clamp onto a point is the point;
     * point images (2-D ``lo``, one row per member, K >= 2): a distance
       is the least point-to-point gap, with no clamp, as the clamp onto a
       member is the member and the point nearest a gap midpoint is a
@@ -486,6 +488,9 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
         h = _excess(lx, ly)
         if mode == "hausdorff":
             np.maximum(h, _excess(ly, lx), out=h)
+    elif hi is lo:
+        lx, ly = hx, hy = lo[xs], lo[ys]
+        h = np.abs(lx - ly)
     else:
         lx, hx, ly, hy = lo[xs], hi[xs], lo[ys], hi[ys]
         if mode == "hausdorff":
@@ -502,9 +507,12 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
 
 def _distance(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """The distance from each element of ``p`` to its image in the :func:`image_arrays`
-    layout: :func:`_nearest` of point members, else |p - clamp(p, lo, hi)|."""
+    layout: :func:`_nearest` of point members, |p - v| of one member ``v``
+    (``lo`` is ``hi``), else |p - clamp(p, lo, hi)|."""
     if lo.ndim == 2:
         return _nearest(p, lo)
+    if hi is lo:
+        return np.abs(p - lo)
     return np.abs(p - np.clip(p, lo, hi))
 
 

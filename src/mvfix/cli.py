@@ -121,7 +121,7 @@ _QUADS = (_QUADS + 48).astype(np.uint8).view("<u4").ravel()  # "0000" .. "9999",
 _QUAD_WORDS = _QUADS.astype(np.uint64), _QUADS.astype(np.uint64) << 32  # as low, high half-word
 _TENS = np.array([10**k for k in range(1, 8)])  # an index of k + 1 digits has k of these <= it
 _KEEP_DIGITS = np.array([2**64 - 2 ** (56 - 8 * k) for k in range(8)], np.uint64)  # last k+1 of 8
-_BLOCK = 512  # rows
+_BLOCK = 1024  # rows
 
 
 def _slot_layouts() -> tuple[np.ndarray, ...]:
@@ -250,7 +250,7 @@ def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
 
     ``F_gamma`` and ``n_gamma_k`` come from :meth:`IterationTrace.decay_columns`,
     so a gamma that underflowed to 0 gets ``F_gamma = -inf``.  Rows go out
-    in blocks of 512 through one buffer of 25-byte fields, each a 24-byte
+    in blocks of 1,024 through one buffer of 25-byte fields, each a 24-byte
     NUL-padded slot and its separator; the row bytes are the buffer with
     the NULs squeezed out.  The row index ``n`` comes from
     :func:`_format_index`, the float fields from one :func:`_format_g17`

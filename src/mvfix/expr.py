@@ -406,12 +406,19 @@ _GENERATED_GLOBALS = {
 
 
 class _Codegen:
-    """Statements of one compiled expression, in evaluation order."""
+    """Statements of one compiled expression, in evaluation order.
 
-    def __init__(self):
+    ``checked=False`` is for expressions whose enclosure over every point
+    the code runs at exists (:func:`enclose`), where no operation can
+    fail: each is then one plain statement, with no guard, ``try`` block
+    or finiteness test.
+    """
+
+    def __init__(self, checked: bool = True):
         self.lines: list[str] = []
         self.bound: list[object] = []  # passed to the source as b0, b1, ...
         self.temps = 0
+        self.checked = checked
 
     def bind(self, obj) -> str:
         self.bound.append(obj)
@@ -464,6 +471,8 @@ class _Codegen:
             self.emit(indent, f"_malformed({self.bind(node)})")
             return "None"
         _, op, args = found
+        if not self.checked:
+            return self.let(indent, op.source.format(*(self.value(arg, indent) for arg in args)))
         names: list[str | None] = [None] * len(args)
         at = None  # the node, bound where a failure needs it
         if op.guard:

@@ -58,6 +58,14 @@ class MultiMap:
         return tuple(compile_expr(e) for e in _expressions(self))
 
     @cached_property
+    def _proved(self) -> bool:
+        """Whether enclosures show every image over the domain finite and not
+        inverted (:func:`_validate_on_grid`); never for a table."""
+        return self.kind != "table" and all(
+            _proved_valid(self, a, b) for a, b in self.domain.intervals
+        )
+
+    @cached_property
     def _orbit(self) -> Callable[..., tuple]:
         """The generated window loop of :func:`_compile_orbit`, built on first use."""
         return _compile_orbit(self)
@@ -109,57 +117,71 @@ def _value_set(T: MultiMap, x: float) -> CompactSet:
 def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
     """The nearest-point orbit of ``T`` over one Phi window, generated as one function.
 
-    ``orbit(x, start, end, tol, record_point, record_d)`` runs steps
-    ``start .. end - 1`` from ``x``.  A step takes p, the point of T(x)
-    nearest x, and ``d = |x - p|``; it stops if ``d <= tol``, else records
-    p and d and stops if p lies outside the domain.  It returns ``(x, n,
-    stop, err)``: the last x (p, if it left), the step it stopped at (or
-    ``end``), and ``stop``, one of None, ``"fixed"``, ``"left"`` and
-    ``"error"`` with ``err`` the :class:`MvfixError` T raised at x.
-    Interval and one-member (one-point interval) maps have their
-    expressions' statements inline, as :func:`compile_expr` emits them,
-    and clamp x onto the endpoints with the bits of ``_nearest``, building
-    no value set; ``_checked_ends`` runs only on an inverted or non-finite
-    endpoint.  Finite sets keep the inline member with the least
-    ``abs(x - v)``; where two tie on it or one is not finite, and for
-    tables, the step calls ``_nearest(x, _value_set(T, x))``, which picks
-    the smaller point.  The domain test is chained comparisons with the
-    domain's intervals.
+    ``orbit(x, start, end, tol, record_point)`` runs steps ``start .. end
+    - 1`` from ``x``.  A step takes p, the point of T(x) nearest x; it
+    stops if ``|x - p| <= tol``, else records p and stops if p lies
+    outside the domain.  The caller takes each step's distance from the
+    recorded points.  It returns ``(x, n, stop, err)``: the last x (p, if
+    it left), the step it stopped at (or ``end``), and ``stop``, one of
+    None, ``"fixed"``, ``"left"`` and ``"error"`` with ``err`` the
+    :class:`MvfixError` T raised at x.  Interval and one-member
+    (one-point interval) maps have their expressions' statements inline,
+    as :func:`compile_expr` emits them, and clamp x onto the endpoints
+    with the bits of ``_nearest``, building no value set; ``_checked_ends``
+    runs only on an inverted or non-finite endpoint.  Finite sets keep
+    the inline member with the least ``abs(x - v)``; where two tie on it
+    or one is not finite, and for tables, the step calls
+    ``_nearest(x, _value_set(T, x))``, which picks the smaller point.  The
+    domain test is chained comparisons with the domain's intervals.
+
+    A proved map (``T._proved``) evaluates only points of its domain,
+    where no expression can fail and no interval is inverted, so its loop
+    has no ``try`` block, guard, finiteness or endpoint test: each
+    operation is one statement.  Should libm break the enclosure's
+    assumption, a non-finite endpoint or first member still fails the
+    domain test, as the clamp and the member scan pass a NaN on.
     """
-    gen = _Codegen()
-    clamped = T.kind == "interval_endpoints" or len(T.members) == 1
+    proved = T._proved
+    gen = _Codegen(checked=not proved)
+    at = 3 if proved else 4  # the indent of a step's image
+    nearest = f"p = {gen.bind(_nearest)}(x, {gen.bind(_value_set)}({gen.bind(T)}, x))[0]"
     gen.emit(2, "for n in range(start, end):")
-    gen.emit(3, "try:")
-    if clamped:
-        ends = [gen.value(e, 4) for e in _expressions(T)]  # one member is [f(x), f(x)]
-        gen.emit(4, f"lo, hi = {ends[0]}, {ends[-1]}")
-        gen.emit(4, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
-        gen.emit(5, f"lo, hi = {gen.bind(_checked_ends)}(x, lo, hi)")
+    if not proved:
+        gen.emit(3, "try:")
+    if T.kind == "interval_endpoints" or len(T.members) == 1:
+        ends = [gen.value(e, at) for e in _expressions(T)]  # one member is [f(x), f(x)]
+        gen.emit(at, f"lo, hi = {ends[0]}, {ends[-1]}")
+        if not proved:
+            gen.emit(4, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
+            gen.emit(5, f"lo, hi = {gen.bind(_checked_ends)}(x, lo, hi)")
+        gen.emit(at, "p = hi if x > hi else (x if x >= lo else lo)")
+    elif T.kind == "table":
+        gen.emit(at, nearest)
     else:
-        members = [gen.value(e, 4) for e in T.members]  # none for a table
-        below, above = gen.bind(-math.inf), gen.bind(math.inf)
-        gen.emit(4, f"p, dp, tie = None, {above}, True")
-        for v in members:
-            gen.emit(4, f"e = abs(x - {v})")
-            gen.emit(4, "if e <= dp:")
-            gen.emit(5, f"p, dp, tie = {v}, e, e == dp")
-        gen.emit(4, f"if tie{''.join(f' or not {below} < {v} < {above}' for v in members)}:")
-        gen.emit(5, f"p = {gen.bind(_nearest)}(x, {gen.bind(_value_set)}({gen.bind(T)}, x))[0]")
-    gen.emit(3, f"except {gen.bind(MvfixError)} as err:")
-    gen.emit(4, "return x, n, 'error', err")
-    if clamped:
-        gen.emit(3, "p = lo if x < lo else (hi if x > hi else x)")
-    gen.emit(3, "d = abs(x - p)")
-    gen.emit(3, "if d <= tol:")
+        first, *rest = [gen.value(e, at) for e in T.members]
+        gen.emit(at, f"p, dp, tie = {first}, abs(x - {first}), False")
+        for v in rest:
+            gen.emit(at, f"e = abs(x - {v})")
+            gen.emit(at, "if e <= dp:")
+            gen.emit(at + 1, f"p, dp, tie = {v}, e, e == dp")
+        tests = ["tie"]
+        if not proved:
+            below, above = gen.bind(-math.inf), gen.bind(math.inf)
+            tests += [f"not {below} < {v} < {above}" for v in (first, *rest)]
+        gen.emit(at, f"if {' or '.join(tests)}:")
+        gen.emit(at + 1, nearest)
+    if not proved:
+        gen.emit(3, f"except {gen.bind(MvfixError)} as err:")
+        gen.emit(4, "return x, n, 'error', err")
+    gen.emit(3, "if abs(x - p) <= tol:")
     gen.emit(4, "return x, n, 'fixed', None")
     gen.emit(3, "record_point(p)")
-    gen.emit(3, "record_d(d)")
     inside = " or ".join(f"{gen.bind(a)} <= p <= {gen.bind(b)}" for a, b in T.domain.intervals)
     gen.emit(3, f"if not ({inside}):")
     gen.emit(4, "return p, n, 'left', None")
     gen.emit(3, "x = p")
     gen.emit(2, "return x, end, None, None")
-    return gen.build("<mvfix.maps.orbit>", "orbit", "x, start, end, tol, record_point, record_d")
+    return gen.build("<mvfix.maps.orbit>", "orbit", "x, start, end, tol, record_point")
 
 
 def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,14 +190,14 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The batch counterpart of :func:`apply_map`.  Interval, table and
     one-member maps give 1-D endpoint arrays: T(xs[i]) is the interval
     ``[lo[i], hi[i]]`` (an interval map with the same near-tie collapse;
-    for one member, ``lo`` equals ``hi``).  Finite sets with K >= 2 members
-    give one ``(K, n)`` array of point members, in expression order, as
-    both ``lo`` and ``hi``; a repeated member changes no distance.  Image
-    i is NaN throughout where :func:`apply_map` would raise, and where a
-    table's value set is a union of intervals, which is left to the
-    scalar code; no other image holds a NaN.  Expressions are evaluated
-    by :func:`eval_expr_array`, with the same bits as their compiled
-    functions, which this never compiles.
+    for one member, ``lo`` is ``hi``, one array).  Finite sets with K >= 2
+    members give one ``(K, n)`` array of point members, in expression
+    order, as both ``lo`` and ``hi``; a repeated member changes no
+    distance.  Image i is NaN throughout where :func:`apply_map` would
+    raise, and where a table's value set is a union of intervals, which
+    is left to the scalar code; no other image holds a NaN.  Expressions
+    are evaluated by :func:`eval_expr_array`, with the same bits as their
+    compiled functions, which this never compiles.
     """
     xs = np.asarray(xs, dtype=float)
     if T.kind == "table":
@@ -204,8 +226,10 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.copyto(hi, mid, where=inverted)
     failed |= ~np.isfinite(values).all(axis=0)
     values[:, failed] = math.nan
-    if T.kind == "interval_endpoints" or len(values) == 1:
-        return values[0], values[-1]
+    if T.kind == "interval_endpoints":
+        return values[0], values[1]
+    if len(values) == 1:
+        values = values[0]  # one view, as both lo and hi
     return values, values
 
 
@@ -230,7 +254,7 @@ def _validate_on_grid(T: MultiMap) -> MultiMap:
     code run, once, at the first flagged point, to raise its error.  So
     every refusal, and its message, comes from the grid.
     """
-    if all(_proved_valid(T, a, b) for a, b in T.domain.intervals):
+    if T._proved:
         return T
     grid = domain_grid(T.domain, _VALIDATION_GRID_POINTS)
     lo, _ = image_arrays(T, grid)

@@ -179,9 +179,13 @@ def iterate(
     are kept in every case.  Phi is taken in windows of 1, 2, 4, ... and
     at most ``PHI_WINDOW`` steps: one call of the map's generated orbit
     loop (``maps._compile_orbit``, compiled on the map's first
-    ``iterate`` and kept by the map) runs a window's steps, then one
-    :func:`capital_phi_array` call gives their gammas.  Only table maps,
-    and finite sets whose nearest members tie, build a value set there.
+    ``iterate`` and kept by the map) runs a window's steps and records
+    their points, one numpy pass takes their distances
+    ``d_n = |x_n - x_{n+1}|`` (IEEE ``-`` and ``abs``: the bits of the
+    loop's own test against ``tol``), and one :func:`capital_phi_array`
+    call gives their gammas.  Only table maps, and finite sets whose
+    nearest members tie, build a value set there; a map proved valid
+    over its domain runs no failure check at all.
     At the first gamma that is not finite (where :func:`capital_phi`
     raises or is not finite) the trace is cut before that step, and
     :func:`capital_phi` on that one d gives the outcome, so the steps and
@@ -194,33 +198,36 @@ def iterate(
         raise DomainError(f"starting point {x0} lies outside the domain")
 
     params = TraceParams(tol=tol, max_iter=max_iter, integrand=integrand_label(f))
-    points, ds, gammas = array("d", [x0]), array("d"), array("d")  # x0, then each next point
+    points, gammas = array("d", [x0]), array("d")  # x0, then each next point
 
     def finish(outcome: Outcome) -> IterationTrace:
-        p, d, g = map(_read_only, (points, ds, gammas))
+        p, g = _read_only(points), _read_only(gammas)
+        d = _read_only(np.abs(p[:-1] - p[1:]))  # each d_n = |x_n - x_{n+1}|, as its window took it
         return IterationTrace(p[:-1], p[1:], d, g, T, outcome, params)
 
     x, done, window, stop = x0, 0, 1, None
     while stop is None and done < max_iter:
         end = min(done + window, max_iter)
         window = min(2 * window, PHI_WINDOW)
-        x, n, kind, err = T._orbit(x, done, end, tol, points.append, ds.append)
+        x, n, kind, err = T._orbit(x, done, end, tol, points.append)
+        xs = np.frombuffer(points[done:])  # x_done, then the window's next points
+        d = np.abs(xs[:-1] - xs[1:])
         if kind == "fixed":
             stop = FixedPointFound(x, n)
         elif kind == "left":
             stop = IterationError(f"iterate left the domain at step {n}: x = {x!r}", x)
         elif kind == "error":
             stop = IterationError(str(err), x)
-        gamma = capital_phi_array(f, np.frombuffer(ds[done:]))
+        gamma = capital_phi_array(f, d)
         bad = np.flatnonzero(~np.isfinite(gamma))
         if len(bad):
             n = done + int(bad[0])
-            failure = _phi_failure(f, n, ds[n], points[n] if n else x0)
+            failure = _phi_failure(f, n, d[bad[0]].item(), points[n])
             gammas.frombytes(gamma[: bad[0]].tobytes())
-            del points[n + 1 :], ds[n:]
+            del points[n + 1 :]
             return finish(failure)
         gammas.frombytes(gamma.tobytes())
-        done = len(ds)
+        done = len(points) - 1
     return finish(MaxIterReached(x) if stop is None else stop)
 
 

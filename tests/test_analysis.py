@@ -872,10 +872,14 @@ SHAPE_CASES = {
     # endpoint differences overflow to inf, and those pairs are redone
     "huge_interval": lambda: interval_map(HUGE, "1.5e308*x", "1.5e308*x + x*x"),
     "huge_points": lambda: finite_set_map(HUGE, ["1.5e308*x", "1e308*x"]),
+    # one point per image: |p - v| takes no clamp; differences overflow and are redone
+    "huge_singleton": lambda: singleton_map(HUGE, "1.5e308*x - x*x"),
+    "signed_zero_singleton": lambda: singleton_map(UNIT, "-x"),
     # unvalidated maps whose images fail on part of the domain, inside the sweep
     "failing_points": lambda: MultiMap(
         UNIT, "finite_set", members=tuple(map(parse_expr, ["x/4", "ln(x - 0.5)", "x*x"]))
     ),
+    "failing_singleton": lambda: MultiMap(UNIT, "singleton", members=(parse_expr("ln(x - 0.5)"),)),
     "failing_interval": lambda: MultiMap(
         UNIT, "interval_endpoints", lo=parse_expr("x/4"), hi=parse_expr("sqrt(x - 0.5) + 1")
     ),
@@ -963,6 +967,8 @@ class TestShapePathsAgainstScalarLoop:
         T = oracle_map(kind, domain)
         lo, hi = image_arrays(T, np.array(domain_grid(T.domain, 41).tolist() + [0.0, 0.25, 1.0]))
         assert lo.ndim == (2 if kind == "finite_set" else 1)
+        # one member per image: one array, so each distance to it takes no clamp
+        assert (lo is hi) == (kind in ("singleton", "finite_set"))
         failed = np.isnan(lo).reshape(-1, lo.shape[-1])[0]
         assert not failed.all()
         assert lo.ndim == 1 or (lo[:, ~failed] == hi[:, ~failed]).all()

@@ -10,6 +10,7 @@ from mvfix import (
     DomainError,
     EvalError,
     InvariantError,
+    IterationError,
     MvfixError,
     Num,
     apply_map,
@@ -268,6 +269,7 @@ class TestArrayValidation:
     def test_grid_runs_where_the_proof_fails(self, kind, domain, exprs, monkeypatch):
         T = _unvalidated(kind, domain, exprs)
         proved = all(_proved_valid(T, a, b) for a, b in domain.intervals)
+        assert T._proved == proved
         calls = spy_on_grid(monkeypatch)
         result = outcome(_factory, kind, domain, exprs)
         assert bool(calls) == (not proved)
@@ -340,11 +342,11 @@ def _one_interval_image(T, x):
 
 def _step(T, x):
     """One step of ``T``'s generated orbit loop from ``x``: ``(p, d)``, or the error T raises."""
-    points, ds = [], []
-    _, _, stop, err = T._orbit(x, 0, 1, -1.0, points.append, ds.append)  # d <= -1 never holds
+    points = []
+    _, _, stop, err = T._orbit(x, 0, 1, -1.0, points.append)  # d <= -1 never holds
     if stop == "error":
         raise err
-    return points[0], ds[0]
+    return points[0], abs(x - points[0])
 
 
 class TestNearestStep:
@@ -398,9 +400,11 @@ class TestOrbit:
     """The generated window loop on its own; tests/test_solver.py checks ``iterate`` on it."""
 
     def run(self, T, x, start, end, tol=0.0):
-        points, ds = [], []
-        result = T._orbit(x, start, end, tol, points.append, ds.append)
-        return result, points, ds
+        """The orbit's result, its recorded points and each recorded step's d, as ``iterate``
+        takes it: the distance from the step's x, the previous point (``x`` first)."""
+        points = []
+        result = T._orbit(x, start, end, tol, points.append)
+        return result, points, [abs(a - b) for a, b in zip([x, *points], points)]
 
     def test_a_window_runs_its_steps_and_returns_the_last_x(self):
         (x, n, stop, err), points, ds = self.run(singleton_map(UNIT, "x/2"), 1.0, 5, 9)
@@ -452,3 +456,89 @@ class TestOrbit:
         iterate(T, 0.5, 0.0, 20)
         iterate(T, 0.25, 0.0, 20)
         assert built == [T]
+
+
+# a map of each shape whose enclosures prove every image over [0, 1] valid;
+# each orbit from 0.9 moves
+PROVED_MAPS = [
+    ("interval_endpoints", UNIT, ("x/4 - 0.1", "0.3 + x/4")),
+    ("singleton", UNIT, ("x - x^2",)),
+    ("finite_set", UNIT, ("x/4", "x/3", "(x+1)/2", "0.9*x")),
+]
+# maps the enclosures cannot prove, the start of an orbit and the exact outcome it ends with
+UNPROVED_ORBITS = [
+    ("singleton", ("sqrt(x - 0.3)",), 1.0, "sqrt of negative value in 'sqrt(x - 0.3)'"),
+    ("singleton", (Num(math.nan),), 0.5, "interval endpoints must be finite, got (nan, nan)"),
+    ("finite_set", ("x/2", Num(math.nan)), 0.5, "interval endpoints must be finite, got (nan, nan)"),
+    (
+        "interval_endpoints", ("x/2", "x - 0.1"), 0.6,
+        "map endpoints inverted at x = 0.10000000000000003: lo = 0.05000000000000002,"
+        " hi = 2.7755575615628914e-17",
+    ),
+    ("singleton", ("ln(x)",), 1.0, "ln of non-positive value in 'ln(x)'"),
+]
+
+
+class TestProvedOrbit:
+    """A map proved valid over its domain (``T._proved``) runs an orbit with no failure check."""
+
+    @pytest.fixture
+    def finite_tests(self, monkeypatch):
+        """The values generated code built from now on tests for finiteness."""
+        from mvfix import expr
+
+        tested = []
+        real = expr._GENERATED_GLOBALS["_isfinite"]
+        monkeypatch.setitem(
+            expr._GENERATED_GLOBALS, "_isfinite", lambda v: tested.append(v) or real(v)
+        )
+        return tested
+
+    @pytest.mark.parametrize("kind, domain, exprs", PROVED_MAPS)
+    def test_a_proved_orbit_tests_no_value(self, kind, domain, exprs, finite_tests):
+        T = _factory(kind, domain, exprs)
+        assert T._proved
+        trace = iterate(T, 0.9, 0.0, 100)
+        assert len(trace.x) > 1 and finite_tests == []
+        # with its proof withheld, the same map tests its values and takes the same steps
+        unproved = _unvalidated(kind, domain, exprs)
+        unproved.__dict__["_proved"] = False
+        assert iterate(unproved, 0.9, 0.0, 100) == trace and finite_tests
+
+    @pytest.mark.parametrize("kind, exprs, x0, message", UNPROVED_ORBITS)
+    def test_an_unproved_orbit_keeps_its_checks_and_messages(self, kind, exprs, x0, message):
+        T = _unvalidated(kind, UNIT, exprs)
+        assert not T._proved
+        trace = iterate(T, x0, 0.0, 100)
+        assert isinstance(trace.outcome, IterationError)
+        assert trace.outcome.detail == message
+
+    def test_tables_are_never_proved(self):
+        assert not table_map(UNIT, [(0.5, [(0.2, 0.3)])])._proved
+
+    def test_validation_and_the_orbit_share_one_proof(self, monkeypatch):
+        from mvfix import maps
+
+        cells = []
+        real = maps._proved_valid
+
+        def spy(T, a, b):
+            cells.append((a, b))
+            return real(T, a, b)
+
+        monkeypatch.setattr(maps, "_proved_valid", spy)
+        T = singleton_map(GAPPED, "x/2 + 0.5")
+        iterate(T, 0.8, 0.0, 20)
+        assert T._proved and cells == list(GAPPED.intervals)
+
+    @pytest.mark.parametrize(
+        "kind, exprs", [("singleton", (Num(math.nan),)), ("finite_set", (Num(math.nan), "x/2"))]
+    )
+    def test_a_nan_past_a_broken_proof_leaves_the_domain(self, kind, exprs):
+        # should libm break the enclosure's assumption, a NaN is no fixed point
+        T = _unvalidated(kind, UNIT, exprs)
+        T.__dict__["_proved"] = True
+        points = []
+        x, n, stop, err = T._orbit(0.5, 0, 5, 0.0, points.append)
+        assert math.isnan(x) and (n, stop, err) == (0, "left", None)
+        assert isinstance(iterate(T, 0.5, 0.0, 5).outcome, IterationError)

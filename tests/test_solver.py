@@ -632,6 +632,22 @@ ORBIT_PROBES = {
     "fixed_point_within_tol": (
         lambda: singleton_map(UNIT, "x/2 + 0.25"), 1.0, 1e-6, FixedPointFound, None,
     ),
+    "ln_at_zero": (
+        lambda: MultiMap(UNIT, "singleton", members=(parse_expr("ln(x)"),)), 1.0, 0.0,
+        IterationError, "ln of non-positive value in 'ln(x)'",
+    ),
+    # proved interval and finite-set maps, whose orbits run no failure check
+    "proved_interval": (
+        lambda: interval_map(UNIT, "x/4 - 0.1", "0.3 + x/4"), 1.0, 0.0, FixedPointFound, None,
+    ),
+    "proved_finite_set": (
+        lambda: finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"]), 0.5, 0.0,
+        MaxIterReached, None,
+    ),
+    # two members tie at every step, so each step takes the value set
+    "proved_tie": (
+        lambda: finite_set_map(UNIT, ["x/2", "x/4", "x/2"]), 1.0, 0.0, MaxIterReached, None,
+    ),
 }
 
 
@@ -676,6 +692,11 @@ class TestGeneratedOrbitAgainstScalarLoop:
             assert trace.outcome.detail.startswith(detail)
         if tol > 0.0:
             assert trace.outcome.step > 0 and 0.0 < trace.d_to_set[-1] <= 1e-5
+
+    def test_probes_hold_proved_and_unproved_maps_of_each_shape(self):
+        shapes = {(T.kind, T._proved) for T in (probe[0]() for probe in ORBIT_PROBES.values())}
+        kinds = ("interval_endpoints", "singleton", "finite_set")
+        assert shapes == {(kind, proved) for kind in kinds for proved in (True, False)}
 
     @given(
         T=orbit_maps(),
