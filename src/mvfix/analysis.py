@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SWEEP_LIMIT, DomainError, MvfixError, checked_number
+from .errors import SWEEP_LIMIT, DomainError, MvfixError, checked_number, real_number
 from .ffunctions import FFunction, f_eval, f_eval_array
 from .integrand import Integrand, capital_phi, capital_phi_array
 from .maps import MultiMap, apply_map, image_arrays
@@ -53,11 +53,11 @@ ERROR_ROWS = 100
 
 # The budget of one chunk of pairs, in values of their set arithmetic
 # only: each pair costs the values its image shape counts (see
-# ``_Evaluator``), and a chunk holds as many pairs as fit.  The Phi and F
-# stage adds uncounted columns per pair, so a chunk's
-# tracemalloc peak follows its pairs: about 1.89 MB for interval images
-# (16,384 pairs), 0.58 MB for 4-point images (3,276).  Each chunk is
-# evaluated, redone where needed and counted as one block.
+# ``_Evaluator``), and a chunk holds as many pairs as fit.  The Phi and
+# F stage adds the sort keys and inverse of the chunk's 2n h and m values,
+# so a chunk's tracemalloc peak follows its pairs: about 1.52 MB for
+# interval images (16,384 pairs), 0.52 MB for 4-point images (3,276).
+# Each chunk is evaluated, redone where needed and counted as one block.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -108,6 +108,7 @@ def _check_mode(mode: str) -> None:
 
 def m_value(T: MultiMap, x: float, y: float) -> float:
     """Generalized displacement m(x, y) for the map T."""
+    x, y = real_number(x, "x", DomainError), real_number(y, "y", DomainError)
     return _displacement(x, y, apply_map(T, x), apply_map(T, y))
 
 
@@ -167,6 +168,7 @@ def evaluate_pair(
     margin ln 4 and the pair (1, 0) the margin ln 2.
     """
     _check_mode(mode)
+    x, y = real_number(x, "x", DomainError), real_number(y, "y", DomainError)
     return _evaluate(F, f, x, y, apply_map(T, x), apply_map(T, y), mode)
 
 
@@ -179,19 +181,31 @@ def evaluate_pairs(
     (x, y, h, m, phi_h, phi_m, margin), margin NaN exactly on the vacuous
     ones, and an ``(x, y, i, message)`` row for each pair where
     :func:`evaluate_pair` would raise.  In excess mode h is the excess of
-    T(x[i]) over T(y[i]).
+    T(x[i]) over T(y[i]).  ``x`` and ``y`` hold real numbers only.
     """
     _check_mode(mode)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    x, y = _points(x, "x"), _points(y, "y")
     if x.ndim != 1 or x.shape != y.shape:
         raise DomainError(f"x and y must be 1-D of one length, got shapes {x.shape} and {y.shape}")
     n, evaluator = len(x), _Evaluator(T, F, f, mode, np.concatenate([x, y]))
     k = np.arange(n)  # pair i is points i and n + i
-    blocks = [(k[:0], (np.empty(0),) * 7, [])]  # the result when n = 0
-    blocks += evaluator.blocks(lambda start, stop: (k[start:stop], k[start:stop] + n), n)
-    index = np.concatenate([index for index, _, _ in blocks])
-    columns = tuple(map(np.concatenate, zip(*(columns for _, columns, _ in blocks))))
-    return index, columns, [row for _, _, errors in blocks for row in errors]
+    parts, errors = [(k[:0], (np.empty(0),) * 7)], []  # the first is the result when n = 0
+    for block in evaluator.blocks(lambda start, stop: (k[start:stop], k[start:stop] + n), n):
+        parts.append(block.columns())
+        errors += block.errors
+    index = np.concatenate([index for index, _ in parts])
+    columns = tuple(map(np.concatenate, zip(*(columns for _, columns in parts))))
+    return index, columns, errors
+
+
+def _points(v, name: str) -> np.ndarray:
+    """``v`` as a float64 array, refusing its first element that is no real number;
+    a list is read as objects, so that a bool among floats is not taken as 0 or 1."""
+    v = np.asarray(v, dtype=None if isinstance(v, np.ndarray) else object)
+    if v.dtype.kind not in "iuf":  # bools, strings and objects, among others
+        for element in (e for e in v.ravel().tolist() if type(e) is not float):
+            real_number(element, name, DomainError)
+    return np.asarray(v, dtype=float)
 
 
 def certify(
@@ -229,7 +243,7 @@ def certify(
     seed = checked_number("seed", seed)
     tally = _Tally()
     for block in _sweep(T, F, f, grid_size, random_pairs, seed, mode):
-        tally.add(*block)
+        tally.add(block)
         del block  # so the next chunk is made with this one freed
     worst = None if tally.worst is None else tally.worst[-1]
     return CertificateReport(
@@ -256,7 +270,8 @@ class _Tally:
     least margin seen, ``violations`` the ``(*key, row)`` of the first
     ``VIOLATION_ROWS`` violating pairs and ``errors`` the
     ``(*key, message)`` of the first ``ERROR_ROWS`` failed pairs, so the
-    result does not depend on the order the blocks come in.
+    result does not depend on the order the blocks come in.  A block is
+    counted from its margins; rows are built only where they may be kept.
     """
 
     def __init__(self):
@@ -265,44 +280,61 @@ class _Tally:
         self.violations: list[tuple] = []
         self.errors: list[tuple] = []
 
-    def add(self, index: np.ndarray, columns: tuple[np.ndarray, ...], errors: list[tuple]) -> None:
-        """Count one block: the float64 ``columns`` (x, y, h, m, phi_h,
-        phi_m, margin) of evaluated pairs, margin NaN exactly on the
-        vacuous ones, at the ascending sweep indices ``index``, and the
-        ``(x, y, index, message)`` rows of failed pairs."""
-        margin = columns[-1]
-        live = ~np.isnan(margin)
-        self.evaluated += len(margin)
-        self.vacuous += len(margin) - int(np.count_nonzero(live))
-        if live.any():
-            least = margin[live].min()
-            (key_row,) = _first_rows(index, columns, np.flatnonzero(margin == least), 1)
+    def add(self, block: _Block) -> None:
+        """Count one :class:`_Block` and keep the rows it adds."""
+        margin, failed = block.margin, len(block.errors)
+        self.evaluated += len(margin) - failed
+        self.vacuous += int(np.count_nonzero(np.isnan(margin))) - failed
+        self.error_count += failed
+        least = np.fmin.reduce(margin)  # NaN when no pair has a margin
+        if least <= (math.inf if self.worst is None else self.worst[0]):
+            (key_row,) = block.rows(np.flatnonzero(margin == least), 1)
             first = (key_row[-1].margin, *key_row)
             self.worst = first if self.worst is None else min(self.worst, first)
-        violating = np.flatnonzero(margin <= 0.0)
-        if len(violating):
+        if least <= 0.0:
+            violating = np.flatnonzero(margin <= 0.0)
             self.violation_count += len(violating)
-            new = _first_rows(index, columns, violating, VIOLATION_ROWS)
+            new = block.rows(violating, VIOLATION_ROWS)
             self.violations = heapq.nsmallest(VIOLATION_ROWS, self.violations + new)
-        if errors:
-            self.error_count += len(errors)
-            self.errors = heapq.nsmallest(ERROR_ROWS, self.errors + errors)
+        if block.errors:
+            self.errors = heapq.nsmallest(ERROR_ROWS, self.errors + block.errors)
 
 
-def _first_rows(
-    index: np.ndarray, columns: tuple[np.ndarray, ...], which: np.ndarray, count: int
-) -> list[tuple]:
-    """``(x, y, index, row)`` of the first ``count`` of the rows ``which``, by key,
-    each row a :class:`PairEvaluation` with margin None where NaN.
+@dataclass(frozen=True)
+class _Block:
+    """The n pairs of one chunk, from sweep index ``start``: ``margin`` is NaN on
+    the vacuous and the failed pairs, the latter with ``(x, y, index, message)``
+    rows in ``errors``; pair k's row is built from x, y, h and m (``hm[:, k]``)
+    and Phi(h) and Phi(m) (``phi[inverse[:, k]]``)."""
 
-    A block's rows are in sweep order, and the stable sort keeps it on ties.
-    """
-    which = which[np.lexsort((columns[1][which], columns[0][which]))[:count]]
-    rows = zip(index[which].tolist(), *(c[which].tolist() for c in columns))
-    return [
-        (x, y, k, PairEvaluation(x, y, h, m, phi_h, phi_m, None if math.isnan(margin) else margin))
-        for k, x, y, h, m, phi_h, phi_m, margin in rows
-    ]
+    start: int
+    x: np.ndarray
+    y: np.ndarray
+    hm: np.ndarray
+    phi: np.ndarray
+    inverse: np.ndarray
+    margin: np.ndarray
+    errors: list[tuple[float, float, int, str]]
+
+    def columns(self, which: np.ndarray | None = None) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """The sweep indices and the float64 columns (x, y, h, m, phi_h, phi_m,
+        margin) of the pairs ``which``, by default of every pair that did not fail."""
+        if which is None:
+            which = np.delete(np.arange(len(self.x)), [k - self.start for *_, k, _ in self.errors])
+        (h, m), (phi_h, phi_m) = self.hm[:, which], self.phi[self.inverse[:, which]]
+        columns = (self.x[which], self.y[which], h, m, phi_h, phi_m, self.margin[which])
+        return self.start + which, columns
+
+    def rows(self, which: np.ndarray, count: int) -> list[tuple]:
+        """``(x, y, index, row)`` of the first ``count`` of the pairs ``which``, by
+        key, each row a :class:`PairEvaluation` with margin None where NaN; the
+        pairs are in sweep order, and the stable sort keeps it on ties."""
+        index, columns = self.columns(which[np.lexsort((self.y[which], self.x[which]))[:count]])
+        rows = zip(index.tolist(), *(c.tolist() for c in columns))
+        return [
+            (x, y, k, PairEvaluation(x, y, *values, None if math.isnan(margin) else margin))
+            for k, x, y, *values, margin in rows
+        ]
 
 
 def _sweep(
@@ -374,10 +406,10 @@ class _Evaluator:
     :func:`f_eval_array`), once per bit pattern of a chunk's h and m
     (:func:`_dedupe`).  Each batch stage gives NaN exactly where its
     scalar counterpart raises, and a union table image is NaN as well;
-    NaN carries through to the pair's values.  A pair whose batch values
-    are not finite is evaluated again in place by the scalar code, which
-    gives its values or its error message; it images each point and
-    integrates each u at most once (:func:`_once`).
+    NaN carries through to the pair's h and m.  A pair that meets an
+    unusable u (:func:`_evaluate_batch`) is evaluated again in place by the
+    scalar code, which gives its values or its error message; it images
+    each point and integrates each u at most once (:func:`_once`).
     """
 
     def __init__(self, T: MultiMap, F: FFunction, f: Integrand, mode: str, points: np.ndarray):
@@ -394,42 +426,41 @@ class _Evaluator:
         self.phi = _once(lambda u: capital_phi(f, u))
 
     def blocks(self, pairs, count: int):
-        """Yield the ``(index, columns, errors)`` block of each chunk of pairs
-        0 .. ``count`` - 1, as :meth:`_Tally.add` takes it; ``pairs(start,
-        stop)`` gives the point indices of x and of y of pairs start .. stop - 1."""
+        """Yield the :class:`_Block` of each chunk of pairs 0 .. ``count`` - 1, whose
+        point indices of x and of y ``pairs(start, stop)`` gives."""
         for start in range(0, count, self.chunk_size):
-            yield self.chunk(start, *pairs(start, min(start + self.chunk_size, count)))
+            yield self.chunk(pairs, start, min(start + self.chunk_size, count))
 
-    def chunk(self, start: int, xs: np.ndarray, ys: np.ndarray) -> tuple:
-        """The block of the pairs of points ``xs`` and ``ys``, numbered from ``start``.
+    def chunk(self, pairs, start: int, stop: int) -> _Block:
+        """The block of pairs ``start`` .. ``stop`` - 1.
 
-        Every pair goes through the batch arithmetic, where a NaN image
-        makes its values unusable.  A pair whose batch values are unusable
-        is evaluated again by the scalar code on images from
-        :func:`apply_map`: its values overwrite the batch row, or its
-        error drops the row from the columns.
+        Every pair goes through the batch arithmetic.  A pair that meets an
+        unusable u is evaluated again by the scalar code on images from
+        :func:`apply_map`: its values overwrite the batch row (its Phi
+        values appended to ``phi``), or its error makes an error row.
         """
-        x, y = self.points[xs], self.points[ys]
+        xs, ys = pairs(start, stop)
+        x, y = self.points.take(xs), self.points.take(ys)
         with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
-            h, m = _h_and_m(self.lo, self.hi, self.own, self.mode, x, y, xs, ys)
-            values, redo = _evaluate_batch(self.F, self.f, h, m)
-        errors: list[tuple[float, float, int, str]] = []
-        for k in np.flatnonzero(redo).tolist():
+            hm = _h_and_m(self.lo, self.hi, self.own, self.mode, x, y, xs, ys)
+            del xs, ys  # the indices go before the Phi and F stage
+            phi, inverse, margin, redo = _evaluate_batch(self.F, self.f, hm)
+        redone, errors = [], []
+        for k in redo:
             xk, yk = x[k].item(), y[k].item()
             try:
                 Sx, Sy = self.image(xk), self.image(yk)
                 ev = _evaluate(self.F, self.f, xk, yk, Sx, Sy, self.mode, self.phi)
             except MvfixError as err:
                 errors.append((xk, yk, start + k, str(err)))
+                margin[k] = math.nan
                 continue
-            margin = math.nan if ev.margin is None else ev.margin
-            for column, value in zip(values, (ev.h, ev.m, ev.phi_h, ev.phi_m, margin)):
-                column[k] = value
-            redo[k] = False
-        index, columns = np.arange(start, start + len(x)), (x, y, *values)
-        if errors:
-            index, columns = index[~redo], tuple(c[~redo] for c in columns)
-        return index, columns, errors
+            hm[:, k] = ev.h, ev.m
+            margin[k] = math.nan if ev.margin is None else ev.margin
+            inverse[:, k] = len(phi) + len(redone), len(phi) + len(redone) + 1
+            redone += (ev.phi_h, ev.phi_m)
+        phi = np.concatenate([phi, redone]) if redone else phi
+        return _Block(start, x, y, hm, phi, inverse, margin, errors)
 
 
 def _once(call):
@@ -479,47 +510,48 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
       ``maximum`` touch the members, so the loop order changes no bit.
 
     A NaN image gives its pairs a NaN m (and h), so the caller redoes them.
-    Only h and m leave, so the gathered endpoints are freed before the
-    Phi and F stage, where the sweep's memory peaks.
+    h and m are taken in place into the one ``(2, n)`` array that leaves.
     """
+    # np.take keeps gathered members C-contiguous, one member a row
+    lx, ly = np.take(lo, xs, axis=-1), np.take(lo, ys, axis=-1)
+    hx, hy = (lx, ly) if hi is lo else (hi.take(xs), hi.take(ys))
+    hm = np.empty((2, len(x)))
+    h, m = hm  # m is free until the cross sum: a scratch row for h
     if lo.ndim == 2:
-        # np.take keeps the gathered rows C-contiguous, one member a row
-        lx, ly = hx, hy = np.take(lo, xs, axis=1), np.take(lo, ys, axis=1)
-        h = _excess(lx, ly)
+        _excess(lx, ly, h, m)
         if mode == "hausdorff":
-            np.maximum(h, _excess(ly, lx), out=h)
-    elif hi is lo:
-        lx, ly = hx, hy = lo[xs], lo[ys]
-        h = np.abs(lx - ly)
+            np.maximum(h, _excess(ly, lx, np.empty_like(h), m), out=h)
+    elif mode == "hausdorff" or hi is lo:  # one point per image: |lx - ly| in either mode
+        np.abs(np.subtract(lx, ly, out=h), out=h)
+        if hi is not lo:
+            np.maximum(h, np.abs(np.subtract(hx, hy, out=m), out=m), out=h)
     else:
-        lx, hx, ly, hy = lo[xs], hi[xs], lo[ys], hi[ys]
-        if mode == "hausdorff":
-            h = np.maximum(np.abs(lx - ly), np.abs(hx - hy))
-        else:
-            h = np.maximum(_distance(lx, ly, hy), _distance(hx, ly, hy))
-    cross = _distance(x, ly, hy)
-    cross += _distance(y, lx, hx)
-    del lx, hx, ly, hy  # the members go before the other columns come
-    cross *= 0.5
-    m = np.maximum(np.maximum(np.abs(x - y), own[xs]), np.maximum(own[ys], cross))
-    return h, m
+        np.maximum(_distance(lx, ly, hy, h), _distance(hx, ly, hy, m), out=h)
+    _distance(y, lx, hx, m)  # the cross sum D(y, Tx) + D(x, Ty), halved below
+    del lx, hx  # each image's members go once they are used
+    term = _distance(x, ly, hy, np.empty_like(m))
+    m += term
+    m *= 0.5
+    np.maximum(m, np.abs(np.subtract(x, y, out=term), out=term), out=m)
+    np.maximum(m, own.take(xs, out=term), out=m)
+    np.maximum(m, own.take(ys, out=term), out=m)
+    return hm
 
 
-def _distance(p: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _distance(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, out=None) -> np.ndarray:
     """The distance from each element of ``p`` to its image in the :func:`image_arrays`
-    layout: :func:`_nearest` of point members, |p - v| of one member ``v``
-    (``lo`` is ``hi``), else |p - clamp(p, lo, hi)|."""
+    layout, into ``out`` if given: :func:`_nearest` of point members, |p - v|
+    of one member ``v`` (``lo`` is ``hi``), else |p - min(max(p, lo), hi)|."""
     if lo.ndim == 2:
-        return _nearest(p, lo)
-    if hi is lo:
-        return np.abs(p - lo)
-    return np.abs(p - np.clip(p, lo, hi))
+        return _nearest(p, lo, out)
+    clamped = lo if hi is lo else np.minimum(np.maximum(p, lo, out=out), hi, out=out)
+    return np.abs(np.subtract(p, clamped, out=out), out=out)
 
 
-def _nearest(p: np.ndarray, members: np.ndarray) -> np.ndarray:
-    """The least |p - b| over the rows b of ``members``: the distance from each
-    element of ``p`` to its point image, one pass per member."""
-    best = np.abs(p - members[0])
+def _nearest(p: np.ndarray, members: np.ndarray, out=None) -> np.ndarray:
+    """The least |p - b| over the rows b of ``members``, into ``out`` if given:
+    the distance from each element of ``p`` to its point image, one pass per member."""
+    best = np.abs(np.subtract(p, members[0], out=out), out=out)
     gap = np.empty_like(best)
     for b in members[1:]:
         np.abs(np.subtract(p, b, out=gap), out=gap)
@@ -527,42 +559,35 @@ def _nearest(p: np.ndarray, members: np.ndarray) -> np.ndarray:
     return best
 
 
-def _excess(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """The largest :func:`_nearest` of a row of ``A`` to the members ``B``."""
-    worst = _nearest(A[0], B)
+def _excess(A: np.ndarray, B: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The largest :func:`_nearest` of a row of ``A`` to ``B``, into ``out``, via ``scratch``."""
+    worst = _nearest(A[0], B, out)
     for a in A[1:]:
-        np.maximum(worst, _nearest(a, B), out=worst)
+        np.maximum(worst, _nearest(a, B, scratch), out=worst)
     return worst
 
 
-def _evaluate_batch(F: FFunction, f: Integrand, h: np.ndarray, m: np.ndarray):
-    """Phi(h), Phi(m) and margin of each pair from its h and m, as :func:`_evaluate` has them.
+def _evaluate_batch(F: FFunction, f: Integrand, hm: np.ndarray):
+    """``Phi`` and ``F`` of the pairs' h and m (the rows of ``hm``), as :func:`_evaluate` has them.
 
-    Returns the five value columns h, m, Phi(h), Phi(m) and margin
-    (NaN on vacuous pairs), which the caller may write into, and a mask
-    of the pairs whose values are unusable (not finite, which a NaN h or
-    m, a failed ``Phi`` and a failed ``F`` all are) and must be redone by
-    the scalar code.  ``Phi`` and ``F`` run once per group of equal bits
-    of :func:`_dedupe`; a group split by a hash collision costs one more
-    call and changes no bit, as each value depends on its u alone.
+    Returns ``(phi, inverse, margin, redo)``: Phi of each group of equal
+    bits of ``hm`` (:func:`_dedupe`), with Phi(h) and Phi(m) of pair k at
+    ``inverse[:, k]``; the margin column; and the pairs, in order, that
+    meet an unusable u, for the scalar code to redo.
+    A u is usable when Phi(u) and F(Phi(u)) are finite (a NaN u has a NaN
+    Phi), or when it is 0: F(Phi(0)) is NaN, the margin of a vacuous pair.
+    This is decided per distinct u, and gathered to pairs only when some u
+    is unusable.  A hash collision changes no bit: each value is u's alone.
     """
-    # Phi and F are functions of u alone, so each distinct u runs once
-    n = len(h)
-    u, where = _dedupe(np.concatenate([h, m]))
-    phi_u = capital_phi_array(f, u)
-    f_u = f_eval_array(F, phi_u)
-    phi_h, phi_m = phi_u[where[:n]], phi_u[where[n:]]
-    margin = f_u[where[n:]] - f_u[where[:n]]
-    vacuous = h == 0.0
-    margin[vacuous] = math.nan
-    usable = (
-        np.isfinite(h)
-        & np.isfinite(m)
-        & np.isfinite(phi_h)
-        & np.isfinite(phi_m)
-        & (vacuous | np.isfinite(margin))
-    )
-    return (h, m, phi_h, phi_m, margin), ~usable
+    u, inverse = _dedupe(hm.reshape(-1))
+    at_h, at_m = inverse = inverse.reshape(hm.shape)
+    phi = capital_phi_array(f, u)
+    f_u = f_eval_array(F, phi)
+    margin = f_u.take(at_m)
+    margin -= f_u.take(at_h)
+    unusable = ~(np.isfinite(phi) & (np.isfinite(f_u) | (u == 0.0)))
+    redo = unusable.take(at_h) | unusable.take(at_m) if unusable.any() else ()
+    return phi, inverse, margin, np.flatnonzero(redo).tolist()
 
 
 # Odd multiplier of _dedupe's hash (2^64 over the golden ratio)
@@ -571,27 +596,27 @@ _HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
 
 def _dedupe(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(values, inverse)``: the float64 ``u`` in groups of equal bits, with
-    ``values[inverse]`` equal to ``u`` bit for bit.
+    ``values[inverse]`` equal to ``u`` bit for bit; ``u`` is only read.
 
     A uint64 key packs a hash of an element's bits above its index, so one
     in-place sort puts equal bits together in index order.  Equal bits hash
     alike, so a group never holds two patterns (±0 and NaN payloads stay
     apart); a hash collision interleaves two patterns, which only splits
-    one into more groups.
+    one into more groups.  Each group's number is repeated over its run.
     """
     n = len(u)
     bits = u.view(np.uint64)
     low = (np.uint64(1) << np.uint64(max(16, n.bit_length()))) - np.uint64(1)  # index bits
     key = bits * _HASH_MULTIPLIER  # wraps modulo 2^64
+    key >>= np.uint64(2)  # below 2^62 a key's bits are a positive float's, which sort faster
     key &= ~low
     key |= np.arange(n, dtype=np.uint64)
-    key.sort()
+    key.view(np.float64).sort()
     order = np.bitwise_and(key, low, out=key).view(np.intp)
-    ordered = bits[order]
-    starts = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    values = ordered[starts].view(np.float64)
-    group = np.cumsum(starts, out=ordered.view(np.intp))  # the bits are used up
-    group -= 1
+    ordered = bits.take(order)
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    values = ordered.take(first).view(np.float64)
+    del ordered
     inverse = np.empty(n, dtype=np.intp)
-    inverse[order] = group
+    inverse[order] = np.repeat(np.arange(len(first)), np.diff(first, append=n))
     return values, inverse

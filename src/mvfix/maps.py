@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, MvfixError, checked_number
+from .errors import DomainError, InvariantError, MvfixError, checked_number, real_number
 from .expr import ExprAst, _Codegen, compile_expr, enclose, eval_expr_array, format_expr, parse_expr
 from .sets1d import CompactSet, _nearest, dist_point_set, domain_grid
 
@@ -338,8 +338,8 @@ def table_map(
 
 
 def apply_map(T: MultiMap, x: float) -> CompactSet:
-    """Value set T(x); ``x`` must belong to the domain of the map."""
-    if not T.domain.contains(x):
+    """Value set T(x); ``x`` must be a real number in the domain of the map."""
+    if not T.domain.contains(real_number(x, "x", DomainError)):
         raise DomainError(f"argument {x} lies outside the map domain")
     return _value_set(T, x)
 

@@ -58,11 +58,12 @@ NONPOSITIVE = CompactSet.interval(-1.0, -0.0)
 def swept_columns(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hausdorff"):
     """The chunks of certify's sweep concatenated: sweep index, columns and error rows."""
     blocks = list(analysis._sweep(T, F, f, grid_size, random_pairs, seed, mode))
-    for index, columns, _ in blocks:
+    parts = [block.columns() for block in blocks]
+    for index, columns in parts:
         assert {len(c) for c in columns} == {len(index)}
-    index = np.concatenate([index for index, _, _ in blocks])
-    columns = tuple(np.concatenate(c) for c in zip(*(columns for _, columns, _ in blocks)))
-    return index, columns, [row for _, _, errors in blocks for row in errors]
+    index = np.concatenate([index for index, _ in parts])
+    columns = tuple(np.concatenate(c) for c in zip(*(columns for _, columns in parts)))
+    return index, columns, [row for block in blocks for row in block.errors]
 
 
 def sweep_pairs(T, F, f, grid_size=101, random_pairs=1000, seed=42, mode="hausdorff"):
@@ -352,15 +353,21 @@ class TestReportOrder:
     ERRORS = [(0.75, 1.0, "c"), (0.0, 0.5, "b"), (0.5, 0.6, "d"), (0.0, 0.25, "a")]
 
     def report(self):
-        # three blocks: rows 0-2, rows 4 and 6, then rows 3 and 5, so the
-        # tie and the duplicate pair span blocks and the later duplicate
-        # comes first
+        # three blocks, each its rows, then its failed pairs with NaN
+        # margins: rows 0-2 at sweep indices 0-4, rows 4-6 at 7-10, then
+        # row 3 at 5-6, so the tie and the duplicate pair span blocks and
+        # the later duplicate comes first
         blocks = []
-        for rows, errors in [([0, 1, 2], [0, 1]), ([4, 6], [2]), ([3, 5], [3])]:
-            x, y, h, margin = (np.array(c) for c in zip(*(self.ROWS[k] for k in rows)))
-            columns = (x, y, h, 2.0 * h, h, 2.0 * h, margin)
-            errors = [(*self.ERRORS[k][:2], 10 + k, self.ERRORS[k][2]) for k in errors]
-            blocks.append((np.array(rows), columns, errors))
+        for start, rows, errors in [(0, [0, 1, 2], [0, 1]), (7, [4, 5, 6], [2]), (5, [3], [3])]:
+            failed = [(*self.ERRORS[k][:2], 0.0, math.nan) for k in errors]
+            x, y, h, margin = (np.array(c) for c in zip(*(self.ROWS[k] for k in rows), *failed))
+            hm = np.stack([h, 2.0 * h])  # with Phi(u) = u
+            errors = [
+                (*self.ERRORS[k][:2], start + len(rows) + i, self.ERRORS[k][2])
+                for i, k in enumerate(errors)
+            ]
+            inverse = np.arange(hm.size).reshape(hm.shape)
+            blocks.append(analysis._Block(start, x, y, hm, hm.ravel(), inverse, margin, errors))
         with mock.patch.object(analysis, "_sweep", return_value=iter(blocks)):
             return certify(halving_point_map(), LOG, ONE)
 
@@ -444,6 +451,17 @@ class TestNumericFailures:
         assert abs(report.tau_star - math.log(2.0)) <= 1e-9
 
     @pytest.mark.parametrize("mode", analysis.MODES)
+    def test_phi_h_overflow_is_an_error_where_F_is_finite_at_inf(self, mode):
+        # F(t) = -1/sqrt(t) is -0.0 at t = inf, so only the inf Phi(h)
+        # itself sends these pairs to the scalar code, which refuses them
+        T, f = singleton_map(CompactSet.interval(0.0, 10.0), "x/2"), ConstantIntegrand(1e308)
+        F, args = FFunction("neg_inv_sqrt"), dict(grid_size=11, random_pairs=0, mode=mode)
+        report = certify(T, F, f, **args)
+        assert (report.error_count, report.evaluated_pairs) == (28, 27)
+        assert all("Phi(h) is not finite" in msg for _, _, msg in report.errors)
+        assert_bitwise_equal(report, sweep_pairs(T, F, f, **args), certify_scalar(T, F, f, **args))
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
     def test_own_distance_overflow_is_redone(self, mode):
         # x + 1.8e308 overflows in the point-image own distances; the inf
         # is redone by the scalar code, and no RuntimeWarning escapes.  The
@@ -457,6 +475,33 @@ class TestNumericFailures:
         assert_bitwise_equal(
             report, sweep_pairs(T, LOG, ONE, **args), certify_scalar(T, LOG, ONE, **args)
         )
+
+    @pytest.mark.parametrize("mode", analysis.MODES)
+    @example(seed=3)
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_vacuous_redone_and_ordinary_pairs_in_one_chunk(self, mode, seed):
+        # min(x, 0.5) is the identity below 0.5 and constant above it, and
+        # Phi(u) = u^201 / 201 underflows to 0, where F is undefined, for u
+        # below about 0.025.  So the grid alone puts in one chunk ordinary
+        # pairs, vacuous pairs, close pairs below 0.5 that are redone and
+        # fail, and a vacuous pair near 0.5 whose small m is redone and
+        # stays vacuous; the drawn pairs vary with the seed
+        T, f = singleton_map(UNIT, "min(x, 0.5)"), PowerIntegrand(p=200.0)
+        args = dict(grid_size=41, random_pairs=40, seed=seed, mode=mode)
+        spy = mock.patch.object(analysis, "_evaluate", wraps=analysis._evaluate)
+        with spy as scalar:
+            blocks = list(analysis._sweep(T, LOG, f, **args))
+        report, oracle = certify(T, LOG, f, **args), certify_scalar(T, LOG, f, **args)
+        assert len(blocks) == 1
+        redone = {call.args[2:4] for call in scalar.call_args_list}
+        vacuous = {(p.x, p.y) for p in oracle.pairs if p.margin is None}
+        # a vacuous pair is redone only where F(Phi(m)) is undefined, m > 0
+        undefined = {(p.x, p.y) for p in oracle.pairs if p.margin is None and p.phi_m == 0 < p.m}
+        assert redone & vacuous == undefined and undefined
+        assert len(redone - vacuous) == report.error_count > 0
+        assert report.evaluated_pairs > report.vacuous_pairs > 0
+        assert_bitwise_equal(report, sweep_pairs(T, LOG, f, **args), oracle)
 
     @pytest.mark.parametrize("f", [ExponentialIntegrand(rate=5.0), PowerIntegrand(p=200.0)])
     def test_phi_overflow_is_recorded_per_pair(self, f):
@@ -941,7 +986,7 @@ class TestShapePathsAgainstScalarLoop:
 
     def test_one_block_per_chunk_with_redone_pairs_in_place(self):
         # pairs whose h or m overflow are redone by the scalar code: some
-        # get a margin there, the rest fail and leave their chunk's block
+        # get a margin there, the rest fail and leave their block's columns
         T = SHAPE_CASES["huge_interval"]()
         args = dict(grid_size=21, random_pairs=40, seed=5, mode="hausdorff")
         spy = mock.patch.object(analysis, "_evaluate", wraps=analysis._evaluate)
@@ -949,11 +994,11 @@ class TestShapePathsAgainstScalarLoop:
             blocks = list(analysis._sweep(T, LOG, ONE, **args))  # 16 interval pairs a chunk
         count = 21 * 20 // 2 + 40
         assert len(blocks) == math.ceil(count / 16)
-        failed = {k for *_, errors in blocks for _, _, k, _ in errors}
-        index = np.concatenate([index for index, _, _ in blocks])
+        failed = {k for block in blocks for _, _, k, _ in block.errors}
+        index = np.concatenate([block.columns()[0] for block in blocks])
         assert failed and index.tolist() == sorted(set(range(count)) - failed)
 
-        failed_xy = {(x, y) for *_, errors in blocks for x, y, _, _ in errors}
+        failed_xy = {(x, y) for block in blocks for x, y, _, _ in block.errors}
         redone = {call.args[2:4] for call in scalar.call_args_list} - failed_xy
         oracle = {(p.x, p.y): p for p in certify_scalar(T, LOG, ONE, **args).pairs}
         rows = [p for p in sweep_pairs(T, LOG, ONE, **args) if (p.x, p.y) in redone]

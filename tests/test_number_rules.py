@@ -7,6 +7,7 @@ by neither, in the same words after the name.
 
 import math
 
+import numpy as np
 import pytest
 
 from mvfix import (
@@ -19,11 +20,15 @@ from mvfix import (
     InvariantError,
     MvfixError,
     PowerIntegrand,
+    apply_map,
     certify,
     config_from_dict,
+    evaluate_pair,
+    evaluate_pairs,
     expression_integrand,
     is_fixed_point,
     iterate,
+    m_value,
     singleton_map,
     validate_trace,
 )
@@ -148,3 +153,61 @@ def test_a_bool_a_string_or_none_is_no_number(key, value):
 def test_config_and_library_refuse_alike(key, value):
     value = IN_RANGE[key] if value is IN else value
     assert library_words(key, value) == config_words(key, value)
+
+
+# The point arguments of the map and pair functions, each with the name it
+# is refused under.  evaluate_pair(HALVING, LOG, ONE, "a", 0.5) once ended
+# in a raw TypeError, and True ran as the point 1.0.
+POINT_CALLS = {
+    "apply_map": ("x", lambda v: apply_map(HALVING, v)),
+    "is_fixed_point": ("x", lambda v: is_fixed_point(HALVING, v)),
+    "m_value_x": ("x", lambda v: m_value(HALVING, v, 0.5)),
+    "m_value_y": ("y", lambda v: m_value(HALVING, 0.5, v)),
+    "evaluate_pair_x": ("x", lambda v: evaluate_pair(HALVING, LOG, ONE, v, 0.5)),
+    "evaluate_pair_y": ("y", lambda v: evaluate_pair(HALVING, LOG, ONE, 0.5, v)),
+    "evaluate_pairs_x": ("x", lambda v: evaluate_pairs(HALVING, LOG, ONE, [0.25, v], [0.5, 0.5])),
+    "evaluate_pairs_y": ("y", lambda v: evaluate_pairs(HALVING, LOG, ONE, [0.5, 0.5], [0.25, v])),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "a", "0.5", None], ids=repr)
+@pytest.mark.parametrize("call", sorted(POINT_CALLS))
+def test_a_point_is_a_real_number(call, value):
+    name, run = POINT_CALLS[call]
+    with pytest.raises(DomainError) as err:
+        run(value)
+    assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "x, words",
+    [
+        (np.array([True, False]), "True"),
+        (np.array(["0.25", "0.5"]), "'0.25'"),
+        (np.array([0.25, None], dtype=object), "None"),
+        (np.array([0.25, 10**400], dtype=object), "an integer too large for a float"),
+        ("0.25", "'0.25'"),
+    ],
+    ids=["bool", "str", "object", "huge", "scalar_str"],
+)
+def test_evaluate_pairs_refuses_arrays_of_no_numbers(x, words):
+    with pytest.raises(DomainError) as err:
+        evaluate_pairs(HALVING, LOG, ONE, x, [0.5, 0.5])
+    assert str(err.value) == f"x must be a number, got {words}"
+
+
+def test_evaluate_pairs_takes_an_object_array_of_numbers():
+    x = np.array([0.25, 1], dtype=object)
+    taken = evaluate_pairs(HALVING, LOG, ONE, x, [0.5, 0.5])
+    assert repr(taken) == repr(evaluate_pairs(HALVING, LOG, ONE, [0.25, 1.0], [0.5, 0.5]))
+
+
+# NaN and the infinities are numbers outside the domain: an error, or an error row
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+def test_a_point_outside_the_domain_keeps_its_words(value):
+    words = f"argument {value} lies outside the map domain"
+    with pytest.raises(DomainError, match=f"^{words}$"):
+        evaluate_pair(HALVING, LOG, ONE, value, 0.5)
+    index, _, errors = evaluate_pairs(HALVING, LOG, ONE, [0.25, value], [0.5, 0.5])
+    assert index.tolist() == [0]
+    assert [(k, message) for _, _, k, message in errors] == [(1, words)]
