@@ -82,6 +82,13 @@ def _members(v: Any) -> tuple[str, ...]:
     return tuple(v)
 
 
+def _real(v: Any, name: str = "endpoint") -> float:
+    # real_number's rule and words, but an int too large for a float keeps float()'s words
+    if not isinstance(v, int) or isinstance(v, bool):
+        real_number(v, name, TypeError)
+    return float(v)
+
+
 def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...]:
     if not isinstance(v, list) or not v:
         raise ConfigError("map.entries must be a nonempty list of [x, intervals] rows")
@@ -89,7 +96,8 @@ def _entries(v: Any) -> tuple[tuple[float, tuple[tuple[float, float], ...]], ...
     for row in v:
         try:
             key, intervals = row
-            rows.append((float(key), tuple((float(lo), float(hi)) for lo, hi in intervals)))
+            key = _real(key, "table key")
+            rows.append((key, tuple((_real(lo), _real(hi)) for lo, hi in intervals)))
         except (TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"bad table entry {row!r}: {err}") from None
     return tuple(rows)
@@ -182,7 +190,7 @@ def config_from_dict(data: Any) -> ProblemConfig:
     if not isinstance(domain_raw, list) or not domain_raw:
         raise ConfigError("domain must be a nonempty list of [lo, hi] pairs")
     try:
-        domain = tuple((float(lo), float(hi)) for lo, hi in domain_raw)
+        domain = tuple((_real(lo), _real(hi)) for lo, hi in domain_raw)
         CompactSet(domain)  # surfaces reversed/non-finite endpoints now
     except (MvfixError, TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"bad domain: {err}") from None

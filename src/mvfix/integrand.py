@@ -3,8 +3,9 @@
 An integrand ``phi`` maps [0, inf) to [0, inf); the quantity the rest of
 the package consumes is the cumulative transform ``Phi(u) = integral of
 phi from 0 to u``, which is continuous, nondecreasing, and strictly
-positive for u > 0.  The built-in kinds carry analytic antiderivatives;
-the expression kind falls back on adaptive Simpson quadrature.
+positive for u > 0.  Each kind's class holds its forms: ``_label``,
+``_phi``, ``_cumulative`` (Phi: an analytic antiderivative, or adaptive
+Simpson quadrature for the expression kind) and any ``_cumulative_array``.
 """
 
 from __future__ import annotations
@@ -61,12 +62,20 @@ class ConstantIntegrand:
     """phi(t) = c with c > 0."""
 
     c: float = 1.0
+    _label = "constant({c:g})"
 
     def __post_init__(self):
         checked_number("c", self.c, error=InvariantError)
 
+    def _phi(self, t: float) -> float:
+        return self.c
+
     def _cumulative(self, u: float) -> float:
         return self.c * u
+
+    def _cumulative_array(self, u: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):  # overflow is inf, as capital_phi gives
+            return np.where(u >= 0.0, self.c * u, math.nan)
 
 
 @dataclass(frozen=True)
@@ -75,10 +84,14 @@ class PowerIntegrand:
 
     p: float
     scale: float = 1.0
+    _label = "power(p={p:g}, scale={scale:g})"
 
     def __post_init__(self):
         checked_number("p", self.p, error=InvariantError)
         checked_number("scale", self.scale, error=InvariantError)
+
+    def _phi(self, t: float) -> float:
+        return math.inf if t == 0.0 and self.p < 0.0 else self.scale * t**self.p
 
     def _cumulative(self, u: float) -> float:
         return self.scale * u ** (self.p + 1.0) / (self.p + 1.0)
@@ -90,10 +103,14 @@ class ExponentialIntegrand:
 
     rate: float
     scale: float = 1.0
+    _label = "exponential(rate={rate:g}, scale={scale:g})"
 
     def __post_init__(self):
         checked_number("rate", self.rate, error=InvariantError)
         checked_number("scale", self.scale, error=InvariantError)
+
+    def _phi(self, t: float) -> float:
+        return self.scale * math.exp(self.rate * t)
 
     def _cumulative(self, u: float) -> float:
         if self.rate == 0.0:
@@ -113,6 +130,7 @@ class ExpressionIntegrand:
     ast: ExprAst
     source: str
     grid_max: float = 100.0
+    _label = "expression({source!r})"
 
     @cached_property
     def _compiled(self) -> Callable[[float], float]:
@@ -135,6 +153,20 @@ class ExpressionIntegrand:
     def _cumulative(self, u: float) -> float:
         # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
         return adaptive_simpson(self._phi, 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH)
+
+    def _cumulative_array(self, u: np.ndarray) -> np.ndarray:
+        if len(u) < QUAD_BATCH_MIN:
+            return _capital_phi_loop(self, u)
+        # u == 0 is the scalar's a == b branch; negative, NaN and infinite u
+        # raise there (an infinite panel's error estimate is NaN at every level)
+        out = np.where(u == 0.0, 0.0, math.nan)
+        todo = np.flatnonzero((u > 0.0) & np.isfinite(u))
+        with np.errstate(all="ignore"):
+            for start in range(0, len(todo), QUAD_BATCH_SLICE):
+                part = todo[start : start + QUAD_BATCH_SLICE]
+                out[part], over = _simpson_slice(self, u[part])
+                out[part[over]] = _capital_phi_loop(self, u[part[over]])
+        return out
 
 
 Integrand = Union[
@@ -171,39 +203,28 @@ def expression_integrand(source: str, grid_max: float = 100.0) -> ExpressionInte
     return f
 
 
+def _form(f: Integrand, name: str):
+    """The form ``name`` of integrand ``f``; anything without it is no integrand."""
+    form = getattr(f, name, None)
+    if form is None:
+        raise TypeError(f"not an integrand: {f!r}")
+    return form
+
+
 def integrand_label(f: Integrand) -> str:
     """Short human-readable identifier used in reports."""
-    match f:
-        case ConstantIntegrand(c):
-            return f"constant({c:g})"
-        case PowerIntegrand(p, scale):
-            return f"power(p={p:g}, scale={scale:g})"
-        case ExponentialIntegrand(rate, scale):
-            return f"exponential(rate={rate:g}, scale={scale:g})"
-        case ExpressionIntegrand(_, source, _):
-            return f"expression({source!r})"
-    raise TypeError(f"not an integrand: {f!r}")
+    return _form(f, "_label").format_map(vars(f))
 
 
 def phi_eval(f: Integrand, t: float) -> float:
     """Pointwise value phi(t) for t >= 0."""
     if not t >= 0.0:
         raise DomainError(f"integrand argument must be >= 0, got {t}")
+    phi = _form(f, "_phi")
     try:
-        match f:
-            case ConstantIntegrand(c):
-                return c
-            case PowerIntegrand(p, scale):
-                if t == 0.0 and p < 0.0:
-                    return math.inf
-                return scale * t**p
-            case ExponentialIntegrand(rate, scale):
-                return scale * math.exp(rate * t)
-            case ExpressionIntegrand():
-                return f._phi(t)
+        return phi(t)
     except OverflowError:
         raise DomainError(f"integrand {integrand_label(f)} overflows at t = {t}") from None
-    raise TypeError(f"not an integrand: {f!r}")
 
 
 def capital_phi(f: Integrand, u: float) -> float:
@@ -215,9 +236,7 @@ def capital_phi(f: Integrand, u: float) -> float:
     """
     if not u >= 0.0:
         raise DomainError(f"cumulative transform argument must be >= 0, got {u}")
-    cumulative = getattr(f, "_cumulative", None)
-    if cumulative is None:
-        raise TypeError(f"not an integrand: {f!r}")
+    cumulative = _form(f, "_cumulative")
     try:
         return cumulative(u)
     except OverflowError:
@@ -231,32 +250,20 @@ def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
 
     An element where :func:`capital_phi` raises comes back as NaN, and
     overflow as inf; callers rerun NaN elements through
-    :func:`capital_phi` to get its error.  The constant kind is one IEEE
-    multiply on the whole array, NaN where u is negative.  The expression
-    kind runs :func:`adaptive_simpson` for all u at once, one refinement
-    level at a time (:func:`_simpson_slice`): each u gets the panels and
-    operations of the scalar recursion in the same order, so the same
-    bits.  It takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u
-    whose panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi`
-    then computes.  The power and exponential kinds need ``expm1`` or
-    ``pow``, so they run through :func:`capital_phi` one element at a
-    time, for the reason ``expr._pointwise`` gives.
+    :func:`capital_phi` to get its error.  A kind's ``_cumulative_array``
+    does this faster.  The constant kind's is one IEEE multiply on the
+    whole array, NaN where u is negative.  The expression kind's runs
+    :func:`adaptive_simpson` for all u at once, one refinement level at a
+    time (:func:`_simpson_slice`): each u gets the panels and operations
+    of the scalar recursion in the same order, so the same bits.  It
+    takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u whose
+    panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi` then
+    computes.  The power and exponential kinds need ``expm1`` or ``pow``,
+    so they have none and run through :func:`capital_phi` one element at
+    a time, for the reason ``expr._pointwise`` gives.
     """
-    if isinstance(f, ConstantIntegrand):
-        with np.errstate(over="ignore"):  # overflow is inf, as capital_phi gives
-            return np.where(u >= 0.0, f.c * u, math.nan)
-    if not isinstance(f, ExpressionIntegrand) or len(u) < QUAD_BATCH_MIN:
-        return _capital_phi_loop(f, u)
-    # u == 0 is the scalar's a == b branch; negative, NaN and infinite u
-    # raise there (an infinite panel's error estimate is NaN at every level)
-    out = np.where(u == 0.0, 0.0, math.nan)
-    todo = np.flatnonzero((u > 0.0) & np.isfinite(u))
-    with np.errstate(all="ignore"):
-        for start in range(0, len(todo), QUAD_BATCH_SLICE):
-            part = todo[start : start + QUAD_BATCH_SLICE]
-            out[part], over = _simpson_slice(f, u[part])
-            out[part[over]] = _capital_phi_loop(f, u[part[over]])
-    return out
+    batch = getattr(f, "_cumulative_array", None)
+    return _capital_phi_loop(f, u) if batch is None else batch(u)
 
 
 def _capital_phi_loop(f: Integrand, u: np.ndarray) -> np.ndarray:

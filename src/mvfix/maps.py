@@ -1,9 +1,12 @@
 """Multivalued maps from a compact domain into compact subsets of the line.
 
 A map sends each point x of its domain to a compact value set T(x).
-Four shapes cover the use cases: an interval with expression endpoints,
+Four kinds cover the use cases: an interval with expression endpoints,
 a singleton given by one expression, a finite set of expression points,
-and an explicit lookup table.  Expression-backed maps are validated at
+and an explicit lookup table.  Their images take three shapes: interval
+endpoints, point members (a singleton is one member) and a table.  The
+one table ``_SHAPES`` gives each kind its shape, whose class holds every
+form that depends on it.  Expression-backed maps are validated at
 construction, by an interval enclosure over the domain or else on a
 dense grid, so that sweeps fail early rather than deep inside an
 analysis run.
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union, get_args
 
 import numpy as np
 
@@ -52,18 +55,20 @@ class MultiMap:
     members: tuple[ExprAst, ...] = ()
     table: tuple[tuple[float, CompactSet], ...] = ()
 
+    @property
+    def _shape(self) -> Union[_Interval, _Points, _Table]:
+        return _SHAPES[self.kind]
+
     @cached_property
     def _compiled(self) -> tuple[Callable[[float], float], ...]:
         """Compiled (lo, hi) or members, in that order, on first scalar use; empty for a table."""
-        return tuple(compile_expr(e) for e in _expressions(self))
+        return tuple(compile_expr(e) for e in self._shape.expressions(self))
 
     @cached_property
     def _proved(self) -> bool:
         """Whether enclosures show every image over the domain finite and not
         inverted (:func:`_validate_on_grid`); never for a table."""
-        return self.kind != "table" and all(
-            _proved_valid(self, a, b) for a, b in self.domain.intervals
-        )
+        return all(_proved_valid(self, a, b) for a, b in self.domain.intervals)
 
     @cached_property
     def _orbit(self) -> Callable[..., tuple]:
@@ -71,16 +76,7 @@ class MultiMap:
         return _compile_orbit(self)
 
     def describe(self) -> str:
-        if self.kind == "interval_endpoints":
-            return f"T(x) = [{format_expr(self.lo)}, {format_expr(self.hi)}]"
-        if self.kind == "table":
-            return f"table with {len(self.table)} entries"
-        # a singleton is a one-member finite set
-        return f"T(x) = {{{', '.join(format_expr(e) for e in self.members)}}}"
-
-
-def _expressions(T: MultiMap) -> tuple[ExprAst, ...]:
-    return (T.lo, T.hi) if T.kind == "interval_endpoints" else T.members
+        return self._shape.describe(self)
 
 
 def _as_ast(e: Union[str, ExprAst]) -> ExprAst:
@@ -103,15 +99,7 @@ def _checked_ends(x: float, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _value_set(T: MultiMap, x: float) -> CompactSet:
-    if T.kind == "interval_endpoints":
-        lo_fn, hi_fn = T._compiled
-        return CompactSet.interval(*_checked_ends(x, lo_fn(x), hi_fn(x)))
-    if T.kind == "table":
-        for key, value in T.table:
-            if key == x:
-                return value
-        raise DomainError(f"no table entry for x = {x}")
-    return CompactSet.from_points(fn(x) for fn in T._compiled)
+    return T._shape.value_set(T, x)
 
 
 def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
@@ -124,15 +112,9 @@ def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
     recorded points.  It returns ``(x, n, stop, err)``: the last x (p, if
     it left), the step it stopped at (or ``end``), and ``stop``, one of
     None, ``"fixed"``, ``"left"`` and ``"error"`` with ``err`` the
-    :class:`MvfixError` T raised at x.  Interval and one-member
-    (one-point interval) maps have their expressions' statements inline,
-    as :func:`compile_expr` emits them, and clamp x onto the endpoints
-    with the bits of ``_nearest``, building no value set; ``_checked_ends``
-    runs only on an inverted or non-finite endpoint.  Finite sets keep
-    the inline member with the least ``abs(x - v)``; where two tie on it
-    or one is not finite, and for tables, the step calls
-    ``_nearest(x, _value_set(T, x))``, which picks the smaller point.  The
-    domain test is chained comparisons with the domain's intervals.
+    :class:`MvfixError` T raised at x.  The shape emits the step to p;
+    without an inline form it calls ``_nearest(x, _value_set(T, x))``.
+    The domain test is chained comparisons with the domain's intervals.
 
     A proved map (``T._proved``) evaluates only points of its domain,
     where no expression can fail and no interval is inverted, so its loop
@@ -143,33 +125,11 @@ def _compile_orbit(T: MultiMap) -> Callable[..., tuple]:
     """
     proved = T._proved
     gen = _Codegen(checked=not proved)
-    at = 3 if proved else 4  # the indent of a step's image
     nearest = f"p = {gen.bind(_nearest)}(x, {gen.bind(_value_set)}({gen.bind(T)}, x))[0]"
     gen.emit(2, "for n in range(start, end):")
     if not proved:
         gen.emit(3, "try:")
-    if T.kind == "interval_endpoints" or len(T.members) == 1:
-        ends = [gen.value(e, at) for e in _expressions(T)]  # one member is [f(x), f(x)]
-        gen.emit(at, f"lo, hi = {ends[0]}, {ends[-1]}")
-        if not proved:
-            gen.emit(4, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
-            gen.emit(5, f"lo, hi = {gen.bind(_checked_ends)}(x, lo, hi)")
-        gen.emit(at, "p = hi if x > hi else (x if x >= lo else lo)")
-    elif T.kind == "table":
-        gen.emit(at, nearest)
-    else:
-        first, *rest = [gen.value(e, at) for e in T.members]
-        gen.emit(at, f"p, dp, tie = {first}, abs(x - {first}), False")
-        for v in rest:
-            gen.emit(at, f"e = abs(x - {v})")
-            gen.emit(at, "if e <= dp:")
-            gen.emit(at + 1, f"p, dp, tie = {v}, e, e == dp")
-        tests = ["tie"]
-        if not proved:
-            below, above = gen.bind(-math.inf), gen.bind(math.inf)
-            tests += [f"not {below} < {v} < {above}" for v in (first, *rest)]
-        gen.emit(at, f"if {' or '.join(tests)}:")
-        gen.emit(at + 1, nearest)
+    T._shape.step(T, gen, 3 if proved else 4, nearest)
     if not proved:
         gen.emit(3, f"except {gen.bind(MvfixError)} as err:")
         gen.emit(4, "return x, n, 'error', err")
@@ -199,8 +159,121 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     are evaluated by :func:`eval_expr_array`, with the same bits as their
     compiled functions, which this never compiles.
     """
-    xs = np.asarray(xs, dtype=float)
-    if T.kind == "table":
+    return T._shape.images(T, np.asarray(xs, dtype=float))
+
+
+def _proved_valid(T: MultiMap, a: float, b: float) -> bool:
+    """Whether enclosures over ``[a, b]`` show every image there finite, and not inverted."""
+    boxes = [enclose(e, a, b) for e in T._shape.expressions(T)]
+    return None not in boxes and T._shape.proves(boxes)
+
+
+class _Expressions:
+    """The forms the interval and point shapes share; no shape holds state."""
+
+    def proves(self, boxes: list) -> bool:  # whether finite enclosures prove each image valid
+        return True
+
+    def images(self, T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # fresh rows, one per expression, so the collapse and NaN images are written in place
+        values = np.stack([eval_expr_array(e, xs) for e in self.expressions(T)])
+        failed = np.ones(len(xs), dtype=bool)
+        for a, b in T.domain.intervals:
+            failed &= ~((a <= xs) & (xs <= b))
+        ends = self.ends(values)  # before the finite test, which flags what it makes NaN or inf
+        failed |= ~np.isfinite(values).all(axis=0)
+        values[:, failed] = math.nan
+        return ends
+
+    def step(self, T: MultiMap, gen: _Codegen, at: int, nearest: str) -> None:
+        """x clamped onto [lo(x), hi(x)], one member being [f(x), f(x)], inline and
+        with the bits of ``_nearest``; only a bad endpoint runs ``_checked_ends``."""
+        ends = [gen.value(e, at) for e in self.expressions(T)]
+        gen.emit(at, f"lo, hi = {ends[0]}, {ends[-1]}")
+        if gen.checked:
+            gen.emit(at, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
+            gen.emit(at + 1, f"lo, hi = {gen.bind(_checked_ends)}(x, lo, hi)")
+        gen.emit(at, "p = hi if x > hi else (x if x >= lo else lo)")
+
+
+class _Interval(_Expressions):
+    """T(x) = [lo(x), hi(x)]."""
+
+    def expressions(self, T: MultiMap) -> tuple[ExprAst, ...]:
+        return T.lo, T.hi
+
+    def describe(self, T: MultiMap) -> str:
+        return f"T(x) = [{format_expr(T.lo)}, {format_expr(T.hi)}]"
+
+    def value_set(self, T: MultiMap, x: float) -> CompactSet:
+        lo_fn, hi_fn = T._compiled
+        return CompactSet.interval(*_checked_ends(x, lo_fn(x), hi_fn(x)))
+
+    def proves(self, boxes: list) -> bool:  # no lo(x) above its hi(x)
+        return boxes[0][1] <= boxes[1][0]
+
+    def ends(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """lo and hi; an inversion collapses to its midpoint, or to NaN beyond the slack."""
+        lo, hi = values
+        with np.errstate(all="ignore"):
+            mid = np.where(lo - hi > ENDPOINT_SLACK, math.nan, 0.5 * (lo + hi))
+        np.copyto(values, mid, where=lo > hi)
+        return lo, hi
+
+
+class _Points(_Expressions):
+    """T(x) = {e(x) for each member e}; a singleton is one member."""
+
+    def expressions(self, T: MultiMap) -> tuple[ExprAst, ...]:
+        return T.members
+
+    def describe(self, T: MultiMap) -> str:
+        return f"T(x) = {{{', '.join(format_expr(e) for e in T.members)}}}"
+
+    def value_set(self, T: MultiMap, x: float) -> CompactSet:
+        return CompactSet.from_points(fn(x) for fn in T._compiled)
+
+    def ends(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        rows = values[0] if len(values) == 1 else values  # one member's row is lo and hi
+        return rows, rows
+
+    def step(self, T: MultiMap, gen: _Codegen, at: int, nearest: str) -> None:
+        """The member with the least ``abs(x - v)``; ``nearest`` where two tie or one is not finite."""
+        if len(T.members) == 1:
+            return super().step(T, gen, at, nearest)
+        first, *rest = [gen.value(e, at) for e in T.members]
+        gen.emit(at, f"p, dp, tie = {first}, abs(x - {first}), False")
+        for v in rest:
+            gen.emit(at, f"e = abs(x - {v})")
+            gen.emit(at, "if e <= dp:")
+            gen.emit(at + 1, f"p, dp, tie = {v}, e, e == dp")
+        tests = ["tie"]
+        if gen.checked:
+            below, above = gen.bind(-math.inf), gen.bind(math.inf)
+            tests += [f"not {below} < {v} < {above}" for v in (first, *rest)]
+        gen.emit(at, f"if {' or '.join(tests)}:")
+        gen.emit(at + 1, nearest)
+
+
+class _Table:
+    """T(x) is the value set tabulated at x; there is no other x."""
+
+    def expressions(self, T: MultiMap) -> tuple[ExprAst, ...]:
+        return ()
+
+    def describe(self, T: MultiMap) -> str:
+        return f"table with {len(T.table)} entries"
+
+    def value_set(self, T: MultiMap, x: float) -> CompactSet:
+        for key, value in T.table:
+            if key == x:
+                return value
+        raise DomainError(f"no table entry for x = {x}")
+
+    def proves(self, boxes: list) -> bool:  # no enclosure proves a table
+        return False
+
+    def images(self, T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         ends = np.full((2, len(xs)), math.nan)
         for i, x in enumerate(xs.tolist()):
             try:
@@ -211,44 +284,26 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 ends[:, i] = intervals[0]
         return ends[0], ends[1]
 
-    # fresh rows, one per expression, so the collapse and NaN images are written in place
-    values = np.stack([eval_expr_array(e, xs) for e in _expressions(T)])
-    failed = np.ones(len(xs), dtype=bool)
-    for a, b in T.domain.intervals:
-        failed &= ~((a <= xs) & (xs <= b))
-    if T.kind == "interval_endpoints":
-        lo, hi = values
-        with np.errstate(all="ignore"):
-            inverted = lo > hi
-            failed |= inverted & (lo - hi > ENDPOINT_SLACK)
-            mid = 0.5 * (lo + hi)
-        np.copyto(lo, mid, where=inverted)
-        np.copyto(hi, mid, where=inverted)
-    failed |= ~np.isfinite(values).all(axis=0)
-    values[:, failed] = math.nan
-    if T.kind == "interval_endpoints":
-        return values[0], values[1]
-    if len(values) == 1:
-        values = values[0]  # one view, as both lo and hi
-    return values, values
+    def step(self, T: MultiMap, gen: _Codegen, at: int, nearest: str) -> None:
+        gen.emit(at, nearest)
 
 
-def _proved_valid(T: MultiMap, a: float, b: float) -> bool:
-    """Whether enclosures over ``[a, b]`` show every image there finite, and not inverted."""
-    boxes = [enclose(e, a, b) for e in _expressions(T)]
-    if any(box is None for box in boxes):
-        return False
-    return T.kind != "interval_endpoints" or boxes[0][1] <= boxes[1][0]
+# The shape of each map kind's images: the one place a kind is read.
+_SHAPES = {
+    "interval_endpoints": _Interval(),
+    "singleton": _Points(),
+    "finite_set": _Points(),
+    "table": _Table(),
+}
 
 
 def _validate_on_grid(T: MultiMap) -> MultiMap:
     """``T`` if every image over its domain is valid; else raise the first grid point's error.
 
     First the proof: where the enclosure (:func:`expr.enclose`) of every
-    expression over each interval of the domain exists, and for an
-    interval map the highest ``lo`` lies at or below the lowest ``hi``,
-    no point of the domain can fail, so neither can the grid, and ``T``
-    comes back untouched.  Otherwise ``T`` is checked at the points of a
+    expression over each interval of the domain exists, and the shape's
+    rule (``proves``) holds, no point of the domain can fail, so neither
+    can the grid, and ``T`` comes back untouched.  Otherwise ``T`` is checked at the points of a
     10,001-point grid over the domain, evaluated as one array
     (:func:`image_arrays`); only when that flags a point does the scalar
     code run, once, at the first flagged point, to raise its error.  So
@@ -303,6 +358,8 @@ def finite_set_map(
     of a 10,001-point grid over the domain, unless interval enclosures
     prove it valid first (:func:`_validate_on_grid`).
     """
+    if isinstance(members, (str, *get_args(ExprAst))):  # one expression, not a collection
+        raise InvariantError(f"members must be a collection of expressions, got {members!r}")
     asts = tuple(_as_ast(e) for e in members)
     if not asts:
         raise InvariantError("finite-set map needs at least one member expression")
@@ -317,13 +374,13 @@ def table_map(
     """Map tabulated points to explicit value sets.
 
     Lookups require exact argument hits; there is no interpolation.
-    Every key must belong to the domain, and no two keys may be equal
-    (``-0.0`` equals ``0.0``), since a lookup reads only the first.
+    Every key must be a real number in the domain, and no two keys may be
+    equal (``-0.0`` equals ``0.0``), since a lookup reads only the first.
     """
     rows = []
     keys: set[float] = set()
     for key, value in entries:
-        key = float(key)
+        key = float(real_number(key, "table key", InvariantError))
         if not domain.contains(key):
             raise InvariantError(f"table key {key} lies outside the domain")
         if key in keys:

@@ -301,7 +301,23 @@ MESSAGE_CASES = [
     ("entries-row-type", _map(kind="table", entries=[[0.5]]),
      "ConfigError: bad table entry [0.5]: not enough values to unpack (expected 2, got 1)"),
     ("entries-key-type", _map(kind="table", entries=[["a", [[0.0, 1.0]]]]),
-     "ConfigError: bad table entry ['a', [[0.0, 1.0]]]: could not convert string to float: 'a'"),
+     "ConfigError: bad table entry ['a', [[0.0, 1.0]]]: table key must be a number, got 'a'"),
+    # bools and numeric strings once loaded as the numbers float() makes of them
+    ("entries-key-bool", _map(kind="table", entries=[[True, [[0, 1]]]]),
+     "ConfigError: bad table entry [True, [[0, 1]]]: table key must be a number, got True"),
+    ("entries-key-string", _map(kind="table", entries=[["0.5", [["0.1", "0.2"]]]]),
+     "ConfigError: bad table entry ['0.5', [['0.1', '0.2']]]: table key must be a number, "
+     "got '0.5'"),
+    ("entries-interval-string", _map(kind="table", entries=[[0.5, [["0.1", 0.2]]]]),
+     "ConfigError: bad table entry [0.5, [['0.1', 0.2]]]: endpoint must be a number, got '0.1'"),
+    ("entries-interval-bool", _map(kind="table", entries=[[0.5, [[0, True]]]]),
+     "ConfigError: bad table entry [0.5, [[0, True]]]: endpoint must be a number, got True"),
+    ("domain-endpoint-string", {"domain": [["0", "1"]]},
+     "ConfigError: bad domain: endpoint must be a number, got '0'"),
+    ("domain-endpoint-bool", {"domain": [[False, True]]},
+     "ConfigError: bad domain: endpoint must be a number, got False"),
+    ("domain-endpoint-null", {"domain": [[0, None]]},
+     "ConfigError: bad domain: endpoint must be a number, got None"),
     ("entries-range", _map(kind="table", entries=[]),
      "ConfigError: map.entries must be a nonempty list of [x, intervals] rows"),
     ("entries-key-range", _map(kind="table", entries=[[2.0, [[0.0, 1.0]]]]),

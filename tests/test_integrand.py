@@ -1,5 +1,7 @@
+import inspect
 import math
 from dataclasses import replace
+from typing import get_args, get_type_hints
 from unittest import mock
 
 import numpy as np
@@ -419,3 +421,30 @@ class TestValidation:
         assert repr(again) == repr(f) and "_compiled" not in repr(f)
         g = replace(f, ast=parse_expr("2 + t", variable="t"))
         assert phi_eval(g, 1.0) == 3.0 and phi_eval(f, 1.0) == 2.0
+
+
+class TestKindRegistry:
+    """Every class that ``INTEGRAND_KINDS`` builds carries each form of a kind:
+    its label, phi at a point and Phi.  A kind that missed one would end in
+    ``TypeError: not an integrand`` at run time."""
+
+    # the required keys of the kinds, by name; a new key fails here until it has a value
+    REQUIRED = {"p": 0.5, "rate": 0.5, "source": "1 + t"}
+
+    @pytest.mark.parametrize("kind", sorted(integrand.INTEGRAND_KINDS))
+    def test_every_kind_carries_every_form(self, kind):
+        factory = integrand.INTEGRAND_KINDS[kind]
+        params = inspect.signature(factory).parameters.values()
+        f = factory(**{p.name: self.REQUIRED[p.name] for p in params if p.default is p.empty})
+        assert type(f) in get_args(integrand.Integrand)
+        assert integrand_label(f).startswith(f"{kind}(")
+        assert phi_eval(f, 0.5) > 0.0
+        u = np.array([0.0, 0.5, 2.0])
+        assert capital_phi_array(f, u).tolist() == [capital_phi(f, v) for v in u.tolist()]
+        assert capital_phi(f, 0.5) > 0.0
+
+    def test_every_integrand_class_has_a_kind(self):
+        built = set()
+        for factory in integrand.INTEGRAND_KINDS.values():
+            built.add(factory if isinstance(factory, type) else get_type_hints(factory)["return"])
+        assert built == set(get_args(integrand.Integrand))

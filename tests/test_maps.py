@@ -25,6 +25,7 @@ from mvfix import (
 )
 from mvfix.maps import (
     ENDPOINT_SLACK,
+    MAP_KINDS,
     MultiMap,
     _as_ast,
     _proved_valid,
@@ -100,6 +101,18 @@ class TestFiniteSetMap:
     def test_needs_members(self):
         with pytest.raises(InvariantError):
             finite_set_map(UNIT, [])
+
+    # a bare string was once read character by character: "10" built
+    # T(x) = {1, 0}, and "0.5" failed to parse its "."
+    @pytest.mark.parametrize("members", ["10", "0.5", _as_ast("x/2")], ids=repr)
+    def test_one_expression_is_not_a_collection(self, members):
+        with pytest.raises(InvariantError) as err:
+            finite_set_map(UNIT, members)
+        assert str(err.value) == f"members must be a collection of expressions, got {members!r}"
+
+    def test_a_tuple_of_members_is_taken(self):
+        T = finite_set_map(UNIT, ("x/4", _as_ast("x/2")))
+        assert T == finite_set_map(UNIT, ["x/4", "x/2"])
 
 
 class TestTableMap:
@@ -542,3 +555,36 @@ class TestProvedOrbit:
         x, n, stop, err = T._orbit(0.5, 0, 5, 0.0, points.append)
         assert math.isnan(x) and (n, stop, err) == (0, "left", None)
         assert isinstance(iterate(T, 0.5, 0.0, 5).outcome, IterationError)
+
+
+# A map of each kind, by the arguments after ``domain`` of its factory; a
+# new kind fails here until it has one.
+KIND_SAMPLES = {
+    "interval_endpoints": ("x/4", "(x+1)/2"),
+    "singleton": ("x/2",),
+    "finite_set": (["x/4", "x/2"],),
+    "table": ([(0.5, [(0.0, 0.25)]), (0.25, [(0.0, 0.25)])],),
+}
+
+
+class TestKindRegistry:
+    """Each name in ``MAP_KINDS`` has a shape in ``maps._SHAPES``, the one
+    table that reads a kind, and that shape carries every form."""
+
+    def test_every_kind_has_a_shape_with_every_form(self):
+        from mvfix import maps
+
+        assert list(maps._SHAPES) == list(MAP_KINDS) == list(KIND_SAMPLES)
+        for kind, shape in maps._SHAPES.items():
+            for form in ("expressions", "describe", "value_set", "proves", "images", "step"):
+                assert callable(getattr(shape, form, None)), (kind, form)
+
+    @pytest.mark.parametrize("kind", sorted(KIND_SAMPLES))
+    def test_every_form_runs_on_a_map_of_each_kind(self, kind):
+        T = MAP_KINDS[kind](UNIT, *KIND_SAMPLES[kind])
+        assert T.kind == kind and T.describe()
+        image = apply_map(T, 0.5)
+        lo, hi = image_arrays(T, np.array([0.5]))
+        assert (lo.ravel().min(), hi.ravel().max()) == (image.min, image.max)
+        assert isinstance(T._proved, bool)
+        assert _step(T, 0.5)[0] == _nearest(0.5, image)[0]

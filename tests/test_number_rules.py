@@ -30,6 +30,7 @@ from mvfix import (
     iterate,
     m_value,
     singleton_map,
+    table_map,
     validate_trace,
 )
 from mvfix.errors import _NUMBER_RULES
@@ -211,3 +212,33 @@ def test_a_point_outside_the_domain_keeps_its_words(value):
     index, _, errors = evaluate_pairs(HALVING, LOG, ONE, [0.25, value], [0.5, 0.5])
     assert index.tolist() == [0]
     assert [(k, message) for _, _, k, message in errors] == [(1, words)]
+
+
+# A table key and an endpoint of the domain or of a table's value set:
+# True once loaded as 1.0 and "0.5" as 0.5.  The config refuses a key in
+# the words of table_map, inside its "bad table entry" prefix.
+NO_NUMBERS = [True, False, "0.5", None]
+
+
+@pytest.mark.parametrize("value", NO_NUMBERS, ids=repr)
+def test_a_table_key_is_a_real_number(value):
+    words = f"table key must be a number, got {value!r}"
+    with pytest.raises(InvariantError) as err:
+        table_map(UNIT, [(value, [(0.0, 1.0)])])
+    assert str(err.value) == words
+    entries = [[value, [[0.0, 1.0]]]]
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"domain": [[0.0, 1.0]], "map": {"kind": "table", "entries": entries}})
+    assert str(err.value) == f"bad table entry {entries[0]!r}: {words}"
+
+
+@pytest.mark.parametrize("value", NO_NUMBERS, ids=repr)
+def test_an_endpoint_is_a_real_number(value):
+    words = f"endpoint must be a number, got {value!r}"
+    table = {"kind": "table", "entries": [[0.5, [[0.0, value]]]]}
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"domain": [[0.0, 1.0]], "map": table})
+    assert str(err.value) == f"bad table entry {table['entries'][0]!r}: {words}"
+    with pytest.raises(ConfigError) as err:
+        config_from_dict({"domain": [[value, 1.0]], "map": {"kind": "singleton", "f": "x/2"}})
+    assert str(err.value) == f"bad domain: {words}"
