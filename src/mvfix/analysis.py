@@ -409,7 +409,8 @@ class _Evaluator:
     NaN carries through to the pair's h and m.  A pair that meets an
     unusable u (:func:`_evaluate_batch`) is evaluated again in place by the
     scalar code, which gives its values or its error message; it images
-    each point and integrates each u at most once (:func:`_once`).
+    each point and integrates each u at most once (:func:`_once`), in one
+    memo, ``phi``, with the u the batch quadrature hands back.
     """
 
     def __init__(self, T: MultiMap, F: FFunction, f: Integrand, mode: str, points: np.ndarray):
@@ -444,7 +445,7 @@ class _Evaluator:
         with np.errstate(all="ignore"):  # overflow shows as inf, and inf is redone
             hm = _h_and_m(self.lo, self.hi, self.own, self.mode, x, y, xs, ys)
             del xs, ys  # the indices go before the Phi and F stage
-            phi, inverse, margin, redo = _evaluate_batch(self.F, self.f, hm)
+            phi, inverse, margin, redo = _evaluate_batch(self.F, self.f, hm, self.phi)
         redone, errors = [], []
         for k in redo:
             xk, yk = x[k].item(), y[k].item()
@@ -466,7 +467,8 @@ class _Evaluator:
 def _once(call):
     """``call`` at most once per argument; a failure is kept as its message alone (an error
     would hold its frames) and raised as an :class:`MvfixError` each time.  Equal floats share
-    a result: a u is never -0.0 or NaN, and images of ±0 differ at most in a zero's sign."""
+    a result: a u is never -0.0, images of ±0 differ at most in a zero's sign, and a NaN u (in a
+    chunk of few u), equal to nothing, is computed again each time, raising at once."""
     kept: dict[float, object] = {}
 
     def once(v: float):
@@ -567,13 +569,14 @@ def _excess(A: np.ndarray, B: np.ndarray, out: np.ndarray, scratch: np.ndarray) 
     return worst
 
 
-def _evaluate_batch(F: FFunction, f: Integrand, hm: np.ndarray):
+def _evaluate_batch(F: FFunction, f: Integrand, hm: np.ndarray, scalar):
     """``Phi`` and ``F`` of the pairs' h and m (the rows of ``hm``), as :func:`_evaluate` has them.
 
     Returns ``(phi, inverse, margin, redo)``: Phi of each group of equal
     bits of ``hm`` (:func:`_dedupe`), with Phi(h) and Phi(m) of pair k at
     ``inverse[:, k]``; the margin column; and the pairs, in order, that
-    meet an unusable u, for the scalar code to redo.
+    meet an unusable u, for the scalar code to redo.  ``scalar``, the
+    sweep's memo of :func:`capital_phi`, takes the u the batch hands back.
     A u is usable when Phi(u) and F(Phi(u)) are finite (a NaN u has a NaN
     Phi), or when it is 0: F(Phi(0)) is NaN, the margin of a vacuous pair.
     This is decided per distinct u, and gathered to pairs only when some u
@@ -581,7 +584,7 @@ def _evaluate_batch(F: FFunction, f: Integrand, hm: np.ndarray):
     """
     u, inverse = _dedupe(hm.reshape(-1))
     at_h, at_m = inverse = inverse.reshape(hm.shape)
-    phi = capital_phi_array(f, u)
+    phi = capital_phi_array(f, u, scalar)
     f_u = f_eval_array(F, phi)
     margin = f_u.take(at_m)
     margin -= f_u.take(at_h)

@@ -246,19 +246,23 @@ def _pointwise(fn: Callable[..., float], *args: np.ndarray) -> np.ndarray:
     exp(-40) .. exp(40), ``expm1`` on 33,049 of 600,000 uniform inputs in
     [-30, 30], ``pow`` on 10,635 of 200,000).  Each block of elements is
     one ``fromiter`` pass, so the Python floats made at a time stay few; a
-    block where some call raised is redone one element at a time.
+    block where some call raised is redone one element at a time.  A 0-d
+    argument (a literal, say) is one Python float repeated over the
+    block, not listed; with only 0-d arguments the result is 0-d.
     """
-    out = np.empty(len(args[0]))
-    for start in range(0, len(out), _POINTWISE_BLOCK):
-        lists = [a[start : start + _POINTWISE_BLOCK].tolist() for a in args]
+    out = np.empty(next((a.shape for a in args if np.ndim(a)), ()))
+    flat = out.reshape(-1)
+    for start in range(0, len(flat), _POINTWISE_BLOCK):
+        count = min(len(flat) - start, _POINTWISE_BLOCK)
+        lists = [a[start : start + count].tolist() if np.ndim(a) else [float(a)] * count for a in args]
         try:
-            out[start : start + len(lists[0])] = np.fromiter(map(fn, *lists), float)
+            flat[start : start + count] = np.fromiter(map(fn, *lists), float, count)
         except (ValueError, OverflowError):
             for k, row in enumerate(zip(*lists), start):
                 try:
-                    out[k] = fn(*row)
+                    flat[k] = fn(*row)
                 except (ValueError, OverflowError):
-                    out[k] = math.nan
+                    flat[k] = math.nan
     return out
 
 
@@ -502,19 +506,22 @@ def eval_expr_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
     and elsewhere its result bit for bit, sign of zero included.  Only
     IEEE-exact operations (``+ - * /``, ``abs``, ``sqrt``, negation,
     comparisons, ``where``) run on whole arrays; ``^``, ``ln`` and
-    ``exp`` go through :func:`_pointwise`.
+    ``exp`` go through :func:`_pointwise`.  A subtree without the variable
+    is one 0-d value that numpy broadcasts, not one per element; a whole
+    expression without it still comes back as a fresh ``(n,)`` array.
     """
     with np.errstate(all="ignore"):
-        return _eval_array(node, np.asarray(xs, dtype=float))
+        v = _eval_array(node, np.asarray(xs, dtype=float))
+    return v if v.ndim else np.full(len(xs), v)
 
 
 def _eval_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
     # A NaN operand stays NaN through every row's array form, so each
     # operation only adds the NaNs of its own raise.  Returned arrays are
-    # never written in place: xs is one.
+    # never written in place: xs is one.  asarray keeps a 0-d value an array.
     match node:
         case Num(value):
-            return np.full(xs.shape, value)
+            return np.array(value)
         case Var(_):
             return xs
     if (found := _operation(node)) is None:
@@ -524,7 +531,7 @@ def _eval_array(node: ExprAst, xs: np.ndarray) -> np.ndarray:
     if op.guard:  # NaN where it holds, so math.log is never called there
         i, relation, _ = op.guard
         operands[i] = np.where(_RELATIONS[relation](operands[i], 0.0), math.nan, operands[i])
-    v = op.array(*operands)
+    v = np.asarray(op.array(*operands))
     if op.finite:
         v[np.isinf(v)] = math.nan
     return v

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Union
 
 import numpy as np
@@ -73,7 +73,7 @@ class ConstantIntegrand:
     def _cumulative(self, u: float) -> float:
         return self.c * u
 
-    def _cumulative_array(self, u: np.ndarray) -> np.ndarray:
+    def _cumulative_array(self, u: np.ndarray, phi) -> np.ndarray:
         with np.errstate(over="ignore"):  # overflow is inf, as capital_phi gives
             return np.where(u >= 0.0, self.c * u, math.nan)
 
@@ -154,9 +154,9 @@ class ExpressionIntegrand:
         # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
         return adaptive_simpson(self._phi, 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH)
 
-    def _cumulative_array(self, u: np.ndarray) -> np.ndarray:
+    def _cumulative_array(self, u: np.ndarray, phi) -> np.ndarray:
         if len(u) < QUAD_BATCH_MIN:
-            return _capital_phi_loop(self, u)
+            return _capital_phi_loop(self, u, phi)
         # u == 0 is the scalar's a == b branch; negative, NaN and infinite u
         # raise there (an infinite panel's error estimate is NaN at every level)
         out = np.where(u == 0.0, 0.0, math.nan)
@@ -165,7 +165,7 @@ class ExpressionIntegrand:
             for start in range(0, len(todo), QUAD_BATCH_SLICE):
                 part = todo[start : start + QUAD_BATCH_SLICE]
                 out[part], over = _simpson_slice(self, u[part])
-                out[part[over]] = _capital_phi_loop(self, u[part[over]])
+                out[part[over]] = _capital_phi_loop(self, u[part[over]], phi)
         return out
 
 
@@ -245,7 +245,7 @@ def capital_phi(f: Integrand, u: float) -> float:
         ) from None
 
 
-def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
+def capital_phi_array(f: Integrand, u: np.ndarray, phi=None) -> np.ndarray:
     """:func:`capital_phi` over a 1-D array of u, bit for bit.
 
     An element where :func:`capital_phi` raises comes back as NaN, and
@@ -258,19 +258,22 @@ def capital_phi_array(f: Integrand, u: np.ndarray) -> np.ndarray:
     of the scalar recursion in the same order, so the same bits.  It
     takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u whose
     panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi` then
-    computes.  The power and exponential kinds need ``expm1`` or ``pow``,
-    so they have none and run through :func:`capital_phi` one element at
-    a time, for the reason ``expr._pointwise`` gives.
+    computes, or ``phi``, a caller's memo of it, when given: there the
+    caller finds each u it took.  The power and exponential kinds need
+    ``expm1`` or ``pow``, so they have none and run through
+    :func:`capital_phi` one element at a time (no memo: it would hold
+    every u), for the reason ``expr._pointwise`` gives.
     """
     batch = getattr(f, "_cumulative_array", None)
-    return _capital_phi_loop(f, u) if batch is None else batch(u)
+    return _capital_phi_loop(f, u) if batch is None else batch(u, phi)
 
 
-def _capital_phi_loop(f: Integrand, u: np.ndarray) -> np.ndarray:
+def _capital_phi_loop(f: Integrand, u: np.ndarray, phi=None) -> np.ndarray:
+    phi = phi or partial(capital_phi, f)
     out = []
     for v in u.tolist():
         try:
-            out.append(capital_phi(f, v))
+            out.append(phi(v))
         except MvfixError:
             out.append(math.nan)
     return np.array(out, dtype=float)
@@ -297,22 +300,29 @@ def _simpson_slice(f: ExpressionIntegrand, b: np.ndarray) -> tuple[np.ndarray, n
     recursion does it.  A u fails where a node fails or a panel exhausts
     the depth, as the scalar raises there, and is handed back where its
     panels would exceed ``QUAD_BATCH_PANELS``.  Either way its panels are
-    dropped and its value is NaN.
+    dropped and its value is NaN.  Every first panel starts at 0, so
+    phi(0) is one node, broadcast, of the one :func:`eval_expr_array` call
+    for m, b, lm and rm of the first level; the loop evaluates deeper ones.
     """
     n = len(b)
     owner = np.arange(n)
     a = np.zeros(n)
     m = 0.5 * (a + b)
-    (fa, fm, fb), failed = _phi_nodes(f, a, m, b)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    values = eval_expr_array(f.ast, np.concatenate([m, b, lm, rm, [0.0]]))
+    valid, fa = values >= 0.0, np.broadcast_to(values[-1], n)
+    fm, fb, flm, frm = values[:-1].reshape(4, n)
+    failed = ~valid[:-1].reshape(4, n).all(axis=0) | ~valid[-1]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     used, over = np.ones(n, dtype=np.int64), np.zeros(n, dtype=bool)
     tol, depth = QUAD_TOL, QUAD_MAX_DEPTH
     levels = []  # (value if accepted, refined) per level
     while len(owner):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        (flm, frm), bad = _phi_nodes(f, lm, rm)
-        failed[owner[bad]] = True
+        if levels:
+            m = 0.5 * (a + b)
+            lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+            (flm, frm), bad = _phi_nodes(f, lm, rm)
+            failed[owner[bad]] = True
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0

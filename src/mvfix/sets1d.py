@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, real_number
 
 __all__ = [
     "CompactSet",
@@ -36,7 +36,10 @@ __all__ = [
 def _normalize(raw: Iterable[Sequence[float]]) -> tuple[tuple[float, float], ...]:
     pairs = []
     for item in raw:
-        lo, hi = float(item[0]), float(item[1])
+        lo, hi = item[0], item[1]
+        if type(lo) is not float or type(hi) is not float:  # a map's value sets are floats
+            lo = float(real_number(lo, "interval endpoint lo", InvariantError))
+            hi = float(real_number(hi, "interval endpoint hi", InvariantError))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvariantError(f"interval endpoints must be finite, got ({lo}, {hi})")
         if lo > hi:

@@ -117,18 +117,18 @@ class IterationTrace(_BytewiseEq):
         """``(F(gamma_n), n * gamma_n**k)`` for every step, k = ``F.k``, computed once per F.
 
         Both are read-only float64 arrays, from one :func:`f_eval_array`
-        call and one ``math.pow`` pass (``expr._pointwise``), so the bits
-        are those of ``f_eval`` and of Python's ``**``.  A gamma that
-        underflowed to 0 gets ``F(gamma) = -inf``: F is defined only for
-        alpha > 0, and (F2) makes -inf its limit at 0 for every kind.
-        :func:`validate_trace` and the CLI's trace CSV both read these
-        columns.
+        call and one ``math.pow`` pass (``expr._pointwise``, k a scalar),
+        so the bits are those of ``f_eval`` and of Python's ``**``.  A
+        gamma that underflowed to 0 gets ``F(gamma) = -inf``: F is defined
+        only for alpha > 0, and (F2) makes -inf its limit at 0 for every
+        kind.  :func:`validate_trace` and the CLI's trace CSV both read
+        these columns.
         """
         memo = self.__dict__.setdefault("_decay_memo", {})
         if F not in memo:
             f_gamma = f_eval_array(F, self.gamma)
             f_gamma[self.gamma == 0.0] = -math.inf
-            power = _pointwise(math.pow, self.gamma, np.broadcast_to(F.k, self.gamma.shape))
+            power = _pointwise(math.pow, self.gamma, F.k)
             memo[F] = tuple(map(_read_only, (f_gamma, np.arange(len(power)) * power)))
         return memo[F]
 
@@ -276,7 +276,7 @@ def validate_trace(trace: IterationTrace, F: FFunction, tau: float) -> TraceVerd
         n1 = int(recorded[breaks[-1] + 1 if len(breaks) else 0])
         lo, hi = max(n1, 1), int(recorded[-1]) + 1
         n = np.arange(lo, hi, dtype=float)  # exact below 2**53, as Python's int-to-float is
-        bound = _pointwise(math.pow, n, np.broadcast_to(-1.0 / F.k, n.shape))
+        bound = _pointwise(math.pow, n, -1.0 / F.k)
         over = np.flatnonzero(trace.gamma[lo:hi] > bound + RATE_SLACK)
         rate_first_failure = lo + int(over[0]) if len(over) else None
         cauchy = sum(bound.tolist())  # one builtin sum, over the terms in order

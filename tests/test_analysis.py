@@ -34,7 +34,7 @@ from mvfix import (
     singleton_map,
     table_map,
 )
-from mvfix import sets1d
+from mvfix import integrand, sets1d
 from mvfix.analysis import SWEEP_LIMIT
 from mvfix.maps import MultiMap, image_arrays
 
@@ -613,17 +613,31 @@ class TestBatchedSweepAgainstScalarLoop:
         )
 
     def test_grid_max_probe_runs_phi_once_per_u(self):
-        # 17,936 of 20,300 pairs fail and are redone by the scalar code,
-        # which takes Phi of each of their 952 distinct u from one call
+        # 17,936 of 20,300 pairs fail and are redone by the scalar code; it
+        # and the u the batch hands back share one memo, so the sweep takes
+        # Phi of each of the 966 distinct u from one scalar call
         T = singleton_map(CompactSet.interval(0.0, 10.0), "x/2")
         f = expression_integrand("1/(2-t)", grid_max=1.0)
         spy = mock.patch.object(analysis, "capital_phi", wraps=analysis.capital_phi)
         with spy as phi:
             report = certify(T, LOG, f, grid_size=201, random_pairs=200, seed=1)
         us = [call.args[1] for call in phi.call_args_list]
-        assert len(us) == len(set(us)) == 952
+        assert len(us) == len(set(us)) == 966
         assert (report.evaluated_pairs, report.error_count) == (2364, 17936)
         assert report.tau_star == 0.6994965783477536
+
+    def test_failing_probe_integrates_each_u_once(self):
+        # on 1 + t^0.3 every pair fails: the batch hands 1,453 u to the scalar
+        # quadrature and finds 6 more failing near 0, whose message only the
+        # scalar gives; the redo takes all of them from the same memo
+        T = interval_map(UNIT, "x/4", "(x+1)/2")
+        f = expression_integrand("1 + t^0.3", grid_max=2.0)
+        spy = mock.patch.object(integrand, "adaptive_simpson", wraps=integrand.adaptive_simpson)
+        with spy as quad:
+            report = certify(T, LOG, f, grid_size=101, random_pairs=500)
+        us = [call.args[2] for call in quad.call_args_list]
+        assert len(us) == len(set(us)) == 1_459
+        assert (report.evaluated_pairs, report.error_count) == (0, 5_550)
 
     def test_redo_images_each_point_once(self):
         # the unvalidated sqrt(x - 0.3) fails below 0.3: every pair with

@@ -19,7 +19,7 @@ from mvfix import (
     parse_expr,
 )
 from helpers import TOO_DEEP, interpret_expr, nested_sources, random_asts
-from mvfix.expr import FUNCTIONS, MAX_DEPTH, OPERATORS, enclose, eval_expr_array
+from mvfix.expr import _POINTWISE_BLOCK, FUNCTIONS, MAX_DEPTH, OPERATORS, _pointwise, enclose, eval_expr_array
 
 X = Var("x")
 
@@ -404,6 +404,60 @@ class TestArrayEvaluation:
     def test_empty_input(self):
         values = eval_expr_array(parse_expr("ln(x) + 1"), np.array([]))
         assert values.shape == (0,)
+
+    # literals and subtrees without x are 0-d values broadcast over xs;
+    # the scalar of each raises where its value is NaN
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "2^0.5", "1/0", "exp(1000)", "ln(0)", "min(1, -0.0)", "max(-0.0, 0)", "-(2^0.5)",
+            "x - x + 3", "x * 2^0.5", "x + ln(0)", "exp(1000) - x", "min(x, 1/0)", "(-1)^0.5 + x",
+            "x^(1/3) + sqrt(2)", "2^x", "ln(2)^x",
+        ],
+    )
+    def test_subtrees_without_the_variable(self, src):
+        xs = [0.0, -0.0, 0.5, -1.0, 2.0, 700.0]
+        assert_array_matches_scalar(parse_expr(src), xs)
+        values = eval_expr_array(parse_expr(src), np.array(xs))
+        assert values.dtype == np.float64 and values.flags.writeable
+
+    def test_an_expression_without_the_variable_is_a_fresh_array_each_call(self):
+        ast, xs = parse_expr("2^0.5"), np.linspace(0.0, 1.0, 5)
+        first, second = eval_expr_array(ast, xs), eval_expr_array(ast, xs)
+        assert first.shape == (5,) and not np.shares_memory(first, second)
+        assert set(first.tolist()) == {math.pow(2.0, 0.5)}
+
+
+class TestPointwise:
+    # math.pow(-1.0, 0.5) raises ValueError and math.pow(10.0, 400.0) OverflowError
+    BASES = np.array([2.0, -1.0, 0.0, 1e-300, 10.0, -0.0, 0.5])
+
+    @staticmethod
+    def bits(values: np.ndarray) -> list[str]:
+        return [float(v).hex() for v in np.asarray(values).reshape(-1)]
+
+    @pytest.mark.parametrize("exponent", [0.5, 400.0, -1.0, 2.0])
+    def test_a_0d_argument_matches_its_broadcast_form(self, exponent):
+        xs = np.tile(self.BASES, 1200)  # past one block of _POINTWISE_BLOCK elements
+        assert len(xs) > _POINTWISE_BLOCK
+        for args, full in [
+            ((xs, np.array(exponent)), (xs, np.full(len(xs), exponent))),
+            ((xs, exponent), (xs, np.full(len(xs), exponent))),
+            ((np.array(exponent), xs), (np.full(len(xs), exponent), xs)),
+        ]:
+            got = _pointwise(math.pow, *args)
+            assert got.shape == xs.shape
+            assert self.bits(got) == self.bits(_pointwise(math.pow, *full))
+
+    def test_a_raising_element_is_nan(self):
+        got = _pointwise(math.pow, self.BASES, np.array(0.5))
+        assert np.isnan(got[1]) and not np.isnan(np.delete(got, 1)).any()
+
+    def test_only_0d_arguments_give_a_0d_result(self):
+        assert _pointwise(math.pow, np.array(2.0), 0.5).shape == ()
+        assert self.bits(_pointwise(math.pow, np.array(2.0), np.array(0.5))) == [math.pow(2.0, 0.5).hex()]
+        assert np.isnan(_pointwise(math.pow, np.array(-1.0), np.array(0.5)))
+        assert np.isnan(_pointwise(math.exp, np.array(1000.0)))
 
 
 def outcome_at(fn, ast, x):

@@ -6,6 +6,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import outcome, spy_on_grid, validate_integrand_scalar
 
 from mvfix import (
@@ -201,6 +203,46 @@ class TestCumulativeTransform:
         assert handed == 0
         assert repr(got.tolist()) == repr(self.scalar_or_nan(f, u))
 
+    def test_a_failing_phi_at_0_fails_every_u_in_the_batch(self):
+        # unvalidated 1/t: phi(0) raises, so the scalar raises at every u > 0
+        f = ExpressionIntegrand(parse_expr("1/t", variable="t"), "1/t")
+        got, handed = self.batch_and_handed_back(f, self.ARRAY_U)
+        assert handed == 0
+        assert repr(got.tolist()) == repr(self.scalar_or_nan(f, self.ARRAY_U))
+        assert np.isnan(got[self.ARRAY_U != 0.0]).all()
+
+    def test_a_constant_expression_in_the_batch(self):
+        f = expression_integrand("2", grid_max=2.0)
+        got, handed = self.batch_and_handed_back(f, self.ARRAY_U)
+        assert handed == 0
+        assert repr(got.tolist()) == repr(self.scalar_or_nan(f, self.ARRAY_U))
+
+    def test_a_slice_evaluates_phi_at_0_once(self, monkeypatch):
+        # two slices of 50 u: each evaluates the node 0 once, in its first
+        # call with the m, b, lm and rm of its 50 u
+        f = expression_integrand("1 + t^2", grid_max=2.0)
+        u = np.random.default_rng(6).uniform(0.0, 2.0, 100)
+        nodes, real = [], integrand.eval_expr_array
+        monkeypatch.setattr(integrand, "QUAD_BATCH_SLICE", 50)
+        monkeypatch.setattr(
+            integrand, "eval_expr_array", lambda ast, ts: nodes.append(ts) or real(ast, ts)
+        )
+        got = capital_phi_array(f, u)
+        firsts = [ts for ts in nodes if len(ts) == 4 * 50 + 1]
+        assert len(firsts) == 2 and all(ts[-1] == 0.0 for ts in firsts)
+        assert sum(np.count_nonzero(ts == 0.0) for ts in nodes) == 2
+        assert repr(got.tolist()) == repr(self.scalar_or_nan(f, u))
+
+    def test_the_scalar_u_go_to_the_callers_phi(self, monkeypatch):
+        # a caller's memo of capital_phi computes each u the batch hands back
+        monkeypatch.setattr(integrand, "QUAD_BATCH_PANELS", 9)
+        f = expression_integrand("exp(t) + abs(t - 0.3)", grid_max=1.0)
+        asked = []
+        got = capital_phi_array(f, self.DEEP_U, lambda v: asked.append(v) or capital_phi(f, v))
+        _, handed = self.batch_and_handed_back(f, self.DEEP_U)
+        assert len(asked) == handed > 0
+        assert repr(got.tolist()) == repr(self.scalar_or_nan(f, self.DEEP_U))
+
     def test_strictly_monotone(self):
         rng = np.random.default_rng(5)
         kinds = [
@@ -226,6 +268,45 @@ class TestCumulativeTransform:
         ):
             for eps in np.logspace(-12, 1, 14):
                 assert capital_phi(f, float(eps)) > 0.0
+
+
+# the expression integrands of TestCumulativeTransform, with their grid_max
+PHI_CORPUS = [
+    ("1 + t^2", 2.0),
+    ("1 + abs(t - 0.3)", 2.0),
+    ("1 + t^0.3", 2.0),
+    ("1/(2-t)", 1.0),
+    ("min(1, t)", 2.0),
+    ("exp(t)", 2.0),
+    ("ln(1+t)", 2.0),
+    ("exp(t) + abs(t - 0.3)", 2.0),
+]
+EDGE_U = [0.0, -0.0, 5e-324, 1e-300, 2.0, math.nan, math.inf, -1.0, -math.inf]
+
+
+@st.composite
+def u_arrays(draw):
+    """u arrays with repeats: drawn from a few values, zeros and edge values among them."""
+    pool = draw(
+        st.lists(
+            st.one_of(st.sampled_from(EDGE_U), st.floats(0.0, 2.5)), min_size=1, max_size=12
+        )
+    )
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=1, max_size=90)))
+
+
+class TestCapitalPhiArrayAgainstScalar:
+    """capital_phi_array gives capital_phi's bits, NaN where it raises, on every
+    expression of the corpus; ``batch`` sends even a few u through the batch."""
+
+    @pytest.mark.parametrize("source, grid_max", PHI_CORPUS)
+    @given(u=u_arrays(), batch=st.booleans())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_scalar(self, source, grid_max, u, batch):
+        f = expression_integrand(source, grid_max=grid_max)
+        with mock.patch.object(integrand, "QUAD_BATCH_MIN", 1 if batch else integrand.QUAD_BATCH_MIN):
+            got = capital_phi_array(f, u)
+        assert repr(got.tolist()) == repr(TestCumulativeTransform.scalar_or_nan(f, u))
 
 
 class TestQuadratureAgainstClosedForms:

@@ -21,8 +21,10 @@ from mvfix import (
     domain_grid,
     excess,
     hausdorff,
+    interval_map,
     nearest_point,
     sample_points,
+    table_map,
 )
 
 
@@ -70,6 +72,38 @@ class TestConstruction:
     def test_rejects_reversed(self):
         with pytest.raises(InvariantError):
             CompactSet([(1.0, 0.0)])
+
+    # a bool, a string or None is no endpoint, in real_number's words, as
+    # the config refuses it; float() would read each of these as a number
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: CompactSet([("0", True)]), "interval endpoint lo must be a number, got '0'"),
+            (lambda: CompactSet([(0.0, True)]), "interval endpoint hi must be a number, got True"),
+            (lambda: CompactSet([(None, 1.0)]), "interval endpoint lo must be a number, got None"),
+            (
+                lambda: table_map(CompactSet.interval(0.0, 1.0), [(0.5, [("0.1", "0.2")])]),
+                "interval endpoint lo must be a number, got '0.1'",
+            ),
+            (
+                lambda: interval_map(CompactSet([(False, "1")]), "x/2", "x"),
+                "interval endpoint lo must be a number, got False",
+            ),
+            (
+                lambda: CompactSet([(0, 10**400)]),
+                "interval endpoint hi must be a number, got an integer too large for a float",
+            ),
+        ],
+    )
+    def test_rejects_an_endpoint_that_is_no_number(self, build, message):
+        with pytest.raises(InvariantError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_numpy_and_int_endpoints_load_as_floats(self):
+        S = CompactSet([(np.float64(0.25), 1), (np.int64(2), np.float32(2.5))])
+        assert S.intervals == ((0.25, 1.0), (2.0, 2.5))
+        assert all(type(end) is float for interval in S.intervals for end in interval)
 
     def test_equality_after_normalization(self):
         assert CompactSet([(0, 1), (1, 2)]) == CompactSet([(0, 2)])
