@@ -467,11 +467,13 @@ class _Evaluator:
 def _once(call):
     """``call`` at most once per argument; a failure is kept as its message alone (an error
     would hold its frames) and raised as an :class:`MvfixError` each time.  Equal floats share
-    a result: a u is never -0.0, images of ±0 differ at most in a zero's sign, and a NaN u (in a
-    chunk of few u), equal to nothing, is computed again each time, raising at once."""
+    a result: a u is never -0.0, and images of ±0 differ at most in a zero's sign.  A NaN u (a
+    failed image's, in a chunk of few u) equals no key, so it is computed and not kept."""
     kept: dict[float, object] = {}
 
     def once(v: float):
+        if v != v:
+            return call(v)
         if v not in kept:
             try:
                 kept[v] = call(v)

@@ -101,6 +101,8 @@ _NUMBER_RULES = {
 def real_number(v: Any, name: str, error: type) -> Any:
     """``v``, or ``error`` naming ``name`` unless ``v`` is a real number a
     float can hold: a bool, a string or None is none."""
+    if type(v) is float:  # every value set a map builds; the abstract-class test is slow
+        return v
     if isinstance(v, bool) or not isinstance(v, numbers.Real):
         raise error(f"{name} must be a number, got {v!r}")
     try:

@@ -73,9 +73,9 @@ class ConstantIntegrand:
     def _cumulative(self, u: float) -> float:
         return self.c * u
 
-    def _cumulative_array(self, u: np.ndarray, phi) -> np.ndarray:
+    def _cumulative_array(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(over="ignore"):  # overflow is inf, as capital_phi gives
-            return np.where(u >= 0.0, self.c * u, math.nan)
+            return np.where(u >= 0.0, self.c * u, math.nan), np.arange(0)  # none handed back
 
 
 @dataclass(frozen=True)
@@ -154,19 +154,20 @@ class ExpressionIntegrand:
         # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
         return adaptive_simpson(self._phi, 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH)
 
-    def _cumulative_array(self, u: np.ndarray, phi) -> np.ndarray:
+    def _cumulative_array(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(u) < QUAD_BATCH_MIN:
-            return _capital_phi_loop(self, u, phi)
+            return np.empty(len(u)), np.arange(len(u))
         # u == 0 is the scalar's a == b branch; negative, NaN and infinite u
         # raise there (an infinite panel's error estimate is NaN at every level)
         out = np.where(u == 0.0, 0.0, math.nan)
         todo = np.flatnonzero((u > 0.0) & np.isfinite(u))
+        back = [todo[:0]]
         with np.errstate(all="ignore"):
             for start in range(0, len(todo), QUAD_BATCH_SLICE):
                 part = todo[start : start + QUAD_BATCH_SLICE]
                 out[part], over = _simpson_slice(self, u[part])
-                out[part[over]] = _capital_phi_loop(self, u[part[over]], phi)
-        return out
+                back.append(part[over])
+        return out, np.concatenate(back)
 
 
 Integrand = Union[
@@ -251,21 +252,24 @@ def capital_phi_array(f: Integrand, u: np.ndarray, phi=None) -> np.ndarray:
     An element where :func:`capital_phi` raises comes back as NaN, and
     overflow as inf; callers rerun NaN elements through
     :func:`capital_phi` to get its error.  A kind's ``_cumulative_array``
-    does this faster.  The constant kind's is one IEEE multiply on the
-    whole array, NaN where u is negative.  The expression kind's runs
-    :func:`adaptive_simpson` for all u at once, one refinement level at a
-    time (:func:`_simpson_slice`): each u gets the panels and operations
-    of the scalar recursion in the same order, so the same bits.  It
-    takes ``QUAD_BATCH_SLICE`` u at a time and hands back a u whose
-    panels exceed ``QUAD_BATCH_PANELS``, which :func:`capital_phi` then
-    computes, or ``phi``, a caller's memo of it, when given: there the
-    caller finds each u it took.  The power and exponential kinds need
-    ``expm1`` or ``pow``, so they have none and run through
-    :func:`capital_phi` one element at a time (no memo: it would hold
-    every u), for the reason ``expr._pointwise`` gives.
+    does this faster, and hands some u back to :func:`capital_phi`, or to
+    ``phi``, a caller's memo of it.  The constant kind's is one IEEE
+    multiply on the whole array, NaN where u is negative.  The expression
+    kind's runs :func:`adaptive_simpson` for all u at once, one refinement
+    level at a time (:func:`_simpson_slice`): each u gets the panels and
+    operations of the scalar recursion in the same order, so the same
+    bits.  It hands back every u when they are fewer than ``QUAD_BATCH_MIN``,
+    and a u whose panels exceed ``QUAD_BATCH_PANELS``.  The power and
+    exponential kinds need ``expm1`` or ``pow``, so they have none and run
+    through :func:`capital_phi` one element at a time (no memo: it would
+    hold every u), for the reason ``expr._pointwise`` gives.
     """
     batch = getattr(f, "_cumulative_array", None)
-    return _capital_phi_loop(f, u) if batch is None else batch(u, phi)
+    if batch is None:
+        return _capital_phi_loop(f, u)
+    out, back = batch(u)
+    out[back] = _capital_phi_loop(f, u[back], phi)
+    return out
 
 
 def _capital_phi_loop(f: Integrand, u: np.ndarray, phi=None) -> np.ndarray:
@@ -301,28 +305,24 @@ def _simpson_slice(f: ExpressionIntegrand, b: np.ndarray) -> tuple[np.ndarray, n
     the depth, as the scalar raises there, and is handed back where its
     panels would exceed ``QUAD_BATCH_PANELS``.  Either way its panels are
     dropped and its value is NaN.  Every first panel starts at 0, so
-    phi(0) is one node, broadcast, of the one :func:`eval_expr_array` call
-    for m, b, lm and rm of the first level; the loop evaluates deeper ones.
+    phi(0) is evaluated once and broadcast, and fails every u if it fails.
     """
     n = len(b)
     owner = np.arange(n)
     a = np.zeros(n)
     m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    values = eval_expr_array(f.ast, np.concatenate([m, b, lm, rm, [0.0]]))
-    valid, fa = values >= 0.0, np.broadcast_to(values[-1], n)
-    fm, fb, flm, frm = values[:-1].reshape(4, n)
-    failed = ~valid[:-1].reshape(4, n).all(axis=0) | ~valid[-1]
+    (fa,), zero_fails = _phi_nodes(f, a[:1])
+    (fm, fb), failed = _phi_nodes(f, m, b)
+    fa, failed = np.broadcast_to(fa, n), failed | zero_fails
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     used, over = np.ones(n, dtype=np.int64), np.zeros(n, dtype=bool)
     tol, depth = QUAD_TOL, QUAD_MAX_DEPTH
     levels = []  # (value if accepted, refined) per level
     while len(owner):
-        if levels:
-            m = 0.5 * (a + b)
-            lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-            (flm, frm), bad = _phi_nodes(f, lm, rm)
-            failed[owner[bad]] = True
+        m = 0.5 * (a + b)
+        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+        (flm, frm), bad = _phi_nodes(f, lm, rm)
+        failed[owner[bad]] = True
         left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         err = (left + right - whole) / 15.0

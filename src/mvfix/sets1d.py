@@ -36,10 +36,8 @@ __all__ = [
 def _normalize(raw: Iterable[Sequence[float]]) -> tuple[tuple[float, float], ...]:
     pairs = []
     for item in raw:
-        lo, hi = item[0], item[1]
-        if type(lo) is not float or type(hi) is not float:  # a map's value sets are floats
-            lo = float(real_number(lo, "interval endpoint lo", InvariantError))
-            hi = float(real_number(hi, "interval endpoint hi", InvariantError))
+        lo = float(real_number(item[0], "interval endpoint lo", InvariantError))
+        hi = float(real_number(item[1], "interval endpoint hi", InvariantError))
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise InvariantError(f"interval endpoints must be finite, got ({lo}, {hi})")
         if lo > hi:

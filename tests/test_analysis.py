@@ -577,6 +577,18 @@ def assert_bitwise_equal(report, pairs, oracle):
     assert repr(tuple(pairs)) == repr(oracle.pairs), "pairs"
 
 
+def test_sweep_memo_keeps_no_nan():
+    # a NaN u (a failed image's, in a chunk of few u) equals no key: it is
+    # computed each time, raising, and adds nothing the memo would hold
+    calls = []
+    once = analysis._once(lambda u: calls.append(u) or analysis.capital_phi(ONE, u))
+    for u in (math.nan, math.nan, 0.5, 0.5):
+        with contextlib.suppress(MvfixError):
+            once(u)
+    (kept,) = (c.cell_contents for c in once.__closure__ if type(c.cell_contents) is dict)
+    assert list(kept) == [0.5] and len(calls) == 3
+
+
 class TestBatchedSweepAgainstScalarLoop:
     @given(
         kind=st.sampled_from(ORACLE_MAPS),
