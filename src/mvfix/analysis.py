@@ -494,14 +494,12 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
     only h and the cross sum D(x, Ty) + D(y, Tx) follow the image shape.
     Each form gives the same bits as ``sets1d``:
 
-    * one interval per image (1-D ``lo``: interval and one-interval
-      table images): every distance has a closed form.  Every clamp
-      candidate of the two excesses is one rounded subtraction of two
-      endpoints, never larger than |lx - ly| or |hx - hy| as rounding is
-      monotone, so the Hausdorff distance is the larger of those two;
-    * one point per image (1-D ``lo`` that is ``hi``: one-member images):
-      h is |lx - ly| in either mode, and a distance to an image is
-      |p - v| with no clamp, as the clamp onto a point is the point;
+    * one interval per image (1-D ``lo``: interval, one-interval table
+      and one-member images, the last as ``[v, v]``): every distance has
+      a closed form.  Every clamp candidate of the two excesses is one
+      rounded subtraction of two endpoints, never larger than |lx - ly|
+      or |hx - hy| as rounding is monotone, so the Hausdorff distance is
+      the larger of those two;
     * point images (2-D ``lo``, one row per member, K >= 2): a distance
       is the least point-to-point gap, with no clamp, as the clamp onto a
       member is the member and the point nearest a gap midpoint is a
@@ -518,17 +516,16 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
     """
     # np.take keeps gathered members C-contiguous, one member a row
     lx, ly = np.take(lo, xs, axis=-1), np.take(lo, ys, axis=-1)
-    hx, hy = (lx, ly) if hi is lo else (hi.take(xs), hi.take(ys))
+    hx, hy = (lx, ly) if lo.ndim == 2 else (hi.take(xs), hi.take(ys))
     hm = np.empty((2, len(x)))
     h, m = hm  # m is free until the cross sum: a scratch row for h
     if lo.ndim == 2:
         _excess(lx, ly, h, m)
         if mode == "hausdorff":
             np.maximum(h, _excess(ly, lx, np.empty_like(h), m), out=h)
-    elif mode == "hausdorff" or hi is lo:  # one point per image: |lx - ly| in either mode
+    elif mode == "hausdorff":
         np.abs(np.subtract(lx, ly, out=h), out=h)
-        if hi is not lo:
-            np.maximum(h, np.abs(np.subtract(hx, hy, out=m), out=m), out=h)
+        np.maximum(h, np.abs(np.subtract(hx, hy, out=m), out=m), out=h)
     else:
         np.maximum(_distance(lx, ly, hy, h), _distance(hx, ly, hy, m), out=h)
     _distance(y, lx, hx, m)  # the cross sum D(y, Tx) + D(x, Ty), halved below
@@ -544,11 +541,11 @@ def _h_and_m(lo: np.ndarray, hi: np.ndarray, own, mode: str, x, y, xs, ys):
 
 def _distance(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, out=None) -> np.ndarray:
     """The distance from each element of ``p`` to its image in the :func:`image_arrays`
-    layout, into ``out`` if given: :func:`_nearest` of point members, |p - v|
-    of one member ``v`` (``lo`` is ``hi``), else |p - min(max(p, lo), hi)|."""
+    layout, into ``out`` if given: :func:`_nearest` of point members, else
+    |p - min(max(p, lo), hi)|, which for one member (``lo`` equal to ``hi``) is |p - v|."""
     if lo.ndim == 2:
         return _nearest(p, lo, out)
-    clamped = lo if hi is lo else np.minimum(np.maximum(p, lo, out=out), hi, out=out)
+    clamped = np.minimum(np.maximum(p, lo, out=out), hi, out=out)
     return np.abs(np.subtract(p, clamped, out=out), out=out)
 
 

@@ -119,8 +119,6 @@ _QUADS = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10  # digi
 _TRAILING_ZEROS = (_QUADS[:, ::-1].cumsum(axis=1) == 0).sum(axis=1).astype(np.uint8)
 _QUADS = (_QUADS + 48).astype(np.uint8).view("<u4").ravel()  # "0000" .. "9999", in byte order
 _QUAD_WORDS = _QUADS.astype(np.uint64), _QUADS.astype(np.uint64) << 32  # as low, high half-word
-_TENS = np.array([10**k for k in range(1, 8)])  # an index of k + 1 digits has k of these <= it
-_KEEP_DIGITS = np.array([2**64 - 2 ** (56 - 8 * k) for k in range(8)], np.uint64)  # last k+1 of 8
 _BLOCK = 1024  # rows
 
 
@@ -162,7 +160,8 @@ _LEAD, _TAIL, _TEXT, _SHIFT = _slot_layouts()
 
 def _divmod(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
     q = x // d  # np.divmod and % take several times as long
-    return q, x - q * d
+    r = q * d
+    return q, np.subtract(x, r, out=r)
 
 
 def _format_g17(v: np.ndarray) -> np.ndarray:
@@ -211,7 +210,8 @@ def _format_g17(v: np.ndarray) -> np.ndarray:
     lead = _LEAD.take(c, axis=1)
     lead &= w
     words = lead >> 48
-    words[:2] |= lead[1:] << 16
+    lead[1:] <<= 16  # in place: a (2, n) temporary here was the kernel's memory peak
+    words[:2] |= lead[1:]
     del lead
     tail = _TAIL.take(c, axis=1)
     tail &= w
@@ -230,21 +230,6 @@ def _format_g17(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _format_index(n: np.ndarray) -> np.ndarray:
-    """``b"%d" % i`` for each row index i of ``n``, as rows of 24 NUL-padded bytes.
-
-    Below 10**8 an index is two 4-digit groups of the table with its
-    leading zeros masked off; from there on the float kernel formats it.
-    """
-    if n.max() >= 10**8:  # past two quads: exact as floats, whose %.17g is the %d
-        return _format_g17(n.astype(float))
-    out = np.zeros((len(n), 3), np.uint64)
-    high, low = _divmod(n, 10**4)
-    out[:, 0] = _QUAD_WORDS[0].take(high) | _QUAD_WORDS[1].take(low)
-    out[:, 0] &= _KEEP_DIGITS.take(np.searchsorted(_TENS, n, "right"))
-    return out.view(np.uint8)
-
-
 def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
     """Serialize the recorded steps, every float as ``"%.17g"``, so it round-trips exactly.
 
@@ -252,9 +237,9 @@ def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
     so a gamma that underflowed to 0 gets ``F_gamma = -inf``.  Rows go out
     in blocks of 1,024 through one buffer of 25-byte fields, each a 24-byte
     NUL-padded slot and its separator; the row bytes are the buffer with
-    the NULs squeezed out.  The row index ``n`` comes from
-    :func:`_format_index`, the float fields from one :func:`_format_g17`
-    call per block, which also formats ``x0`` in the first block.  Row n's
+    the NULs squeezed out.  One :func:`_format_g17` call per block formats
+    the row index ``n`` as a whole float (below 2**53 its ``%.17g`` is its
+    ``%d``), the float fields and, in the first block, ``x0``.  Row n's
     ``x`` reuses row n-1's ``next`` slot, and ``gamma`` the ``d`` slot
     where the two have equal bits.
     """
@@ -270,30 +255,37 @@ def write_trace_csv(path: Path, trace: IterationTrace, F: FFunction) -> None:
             nxt, d, fg, w, gamma = (c[start : start + _BLOCK] for c in cols)
             rows, first = len(nxt), int(start == 0)
             own = gamma.view(np.int64) != d.view(np.int64)
-            values = np.concatenate([trace.x[:first], nxt, d, fg, w, gamma[own]])
+            n = np.arange(start, start + rows, dtype=float)
+            values = np.concatenate([trace.x[:first], n, nxt, d, fg, w, gamma[own]])
             slots = _format_g17(values).view("V24")[:, 0]
             block = fields[:rows]
             block[0, 1] = slots[0] if first else fields[-1, 2]  # x0, or the last block's last next
             slots = slots[first:]
-            block[:, 0] = _format_index(np.arange(start, start + rows)).view("V24")[:, 0]
-            for i, k in enumerate((2, 3, 5, 6)):
+            for i, k in enumerate((0, 2, 3, 5, 6)):
                 block[:, k] = slots[i * rows : (i + 1) * rows]
             block[:, 4] = block[:, 3]
-            block[own, 4] = slots[4 * rows :]
+            block[own, 4] = slots[5 * rows :]
             block[1:, 1] = block[:-1, 2]
             fh.write((raw if rows == _BLOCK else raw[: rows * 7 * 25]).translate(None, b"\0"))
 
 
 def read_trace_csv(path: Path) -> list[tuple[int, float, float, float, float, float, float]]:
-    """Read a trace CSV back; raises on a header mismatch."""
+    """Read a trace CSV back; an ``MvfixError`` names the line of a bad header, row or field."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TRACE_COLUMNS:
-            raise MvfixError(f"unexpected trace header {header!r}")
+        header = next(reader, None)
+        if header is None:
+            raise MvfixError("trace line 1: empty file, expected the header")
+        if tuple(header) != TRACE_COLUMNS:
+            raise MvfixError(f"unexpected trace header {tuple(header)!r}")
         rows = []
         for row in reader:
-            rows.append((int(row[0]),) + tuple(float(v) for v in row[1:]))
+            try:
+                if len(row) != len(TRACE_COLUMNS):
+                    raise ValueError(f"expected {len(TRACE_COLUMNS)} fields, got {len(row)}")
+                rows.append((int(row[0]),) + tuple(float(v) for v in row[1:]))
+            except ValueError as err:
+                raise MvfixError(f"trace line {reader.line_num}: {err}") from None
     return rows
 
 

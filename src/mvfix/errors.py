@@ -89,6 +89,7 @@ _NUMBER_RULES = {
     "k": (float, (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")),
     "tau": (float, _POSITIVE, _FINITE),
     "grid_size": (int, _whole(2), _SWEEP),
+    "size": (int, _whole(1), _SWEEP),  # of sets1d.domain_grid; no config key holds it
     "random_pairs": (int, _whole(0), _SWEEP),
     # certify seeds numpy's generator, which takes no negative seed
     "seed": (int, _whole(), (lambda v: v >= 0, "must be >= 0")),

@@ -5,7 +5,7 @@ the package consumes is the cumulative transform ``Phi(u) = integral of
 phi from 0 to u``, which is continuous, nondecreasing, and strictly
 positive for u > 0.  Each kind's class holds its forms: ``_label``,
 ``_phi``, ``_cumulative`` (Phi: an analytic antiderivative, or adaptive
-Simpson quadrature for the expression kind) and any ``_cumulative_array``.
+Simpson quadrature for the expression kind) and ``_cumulative_array``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     QuadratureError,
     checked_number,
 )
-from .expr import ExprAst, compile_expr, enclose, eval_expr_array, parse_expr
+from .expr import ExprAst, _pointwise, compile_expr, enclose, eval_expr_array, parse_expr
 from .maps import _VALIDATION_GRID_POINTS
 
 __all__ = [
@@ -78,8 +78,16 @@ class ConstantIntegrand:
             return np.where(u >= 0.0, self.c * u, math.nan), np.arange(0)  # none handed back
 
 
+class _ClosedForm:
+    """Phi over an array for a kind that needs ``pow`` or ``expm1``: ``_cumulative`` at each
+    u through ``math`` (``expr._pointwise``), NaN where it raises and at a negative u."""
+
+    def _cumulative_array(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _pointwise(self._cumulative, np.where(u >= 0.0, u, math.nan)), np.arange(0)
+
+
 @dataclass(frozen=True)
-class PowerIntegrand:
+class PowerIntegrand(_ClosedForm):
     """phi(t) = scale * t**p with p > -1 (keeps Phi finite near 0)."""
 
     p: float
@@ -98,7 +106,7 @@ class PowerIntegrand:
 
 
 @dataclass(frozen=True)
-class ExponentialIntegrand:
+class ExponentialIntegrand(_ClosedForm):
     """phi(t) = scale * exp(rate * t) with scale > 0."""
 
     rate: float
@@ -247,27 +255,21 @@ def capital_phi(f: Integrand, u: float) -> float:
 
 
 def capital_phi_array(f: Integrand, u: np.ndarray, phi=None) -> np.ndarray:
-    """:func:`capital_phi` over a 1-D array of u, bit for bit.
+    """:func:`capital_phi` over a 1-D array of u, bit for bit: NaN where it raises
+    (callers rerun those u through it for its error), and inf on overflow.
 
-    An element where :func:`capital_phi` raises comes back as NaN, and
-    overflow as inf; callers rerun NaN elements through
-    :func:`capital_phi` to get its error.  A kind's ``_cumulative_array``
-    does this faster, and hands some u back to :func:`capital_phi`, or to
-    ``phi``, a caller's memo of it.  The constant kind's is one IEEE
-    multiply on the whole array, NaN where u is negative.  The expression
-    kind's runs :func:`adaptive_simpson` for all u at once, one refinement
-    level at a time (:func:`_simpson_slice`): each u gets the panels and
-    operations of the scalar recursion in the same order, so the same
-    bits.  It hands back every u when they are fewer than ``QUAD_BATCH_MIN``,
-    and a u whose panels exceed ``QUAD_BATCH_PANELS``.  The power and
-    exponential kinds need ``expm1`` or ``pow``, so they have none and run
-    through :func:`capital_phi` one element at a time (no memo: it would
-    hold every u), for the reason ``expr._pointwise`` gives.
+    Each kind's ``_cumulative_array`` gives the values: the constant
+    kind's one IEEE multiply, NaN at a negative u; the power and
+    exponential kinds' the scalar's ``math`` calls on the same floats
+    (:class:`_ClosedForm`); the expression kind's :func:`adaptive_simpson`
+    for all u at once, one refinement level at a time
+    (:func:`_simpson_slice`), each u with the panels and operations of the
+    scalar recursion in order.  Only the last hands u back, to
+    :func:`capital_phi` or ``phi``, a caller's memo of it: every u when they
+    are fewer than ``QUAD_BATCH_MIN``, and a u whose panels exceed
+    ``QUAD_BATCH_PANELS``.
     """
-    batch = getattr(f, "_cumulative_array", None)
-    if batch is None:
-        return _capital_phi_loop(f, u)
-    out, back = batch(u)
+    out, back = _form(f, "_cumulative_array")(u)
     out[back] = _capital_phi_loop(f, u[back], phi)
     return out
 

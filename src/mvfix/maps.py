@@ -150,7 +150,7 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The batch counterpart of :func:`apply_map`.  Interval, table and
     one-member maps give 1-D endpoint arrays: T(xs[i]) is the interval
     ``[lo[i], hi[i]]`` (an interval map with the same near-tie collapse;
-    for one member, ``lo`` is ``hi``, one array).  Finite sets with K >= 2
+    one member's row is both, the interval [v, v]).  Finite sets with K >= 2
     members give one ``(K, n)`` array of point members, in expression
     order, as both ``lo`` and ``hi``; a repeated member changes no
     distance.  Image i is NaN throughout where :func:`apply_map` would

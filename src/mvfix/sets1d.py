@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, real_number
+from .errors import DomainError, InvariantError, checked_number, real_number
 
 __all__ = [
     "CompactSet",
@@ -160,23 +160,19 @@ def domain_grid(A: CompactSet, size: int) -> np.ndarray:
     exactly ``numpy.linspace(lo, hi, size)``; for unions the points are
     split across intervals in proportion to length, with at least two per
     interval of positive length and one per singleton.  A set too long for
-    ``size`` times its length to be a float raises :class:`DomainError`.
+    ``size`` times its length to be a float raises :class:`DomainError`, as
+    does a ``size`` its number rule refuses (whole, 1 to ``SWEEP_LIMIT``).
     """
-    if size < 1:
-        raise DomainError("grid size must be at least 1")
+    size = checked_number("size", size)
     total = A.total_length
     if total == 0.0:
-        return np.array([lo for lo, _ in A.intervals][:size] or [A.min])
+        return np.array([lo for lo, _ in A.intervals][:size])
     if not math.isfinite(size * total):
         raise DomainError(f"a {size}-point grid over {A!r} overflows a float")
-    pieces = []
-    for lo, hi in A.intervals:
-        if hi == lo:
-            pieces.append([lo])
-            continue
-        n = max(2, round(size * (hi - lo) / total))
-        pieces.append(np.linspace(lo, hi, n))
-    return np.concatenate(pieces)
+    return np.concatenate([
+        [lo] if hi == lo else np.linspace(lo, hi, max(2, round(size * (hi - lo) / total)))
+        for lo, hi in A.intervals
+    ])
 
 
 def sample_points(A: CompactSet, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -651,6 +651,32 @@ class TestBatchedSweepAgainstScalarLoop:
         assert len(us) == len(set(us)) == 1_459
         assert (report.evaluated_pairs, report.error_count) == (0, 5_550)
 
+    @pytest.mark.parametrize(
+        "f, calls, counts",
+        [
+            (PowerIntegrand(p=400.0), 323, (3_929, 1_221)),
+            (ExponentialIntegrand(rate=800.0), 472, (110, 5_040)),
+        ],
+        ids=["power", "exponential"],
+    )
+    def test_closed_form_probe_integrates_each_u_once(self, f, calls, counts):
+        # Phi overflows at part of the u: the batch gives NaN there, and the
+        # redo's memo takes each failing u from one scalar call (the power
+        # kind once made 1,023 calls for 700 u, one per u in the batch and
+        # again in the redo)
+        T = singleton_map(CompactSet.interval(0.0, 10.0), "x/2")
+        us, real = [], integrand.capital_phi
+        spy = lambda g, u: us.append(u) or real(g, u)  # noqa: E731
+        args = dict(grid_size=101, random_pairs=100)
+        with mock.patch.object(integrand, "capital_phi", spy), \
+                mock.patch.object(analysis, "capital_phi", spy):
+            report = certify(T, LOG, f, **args)
+        assert len(us) == len(set(us)) == calls
+        assert (report.evaluated_pairs, report.error_count) == counts
+        assert_bitwise_equal(
+            report, sweep_pairs(T, LOG, f, **args), certify_scalar(T, LOG, f, **args)
+        )
+
     def test_redo_images_each_point_once(self):
         # the unvalidated sqrt(x - 0.3) fails below 0.3: every pair with
         # x < 0.3 is redone by the scalar code and fails at its x, so the
@@ -935,6 +961,7 @@ SHAPE_CASES = {
     # lo exceeds hi by less than the slack near 0: the image collapses
     "near_tie": lambda: interval_map(UNIT, "x*x", "x*x + x/10 - 1e-13"),
     "singleton": lambda: singleton_map(UNIT, "x - x^2"),
+    "one_member_set": lambda: finite_set_map(UNIT, ["(x+1)/3"]),
     # members coincide at some x, so the number of distinct points varies
     "coinciding_members": lambda: finite_set_map(UNIT, ["x/2", "x/2", "x*x", "min(x, 0.5)"]),
     "four_points": lambda: finite_set_map(UNIT, ["x/4", "x/3", "(x+1)/2", "0.9*x"]),
@@ -943,7 +970,7 @@ SHAPE_CASES = {
     # endpoint differences overflow to inf, and those pairs are redone
     "huge_interval": lambda: interval_map(HUGE, "1.5e308*x", "1.5e308*x + x*x"),
     "huge_points": lambda: finite_set_map(HUGE, ["1.5e308*x", "1e308*x"]),
-    # one point per image: |p - v| takes no clamp; differences overflow and are redone
+    # one point per image, read as the interval [v, v]; differences overflow and are redone
     "huge_singleton": lambda: singleton_map(HUGE, "1.5e308*x - x*x"),
     "signed_zero_singleton": lambda: singleton_map(UNIT, "-x"),
     # unvalidated maps whose images fail on part of the domain, inside the sweep
@@ -1038,8 +1065,6 @@ class TestShapePathsAgainstScalarLoop:
         T = oracle_map(kind, domain)
         lo, hi = image_arrays(T, np.array(domain_grid(T.domain, 41).tolist() + [0.0, 0.25, 1.0]))
         assert lo.ndim == (2 if kind == "finite_set" else 1)
-        # one member per image: one array, so each distance to it takes no clamp
-        assert (lo is hi) == (kind in ("singleton", "finite_set"))
         failed = np.isnan(lo).reshape(-1, lo.shape[-1])[0]
         assert not failed.all()
         assert lo.ndim == 1 or (lo[:, ~failed] == hi[:, ~failed]).all()

@@ -134,40 +134,20 @@ class TestG17Kernel:
         ])
         assert g17_mismatches(values) == []
 
+    def test_whole_floats_are_their_index(self):
+        # trace.csv's n column: a whole float's %.17g is its %d below 2**53
+        rows = [
+            0, *(m for k in range(1, 9) for m in (10**k - 1, 10**k)),
+            *range(10**8, 10**8 + 5), 2**53 - 1,
+        ]
+        slots = cli._format_g17(np.array(rows, dtype=float))
+        assert [bytes(slot).replace(b"\0", b"") for slot in slots] == [b"%d" % n for n in rows]
+
     def test_without_x87_every_value_takes_the_fallback(self, monkeypatch):
         monkeypatch.setattr(cli, "_X87", False)
         # powers of ten of 0 would spoil every digit the kernel made itself
         monkeypatch.setattr(cli, "_POW10", cli._POW10 * 0)
         assert g17_mismatches(G17_CORPUS + [0.5, 1.25, -3e-7, 123456.789]) == []
-
-
-def index_mismatches(rows):
-    """The row indices whose slot from ``cli._format_index`` is not ``b"%d" % n``."""
-    slots = cli._format_index(np.array(rows))
-    assert slots.shape == (len(rows), 24)
-    return [
-        (n, bytes(slot))
-        for n, slot in zip(rows, slots)
-        if bytes(slot).replace(b"\0", b"") != b"%d" % n
-    ]
-
-
-class TestIndexColumn:
-    """``cli._format_index`` gives ``b"%d" % n`` from its table of 4-digit groups, or past it."""
-
-    def test_digit_length_edges(self):
-        edges = [0, *(m for k in range(1, 8) for m in (10**k - 1, 10**k)), 10**8 - 1]
-        assert index_mismatches(edges) == []
-
-    def test_rows_past_the_table(self, monkeypatch):
-        calls, kernel = [], cli._format_g17
-        monkeypatch.setattr(cli, "_format_g17", lambda v: calls.append(len(v)) or kernel(v))
-        assert index_mismatches(list(range(10**8, 10**8 + 5))) == []
-        # a block that straddles the end of the table takes the float kernel whole
-        assert index_mismatches(list(range(10**8 - 3, 10**8 + 2))) == []
-        assert index_mismatches([10**8 - 1, 2**53 - 1]) == []
-        assert index_mismatches(list(range(10**8 - 5, 10**8))) == []
-        assert calls == [5, 5, 2]
 
 
 class TestCertifyCommand:
@@ -434,6 +414,30 @@ class TestSolveCommand:
         path.write_text("n,x\n0,0.5\n")
         with pytest.raises(MvfixError, match=r"^unexpected trace header \('n', 'x'\)$"):
             read_trace_csv(path)
+
+    @pytest.mark.parametrize(
+        "body, words",
+        [
+            ("", "trace line 1: empty file, expected the header"),
+            ("0,0.5,0.25\n", "trace line 2: expected 7 fields, got 3"),
+            (
+                "0,0.5,0.25,0.25,0.25,-1.4,0.5\n1,a,0,0,0,0,0\n",
+                "trace line 3: could not convert string to float: 'a'",
+            ),
+            (
+                "0.5,0.5,0.25,0.25,0.25,-1.4,0.5\n",
+                "trace line 2: invalid literal for int() with base 10: '0.5'",
+            ),
+        ],
+        ids=["empty", "short_row", "bad_float", "bad_index"],
+    )
+    def test_read_trace_csv_names_the_bad_line(self, tmp_path, body, words):
+        # each once came back as a 3-tuple, a raw ValueError or a raw StopIteration
+        path = tmp_path / "trace.csv"
+        path.write_text(("" if not body else ",".join(TRACE_COLUMNS) + "\n") + body)
+        with pytest.raises(MvfixError) as err:
+            read_trace_csv(path)
+        assert str(err.value) == words
 
     def test_trace_csv_round_trip(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.solve_config())

@@ -307,6 +307,33 @@ class TestCapitalPhiArrayAgainstScalar:
             got = capital_phi_array(f, u)
         assert repr(got.tolist()) == repr(TestCumulativeTransform.scalar_or_nan(f, u))
 
+    # the closed forms, overflowing ones among them: 2.5^1001, exp(800 u) past
+    # u = 0.89, and an exp(-800 u) that underflows
+    CLOSED_FORMS = [
+        PowerIntegrand(p=2.0),
+        PowerIntegrand(p=-0.5, scale=2.0),
+        PowerIntegrand(p=1000.0),
+        PowerIntegrand(p=0.0, scale=1e308),
+        ExponentialIntegrand(rate=5.0),
+        ExponentialIntegrand(rate=0.0, scale=2.0),
+        ExponentialIntegrand(rate=800.0),
+        ExponentialIntegrand(rate=-800.0, scale=1e308),
+    ]
+
+    @pytest.mark.parametrize("f", CLOSED_FORMS, ids=repr)
+    @given(u=u_arrays())
+    @settings(max_examples=25, deadline=None)
+    def test_closed_forms_match_scalar(self, f, u):
+        got = capital_phi_array(f, u)
+        assert repr(got.tolist()) == repr(TestCumulativeTransform.scalar_or_nan(f, u))
+
+    @pytest.mark.parametrize("f", CLOSED_FORMS, ids=repr)
+    def test_closed_forms_at_the_edges_hand_nothing_back(self, f):
+        u = np.array(EDGE_U + [-5e-324, 0.5, 1.0, 3.0, 1e300, 1.7976931348623157e308])
+        got, handed = TestCumulativeTransform.batch_and_handed_back(f, u)
+        assert handed == 0
+        assert repr(got.tolist()) == repr(TestCumulativeTransform.scalar_or_nan(f, u))
+
 
 class TestQuadratureAgainstClosedForms:
     # the numeric route must reproduce the analytic antiderivatives

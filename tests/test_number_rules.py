@@ -23,6 +23,7 @@ from mvfix import (
     apply_map,
     certify,
     config_from_dict,
+    domain_grid,
     evaluate_pair,
     evaluate_pairs,
     expression_integrand,
@@ -33,18 +34,21 @@ from mvfix import (
     table_map,
     validate_trace,
 )
-from mvfix.errors import _NUMBER_RULES
+from mvfix.errors import _NUMBER_RULES, checked_number
 
 UNIT = CompactSet.interval(0.0, 1.0)
 HALVING = singleton_map(UNIT, "x/2")
 LOG = FFunction("log")
 ONE = ConstantIntegrand(1.0)
 TRACE = iterate(HALVING, 1.0, tol=0.0, max_iter=5)
+# the holder of a number that no config key holds
+NO_CONFIG = object()
 
 
 # For each number key: the config object that holds it (None: the top
-# level), the error class of the library, and the library calls that take
-# it.  Accepted values stay cheap: sweeps of at most 10 pairs, at most 10 steps.
+# level; NO_CONFIG: none), the error class of the library, and the library
+# calls that take it.  Accepted values stay cheap: sweeps of at most 10
+# pairs, at most 10 steps.
 ENTRIES = {
     "c": ({"kind": "constant"}, InvariantError, [lambda v: ConstantIntegrand(v)]),
     "p": ({"kind": "power"}, InvariantError, [lambda v: PowerIntegrand(p=v)]),
@@ -74,6 +78,13 @@ ENTRIES = {
     ),
     "max_iter": (None, DomainError, [lambda v: iterate(HALVING, 1.0, max_iter=v)]),
     "x0": (None, DomainError, [lambda v: iterate(HALVING, v, max_iter=3)]),
+    # domain_grid(A, True) once made one point, a string or None ended in a
+    # raw TypeError, and a nan grid over an interval was said to overflow
+    "size": (
+        NO_CONFIG,
+        DomainError,
+        [lambda v: domain_grid(UNIT, v), lambda v: domain_grid(CompactSet.from_points([0, 1]), v)],
+    ),
 }
 IN_RANGE = {
     "c": 2.5,
@@ -89,6 +100,7 @@ IN_RANGE = {
     "tol": 0.5,
     "max_iter": 10,
     "x0": 0.5,
+    "size": 4,
 }
 # the in-range value of the key, in place of a value of the corpus
 IN = object()
@@ -97,8 +109,15 @@ CORPUS = [True, False, "1", None, math.nan, math.inf, -math.inf, -2, 0, 2.0, 10*
 
 def config_words(key, v):
     """The words after the name with which ``config_from_dict`` refuses ``key = v``,
-    or None when it takes the value."""
+    or None when it takes the value; for a number no config key holds, the
+    words of its rule."""
     holder = ENTRIES[key][0]
+    if holder is NO_CONFIG:
+        try:
+            checked_number(key, v)
+        except DomainError as err:
+            return str(err).split(" ", 1)[1]
+        return None
     data = {"domain": [[0.0, 1.0]], "map": {"kind": "singleton", "f": "x/2"}}
     if holder is None:
         data[key] = v

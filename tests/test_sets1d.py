@@ -26,6 +26,7 @@ from mvfix import (
     sample_points,
     table_map,
 )
+from mvfix.errors import SWEEP_LIMIT
 
 
 class TestConstruction:
@@ -297,8 +298,30 @@ class TestGridAndSampling:
 
     @pytest.mark.parametrize("size", [0, -1])
     def test_grid_of_no_points_raises(self, size):
-        with pytest.raises(DomainError, match="^grid size must be at least 1$"):
+        with pytest.raises(DomainError, match=f"^size must be an integer >= 1, got {size}$"):
             domain_grid(CompactSet.interval(0.0, 1.0), size)
+
+    # 2.5 once ended in a raw TypeError on a point set, 10**30 in a raw
+    # ValueError on an interval; tests/test_number_rules.py holds the rest
+    @pytest.mark.parametrize(
+        "size, words",
+        [
+            (2.5, "must be an integer >= 1, got 2.5"),
+            (10**30, f"must be at most {SWEEP_LIMIT}, got {10**30}"),
+        ],
+        ids=repr,
+    )
+    @pytest.mark.parametrize(
+        "A", [CompactSet.interval(0.0, 1.0), CompactSet.from_points([0.0, 1.0])], ids=repr
+    )
+    def test_grid_size_follows_its_number_rule(self, A, size, words):
+        with pytest.raises(DomainError) as err:
+            domain_grid(A, size)
+        assert str(err.value) == f"size {words}"
+
+    def test_grid_size_is_kept_whole(self):
+        assert domain_grid(CompactSet.interval(0.0, 1.0), 3.0).tolist() == [0.0, 0.5, 1.0]
+        assert domain_grid(CompactSet.from_points([0.0, 1.0, 2.0]), 2.0).tolist() == [0.0, 1.0]
 
     @pytest.mark.parametrize(
         "A", [CompactSet.interval(-1e308, 1e308), CompactSet([(-1e308, 0.0), (1.0, 1e308)])]
