@@ -13,9 +13,10 @@ print()
 
 # (F1): strictly increasing on a log-spaced grid
 print("F1 log:", check_f1(FFunction("log")).passed)
-# a non-monotone callable fails and names the first bad pair
-v = check_f1(math.sin, grid=[1.0, 2.0, 3.0, 4.0])
-print("F1 sin:", v.passed, "first violation at", v.first_violation)
+# a grid finer than F's rounding fails and names the first bad pair:
+# ln of the float above 1e300 rounds to ln(1e300)
+v = check_f1(FFunction("log"), grid=[1.0, 1e300, math.nextafter(1e300, math.inf)])
+print("F1 log, rounding tie:", v.passed, "first violation at", v.first_violation)
 
 # (F2) divergence at 0+ and (F3) vanishing weight alpha^k F(alpha); the
 # exponent k belongs to F, FFunction(kind, k), and defaults to 1/2

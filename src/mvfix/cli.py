@@ -36,7 +36,7 @@ from .config import (
     config_to_dict,
     load_config,
 )
-from .errors import ConfigError, MvfixError
+from .errors import ConfigError, InsufficientTraceError, MvfixError
 from .ffunctions import F_KINDS, FFunction, check_f1, check_f2_f3, check_f4
 from .integrand import Integrand, integrand_label
 from .maps import MultiMap
@@ -451,13 +451,13 @@ def cmd_solve(cfg: ProblemConfig, out_dir: Path | None) -> tuple[str, int]:
 
     verdict: TraceVerdict | None = None
     skip_reason: str | None = None
-    positive_steps = int(np.count_nonzero(trace.gamma > 0.0))
     if cfg.tau is None:
         skip_reason = "no tau configured"
-    elif positive_steps < 2:
-        skip_reason = f"only {positive_steps} positive-gamma steps recorded"
     else:
-        verdict = validate_trace(trace, F, cfg.tau)
+        try:
+            verdict = validate_trace(trace, F, cfg.tau)
+        except InsufficientTraceError as err:
+            skip_reason = str(err)
 
     trace_path = None
     if out_dir is not None:

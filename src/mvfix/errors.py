@@ -90,6 +90,7 @@ _NUMBER_RULES = {
     "tau": (float, _POSITIVE, _FINITE),
     "grid_size": (int, _whole(2), _SWEEP),
     "size": (int, _whole(1), _SWEEP),  # of sets1d.domain_grid; no config key holds it
+    "n": (int, _whole(0)),  # of sets1d.sample_points; no config key holds it
     "random_pairs": (int, _whole(0), _SWEEP),
     # certify seeds numpy's generator, which takes no negative seed
     "seed": (int, _whole(), (lambda v: v >= 0, "must be >= 0")),

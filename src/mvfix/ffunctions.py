@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InvariantError, checked_number
+from .errors import DomainError, InvariantError, checked_number, real_number
 from .expr import _pointwise
 from .sets1d import CompactSet, domain_grid
 
@@ -65,7 +65,7 @@ class FFunction:
 
 def f_eval(F: FFunction, alpha: float) -> float:
     """Value F(alpha); the domain is strictly positive reals."""
-    if not alpha > 0.0:
+    if not real_number(alpha, "alpha", DomainError) > 0.0:
         raise DomainError(f"F is defined only for alpha > 0, got {alpha}")
     return _VALUES[F.kind][0](alpha)
 
@@ -80,12 +80,6 @@ def f_eval_array(F: FFunction, alpha: np.ndarray) -> np.ndarray:
     positive = alpha > 0.0
     out[positive] = _VALUES[F.kind][1](alpha[positive])
     return out
-
-
-def _as_callable(F: Union[FFunction, Callable[[float], float]]) -> Callable[[float], float]:
-    if isinstance(F, FFunction):
-        return lambda a: f_eval(F, a)
-    return F
 
 
 # Logarithmic probe grid 1e-8 .. 1e8 of the monotonicity check.
@@ -117,26 +111,23 @@ class InfimumVerdict:
     rhs: float  # minimum of F over the sample grid
 
 
-def check_f1(
-    F: Union[FFunction, Callable[[float], float]],
-    grid: Sequence[float] | None = None,
-) -> MonotoneVerdict:
+def check_f1(F: FFunction, grid: Sequence[float] | None = None) -> MonotoneVerdict:
     """Strict monotonicity probe over an ascending positive grid.
 
     The grid must be strictly ascending, so shuffling and re-sorting a
     grid cannot change the verdict.  The first violating adjacent pair,
     if any, is reported.
     """
-    pts = tuple(F1_GRID if grid is None else grid)
+    grid = F1_GRID if grid is None else grid
+    pts = tuple(real_number(a, "grid point", DomainError) for a in grid)
     if len(pts) < 2:
         raise DomainError("monotonicity grid needs at least 2 points")
     if any(b <= a for a, b in zip(pts, pts[1:])):
         raise DomainError("monotonicity grid must be strictly ascending")
     if pts[0] <= 0.0:
         raise DomainError("monotonicity grid must be strictly positive")
-    fn = _as_callable(F)
     for a, b in zip(pts, pts[1:]):
-        if not fn(a) < fn(b):
+        if not f_eval(F, a) < f_eval(F, b):
             return MonotoneVerdict(False, (a, b))
     return MonotoneVerdict(True, None)
 
@@ -191,12 +182,8 @@ def check_f2_f3(F: FFunction) -> LimitVerdict:
     return LimitVerdict(f2_passed, f3_passed, f2_detail, f3_detail)
 
 
-def check_f4(
-    F: Union[FFunction, Callable[[float], float]],
-    A: CompactSet,
-    samples_per_interval: int = 64,
-) -> InfimumVerdict:
-    """Check F(min A) against the minimum of F over a sample grid of A.
+def check_f4(F: FFunction, A: CompactSet) -> InfimumVerdict:
+    """Check F(min A) against the minimum of F over a 64-point-per-interval grid of A.
 
     Requires min(A) > 0 so every sample is in the domain of F.  For a
     continuous increasing F the two quantities agree; the verdict allows
@@ -204,7 +191,6 @@ def check_f4(
     """
     if not A.min > 0.0:
         raise DomainError(f"set minimum must be positive, got {A.min}")
-    fn = _as_callable(F)
-    lhs = fn(A.min)
-    rhs = min(fn(p) for p in domain_grid(A, samples_per_interval * len(A.intervals)).tolist())
+    lhs = f_eval(F, A.min)
+    rhs = min(f_eval(F, p) for p in domain_grid(A, 64 * len(A.intervals)).tolist())
     return InfimumVerdict(abs(lhs - rhs) <= 1e-9, lhs, rhs)

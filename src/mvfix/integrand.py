@@ -24,6 +24,7 @@ from .errors import (
     MvfixError,
     QuadratureError,
     checked_number,
+    real_number,
 )
 from .expr import ExprAst, _pointwise, compile_expr, enclose, eval_expr_array, parse_expr
 from .maps import _VALIDATION_GRID_POINTS
@@ -160,7 +161,7 @@ class ExpressionIntegrand:
 
     def _cumulative(self, u: float) -> float:
         # the nodes lie in [0, u], so phi_eval's t >= 0 check is not needed
-        return adaptive_simpson(self._phi, 0.0, u, tol=QUAD_TOL, max_depth=QUAD_MAX_DEPTH)
+        return adaptive_simpson(self._phi, 0.0, u)
 
     def _cumulative_array(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if len(u) < QUAD_BATCH_MIN:
@@ -227,7 +228,7 @@ def integrand_label(f: Integrand) -> str:
 
 def phi_eval(f: Integrand, t: float) -> float:
     """Pointwise value phi(t) for t >= 0."""
-    if not t >= 0.0:
+    if not real_number(t, "t", DomainError) >= 0.0:
         raise DomainError(f"integrand argument must be >= 0, got {t}")
     phi = _form(f, "_phi")
     try:
@@ -243,7 +244,7 @@ def capital_phi(f: Integrand, u: float) -> float:
     for the constant, power, and exponential kinds, :func:`adaptive_simpson`
     at absolute tolerance 1e-10 for the expression kind.
     """
-    if not u >= 0.0:
+    if not real_number(u, "u", DomainError) >= 0.0:
         raise DomainError(f"cumulative transform argument must be >= 0, got {u}")
     cumulative = _form(f, "_cumulative")
     try:
@@ -352,29 +353,25 @@ def _simpson_slice(f: ExpressionIntegrand, b: np.ndarray) -> tuple[np.ndarray, n
     return below, over
 
 
-def adaptive_simpson(
-    func: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = QUAD_TOL,
-    max_depth: int = QUAD_MAX_DEPTH,
-) -> float:
+def adaptive_simpson(func: Callable[[float], float], a: float, b: float) -> float:
     """Integrate ``func`` over [a, b] by adaptive Simpson refinement.
 
     Each panel is split until the classic error estimate
     (S_left + S_right - S_whole) / 15 drops below the local tolerance,
-    which halves with the panel.  The Richardson correction term is folded
-    into the accepted value.  Raises :class:`QuadratureError` when the
-    recursion depth is exhausted before the tolerance is met.
+    which halves with the panel from ``QUAD_TOL``, over at most
+    ``QUAD_MAX_DEPTH`` levels (read at the call, as :func:`_simpson_slice`
+    reads them).  The Richardson correction term is folded into the
+    accepted value.  Raises :class:`QuadratureError` when the recursion
+    depth is exhausted before the tolerance is met.
     """
-    if b < a:
+    if real_number(a, "a", DomainError) > real_number(b, "b", DomainError):
         raise DomainError(f"integration bounds out of order: [{a}, {b}]")
     if a == b:
         return 0.0
     m = 0.5 * (a + b)
     fa, fm, fb = func(a), func(m), func(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _refine(func, a, b, fa, fm, fb, whole, tol, max_depth)
+    return _refine(func, a, b, fa, fm, fb, whole, QUAD_TOL, QUAD_MAX_DEPTH)
 
 
 def _refine(func, a, b, fa, fm, fb, whole, tol, depth):

@@ -50,9 +50,7 @@ class MultiMap:
 
     domain: CompactSet
     kind: str  # "interval_endpoints" | "singleton" | "finite_set" | "table"
-    lo: ExprAst | None = None
-    hi: ExprAst | None = None
-    members: tuple[ExprAst, ...] = ()
+    exprs: tuple[ExprAst, ...] = ()  # an interval's (lo, hi) or the members; none for a table
     table: tuple[tuple[float, CompactSet], ...] = ()
 
     @property
@@ -61,8 +59,8 @@ class MultiMap:
 
     @cached_property
     def _compiled(self) -> tuple[Callable[[float], float], ...]:
-        """Compiled (lo, hi) or members, in that order, on first scalar use; empty for a table."""
-        return tuple(compile_expr(e) for e in self._shape.expressions(self))
+        """Compiled ``exprs``, on first scalar use."""
+        return tuple(compile_expr(e) for e in self.exprs)
 
     @cached_property
     def _proved(self) -> bool:
@@ -164,19 +162,23 @@ def image_arrays(T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _proved_valid(T: MultiMap, a: float, b: float) -> bool:
     """Whether enclosures over ``[a, b]`` show every image there finite, and not inverted."""
-    boxes = [enclose(e, a, b) for e in T._shape.expressions(T)]
+    boxes = [enclose(e, a, b) for e in T.exprs]
     return None not in boxes and T._shape.proves(boxes)
 
 
 class _Expressions:
     """The forms the interval and point shapes share; no shape holds state."""
 
+    def describe(self, T: MultiMap) -> str:
+        opening, closing = self.brackets
+        return f"T(x) = {opening}{', '.join(format_expr(e) for e in T.exprs)}{closing}"
+
     def proves(self, boxes: list) -> bool:  # whether finite enclosures prove each image valid
         return True
 
     def images(self, T: MultiMap, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # fresh rows, one per expression, so the collapse and NaN images are written in place
-        values = np.stack([eval_expr_array(e, xs) for e in self.expressions(T)])
+        values = np.stack([eval_expr_array(e, xs) for e in T.exprs])
         failed = np.ones(len(xs), dtype=bool)
         for a, b in T.domain.intervals:
             failed &= ~((a <= xs) & (xs <= b))
@@ -188,7 +190,7 @@ class _Expressions:
     def step(self, T: MultiMap, gen: _Codegen, at: int, nearest: str) -> None:
         """x clamped onto [lo(x), hi(x)], one member being [f(x), f(x)], inline and
         with the bits of ``_nearest``; only a bad endpoint runs ``_checked_ends``."""
-        ends = [gen.value(e, at) for e in self.expressions(T)]
+        ends = [gen.value(e, at) for e in T.exprs]
         gen.emit(at, f"lo, hi = {ends[0]}, {ends[-1]}")
         if gen.checked:
             gen.emit(at, f"if not {gen.bind(-math.inf)} < lo <= hi < {gen.bind(math.inf)}:")
@@ -199,11 +201,7 @@ class _Expressions:
 class _Interval(_Expressions):
     """T(x) = [lo(x), hi(x)]."""
 
-    def expressions(self, T: MultiMap) -> tuple[ExprAst, ...]:
-        return T.lo, T.hi
-
-    def describe(self, T: MultiMap) -> str:
-        return f"T(x) = [{format_expr(T.lo)}, {format_expr(T.hi)}]"
+    brackets = "[]"
 
     def value_set(self, T: MultiMap, x: float) -> CompactSet:
         lo_fn, hi_fn = T._compiled
@@ -224,11 +222,7 @@ class _Interval(_Expressions):
 class _Points(_Expressions):
     """T(x) = {e(x) for each member e}; a singleton is one member."""
 
-    def expressions(self, T: MultiMap) -> tuple[ExprAst, ...]:
-        return T.members
-
-    def describe(self, T: MultiMap) -> str:
-        return f"T(x) = {{{', '.join(format_expr(e) for e in T.members)}}}"
+    brackets = "{}"
 
     def value_set(self, T: MultiMap, x: float) -> CompactSet:
         return CompactSet.from_points(fn(x) for fn in T._compiled)
@@ -239,9 +233,9 @@ class _Points(_Expressions):
 
     def step(self, T: MultiMap, gen: _Codegen, at: int, nearest: str) -> None:
         """The member with the least ``abs(x - v)``; ``nearest`` where two tie or one is not finite."""
-        if len(T.members) == 1:
+        if len(T.exprs) == 1:
             return super().step(T, gen, at, nearest)
-        first, *rest = [gen.value(e, at) for e in T.members]
+        first, *rest = [gen.value(e, at) for e in T.exprs]
         gen.emit(at, f"p, dp, tie = {first}, abs(x - {first}), False")
         for v in rest:
             gen.emit(at, f"e = abs(x - {v})")
@@ -257,9 +251,6 @@ class _Points(_Expressions):
 
 class _Table:
     """T(x) is the value set tabulated at x; there is no other x."""
-
-    def expressions(self, T: MultiMap) -> tuple[ExprAst, ...]:
-        return ()
 
     def describe(self, T: MultiMap) -> str:
         return f"table with {len(T.table)} entries"
@@ -334,7 +325,7 @@ def interval_map(
     endpoints prove that no point of the domain can fail
     (:func:`_validate_on_grid`).
     """
-    T = MultiMap(domain, "interval_endpoints", lo=_as_ast(lo), hi=_as_ast(hi))
+    T = MultiMap(domain, "interval_endpoints", (_as_ast(lo), _as_ast(hi)))
     return _validate_on_grid(T)
 
 
@@ -345,7 +336,7 @@ def singleton_map(domain: CompactSet, f: Union[str, ExprAst]) -> MultiMap:
     a 10,001-point grid over the domain, unless an interval enclosure
     proves it valid first (:func:`_validate_on_grid`).
     """
-    T = MultiMap(domain, "singleton", members=(_as_ast(f),))
+    T = MultiMap(domain, "singleton", (_as_ast(f),))
     return _validate_on_grid(T)
 
 
@@ -363,7 +354,7 @@ def finite_set_map(
     asts = tuple(_as_ast(e) for e in members)
     if not asts:
         raise InvariantError("finite-set map needs at least one member expression")
-    T = MultiMap(domain, "finite_set", members=asts)
+    T = MultiMap(domain, "finite_set", asts)
     return _validate_on_grid(T)
 
 
@@ -396,7 +387,7 @@ def table_map(
 
 def apply_map(T: MultiMap, x: float) -> CompactSet:
     """Value set T(x); ``x`` must be a real number in the domain of the map."""
-    if not T.domain.contains(real_number(x, "x", DomainError)):
+    if not T.domain.contains(x):
         raise DomainError(f"argument {x} lies outside the map domain")
     return _value_set(T, x)
 

@@ -92,6 +92,7 @@ class CompactSet:
         return sum(hi - lo for lo, hi in self.intervals)
 
     def contains(self, x: float) -> bool:
+        real_number(x, "x", DomainError)
         for lo, hi in self.intervals:
             if lo <= x <= hi:
                 return True
@@ -120,14 +121,21 @@ def _nearest(x: float, B: CompactSet) -> tuple[float, float]:
     return best_p, best_d
 
 
+def _point(x: float) -> float:
+    """``x``, unless it is no real number or is NaN, which no point is nearest."""
+    if math.isnan(real_number(x, "x", DomainError)):
+        raise DomainError(f"x must not be NaN, got {x}")
+    return x
+
+
 def dist_point_set(x: float, B: CompactSet) -> float:
     """Distance from the point ``x`` to the set ``B`` (0 iff ``x`` is in ``B``)."""
-    return _nearest(x, B)[1]
+    return _nearest(_point(x), B)[1]
 
 
 def nearest_point(x: float, B: CompactSet) -> float:
     """Point of ``B`` closest to ``x``; ties resolve to the smaller point."""
-    return _nearest(x, B)[0]
+    return _nearest(_point(x), B)[0]
 
 
 def excess(A: CompactSet, B: CompactSet) -> float:
@@ -144,8 +152,8 @@ def excess(A: CompactSet, B: CompactSet) -> float:
         candidates.append(hi)
     for (_, prev_hi), (next_lo, _) in zip(B.intervals, B.intervals[1:]):
         mid = 0.5 * (prev_hi + next_lo)
-        candidates.append(nearest_point(mid, A))
-    return max(dist_point_set(c, B) for c in candidates)
+        candidates.append(_nearest(mid, A)[0])
+    return max(_nearest(c, B)[1] for c in candidates)
 
 
 def hausdorff(A: CompactSet, B: CompactSet) -> float:
@@ -182,8 +190,10 @@ def sample_points(A: CompactSet, rng: np.random.Generator, n: int) -> np.ndarray
     is finite.  The result equals ``n`` successive one-point draws from the
     same generator state: ``rng.random(n)`` and ``rng.integers(k, size=n)``
     give the same numbers as ``n`` scalar calls.  A set whose total length
-    overflows a float raises :class:`DomainError`.
+    overflows a float raises :class:`DomainError`, as does an ``n`` its
+    number rule refuses (whole, at least 0).
     """
+    n = checked_number("n", n)
     total = A.total_length
     if total == 0.0:
         pts = np.array([lo for lo, _ in A.intervals])

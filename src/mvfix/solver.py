@@ -330,7 +330,7 @@ def gamma_sequence_probe(
     sparse subset of a longer sequence.  All h values must be positive.
     """
     k = F.k
-    hs = [float(h) for h in h_values]
+    hs = [float(real_number(h, "h", DomainError)) for h in h_values]
     if not hs:
         raise DomainError("probe needs at least one h value")
     if any(not h > 0.0 for h in hs):

@@ -681,7 +681,7 @@ class TestBatchedSweepAgainstScalarLoop:
         # the unvalidated sqrt(x - 0.3) fails below 0.3: every pair with
         # x < 0.3 is redone by the scalar code and fails at its x, so the
         # redo images each such x once, keeps its failure, and images no y
-        T = MultiMap(UNIT, "singleton", members=(parse_expr("sqrt(x - 0.3)"),))
+        T = MultiMap(UNIT, "singleton", exprs=(parse_expr("sqrt(x - 0.3)"),))
         args = dict(grid_size=201, random_pairs=1000, seed=42)
         spy = mock.patch.object(analysis, "apply_map", wraps=analysis.apply_map)
         with spy as apply:
@@ -975,11 +975,11 @@ SHAPE_CASES = {
     "signed_zero_singleton": lambda: singleton_map(UNIT, "-x"),
     # unvalidated maps whose images fail on part of the domain, inside the sweep
     "failing_points": lambda: MultiMap(
-        UNIT, "finite_set", members=tuple(map(parse_expr, ["x/4", "ln(x - 0.5)", "x*x"]))
+        UNIT, "finite_set", exprs=tuple(map(parse_expr, ["x/4", "ln(x - 0.5)", "x*x"]))
     ),
-    "failing_singleton": lambda: MultiMap(UNIT, "singleton", members=(parse_expr("ln(x - 0.5)"),)),
+    "failing_singleton": lambda: MultiMap(UNIT, "singleton", exprs=(parse_expr("ln(x - 0.5)"),)),
     "failing_interval": lambda: MultiMap(
-        UNIT, "interval_endpoints", lo=parse_expr("x/4"), hi=parse_expr("sqrt(x - 0.5) + 1")
+        UNIT, "interval_endpoints", exprs=(parse_expr("x/4"), parse_expr("sqrt(x - 0.5) + 1"))
     ),
     # unions, one holding the degenerate [0.2, 0.2]: the batch sweep fails
     # these images, so every pair takes the scalar code

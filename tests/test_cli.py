@@ -373,6 +373,14 @@ class TestSolveCommand:
         assert abs(float(rows["final_x"])) < 1e-11
         assert rows["validated"] == "skipped"
 
+    def test_one_positive_gamma_step_skips_with_the_solvers_words(self, tmp_path, capsys):
+        # 1 -> 0.5, then 0.5 is fixed: one step with gamma > 0
+        data = self.solve_config(map={"kind": "singleton", "f": "0.5"})
+        assert main(["solve", write_config(tmp_path, data)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert extract_machine_block(out)["validated"] == "skipped"
+        assert "validation: skipped (need at least 2 steps with positive gamma, found 1)" in out
+
     @pytest.mark.parametrize("first,second", [(0.5, 0.5), (-0.0, 0.0)])
     def test_repeated_table_key_is_one_error_line(self, tmp_path, capsys, first, second):
         entries = [[first, [[0, 0.1]]], [second, [[0.3, 0.4]]], [1.0, [[0.2, 0.2]]]]

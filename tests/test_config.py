@@ -490,31 +490,31 @@ MAP_CASES = [
         {"kind": "interval_endpoints", "lo": "x/4", "hi": "(x+1)/2"},
         {"kind": "interval_endpoints", "lo": "x/4", "hi": "(x+1)/2"},
         "MultiMap(domain=CompactSet([0.0, 1.0]), kind='interval_endpoints', "
-        "lo=BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=4.0)), "
-        "hi=BinOp(op='/', lhs=BinOp(op='+', lhs=Var(name='x'), rhs=Num(value=1.0)), "
-        "rhs=Num(value=2.0)), members=(), table=())",
+        "exprs=(BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=4.0)), "
+        "BinOp(op='/', lhs=BinOp(op='+', lhs=Var(name='x'), rhs=Num(value=1.0)), "
+        "rhs=Num(value=2.0))), table=())",
         "T(x) = [x / 4.0, (x + 1.0) / 2.0]",
     ),
     (
         {"kind": "singleton", "f": "x/2"},
         {"kind": "singleton", "f": "x/2"},
-        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='singleton', lo=None, hi=None, "
-        "members=(BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=2.0)),), table=())",
+        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='singleton', "
+        "exprs=(BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=2.0)),), table=())",
         "T(x) = {x / 2.0}",
     ),
     (
         {"kind": "finite_set", "members": ["x/3", "1 - x"]},
         {"kind": "finite_set", "members": ["x/3", "1 - x"]},
-        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='finite_set', lo=None, hi=None, "
-        "members=(BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=3.0)), "
+        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='finite_set', "
+        "exprs=(BinOp(op='/', lhs=Var(name='x'), rhs=Num(value=3.0)), "
         "BinOp(op='-', lhs=Num(value=1.0), rhs=Var(name='x'))), table=())",
         "T(x) = {x / 3.0, 1.0 - x}",
     ),
     (
         {"kind": "table", "entries": [[0, [[0, 0.25], [0.5, 1]]], [1, [[0.5, 0.5]]]]},
         {"kind": "table", "entries": [[0.0, [[0.0, 0.25], [0.5, 1.0]]], [1.0, [[0.5, 0.5]]]]},
-        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='table', lo=None, hi=None, "
-        "members=(), table=((0.0, CompactSet([0.0, 0.25], [0.5, 1.0])), "
+        "MultiMap(domain=CompactSet([0.0, 1.0]), kind='table', "
+        "exprs=(), table=((0.0, CompactSet([0.0, 0.25], [0.5, 1.0])), "
         "(1.0, CompactSet({0.5}))))",
         "table with 2 entries",
     ),

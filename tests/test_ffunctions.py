@@ -97,10 +97,12 @@ class TestStrictMonotonicity:
         assert grid[-1] == pytest.approx(1e8)
         assert all(a < b for a, b in zip(grid, grid[1:]))
 
-    def test_sine_fails_with_witness(self):
-        verdict = check_f1(math.sin, grid=[1.0, 2.0, 3.0, 4.0])
+    def test_rounding_tie_fails_with_witness(self):
+        # ln of the float above 1e300 rounds to ln(1e300): no strict increase there
+        upper = math.nextafter(1e300, math.inf)
+        verdict = check_f1(FFunction("log"), grid=[1.0, 1e300, upper])
         assert not verdict.passed
-        assert verdict.first_violation == (2.0, 3.0)
+        assert verdict.first_violation == (1e300, upper)
 
     def test_shuffled_then_sorted_grid_same_verdict(self):
         grid = list(F1_GRID)

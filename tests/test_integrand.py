@@ -377,7 +377,7 @@ class TestQuadratureAgainstClosedForms:
 
     def test_depth_exhaustion_raises(self):
         with pytest.raises(QuadratureError):
-            adaptive_simpson(lambda t: math.sin(t) + 2.0, 0.0, 10.0, tol=1e-30, max_depth=3)
+            adaptive_simpson(math.sqrt, 0.0, 1.0)  # sqrt's slope at 0 outlasts the depth
 
 
 # expression integrands accepted and refused on the grid, or proved

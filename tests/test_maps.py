@@ -177,11 +177,11 @@ class TestApplication:
 
     def test_compiled_expressions_are_not_fields_that_show(self):
         T = halving_map()
-        again = MultiMap(UNIT, "interval_endpoints", lo=T.lo, hi=T.hi)
+        again = MultiMap(UNIT, "interval_endpoints", exprs=T.exprs)
         assert again == T and hash(again) == hash(T)
         assert repr(again) == repr(T) and "_compiled" not in repr(T)
         with pytest.raises(TypeError):
-            MultiMap(UNIT, "singleton", members=T.members, _compiled=())
+            MultiMap(UNIT, "singleton", exprs=T.exprs, _compiled=())
 
     @pytest.mark.parametrize(
         "build, exprs",
@@ -203,10 +203,11 @@ class TestApplication:
         apply_map(T, 0.5)
         apply_map(T, 0.25)
         _step(T, 0.75)  # the orbit inlines its expressions, or reads the compiled members
-        assert compiled == [T.lo, T.hi] if T.lo is not None else list(T.members)
+        assert compiled == list(T.exprs)
 
     def test_replace_recompiles(self):
-        T = replace(halving_map(), hi=_as_ast("(x+1)/4"))
+        T = halving_map()
+        T = replace(T, exprs=(T.exprs[0], _as_ast("(x+1)/4")))
         assert apply_map(T, 1.0) == CompactSet.interval(0.25, 0.5)
 
 
@@ -249,10 +250,7 @@ BENCHMARK_MAPS = [
 
 
 def _unvalidated(kind, domain, exprs):
-    asts = tuple(_as_ast(e) for e in exprs)
-    if kind == "interval_endpoints":
-        return MultiMap(domain, kind, lo=asts[0], hi=asts[1])
-    return MultiMap(domain, kind, members=asts)
+    return MultiMap(domain, kind, exprs=tuple(_as_ast(e) for e in exprs))
 
 
 def _factory(kind, domain, exprs):
@@ -385,7 +383,7 @@ class TestNearestStep:
         point = CompactSet.interval(-0.0, -0.0)
         assert repr(_step(singleton_map(UNIT, "-x"), 0.0)) == repr(_nearest(0.0, point))
         assert checked == []
-        nan_map = MultiMap(UNIT, "singleton", members=(Num(math.nan),))
+        nan_map = MultiMap(UNIT, "singleton", exprs=(Num(math.nan),))
         message = r"^interval endpoints must be finite, got \(nan, nan\)$"
         with pytest.raises(InvariantError, match=message):
             _step(nan_map, 0.5)
@@ -443,7 +441,7 @@ class TestOrbit:
     def test_domain_test_matches_contains(self, domain):
         # a map that jumps to each probe once: its step leaves exactly where contains fails
         for p in [-0.5, -0.0, 0.0, 0.1, 0.25, 0.3, 0.5, 0.75, 0.9, 1.0, 1.5, 5e-324]:
-            T = MultiMap(domain, "singleton", members=(Num(p),))
+            T = MultiMap(domain, "singleton", exprs=(Num(p),))
             (_, _, stop, _), _, _ = self.run(T, domain.min, 0, 1)
             if p == domain.min:  # a fixed point at the start
                 continue
@@ -576,7 +574,7 @@ class TestKindRegistry:
 
         assert list(maps._SHAPES) == list(MAP_KINDS) == list(KIND_SAMPLES)
         for kind, shape in maps._SHAPES.items():
-            for form in ("expressions", "describe", "value_set", "proves", "images", "step"):
+            for form in ("describe", "value_set", "proves", "images", "step"):
                 assert callable(getattr(shape, form, None)), (kind, form)
 
     @pytest.mark.parametrize("kind", sorted(KIND_SAMPLES))

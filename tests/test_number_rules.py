@@ -20,16 +20,25 @@ from mvfix import (
     InvariantError,
     MvfixError,
     PowerIntegrand,
+    adaptive_simpson,
     apply_map,
+    capital_phi,
     certify,
+    check_f1,
     config_from_dict,
+    dist_point_set,
     domain_grid,
     evaluate_pair,
     evaluate_pairs,
     expression_integrand,
+    f_eval,
+    gamma_sequence_probe,
     is_fixed_point,
     iterate,
     m_value,
+    nearest_point,
+    phi_eval,
+    sample_points,
     singleton_map,
     table_map,
     validate_trace,
@@ -85,6 +94,16 @@ ENTRIES = {
         DomainError,
         [lambda v: domain_grid(UNIT, v), lambda v: domain_grid(CompactSet.from_points([0, 1]), v)],
     ),
+    # sample_points(A, rng, -1) once ended in numpy's raw ValueError, and 2.5
+    # or True in a raw TypeError
+    "n": (
+        NO_CONFIG,
+        DomainError,
+        [
+            lambda v: sample_points(UNIT, np.random.default_rng(0), v),
+            lambda v: sample_points(CompactSet.from_points([0, 1]), np.random.default_rng(0), v),
+        ],
+    ),
 }
 IN_RANGE = {
     "c": 2.5,
@@ -101,6 +120,7 @@ IN_RANGE = {
     "max_iter": 10,
     "x0": 0.5,
     "size": 4,
+    "n": 4,
 }
 # the in-range value of the key, in place of a value of the corpus
 IN = object()
@@ -194,6 +214,32 @@ POINT_CALLS = {
 @pytest.mark.parametrize("call", sorted(POINT_CALLS))
 def test_a_point_is_a_real_number(call, value):
     name, run = POINT_CALLS[call]
+    with pytest.raises(DomainError) as err:
+        run(value)
+    assert str(err.value) == f"{name} must be a number, got {value!r}"
+
+
+# The scalar arguments of the set, integrand, F and probe functions, each
+# with the name it is refused under.  f_eval(LOG, True) once gave 0.0,
+# UNIT.contains(True) was True, and a string or None ended in a raw TypeError.
+SCALAR_CALLS = {
+    "f_eval": ("alpha", lambda v: f_eval(LOG, v)),
+    "capital_phi": ("u", lambda v: capital_phi(ONE, v)),
+    "phi_eval": ("t", lambda v: phi_eval(ONE, v)),
+    "adaptive_simpson_a": ("a", lambda v: adaptive_simpson(lambda t: 1.0, v, 1.0)),
+    "adaptive_simpson_b": ("b", lambda v: adaptive_simpson(lambda t: 1.0, 0.0, v)),
+    "dist_point_set": ("x", lambda v: dist_point_set(v, UNIT)),
+    "nearest_point": ("x", lambda v: nearest_point(v, UNIT)),
+    "contains": ("x", lambda v: UNIT.contains(v)),
+    "check_f1": ("grid point", lambda v: check_f1(LOG, grid=[v, 2.0])),
+    "gamma_sequence_probe": ("h", lambda v: gamma_sequence_probe([v, 0.5], ONE, LOG)),
+}
+
+
+@pytest.mark.parametrize("value", [True, False, "a", "0.5", None], ids=repr)
+@pytest.mark.parametrize("call", sorted(SCALAR_CALLS))
+def test_a_scalar_argument_is_a_real_number(call, value):
+    name, run = SCALAR_CALLS[call]
     with pytest.raises(DomainError) as err:
         run(value)
     assert str(err.value) == f"{name} must be a number, got {value!r}"

@@ -134,6 +134,11 @@ class TestPointDistance:
             x = float(rng.uniform(-12, 12))
             assert dist_point_set(x, B) == point_dist_oracle(x, B)
 
+    def test_refuses_nan(self):
+        # once inf, as no distance to NaN is below inf
+        with pytest.raises(DomainError, match=r"^x must not be NaN, got nan$"):
+            dist_point_set(math.nan, CompactSet.interval(0.0, 1.0))
+
 
 class TestNearestPoint:
     def test_identity_inside(self):
@@ -154,6 +159,11 @@ class TestNearestPoint:
             p = nearest_point(x, B)
             assert p in B
             assert abs(x - p) == dist_point_set(x, B)
+
+    def test_refuses_nan(self):
+        # once 0.0, the set's minimum
+        with pytest.raises(DomainError, match=r"^x must not be NaN, got nan$"):
+            nearest_point(math.nan, CompactSet.interval(0.0, 1.0))
 
 
 class TestExcess:

@@ -367,7 +367,7 @@ TRACE_MAPS = {
     "near_tie": lambda: interval_map(UNIT, "x/2 + 1e-13", "x/2"),
     # unvalidated: the endpoints invert beyond ENDPOINT_SLACK once x < 0.2
     "inverted": lambda: MultiMap(
-        UNIT, "interval_endpoints", lo=parse_expr("x/2"), hi=parse_expr("x - 0.1")
+        UNIT, "interval_endpoints", exprs=(parse_expr("x/2"), parse_expr("x - 0.1"))
     ),
 }
 TRACE_INTEGRANDS = {
@@ -594,19 +594,19 @@ GAPPED = CompactSet([(0.0, 0.3), (0.5, 1.0)])
 # fixed probes of the generated orbit loop: (map, x0, tol, outcome type, detail)
 ORBIT_PROBES = {
     "deep_exp": (
-        lambda: MultiMap(UNIT, "singleton", members=(_deep(parse_expr("x/2 + 0.25")),)),
+        lambda: MultiMap(UNIT, "singleton", exprs=(_deep(parse_expr("x/2 + 0.25")),)),
         1.0, 0.0, FixedPointFound, None,
     ),
     # sqrt(x - 0.3) = x has no real root: the orbit falls below 0.3, where the
     # innermost sqrt raises, 31 exp blocks down
     "deep_exp_error": (
-        lambda: MultiMap(UNIT, "singleton", members=(_deep(parse_expr("sqrt(x - 0.3)")),)),
+        lambda: MultiMap(UNIT, "singleton", exprs=(_deep(parse_expr("sqrt(x - 0.3)")),)),
         1.0, 0.0, IterationError, "sqrt of negative value in 'sqrt(x - 0.3)'",
     ),
     "deep_interval": (
         lambda: MultiMap(
             GAPPED, "interval_endpoints",
-            lo=_deep(parse_expr("x/3")), hi=_deep(parse_expr("x/2 - 0.1")),
+            exprs=(_deep(parse_expr("x/3")), _deep(parse_expr("x/2 - 0.1"))),
         ),
         1.0, 0.0, IterationError, "iterate left the domain at step 0: x = 0.4",
     ),
@@ -617,23 +617,23 @@ ORBIT_PROBES = {
     "near_tie": (lambda: interval_map(UNIT, "x/2 + 1e-13", "x/2"), 1.0, 0.0, MaxIterReached, None),
     "inverted": (
         lambda: MultiMap(
-            UNIT, "interval_endpoints", lo=parse_expr("x/2"), hi=parse_expr("x - 0.1")
+            UNIT, "interval_endpoints", exprs=(parse_expr("x/2"), parse_expr("x - 0.1"))
         ),
         0.6, 0.0, IterationError, "map endpoints inverted at x = 0.10000000000000003",
     ),
     "nan_member": (
-        lambda: MultiMap(UNIT, "singleton", members=(Num(math.nan),)), 0.5, 0.0, IterationError,
+        lambda: MultiMap(UNIT, "singleton", exprs=(Num(math.nan),)), 0.5, 0.0, IterationError,
         "interval endpoints must be finite, got (nan, nan)",
     ),
     "nan_in_a_finite_set": (
-        lambda: MultiMap(UNIT, "finite_set", members=(parse_expr("x/2"), Num(math.nan))),
+        lambda: MultiMap(UNIT, "finite_set", exprs=(parse_expr("x/2"), Num(math.nan))),
         0.5, 0.0, IterationError, "interval endpoints must be finite, got (nan, nan)",
     ),
     "fixed_point_within_tol": (
         lambda: singleton_map(UNIT, "x/2 + 0.25"), 1.0, 1e-6, FixedPointFound, None,
     ),
     "ln_at_zero": (
-        lambda: MultiMap(UNIT, "singleton", members=(parse_expr("ln(x)"),)), 1.0, 0.0,
+        lambda: MultiMap(UNIT, "singleton", exprs=(parse_expr("ln(x)"),)), 1.0, 0.0,
         IterationError, "ln of non-positive value in 'ln(x)'",
     ),
     # proved interval and finite-set maps, whose orbits run no failure check
@@ -667,15 +667,15 @@ def orbit_maps(draw):
     kind = draw(st.sampled_from(["singleton", "interval", "near_tie", "inverted", "finite_set"]))
     a = draw(members)
     if kind == "singleton":
-        return MultiMap(domain, "singleton", members=(a,))
+        return MultiMap(domain, "singleton", exprs=(a,))
     if kind == "finite_set":
         more = draw(st.lists(members, min_size=1, max_size=3))
-        return MultiMap(domain, "finite_set", members=(a, *more))
+        return MultiMap(domain, "finite_set", exprs=(a, *more))
     if kind == "interval":
-        return MultiMap(domain, "interval_endpoints", lo=a, hi=draw(members))
+        return MultiMap(domain, "interval_endpoints", exprs=(a, draw(members)))
     # lo above hi by a gap within ENDPOINT_SLACK, or beyond it
     gap = 1e-13 if kind == "near_tie" else draw(st.sampled_from([2e-12, 1e-3, 0.5]))
-    return MultiMap(domain, "interval_endpoints", lo=BinOp("+", a, Num(gap)), hi=a)
+    return MultiMap(domain, "interval_endpoints", exprs=(BinOp("+", a, Num(gap)), a))
 
 
 class TestGeneratedOrbitAgainstScalarLoop:
